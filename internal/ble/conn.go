@@ -5,6 +5,7 @@ import (
 
 	"blemesh/internal/phy"
 	"blemesh/internal/pktbuf"
+	"blemesh/internal/ring"
 	"blemesh/internal/sim"
 	"blemesh/internal/trace"
 )
@@ -126,7 +127,7 @@ type Conn struct {
 	// Acknowledgement state (1-bit SN/NESN scheme).
 	sn, nesn byte
 	peerMD   bool
-	txq      []*txItem
+	txq      ring.Ring[*txItem]
 	// emptyInFlight: the last transmitted, still unacknowledged PDU was
 	// an empty one. A retransmission must resend the SAME PDU — reusing
 	// the sequence number for fresh data would be treated as a duplicate
@@ -207,7 +208,7 @@ func (c *Conn) Closed() bool { return c.closed }
 func (c *Conn) Usable() bool { return !c.closed && !c.closing }
 
 // QueueLen returns the number of LL payloads waiting for transmission.
-func (c *Conn) QueueLen() int { return len(c.txq) }
+func (c *Conn) QueueLen() int { return c.txq.Len() }
 
 func (c *Conn) String() string {
 	return fmt.Sprintf("conn#%d(%s→%s %s itvl=%v)", c.handle, c.ctrl.addr, c.peer, c.role, c.params.Interval)
@@ -239,7 +240,7 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 		c.relSCA = params.CoordSCA + ctrl.cfg.SCA
 	}
 	c.act = &Activity{
-		Name:       fmt.Sprintf("conn#%d", c.handle),
+		Name:       fmt.Sprintf("conn#%d", c.handle), // hotpath:ignore — once per connection
 		NextAnchor: func() sim.Time { return c.nextStart },
 		OnPreempt:  c.preempted,
 	}
@@ -304,7 +305,7 @@ func (c *Conn) bindCallbacks() {
 		if c.exData {
 			wait += c.ctrl.cfg.ExchangeGap
 		}
-		if (c.peerMD || len(c.txq) > 0) && c.sim().Now()+wait < c.evLimit {
+		if (c.peerMD || c.txq.Len() > 0) && c.sim().Now()+wait < c.evLimit {
 			c.radio().StartListen(c.evCh)
 			c.ctrl.setRx(c.onRxFn, c.onCarrierFn)
 			c.rxTimeout = c.sim().After(wait, c.rxExpireFn)
@@ -422,7 +423,7 @@ func (c *Conn) eventStart() {
 
 	// Subordinate latency: with nothing to exchange, the subordinate may
 	// sleep through up to Latency consecutive events (§2.2 of the paper).
-	if c.role == Subordinate && c.params.Latency > 0 && len(c.txq) == 0 && !c.peerMD &&
+	if c.role == Subordinate && c.params.Latency > 0 && c.txq.Len() == 0 && !c.peerMD &&
 		idx-c.lastAttended <= uint64(c.params.Latency) {
 		return
 	}
@@ -434,7 +435,7 @@ func (c *Conn) eventStart() {
 		// shading this happens for hundreds of consecutive events.
 		c.stats.EventsSkipped++
 		if c.ctrl.tr.Enabled() {
-			c.ctrl.tr.Emit(c.ctrl.node, trace.KindEventSkipped, "conn#%d ev=%d qlen=%d", c.handle, idx, len(c.txq))
+			c.ctrl.tr.Emit(c.ctrl.node, trace.KindEventSkipped, "conn#%d ev=%d qlen=%d", c.handle, idx, c.txq.Len())
 		}
 		return
 	}
@@ -509,8 +510,8 @@ func (c *Conn) cancelRxTimeout() {
 // an empty PDU, stamped with the current SN/NESN/MD bits.
 func (c *Conn) buildPDU() *DataPDU {
 	var pdu *DataPDU
-	if len(c.txq) > 0 && !c.emptyInFlight {
-		it := c.txq[0]
+	if c.txq.Len() > 0 && !c.emptyInFlight {
+		it := c.txq.Front()
 		if it.ctrl != nil {
 			pdu = it.ctrl
 			pdu.LLID = LLIDControl
@@ -532,7 +533,7 @@ func (c *Conn) buildPDU() *DataPDU {
 	pdu.Access = c.access
 	pdu.SN = c.sn
 	pdu.NESN = c.nesn
-	pdu.MD = len(c.txq) > 1
+	pdu.MD = c.txq.Len() > 1
 	return pdu
 }
 
@@ -546,12 +547,14 @@ func (c *Conn) transmitPDU(pdu *DataPDU, done func()) {
 		c.stats.TXEmpty++
 	}
 	try := 1
-	if len(c.txq) > 0 && pdu.Len() > 0 && c.txq[0].sent {
-		if c.txq[0].txCount > 0 {
-			c.stats.Retrans++
+	if c.txq.Len() > 0 && pdu.Len() > 0 {
+		if head := c.txq.Front(); head.sent {
+			if head.txCount > 0 {
+				c.stats.Retrans++
+			}
+			head.txCount++
+			try = head.txCount
 		}
-		c.txq[0].txCount++
-		try = c.txq[0].txCount
 	}
 	if pdu.Len() > 0 {
 		c.exData = true
@@ -583,9 +586,8 @@ func (c *Conn) processRx(pdu *DataPDU) {
 	if pdu.NESN != c.sn {
 		c.sn ^= 1
 		c.emptyInFlight = false
-		if len(c.txq) > 0 && c.txq[0].sent {
-			it := c.txq[0]
-			c.txq = c.txq[1:]
+		if c.txq.Len() > 0 && c.txq.Front().sent {
+			it := c.txq.Pop()
 			if it.size() > 0 || it.ctrl != nil {
 				c.stats.TXUnique++
 			}
@@ -621,15 +623,15 @@ func (c *Conn) processRx(pdu *DataPDU) {
 // connection-interval wait in the latency decomposition. Emitted once per
 // tagged item.
 func (c *Conn) markHeadReady() {
-	if !c.ctrl.tr.Enabled() || len(c.txq) == 0 {
+	if !c.ctrl.tr.Enabled() || c.txq.Len() == 0 {
 		return
 	}
-	it := c.txq[0]
+	it := c.txq.Front()
 	if it.readyMarked || it.pid == 0 {
 		return
 	}
 	it.readyMarked = true
-	c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLReady, it.pid, 0, "conn#%d qlen=%d", c.handle, len(c.txq))
+	c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLReady, it.pid, 0, "conn#%d qlen=%d", c.handle, c.txq.Len())
 }
 
 // deliver hands a freshly received PDU to the host or executes the control
@@ -770,7 +772,7 @@ func (c *Conn) coordTX() {
 // When the previous exchange moved data, the configured ExchangeGap models
 // the host/controller processing time before the next buffer is ready.
 func (c *Conn) coordAfterRx() {
-	more := c.peerMD || len(c.txq) > 0
+	more := c.peerMD || c.txq.Len() > 0
 	if more && c.ctrl.sched.Owns(c.act) {
 		wait := IFS
 		if c.exData {
@@ -788,8 +790,8 @@ func (c *Conn) coordAfterRx() {
 
 // buildPDUPreview returns the length of the next PDU without building it.
 func (c *Conn) buildPDUPreview() int {
-	if len(c.txq) > 0 {
-		return c.txq[0].size()
+	if c.txq.Len() > 0 {
+		return c.txq.Front().size()
 	}
 	return 0
 }
@@ -831,7 +833,7 @@ func (c *Conn) Send(llid LLID, payload []byte, pid uint64, onAck func()) bool {
 	it.llid, it.payload, it.pid = llid, payload, pid
 	it.poolN = len(payload)
 	it.onAck = onAck
-	c.txq = append(c.txq, it)
+	c.txq.Push(it)
 	c.markHeadReady()
 	return true
 }
@@ -859,7 +861,7 @@ func (c *Conn) SendBuf(llid LLID, b *pktbuf.Buf, pid uint64, onAck func()) bool 
 	it.poolN = len(payload)
 	it.onAck = onAck
 	it.buf = b
-	c.txq = append(c.txq, it)
+	c.txq.Push(it)
 	c.markHeadReady()
 	return true
 }
@@ -869,7 +871,7 @@ func (c *Conn) sendControl(pdu *DataPDU) {
 	pdu.LLID = LLIDControl
 	it := c.ctrl.getItem()
 	it.ctrl = pdu
-	c.txq = append(c.txq, it)
+	c.txq.Push(it)
 }
 
 // UpdateParams starts the connection parameter update procedure
@@ -965,7 +967,8 @@ func (c *Conn) terminate(reason LossReason) {
 	// Complete undelivered payloads: the enqueued onAck chain returns the
 	// pooled bytes and releases upper-layer resources (L2CAP SDU state,
 	// pktbuf charges) that would otherwise leak with the link.
-	for _, it := range c.txq {
+	for i := 0; i < c.txq.Len(); i++ {
+		it := c.txq.At(i)
 		if it.ctrl == nil {
 			if it.pid != 0 {
 				c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindPacketDrop, it.pid, 0,
@@ -984,7 +987,7 @@ func (c *Conn) terminate(reason LossReason) {
 		}
 		c.ctrl.putItem(it)
 	}
-	c.txq = nil
+	c.txq.Reset()
 	c.ctrl.removeConn(c, reason)
 }
 

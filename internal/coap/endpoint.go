@@ -3,7 +3,6 @@ package coap
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"blemesh/internal/ip6"
 	"blemesh/internal/sim"
@@ -81,13 +80,15 @@ type Endpoint struct {
 	tokSeq  uint64
 	pending map[string]*pendingReq // by token
 
-	// dedup of recently seen (peer, MID) pairs for CON handling.
-	seen  map[string]sim.Time
+	// dedup suppresses repeated requests, CON and NON alike, by (peer, MID).
+	// It is nil until the first request arrives: of a city's 10k endpoints
+	// only the sinks ever serve one.
+	dedup *dedup
 	stats Stats
-	// lazy defers the pending/seen map allocations to first use: a city-
-	// scale build creates 10k+ endpoints whose maps mostly stay empty until
-	// traffic starts. Reads of nil maps are already safe; the two write
-	// sites go through ensurePending/ensureSeen.
+	// lazy defers the pending map allocation to first use: a city-scale
+	// build creates 10k+ endpoints whose maps mostly stay empty until
+	// traffic starts. Reads of a nil map are already safe; the one write
+	// site goes through ensurePending.
 	lazy    bool
 	Handler Handler
 
@@ -120,7 +121,6 @@ func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16, lazy 
 	*ep = Endpoint{s: s, st: st, port: port, lazy: lazy}
 	if !lazy {
 		ep.pending = make(map[string]*pendingReq)
-		ep.seen = make(map[string]sim.Time)
 	}
 	ep.mid = uint16(s.Rand().Intn(1 << 16))
 	st.ListenUDP(port, ep.onUDP)
@@ -129,12 +129,6 @@ func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16, lazy 
 func (ep *Endpoint) ensurePending() {
 	if ep.pending == nil {
 		ep.pending = make(map[string]*pendingReq)
-	}
-}
-
-func (ep *Endpoint) ensureSeen() {
-	if ep.seen == nil {
-		ep.seen = make(map[string]sim.Time)
 	}
 }
 
@@ -245,11 +239,7 @@ func (ep *Endpoint) Reset() {
 		ep.s.Cancel(pr.expire)
 		delete(ep.pending, key)
 	}
-	if ep.lazy {
-		ep.seen = nil
-	} else {
-		ep.seen = make(map[string]sim.Time)
-	}
+	ep.dedup = nil
 }
 
 // send encodes and emits a message over UDP, returning the provenance ID
@@ -291,20 +281,19 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 	}
 }
 
-// handleRequest runs the handler and sends its response. Confirmable
-// requests are deduplicated by (peer, MID) and acknowledged; the response
-// piggybacks on the ACK as RFC 7252 §5.2.1 describes. Non-confirmable
+// handleRequest runs the handler and sends its response. Requests of either
+// type are deduplicated by (peer, MID). Confirmable ones are acknowledged; the
+// response piggybacks on the ACK as RFC 7252 §5.2.1 describes. Non-confirmable
 // requests get a response of the handler's chosen type (the paper's
 // consumer answers NON GETs with ACK-coded responses).
 func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
-	key := fmt.Sprintf("%v|%d", src, req.MessageID)
-	if at, dup := ep.seen[key]; dup && ep.s.Now()-at < 60*sim.Second {
+	if ep.dedup == nil {
+		ep.dedup = newDedup()
+	}
+	if ep.dedup.duplicate(src, req.MessageID, ep.s.Now()) {
 		ep.stats.Duplicates++
 		return
 	}
-	ep.ensureSeen()
-	ep.seen[key] = ep.s.Now()
-	ep.gcSeen()
 	ep.stats.RequestsServed++
 	if ep.Handler == nil {
 		return
@@ -322,17 +311,4 @@ func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
 		resp.MessageID = ep.NewMessageID()
 	}
 	_, _ = ep.send(src, resp)
-}
-
-// gcSeen bounds the dedup cache.
-func (ep *Endpoint) gcSeen() {
-	if len(ep.seen) < 4096 {
-		return
-	}
-	cutoff := ep.s.Now() - 60*sim.Second
-	for k, at := range ep.seen {
-		if at < cutoff {
-			delete(ep.seen, k)
-		}
-	}
 }

@@ -18,6 +18,7 @@ import (
 	"blemesh/internal/ip6"
 	"blemesh/internal/l2cap"
 	"blemesh/internal/pktbuf"
+	"blemesh/internal/ring"
 	"blemesh/internal/sim"
 	"blemesh/internal/sixlo"
 	"blemesh/internal/trace"
@@ -41,7 +42,7 @@ type link struct {
 	ep      *l2cap.Endpoint
 	att     *gatt.ATT
 	ch      *l2cap.Channel
-	queue   []outFrame // compressed frames awaiting the channel, pktbuf-charged
+	queue   ring.Ring[outFrame] // compressed frames awaiting the channel, pktbuf-charged
 	peerMAC uint64
 }
 
@@ -216,7 +217,8 @@ func (n *NetIf) RemoveLink(conn *ble.Conn) {
 // flushQueue drops a dead link's queued frames, releasing their pktbuf
 // charges and buffers and recording the drops.
 func (n *NetIf) flushQueue(l *link) {
-	for _, f := range l.queue {
+	for i := 0; i < l.queue.Len(); i++ {
+		f := l.queue.At(i)
 		n.stack.Pktbuf.Free(f.buf.Len())
 		f.buf.Put()
 		n.stats.LinkDrops++
@@ -224,7 +226,7 @@ func (n *NetIf) flushQueue(l *link) {
 			n.tr.EmitPkt(n.node, trace.KindPacketDrop, f.pid, 0, "cause=link-down peer=%012x", l.peerMAC)
 		}
 	}
-	l.queue = nil
+	l.queue.Reset()
 }
 
 // Reset tears down every link, as a reboot dropping the adapter's RAM:
@@ -269,16 +271,15 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		pkt.Put()
 		return false
 	}
-	l.queue = append(l.queue, outFrame{buf: pkt, pid: pid})
+	l.queue.Push(outFrame{buf: pkt, pid: pid})
 	n.drain(l)
 	return true
 }
 
 // drain pushes queued frames into the IPSP channel while it accepts them.
 func (n *NetIf) drain(l *link) {
-	for len(l.queue) > 0 && l.ch != nil && l.ch.Writable() {
-		f := l.queue[0]
-		l.queue = l.queue[1:]
+	for l.queue.Len() > 0 && l.ch != nil && l.ch.Writable() {
+		f := l.queue.Pop()
 		size := f.buf.Len()
 		err := l.ch.SendSDUBuf(f.buf, f.pid, func() {
 			n.stack.Pktbuf.Free(size)
@@ -306,7 +307,7 @@ func (n *NetIf) input(l *link, sdu *pktbuf.Buf, pid uint64) {
 // QueueDepth returns the number of frames queued toward a neighbor.
 func (n *NetIf) QueueDepth(mac uint64) int {
 	if l := n.linkFor(mac); l != nil {
-		return len(l.queue)
+		return l.queue.Len()
 	}
 	return 0
 }

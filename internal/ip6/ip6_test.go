@@ -2,6 +2,7 @@ package ip6
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -317,6 +318,69 @@ func TestRemoveRoutesVia(t *testing.T) {
 	}
 	if n := st.RemoveRoutesVia(via2); n != 0 {
 		t.Fatalf("second RemoveRoutesVia removed %d, want 0", n)
+	}
+}
+
+// refLookup is the lookup oracle: every entry visited, prefixes compared bit
+// by bit, the first of the longest matches kept.
+func refLookup(routes []Route, dst Addr) (Route, bool) {
+	best, hit := -1, Route{}
+	for _, r := range routes {
+		match := true
+		for b := 0; b < r.PrefixLen; b++ {
+			if (dst[b/8]^r.Dst[b/8])&(0x80>>(b%8)) != 0 {
+				match = false
+				break
+			}
+		}
+		if match && r.PrefixLen > best {
+			best, hit = r.PrefixLen, r
+		}
+	}
+	return hit, best >= 0
+}
+
+// TestLookupRouteMatchesReference drives random tables — every prefix
+// length 0..128, destinations differing in one chosen bit, upserts and
+// removals — and holds the word-at-a-time, early-exit lookup to the oracle.
+func TestLookupRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	st := NewStack(sim.New(1), 0x01)
+	st.AddInterface(&fakeIf{neighbors: map[uint64]bool{}})
+	base := ULA(DefaultPrefix, 0xA1B2C3D4E5F6)
+	flip := func(a Addr, bit int) Addr {
+		if bit < 128 {
+			a[bit/8] ^= 0x80 >> (bit % 8)
+		}
+		return a
+	}
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			// A prefix that agrees with base up to a random bit.
+			r := Route{Dst: flip(base, rng.Intn(129)), PrefixLen: rng.Intn(129),
+				NextHop: LinkLocal(uint64(step))}
+			if err := st.AddRoute(r); err != nil {
+				t.Fatal(err)
+			}
+		case op < 7 && len(st.routes) > 0:
+			r := st.routes[rng.Intn(len(st.routes))]
+			if op == 5 {
+				st.RemoveRoute(r.Dst, r.PrefixLen)
+			} else {
+				r.NextHop = LinkLocal(uint64(step)) // upsert in place
+				st.AddRoute(r)
+			}
+		case op == 7 && rng.Intn(40) == 0:
+			st.ClearRoutes()
+		}
+		dst := flip(flip(base, rng.Intn(129)), rng.Intn(129))
+		got, ok := st.LookupRoute(dst)
+		want, wantOK := refLookup(st.routes, dst)
+		if ok != wantOK || got != want {
+			t.Fatalf("step %d (%d routes) dst %v: got %+v/%v, want %+v/%v",
+				step, len(st.routes), dst, got, ok, want, wantOK)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ip6
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"blemesh/internal/pktbuf"
@@ -310,40 +311,43 @@ func (st *Stack) AddNeighbor(addr Addr, mac uint64, ifc NetIf) {
 		}
 	}
 	if len(st.nib) >= st.nibMax {
-		st.nib = st.nib[1:]
+		st.nib = st.nib[1:] // hotpath:ignore — cold: only a new neighbor overflowing the bounded NIB gets here
 	}
 	st.nib = append(st.nib, neighbor{addr: addr, mac: mac, ifc: ifc})
 }
 
-// lookupRoute returns the longest-prefix match for dst.
+// lookupRoute returns the longest-prefix match for dst; among routes of equal
+// length the first installed wins. Entries are visited in place (a Route is
+// 56 bytes) and a host-route hit returns at once: nothing can be longer.
 func (st *Stack) lookupRoute(dst Addr) (Route, bool) {
-	best := -1
-	var hit Route
-	for _, r := range st.routes {
-		if !prefixMatch(dst, r.Dst, r.PrefixLen) {
+	hi, lo := binary.BigEndian.Uint64(dst[:8]), binary.BigEndian.Uint64(dst[8:])
+	best, bestLen := -1, -1
+	for i := range st.routes {
+		r := &st.routes[i]
+		if r.PrefixLen <= bestLen || !prefixMatch(hi, lo, &r.Dst, r.PrefixLen) {
 			continue
 		}
-		if r.PrefixLen > best {
-			best = r.PrefixLen
-			hit = r
+		if r.PrefixLen == 128 {
+			return *r, true
 		}
+		best, bestLen = i, r.PrefixLen
 	}
-	return hit, best >= 0
+	if best < 0 {
+		return Route{}, false
+	}
+	return st.routes[best], true
 }
 
-func prefixMatch(a, p Addr, bits int) bool {
-	for i := 0; i < bits/8; i++ {
-		if a[i] != p[i] {
-			return false
-		}
+// prefixMatch reports whether the address whose big-endian halves are hi and
+// lo agrees with p on the first bits bits (0..128, as AddRoute admits). It
+// compares a word at a time: a differing bit inside the prefix survives the
+// shift that discards the bits outside it.
+func prefixMatch(hi, lo uint64, p *Addr, bits int) bool {
+	dhi := hi ^ binary.BigEndian.Uint64(p[:8])
+	if bits <= 64 {
+		return dhi>>(64-bits) == 0
 	}
-	if rem := bits % 8; rem != 0 {
-		mask := byte(0xff << (8 - rem))
-		if a[bits/8]&mask != p[bits/8]&mask {
-			return false
-		}
-	}
-	return true
+	return dhi == 0 && (lo^binary.BigEndian.Uint64(p[8:]))>>(128-bits) == 0
 }
 
 // resolve maps a next-hop (or on-link destination) address to (MAC, netif).

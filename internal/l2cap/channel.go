@@ -6,6 +6,7 @@ import (
 
 	"blemesh/internal/ble"
 	"blemesh/internal/pktbuf"
+	"blemesh/internal/ring"
 	"blemesh/internal/sim"
 )
 
@@ -69,7 +70,7 @@ type Channel struct {
 
 	// Segmentation queue: K-frames ready to go; onDone fires when the
 	// final frame of its SDU is acknowledged by the LL.
-	txq []txFrame
+	txq ring.Ring[txFrame]
 
 	// Reassembly state: the SDU accumulates in a pooled buffer that is
 	// handed to OnSDUBuf on completion.
@@ -120,7 +121,7 @@ func (ch *Channel) PeerMTU() int { return ch.peerMTU }
 // previous queue must have drained and the peer must have granted credit.
 // This is the backpressure signal the network layer's interface queue obeys.
 func (ch *Channel) Writable() bool {
-	return ch.Open() && len(ch.txq) == 0 && ch.txCredits > 0
+	return ch.Open() && ch.txq.Len() == 0 && ch.txCredits > 0
 }
 
 // SendSDU is the []byte form of SendSDUBuf: it copies data into a pooled
@@ -154,7 +155,7 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 	hd[1] = byte(sduLen >> 8)
 	mps := ch.peerMPS
 	if data.Len() <= mps {
-		ch.txq = append(ch.txq, txFrame{buf: data, pid: pid, onDone: onDone})
+		ch.txq.Push(txFrame{buf: data, pid: pid, onDone: onDone})
 	} else {
 		total := data.Len()
 		for lo := 0; lo < total; lo += mps {
@@ -163,7 +164,7 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 			if hi == total {
 				tf.onDone = onDone
 			}
-			ch.txq = append(ch.txq, tf)
+			ch.txq.Push(tf)
 		}
 		data.Put()
 	}
@@ -195,12 +196,12 @@ func segment(sdu []byte, mps int) [][]byte {
 
 // drain pushes queued frames while credits and LL buffers allow.
 func (ch *Channel) drain() {
-	for len(ch.txq) > 0 {
+	for ch.txq.Len() > 0 {
 		if ch.txCredits <= 0 {
 			ch.stats.Stalls++
 			return
 		}
-		f := ch.txq[0]
+		f := ch.txq.Front()
 		if !ch.ep.sendPDU(ch.dcid, f.buf, f.pid, f.onDone) {
 			// LL pool exhausted: the frame stays queued untouched;
 			// retry when the link drains.
@@ -210,7 +211,7 @@ func (ch *Channel) drain() {
 		}
 		ch.txCredits--
 		ch.stats.FramesSent++
-		ch.txq = ch.txq[1:]
+		ch.txq.Pop()
 	}
 }
 
@@ -311,7 +312,8 @@ func (ch *Channel) teardown() {
 	// by their onDone callbacks are released. Frames already handed to the
 	// LL are completed by the connection's own teardown.
 	var lastPID uint64
-	for _, f := range ch.txq {
+	for i := 0; i < ch.txq.Len(); i++ {
+		f := ch.txq.At(i)
 		if f.pid != lastPID { // frames of one SDU share a pid: emit once
 			ch.ep.conn.TraceDrop(f.pid, "link-reset")
 			lastPID = f.pid
@@ -321,7 +323,7 @@ func (ch *Channel) teardown() {
 		}
 		f.buf.Put()
 	}
-	ch.txq = nil
+	ch.txq.Reset()
 	if ch.sduBuf != nil {
 		ch.sduBuf.Put()
 		ch.sduBuf = nil
@@ -671,7 +673,7 @@ func (ch *Channel) TXCredits() int { return ch.txCredits }
 func (ch *Channel) RXCredits() int { return ch.rxCredits }
 
 // QueueLen returns the number of K-frames waiting for transmission.
-func (ch *Channel) QueueLen() int { return len(ch.txq) }
+func (ch *Channel) QueueLen() int { return ch.txq.Len() }
 
 // CIDATT is the fixed channel of the Attribute Protocol.
 const CIDATT uint16 = 0x0004

@@ -1,0 +1,58 @@
+#!/bin/sh
+# check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
+# the datapath packages.
+#
+# Both cost nothing to write and were most of the loaded tree's host time:
+# a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
+# FIFO pops that reallocate the backing array every few packets while keeping
+# popped buffers reachable through it (EXPERIMENTS.md "Loaded-path cost").
+# Queues use internal/ring; keys are packed integers.
+#
+#   fmt.Sprint*   allowed only inside a String() method, on a panic( line, or
+#                 inside an `if ...tr.Enabled() {` block (tracing is off on
+#                 the measured path);
+#   x = x[1:]     never: pop from a ring.Ring.
+#
+# A deliberate cold-path use carries a "// hotpath:ignore — <reason>" marker
+# on the same line. Test files are exempt.
+#
+# Usage: scripts/check-hotpath.sh   (from the repo root; exits 1 on offence)
+set -eu
+
+DATAPATH="internal/coap internal/ip6 internal/sixlo internal/l2cap internal/core internal/ble"
+
+files=$(find $DATAPATH -name '*.go' ! -name '*_test.go' | sort)
+
+# gofmt guarantees a block opened on a line indented by N tabs is closed by
+# the first later line that is N tabs and a "}", which is all the block
+# tracking below relies on.
+sprints=$(awk '
+function indent(s) { match(s, /^\t*/); return RLENGTH }
+FNR == 1 { exempt = 0 }
+{
+    if (exempt && indent($0) == depth && $0 ~ /^\t*}/) { exempt = 0; next }
+    if (!exempt && $0 ~ /{$/ && ($0 ~ /^func .*String\(\) string {$/ || $0 ~ /tr\.Enabled\(\)/)) {
+        exempt = 1; depth = indent($0); next
+    }
+    if (exempt || $0 !~ /fmt\.Sprint/) next
+    if ($0 ~ /String\(\) string/ || $0 ~ /panic\(/ || $0 ~ /hotpath:ignore/) next
+    printf "%s:%d:%s\n", FILENAME, FNR, $0
+}' $files)
+
+shifts=$(grep -HnE '([A-Za-z_][A-Za-z0-9_.]*) = \1\[1:\]' $files | grep -v 'hotpath:ignore' || true)
+
+status=0
+if [ -n "$sprints" ]; then
+    echo "fmt.Sprint* on the datapath — pack the value into an integer or a" >&2
+    echo "struct key, or add a '// hotpath:ignore — <reason>' marker if the path is cold:" >&2
+    echo "$sprints" >&2
+    status=1
+fi
+if [ -n "$shifts" ]; then
+    echo "slice-shift queue pop on the datapath — use ring.Ring, or add a" >&2
+    echo "'// hotpath:ignore — <reason>' marker if the path is cold:" >&2
+    echo "$shifts" >&2
+    status=1
+fi
+[ $status -eq 0 ] && echo "check-hotpath: datapath packages clean"
+exit $status

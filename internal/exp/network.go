@@ -248,17 +248,6 @@ type Network struct {
 	jammers   map[phy.Channel][]*phy.Switched
 }
 
-// heapEngineSiteMax is the largest site the arena build path runs on the
-// heap event queue instead of the configured engine, and heapEngineMinSites
-// is the smallest site count at which that substitution kicks in (see
-// BuildNetwork). The heap trades per-event speed (the wheel wins the storm
-// benchmarks ~2×) for per-queue footprint (~9KB of fixed slot arrays), so
-// it only pays when small queues are numerous.
-const (
-	heapEngineSiteMax  = 256
-	heapEngineMinSites = 64
-)
-
 // BuildNetwork assembles the BLE network for cfg.
 //
 // With cfg.Shards == 0 (the default) the whole network runs on one serial
@@ -316,26 +305,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	// mode), plus nw.Sim for external scheduling (see the field comment).
 	siteSims := make([]*sim.Sim, len(sites))
 	if shardedMode {
-		engineFor := func(int) sim.Engine { return cfg.Engine }
-		if !legacy && len(sites) >= heapEngineMinSites {
-			// Small sites run on the heap engine: a timer wheel carries
-			// ~9KB of fixed slot arrays per queue, which city-scale site
-			// counts multiply into megabytes, while a heap starts empty and
-			// a small site never grows it far. Below heapEngineMinSites the
-			// wheel's per-event edge outweighs the few KB saved, so small
-			// topologies (the sharded forest bench among them) keep the
-			// configured engine. The engines are event-for-event equivalent
-			// (differentially tested in internal/sim and by the
-			// engine-identity tests here), so the selection cannot change
-			// output.
-			engineFor = func(d int) sim.Engine {
-				if len(sites[d]) <= heapEngineSiteMax {
-					return sim.EngineHeap
-				}
-				return cfg.Engine
-			}
-		}
-		sh := sim.NewShardedSelect(cfg.Seed, len(sites), 0, engineFor)
+		sh := sim.NewSharded(cfg.Seed, cfg.Engine, len(sites), 0)
 		sh.SetWorkers(cfg.Shards)
 		nw.Sharded = sh
 		for i := range siteSims {

@@ -9,34 +9,37 @@
 // collision closure requires the two senders to be within range of each
 // other.
 //
-// Candidate lookup is a uniform grid with cell edge equal to the radio
-// range: a sender's in-range radios all live in the 3×3 cell neighborhood
-// of its own cell (the grid is keyed on X/Y; Z — building floors — only
-// enters the distance check, and 3D distance ≤ r implies XY distance ≤ r).
-// Per-cell lists are kept in registration (NodeID) order and gathered
-// candidates are insertion-sorted by ID, so the indexed scan visits exactly
-// the radios the linear distance-filtered scan visits, in exactly the same
-// order — the property the differential test layer locks down byte-for-byte.
-// SetLinearScan keeps the O(domain) linear path selectable for that test.
+// Radios do not move once a network is assembled, so each radio keeps the
+// list of radios within its range and a scan is one loop over that list.
+// Lists are built on first use from a uniform grid with cell edge equal to
+// the radio range: a sender's in-range radios all live in the 3×3 cell
+// neighborhood of its own cell (the grid is keyed on X/Y; Z — building
+// floors — only enters the distance check, and 3D distance ≤ r implies XY
+// distance ≤ r). A list is sorted by NodeID, so the cached scan visits
+// exactly the radios the linear distance-filtered scan visits, in exactly
+// the same order — the property the differential test layer locks down
+// byte-for-byte. Registering or moving a radio, or changing the range,
+// moves the domain's epoch; lists and grid are rebuilt on the next scan.
+// SetLinearScan keeps the uncached O(domain) path selectable as the oracle.
 package phy
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // SetRange switches the medium into geometric mode with the given disk
 // radio range in meters (boundary inclusive: distance exactly r is in
 // range). r <= 0 returns to the geometry-free everyone-hears-everyone
-// model. Grids for every domain are (re)built from current positions.
+// model.
 func (m *Medium) SetRange(r float64) {
-	if r <= 0 {
-		m.r, m.rangeSq = 0, 0
-		for _, dom := range m.domains {
-			dom.grid = nil
-		}
-		return
+	if r < 0 {
+		r = 0
 	}
 	m.r, m.rangeSq = r, r*r
 	for _, dom := range m.domains {
-		dom.rebuildGrid(m.r)
+		dom.invalidate()
 	}
 }
 
@@ -44,23 +47,16 @@ func (m *Medium) SetRange(r float64) {
 func (m *Medium) Range() float64 { return m.r }
 
 // SetLinearScan forces geometric-mode scans down the linear
-// filter-every-radio path instead of the grid index. Output must be
+// filter-every-radio path instead of the neighbour lists. Output must be
 // byte-identical either way; the switch exists so the differential test
 // layer (and regressions it catches) can prove it.
 func (m *Medium) SetLinearScan(on bool) { m.linear = on }
 
-// SetPosition places the radio at (x, y, z) meters and reindexes it. Call
-// during network assembly; moving radios mid-flight is allowed but O(cell).
+// SetPosition places the radio at (x, y, z) meters. Call during network
+// assembly: a move retires every neighbour list of the radio's domain.
 func (r *Radio) SetPosition(x, y, z float64) {
-	m := r.medium
-	dom := m.domains[r.dom]
-	if dom.grid != nil {
-		dom.gridRemove(gridKey(r.px, r.py, m.r), r)
-	}
 	r.px, r.py, r.pz = x, y, z
-	if dom.grid != nil {
-		dom.gridInsert(gridKey(x, y, m.r), r)
-	}
+	r.medium.domains[r.dom].invalidate()
 }
 
 // Position returns the radio's position in meters.
@@ -83,98 +79,62 @@ func gridKey(x, y, r float64) [2]int32 {
 	return [2]int32{int32(math.Floor(x / r)), int32(math.Floor(y / r))}
 }
 
-// rebuildGrid reindexes every radio of the domain (range changes, mode
-// flips). Per-cell lists stay in NodeID order because dom.radios is.
-func (dom *rfDomain) rebuildGrid(r float64) {
-	dom.grid = make(map[[2]int32][]*Radio)
-	for _, rd := range dom.radios {
-		dom.grid[gridKey(rd.px, rd.py, r)] = append(dom.grid[gridKey(rd.px, rd.py, r)], rd)
+// neighbors returns the radios of r's domain within range of r, in NodeID
+// order, building the list if the domain changed since it was last built.
+// A rebuild allocates a fresh slice, so a scan already iterating the old
+// one keeps its snapshot.
+func (m *Medium) neighbors(dom *rfDomain, r *Radio) []*Radio {
+	if r.nbrEpoch == dom.epoch {
+		return r.nbrs
 	}
-}
-
-// gridInsert adds a radio to a cell, keeping the cell's NodeID order.
-func (dom *rfDomain) gridInsert(k [2]int32, r *Radio) {
-	lst := dom.grid[k]
-	i := len(lst)
-	for i > 0 && lst[i-1].id > r.id {
-		i--
-	}
-	lst = append(lst, nil)
-	copy(lst[i+1:], lst[i:])
-	lst[i] = r
-	dom.grid[k] = lst
-}
-
-// gridRemove deletes a radio from a cell.
-func (dom *rfDomain) gridRemove(k [2]int32, r *Radio) {
-	lst := dom.grid[k]
-	for i, rd := range lst {
-		if rd == r {
-			dom.grid[k] = append(lst[:i], lst[i+1:]...)
-			return
+	if dom.grid == nil {
+		// Per-cell lists come out in NodeID order because dom.radios is.
+		dom.grid = make(map[[2]int32][]*Radio)
+		for _, rd := range dom.radios {
+			k := gridKey(rd.px, rd.py, m.r)
+			dom.grid[k] = append(dom.grid[k], rd)
 		}
 	}
-}
-
-// neighborScan calls fn for every radio of the sender's domain that can
-// hear the sender, in registration (NodeID) order — the one scan order both
-// the linear and the indexed path produce. Geometry-free media scan the
-// whole domain, exactly the historical behaviour. fn may transmit or retune
-// radios: the visit set is snapshotted before the first call on every path
-// (the linear paths iterate a captured slice header, the grid path a
-// gathered candidate list), so reentrant medium use cannot skew the scan.
-func (m *Medium) neighborScan(dom *rfDomain, sender *Radio, fn func(*Radio)) {
-	if m.rangeSq <= 0 {
-		for _, lr := range dom.radios {
-			if lr != sender {
-				fn(lr)
-			}
-		}
-		return
-	}
-	if m.linear || dom.grid == nil {
-		for _, lr := range dom.radios {
-			if lr != sender && sender.distSqTo(lr) <= m.rangeSq {
-				fn(lr)
-			}
-		}
-		return
-	}
-	cand := m.getScratch()
-	k := gridKey(sender.px, sender.py, m.r)
+	var buf [32]*Radio
+	cand := buf[:0]
+	k := gridKey(r.px, r.py, m.r)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
 			for _, lr := range dom.grid[[2]int32{k[0] + dx, k[1] + dy}] {
-				if lr != sender && sender.distSqTo(lr) <= m.rangeSq {
+				if lr != r && r.distSqTo(lr) <= m.rangeSq {
 					cand = append(cand, lr)
 				}
 			}
 		}
 	}
-	// Insertion sort by NodeID: candidate counts are density-bounded (tens,
-	// not thousands), cells arrive presorted, and this avoids sort.Slice's
-	// closure allocation on the per-TX hot path.
-	for i := 1; i < len(cand); i++ {
-		for j := i; j > 0 && cand[j].id < cand[j-1].id; j-- {
-			cand[j], cand[j-1] = cand[j-1], cand[j]
+	slices.SortFunc(cand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
+	r.nbrs, r.nbrEpoch = append([]*Radio(nil), cand...), dom.epoch
+	return r.nbrs
+}
+
+// neighborScan calls fn for every radio of the sender's domain that can
+// hear the sender, in registration (NodeID) order — the one scan order both
+// the linear and the cached path produce. Geometry-free media scan the
+// whole domain, exactly the historical behaviour. fn may transmit or retune
+// radios: every path iterates a slice header captured before the first
+// call, so reentrant medium use cannot skew the scan.
+func (m *Medium) neighborScan(dom *rfDomain, sender *Radio, fn func(*Radio)) {
+	switch {
+	case m.rangeSq <= 0:
+		for _, lr := range dom.radios {
+			if lr != sender {
+				fn(lr)
+			}
+		}
+	case m.linear:
+		for _, lr := range dom.radios {
+			if lr != sender && sender.distSqTo(lr) <= m.rangeSq {
+				fn(lr)
+			}
+		}
+	default:
+		for _, lr := range m.neighbors(dom, sender) {
+			fn(lr)
 		}
 	}
-	for _, lr := range cand {
-		fn(lr)
-	}
-	m.putScratch(cand)
 }
-
-// getScratch / putScratch recycle candidate buffers. A free list rather
-// than a single buffer because receiver callbacks may transmit, nesting
-// another scan inside this one.
-func (m *Medium) getScratch() []*Radio {
-	if n := len(m.scratch); n > 0 {
-		s := m.scratch[n-1]
-		m.scratch = m.scratch[:n-1]
-		return s[:0]
-	}
-	return make([]*Radio, 0, 32)
-}
-
-func (m *Medium) putScratch(s []*Radio) { m.scratch = append(m.scratch, s) }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blemesh/internal/sim"
@@ -22,8 +23,8 @@ func candidates(m *Medium, sender *Radio, linear bool) []NodeID {
 	return out
 }
 
-// requireSameScan asserts the linear and indexed paths visit the same
-// radios in the same order.
+// requireSameScan asserts the linear oracle and the cached neighbour list
+// visit the same radios in the same order.
 func requireSameScan(t *testing.T, m *Medium, sender *Radio) {
 	t.Helper()
 	lin := candidates(m, sender, true)
@@ -105,8 +106,12 @@ func TestGridMatchesLinearRandom(t *testing.T) {
 			pair.SetPosition(float64(i-5)*r+r, float64(i%3)*r, 0)
 			radios = append(radios, pair)
 		}
-		for _, rd := range radios {
-			requireSameScan(t, m, rd)
+		// Twice: the first pass builds each radio's neighbour list, the
+		// second scans the cached lists.
+		for pass := 0; pass < 2; pass++ {
+			for _, rd := range radios {
+				requireSameScan(t, m, rd)
+			}
 		}
 	}
 }
@@ -195,5 +200,183 @@ func TestGeometricDelivery(t *testing.T) {
 	}
 	if c := m.Stats().Collisions; c != 0 {
 		t.Fatalf("out-of-range senders collided: %d collisions", c)
+	}
+}
+
+// randomField registers n radios at seeded random positions in a side×side
+// square and drives one real transmission per radio, so every neighbour
+// list is built and cached before a test starts changing the geometry.
+func randomField(seed int64, n int, side, r float64) (*sim.Sim, *Medium, []*Radio) {
+	s := sim.New(seed)
+	m := NewMedium(s)
+	m.SetRange(r)
+	rng := rand.New(rand.NewSource(seed))
+	radios := make([]*Radio, n)
+	for i := range radios {
+		radios[i] = m.NewRadio()
+		radios[i].SetPosition(rng.Float64()*side, rng.Float64()*side, 0)
+	}
+	for _, rd := range radios {
+		rd.Transmit(3, Packet{Bits: 80}, 80*sim.Microsecond, nil)
+		s.Run(s.Now() + sim.Millisecond)
+	}
+	return s, m, radios
+}
+
+func requireAllSameScan(t *testing.T, m *Medium, radios []*Radio) {
+	t.Helper()
+	for _, rd := range radios {
+		requireSameScan(t, m, rd)
+	}
+}
+
+// TestNeighborListInvalidation changes who hears whom after every
+// neighbour list has been built and used, in each way the medium allows,
+// and holds the cached scan to the linear oracle (visit set and order) for
+// every radio afterwards. Each case also checks that the change is visible
+// at all, so a cache that never refreshed could not pass by agreeing with
+// an oracle that did not move.
+func TestNeighborListInvalidation(t *testing.T) {
+	const r = 10.0
+	t.Run("SetPosition after the first TX", func(t *testing.T) {
+		_, m, radios := randomField(1, 60, 60, r)
+		a, b := radios[0], radios[len(radios)-1]
+		b.SetPosition(1000, 1000, 0)
+		requireAllSameScan(t, m, radios)
+		if slices.Contains(candidates(m, a, false), b.id) {
+			t.Fatal("radio moved far away is still a neighbour")
+		}
+		b.SetPosition(a.px+1, a.py, 0)
+		requireAllSameScan(t, m, radios)
+		if !slices.Contains(candidates(m, a, false), b.id) || !slices.Contains(candidates(m, b, false), a.id) {
+			t.Fatal("radio moved next to the sender is not a neighbour")
+		}
+	})
+	t.Run("radio registered after the first TX", func(t *testing.T) {
+		s, m, radios := randomField(2, 60, 60, r)
+		a := radios[7]
+		late := m.NewRadio()
+		late.SetPosition(a.px, a.py+2, 0)
+		radios = append(radios, late)
+		requireAllSameScan(t, m, radios)
+		if !slices.Contains(candidates(m, a, false), late.id) {
+			t.Fatal("late radio missing from its neighbour's list")
+		}
+		// And it is heard on the air, not just listed.
+		heard := 0
+		late.SetReceiver(func(_ Packet, _ Channel, ok bool) {
+			if ok {
+				heard++
+			}
+		})
+		late.StartListen(3)
+		a.Transmit(3, Packet{Bits: 80}, 80*sim.Microsecond, nil)
+		s.Run(s.Now() + sim.Millisecond)
+		if heard != 1 {
+			t.Fatalf("late radio heard %d packets from its neighbour, want 1", heard)
+		}
+		// Registration alone must retire the lists: this one is never
+		// positioned, so it sits on the origin next to the corner radio.
+		corner := radios[0]
+		corner.SetPosition(1, 1, 0)
+		requireAllSameScan(t, m, radios)
+		unplaced := m.NewRadio()
+		if !slices.Contains(candidates(m, corner, false), unplaced.id) {
+			t.Fatal("radio registered without a position missing from its neighbour's list")
+		}
+		requireAllSameScan(t, m, append(radios, unplaced))
+	})
+	t.Run("SetRange shrinking and growing", func(t *testing.T) {
+		_, m, radios := randomField(3, 60, 60, r)
+		count := func() (n int) {
+			for _, rd := range radios {
+				n += len(candidates(m, rd, false))
+			}
+			return n
+		}
+		base := count()
+		m.SetRange(r / 2)
+		requireAllSameScan(t, m, radios)
+		small := count()
+		m.SetRange(2 * r)
+		requireAllSameScan(t, m, radios)
+		large := count()
+		if !(small < base && base < large) {
+			t.Fatalf("neighbour pairs at r/2, r, 2r = %d, %d, %d: want strictly increasing", small, base, large)
+		}
+	})
+	t.Run("second domain added late", func(t *testing.T) {
+		_, m, radios := randomField(4, 40, 40, r)
+		before := make([][]NodeID, len(radios))
+		for i, rd := range radios {
+			before[i] = candidates(m, rd, false)
+		}
+		m.SetDomain(1)
+		twins := make([]*Radio, len(radios))
+		for i, rd := range radios {
+			twins[i] = m.NewRadio()
+			twins[i].SetPosition(rd.px, rd.py, rd.pz)
+		}
+		requireAllSameScan(t, m, radios)
+		requireAllSameScan(t, m, twins)
+		for i, rd := range radios {
+			if got := candidates(m, rd, false); !reflect.DeepEqual(got, before[i]) {
+				t.Fatalf("radio %d: neighbours changed when an RF-isolated domain was added: %v -> %v", rd.id, before[i], got)
+			}
+			// The twin sits on the same spot and hears the same twins, never
+			// a domain-0 radio.
+			got := candidates(m, twins[i], false)
+			if len(got) != len(before[i]) {
+				t.Fatalf("twin of radio %d hears %d radios, want %d", rd.id, len(got), len(before[i]))
+			}
+			for _, id := range got {
+				if id < twins[0].id {
+					t.Fatalf("twin of radio %d hears domain-0 radio %d", rd.id, id)
+				}
+			}
+		}
+	})
+}
+
+// TestNeighborScanReentrant transmits from inside a receiver callback: the
+// nested Transmit runs a carrier scan — and builds the nested sender's
+// neighbour list for the first time — while the outer end-of-packet scan is
+// still walking its own. The order in which receivers are visited, nested
+// deliveries included, must equal the linear oracle's.
+func TestNeighborScanReentrant(t *testing.T) {
+	run := func(linear bool) []NodeID {
+		s := sim.New(1)
+		m := NewMedium(s)
+		m.SetRange(10)
+		m.SetLinearScan(linear)
+		var radios []*Radio
+		var visits []NodeID
+		for i := 0; i < 6; i++ {
+			rd := m.NewRadio()
+			rd.SetPosition(float64(i), 0, 0) // everyone in range of everyone
+			radios = append(radios, rd)
+		}
+		for _, rd := range radios[1:] {
+			rd := rd
+			rd.SetReceiver(func(pkt Packet, ch Channel, ok bool) {
+				visits = append(visits, rd.id)
+				// The second and fourth receivers answer on the spot.
+				if pkt.Src == radios[0].id && (rd == radios[2] || rd == radios[4]) {
+					rd.Transmit(ch, Packet{Bits: 80}, 80*sim.Microsecond, func() { rd.StartListen(ch) })
+				}
+			})
+			rd.SetCarrier(func(Channel, sim.Time) { visits = append(visits, -rd.id) })
+			rd.StartListen(7)
+		}
+		radios[0].Transmit(7, Packet{Bits: 80}, 80*sim.Microsecond, nil)
+		s.Run(sim.Second)
+		return visits
+	}
+	lin, cached := run(true), run(false)
+	if len(lin) < 10 {
+		t.Fatalf("scenario too quiet to prove anything: visits %v", lin)
+	}
+	if !reflect.DeepEqual(lin, cached) {
+		t.Fatalf("reentrant visit order differs:\n linear %v\n cached %v", lin, cached)
 	}
 }

@@ -139,17 +139,28 @@ type Medium struct {
 	r       float64
 	rangeSq float64
 	linear  bool
-	scratch [][]*Radio // recycled candidate buffers for indexed scans
-	reserve []Radio    // slab handed out by NewRadio (see ReserveRadios)
+	reserve []Radio // slab handed out by NewRadio (see ReserveRadios)
 }
 
 // rfDomain is one RF-closure partition: the radios that can hear each
-// other and their in-flight transmissions. In geometric mode grid indexes
-// the domain's radios by position (cell edge = radio range).
+// other and their in-flight transmissions, per channel.
 type rfDomain struct {
 	radios []*Radio
-	active map[Channel][]*transmission
-	grid   map[[2]int32][]*Radio
+	active [NumChannels][]*transmission
+
+	// Geometric mode (grid.go). epoch counts the changes that can alter who
+	// hears whom in this domain — a radio registered or moved, the range
+	// set. A radio's neighbour list is valid for the epoch it was built at;
+	// grid indexes the radios by position (cell edge = radio range) to
+	// build those lists and is dropped whenever the epoch moves.
+	epoch uint64
+	grid  map[[2]int32][]*Radio
+}
+
+// invalidate retires every neighbour list of the domain and its grid.
+func (dom *rfDomain) invalidate() {
+	dom.epoch++
+	dom.grid = nil
 }
 
 // getTx takes a transmission from the free list (or allocates one) and
@@ -179,11 +190,7 @@ func (m *Medium) getTx() *transmission {
 
 // NewMedium creates an empty medium with a single RF domain.
 func NewMedium(s *sim.Sim) *Medium {
-	return &Medium{sim: s, domains: []*rfDomain{newRFDomain()}}
-}
-
-func newRFDomain() *rfDomain {
-	return &rfDomain{active: make(map[Channel][]*transmission)}
+	return &Medium{sim: s, domains: []*rfDomain{{}}}
 }
 
 // SetDomain selects the RF domain that subsequent NewRadio calls register
@@ -193,11 +200,7 @@ func (m *Medium) SetDomain(d int) {
 		panic("phy: negative RF domain")
 	}
 	for len(m.domains) <= d {
-		dom := newRFDomain()
-		if m.rangeSq > 0 {
-			dom.rebuildGrid(m.r)
-		}
-		m.domains = append(m.domains, dom)
+		m.domains = append(m.domains, &rfDomain{})
 	}
 	m.cur = d
 }
@@ -238,16 +241,14 @@ func (m *Medium) NewRadio() *Radio {
 	var r *Radio
 	if len(m.reserve) > 0 {
 		r = &m.reserve[0]
-		m.reserve = m.reserve[1:]
+		m.reserve = m.reserve[1:] // hotpath:ignore — build path, once per radio
 	} else {
 		r = new(Radio)
 	}
 	*r = Radio{medium: m, id: NodeID(m.nradios), dom: m.cur, listenCh: -1}
 	m.nradios++
 	dom.radios = append(dom.radios, r)
-	if dom.grid != nil {
-		dom.gridInsert(gridKey(r.px, r.py, m.r), r)
-	}
+	dom.invalidate()
 	return r
 }
 
@@ -295,6 +296,10 @@ type Radio struct {
 
 	// Position in meters; only meaningful in geometric mode (grid.go).
 	px, py, pz float64
+	// nbrs is the geometric-mode neighbour list: the domain's radios within
+	// range, in NodeID order, as of domain epoch nbrEpoch.
+	nbrs     []*Radio
+	nbrEpoch uint64
 
 	state       RadioState
 	listenCh    Channel
@@ -456,18 +461,27 @@ func (r *Radio) AbortTX() {
 		tx.corrupted = true
 	}
 	// Remove from the active set now so CCA reads the channel as free.
-	dom := r.medium.domains[tx.dom]
-	lst := dom.active[tx.ch]
-	for i, t := range lst {
-		if t == tx {
-			lst[i] = lst[len(lst)-1]
-			dom.active[tx.ch] = lst[:len(lst)-1]
-			break
-		}
-	}
+	r.medium.removeActive(tx)
 	tx.aborted = true
 	r.state = RadioIdle
 	r.curTX = nil
+}
+
+// removeActive takes tx out of its domain's in-flight set. The vacated tail
+// slot is cleared: transmissions are recycled, and a stale pointer behind
+// the slice length would keep one (and its Packet.Payload) reachable.
+func (m *Medium) removeActive(tx *transmission) {
+	active := &m.domains[tx.dom].active[tx.ch]
+	lst := *active
+	for i, t := range lst {
+		if t == tx {
+			last := len(lst) - 1
+			lst[i] = lst[last]
+			lst[last] = nil
+			*active = lst[:last]
+			return
+		}
+	}
 }
 
 // finish removes tx from the active set, returns the sender to idle, and
@@ -475,14 +489,7 @@ func (r *Radio) AbortTX() {
 func (m *Medium) finish(sender *Radio, tx *transmission) {
 	dom := m.domains[tx.dom]
 	if !tx.aborted {
-		lst := dom.active[tx.ch]
-		for i, t := range lst {
-			if t == tx {
-				lst[i] = lst[len(lst)-1]
-				dom.active[tx.ch] = lst[:len(lst)-1]
-				break
-			}
-		}
+		m.removeActive(tx)
 		sender.state = RadioIdle
 		sender.curTX = nil
 	}

@@ -328,6 +328,36 @@ func TestAbortTXFreesChannelAndCorruptsPacket(t *testing.T) {
 	}
 }
 
+// TestRemoveActiveClearsVacatedSlot: transmissions are recycled, so a stale
+// pointer left behind the in-flight slice's length would keep one — and its
+// packet payload — reachable. Both removal paths (abort and end of packet)
+// must nil the slot they vacate.
+func TestRemoveActiveClearsVacatedSlot(t *testing.T) {
+	s, m := setup()
+	a, b, c := m.NewRadio(), m.NewRadio(), m.NewRadio()
+	stale := func() int {
+		lst := m.domains[0].active[5]
+		n := 0
+		for _, tx := range lst[len(lst):cap(lst)] {
+			if tx != nil {
+				n++
+			}
+		}
+		return n
+	}
+	for _, r := range []*Radio{a, b, c} {
+		r.Transmit(5, Packet{Bits: 800, Payload: make([]byte, 100)}, sim.Millisecond, nil)
+	}
+	a.AbortTX() // swap-remove from the front: the tail entry moves down
+	if got := len(m.domains[0].active[5]); got != 2 || stale() != 0 {
+		t.Fatalf("after abort: %d in flight, %d stale slots behind them; want 2, 0", got, stale())
+	}
+	s.Run(sim.Second)
+	if got := len(m.domains[0].active[5]); got != 0 || stale() != 0 {
+		t.Fatalf("after end of packet: %d in flight, %d stale slots; want 0, 0", got, stale())
+	}
+}
+
 func TestCarrierCallbackFiresAtPacketStart(t *testing.T) {
 	s, m := setup()
 	tx := m.NewRadio()

@@ -12,8 +12,9 @@ type Engine uint8
 
 const (
 	// EngineWheel is a hierarchical timer wheel with bitmap-indexed slots
-	// and an overflow heap — O(1) scheduling, no per-operation interface
-	// dispatch, and cache-friendly slot storage. The default.
+	// and an overflow heap — O(1) scheduling and cancellation, no
+	// per-operation interface dispatch, and storage that grows with the
+	// timer horizons in use, not with the geometry. The default.
 	EngineWheel Engine = iota
 	// EngineHeap is the original container/heap binary heap, kept as the
 	// reference implementation for differential testing.

@@ -71,24 +71,13 @@ type crossEvent struct {
 // cross-domain latency enforced by PostCross; pass 0 when domains are
 // fully isolated and cross posts are not used.
 func NewSharded(seed int64, engine Engine, domains int, lookahead Duration) *Sharded {
-	return NewShardedSelect(seed, domains, lookahead, func(int) Engine { return engine })
-}
-
-// NewShardedSelect is NewSharded with a per-domain engine choice: engineFor
-// is called once per domain index. Both engines execute events in identical
-// (when, seq) order — the differential suite holds them to byte-identical
-// traces — so the choice is purely a memory/speed trade: the wheel carries
-// ~9KB of fixed slot storage per queue and wins on deep timer populations,
-// while the heap starts empty and wins on the thousands of small RF-isolated
-// sites a city-scale topology shards into.
-func NewShardedSelect(seed int64, domains int, lookahead Duration, engineFor func(d int) Engine) *Sharded {
 	if domains < 1 {
 		domains = 1
 	}
 	sh := &Sharded{look: lookahead, workers: 1}
 	sh.shards = make([]*Sim, domains)
 	for d := range sh.shards {
-		sh.shards[d] = NewWithEngine(domainSeed(seed, d), engineFor(d))
+		sh.shards[d] = NewWithEngine(domainSeed(seed, d), engine)
 	}
 	sh.global = NewWithEngine(domainSeed(seed, domains), EngineHeap)
 	sh.outbox = make([][]crossEvent, domains)

@@ -69,8 +69,10 @@ type Event struct {
 	// the slot (level<<6|slot, or wheelOverflow): >= 0 while queued, -1
 	// once fired or cancelled.
 	idx int
-	// next links recycled events on the Sim free list.
-	next *Event
+	// next links recycled events on the Sim free list; while the event sits
+	// in a wheel slot, next and prev thread that slot's list instead (prev
+	// is meaningful only for an event that is not the head of its slot).
+	next, prev *Event
 	// gen increments every time the event fires or is cancelled, so stale
 	// Timer handles to a recycled Event can never cancel its new tenant.
 	gen uint64

@@ -17,22 +17,28 @@ const (
 	wheelLevels = 6
 )
 
-type wheelLevel struct {
-	occupied uint64 // bit i set when slot i may hold events
-	slot     [wheelSlots][]*Event
-}
+// wheelLevel is one ring of 64 slots. A slot is the head of an intrusive
+// doubly-linked list threaded through Event.next/prev, so filing or
+// cancelling an event never touches the allocator. The level's occupancy
+// bitmap lives in the queue: that keeps a level at exactly 512 bytes (one
+// more word would cost the next allocator size class) and lets pop compare
+// levels without loading them.
+type wheelLevel [wheelSlots]*Event
 
 // wheelQueue is the production event-queue engine: O(1) scheduling into a
 // bitmap-indexed slot, pops that scan at most one 64-bit word per level.
+// Levels are allocated on first placement, so an idle queue is 128 bytes
+// and a queue costs what the timer horizons it has actually seen cost —
+// cheap enough to give every RF-isolated site of a city its own wheel.
 //
 // Invariants:
 //   - cur never exceeds the tick of any live (non-cancelled) event, so a
 //     slot never has to distinguish events one wheel revolution apart;
 //   - an event lives at the lowest level whose current 64-slot window
 //     covers its tick, so cascades strictly descend;
-//   - cancellation is lazy (the Sim marks idx = -1); dead events are
-//     dropped when their slot is next visited, and len() tracks live
-//     events only.
+//   - slot-resident events are unlinked eagerly on cancel; only overflow
+//     entries are dropped lazily (the Sim marks idx = -1), and len() tracks
+//     live events only.
 //
 // Events scheduled in a tick the cursor has already passed (possible when a
 // cascade advances the cursor beyond the simulation clock) are filed in the
@@ -42,12 +48,13 @@ type wheelQueue struct {
 	cur  int64 // current tick; no live event has a smaller tick
 	live int
 	// levelOcc summarises per-level occupancy: bit l is set while level l
-	// has at least one occupied slot. Sparse queues (a handful of pending
-	// timers spread over six levels — the cancel-heavy ACK pattern) pop
-	// without probing empty levels at all.
+	// has at least one occupied slot (and is therefore allocated). Sparse
+	// queues (a handful of pending timers spread over six levels — the
+	// cancel-heavy ACK pattern) pop without probing empty levels at all.
 	levelOcc uint8
-	level    [wheelLevels]wheelLevel
-	over     overflowHeap
+	occupied [wheelLevels]uint64 // bit i of word l set while level l slot i holds events
+	level    [wheelLevels]*wheelLevel
+	over     *overflowHeap // allocated by the first event beyond the horizon
 }
 
 func newWheelQueue() *wheelQueue { return &wheelQueue{} }
@@ -56,7 +63,7 @@ func tickOf(t Time) int64 { return int64(t) >> wheelShift }
 
 // wheelOverflow is the idx marker for events parked in the overflow heap.
 // Wheel-resident events carry their location as idx = level<<6 | slot, so
-// cancellation can remove them eagerly without a search.
+// cancellation unlinks them without a search.
 const wheelOverflow = wheelLevels << wheelBits
 
 func (w *wheelQueue) push(e *Event) {
@@ -76,17 +83,47 @@ func (w *wheelQueue) place(e *Event) {
 	for l := 0; l < wheelLevels; l++ {
 		shift := uint(wheelBits * l)
 		if (tk>>shift)-(w.cur>>shift) < wheelSlots {
-			lv := &w.level[l]
+			lv := w.level[l]
+			if lv == nil {
+				lv = new(wheelLevel)
+				w.level[l] = lv
+			}
 			i := int(tk>>shift) & wheelMask
 			e.idx = l<<wheelBits | i
-			lv.slot[i] = append(lv.slot[i], e)
-			lv.occupied |= 1 << uint(i)
+			head := lv[i]
+			e.next = head
+			if head != nil {
+				head.prev = e
+			}
+			lv[i] = e
+			w.occupied[l] |= 1 << uint(i)
 			w.levelOcc |= 1 << uint(l)
 			return
 		}
 	}
 	e.idx = wheelOverflow
+	if w.over == nil {
+		w.over = new(overflowHeap)
+	}
 	w.over.push(e)
+}
+
+// vacate clears the occupancy bits of a slot that just became empty.
+func (w *wheelQueue) vacate(l, i int) {
+	w.occupied[l] &^= 1 << uint(i)
+	if w.occupied[l] == 0 {
+		w.levelOcc &^= 1 << uint(l)
+	}
+}
+
+// taken finishes a pop: e is out of its slot and is the global minimum.
+func (w *wheelQueue) taken(e *Event) *Event {
+	if tk := tickOf(e.when); tk > w.cur {
+		w.cur = tk
+	}
+	e.idx = -1
+	w.live--
+	return e
 }
 
 // fits reports whether a tick lands within the top level's current window.
@@ -108,9 +145,9 @@ func (w *wheelQueue) pop(limit Time) *Event {
 			t0 = int64(math.MaxInt64)
 			s0 = -1
 		)
-		lv0 := &w.level[0]
-		i0 := int(w.cur) & wheelMask
-		if occ := lv0.occupied; occ != 0 {
+		if w.levelOcc&1 != 0 {
+			occ := w.occupied[0]
+			i0 := int(w.cur) & wheelMask
 			r := occ>>uint(i0) | occ<<uint(wheelSlots-i0)
 			j := (i0 + bits.TrailingZeros64(r)) & wheelMask
 			t0 = w.cur + int64((j-i0)&wheelMask)
@@ -128,9 +165,8 @@ func (w *wheelQueue) pop(limit Time) *Event {
 		if fast {
 			for occ := w.levelOcc &^ 1; occ != 0; occ &= occ - 1 {
 				l := bits.TrailingZeros8(occ)
-				lv := &w.level[l]
 				iL := int(w.cur>>uint(wheelBits*l)) & wheelMask
-				if lv.occupied&(1<<uint(iL)) != 0 {
+				if w.occupied[l]&(1<<uint(iL)) != 0 {
 					fast = false
 					break
 				}
@@ -146,11 +182,10 @@ func (w *wheelQueue) pop(limit Time) *Event {
 			bestL, bestJ := -1, -1
 			for occ := w.levelOcc &^ 1; occ != 0; occ &= occ - 1 {
 				l := bits.TrailingZeros8(occ)
-				lv := &w.level[l]
 				shift := uint(wheelBits * l)
 				q := w.cur >> shift
 				iL := int(q) & wheelMask
-				r := lv.occupied>>uint(iL) | lv.occupied<<uint(wheelSlots-iL)
+				r := w.occupied[l]>>uint(iL) | w.occupied[l]<<uint(wheelSlots-iL)
 				tz := bits.TrailingZeros64(r)
 				j := (iL + tz) & wheelMask
 				base := (q + int64(tz)) << shift
@@ -195,34 +230,23 @@ func (w *wheelQueue) pop(limit Time) *Event {
 				continue
 			}
 			if bestL >= 0 && bestBase <= t0 {
-				lv := &w.level[bestL]
-				evs := lv.slot[bestJ]
-				// Singleton direct pop: a slot holding one live event whose
-				// tick is strictly below the level-0 candidate, every other
+				lv := w.level[bestL]
+				head := lv[bestJ]
+				// Singleton direct pop: a slot holding one event whose tick
+				// is strictly below the level-0 candidate, every other
 				// slot's window base, and the overflow front is the global
 				// (when, seq) minimum — no tie is possible across a strict
 				// tick gap, so the cascade can be skipped. This is the
 				// schedule-then-cancel steady state: a lone pending tick
 				// timer parked one level up.
-				if len(evs) == 1 {
-					e := evs[0]
-					if tk := tickOf(e.when); e.idx >= 0 &&
-						tk < t0 && tk < nextBase && tk < ovTick {
-						if e.when > limit {
+				if head.next == nil {
+					if tk := tickOf(head.when); tk < t0 && tk < nextBase && tk < ovTick {
+						if head.when > limit {
 							return nil
 						}
-						evs[0] = nil
-						lv.slot[bestJ] = evs[:0]
-						lv.occupied &^= 1 << uint(bestJ)
-						if lv.occupied == 0 {
-							w.levelOcc &^= 1 << uint(bestL)
-						}
-						if tk > w.cur {
-							w.cur = tk
-						}
-						e.idx = -1
-						w.live--
-						return e
+						lv[bestJ] = nil
+						w.vacate(bestL, bestJ)
+						return w.taken(head)
 					}
 				}
 				// Advancing the cursor to the slot's window start is safe:
@@ -230,19 +254,14 @@ func (w *wheelQueue) pop(limit Time) *Event {
 				if bestBase > w.cur {
 					w.cur = bestBase
 				}
-				// Keep the slot's backing array (re-placement always
-				// descends to a lower level, so it cannot append here).
-				lv.slot[bestJ] = evs[:0]
-				lv.occupied &^= 1 << uint(bestJ)
-				if lv.occupied == 0 {
-					w.levelOcc &^= 1 << uint(bestL)
-				}
-				for k, e := range evs {
-					evs[k] = nil
-					if e.idx < 0 {
-						continue
-					}
+				// Detach the whole list first: re-placement always descends
+				// to a lower level, so it cannot link back into this slot.
+				lv[bestJ] = nil
+				w.vacate(bestL, bestJ)
+				for e := head; e != nil; {
+					next := e.next
 					w.place(e)
+					e = next
 				}
 				continue
 			}
@@ -250,88 +269,64 @@ func (w *wheelQueue) pop(limit Time) *Event {
 		if s0 < 0 {
 			return nil
 		}
-		// Extract the (when, seq) minimum from slot s0, compacting out
-		// lazily cancelled events in the same pass.
-		slot := lv0.slot[s0]
-		n, mi := 0, -1
-		for _, e := range slot {
-			if e.idx < 0 {
-				continue
+		// Extract the (when, seq) minimum of slot s0.
+		lv0 := w.level[0]
+		head := lv0[s0]
+		first := head
+		for e := head.next; e != nil; e = e.next {
+			if e.when < first.when || (e.when == first.when && e.seq < first.seq) {
+				first = e
 			}
-			slot[n] = e
-			if mi < 0 || e.when < slot[mi].when ||
-				(e.when == slot[mi].when && e.seq < slot[mi].seq) {
-				mi = n
-			}
-			n++
 		}
-		for k := n; k < len(slot); k++ {
-			slot[k] = nil
-		}
-		if n == 0 {
-			lv0.slot[s0] = slot[:0]
-			lv0.occupied &^= 1 << uint(s0)
-			if lv0.occupied == 0 {
-				w.levelOcc &^= 1
-			}
-			continue
-		}
-		e := slot[mi]
-		if e.when > limit {
-			lv0.slot[s0] = slot[:n]
+		if first.when > limit {
 			return nil
 		}
-		slot[mi] = slot[n-1]
-		slot[n-1] = nil
-		lv0.slot[s0] = slot[:n-1]
-		if n == 1 {
-			lv0.occupied &^= 1 << uint(s0)
-			if lv0.occupied == 0 {
-				w.levelOcc &^= 1
+		if next := first.next; first == head {
+			lv0[s0] = next
+			if next == nil {
+				w.vacate(0, s0)
+			}
+		} else {
+			first.prev.next = next
+			if next != nil {
+				next.prev = first.prev
 			}
 		}
-		if tk := tickOf(e.when); tk > w.cur {
-			w.cur = tk
-		}
-		e.idx = -1
-		w.live--
-		return e
+		return w.taken(first)
 	}
 }
 
+// cancel unlinks a slot-resident event from the list its idx names. The
+// head of a list is the event the slot points at; its prev is never read,
+// so place does not clear it, and an unlinked event keeps its stale links
+// (place and the Sim free list overwrite them). Every pointer store spared
+// is a write barrier spared while the collector runs.
 func (w *wheelQueue) cancel(e *Event) bool {
-	loc := e.idx
-	if loc >= wheelOverflow {
+	w.live--
+	if e.idx >= wheelOverflow {
 		// Overflow entries are dropped lazily at the next peek, once the
 		// Sim has marked them dead.
-		w.live--
 		return false
 	}
-	lv := &w.level[loc>>wheelBits]
-	i := loc & wheelMask
-	slot := lv.slot[i]
-	// Backward scan: a cancelled timer is usually the most recently armed
-	// one in its slot (the ACK-cancels-retransmission pattern).
-	for k := len(slot) - 1; k >= 0; k-- {
-		if slot[k] == e {
-			last := len(slot) - 1
-			slot[k] = slot[last]
-			slot[last] = nil
-			lv.slot[i] = slot[:last]
-			if last == 0 {
-				lv.occupied &^= 1 << uint(i)
-				if lv.occupied == 0 {
-					w.levelOcc &^= 1 << uint(loc>>wheelBits)
-				}
-			}
-			w.live--
-			return true
+	l, i := e.idx>>wheelBits, e.idx&wheelMask
+	next := e.next
+	if lv := w.level[l]; lv[i] == e {
+		lv[i] = next
+		if next == nil {
+			w.vacate(l, i)
 		}
+		return true
 	}
-	// live is decremented only on removal: a miss here means e.idx went
-	// stale, and silently corrupting the count would let pop report an
-	// empty queue while events remain. Fail loudly instead.
-	panic("sim: wheel cancel: event missing from its encoded slot")
+	// A stale idx would splice a foreign list here; a nil prev (never
+	// linked) or a neighbour that does not point back fails loudly instead.
+	if e.prev.next != e {
+		panic("sim: wheel cancel: event is not in its encoded slot")
+	}
+	e.prev.next = next
+	if next != nil {
+		next.prev = e.prev
+	}
+	return true
 }
 
 func (w *wheelQueue) len() int { return w.live }
@@ -350,7 +345,13 @@ type overflowHeap struct {
 	es []*Event
 }
 
-func (h *overflowHeap) n() int      { return len(h.es) }
+func (h *overflowHeap) n() int {
+	if h == nil {
+		return 0
+	}
+	return len(h.es)
+}
+
 func (h *overflowHeap) min() *Event { return h.es[0] }
 
 func (h *overflowHeap) less(i, j int) bool {

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // engineTrace runs a randomized self-scheduling workload on the given
@@ -269,5 +271,173 @@ func TestParseEngine(t *testing.T) {
 	}
 	if e, err := ParseEngine(""); err != nil || e != EngineWheel {
 		t.Fatalf("ParseEngine(\"\") = %v, %v; want default wheel", e, err)
+	}
+}
+
+// TestWheelFootprint pins what lets every RF-isolated site of a city own a
+// wheel: an idle queue is one small struct with no levels, a queue pays only
+// for the timer horizons it has seen (the BLE stack's are 1 µs, 150 µs,
+// 75 ms and 4 s — four of the six levels), and steady-state scheduling
+// touches the allocator not at all.
+func TestWheelFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(wheelQueue{}); sz > 128 {
+		t.Fatalf("empty wheelQueue is %d bytes, want <= 128", sz)
+	}
+	s := New(1)
+	w := s.q.(*wheelQueue)
+	if w.level != [wheelLevels]*wheelLevel{} || w.over != nil {
+		t.Fatal("a new wheel queue allocated levels or overflow storage")
+	}
+	for _, p := range []Duration{Microsecond, 150 * Microsecond, 75 * Millisecond, 4 * Second} {
+		p := p
+		var tick func()
+		tick = func() { s.Post(p, tick) }
+		s.Post(p, tick)
+	}
+	s.Run(9 * Second)
+	levels := 0
+	for _, lv := range w.level {
+		if lv != nil {
+			levels++
+		}
+	}
+	if levels > 4 {
+		t.Fatalf("four timer horizons allocated %d levels, want <= 4", levels)
+	}
+	allocs := testing.AllocsPerRun(5, func() { s.Run(s.Now() + Second) })
+	if allocs != 0 {
+		t.Fatalf("steady-state wheel allocated %.1f times per second of timers", allocs)
+	}
+}
+
+// TestWheelSlotLists exercises the intrusive slot lists: unlinking the
+// head, the middle, the tail and the sole entry of a slot at every level,
+// with the survivors still firing in (when, seq) order and the occupancy
+// bitmaps dropping to zero with the last entry.
+func TestWheelSlotLists(t *testing.T) {
+	// One delay per level, from cur = 0: level l covers ticks [64^l, 64^(l+1)).
+	delays := []Duration{500, 100 * Microsecond, 100 * Millisecond, 5 * Second, 2 * Minute, 3 * Hour}
+	positions := []struct {
+		name   string
+		n, cut int // events in the slot, index (in scheduling order) to cancel
+	}{
+		// push links at the head, so the last scheduled event is the head.
+		{"head", 3, 2}, {"middle", 3, 1}, {"tail", 3, 0}, {"sole", 1, 0},
+	}
+	for l, d := range delays {
+		for _, pos := range positions {
+			s := New(1)
+			w := s.q.(*wheelQueue)
+			var fired []int
+			timers := make([]Timer, pos.n)
+			for i := range timers {
+				i := i
+				timers[i] = s.After(d, func() { fired = append(fired, i) })
+				if got := timers[i].e.idx >> wheelBits; got != l {
+					t.Fatalf("delay %v filed at level %d, want %d", d, got, l)
+				}
+			}
+			s.Cancel(timers[pos.cut])
+			if timers[pos.cut].Scheduled() || s.Pending() != pos.n-1 {
+				t.Fatalf("level %d %s: after cancel Scheduled=%v Pending=%d",
+					l, pos.name, timers[pos.cut].Scheduled(), s.Pending())
+			}
+			if pos.n == 1 && (w.levelOcc != 0 || w.occupied[l] != 0) {
+				t.Fatalf("level %d sole: occupancy bits survive an empty slot", l)
+			}
+			s.RunAll()
+			var want []int
+			for i := 0; i < pos.n; i++ {
+				if i != pos.cut {
+					want = append(want, i)
+				}
+			}
+			if !reflect.DeepEqual(fired, want) {
+				t.Fatalf("level %d %s: fired %v, want %v", l, pos.name, fired, want)
+			}
+			if w.levelOcc != 0 || s.Pending() != 0 {
+				t.Fatalf("level %d %s: drained queue has levelOcc=%b Pending=%d",
+					l, pos.name, w.levelOcc, s.Pending())
+			}
+		}
+	}
+}
+
+// TestWheelCancelAroundCascade cancels an event parked three levels up, once
+// before its slot cascades and once after the cascade has moved it down
+// next to the cursor; either way its neighbours in the slot are unaffected.
+func TestWheelCancelAroundCascade(t *testing.T) {
+	for _, afterCascade := range []bool{false, true} {
+		s := New(1)
+		var fired []string
+		at := 5 * Second
+		victim := s.At(at, func() { fired = append(fired, "victim") })
+		s.At(at, func() { fired = append(fired, "neighbour") })
+		if l := victim.e.idx >> wheelBits; l != 3 {
+			t.Fatalf("5 s timer filed at level %d, want 3", l)
+		}
+		if afterCascade {
+			s.At(at-2*Microsecond, func() {
+				if l := victim.e.idx >> wheelBits; l >= 3 {
+					t.Fatalf("victim still at level %d two ticks before it is due", l)
+				}
+				s.Cancel(victim)
+			})
+		} else {
+			s.Cancel(victim)
+		}
+		s.RunAll()
+		if !reflect.DeepEqual(fired, []string{"neighbour"}) {
+			t.Fatalf("afterCascade=%v: fired %v, want [neighbour]", afterCascade, fired)
+		}
+	}
+}
+
+// TestWheelStaleTimerAfterRecycle: a cancelled slot-resident event goes
+// straight back to the free list, so the next timer reuses the object — and
+// the old handle must not be able to touch the new tenant.
+func TestWheelStaleTimerAfterRecycle(t *testing.T) {
+	s := New(1)
+	var fired []string
+	old := s.After(Millisecond, func() { fired = append(fired, "old") })
+	s.Cancel(old)
+	cur := s.After(Millisecond, func() { fired = append(fired, "new") })
+	if cur.e != old.e {
+		t.Fatal("cancelled event was not recycled for the next timer")
+	}
+	s.Cancel(old) // stale: generation mismatch
+	if old.Scheduled() || !cur.Scheduled() || s.Pending() != 1 {
+		t.Fatalf("stale cancel disturbed the new tenant: old=%v new=%v pending=%d",
+			old.Scheduled(), cur.Scheduled(), s.Pending())
+	}
+	s.RunAll()
+	if !reflect.DeepEqual(fired, []string{"new"}) {
+		t.Fatalf("fired %v, want [new]", fired)
+	}
+}
+
+// TestWheelOverflowCancel: a timer beyond the wheel horizon is cancelled
+// lazily. The overflow heap still references the dead event, so it must not
+// be recycled until the heap drops it, and the survivors keep their order.
+func TestWheelOverflowCancel(t *testing.T) {
+	s := New(1)
+	var fired []int
+	dead := s.After(25*Hour, func() { fired = append(fired, -1) })
+	if dead.e.idx != wheelOverflow {
+		t.Fatalf("25 h timer has idx %d, want the overflow marker", dead.e.idx)
+	}
+	s.After(26*Hour, func() { fired = append(fired, 2) })
+	s.After(24*Hour, func() { fired = append(fired, 1) })
+	s.Cancel(dead)
+	if dead.Scheduled() || s.Pending() != 2 {
+		t.Fatalf("after overflow cancel: Scheduled=%v Pending=%d", dead.Scheduled(), s.Pending())
+	}
+	if next := s.After(Second, func() { fired = append(fired, 0) }); next.e == dead.e {
+		t.Fatal("event still referenced by the overflow heap was recycled")
+	}
+	s.Cancel(dead) // stale handle: no-op
+	s.RunAll()
+	if !reflect.DeepEqual(fired, []int{0, 1, 2}) {
+		t.Fatalf("fired %v, want [0 1 2]", fired)
 	}
 }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
-# the datapath packages.
+# the datapath packages and the two layers every packet runs on (phy, sim).
 #
 # Both cost nothing to write and were most of the loaded tree's host time:
 # a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
@@ -19,7 +19,7 @@
 # Usage: scripts/check-hotpath.sh   (from the repo root; exits 1 on offence)
 set -eu
 
-DATAPATH="internal/coap internal/ip6 internal/sixlo internal/l2cap internal/core internal/ble"
+DATAPATH="internal/coap internal/ip6 internal/sixlo internal/l2cap internal/core internal/ble internal/phy internal/sim"
 
 files=$(find $DATAPATH -name '*.go' ! -name '*_test.go' | sort)
 

@@ -47,6 +47,17 @@ func (m ChannelMap) Channels() []phy.Channel {
 	return out
 }
 
+// nth returns the k-th enabled data channel in ascending order, k < Count():
+// Channels()[k] without building the slice — remap runs on the connection
+// event path.
+func (m ChannelMap) nth(k int) phy.Channel {
+	w := uint64(m & AllDataChannels)
+	for ; k > 0; k-- {
+		w &= w - 1
+	}
+	return phy.Channel(bits.TrailingZeros64(w))
+}
+
 // String renders the map as a 37-character bitmap, channel 0 first.
 func (m ChannelMap) String() string {
 	var b strings.Builder

@@ -143,9 +143,14 @@ type Conn struct {
 	wake         sim.Timer
 	nextStart    sim.Time // sim-time estimate of next event start
 	lastAttended uint64   // subordinate: last event index actually serviced
-	supEvent     sim.Timer
-	closed       bool
-	closing      bool // TERMINATE_IND queued
+	// Supervision: supDeadline is the sim time at which the link dies
+	// unless a valid packet arrives first. supEvent is a wake-up pending at
+	// or before it — a valid packet moves only the deadline, and a wake-up
+	// that comes early re-arms itself for the deadline.
+	supDeadline sim.Time
+	supEvent    sim.Timer
+	closed      bool
+	closing     bool // TERMINATE_IND queued
 
 	// In-event state.
 	inEvent   bool
@@ -253,7 +258,7 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 	if est > params.Supervision {
 		est = params.Supervision
 	}
-	c.supEvent = ctrl.clk.AfterLocal(est, c.superviseFn)
+	c.armSupervision(est)
 	c.scheduleEvent()
 	return c
 }
@@ -263,7 +268,13 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 // events are allocation-free.
 func (c *Conn) bindCallbacks() {
 	c.eventStartFn = c.eventStart
-	c.superviseFn = func() { c.terminate(LossSupervision) }
+	c.superviseFn = func() {
+		if c.sim().Now() < c.supDeadline {
+			c.supEvent = c.sim().At(c.supDeadline, c.superviseFn)
+			return
+		}
+		c.terminate(LossSupervision)
+	}
 	c.rxExpireFn = func() {
 		c.rxTimeout = sim.Timer{}
 		c.closeEvent()
@@ -321,14 +332,25 @@ func (c *Conn) radio() *phy.Radio { return c.ctrl.radio }
 
 // ---- Supervision -----------------------------------------------------
 
-func (c *Conn) armSupervision() {
-	c.sim().Cancel(c.supEvent)
-	c.supEvent = c.clk().AfterLocal(c.params.Supervision, c.superviseFn)
+// armSupervision moves the supervision deadline to timeout (local clock)
+// from now. The pending wake-up is left where it is unless the deadline
+// moved in front of it (a ConnUpdate that shortens the timeout): every
+// valid packet pushes the deadline out, and re-filing a timer that fires
+// only when the link dies was two queue operations per connection event.
+func (c *Conn) armSupervision(timeout sim.Duration) {
+	c.supDeadline = c.sim().Now() + c.clk().ToSim(timeout)
+	if c.supEvent.Scheduled() {
+		if c.supEvent.When() <= c.supDeadline {
+			return
+		}
+		c.sim().Cancel(c.supEvent)
+	}
+	c.supEvent = c.sim().At(c.supDeadline, c.superviseFn)
 }
 
 func (c *Conn) resetSupervision() {
 	c.stats.SupResets++
-	c.armSupervision()
+	c.armSupervision(c.params.Supervision)
 }
 
 // ---- Event scheduling -------------------------------------------------
@@ -399,7 +421,7 @@ func (c *Conn) applyPendingAt(idx uint64) {
 			c.lastSyncLoc = base - sim.Time(c.pendInstant-c.lastSyncIdx)*c.params.Interval
 		}
 		c.pendUpdate = nil
-		c.armSupervision()
+		c.armSupervision(c.params.Supervision)
 	}
 	if c.pendChanMap != nil && idx >= c.pendInstant {
 		c.params.ChanMap = *c.pendChanMap
@@ -698,8 +720,16 @@ func (c *Conn) onCarrier(_ phy.Channel, end sim.Time) {
 		return
 	}
 	c.cancelRxTimeout()
-	// Guard in case the end-of-packet indication is suppressed.
-	c.rxTimeout = c.sim().At(end+sim.Microsecond, c.rxExpireFn)
+	// Guard in case the end-of-packet indication is suppressed. The medium
+	// delivers it to every radio that stayed tuned, and the one thing that
+	// retunes a radio inside an event is the scan rotation of a controller
+	// that is scanning (DESIGN.md §5 "Scan rotation", an open defect): until
+	// that is fixed this timer ends such an event, and a controller that is
+	// not scanning does not need it. (Scanning that starts under this
+	// packet rotates one scan interval later, past the end of any packet.)
+	if c.ctrl.scanOn {
+		c.rxTimeout = c.sim().At(end+sim.Microsecond, c.rxExpireFn)
+	}
 }
 
 // onRx is the end-of-packet indication for this connection's event.

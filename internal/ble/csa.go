@@ -96,11 +96,11 @@ func remap(un phy.Channel, m ChannelMap, idx int) phy.Channel {
 	if m.Used(un) {
 		return un
 	}
-	used := m.Channels()
-	if len(used) == 0 {
+	n := m.Count()
+	if n == 0 {
 		return un
 	}
-	return used[idx%len(used)]
+	return m.nth(idx % n)
 }
 
 func max(a, b int) int {

@@ -199,3 +199,51 @@ func TestDevAddrString(t *testing.T) {
 		t.Fatalf("DevAddr string = %q", got)
 	}
 }
+
+// TestRemapMatchesChannelsSlice checks the allocation-free remap against the
+// slice it replaced, Channels()[idx % n], over every map with one or two
+// channels excluded, every unmapped channel and every index a selector can
+// produce.
+func TestRemapMatchesChannelsSlice(t *testing.T) {
+	check := func(m ChannelMap) {
+		used := m.Channels()
+		for un := phy.Channel(0); un < NumDataChannels; un++ {
+			for idx := 0; idx < 2*NumDataChannels; idx++ {
+				want := un
+				if !m.Used(un) {
+					want = used[idx%len(used)]
+				}
+				if got := remap(un, m, idx); got != want {
+					t.Fatalf("map %v un=%d idx=%d: remap = %d, want %d", m, un, idx, got, want)
+				}
+			}
+		}
+	}
+	for a := phy.Channel(0); a < NumDataChannels; a++ {
+		check(AllDataChannels.WithoutChannel(a))
+		for b := a + 1; b < NumDataChannels; b++ {
+			check(AllDataChannels.WithoutChannel(a).WithoutChannel(b))
+		}
+	}
+	if got := remap(5, 0, 3); got != 5 {
+		t.Fatalf("empty map: remap = %d, want the unmapped channel 5", got)
+	}
+}
+
+// TestChannelSelectionDoesNotAllocate: channel selection runs once per
+// connection event, remapped or not.
+func TestChannelSelectionDoesNotAllocate(t *testing.T) {
+	m := AllDataChannels.WithoutChannel(22).WithoutChannel(3)
+	for _, sel := range []ChannelSelector{NewCSA1(11), NewCSA2(0xCAFEBABE)} {
+		ev := uint16(0)
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := 0; i < 1000; i++ {
+				sel.Channel(ev, m)
+				ev++
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%T: %.0f allocations per 1000 selections, want 0", sel, allocs)
+		}
+	}
+}

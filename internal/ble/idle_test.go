@@ -1,0 +1,342 @@
+package ble
+
+import (
+	"testing"
+
+	"blemesh/internal/phy"
+	"blemesh/internal/sim"
+)
+
+// watchValid records, from outside the supervision code, the last instant at
+// which conn accepted a valid packet: the node's radio delivers to a wrapper
+// that looks at RXPDUs around the controller's own dispatch.
+func watchValid(s *sim.Sim, n *testNode, conn *Conn) *sim.Time {
+	last := new(sim.Time)
+	n.radio.SetReceiver(func(pkt phy.Packet, ch phy.Channel, ok bool) {
+		before := conn.stats.RXPDUs
+		n.ctrl.dispatchRx(pkt, ch, ok)
+		if conn.stats.RXPDUs > before {
+			*last = s.Now()
+		}
+	})
+	return last
+}
+
+// lossWatch records when and why a node's connection ended.
+type lossWatch struct {
+	at     sim.Time
+	reason LossReason
+	n      int
+}
+
+func watchLoss(s *sim.Sim, n *testNode) *lossWatch {
+	w := &lossWatch{}
+	n.ctrl.OnDisconnect = func(_ *Conn, r LossReason) { w.at, w.reason, w.n = s.Now(), r, w.n+1 }
+	return w
+}
+
+// TestSupervisionDeadlineExact silences a peer and requires the survivor to
+// drop the link at exactly its last valid packet plus the supervision
+// timeout on its own clock — the instant a timer re-armed on every packet
+// fired at — in both roles and at both ends of the 250 ppm clock range.
+func TestSupervisionDeadlineExact(t *testing.T) {
+	for _, ppm := range [][2]float64{{250, -250}, {-250, 250}, {0, 0}} {
+		for _, survivor := range []Role{Coordinator, Subordinate} {
+			s, _, nodes := newTestNet(41, ppm[0], ppm[1])
+			for _, n := range nodes {
+				n.ctrl.cfg.SCA = 250 // declared accuracy must bound the drift
+			}
+			sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
+			keep, keepNode, kill := coord, nodes[1], sub
+			if survivor == Subordinate {
+				keep, keepNode, kill = sub, nodes[0], coord
+			}
+			last := watchValid(s, keepNode, keep)
+			loss := watchLoss(s, keepNode)
+			// Not a multiple of the interval: the peer dies mid-cycle.
+			s.After(2*sim.Second+31*sim.Millisecond, kill.forceDrop)
+			s.Run(s.Now() + 10*sim.Second)
+			want := *last + keepNode.clk.ToSim(keep.Params().Supervision)
+			if loss.n != 1 || loss.reason != LossSupervision || loss.at != want {
+				t.Fatalf("ppm %v survivor %v: %d losses, reason %v at %d ns; want one supervision loss at %d ns (last valid %d)",
+					ppm, survivor, loss.n, loss.reason, loss.at, want, *last)
+			}
+			if keep.supEvent.Scheduled() {
+				t.Fatalf("ppm %v survivor %v: supervision wake-up still pending after the loss", ppm, survivor)
+			}
+		}
+	}
+}
+
+// TestSupervisionFollowsConnUpdate: an update that shortens the supervision
+// timeout brings the deadline forward (the pending wake-up lies behind the
+// new deadline and must be re-filed); one that lengthens it must not let the
+// wake-up left over from the old timeout end the link early.
+func TestSupervisionFollowsConnUpdate(t *testing.T) {
+	for _, tc := range []struct{ from, to sim.Duration }{
+		{4 * sim.Second, 600 * sim.Millisecond},
+		{600 * sim.Millisecond, 4 * sim.Second},
+	} {
+		s, _, nodes := newTestNet(42, 20, -20)
+		p := ConnParams{Interval: 75 * sim.Millisecond, Supervision: tc.from}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		sub, coord := connectPair(t, s, nodes[0], nodes[1], p)
+		if err := coord.UpdateParams(75*sim.Millisecond, 0, tc.to); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(s.Now() + 2*sim.Second)
+		if sub.Params().Supervision != tc.to || coord.Params().Supervision != tc.to {
+			t.Fatalf("%v→%v: update not applied (sub %v, coord %v)", tc.from, tc.to,
+				sub.Params().Supervision, coord.Params().Supervision)
+		}
+		last := watchValid(s, nodes[0], sub)
+		loss := watchLoss(s, nodes[0])
+		s.After(500*sim.Millisecond, coord.forceDrop)
+		s.Run(s.Now() + 10*sim.Second)
+		want := *last + nodes[0].clk.ToSim(tc.to)
+		if loss.n != 1 || loss.reason != LossSupervision || loss.at != want {
+			t.Fatalf("%v→%v: %d losses, reason %v at %d ns; want one supervision loss at %d ns",
+				tc.from, tc.to, loss.n, loss.reason, loss.at, want)
+		}
+	}
+}
+
+// TestEstablishmentTimeoutSixIntervals: a CONNECT_IND the peer never heard
+// leaves a coordinator endpoint that receives nothing; it must give up six
+// connection intervals after it was created, not a supervision timeout
+// later.
+func TestEstablishmentTimeoutSixIntervals(t *testing.T) {
+	s, _, nodes := newTestNet(43, 100)
+	n := nodes[0]
+	loss := watchLoss(s, n)
+	s.Run(123 * sim.Millisecond)
+	p := ConnParams{Interval: 75 * sim.Millisecond, Supervision: 4 * sim.Second}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	born := s.Now()
+	c := newConn(n.ctrl, Coordinator, DevAddr(0xDEAD), p, 0x12345678, 7, born+TransmitWindowDelay)
+	n.ctrl.addConn(c)
+	s.Run(born + 10*sim.Second)
+	want := born + n.clk.ToSim(6*p.Interval)
+	if loss.n != 1 || loss.reason != LossSupervision || loss.at != want {
+		t.Fatalf("%d losses, reason %v at %v; want one supervision loss at %v", loss.n, loss.reason, loss.at, want)
+	}
+	if c.Stats().EventsOK != 0 {
+		t.Fatalf("the endpoint heard %d events from a peer that does not exist", c.Stats().EventsOK)
+	}
+}
+
+// TestTerminateCancelsSupervision: a closed connection leaves nothing in the
+// queue — with both ends closed and neither node advertising or scanning,
+// the simulation is empty.
+func TestTerminateCancelsSupervision(t *testing.T) {
+	s, _, nodes := newTestNet(44, 5, -5)
+	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
+	s.Run(s.Now() + 3*sim.Second)
+	for _, c := range []*Conn{sub, coord} {
+		if !c.supEvent.Scheduled() {
+			t.Fatalf("%v: no supervision wake-up pending on a live link", c)
+		}
+		c.Kill()
+		if c.supEvent.Scheduled() {
+			t.Fatalf("%v: supervision wake-up survives terminate", c)
+		}
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("%d events pending after both endpoints closed", n)
+	}
+}
+
+// idlePair connects two nodes with the paper's parameters (75 ms, channel 22
+// excluded) and runs them past connection set-up, so that event pools and
+// queues have reached their steady size.
+func idlePair(t *testing.T, seed int64) (*sim.Sim, []*testNode, *Conn, *Conn) {
+	t.Helper()
+	s, _, nodes := newTestNet(seed, 3, -3)
+	p := ConnParams{Interval: 75 * sim.Millisecond, ChanMap: AllDataChannels.WithoutChannel(22)}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	sub, coord := connectPair(t, s, nodes[0], nodes[1], p)
+	s.Run(s.Now() + 5*sim.Second)
+	return s, nodes, sub, coord
+}
+
+// TestStaleSupervisionWakeup runs an idle link through many supervision
+// periods. The wake-ups that find the deadline moved on must neither end the
+// link nor accumulate: the queue holds the same handful of events throughout
+// (next anchor and supervision wake-up per endpoint, plus whatever the event
+// in progress has filed).
+func TestStaleSupervisionWakeup(t *testing.T) {
+	s, nodes, sub, coord := idlePair(t, 45)
+	lossA, lossB := watchLoss(s, nodes[0]), watchLoss(s, nodes[1])
+	resets := sub.Stats().SupResets
+	for i := 0; i < 400; i++ {
+		s.Run(s.Now() + 333*sim.Millisecond)
+		if n := s.Pending(); n > 8 {
+			t.Fatalf("after %v: %d events pending on an idle link", s.Now(), n)
+		}
+		for _, c := range []*Conn{sub, coord} {
+			if !c.supEvent.Scheduled() || c.supEvent.When() > c.supDeadline {
+				t.Fatalf("%v: wake-up at %v (pending %v) does not cover the deadline %v",
+					c, c.supEvent.When(), c.supEvent.Scheduled(), c.supDeadline)
+			}
+		}
+	}
+	if lossA.n+lossB.n != 0 {
+		t.Fatalf("idle link lost (%d, %d) over %v", lossA.n, lossB.n, s.Now())
+	}
+	if got := sub.Stats().SupResets - resets; got < 1700 {
+		t.Fatalf("only %d supervision resets in 133 s of 75 ms events", got)
+	}
+}
+
+// TestIdleConnEventQueueOps pins what one idle connection event costs the
+// event queue, both endpoints counted: five events fired (anchor wake-up at
+// each end, two ends of transmission, the subordinate's IFS) plus the
+// supervision wake-ups that arrive early, one per endpoint per supervision
+// period of 20 events. It also pins the allocation count of the idle path,
+// remapped channels included (22 is excluded from the map), at zero.
+func TestIdleConnEventQueueOps(t *testing.T) {
+	s, _, sub, coord := idlePair(t, 46)
+	ev0, fired0 := coord.Stats().EventsPlanned, s.Processed()
+	ok0 := sub.Stats().EventsOK + coord.Stats().EventsOK
+	for coord.Stats().EventsPlanned-ev0 < 1000 {
+		s.Run(s.Now() + 75*sim.Millisecond)
+	}
+	events := coord.Stats().EventsPlanned - ev0
+	perEvent := float64(s.Processed()-fired0) / float64(events)
+	if ok := sub.Stats().EventsOK + coord.Stats().EventsOK - ok0; ok < 2*events-2 {
+		t.Fatalf("the link is not healthy: %d of %d events exchanged a packet", ok, 2*events)
+	}
+	t.Logf("%d connection events, %.4f fired events each", events, perEvent)
+	if perEvent < 5 || perEvent > 5.11 {
+		t.Fatalf("%.4f fired events per idle connection event, want 5 plus at most 0.11 of stale supervision wake-ups", perEvent)
+	}
+
+	allocs := testing.AllocsPerRun(5, func() { s.Run(s.Now() + 100*75*sim.Millisecond) })
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per 100 idle connection intervals, want 0", allocs)
+	}
+}
+
+// TestReceiveGuardOnlyWhileScanning: between the carrier of the coordinator's
+// packet and its end, a subordinate whose controller is not scanning has
+// nothing in the queue for this event (the listen timeout is cancelled, the
+// end-of-packet indication will come); one that is scanning has the guard at
+// end of packet + 1 µs, and if a scan rotation takes the radio away under
+// the packet the guard is what closes the event.
+func TestReceiveGuardOnlyWhileScanning(t *testing.T) {
+	for _, tc := range []struct{ scanning, rotate bool }{{false, false}, {true, false}, {true, true}} {
+		s, _, nodes := newTestNet(49, 0, 0)
+		sub, _ := connectPair(t, s, nodes[0], nodes[1], params75())
+		s.Run(s.Now() + sim.Second)
+		for sub.nextStart-s.Now() < 30*sim.Millisecond {
+			s.Run(s.Now() + 10*sim.Millisecond)
+		}
+		// Perfect clocks: the packet starts about one widening after the
+		// subordinate starts listening and lasts 80 µs; its exact end is
+		// what the carrier indication says.
+		mid := sub.nextStart + sub.windowWidening(sub.evIdx) + Airtime(0)/2
+		ctrl := nodes[0].ctrl
+		var end sim.Time
+		nodes[0].radio.SetCarrier(func(ch phy.Channel, e sim.Time) {
+			end = e
+			ctrl.dispatchCarrier(ch, e)
+		})
+		if tc.scanning {
+			interval := sim.Second
+			if tc.rotate {
+				interval = 20 * sim.Millisecond
+			}
+			ctrl.SetScanParams(ScanParams{Interval: interval})
+			s.At(mid-20*sim.Millisecond, func() {
+				if err := ctrl.Connect(DevAddr(0xAB5E27), params75()); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		pending, pendingAt := false, sim.Time(0)
+		open := false // still in the event 2 µs after the packet's end?
+		s.At(mid+1, func() {
+			pending, pendingAt = sub.rxTimeout.Scheduled(), sub.rxTimeout.When()
+			s.At(end+2*sim.Microsecond, func() { open = sub.inEvent })
+		})
+		empty := sub.Stats().EventsEmpty
+		s.Run(mid + sim.Millisecond)
+		if end < mid {
+			t.Fatalf("scanning %v rotate %v: no carrier before %v", tc.scanning, tc.rotate, mid)
+		}
+		switch {
+		case !tc.scanning && pending:
+			t.Errorf("not scanning: a timer is pending at %v under a packet that ends at %v", pendingAt, end)
+		case tc.scanning && (!pending || pendingAt != end+sim.Microsecond):
+			t.Errorf("scanning (rotate %v): guard pending %v at %v, want end of packet %v + 1 µs",
+				tc.rotate, pending, pendingAt, end)
+		}
+		if tc.rotate && (open || sub.Stats().EventsEmpty != empty+1) {
+			t.Errorf("radio taken under the packet: event still open 2 µs after its end (EventsEmpty %d → %d)",
+				empty, sub.Stats().EventsEmpty)
+		}
+	}
+}
+
+// TestScanRotationLeavesConnectionEventsAlone: a node that scans for an
+// absent peer keeps a healthy link. The scan channel rotates on its own
+// timer, and the rotation retunes the radio whenever it is receiving — also
+// when the receiver belongs to a connection event. Here the first rotation
+// is made to land inside the subordinate's receive window, once before the
+// coordinator's carrier and once in the middle of its packet: the radio must
+// stay on the event channel and the event must complete.
+//
+// It fails today (radio on channel 38; EventsEmpty 1 → 2) and is skipped:
+// the fix — retune only while sched.fillerOn — moves mesh-churn far enough
+// that the benchmark's own repair check fails on seeds 7–11, and the
+// benchmark is frozen for a change that claims a gain (ROADMAP item 1,
+// EXPERIMENTS.md "Idle-path cost").
+func TestScanRotationLeavesConnectionEventsAlone(t *testing.T) {
+	t.Skip("open defect: rotateScanChannel retunes a radio that a connection event owns")
+	const scanInterval = 20 * sim.Millisecond
+	for _, midPacket := range []bool{false, true} {
+		s, _, nodes := newTestNet(47, 0, 0)
+		sub, _ := connectPair(t, s, nodes[0], nodes[1], params75())
+		s.Run(s.Now() + sim.Second)
+		for sub.nextStart-s.Now() < scanInterval+sim.Millisecond {
+			s.Run(s.Now() + 10*sim.Millisecond)
+		}
+		// With perfect clocks the coordinator's packet starts one widening
+		// after the subordinate starts listening and lasts 80 µs.
+		listenAt := sub.nextStart
+		rotateAt := listenAt + sub.windowWidening(sub.evIdx)/2
+		if midPacket {
+			rotateAt = listenAt + sub.windowWidening(sub.evIdx) + Airtime(0)/2
+		}
+		ctrl := nodes[0].ctrl
+		ctrl.SetScanParams(ScanParams{Interval: scanInterval})
+		s.At(rotateAt-scanInterval, func() {
+			if err := ctrl.Connect(DevAddr(0xAB5E27), params75()); err != nil {
+				t.Error(err)
+			}
+		})
+		before := sub.Stats()
+		tuned := phy.Channel(-2)
+		s.At(rotateAt+1, func() { tuned = nodes[0].radio.Listening() })
+		s.Run(rotateAt + 10*sim.Millisecond)
+		after := sub.Stats()
+		if ctrl.scanCh == phy.AdvChannel37 {
+			t.Fatalf("midPacket=%v: the scan channel never rotated", midPacket)
+		}
+		if tuned != sub.evCh {
+			t.Fatalf("midPacket=%v: radio on channel %d right after the rotation, the event is on %d",
+				midPacket, tuned, sub.evCh)
+		}
+		if after.EventsOK != before.EventsOK+1 || after.EventsEmpty != before.EventsEmpty || after.RXCorrupt != before.RXCorrupt {
+			t.Fatalf("midPacket=%v: the event under the rotation did not complete: OK %d→%d, empty %d→%d, corrupt %d→%d",
+				midPacket, before.EventsOK, after.EventsOK, before.EventsEmpty, after.EventsEmpty,
+				before.RXCorrupt, after.RXCorrupt)
+		}
+	}
+}

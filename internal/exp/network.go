@@ -127,9 +127,11 @@ type NetworkConfig struct {
 	// down the tree — instead of all-pairs host routes: O(N·depth) entries
 	// rather than O(N²). The producer/consumer workload needs nothing more.
 	SparseRoutes bool
-	// LinearPHY forces geometric media down the linear distance-filter scan
-	// instead of the spatial grid index. Output must be byte-identical
-	// either way; the differential test layer flips this to prove it.
+	// LinearPHY forces every medium down the scan that visits each radio
+	// of the RF domain — instead of the neighbour lists of a geometric
+	// medium, or the list of receiving radios of a geometry-free one. Output
+	// must be byte-identical either way; the differential test layer flips
+	// this to prove it.
 	LinearPHY bool
 	// LegacyAlloc restores the pre-arena allocation path: every subsystem
 	// struct heap-allocated individually, map-backed tables in every layer,
@@ -351,8 +353,8 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 		// PHY and the topology agree bit-for-bit on who hears whom.
 		if cfg.Topology.Range > 0 {
 			m.SetRange(cfg.Topology.Range)
-			m.SetLinearScan(cfg.LinearPHY)
 		}
+		m.SetLinearScan(cfg.LinearPHY)
 		nw.Media = append(nw.Media, m)
 		return m
 	}

@@ -11,7 +11,8 @@ import (
 
 // spatialTopology builds one cell of the differential matrix: a generated
 // geometric topology ("geo", "city") or the paper's fixed tree — the
-// geometry-free control, where the LinearPHY switch must be a no-op.
+// geometry-free case, where the LinearPHY switch selects the full-domain
+// scan over the list of receiving radios.
 func spatialTopology(kind string, seed int64) testbed.Topology {
 	switch kind {
 	case "geo":

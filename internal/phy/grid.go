@@ -1,8 +1,9 @@
 // Geometric mode and the spatial grid index.
 //
 // The historical medium is geometry-free: every radio in an RF domain hears
-// every transmission, which matches the paper's 1m×1m all-in-range testbed
-// but makes every TX an O(domain) scan. City-scale generated topologies
+// every transmission, which matches the paper's 1m×1m all-in-range testbed;
+// a scan there walks the domain's list of receiving radios (scanRX below),
+// since only those can be told anything. City-scale generated topologies
 // (internal/testbed geo/city/floors) position radios in meters with a disk
 // radio range; in geometric mode the medium delivers carrier and
 // end-of-packet indications only to radios within range of the sender, and
@@ -46,10 +47,11 @@ func (m *Medium) SetRange(r float64) {
 // Range returns the geometric radio range, or 0 in geometry-free mode.
 func (m *Medium) Range() float64 { return m.r }
 
-// SetLinearScan forces geometric-mode scans down the linear
-// filter-every-radio path instead of the neighbour lists. Output must be
-// byte-identical either way; the switch exists so the differential test
-// layer (and regressions it catches) can prove it.
+// SetLinearScan forces scans down the visit-every-radio path instead of the
+// neighbour lists (geometric mode) or the list of receiving radios
+// (geometry-free). Output must be byte-identical either way; the switch
+// exists so the differential test layer (and regressions it catches) can
+// prove it.
 func (m *Medium) SetLinearScan(on bool) { m.linear = on }
 
 // SetPosition places the radio at (x, y, z) meters. Call during network
@@ -113,28 +115,52 @@ func (m *Medium) neighbors(dom *rfDomain, r *Radio) []*Radio {
 }
 
 // neighborScan calls fn for every radio of the sender's domain that can
-// hear the sender, in registration (NodeID) order — the one scan order both
-// the linear and the cached path produce. Geometry-free media scan the
-// whole domain, exactly the historical behaviour. fn may transmit or retune
-// radios: every path iterates a slice header captured before the first
-// call, so reentrant medium use cannot skew the scan.
-func (m *Medium) neighborScan(dom *rfDomain, sender *Radio, fn func(*Radio)) {
+// hear the sender on ch, in registration (NodeID) order — the one scan order
+// every path produces. fn may transmit or retune radios. The linear oracle
+// and the neighbour lists iterate a slice header captured before the first
+// call and leave the state and channel checks to fn. A geometry-free medium
+// hears everything, so there the only filter is "receiving on ch", and the
+// indexed path applies it itself, to the domain's RX list instead of every
+// radio: both callers' fn ignore a radio that is not receiving on ch at the
+// moment it is visited, which is exactly the moment scanRX looks at it.
+func (m *Medium) neighborScan(dom *rfDomain, sender *Radio, ch Channel, fn func(*Radio)) {
 	switch {
-	case m.rangeSq <= 0:
-		for _, lr := range dom.radios {
-			if lr != sender {
-				fn(lr)
-			}
-		}
 	case m.linear:
 		for _, lr := range dom.radios {
-			if lr != sender && sender.distSqTo(lr) <= m.rangeSq {
+			if lr != sender && m.inRangeOf(sender, lr) {
 				fn(lr)
 			}
 		}
+	case m.rangeSq <= 0:
+		dom.scanRX(sender, ch, fn)
 	default:
 		for _, lr := range m.neighbors(dom, sender) {
 			fn(lr)
 		}
+	}
+}
+
+// scanRX calls fn for the domain's radios other than sender that are
+// receiving on ch, in NodeID order. It does not iterate a snapshot: fn
+// retunes radios, and the full-domain loop it replaces looks at each radio's
+// state when it reaches it — a radio that starts listening inside an
+// earlier callback is still visited if its NodeID is larger, one that stops
+// is not. So after a callback that moved the list under the scan, the scan
+// resumes at the first listed radio past the one it just visited.
+func (dom *rfDomain) scanRX(sender *Radio, ch Channel, fn func(*Radio)) {
+	for i := 0; i < len(dom.rx); i++ {
+		lr := dom.rx[i]
+		if lr.listenCh != ch || lr == sender {
+			continue
+		}
+		fn(lr)
+		if i < len(dom.rx) && dom.rx[i] == lr {
+			continue
+		}
+		i = 0
+		for i < len(dom.rx) && dom.rx[i].id <= lr.id {
+			i++
+		}
+		i--
 	}
 }

@@ -17,7 +17,7 @@ func candidates(m *Medium, sender *Radio, linear bool) []NodeID {
 	m.linear = linear
 	defer func() { m.linear = prev }()
 	var out []NodeID
-	m.neighborScan(m.domains[sender.dom], sender, func(r *Radio) {
+	m.neighborScan(m.domains[sender.dom], sender, 0, func(r *Radio) {
 		out = append(out, r.id)
 	})
 	return out
@@ -150,6 +150,9 @@ func TestGridRangeBeforeAndAfterRegistration(t *testing.T) {
 	a.SetPosition(0, 0, 0)
 	b := m.NewRadio()
 	b.SetPosition(100, 0, 0)
+	// The geometry-free scan visits receiving radios only; the geometric
+	// paths leave the state check to the callback.
+	b.StartListen(0)
 	// Geometry-free: everyone hears everyone.
 	if got := candidates(m, a, false); len(got) != 1 {
 		t.Fatalf("geometry-free candidates %v, want [b]", got)

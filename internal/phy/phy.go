@@ -147,6 +147,11 @@ type Medium struct {
 type rfDomain struct {
 	radios []*Radio
 	active [NumChannels][]*transmission
+	// rx holds the radios whose state is RadioRX, in NodeID order. A
+	// geometry-free scan visits these instead of every radio of the domain
+	// (grid.go). StartListen, StopListen and Transmit are the only places a
+	// radio enters or leaves RX, and they keep the list.
+	rx []*Radio
 
 	// Geometric mode (grid.go). epoch counts the changes that can alter who
 	// hears whom in this domain — a radio registered or moved, the range
@@ -161,6 +166,31 @@ type rfDomain struct {
 func (dom *rfDomain) invalidate() {
 	dom.epoch++
 	dom.grid = nil
+}
+
+// rxAdd files a radio that entered RX, keeping the list in NodeID order.
+func (dom *rfDomain) rxAdd(r *Radio) {
+	i := len(dom.rx)
+	dom.rx = append(dom.rx, r)
+	for ; i > 0 && dom.rx[i-1].id > r.id; i-- {
+		dom.rx[i] = dom.rx[i-1]
+	}
+	dom.rx[i] = r
+}
+
+// rxRemove takes out a radio that left RX. The list holds a handful of
+// radios and this runs twice per connection event and endpoint: a plain loop,
+// where slices.Index + slices.Delete profiled at twice the cost.
+func (dom *rfDomain) rxRemove(r *Radio) {
+	for i, lr := range dom.rx {
+		if lr == r {
+			last := len(dom.rx) - 1
+			copy(dom.rx[i:], dom.rx[i+1:])
+			dom.rx[last] = nil
+			dom.rx = dom.rx[:last]
+			return
+		}
+	}
 }
 
 // getTx takes a transmission from the free list (or allocates one) and
@@ -354,6 +384,8 @@ func (r *Radio) StartListen(ch Channel) {
 			return
 		}
 		r.accumRX()
+	} else {
+		r.medium.domains[r.dom].rxAdd(r)
 	}
 	r.state = RadioRX
 	r.listenCh = ch
@@ -366,6 +398,7 @@ func (r *Radio) StopListen() {
 		return
 	}
 	r.accumRX()
+	r.medium.domains[r.dom].rxRemove(r)
 	r.state = RadioIdle
 	r.listenCh = -1
 }
@@ -385,17 +418,18 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	if airtime <= 0 {
 		panic("phy: non-positive airtime")
 	}
+	m := r.medium
+	dom := m.domains[r.dom]
 	if r.state == RadioRX {
 		r.accumRX()
+		dom.rxRemove(r)
 	}
 	pkt.Src = r.id
 	r.state = RadioTX
 	r.TXTime += airtime
 	r.TXPkts++
-	now := r.medium.sim.Now()
+	now := m.sim.Now()
 	r.txEnd = now + airtime
-	m := r.medium
-	dom := m.domains[r.dom]
 	tx := m.getTx()
 	tx.pkt, tx.ch, tx.dom, tx.start, tx.end = pkt, ch, r.dom, now, now+airtime
 	tx.sender, tx.done = r, done
@@ -436,7 +470,7 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	// Start-of-packet (carrier) indication for eligible listeners in the
 	// sender's domain only — and, in geometric mode, within radio range of
 	// the sender (indexed candidate cells instead of the whole domain).
-	m.neighborScan(dom, r, func(lr *Radio) {
+	m.neighborScan(dom, r, ch, func(lr *Radio) {
 		if lr.state != RadioRX || lr.listenCh != ch || lr.listenSince > now {
 			return
 		}
@@ -494,7 +528,7 @@ func (m *Medium) finish(sender *Radio, tx *transmission) {
 		sender.curTX = nil
 	}
 
-	m.neighborScan(dom, sender, func(r *Radio) {
+	m.neighborScan(dom, sender, tx.ch, func(r *Radio) {
 		if r.state != RadioRX || r.listenCh != tx.ch {
 			return
 		}

@@ -193,8 +193,7 @@ func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // SetExactCDF selects the backing store for CDFs created afterwards: exact
 // sorted samples (unbounded memory, exact quantiles) instead of the default
-// mergeable t-digest sketch (bounded memory, ≤1% quantile error). The
-// BLEMESH_EXACT_CDF environment variable sets the same switch at startup.
+// mergeable t-digest sketch (bounded memory, ≤1% quantile error).
 func SetExactCDF(on bool) { metrics.SetExact(on) }
 
 // ExactCDFMode reports the current CDF backend selection.

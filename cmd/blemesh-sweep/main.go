@@ -42,6 +42,10 @@ func main() {
 	exact := flag.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
+	if err := (blemesh.NetworkConfig{Shards: *shards}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
+		os.Exit(2)
+	}
 	blemesh.SetExactCDF(*exact)
 	defer pf.Start()()
 

@@ -74,6 +74,10 @@ func main() {
 		cfg.StreamMetrics = f
 		cfg.StreamEvery = blemesh.Duration(*streamEvery) * blemesh.Second
 	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh-trace:", err)
+		os.Exit(2)
+	}
 	nw := blemesh.BuildNetwork(cfg)
 	nw.WaitTopology(60 * blemesh.Second)
 	nw.Run(10 * blemesh.Second)

@@ -76,6 +76,7 @@ func run(args []string) {
 	}
 	id := args[0]
 	_ = fs.Parse(args[1:])
+	validate(blemesh.NetworkConfig{Shards: *shards})
 	blemesh.SetExactCDF(*exact)
 	defer pf.Start()()
 	engine, err := blemesh.ParseEngine(*engineName)
@@ -128,6 +129,15 @@ func parseTopo(name string, seed int64, nodes int, radioRange float64) (blemesh.
 		"unknown topology %q (tree, line, mesh, forest, geo, city, or floors)", name)
 }
 
+// validate exits 2 with a one-line message when the flags ask for a network
+// that cannot be built.
+func validate(cfg blemesh.NetworkConfig) {
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh:", err)
+		os.Exit(2)
+	}
+}
+
 func traceRun(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	topoName := fs.String("topo", "tree", "tree, line, mesh, forest (4 isolated trees), geo, city, or floors")
@@ -150,7 +160,7 @@ func traceRun(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	nw := blemesh.BuildNetwork(blemesh.NetworkConfig{
+	cfg := blemesh.NetworkConfig{
 		Seed:         *seed,
 		Topology:     topo,
 		JamChannel22: true,
@@ -159,7 +169,9 @@ func traceRun(args []string) {
 		Shards:       *shards,
 		Lean:         *lean,
 		SparseRoutes: *lean,
-	})
+	}
+	validate(cfg)
+	nw := blemesh.BuildNetwork(cfg)
 	nw.WaitTopology(60 * blemesh.Second)
 	if routing == blemesh.RoutingDynamic && !nw.WaitConverged(120*blemesh.Second) {
 		fmt.Fprintln(os.Stderr, "warning: DODAG did not converge within 120s; tracing anyway")
@@ -181,6 +193,7 @@ func all(args []string) {
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(fs)
 	_ = fs.Parse(args)
+	validate(blemesh.NetworkConfig{Shards: *shards})
 	blemesh.SetExactCDF(*exact)
 	defer pf.Start()()
 	for _, e := range blemesh.Experiments() {

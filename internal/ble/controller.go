@@ -3,7 +3,6 @@ package ble
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"blemesh/internal/phy"
 	"blemesh/internal/sim"
@@ -25,12 +24,6 @@ type ControllerConfig struct {
 	// DisableWindowWidening turns subordinate window widening off
 	// (ablation only — real controllers must implement it).
 	DisableWindowWidening bool
-	// Compact selects allocation-lean internal storage: the connection
-	// table and scan-target set become small slices instead of maps, and
-	// the scheduler lives inside the Controller struct rather than in a
-	// separate allocation. Behaviour is identical — at the handful of
-	// links a BLE node sustains, linear scans beat hashing anyway.
-	Compact bool
 	// ExchangeGap models host/controller processing time per data PDU
 	// exchanged: the extra delay before the coordinator starts the next
 	// exchange of the same connection event after data moved. Calibrated
@@ -127,21 +120,16 @@ type Controller struct {
 	radio *phy.Radio
 	cfg   ControllerConfig
 	addr  DevAddr
-	sched *Scheduler
+	sched Scheduler
 	pool  pool
 	rng   *rand.Rand
 
-	// Connection table: exactly one backend is live. Legacy construction
-	// uses the map; compact mode appends to connList, which stays ordered
-	// by handle (handles only ever grow) so Shutdown's handle-ordered
+	// conns is the connection table: a short slice (a BLE node sustains a
+	// handful of links, so linear scans beat hashing) that stays ordered
+	// by handle, since handles only ever grow — Shutdown's handle-ordered
 	// teardown is a plain scan.
-	conns    map[int]*Conn
-	connList []*Conn
-	handles  int
-
-	// schedStore is the in-struct scheduler used in compact mode; sched
-	// points here instead of at a separate allocation.
-	schedStore Scheduler
+	conns   []*Conn
+	handles int
 
 	// freeItems recycles txItem structs across all connections so the
 	// steady-state data path does not allocate per queued payload.
@@ -158,8 +146,7 @@ type Controller struct {
 	// Scanning / initiating state.
 	scanOn      bool
 	scanParams  ScanParams
-	scanTargets map[DevAddr]ConnParams
-	scanList    []scanTarget // compact-mode backend for scanTargets
+	scanTargets []scanTarget
 	scanCh      phy.Channel
 	scanRotate  sim.Timer
 	connecting  bool
@@ -211,129 +198,59 @@ func NewControllerInto(ctrl *Controller, s *sim.Sim, clk *sim.Clock, radio *phy.
 		radio: radio,
 		cfg:   cfg,
 		addr:  cfg.Addr,
+		sched: Scheduler{sim: s, mode: cfg.Arbitration},
 		pool:  pool{capacity: cfg.PoolBytes},
 		rng:   s.Rand(),
-	}
-	if cfg.Compact {
-		NewSchedulerInto(&ctrl.schedStore, s, cfg.Arbitration)
-		ctrl.sched = &ctrl.schedStore
-	} else {
-		ctrl.sched = NewScheduler(s, cfg.Arbitration)
-		ctrl.conns = make(map[int]*Conn)
 	}
 	radio.SetReceiver(ctrl.dispatchRx)
 	radio.SetCarrier(ctrl.dispatchCarrier)
 }
 
-// scanTarget is one pending connection target in compact mode.
+// scanTarget is one pending connection target.
 type scanTarget struct {
 	peer   DevAddr
 	params ConnParams
 }
 
-// ---- Connection-table backend (map in legacy mode, slice in compact) ----
-
-func (ctrl *Controller) addConn(c *Conn) {
-	if ctrl.cfg.Compact {
-		ctrl.connList = append(ctrl.connList, c)
-		return
-	}
-	ctrl.conns[c.handle] = c
-}
+func (ctrl *Controller) addConn(c *Conn) { ctrl.conns = append(ctrl.conns, c) }
 
 // dropConn removes c from the table, reporting whether it was present.
 func (ctrl *Controller) dropConn(c *Conn) bool {
-	if ctrl.cfg.Compact {
-		for i, x := range ctrl.connList {
-			if x == c {
-				ctrl.connList = append(ctrl.connList[:i], ctrl.connList[i+1:]...)
-				return true
-			}
+	for i, x := range ctrl.conns {
+		if x == c {
+			ctrl.conns = append(ctrl.conns[:i], ctrl.conns[i+1:]...)
+			return true
 		}
-		return false
 	}
-	if _, live := ctrl.conns[c.handle]; !live {
-		return false
-	}
-	delete(ctrl.conns, c.handle)
-	return true
+	return false
 }
-
-func (ctrl *Controller) connLive(c *Conn) bool {
-	if ctrl.cfg.Compact {
-		for _, x := range ctrl.connList {
-			if x == c {
-				return true
-			}
-		}
-		return false
-	}
-	_, live := ctrl.conns[c.handle]
-	return live
-}
-
-func (ctrl *Controller) numConns() int {
-	if ctrl.cfg.Compact {
-		return len(ctrl.connList)
-	}
-	return len(ctrl.conns)
-}
-
-// ---- Scan-target backend (map in legacy mode, slice in compact) ---------
 
 func (ctrl *Controller) targetSet(peer DevAddr, p ConnParams) {
-	if ctrl.cfg.Compact {
-		for i := range ctrl.scanList {
-			if ctrl.scanList[i].peer == peer {
-				ctrl.scanList[i].params = p
-				return
-			}
+	for i := range ctrl.scanTargets {
+		if ctrl.scanTargets[i].peer == peer {
+			ctrl.scanTargets[i].params = p
+			return
 		}
-		ctrl.scanList = append(ctrl.scanList, scanTarget{peer: peer, params: p})
-		return
 	}
-	if ctrl.scanTargets == nil {
-		ctrl.scanTargets = make(map[DevAddr]ConnParams)
-	}
-	ctrl.scanTargets[peer] = p
+	ctrl.scanTargets = append(ctrl.scanTargets, scanTarget{peer: peer, params: p})
 }
 
 func (ctrl *Controller) targetGet(peer DevAddr) (ConnParams, bool) {
-	if ctrl.cfg.Compact {
-		for i := range ctrl.scanList {
-			if ctrl.scanList[i].peer == peer {
-				return ctrl.scanList[i].params, true
-			}
+	for i := range ctrl.scanTargets {
+		if ctrl.scanTargets[i].peer == peer {
+			return ctrl.scanTargets[i].params, true
 		}
-		return ConnParams{}, false
 	}
-	p, ok := ctrl.scanTargets[peer]
-	return p, ok
+	return ConnParams{}, false
 }
 
 func (ctrl *Controller) targetDel(peer DevAddr) {
-	if ctrl.cfg.Compact {
-		for i := range ctrl.scanList {
-			if ctrl.scanList[i].peer == peer {
-				ctrl.scanList = append(ctrl.scanList[:i], ctrl.scanList[i+1:]...)
-				return
-			}
+	for i := range ctrl.scanTargets {
+		if ctrl.scanTargets[i].peer == peer {
+			ctrl.scanTargets = append(ctrl.scanTargets[:i], ctrl.scanTargets[i+1:]...)
+			return
 		}
-		return
 	}
-	delete(ctrl.scanTargets, peer)
-}
-
-func (ctrl *Controller) numTargets() int {
-	if ctrl.cfg.Compact {
-		return len(ctrl.scanList)
-	}
-	return len(ctrl.scanTargets)
-}
-
-func (ctrl *Controller) clearTargets() {
-	ctrl.scanTargets = nil
-	ctrl.scanList = ctrl.scanList[:0]
 }
 
 // Addr returns the controller's device address.
@@ -343,35 +260,18 @@ func (ctrl *Controller) Addr() DevAddr { return ctrl.addr }
 func (ctrl *Controller) Events() ControllerEvents { return ctrl.events }
 
 // Scheduler exposes the radio scheduler (read-mostly: stats, arbitration).
-func (ctrl *Controller) Scheduler() *Scheduler { return ctrl.sched }
+func (ctrl *Controller) Scheduler() *Scheduler { return &ctrl.sched }
 
 // PoolUsed returns current and peak LL pool occupancy in bytes.
 func (ctrl *Controller) PoolUsed() (used, peak int) { return ctrl.pool.used, ctrl.pool.peak }
 
 // Conns returns the active connections.
 func (ctrl *Controller) Conns() []*Conn {
-	if ctrl.cfg.Compact {
-		out := make([]*Conn, len(ctrl.connList))
-		copy(out, ctrl.connList)
-		return out
-	}
-	out := make([]*Conn, 0, len(ctrl.conns))
-	for _, c := range ctrl.conns {
-		out = append(out, c)
-	}
-	return out
+	return append([]*Conn(nil), ctrl.conns...)
 }
 
 // FindConn returns the connection to peer, or nil.
 func (ctrl *Controller) FindConn(peer DevAddr) *Conn {
-	if ctrl.cfg.Compact {
-		for _, c := range ctrl.connList {
-			if c.peer == peer {
-				return c
-			}
-		}
-		return nil
-	}
 	for _, c := range ctrl.conns {
 		if c.peer == peer {
 			return c
@@ -613,7 +513,7 @@ func (ctrl *Controller) Connect(peer DevAddr, params ConnParams) error {
 // CancelConnect removes a pending connection target.
 func (ctrl *Controller) CancelConnect(peer DevAddr) {
 	ctrl.targetDel(peer)
-	if ctrl.numTargets() == 0 {
+	if len(ctrl.scanTargets) == 0 {
 		ctrl.stopScanning()
 	}
 }
@@ -630,7 +530,7 @@ func (ctrl *Controller) SetScanParams(p ScanParams) {
 }
 
 func (ctrl *Controller) ensureScanning() {
-	if ctrl.scanOn || ctrl.numTargets() == 0 {
+	if ctrl.scanOn || len(ctrl.scanTargets) == 0 {
 		return
 	}
 	if ctrl.scanParams.Interval == 0 {
@@ -742,7 +642,7 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 			ctrl.sched.Release(initAct)
 			ctrl.initAct = nil
 			ctrl.targetDel(adv.Adv)
-			if ctrl.numTargets() == 0 {
+			if len(ctrl.scanTargets) == 0 {
 				ctrl.stopScanning()
 			}
 			anchor0 := ctrl.s.Now() + TransmitWindowDelay + winOffset
@@ -766,31 +666,16 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 func (ctrl *Controller) Shutdown() {
 	ctrl.epoch++
 	// Terminate connections in handle order so teardown side effects
-	// consume the simulation RNG deterministically. The compact list is
-	// append-only in handle order, so a snapshot already is sorted.
-	if ctrl.cfg.Compact {
-		live := make([]*Conn, len(ctrl.connList))
-		copy(live, ctrl.connList)
-		for _, c := range live {
-			if ctrl.connLive(c) {
-				c.terminate(LossHostTerminated)
-			}
-		}
-	} else {
-		handles := make([]int, 0, len(ctrl.conns))
-		for h := range ctrl.conns {
-			handles = append(handles, h)
-		}
-		sort.Ints(handles)
-		for _, h := range handles {
-			if c, ok := ctrl.conns[h]; ok {
-				c.terminate(LossHostTerminated)
-			}
-		}
+	// consume the simulation RNG deterministically: the table is
+	// append-only in handle order, so a snapshot already is sorted. A
+	// connection that a teardown side effect removed meanwhile is closed,
+	// and terminating it again does nothing.
+	for _, c := range ctrl.Conns() {
+		c.terminate(LossHostTerminated)
 	}
 	ctrl.StopAdvertising()
 	ctrl.connecting = false
-	ctrl.clearTargets()
+	ctrl.scanTargets = ctrl.scanTargets[:0]
 	ctrl.stopScanning()
 	if ctrl.initAct != nil {
 		ctrl.sched.Release(ctrl.initAct)
@@ -825,7 +710,7 @@ func accessFromAddrs(a, b DevAddr) uint32 {
 
 // String identifies the controller in diagnostics.
 func (ctrl *Controller) String() string {
-	return fmt.Sprintf("ctrl(%s conns=%d)", ctrl.addr, ctrl.numConns())
+	return fmt.Sprintf("ctrl(%s conns=%d)", ctrl.addr, len(ctrl.conns))
 }
 
 // PoolFree returns the bytes currently available in the LL buffer pool.

@@ -72,19 +72,6 @@ type Scheduler struct {
 	fillerSince sim.Time
 }
 
-// NewScheduler creates a scheduler with the given arbitration mode.
-func NewScheduler(s *sim.Sim, mode Arbitration) *Scheduler {
-	sd := new(Scheduler)
-	NewSchedulerInto(sd, s, mode)
-	return sd
-}
-
-// NewSchedulerInto initializes a scheduler in place (arena-backed
-// construction).
-func NewSchedulerInto(sd *Scheduler, s *sim.Sim, mode Arbitration) {
-	*sd = Scheduler{sim: s, mode: mode}
-}
-
 // Stats returns a copy of the scheduler counters.
 func (sd *Scheduler) Stats() SchedStats { return sd.stats }
 

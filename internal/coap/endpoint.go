@@ -76,20 +76,20 @@ type Endpoint struct {
 	st   *ip6.Stack
 	port uint16
 
-	mid     uint16
-	tokSeq  uint64
-	pending map[string]*pendingReq // by token
+	mid    uint16
+	tokSeq uint64
+	// pending holds the outstanding requests by token. It is nil until the
+	// first Request: a city-scale build creates 10k+ endpoints whose maps
+	// mostly stay empty until traffic starts, and reads of a nil map are
+	// safe.
+	pending map[string]*pendingReq
 
 	// dedup suppresses repeated requests, CON and NON alike, by (peer, MID).
 	// It is nil until the first request arrives: of a city's 10k endpoints
 	// only the sinks ever serve one.
 	dedup *dedup
 	stats Stats
-	// lazy defers the pending map allocation to first use: a city-scale
-	// build creates 10k+ endpoints whose maps mostly stay empty until
-	// traffic starts. Reads of a nil map are already safe; the one write
-	// site goes through ensurePending.
-	lazy    bool
+
 	Handler Handler
 
 	tr   *trace.Log
@@ -106,30 +106,20 @@ func (ep *Endpoint) SetTrace(l *trace.Log, node string) {
 // NewEndpoint binds a CoAP endpoint to the stack's CoAP port.
 func NewEndpoint(s *sim.Sim, st *ip6.Stack, port uint16) *Endpoint {
 	ep := new(Endpoint)
-	NewEndpointInto(ep, s, st, port, false)
+	NewEndpointInto(ep, s, st, port)
 	return ep
 }
 
 // NewEndpointInto initializes an endpoint in place (arena-backed
-// construction). lazy defers the internal map allocations to first use;
-// behaviour — including the message-ID RNG draw, which must stay in build
-// order for byte-identical runs — is unchanged.
-func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16, lazy bool) {
+// construction). The message-ID RNG draw must stay in build order for
+// byte-identical runs.
+func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16) {
 	if port == 0 {
 		port = DefaultPort
 	}
-	*ep = Endpoint{s: s, st: st, port: port, lazy: lazy}
-	if !lazy {
-		ep.pending = make(map[string]*pendingReq)
-	}
+	*ep = Endpoint{s: s, st: st, port: port}
 	ep.mid = uint16(s.Rand().Intn(1 << 16))
 	st.ListenUDP(port, ep.onUDP)
-}
-
-func (ep *Endpoint) ensurePending() {
-	if ep.pending == nil {
-		ep.pending = make(map[string]*pendingReq)
-	}
 }
 
 // Stats returns a copy of the endpoint counters.
@@ -158,7 +148,9 @@ func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	m.Token = ep.newToken()
 	pr := &pendingReq{dst: dst, msg: m, cb: cb, sentAt: ep.s.Now()}
 	key := string(m.Token)
-	ep.ensurePending()
+	if ep.pending == nil {
+		ep.pending = make(map[string]*pendingReq)
+	}
 	ep.pending[key] = pr
 	pid, err := ep.send(dst, m)
 	if err != nil {

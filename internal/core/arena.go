@@ -4,7 +4,6 @@ import (
 	"blemesh/internal/arena"
 	"blemesh/internal/ble"
 	"blemesh/internal/coap"
-	"blemesh/internal/gatt"
 	"blemesh/internal/ip6"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
@@ -12,10 +11,9 @@ import (
 
 // Arena is preallocated struct storage for arena-backed node construction:
 // one contiguous slab per subsystem type, sized for a known node count and
-// carved one element per node. Building through an arena also selects the
-// compact internal storage of every layer (slice-backed tables instead of
-// maps, lazily allocated caches, one shared GATT database) — the
-// struct-of-arrays layout that makes city-scale populations affordable.
+// carved one element per node. An arena decides only where a node's structs
+// live — a node built without one (NodeConfig.Arena nil) allocates each
+// struct separately and is otherwise the same node.
 //
 // An arena is single-site: node construction carves slabs sequentially, so
 // parallel builders use one arena per topology site.
@@ -27,40 +25,51 @@ type Arena struct {
 	netifs *arena.Slab[NetIf]
 	stacks *arena.Slab[ip6.Stack]
 	coaps  *arena.Slab[coap.Endpoint]
-	gattDB *gatt.Server
 }
 
-// NewArena preallocates storage for n nodes. gattDB is the immutable
-// GATT/IPSS database shared by every node built from this arena; pass nil
-// to create one (sites of the same network should share a single instance).
-func NewArena(n int, gattDB *gatt.Server) *Arena {
-	if gattDB == nil {
-		gattDB = gatt.NewServer(gatt.UUIDIPSS)
+// nodeStorage is the seven structs one node is assembled from.
+type nodeStorage struct {
+	node  *Node
+	clock *sim.Clock
+	ctrl  *ble.Controller
+	mgr   *statconn.Manager
+	netif *NetIf
+	stack *ip6.Stack
+	coap  *coap.Endpoint
+}
+
+// storage is the one place that decides where a node's structs come from:
+// the next element of each slab, or the heap when there is no arena.
+func (a *Arena) storage() nodeStorage {
+	if a == nil {
+		return nodeStorage{
+			node:  new(Node),
+			clock: new(sim.Clock),
+			ctrl:  new(ble.Controller),
+			mgr:   new(statconn.Manager),
+			netif: new(NetIf),
+			stack: new(ip6.Stack),
+			coap:  new(coap.Endpoint),
+		}
 	}
-	return &Arena{
-		nodes:  arena.NewSlab[Node](n),
-		clocks: arena.NewSlab[sim.Clock](n),
-		ctrls:  arena.NewSlab[ble.Controller](n),
-		mgrs:   arena.NewSlab[statconn.Manager](n),
-		netifs: arena.NewSlab[NetIf](n),
-		stacks: arena.NewSlab[ip6.Stack](n),
-		coaps:  arena.NewSlab[coap.Endpoint](n),
-		gattDB: gattDB,
+	return nodeStorage{
+		node:  a.nodes.Take(),
+		clock: a.clocks.Take(),
+		ctrl:  a.ctrls.Take(),
+		mgr:   a.mgrs.Take(),
+		netif: a.netifs.Take(),
+		stack: a.stacks.Take(),
+		coap:  a.coaps.Take(),
 	}
 }
 
-// Remaining returns how many more nodes the arena can supply.
-func (a *Arena) Remaining() int { return a.nodes.Remaining() }
-
-// NewArenas preallocates one arena per site, all sharing a single GATT/IPSS
-// database — the layout a parallel per-site network builder wants: each
-// site's goroutine carves its own arena sequentially while the immutable
-// database is shared across the whole network. Per type, all sites split one
-// network-wide backing array (arena.NewSlabs): generated city-scale fields
-// have thousands of single-digit-node sites, and per-site slab allocations
-// would pay malloc size-class rounding on every one of them.
+// NewArenas preallocates one arena per site — the layout a parallel per-site
+// network builder wants: each site's goroutine carves its own arena
+// sequentially. Per type, all sites split one network-wide backing array
+// (arena.NewSlabs): generated city-scale fields have thousands of
+// single-digit-node sites, and per-site slab allocations would pay malloc
+// size-class rounding on every one of them.
 func NewArenas(sizes []int) []*Arena {
-	db := gatt.NewServer(gatt.UUIDIPSS)
 	nodes := arena.NewSlabs[Node](sizes)
 	clocks := arena.NewSlabs[sim.Clock](sizes)
 	ctrls := arena.NewSlabs[ble.Controller](sizes)
@@ -78,7 +87,6 @@ func NewArenas(sizes []int) []*Arena {
 			netifs: netifs[i],
 			stacks: stacks[i],
 			coaps:  coaps[i],
-			gattDB: db,
 		}
 	}
 	return out

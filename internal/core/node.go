@@ -42,10 +42,8 @@ type NodeConfig struct {
 	// the node fully static — no extra timers, no extra RNG draws, so
 	// static runs stay byte-identical with pre-routing builds.
 	Routing *rpl.Config
-	// Arena, when non-nil, supplies preallocated struct storage and
-	// selects every layer's compact internal representation. Observable
-	// behaviour — including the order of RNG draws during construction —
-	// is identical to the default allocation path.
+	// Arena, when non-nil, supplies preallocated storage for the node's
+	// structs; nil allocates them one by one. Nothing else depends on it.
 	Arena *Arena
 }
 
@@ -77,12 +75,10 @@ type provisioned struct {
 	routes   []ip6.Route
 }
 
-// NewNode builds a node on the given medium. With cfg.Arena set, every
-// subsystem struct comes out of the arena's slabs and uses its compact
-// internal storage; the construction order (and so the RNG draw order) is
-// the same on both paths.
+// NewNode builds a node on the given medium. The construction order fixes
+// the order of RNG draws, so it is part of the simulator's output.
 func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
-	ar := cfg.Arena
+	st := cfg.Arena.storage()
 	sca := cfg.SCA
 	if sca == 0 {
 		sca = 50
@@ -94,44 +90,17 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		Arbitration:           cfg.Arbitration,
 		ExchangeGap:           cfg.ExchangeGap,
 		DisableWindowWidening: cfg.DisableWindowWidening,
-		Compact:               ar != nil,
 	}
-	var (
-		clk   *sim.Clock
-		radio *phy.Radio
-		ctrl  *ble.Controller
-		stack *ip6.Stack
-		netif *NetIf
-		mgr   *statconn.Manager
-	)
-	if ar != nil {
-		clk = ar.clocks.Take()
-		sim.NewClockInto(clk, s, cfg.ClockPPM)
-		radio = medium.NewRadio()
-		ctrl = ar.ctrls.Take()
-		ble.NewControllerInto(ctrl, s, clk, radio, ctrlCfg)
-		stack = ar.stacks.Take()
-		ip6.NewStackInto(stack, s, cfg.MAC, true)
-	} else {
-		clk = sim.NewClock(s, cfg.ClockPPM)
-		radio = medium.NewRadio()
-		ctrl = ble.NewController(s, clk, radio, ctrlCfg)
-		stack = ip6.NewStack(s, cfg.MAC)
-	}
+	clk, ctrl, stack, netif, mgr := st.clock, st.ctrl, st.stack, st.netif, st.mgr
+	sim.NewClockInto(clk, s, cfg.ClockPPM)
+	radio := medium.NewRadio()
+	ble.NewControllerInto(ctrl, s, clk, radio, ctrlCfg)
+	ip6.NewStackInto(stack, s, cfg.MAC)
 	if cfg.PktbufBytes > 0 {
 		stack.Pktbuf.Capacity = cfg.PktbufBytes
 	}
-	scCfg := cfg.Statconn
-	if ar != nil {
-		scCfg.Compact = true
-		netif = ar.netifs.Take()
-		NewNetIfInto(netif, s, stack, ar.gattDB)
-		mgr = ar.mgrs.Take()
-		statconn.NewInto(mgr, s, ctrl, scCfg)
-	} else {
-		netif = NewNetIf(s, stack)
-		mgr = statconn.New(s, ctrl, scCfg)
-	}
+	NewNetIfInto(netif, s, stack)
+	statconn.NewInto(mgr, s, ctrl, cfg.Statconn)
 	tr := cfg.Trace
 	name := cfg.Name
 	ctrl.SetTrace(tr, name)
@@ -161,21 +130,13 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 			router.LinkDown(uint64(c.Peer()))
 		}
 	}
-	var ep *coap.Endpoint
-	if ar != nil {
-		ep = ar.coaps.Take()
-		coap.NewEndpointInto(ep, s, stack, 0, true)
-	} else {
-		ep = coap.NewEndpoint(s, stack, 0)
-	}
+	ep := st.coap
+	coap.NewEndpointInto(ep, s, stack, 0)
 	ep.SetTrace(tr, name)
 	if router != nil {
 		router.Start()
 	}
-	nd := new(Node)
-	if ar != nil {
-		nd = ar.nodes.Take()
-	}
+	nd := st.node
 	*nd = Node{
 		Name:     cfg.Name,
 		Sim:      s,

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -11,13 +12,15 @@ import (
 	"blemesh/internal/testbed"
 )
 
-// arenaExport drives one traced workload with the given allocation path
-// (arena-backed struct-of-arrays vs the legacy per-node heap path) and
-// returns the full trace + metrics NDJSON. shards==0 is the serial engine
-// with phy domain partitioning; shards>=1 the conservative sharded one.
-func arenaExport(t *testing.T, topo testbed.Topology, seed int64, legacy bool, shards int) string {
+// arenaExport drives one traced workload and returns the full trace +
+// metrics NDJSON. heap builds every node with a nil core.Arena — each struct
+// allocated on its own, the storage World.NewNode and the unit tests of
+// every layer use — instead of out of the per-site slabs. shards==0 is the
+// serial engine with phy domain partitioning; shards>=1 the conservative
+// sharded one.
+func arenaExport(t *testing.T, topo testbed.Topology, seed int64, heap bool, shards int) string {
 	t.Helper()
-	nw := BuildNetwork(NetworkConfig{
+	cfg := NetworkConfig{
 		Seed:          seed,
 		Engine:        sim.EngineWheel,
 		Shards:        shards,
@@ -26,10 +29,27 @@ func arenaExport(t *testing.T, topo testbed.Topology, seed int64, legacy bool, s
 		JamChannel22:  true,
 		Trace:         true,
 		TraceCapacity: 1 << 18,
-		LegacyAlloc:   legacy,
-	})
-	// Formation failure on a hard seed is itself fine — both allocation
-	// paths must fail identically, and byte equality still checks that.
+	}
+	var nw *Network
+	if !heap {
+		nw = BuildNetwork(cfg)
+	} else {
+		// BuildNetwork's own phase list, with the arenas taken away
+		// between storage and fill.
+		cfg.defaults()
+		b := planNetwork(cfg)
+		b.buildMedia()
+		b.allocStorage()
+		for i := range b.arenas {
+			b.arenas[i] = nil
+		}
+		b.fill()
+		b.wire()
+		b.nw.registerMetrics(b.ids)
+		nw = b.nw
+	}
+	// Formation failure on a hard seed is itself fine — both storage
+	// choices must fail identically, and byte equality still checks that.
 	nw.WaitTopology(60 * sim.Second)
 	nw.Run(5 * sim.Second)
 	nw.StartTraffic(TrafficConfig{Interval: sim.Second, Jitter: 500 * sim.Millisecond})
@@ -44,54 +64,25 @@ func arenaExport(t *testing.T, topo testbed.Topology, seed int64, legacy bool, s
 	return b.String()
 }
 
-// TestArenaAllocEquivalence is the determinism lockdown for the
-// struct-of-arrays builder: generated geo and city topologies (and the
-// fixed-tree control) at 1 and 4 worker lanes must export byte-identical
-// trace and metrics NDJSON whether nodes come out of arena slabs with
-// compact tables or out of the legacy per-node allocations. The arena is a
-// memory-layout knob, never an output knob.
-func TestArenaAllocEquivalence(t *testing.T) {
-	seeds := int64(16)
-	if testing.Short() {
-		seeds = 4
-	}
-	for _, kind := range []string{"geo", "city", "tree"} {
-		t.Run(kind, func(t *testing.T) {
-			for seed := int64(1); seed <= seeds; seed++ {
-				topo := spatialTopology(kind, seed)
-				for _, shards := range []int{1, 4} {
-					legacy := arenaExport(t, topo, seed, true, shards)
-					soa := arenaExport(t, topo, seed, false, shards)
-					if legacy == "" {
-						t.Fatalf("%s seed %d shards %d: empty export", kind, seed, shards)
-					}
-					if soa != legacy {
-						n, g, w := firstDiff(soa, legacy)
-						t.Fatalf("%s seed %d shards %d: arena path diverges from legacy at line %d:\n  arena:  %s\n  legacy: %s",
-							kind, seed, shards, n, g, w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestArenaSerialAllocEquivalence covers the serial build (shards==0),
-// whose arena path is structurally different from the sharded one: a single
-// network-wide arena carving in global id order against one shared RNG.
+// TestArenaSerialAllocEquivalence pins the one thing an Arena still decides:
+// where a node's structs live. The serial build carves per-site slabs in
+// global id order; the same generated geo and city topologies (and the
+// fixed-tree control) built with every struct on the heap — the storage the
+// unit tests and World.NewNode run on — must export byte-identical trace and
+// metrics NDJSON. The arena is a memory-layout knob, never an output knob.
 func TestArenaSerialAllocEquivalence(t *testing.T) {
 	for _, kind := range []string{"geo", "city", "tree"} {
 		t.Run(kind, func(t *testing.T) {
 			for seed := int64(1); seed <= 4; seed++ {
 				topo := spatialTopology(kind, seed)
-				legacy := arenaExport(t, topo, seed, true, 0)
-				soa := arenaExport(t, topo, seed, false, 0)
-				if legacy == "" {
+				heap := arenaExport(t, topo, seed, true, 0)
+				slab := arenaExport(t, topo, seed, false, 0)
+				if heap == "" {
 					t.Fatalf("%s seed %d: empty export", kind, seed)
 				}
-				if soa != legacy {
-					n, g, w := firstDiff(soa, legacy)
-					t.Fatalf("%s seed %d serial: arena path diverges from legacy at line %d:\n  arena:  %s\n  legacy: %s",
+				if slab != heap {
+					n, g, w := firstDiff(slab, heap)
+					t.Fatalf("%s seed %d serial: arena storage diverges from heap storage at line %d:\n  arena: %s\n  heap:  %s",
 						kind, seed, n, g, w)
 				}
 			}
@@ -122,17 +113,43 @@ func TestParallelBuildRepeatable(t *testing.T) {
 
 // TestSparseRoutesRequireStaticRouting pins the config-corner fix: sparse
 // provisioning under dynamic routing used to build a half-configured
-// network (pre-installed sink-tree routes that RPL immediately shadowed);
-// now the combination is rejected loudly at build time.
+// network (pre-installed sink-tree routes that RPL immediately shadowed).
+// Validate rejects it — and every other value BuildNetwork cannot honour —
+// with an error a CLI can print; BuildNetwork panics with the same message.
 func TestSparseRoutesRequireStaticRouting(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("BuildNetwork accepted SparseRoutes with dynamic routing")
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		cfg  NetworkConfig
+		want string // substring of the error; "" = valid
+	}{
+		{"zero value", NetworkConfig{}, ""},
+		{"sparse static", NetworkConfig{SparseRoutes: true}, ""},
+		{"dynamic dense", NetworkConfig{Routing: RoutingDynamic}, ""},
+		{"sparse dynamic", NetworkConfig{Routing: RoutingDynamic, SparseRoutes: true}, "SparseRoutes requires RoutingStatic"},
+		{"negative shards", NetworkConfig{Shards: -1}, "Shards = -1"},
+		{"negative trace capacity", NetworkConfig{TraceCapacity: -5}, "TraceCapacity = -5"},
+		{"negative trace sample", NetworkConfig{TraceSample: -0.5}, "TraceSample = -0.5"},
+		{"NaN trace sample", NetworkConfig{TraceSample: nan}, "TraceSample = NaN"},
+		{"trace sample above one keeps all", NetworkConfig{TraceSample: 2}, ""},
+		{"clean channel", NetworkConfig{NoisePER: -1}, ""},
+		{"certain loss", NetworkConfig{NoisePER: 1}, ""},
+		{"noise above one", NetworkConfig{NoisePER: 1.5}, "NoisePER = 1.5"},
+		{"NaN noise", NetworkConfig{NoisePER: nan}, "NoisePER = NaN"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
 		}
-		msg := fmt.Sprint(r)
+	}
+
+	defer func() {
+		msg := fmt.Sprint(recover())
 		if !strings.Contains(msg, "SparseRoutes requires RoutingStatic") {
-			t.Fatalf("panic message does not explain the rejection: %q", msg)
+			t.Fatalf("BuildNetwork did not panic with Validate's message: %q", msg)
 		}
 	}()
 	BuildNetwork(NetworkConfig{

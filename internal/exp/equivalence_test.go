@@ -165,7 +165,7 @@ func TestShardEquivalence(t *testing.T) {
 
 // forestExport drives a four-site forest (four RF-isolated tree testbeds)
 // through the scheduler and returns the merged observable output. shards==0
-// selects the legacy serial engine with phy domain partitioning.
+// selects the serial engine with phy domain partitioning.
 func forestExport(t *testing.T, seed int64, churn bool, shards int) string {
 	t.Helper()
 	nw := BuildNetwork(NetworkConfig{

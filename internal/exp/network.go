@@ -6,8 +6,10 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -77,7 +79,8 @@ type NetworkConfig struct {
 	Supervision sim.Duration
 	// Arbitration selects the radio scheduler policy.
 	Arbitration ble.Arbitration
-	// NoisePER is the background packet error rate of the 2.4GHz band.
+	// NoisePER is the background packet error rate of the 2.4GHz band
+	// (0 = the default 0.005; negative = a clean channel).
 	NoisePER float64
 	// JamChannel22 reproduces the testbed's permanently jammed channel;
 	// nodes exclude it from their channel maps, as the paper does.
@@ -133,14 +136,6 @@ type NetworkConfig struct {
 	// must be byte-identical either way; the differential test layer flips
 	// this to prove it.
 	LinearPHY bool
-	// LegacyAlloc restores the pre-arena allocation path: every subsystem
-	// struct heap-allocated individually, map-backed tables in every layer,
-	// and the historical global-phase construction loop. The default (false)
-	// builds arena-backed struct-of-arrays node state — one slab per
-	// subsystem type, compact slice-backed tables, per-site parallel fill in
-	// sharded mode. Observable output is byte-identical either way; the flag
-	// exists as the differential baseline and is kept for one release.
-	LegacyAlloc bool
 	// Shards selects the sharded scheduler (internal/sim Sharded): the
 	// topology is cut into RF-isolated sites (connected components), each
 	// driven by its own event queue and clock under a conservative barrier
@@ -168,6 +163,28 @@ func (c *NetworkConfig) defaults() {
 	if c.NoisePER == 0 {
 		c.NoisePER = 0.005
 	}
+}
+
+// Validate reports a configuration BuildNetwork cannot honour. CLIs call it
+// on the flag-filled config and exit with its message; BuildNetwork panics
+// with it for library callers.
+func (c NetworkConfig) Validate() error {
+	switch {
+	case c.Routing == RoutingDynamic && c.SparseRoutes:
+		return errors.New("SparseRoutes requires RoutingStatic: sparse provisioning " +
+			"pre-installs the sink-tree host routes at build time, which " +
+			"RPL-lite would immediately shadow and churn; drop SparseRoutes " +
+			"(-lean) or use static routing")
+	case c.Shards < 0:
+		return fmt.Errorf("Shards = %d, want ≥ 0", c.Shards)
+	case c.TraceCapacity < 0:
+		return fmt.Errorf("TraceCapacity = %d, want ≥ 0", c.TraceCapacity)
+	case c.TraceSample < 0 || math.IsNaN(c.TraceSample):
+		return fmt.Errorf("TraceSample = %v, want ≥ 0", c.TraceSample)
+	case c.NoisePER > 1 || math.IsNaN(c.NoisePER):
+		return fmt.Errorf("NoisePER = %v, want ≤ 1 (negative: clean channel)", c.NoisePER)
+	}
+	return nil
 }
 
 // TrafficConfig is the §4.3 producer/consumer workload.
@@ -250,6 +267,29 @@ type Network struct {
 	jammers   map[phy.Channel][]*phy.Switched
 }
 
+// netBuild is what BuildNetwork's phases hand to one another.
+type netBuild struct {
+	cfg     NetworkConfig
+	nw      *Network
+	ids     []int
+	maxID   int
+	sharded bool
+	// siteSims is the scheduling surface of each site: one Sim per site in
+	// sharded runs, the same Sim for every site in serial ones.
+	siteSims []*sim.Sim
+	chanMap  ble.ChannelMap
+	ppm      map[int]float64
+	names    map[int]string
+
+	arenas []*core.Arena // one per site
+	meters []energy.Meter
+	// Sparse-route storage: the sink forest, and each node's exact window
+	// of one shared slab (see carveRouteWindows).
+	sinkParent map[int]int
+	routeB     *arena.Builder
+	routeBuf   []ip6.Route
+}
+
 // BuildNetwork assembles the BLE network for cfg.
 //
 // With cfg.Shards == 0 (the default) the whole network runs on one serial
@@ -262,56 +302,57 @@ type Network struct {
 // never of the worker count.
 func BuildNetwork(cfg NetworkConfig) *Network {
 	cfg.defaults()
-	if cfg.Routing == RoutingDynamic && cfg.SparseRoutes {
-		panic("exp: SparseRoutes requires RoutingStatic — sparse provisioning " +
-			"pre-installs the sink-tree host routes at build time, which " +
-			"RPL-lite would immediately shadow and churn; drop SparseRoutes " +
-			"or use static routing")
+	if err := cfg.Validate(); err != nil {
+		panic("exp: " + err.Error())
 	}
-	sites := cfg.Topology.Sites()
-	ids := cfg.Topology.Nodes()
-	maxID := 0
-	for _, id := range ids {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	shardedMode := cfg.Shards >= 1
-	legacy := cfg.LegacyAlloc
+	b := planNetwork(cfg) // sites, ids, one Sim per site, the trace log
+	b.buildMedia()        // one medium per site (sharded) or one for all
+	b.allocStorage()      // arenas, meter slab, metric surfaces, route windows
+	b.fill()              // nodes, links, routes: per site, or in global id order
+	b.wire()              // link-layer sampler, streaming tick
+	b.nw.registerMetrics(b.ids)
+	return b.nw
+}
 
-	seriesBucket := cfg.SeriesBucket
-	if seriesBucket <= 0 {
-		seriesBucket = 60 * sim.Second
+// planNetwork decomposes the topology into sites and creates what every
+// later phase schedules on or emits into: the simulations and the trace log.
+func planNetwork(cfg NetworkConfig) *netBuild {
+	sites := cfg.Topology.Sites()
+	b := &netBuild{cfg: cfg, ids: cfg.Topology.Nodes(), sharded: cfg.Shards >= 1}
+	for _, id := range b.ids {
+		if id > b.maxID {
+			b.maxID = id
+		}
 	}
 	nw := &Network{
 		Cfg:        cfg,
-		Nodes:      make([]*core.Node, maxID+1),
-		Meters:     make([]*energy.Meter, maxID+1),
+		Nodes:      make([]*core.Node, b.maxID+1),
+		Meters:     make([]*energy.Meter, b.maxID+1),
 		consumerID: cfg.Topology.Consumer,
-		nodeCount:  len(ids),
+		nodeCount:  len(b.ids),
 		sites:      sites,
-		siteOf:     make([]int, maxID+1),
+		siteOf:     make([]int, b.maxID+1),
 		consumers:  cfg.Topology.SiteConsumers(),
-		perSite:    shardedMode && len(sites) > 1,
+		perSite:    b.sharded && len(sites) > 1,
 		PerProd:    metrics.NewHeatmap(60 * sim.Second),
 		Registry:   metrics.NewRegistry(),
 		jammers:    make(map[phy.Channel][]*phy.Switched),
 	}
+	b.nw = nw
 	for si, site := range sites {
 		for _, id := range site {
 			nw.siteOf[id] = si
 		}
 	}
 
-	// Scheduling surfaces: one Sim per site (all the same Sim in serial
-	// mode), plus nw.Sim for external scheduling (see the field comment).
-	siteSims := make([]*sim.Sim, len(sites))
-	if shardedMode {
+	// nw.Sim is the surface for external scheduling (see the field comment).
+	b.siteSims = make([]*sim.Sim, len(sites))
+	if b.sharded {
 		sh := sim.NewSharded(cfg.Seed, cfg.Engine, len(sites), 0)
 		sh.SetWorkers(cfg.Shards)
 		nw.Sharded = sh
-		for i := range siteSims {
-			siteSims[i] = sh.Shard(i)
+		for i := range b.siteSims {
+			b.siteSims[i] = sh.Shard(i)
 		}
 		if len(sites) > 1 {
 			nw.Sim = sh.Global()
@@ -319,356 +360,329 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 			nw.Sim = sh.Shard(0)
 		}
 	} else {
-		s := sim.NewWithEngine(cfg.Seed, cfg.Engine)
-		nw.Sim = s
-		for i := range siteSims {
-			siteSims[i] = s
+		nw.Sim = sim.NewWithEngine(cfg.Seed, cfg.Engine)
+		for i := range b.siteSims {
+			b.siteSims[i] = nw.Sim
 		}
 	}
 
-	// RF media: serial runs share one medium (multi-site topologies
-	// partition it into RF domains); sharded runs give each site its own
-	// medium on its own simulation. Interference attach order matches the
-	// historical build exactly: noise, channel-22 jammer, burst, blackout.
-	chanMap := ble.AllDataChannels
+	b.chanMap = ble.AllDataChannels
 	if cfg.JamChannel22 {
-		chanMap = chanMap.WithoutChannel(22)
+		b.chanMap = b.chanMap.WithoutChannel(22)
 	}
-	buildMedium := func(s *sim.Sim) *phy.Medium {
-		m := phy.NewMedium(s)
-		if cfg.NoisePER > 0 {
-			m.AddInterference(phy.RandomNoise{PER: cfg.NoisePER})
-		}
-		if cfg.JamChannel22 {
-			m.AddInterference(phy.Jammer{Ch: 22})
-		}
-		if cfg.Burst != nil {
-			m.AddInterference(phy.NewBurstNoise(s, *cfg.Burst))
-		}
-		b := phy.NewSwitched(phy.Jammer{Ch: phy.AnyChannel})
-		m.AddInterference(b)
-		nw.blackouts = append(nw.blackouts, b)
-		// Positioned topologies switch the medium into geometric mode: the
-		// disk range matches the generator's link-derivation range, so the
-		// PHY and the topology agree bit-for-bit on who hears whom.
-		if cfg.Topology.Range > 0 {
-			m.SetRange(cfg.Topology.Range)
-		}
-		m.SetLinearScan(cfg.LinearPHY)
-		nw.Media = append(nw.Media, m)
-		return m
+	b.ppm = testbed.ClockPPM(cfg.Seed, b.ids, cfg.MaxPPM)
+	for id, v := range cfg.PPMOverride {
+		b.ppm[id] = v
 	}
-	if shardedMode {
-		for i := range sites {
-			buildMedium(siteSims[i])
-		}
-	} else {
-		buildMedium(nw.Sim)
+	b.names = make(map[int]string)
+	for _, d := range testbed.BLENodes() {
+		b.names[d.ID] = d.Name
 	}
-	nw.Medium = nw.Media[0]
-	if !legacy {
-		// Radios come out of per-medium slabs: each medium knows exactly
-		// how many nodes will attach, so NewRadio hands out contiguous
-		// elements instead of one small allocation per node.
-		if shardedMode {
-			for si, site := range sites {
-				nw.Media[si].ReserveRadios(len(site))
-			}
-		} else {
-			nw.Medium.ReserveRadios(len(ids))
-		}
-	}
+	b.newTrace()
+	return b
+}
 
-	// Metric surfaces: one RTT CDF and PDR series per site in perSite
-	// runs; a single shared pair otherwise. RTTs/Series always alias
-	// site 0 so single-site experiment code reads them unchanged.
-	nsurf := 1
-	if nw.perSite {
-		nsurf = len(sites)
-	}
-	if legacy {
-		for i := 0; i < nsurf; i++ {
-			nw.rtts = append(nw.rtts, &metrics.CDF{})
-			nw.series = append(nw.series, metrics.NewTimeSeries(seriesBucket))
-		}
-	} else {
-		// Struct-of-arrays metric surfaces: two slabs instead of 2·nsurf
-		// small allocations (nsurf is the site count in perSite city runs).
-		cdfs := make([]metrics.CDF, nsurf)
-		tss := make([]metrics.TimeSeries, nsurf)
-		nw.rtts = make([]*metrics.CDF, nsurf)
-		nw.series = make([]*metrics.TimeSeries, nsurf)
-		for i := 0; i < nsurf; i++ {
-			tss[i].Bucket = seriesBucket
-			nw.rtts[i] = &cdfs[i]
-			nw.series[i] = &tss[i]
-		}
-	}
-	nw.RTTs, nw.Series = nw.rtts[0], nw.series[0]
-
+// newTrace creates the network-wide event log before any node can emit
+// into it.
+func (b *netBuild) newTrace() {
+	cfg, nw := b.cfg, b.nw
 	nw.Trace = trace.New(nw.Sim, cfg.TraceCapacity)
 	if cfg.Trace {
 		nw.Trace.Enable()
 		nw.Trace.SetSampleRate(cfg.TraceSample)
 	}
-
-	ppm := testbed.ClockPPM(cfg.Seed, ids, cfg.MaxPPM)
-	for id, v := range cfg.PPMOverride {
-		ppm[id] = v
-	}
-	names := make(map[int]string)
-	for _, d := range testbed.BLENodes() {
-		names[d.ID] = d.Name
-	}
-	nodeName := func(id int) string {
-		if n := names[id]; n != "" {
-			return n
-		}
-		return fmt.Sprintf("node-%d", id)
-	}
-	if shardedMode {
+	if b.sharded {
 		// Sharded recording must never grow the ring map from a worker
-		// goroutine: register every emitter up front against its site's
-		// clock, then freeze. With tracing off the arena path skips the
-		// registration entirely — a disabled log never records, and the
-		// per-node name/ring bookkeeping is pure waste at city scale.
-		if cfg.Trace || legacy {
-			for _, id := range ids {
-				nw.Trace.RegisterNode(nodeName(id), siteSims[nw.siteOf[id]], nw.siteOf[id])
+		// goroutine: register every emitter against its site's clock before
+		// any node exists, then freeze. With tracing off the registration
+		// is skipped — a disabled log never records, and the per-node
+		// name/ring bookkeeping is pure waste at city scale.
+		if cfg.Trace {
+			for _, id := range b.ids {
+				si := nw.siteOf[id]
+				nw.Trace.RegisterNode(b.nodeName(id), b.siteSims[si], si)
 			}
 		}
 		nw.Trace.Freeze()
 	}
+}
 
-	// Preallocated storage for the arena path: one arena per site in
-	// sharded mode (each site's builder carves its own slabs, so the fill
-	// can run in parallel), one network-wide arena in serial mode (a serial
-	// run shares one RNG across sites, so nodes must build in global id
-	// order — a single arena carves in exactly that order).
-	var arenas []*core.Arena
-	var serialArena *core.Arena
-	var meterSlab []energy.Meter
-	if !legacy {
-		if shardedMode {
-			sizes := make([]int, len(sites))
-			for si, site := range sites {
-				sizes[si] = len(site)
-			}
-			arenas = core.NewArenas(sizes)
-		} else {
-			serialArena = core.NewArena(len(ids), nil)
-		}
-		meterSlab = make([]energy.Meter, maxID+1)
+func (b *netBuild) nodeName(id int) string {
+	if n := b.names[id]; n != "" {
+		return n
 	}
+	return fmt.Sprintf("node-%d", id)
+}
 
-	// The sink forest is O(network) to derive — compute it once here and
-	// share it between the route-counting pass and every per-site install
-	// (re-deriving it per site would turn the fill quadratic).
-	var sinkParent map[int]int
-	if cfg.Routing == RoutingStatic && cfg.SparseRoutes {
-		sinkParent = cfg.Topology.SinkForest()
-	}
-
-	// Count-then-carve for the sparse route tables: walk the same
-	// SinkForest parent chains installSparseRoutes walks — one upward
-	// route per non-sink node, one downward route per ancestor on its
-	// chain — then carve each node's exact window out of one shared slab.
-	// The stack's live table and the node's provisioned copy alias the
-	// same backing: AddHostRoute appends the same route to both lists in
-	// lockstep (sparse sink-tree destinations are unique per node, so
-	// AddRoute never takes its replace branch), static routes are never
-	// removed, and a Restart re-appends the identical values over
-	// themselves — so one window serves both views at half the storage.
-	var (
-		routeB   *arena.Builder
-		routeBuf []ip6.Route
-	)
-	if !legacy && sinkParent != nil {
-		routeB = arena.NewBuilder(maxID + 1)
-		for _, id := range ids {
-			p, ok := sinkParent[id]
-			if !ok {
-				continue
-			}
-			routeB.Count(id, 1)
-			for ok {
-				routeB.Count(p, 1)
-				p, ok = sinkParent[p]
-			}
-		}
-		routeB.Seal()
-		routeBuf = make([]ip6.Route, routeB.Total())
-	}
-
-	rplFor := func(id int) *rpl.Config {
-		if cfg.Routing != RoutingDynamic {
-			return nil
-		}
-		c := rpl.Config{}
-		if cfg.RPL != nil {
-			c = *cfg.RPL
-		}
-		c.Root = id == cfg.Topology.Consumer
-		return &c
-	}
-	buildNode := func(id int) {
-		site := nw.siteOf[id]
-		medium := nw.Media[0]
-		if shardedMode {
-			medium = nw.Media[site]
-		} else {
-			medium.SetDomain(site)
-		}
-		ar := serialArena
-		if arenas != nil {
-			ar = arenas[site]
-		}
-		n := core.NewNode(siteSims[site], medium, core.NodeConfig{
-			Name:     nodeName(id),
-			MAC:      uint64(0x5A0000000000) + uint64(id),
-			ClockPPM: ppm[id],
-			SCA:      cfg.SCA,
-			Statconn: statconn.Config{
-				Policy:      cfg.Policy,
-				Supervision: cfg.Supervision,
-				ChanMap:     chanMap,
-			},
-			Arbitration:           cfg.Arbitration,
-			DisableWindowWidening: cfg.DisableWindowWidening,
-			Trace:                 nw.Trace,
-			Routing:               rplFor(id),
-			Arena:                 ar,
-		})
-		if p, ok := cfg.Topology.Pos[id]; ok {
-			n.Radio.SetPosition(p.X, p.Y, p.Z)
-		}
-		nw.Nodes[id] = n
-		if meterSlab != nil {
-			m := &meterSlab[id]
-			energy.NewMeterInto(m, energy.DefaultParams(), n.Ctrl, n.Radio)
-			nw.Meters[id] = m
-		} else {
-			nw.Meters[id] = energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
-		}
-	}
-	// Manual IP routes along the unique topology paths (§4.3). In dynamic
-	// mode RPL-lite discovers and maintains routes instead.
-	installRoutes := func(ids []int) {
-		if cfg.Routing != RoutingStatic {
-			return
-		}
-		if cfg.SparseRoutes {
-			if routeB != nil {
-				for _, id := range ids {
-					v := arena.View(routeB, routeBuf, id)
-					nw.Nodes[id].Stack.ReserveRoutes(v)
-					nw.Nodes[id].ReserveProvRoutes(v)
-				}
-			}
-			nw.installSparseRoutes(ids, sinkParent)
-			return
-		}
-		for _, from := range ids {
-			next := cfg.Topology.NextHops(from)
-			for dst, hop := range next {
-				nw.Nodes[from].AddHostRoute(nw.Nodes[dst], nw.Nodes[hop])
-			}
-		}
-	}
-
-	subCount := cfg.Topology.SubordinateCount()
-	if shardedMode && !legacy {
-		// Parallel two-pass build: sites are RF-isolated and draw from
-		// independent per-site RNG streams, so the only ordering that
-		// matters is within a site — and each site runs the exact phase
-		// order of the historical global loop (nodes in id order, inbound
-		// slots in id order, links in declaration order, routes). Every
-		// write lands in site-private storage (the site's arena slabs) or
-		// at a site-owned dense index (Nodes/Meters/route windows), so
-		// workers coordinate only through the claim counter.
-		siteLinks := make([][]testbed.Link, len(sites))
-		for _, l := range cfg.Topology.Links {
-			si := nw.siteOf[l.Coordinator]
-			siteLinks[si] = append(siteLinks[si], l)
-		}
-		fillSite := func(si int) {
-			site := sites[si]
-			for _, id := range site {
-				buildNode(id)
-			}
-			for _, id := range site {
-				if k := subCount[id]; k > 0 {
-					nw.Nodes[id].AcceptInbound(k)
-				}
-			}
-			for _, l := range siteLinks[si] {
-				nw.Nodes[l.Coordinator].ConnectTo(nw.Nodes[l.Subordinate])
-			}
-			installRoutes(site)
-		}
-		workers := cfg.Shards
-		if workers > len(sites) {
-			workers = len(sites)
-		}
-		if workers <= 1 {
-			for si := range sites {
-				fillSite(si)
-			}
-		} else {
-			var next int64
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						si := int(atomic.AddInt64(&next, 1)) - 1
-						if si >= len(sites) {
-							return
-						}
-						fillSite(si)
-					}
-				}()
-			}
-			wg.Wait()
+// buildMedia creates the RF media: serial runs share one medium (multi-site
+// topologies partition it into RF domains); sharded runs give each site its
+// own medium on its own simulation. Each medium knows how many nodes will
+// attach, so its radios come out of one slab.
+func (b *netBuild) buildMedia() {
+	nw := b.nw
+	if b.sharded {
+		for si, site := range nw.sites {
+			b.newMedium(b.siteSims[si]).ReserveRadios(len(site))
 		}
 	} else {
-		for _, id := range ids {
-			buildNode(id)
-		}
-		// Static links: subordinates advertise, coordinators connect.
-		// Iterate in node-ID order — map iteration order would consume the
-		// shared RNG nondeterministically and break run reproducibility.
-		for _, id := range ids {
-			if k := subCount[id]; k > 0 {
-				nw.Nodes[id].AcceptInbound(k)
-			}
-		}
-		for _, l := range cfg.Topology.Links {
-			nw.Nodes[l.Coordinator].ConnectTo(nw.Nodes[l.Subordinate])
-		}
-		installRoutes(ids)
+		b.newMedium(nw.Sim).ReserveRadios(len(b.ids))
 	}
+	nw.Medium = nw.Media[0]
+}
+
+// newMedium builds one medium and appends it to nw.Media. Interference
+// attach order is part of the output: noise, channel-22 jammer, burst,
+// blackout.
+func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
+	cfg, nw := b.cfg, b.nw
+	m := phy.NewMedium(s)
+	if cfg.NoisePER > 0 {
+		m.AddInterference(phy.RandomNoise{PER: cfg.NoisePER})
+	}
+	if cfg.JamChannel22 {
+		m.AddInterference(phy.Jammer{Ch: 22})
+	}
+	if cfg.Burst != nil {
+		m.AddInterference(phy.NewBurstNoise(s, *cfg.Burst))
+	}
+	blackout := phy.NewSwitched(phy.Jammer{Ch: phy.AnyChannel})
+	m.AddInterference(blackout)
+	nw.blackouts = append(nw.blackouts, blackout)
+	// Positioned topologies switch the medium into geometric mode: the
+	// disk range matches the generator's link-derivation range, so the
+	// PHY and the topology agree bit-for-bit on who hears whom.
+	if cfg.Topology.Range > 0 {
+		m.SetRange(cfg.Topology.Range)
+	}
+	m.SetLinearScan(cfg.LinearPHY)
+	nw.Media = append(nw.Media, m)
+	return m
+}
+
+// allocStorage preallocates everything whose size the plan already fixes:
+// per-site node arenas, the meter slab, the metric surfaces and — for sparse
+// static routing — the route windows.
+func (b *netBuild) allocStorage() {
+	cfg, nw := b.cfg, b.nw
+	// One arena per site, so sites can fill in parallel; a serial build
+	// carves the same arenas in global id order.
+	sizes := make([]int, len(nw.sites))
+	for si, site := range nw.sites {
+		sizes[si] = len(site)
+	}
+	b.arenas = core.NewArenas(sizes)
+	b.meters = make([]energy.Meter, b.maxID+1)
+
+	// Metric surfaces: one RTT CDF and PDR series per site in perSite
+	// runs; a single shared pair otherwise — two slabs either way, not
+	// 2·nsurf small allocations. RTTs/Series always alias site 0 so
+	// single-site experiment code reads them unchanged.
+	nsurf := 1
+	if nw.perSite {
+		nsurf = len(nw.sites)
+	}
+	seriesBucket := cfg.SeriesBucket
+	if seriesBucket <= 0 {
+		seriesBucket = 60 * sim.Second
+	}
+	cdfs := make([]metrics.CDF, nsurf)
+	tss := make([]metrics.TimeSeries, nsurf)
+	nw.rtts = make([]*metrics.CDF, nsurf)
+	nw.series = make([]*metrics.TimeSeries, nsurf)
+	for i := 0; i < nsurf; i++ {
+		tss[i].Bucket = seriesBucket
+		nw.rtts[i] = &cdfs[i]
+		nw.series[i] = &tss[i]
+	}
+	nw.RTTs, nw.Series = nw.rtts[0], nw.series[0]
+
+	if cfg.Routing == RoutingStatic && cfg.SparseRoutes {
+		// The sink forest is O(network) to derive — compute it once and
+		// share it between the counting pass and every per-site install
+		// (re-deriving it per site would turn the fill quadratic).
+		b.sinkParent = cfg.Topology.SinkForest()
+		b.carveRouteWindows()
+	}
+}
+
+// carveRouteWindows is count-then-carve for the sparse route tables: walk
+// the same SinkForest parent chains installSparseRoutes walks — one upward
+// route per non-sink node, one downward route per ancestor on its chain —
+// then size one shared slab that every node gets its exact window of. The
+// stack's live table and the node's provisioned copy alias the same backing:
+// AddHostRoute appends the same route to both lists in lockstep (sparse
+// sink-tree destinations are unique per node, so AddRoute never takes its
+// replace branch), static routes are never removed, and a Restart re-appends
+// the identical values over themselves — so one window serves both views at
+// half the storage.
+func (b *netBuild) carveRouteWindows() {
+	b.routeB = arena.NewBuilder(b.maxID + 1)
+	for _, id := range b.ids {
+		p, ok := b.sinkParent[id]
+		if !ok {
+			continue
+		}
+		b.routeB.Count(id, 1)
+		for ok {
+			b.routeB.Count(p, 1)
+			p, ok = b.sinkParent[p]
+		}
+	}
+	b.routeB.Seal()
+	b.routeBuf = make([]ip6.Route, b.routeB.Total())
+}
+
+// fill builds the nodes, their links and their routes. What fixes the order
+// is the RNG: a serial run draws from one stream, so the whole network fills
+// as one group in global id order; in a sharded run every site has its own
+// stream, so each site is a group and the groups fill in parallel. Every
+// write lands in site-private storage (the site's arena) or at a site-owned
+// dense index (Nodes, Meters, route windows), so workers coordinate only
+// through the claim counter.
+func (b *netBuild) fill() {
+	links, sites := b.cfg.Topology.Links, b.nw.sites
+	subCount := b.cfg.Topology.SubordinateCount()
+	if !b.sharded {
+		b.fillGroup(b.ids, links, subCount)
+		return
+	}
+	siteLinks := make([][]testbed.Link, len(sites))
+	for _, l := range links {
+		si := b.nw.siteOf[l.Coordinator]
+		siteLinks[si] = append(siteLinks[si], l)
+	}
+	workers := b.cfg.Shards
+	if workers > len(sites) {
+		workers = len(sites)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				si := int(next.Add(1)) - 1
+				if si >= len(sites) {
+					return
+				}
+				b.fillGroup(sites[si], siteLinks[si], subCount)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// fillGroup builds the nodes that share one RNG stream, in the phase order
+// every build has used: nodes in id order, inbound slots in id order
+// (subordinates advertise), links in declaration order (coordinators
+// connect), routes. Map iteration order anywhere here would consume the RNG
+// nondeterministically.
+func (b *netBuild) fillGroup(ids []int, links []testbed.Link, subCount map[int]int) {
+	nw := b.nw
+	for _, id := range ids {
+		b.buildNode(id)
+	}
+	for _, id := range ids {
+		if k := subCount[id]; k > 0 {
+			nw.Nodes[id].AcceptInbound(k)
+		}
+	}
+	for _, l := range links {
+		nw.Nodes[l.Coordinator].ConnectTo(nw.Nodes[l.Subordinate])
+	}
+	b.installRoutes(ids)
+}
+
+func (b *netBuild) buildNode(id int) {
+	cfg, nw := b.cfg, b.nw
+	site := nw.siteOf[id]
+	medium := nw.Media[0]
+	if b.sharded {
+		medium = nw.Media[site]
+	} else {
+		medium.SetDomain(site)
+	}
+	var routing *rpl.Config
+	if cfg.Routing == RoutingDynamic {
+		routing = new(rpl.Config)
+		if cfg.RPL != nil {
+			*routing = *cfg.RPL
+		}
+		routing.Root = id == cfg.Topology.Consumer
+	}
+	n := core.NewNode(b.siteSims[site], medium, core.NodeConfig{
+		Name:     b.nodeName(id),
+		MAC:      uint64(0x5A0000000000) + uint64(id),
+		ClockPPM: b.ppm[id],
+		SCA:      cfg.SCA,
+		Statconn: statconn.Config{
+			Policy:      cfg.Policy,
+			Supervision: cfg.Supervision,
+			ChanMap:     b.chanMap,
+		},
+		Arbitration:           cfg.Arbitration,
+		DisableWindowWidening: cfg.DisableWindowWidening,
+		Trace:                 nw.Trace,
+		Routing:               routing,
+		Arena:                 b.arenas[site],
+	})
+	if p, ok := cfg.Topology.Pos[id]; ok {
+		n.Radio.SetPosition(p.X, p.Y, p.Z)
+	}
+	nw.Nodes[id] = n
+	m := &b.meters[id]
+	energy.NewMeterInto(m, energy.DefaultParams(), n.Ctrl, n.Radio)
+	nw.Meters[id] = m
+}
+
+// installRoutes provisions the manual IP routes along the unique topology
+// paths (§4.3). In dynamic mode RPL-lite discovers and maintains routes
+// instead.
+func (b *netBuild) installRoutes(ids []int) {
+	cfg, nw := b.cfg, b.nw
+	if cfg.Routing != RoutingStatic {
+		return
+	}
+	if cfg.SparseRoutes {
+		for _, id := range ids {
+			v := arena.View(b.routeB, b.routeBuf, id)
+			nw.Nodes[id].Stack.ReserveRoutes(v)
+			nw.Nodes[id].ReserveProvRoutes(v)
+		}
+		nw.installSparseRoutes(ids, b.sinkParent)
+		return
+	}
+	for _, from := range ids {
+		next := cfg.Topology.NextHops(from)
+		for dst, hop := range next {
+			nw.Nodes[from].AddHostRoute(nw.Nodes[dst], nw.Nodes[hop])
+		}
+	}
+}
+
+// wire starts the observers that run on the simulation clock.
+func (b *netBuild) wire() {
+	cfg, nw := b.cfg, b.nw
 	nw.llSeries = newLLSampler(nw, 60*sim.Second)
-	nw.registerMetrics(ids)
-	if cfg.StreamMetrics != nil {
-		every := cfg.StreamEvery
-		if every <= 0 {
-			every = 60 * sim.Second
-		}
-		st := nw.Registry.StreamNDJSON(cfg.StreamMetrics)
-		// The tick only reads collectors and writes to an external sink —
-		// it never touches the sim RNG, so streaming cannot perturb a run.
-		// In multi-site sharded runs nw.Sim is the global lane, so each
-		// snapshot observes every site at a consistent barrier time.
-		var tick func()
-		tick = func() {
-			_ = st.Snapshot(int64(nw.Sim.Now()))
-			nw.Sim.Post(every, tick)
-		}
+	if cfg.StreamMetrics == nil {
+		return
+	}
+	every := cfg.StreamEvery
+	if every <= 0 {
+		every = 60 * sim.Second
+	}
+	st := nw.Registry.StreamNDJSON(cfg.StreamMetrics)
+	// The tick only reads collectors and writes to an external sink —
+	// it never touches the sim RNG, so streaming cannot perturb a run.
+	// In multi-site sharded runs nw.Sim is the global lane, so each
+	// snapshot observes every site at a consistent barrier time.
+	var tick func()
+	tick = func() {
+		_ = st.Snapshot(int64(nw.Sim.Now()))
 		nw.Sim.Post(every, tick)
 	}
-	return nw
+	nw.Sim.Post(every, tick)
 }
 
 // installSparseRoutes provisions only the sink-tree routes: each node
@@ -699,86 +713,9 @@ func (nw *Network) installSparseRoutes(ids []int, parent map[int]int) {
 // sorts by name anyway, but registration order stays deterministic. Lean
 // builds keep only the network-level aggregates.
 func (nw *Network) registerMetrics(ids []int) {
-	if nw.Cfg.Lean {
-		ids = nil
-	}
-	for _, id := range ids {
-		n := nw.Nodes[id]
-		name := n.Name
-		if name == "" {
-			name = fmt.Sprintf("node-%d", id)
-		}
-		coapEP, netif, stack, mgr := n.Coap, n.NetIf, n.Stack, n.Statconn
-		nw.Registry.Register(name+".coap", func() []metrics.Sample {
-			st := coapEP.Stats()
-			return counterSamples(name+".coap",
-				"requests_sent", st.RequestsSent,
-				"retransmissions", st.Retransmissions,
-				"responses_matched", st.ResponsesMatched,
-				"timeouts", st.Timeouts,
-				"give_ups", st.GiveUps,
-				"requests_served", st.RequestsServed)
-		})
-		nw.Registry.Register(name+".netif", func() []metrics.Sample {
-			st := netif.Stats()
-			return counterSamples(name+".netif",
-				"tx_packets", st.TXPackets,
-				"rx_packets", st.RXPackets,
-				"queue_drops", st.QueueDrops,
-				"link_drops", st.LinkDrops)
-		})
-		nw.Registry.Register(name+".ip6", func() []metrics.Sample {
-			st := stack.Stats()
-			return counterSamples(name+".ip6",
-				"sent", st.Sent,
-				"received", st.Received,
-				"forwarded", st.Forwarded,
-				"no_route", st.NoRoute,
-				"no_neighbor", st.NoNeighbor,
-				"hop_limit", st.HopLimit,
-				"queue_drops", st.QueueDrops)
-		})
-		nw.Registry.Register(name+".statconn", func() []metrics.Sample {
-			st := mgr.Stats()
-			return counterSamples(name+".statconn",
-				"links_opened", st.LinksOpened,
-				"link_losses", st.LinkLosses,
-				"interval_rejects", st.IntervalRejects,
-				"reconnects", st.Reconnects)
-		})
-		// Dynamic-routing collectors only exist in dynamic mode, so static
-		// runs' registry output stays byte-identical with pre-routing builds.
-		if router := n.RPL; router != nil {
-			nw.Registry.Register(name+".rpl", func() []metrics.Sample {
-				st := router.Stats()
-				out := counterSamples(name+".rpl",
-					"dio_sent", st.DIOSent,
-					"dio_recv", st.DIORecv,
-					"dao_sent", st.DAOSent,
-					"dao_recv", st.DAORecv,
-					"dis_sent", st.DISSent,
-					"dis_recv", st.DISRecv,
-					"decode_errors", st.DecodeErrors,
-					"trickle_resets", st.TrickleResets,
-					"trickle_suppressed", st.TrickleSuppress,
-					"parent_switches", st.ParentSwitches,
-					"local_repairs", st.LocalRepairs,
-					"joins", st.Joins)
-				return append(out, metrics.Sample{Name: name + ".rpl",
-					Label: "rank", Kind: metrics.KindGauge,
-					Value: float64(st.Rank)})
-			})
-			// Per-peer link quality: the exact ETX the routing metric reads,
-			// so dashboards and parent choices can be cross-checked.
-			nw.Registry.Register(name+".links", func() []metrics.Sample {
-				var out []metrics.Sample
-				for _, l := range mgr.Stats().Links {
-					out = append(out, metrics.Sample{Name: name + ".links",
-						Label: fmt.Sprintf("etx_%012x", uint64(l.Peer)),
-						Kind:  metrics.KindGauge, Value: l.ETX})
-				}
-				return out
-			})
+	if !nw.Cfg.Lean {
+		for _, id := range ids {
+			nw.registerNodeMetrics(id)
 		}
 	}
 	nw.Registry.RegisterGauge("net.coap_pdr", func() float64 { return nw.CoAPPDR().Rate() })
@@ -810,6 +747,87 @@ func (nw *Network) registerMetrics(ids []int) {
 		}
 		return out
 	})
+}
+
+// registerNodeMetrics registers one node's per-layer collectors.
+func (nw *Network) registerNodeMetrics(id int) {
+	n := nw.Nodes[id]
+	name := n.Name
+	if name == "" {
+		name = fmt.Sprintf("node-%d", id)
+	}
+	coapEP, netif, stack, mgr := n.Coap, n.NetIf, n.Stack, n.Statconn
+	nw.Registry.Register(name+".coap", func() []metrics.Sample {
+		st := coapEP.Stats()
+		return counterSamples(name+".coap",
+			"requests_sent", st.RequestsSent,
+			"retransmissions", st.Retransmissions,
+			"responses_matched", st.ResponsesMatched,
+			"timeouts", st.Timeouts,
+			"give_ups", st.GiveUps,
+			"requests_served", st.RequestsServed)
+	})
+	nw.Registry.Register(name+".netif", func() []metrics.Sample {
+		st := netif.Stats()
+		return counterSamples(name+".netif",
+			"tx_packets", st.TXPackets,
+			"rx_packets", st.RXPackets,
+			"queue_drops", st.QueueDrops,
+			"link_drops", st.LinkDrops)
+	})
+	nw.Registry.Register(name+".ip6", func() []metrics.Sample {
+		st := stack.Stats()
+		return counterSamples(name+".ip6",
+			"sent", st.Sent,
+			"received", st.Received,
+			"forwarded", st.Forwarded,
+			"no_route", st.NoRoute,
+			"no_neighbor", st.NoNeighbor,
+			"hop_limit", st.HopLimit,
+			"queue_drops", st.QueueDrops)
+	})
+	nw.Registry.Register(name+".statconn", func() []metrics.Sample {
+		st := mgr.Stats()
+		return counterSamples(name+".statconn",
+			"links_opened", st.LinksOpened,
+			"link_losses", st.LinkLosses,
+			"interval_rejects", st.IntervalRejects,
+			"reconnects", st.Reconnects)
+	})
+	// Dynamic-routing collectors only exist in dynamic mode, so static
+	// runs' registry output stays byte-identical with pre-routing builds.
+	if router := n.RPL; router != nil {
+		nw.Registry.Register(name+".rpl", func() []metrics.Sample {
+			st := router.Stats()
+			out := counterSamples(name+".rpl",
+				"dio_sent", st.DIOSent,
+				"dio_recv", st.DIORecv,
+				"dao_sent", st.DAOSent,
+				"dao_recv", st.DAORecv,
+				"dis_sent", st.DISSent,
+				"dis_recv", st.DISRecv,
+				"decode_errors", st.DecodeErrors,
+				"trickle_resets", st.TrickleResets,
+				"trickle_suppressed", st.TrickleSuppress,
+				"parent_switches", st.ParentSwitches,
+				"local_repairs", st.LocalRepairs,
+				"joins", st.Joins)
+			return append(out, metrics.Sample{Name: name + ".rpl",
+				Label: "rank", Kind: metrics.KindGauge,
+				Value: float64(st.Rank)})
+		})
+		// Per-peer link quality: the exact ETX the routing metric reads,
+		// so dashboards and parent choices can be cross-checked.
+		nw.Registry.Register(name+".links", func() []metrics.Sample {
+			var out []metrics.Sample
+			for _, l := range mgr.Stats().Links {
+				out = append(out, metrics.Sample{Name: name + ".links",
+					Label: fmt.Sprintf("etx_%012x", uint64(l.Peer)),
+					Kind:  metrics.KindGauge, Value: l.ETX})
+			}
+			return out
+		})
+	}
 }
 
 // counterSamples builds counter samples for one collector from

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"os"
 	"testing"
 
 	"blemesh/internal/pktbuf"
@@ -16,7 +15,7 @@ import (
 // export byte-identical trace and metrics NDJSON with the pool on and off —
 // pooling is a memory optimisation and must never be observable.
 func TestPoolingByteIdentity(t *testing.T) {
-	defer pktbuf.SetPooling(os.Getenv("BLEMESH_NO_PKTBUF_POOL") == "")
+	defer pktbuf.SetPooling(true)
 	for _, wl := range []struct {
 		name  string
 		churn bool

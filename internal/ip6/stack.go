@@ -124,14 +124,11 @@ type Stack struct {
 
 	Pktbuf Pool
 
-	// UDP demux: the historical map, or — in compact (struct-of-arrays)
-	// builds — a tiny association list. A node binds one or two ports, so
-	// the list wins on both memory (no hmap header + bucket per node) and
-	// lookup cost; the map is kept while the LegacyAlloc switch exists.
-	udp      map[uint16]UDPHandler
+	// UDP demux: a tiny association list. A node binds one or two ports,
+	// so the list beats a map on both memory (no hmap header + bucket per
+	// node) and lookup cost.
 	udpPorts []uint16
 	udpHs    []UDPHandler
-	compact  bool
 	onEcho   EchoHandler
 	stats    StackStats
 	ifaces   []NetIf
@@ -173,14 +170,12 @@ func (st *Stack) mintPID() uint64 {
 // The NIB is bounded to 32 entries, the value the paper raises GNRC to.
 func NewStack(s *sim.Sim, mac uint64) *Stack {
 	st := new(Stack)
-	NewStackInto(st, s, mac, false)
+	NewStackInto(st, s, mac)
 	return st
 }
 
 // NewStackInto initializes a stack in place (arena-backed construction).
-// compact selects the association-list UDP demux over the per-node map;
-// behaviour is identical either way.
-func NewStackInto(st *Stack, s *sim.Sim, mac uint64, compact bool) {
+func NewStackInto(st *Stack, s *sim.Sim, mac uint64) {
 	*st = Stack{
 		s:               s,
 		mac:             mac,
@@ -188,11 +183,7 @@ func NewStackInto(st *Stack, s *sim.Sim, mac uint64, compact bool) {
 		global:          ULA(DefaultPrefix, mac),
 		nibMax:          32,
 		Pktbuf:          Pool{Capacity: 6144},
-		compact:         compact,
 		HopLimitDefault: 64,
-	}
-	if !compact {
-		st.udp = make(map[uint16]UDPHandler)
 	}
 }
 
@@ -371,31 +362,24 @@ func (st *Stack) resolve(nh Addr) (uint64, NetIf, bool) {
 
 // ListenUDP registers a handler for a UDP port.
 func (st *Stack) ListenUDP(port uint16, h UDPHandler) {
-	if st.compact {
-		for i, p := range st.udpPorts {
-			if p == port {
-				st.udpHs[i] = h
-				return
-			}
+	for i, p := range st.udpPorts {
+		if p == port {
+			st.udpHs[i] = h
+			return
 		}
-		st.udpPorts = append(st.udpPorts, port)
-		st.udpHs = append(st.udpHs, h)
-		return
 	}
-	st.udp[port] = h
+	st.udpPorts = append(st.udpPorts, port)
+	st.udpHs = append(st.udpHs, h)
 }
 
 // lookupUDP returns the handler bound to a port, or nil.
 func (st *Stack) lookupUDP(port uint16) UDPHandler {
-	if st.compact {
-		for i, p := range st.udpPorts {
-			if p == port {
-				return st.udpHs[i]
-			}
+	for i, p := range st.udpPorts {
+		if p == port {
+			return st.udpHs[i]
 		}
-		return nil
 	}
-	return st.udp[port]
+	return nil
 }
 
 // OnEchoReply registers the echo-reply observer.

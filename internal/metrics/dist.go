@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"os"
 	"sort"
 	"sync/atomic"
 
@@ -13,8 +12,8 @@ import (
 // samples and answer quantile/moment queries. Two implementations exist —
 // the mergeable quantile sketch (internal/metrics/sketch, the default:
 // O(compression) memory, ≤1% quantile error) and the exact sorted-sample
-// store (O(n) memory, exact answers, selectable via SetExact or
-// BLEMESH_EXACT_CDF for equivalence testing).
+// store (O(n) memory, exact answers, selectable via SetExact for
+// equivalence testing).
 //
 // Query methods return ok=false when the distribution is empty; they never
 // return NaN for an empty store and never panic.
@@ -33,12 +32,6 @@ type Distribution interface {
 // Atomic because parallel sweep workers build networks (and their CDFs)
 // concurrently.
 var exactCDF atomic.Bool
-
-func init() {
-	if v := os.Getenv("BLEMESH_EXACT_CDF"); v != "" && v != "0" {
-		exactCDF.Store(true)
-	}
-}
 
 // SetExact selects the exact sorted-sample backend (true) or the default
 // quantile sketch (false) for CDFs that take their first sample after the

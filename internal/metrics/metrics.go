@@ -18,7 +18,7 @@ import (
 // The backing store is a Distribution, latched at the first Add: by default
 // the mergeable quantile sketch (internal/metrics/sketch — O(compression)
 // memory, ≤1% quantile error, exact N/mean/min/max), or the exact
-// sorted-sample store when SetExact(true) / BLEMESH_EXACT_CDF is in effect
+// sorted-sample store when SetExact(true) is in effect
 // (every sample retained, exact quantiles — the equivalence-suite mode).
 //
 // Scalar accessors (Quantile, Mean, Min, Max, Median, FractionBelow)

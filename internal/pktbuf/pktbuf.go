@@ -13,16 +13,14 @@
 // counts are plain integers; the pools themselves are safe to share across
 // the parallel sweep's worker goroutines.
 //
-// Pooling can be disabled process-wide (SetPooling(false), or the
-// BLEMESH_NO_PKTBUF_POOL environment variable) in which case every Get is a
-// plain make and every final Put drops the arena for the GC. The datapath
-// must behave byte-identically in both modes; the equivalence tests in
-// internal/exp lock that down.
+// Pooling can be disabled process-wide (SetPooling(false)), in which case
+// every Get is a plain make and every final Put drops the arena for the GC.
+// The datapath must behave byte-identically in both modes; the equivalence
+// tests in internal/exp lock that down.
 package pktbuf
 
 import (
 	"fmt"
-	"os"
 	"sync"
 )
 
@@ -82,7 +80,7 @@ type Buf struct {
 }
 
 var (
-	poolingOn = os.Getenv("BLEMESH_NO_PKTBUF_POOL") == ""
+	poolingOn = true
 
 	arenaPools [len(classSizes)]sync.Pool
 	bufPool    = sync.Pool{New: func() any { return new(Buf) }}

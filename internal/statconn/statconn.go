@@ -151,11 +151,6 @@ type Config struct {
 	// at 3×AdvInterval and doubles per consecutive failed attempt up to
 	// this cap (default 16 × 3×AdvInterval).
 	BackoffCap sim.Duration
-	// Compact selects allocation-lean internal storage: the five per-peer
-	// maps collapse into one small slice of peer slots and the up-set
-	// becomes a slice. Behaviour is identical — a BLE node maintains a
-	// handful of links, so linear scans beat hashing.
-	Compact bool
 }
 
 func (c *Config) defaults() {
@@ -280,11 +275,10 @@ func (q *peerQual) pdr(liveTX, liveRe uint64) (float64, bool) {
 	return est, have
 }
 
-// peerSlot is the compact-mode per-peer record: everything the five legacy
-// maps track for one peer, in one slice element. Slots are created on first
-// touch and never removed (a node's peer set is its static topology); the
-// individual fields are cleared instead where the legacy path would delete
-// map entries.
+// peerSlot is everything the manager tracks for one peer, in one slice
+// element: a BLE node maintains a handful of links, so linear scans beat
+// hashing. Slots are created on first touch and never removed (a node's peer
+// set is its static topology); Shutdown clears the per-episode fields.
 type peerSlot struct {
 	peer      ble.DevAddr
 	wanted    bool
@@ -302,15 +296,17 @@ type Manager struct {
 	cfg  Config
 	rng  *rand.Rand
 
-	wantedOut map[ble.DevAddr]bool // peers we coordinate toward
-	expectIn  int                  // subordinate links we accept
-	activeIn  int
-	up        map[*ble.Conn]bool // links reported via OnLinkUp
+	expectIn int // subordinate links we accept
+	activeIn int
 
-	// Compact-mode backends for the maps above/below: slots replaces
-	// wantedOut/attempts/downSince/qual, upList replaces up.
-	slots  []peerSlot
-	upList []*ble.Conn
+	// slots holds the per-peer state: whether we coordinate toward the
+	// peer, its consecutive failed initiation attempts (drives the
+	// exponential backoff), when its proven link went down (drives
+	// recovery-latency measurement) and its link-quality state
+	// (retransmission EWMA plus loss/reconnect counters — observer state,
+	// which survives Shutdown). up lists the links reported via OnLinkUp.
+	slots []peerSlot
+	up    []*ble.Conn
 
 	// lossTimes records when each loss happened (Fig. 14's counts and the
 	// reconnect-latency characterization).
@@ -318,23 +314,16 @@ type Manager struct {
 	reconnectEnds  []sim.Time
 	pendingReopens int
 
-	// Self-healing state: per-peer consecutive failed initiation attempts
-	// (drives the exponential backoff), when each proven link went down
-	// (drives recovery-latency measurement), and the completed recovery
-	// latencies as a mergeable distribution (seconds) — bounded memory in
-	// sketch mode, so long churny runs don't accumulate per-sample state.
-	attempts  map[ble.DevAddr]int
-	downSince map[ble.DevAddr]sim.Time
-	recovery  metrics.CDF
+	// recovery holds the completed recovery latencies as a mergeable
+	// distribution (seconds) — bounded memory in sketch mode, so long
+	// churny runs don't accumulate per-sample state.
+	recovery metrics.CDF
 
 	// stopped gates all topology-restoring reactions while the host is
 	// down; gen invalidates backoff timers armed before a shutdown.
 	stopped bool
 	gen     int
 
-	// qual is the per-peer link-quality state (retransmission EWMA plus
-	// loss/reconnect counters). Observer state: it survives Shutdown.
-	qual      map[ble.DevAddr]*peerQual
 	samplerOn bool
 
 	stats Stats
@@ -363,19 +352,10 @@ func NewInto(m *Manager, s *sim.Sim, ctrl *ble.Controller, cfg Config) {
 		cfg:  cfg,
 		rng:  s.Rand(),
 	}
-	if !cfg.Compact {
-		m.wantedOut = make(map[ble.DevAddr]bool)
-		m.up = make(map[*ble.Conn]bool)
-		m.attempts = make(map[ble.DevAddr]int)
-		m.downSince = make(map[ble.DevAddr]sim.Time)
-		m.qual = make(map[ble.DevAddr]*peerQual)
-	}
 	ctrl.SetScanParams(ble.ScanParams{Interval: cfg.ScanInterval, Window: cfg.ScanWindow})
 	ctrl.OnConnect = m.handleConnect
 	ctrl.OnDisconnect = m.handleDisconnect
 }
-
-// ---- Compact-mode peer-slot backend --------------------------------------
 
 // slot returns peer's slot, or nil when the peer has never been touched.
 func (m *Manager) slot(peer ble.DevAddr) *peerSlot {
@@ -400,118 +380,33 @@ func (m *Manager) slotEnsure(peer ble.DevAddr) *peerSlot {
 }
 
 func (m *Manager) wanted(peer ble.DevAddr) bool {
-	if m.cfg.Compact {
-		s := m.slot(peer)
-		return s != nil && s.wanted
-	}
-	return m.wantedOut[peer]
+	s := m.slot(peer)
+	return s != nil && s.wanted
 }
 
 func (m *Manager) attemptCount(peer ble.DevAddr) int {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			return s.attempts
-		}
-		return 0
+	if s := m.slot(peer); s != nil {
+		return s.attempts
 	}
-	return m.attempts[peer]
-}
-
-func (m *Manager) bumpAttempts(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		m.slotEnsure(peer).attempts++
-		return
-	}
-	m.attempts[peer]++
-}
-
-func (m *Manager) resetAttempts(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			s.attempts = 0
-		}
-		return
-	}
-	delete(m.attempts, peer)
-}
-
-func (m *Manager) downSinceGet(peer ble.DevAddr) (sim.Time, bool) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil && s.measuring {
-			return s.downSince, true
-		}
-		return 0, false
-	}
-	t, ok := m.downSince[peer]
-	return t, ok
-}
-
-func (m *Manager) downSinceSet(peer ble.DevAddr, t sim.Time) {
-	if m.cfg.Compact {
-		s := m.slotEnsure(peer)
-		s.downSince, s.measuring = t, true
-		return
-	}
-	m.downSince[peer] = t
-}
-
-func (m *Manager) downSinceDel(peer ble.DevAddr) {
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil {
-			s.measuring = false
-		}
-		return
-	}
-	delete(m.downSince, peer)
+	return 0
 }
 
 func (m *Manager) isUp(c *ble.Conn) bool {
-	if m.cfg.Compact {
-		for _, x := range m.upList {
-			if x == c {
-				return true
-			}
+	for _, x := range m.up {
+		if x == c {
+			return true
 		}
-		return false
 	}
-	return m.up[c]
-}
-
-func (m *Manager) setUp(c *ble.Conn) {
-	if m.cfg.Compact {
-		if !m.isUp(c) {
-			m.upList = append(m.upList, c)
-		}
-		return
-	}
-	m.up[c] = true
+	return false
 }
 
 func (m *Manager) clearUp(c *ble.Conn) {
-	if m.cfg.Compact {
-		for i, x := range m.upList {
-			if x == c {
-				m.upList = append(m.upList[:i], m.upList[i+1:]...)
-				return
-			}
+	for i, x := range m.up {
+		if x == c {
+			m.up = append(m.up[:i], m.up[i+1:]...)
+			return
 		}
-		return
 	}
-	delete(m.up, c)
-}
-
-// upConns returns the current usable connections for iteration. In compact
-// mode it is the backing slice itself (callers must not mutate link state
-// mid-iteration); legacy mode materialises the map's values.
-func (m *Manager) upConns() []*ble.Conn {
-	if m.cfg.Compact {
-		return m.upList
-	}
-	out := make([]*ble.Conn, 0, len(m.up))
-	for c := range m.up {
-		out = append(out, c)
-	}
-	return out
 }
 
 // Stats returns a copy of the manager counters, with the recovery-latency
@@ -554,11 +449,7 @@ func (m *Manager) Connect(peer ble.DevAddr) {
 	if m.wanted(peer) {
 		return
 	}
-	if m.cfg.Compact {
-		m.slotEnsure(peer).wanted = true
-	} else {
-		m.wantedOut[peer] = true
-	}
+	m.slotEnsure(peer).wanted = true
 	m.initiateAfterBackoff(peer)
 }
 
@@ -634,19 +525,11 @@ func (m *Manager) Shutdown() {
 	m.expectIn = 0
 	m.activeIn = 0
 	m.pendingReopens = 0
-	if m.cfg.Compact {
-		// Clear the fields the legacy path remakes maps for; quality
-		// state survives, matching the legacy path keeping qual.
-		for i := range m.slots {
-			m.slots[i].wanted = false
-			m.slots[i].attempts = 0
-			m.slots[i].measuring = false
-		}
-		return
+	for i := range m.slots {
+		m.slots[i].wanted = false
+		m.slots[i].attempts = 0
+		m.slots[i].measuring = false
 	}
-	m.wantedOut = make(map[ble.DevAddr]bool)
-	m.attempts = make(map[ble.DevAddr]int)
-	m.downSince = make(map[ble.DevAddr]sim.Time)
 }
 
 // Restart re-arms a stopped manager; the host re-declares its topology via
@@ -703,15 +586,19 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 	if c.Role() == ble.Coordinator {
 		// Success resets the exponential backoff and completes any
 		// recovery measurement that started when the link went down.
-		m.resetAttempts(c.Peer())
-		if t0, ok := m.downSinceGet(c.Peer()); ok {
-			m.downSinceDel(c.Peer())
-			m.recovery.AddDuration(m.s.Now() - t0)
+		if s := m.slot(c.Peer()); s != nil {
+			s.attempts = 0
+			if s.measuring {
+				s.measuring = false
+				m.recovery.AddDuration(m.s.Now() - s.downSince)
+			}
 		}
 	}
 	q := m.quality(c.Peer())
 	q.baseTX, q.baseRetrans = 0, 0 // fresh connection: counters start at zero
-	m.setUp(c)
+	if !m.isUp(c) {
+		m.up = append(m.up, c)
+	}
 	m.stats.LinksOpened++
 	if m.pendingReopens > 0 {
 		m.pendingReopens--
@@ -763,7 +650,7 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 		// Not a link loss — the link never existed.
 		m.stats.EstablishFails++
 		if c.Role() == ble.Coordinator && m.wanted(c.Peer()) {
-			m.bumpAttempts(c.Peer())
+			m.slotEnsure(c.Peer()).attempts++
 		}
 	case reason == ble.LossSupervision:
 		m.stats.SupervisionLoss++
@@ -783,10 +670,11 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 			// the recovery-latency measurement and reset the backoff (a
 			// fresh loss episode starts from the short window).
 			if c.Stats().EventsOK > 0 {
-				if _, measuring := m.downSinceGet(c.Peer()); !measuring {
-					m.downSinceSet(c.Peer(), m.s.Now())
+				s := m.slotEnsure(c.Peer())
+				if !s.measuring {
+					s.downSince, s.measuring = m.s.Now(), true
 				}
-				m.resetAttempts(c.Peer())
+				s.attempts = 0
 			}
 			m.pendingReopens++
 			m.initiateAfterBackoff(c.Peer())
@@ -804,27 +692,19 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 }
 
 // quality returns (creating if needed) the peer's link-quality state. The
-// compact-mode pointer aims into the slots slice and is invalidated by the
-// next slot creation; every caller uses it before any peer-creating call.
+// pointer aims into the slots slice and is invalidated by the next slot
+// creation; every caller uses it before any peer-creating call.
 func (m *Manager) quality(peer ble.DevAddr) *peerQual {
-	if m.cfg.Compact {
-		s := m.slotEnsure(peer)
-		s.hasQual = true
-		return &s.qual
-	}
-	q := m.qual[peer]
-	if q == nil {
-		q = &peerQual{}
-		m.qual[peer] = q
-	}
-	return q
+	s := m.slotEnsure(peer)
+	s.hasQual = true
+	return &s.qual
 }
 
 // SampleLinkQuality folds the retransmission counters of every active
 // connection into the per-peer PDR EWMAs. The periodic sampler calls this;
 // it is also safe to call directly (e.g. from tests).
 func (m *Manager) SampleLinkQuality() {
-	for _, c := range m.upConns() {
+	for _, c := range m.up {
 		m.quality(c.Peer()).fold(c.Stats())
 	}
 }
@@ -855,26 +735,19 @@ func (m *Manager) EnableQualitySampling(interval sim.Duration) {
 // connection's live counters are mixed in transiently without advancing the
 // sampling baselines.
 func (m *Manager) PeerETX(peer ble.DevAddr) float64 {
-	var q *peerQual
-	if m.cfg.Compact {
-		if s := m.slot(peer); s != nil && s.hasQual {
-			q = &s.qual
-		}
-	} else {
-		q = m.qual[peer]
-	}
-	if q == nil {
+	s := m.slot(peer)
+	if s == nil || !s.hasQual {
 		return 1
 	}
 	var liveTX, liveRe uint64
-	for _, c := range m.upConns() {
+	for _, c := range m.up {
 		if c.Peer() == peer {
 			st := c.Stats()
 			liveTX, liveRe = st.TXPDUs, st.Retrans
 			break
 		}
 	}
-	pdr, have := q.pdr(liveTX, liveRe)
+	pdr, have := s.qual.pdr(liveTX, liveRe)
 	if !have {
 		return 1
 	}
@@ -890,15 +763,9 @@ func (m *Manager) PeerETX(peer ble.DevAddr) float64 {
 // peerLinks builds the sorted per-peer snapshot for Stats.
 func (m *Manager) peerLinks() []PeerLink {
 	var peers []ble.DevAddr
-	if m.cfg.Compact {
-		for i := range m.slots {
-			if m.slots[i].hasQual {
-				peers = append(peers, m.slots[i].peer)
-			}
-		}
-	} else {
-		for p := range m.qual {
-			peers = append(peers, p)
+	for i := range m.slots {
+		if m.slots[i].hasQual {
+			peers = append(peers, m.slots[i].peer)
 		}
 	}
 	if len(peers) == 0 {
@@ -909,7 +776,7 @@ func (m *Manager) peerLinks() []PeerLink {
 	for _, p := range peers {
 		q := m.quality(p)
 		up := false
-		for _, c := range m.upConns() {
+		for _, c := range m.up {
 			if c.Peer() == p {
 				up = true
 				break

@@ -218,7 +218,10 @@ func forestNsPerEvent(shards int) float64 {
 // the number is an absolute ns value, gated only by the -max10kns ceiling
 // (CI passes 0 to keep it informational on shared runners; locally the
 // default ceiling catches a spatial-index or lean-mode regression, which
-// shows up as a multiple, not a few percent).
+// shows up as a multiple, not a few percent). ns/event is wall time over
+// events fired: a change that removes cheap events (the fused idle exchange
+// took 45 % of them) raises it while the run gets shorter, so across such a
+// change compare the two numbers it divides (EXPERIMENTS.md "Idle-path cost").
 func cityNsPerEvent(lanes int) float64 {
 	nw := exp.BuildNetwork(exp.CityScaleConfig(lanes))
 	start := time.Now()

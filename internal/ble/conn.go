@@ -151,6 +151,13 @@ type Conn struct {
 	supEvent    sim.Timer
 	closed      bool
 	closing     bool // TERMINATE_IND queued
+	// fusing is set on a subordinate while its coordinator runs the event's
+	// exchange in one step (fusedIdle): the reply is built, not scheduled.
+	fusing bool
+	// peerConn is the other endpoint of the link, learned from the first
+	// valid packet. It outlives a peer that was killed or rebooted, so it is
+	// only trusted while it is open and points back here.
+	peerConn *Conn
 
 	// In-event state.
 	inEvent   bool
@@ -287,8 +294,7 @@ func (c *Conn) bindCallbacks() {
 		}
 		// Wait for the subordinate's reply, due exactly one IFS after
 		// our last bit.
-		c.radio().StartListen(c.evCh)
-		c.ctrl.setRx(c.onRxFn, c.onCarrierFn)
+		c.tune()
 		c.rxTimeout = c.sim().After(IFS+CarrierMargin, c.rxExpireFn)
 	}
 	c.coordNextFn = func() {
@@ -317,8 +323,7 @@ func (c *Conn) bindCallbacks() {
 			wait += c.ctrl.cfg.ExchangeGap
 		}
 		if (c.peerMD || c.txq.Len() > 0) && c.sim().Now()+wait < c.evLimit {
-			c.radio().StartListen(c.evCh)
-			c.ctrl.setRx(c.onRxFn, c.onCarrierFn)
+			c.tune()
 			c.rxTimeout = c.sim().After(wait, c.rxExpireFn)
 		} else {
 			c.closeEvent()
@@ -470,7 +475,9 @@ func (c *Conn) eventStart() {
 
 	if c.role == Coordinator {
 		c.ctrl.events.ConnEvents++
-		c.coordTX()
+		if !c.fusedIdle() {
+			c.coordTX()
+		}
 	} else {
 		c.ctrl.events.ConnEventsSub++
 		ww := c.windowWidening(idx)
@@ -553,6 +560,7 @@ func (c *Conn) buildPDU() *DataPDU {
 		*pdu = DataPDU{LLID: LLIDDataCont} // empty PDU
 	}
 	pdu.Access = c.access
+	pdu.from = c
 	pdu.SN = c.sn
 	pdu.NESN = c.nesn
 	pdu.MD = c.txq.Len() > 1
@@ -563,6 +571,18 @@ func (c *Conn) buildPDU() *DataPDU {
 // Retransmission accounting: if the queue head has already been on the air
 // once, this transmission is a retransmission of it.
 func (c *Conn) transmitPDU(pdu *DataPDU, done func()) {
+	air := c.noteTX(pdu)
+	c.radio().Transmit(c.evCh, onAir(pdu, air), air, done)
+}
+
+// onAir wraps pdu as the medium's packet of the given airtime.
+func onAir(pdu *DataPDU, air sim.Duration) phy.Packet {
+	return phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}
+}
+
+// noteTX is the link layer's own account of putting pdu on the air — every
+// effect of a transmission except the radio's. It returns the airtime.
+func (c *Conn) noteTX(pdu *DataPDU) sim.Duration {
 	air := Airtime(pdu.Len())
 	c.stats.TXPDUs++
 	if pdu.Len() == 0 {
@@ -588,7 +608,7 @@ func (c *Conn) transmitPDU(pdu *DataPDU, done func()) {
 			"conn#%d ch=%d try=%d len=%d", c.handle, c.evCh, try, pdu.Len())
 	}
 	c.stats.ChannelTX[c.evCh]++
-	c.radio().Transmit(c.evCh, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, done)
+	return air
 }
 
 // processRx applies the SN/NESN acknowledgement rules to a received PDU and
@@ -709,9 +729,14 @@ func (c *Conn) instantToIdx(instant uint16) uint64 {
 // listen tunes the radio to the event channel and arms the no-carrier
 // timeout.
 func (c *Conn) listen(deadline sim.Time) {
+	c.tune()
+	c.rxTimeout = c.sim().At(deadline, c.rxExpireFn)
+}
+
+// tune starts receiving on the event channel for this connection.
+func (c *Conn) tune() {
 	c.radio().StartListen(c.evCh)
 	c.ctrl.setRx(c.onRxFn, c.onCarrierFn)
-	c.rxTimeout = c.sim().At(deadline, c.rxExpireFn)
 }
 
 // onCarrier extends the receive deadline to the detected end of packet.
@@ -754,6 +779,7 @@ func (c *Conn) onRx(pkt phy.Packet, _ phy.Channel, ok bool) {
 		c.closeEvent()
 		return
 	}
+	c.peerConn = pdu.from
 	if c.role == Subordinate {
 		c.exData = false
 	}
@@ -826,6 +852,103 @@ func (c *Conn) buildPDUPreview() int {
 	return 0
 }
 
+// fusedIdle runs the whole event at the coordinator's anchor when it is an
+// empty-PDU exchange that nothing else can take part in or look at, and
+// reports whether it did. The event-by-event path — coordTX, two ends of
+// transmission, the subordinate's IFS, two listen timeouts armed to be
+// cancelled — is the general path and the reference; this one is taken only
+// when every step of that path is already determined:
+//
+//   - the peer endpoint is known, open, and points back here; it is in its
+//     event, owns its radio and listens on the event channel;
+//   - neither side has anything queued (so no data, no control procedure, no
+//     termination in progress);
+//   - neither controller is scanning (a scanning controller arms a receive
+//     guard under every packet and retunes on a rotation timer);
+//   - no other radio of the RF domain is tuned to the channel and nothing is
+//     in flight on it (phy.Radio.SoleListener);
+//   - with the subordinate's listen timeout cancelled — the first thing the
+//     carrier indication of our packet would have done, at this instant —
+//     no event of this Sim is due before the exchange is over and the Run
+//     call in progress reaches that far (sim.Sim.QuietUntil).
+//
+// Then the clock is moved through the end of our packet, the start of the
+// reply and its end, and at each instant the functions the event-by-event
+// path would have run there are called in its order: acknowledgement,
+// resync, supervision and event close are not restated here. Both packets
+// can still be lost to interference, each drawn at its own start; a lost
+// first packet leaves the subordinate closed and this side listening until
+// its timeout, which also lies inside the window.
+//
+// A declined event leaves one trace: the subordinate's listen timeout may
+// already be cancelled, which is what Transmit's carrier indication does
+// next, at the same instant and before anything is scheduled.
+func (c *Conn) fusedIdle() bool {
+	ctrl := c.ctrl
+	if ctrl.eventByEvent || c.txq.Len() > 0 {
+		return false
+	}
+	p := c.peerConn
+	known := p != nil && !p.closed && p.peerConn == c
+	if known && p.txq.Len() > 0 {
+		return false
+	}
+	s := ctrl.s
+	t1 := s.Now() + Airtime(0)
+	t2 := t1 + IFS
+	t3 := t2 + Airtime(0)
+	closed := known && c.aloneWith(p)
+	if closed {
+		p.cancelRxTimeout() // as our packet's carrier is about to, on either path
+		closed = s.QuietUntil(t3)
+	}
+	if !closed {
+		ctrl.events.IdleDeclined++
+		return false
+	}
+	ctrl.events.IdleFused++
+	pc := p.ctrl
+
+	// coordTX and, at the end of the packet, the medium's finish followed
+	// by coordDoneFn.
+	c.exData = false
+	pdu := c.buildPDU()
+	air := c.noteTX(pdu)
+	ok := ctrl.radio.TransmitSole(c.evCh, air)
+	s.Advance(t1)
+	p.fusing = true
+	ctrl.radio.DeliverSole(pc.radio, onAir(pdu, air), c.evCh, ok)
+	p.fusing = false
+	c.tune()
+
+	reply := p.replyPDU
+	if reply == nil {
+		// The subordinate did not hear us and has closed its event: this
+		// side's listen timeout runs out (rxExpireFn).
+		s.Advance(t1 + IFS + CarrierMargin)
+		c.closeEvent()
+		return true
+	}
+	// subSendFn and, at the end of the reply, finish followed by subDoneFn.
+	p.replyPDU = nil
+	s.Advance(t2)
+	air = p.noteTX(reply)
+	ok = pc.radio.TransmitSole(c.evCh, air)
+	s.Advance(t2 + air)
+	pc.radio.DeliverSole(ctrl.radio, onAir(reply, air), c.evCh, ok)
+	p.subDoneFn()
+	return true
+}
+
+// aloneWith reports whether the subordinate endpoint p is waiting for this
+// event's packet with nobody else in a position to hear or disturb it:
+// fusedIdle's preconditions on the two nodes and their RF domain.
+func (c *Conn) aloneWith(p *Conn) bool {
+	ctrl, pc := c.ctrl, p.ctrl
+	return p.inEvent && p.evCh == c.evCh && pc.sched.Owns(p.act) && pc.s == ctrl.s &&
+		!ctrl.scanOn && !pc.scanOn && ctrl.radio.SoleListener(c.evCh, pc.radio)
+}
+
 // ---- Subordinate side ---------------------------------------------------
 
 // subReply answers the coordinator one IFS after its packet ended. The
@@ -838,6 +961,9 @@ func (c *Conn) subReply() {
 		return
 	}
 	c.replyPDU = c.buildPDU()
+	if c.fusing {
+		return // the coordinator sends it, one IFS from now (fusedIdle)
+	}
 	c.sim().Post(IFS, c.subSendFn)
 }
 

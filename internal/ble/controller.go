@@ -79,6 +79,14 @@ type ControllerEvents struct {
 	ConnsClosed   uint64 // terminated deliberately
 	PoolExhausted uint64 // Send rejected: LL buffer pool full
 	AdvReceived   uint64 // ADV_INDs seen while scanning
+	// IdleFused counts the coordinator events run in one step
+	// (Conn.fusedIdle); IdleDeclined those that had nothing queued at either
+	// end, as far as this side could tell, and still ran event by event
+	// because something else could have taken part or looked. The rest of
+	// ConnEvents carried data. Host-side cost accounting, not behaviour:
+	// neither is exported to the metrics registry.
+	IdleFused    uint64
+	IdleDeclined uint64
 }
 
 // pool is a byte-budget allocator modelling a fixed buffer pool.
@@ -156,6 +164,10 @@ type Controller struct {
 	rxHandler      phy.Receiver
 	carrierHandler phy.CarrierFunc
 
+	// eventByEvent keeps every connection event on the general path
+	// (SetEventByEvent).
+	eventByEvent bool
+
 	// epoch invalidates in-flight advertising/initiating continuations
 	// across a Shutdown: closures capture it at schedule time and bail if
 	// the controller has been reset since.
@@ -180,6 +192,12 @@ func (ctrl *Controller) SetTrace(l *trace.Log, node string) {
 	ctrl.tr = l
 	ctrl.node = node
 }
+
+// SetEventByEvent makes this controller's coordinator endpoints run every
+// connection event through the queue, including the idle ones fusedIdle would
+// compute in one step. Output must be byte-identical either way; the switch
+// exists so the differential test layer can prove it.
+func (ctrl *Controller) SetEventByEvent(on bool) { ctrl.eventByEvent = on }
 
 // NewController creates a controller bound to a radio and a local clock.
 func NewController(s *sim.Sim, clk *sim.Clock, radio *phy.Radio, cfg ControllerConfig) *Controller {

@@ -194,32 +194,86 @@ func TestStaleSupervisionWakeup(t *testing.T) {
 	}
 }
 
-// TestIdleConnEventQueueOps pins what one idle connection event costs the
-// event queue, both endpoints counted: five events fired (anchor wake-up at
-// each end, two ends of transmission, the subordinate's IFS) plus the
-// supervision wake-ups that arrive early, one per endpoint per supervision
-// period of 20 events. It also pins the allocation count of the idle path,
-// remapped channels included (22 is excluded from the map), at zero.
-func TestIdleConnEventQueueOps(t *testing.T) {
-	s, _, sub, coord := idlePair(t, 46)
-	ev0, fired0 := coord.Stats().EventsPlanned, s.Processed()
-	ok0 := sub.Stats().EventsOK + coord.Stats().EventsOK
-	for coord.Stats().EventsPlanned-ev0 < 1000 {
+// queueOps is what a stretch of simulation cost the event queue.
+type queueOps struct{ fired, pushed, cancelled float64 }
+
+// measureQueueOps runs s until coord has planned n more connection events and
+// returns the queue operations per connection event.
+func measureQueueOps(s *sim.Sim, coord *Conn, n uint64) queueOps {
+	ev0 := coord.Stats().EventsPlanned
+	fired0, pushed0, pending0 := s.Processed(), s.Scheduled(), s.Pending()
+	for coord.Stats().EventsPlanned-ev0 < n {
 		s.Run(s.Now() + 75*sim.Millisecond)
 	}
-	events := coord.Stats().EventsPlanned - ev0
-	perEvent := float64(s.Processed()-fired0) / float64(events)
-	if ok := sub.Stats().EventsOK + coord.Stats().EventsOK - ok0; ok < 2*events-2 {
-		t.Fatalf("the link is not healthy: %d of %d events exchanged a packet", ok, 2*events)
-	}
-	t.Logf("%d connection events, %.4f fired events each", events, perEvent)
-	if perEvent < 5 || perEvent > 5.11 {
-		t.Fatalf("%.4f fired events per idle connection event, want 5 plus at most 0.11 of stale supervision wake-ups", perEvent)
-	}
+	events := float64(coord.Stats().EventsPlanned - ev0)
+	fired, pushed := s.Processed()-fired0, s.Scheduled()-pushed0
+	cancelled := int(pushed) - int(fired) - (s.Pending() - pending0)
+	return queueOps{float64(fired) / events, float64(pushed) / events, float64(cancelled) / events}
+}
 
-	allocs := testing.AllocsPerRun(5, func() { s.Run(s.Now() + 100*75*sim.Millisecond) })
-	if allocs != 0 {
-		t.Fatalf("%.0f allocations per 100 idle connection intervals, want 0", allocs)
+// TestIdleConnEventQueueOps pins what one idle connection event costs the
+// event queue, both endpoints counted, on both paths.
+//
+// Declined: a third party's timer lies inside every exchange, so every event
+// runs through the queue as it did before the fused path existed: five fired
+// (anchor wake-up at each end, two ends of transmission, the subordinate's
+// IFS), seven pushed, two cancelled, plus the supervision wake-ups that arrive
+// early, one per endpoint per supervision period of 20 events, each fired and
+// re-filed. The third party's own timer is not counted.
+//
+// Taken (fusedIdle): two fired — the anchor wake-up at each end — three
+// pushed and one cancelled (the subordinate's listen timeout), plus the same
+// supervision wake-ups. Those arrive a whole number of intervals after a
+// packet, that is inside a later exchange of the same link, which is
+// therefore declined: one event in twenty costs the declined row's figures,
+// and the average comes to 2.26 / 3.31 / 1.05.
+//
+// Both rows allocate nothing, remapped channels included (22 is excluded
+// from the map).
+func TestIdleConnEventQueueOps(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		intrude  bool
+		min, max queueOps
+		fused    float64 // least share of the coordinator's events run in one step
+	}{
+		{"taken", false, queueOps{2, 3, 1}, queueOps{2.27, 3.32, 1.06}, 0.94},
+		{"declined", true, queueOps{5, 7, 2}, queueOps{5.11, 7.11, 2}, 0},
+	} {
+		s, nodes, sub, coord := idlePair(t, 46)
+		if tc.intrude {
+			var tick func()
+			tick = func() { s.PostAt(coord.nextStart+100*sim.Microsecond, tick) }
+			s.PostAt(coord.nextStart+100*sim.Microsecond, tick)
+		}
+		ok0 := sub.Stats().EventsOK + coord.Stats().EventsOK
+		ev0 := nodes[1].ctrl.Events()
+		got := measureQueueOps(s, coord, 1000)
+		if tc.intrude {
+			// One firing and one push per connection event are the intruder's.
+			got.fired--
+			got.pushed--
+		}
+		if ok := sub.Stats().EventsOK + coord.Stats().EventsOK - ok0; ok < 2*1000-2 {
+			t.Fatalf("%s: the link is not healthy: %d of 2000 events exchanged a packet", tc.name, ok)
+		}
+		ev := nodes[1].ctrl.Events()
+		fused, events := ev.IdleFused-ev0.IdleFused, ev.ConnEvents-ev0.ConnEvents
+		t.Logf("%s: %d of %d events in one step; per connection event %.3f fired, %.3f pushed, %.3f cancelled",
+			tc.name, fused, events, got.fired, got.pushed, got.cancelled)
+		if tc.intrude && fused != 0 || float64(fused) < tc.fused*float64(events) {
+			t.Errorf("%s: %d of %d coordinator events ran in one step", tc.name, fused, events)
+		}
+		if got.fired < tc.min.fired || got.fired > tc.max.fired ||
+			got.pushed < tc.min.pushed || got.pushed > tc.max.pushed ||
+			got.cancelled < tc.min.cancelled || got.cancelled > tc.max.cancelled {
+			t.Errorf("%s: per idle connection event %+v, want between %+v and %+v", tc.name, got, tc.min, tc.max)
+		}
+
+		allocs := testing.AllocsPerRun(5, func() { s.Run(s.Now() + 100*75*sim.Millisecond) })
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per 100 idle connection intervals, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -115,6 +115,10 @@ type DataPDU struct {
 	// packet this PDU carries a fragment of (0 = untagged). It is not an
 	// on-air field and never counts toward Len().
 	PID uint64
+	// from is simulation metadata too: the endpoint that sent the PDU. The
+	// receiver keeps it once the access address has matched, which is how
+	// a coordinator finds the state of its peer (Conn.fusedIdle).
+	from *Conn
 }
 
 // Len returns the LL payload length in bytes for airtime purposes.

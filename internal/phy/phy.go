@@ -482,6 +482,69 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	m.sim.PostAt(tx.end, tx.fire)
 }
 
+// SoleListener reports whether a packet r put on ch at this instant would
+// be a closed affair between r and peer: r is idle, peer is receiving on ch
+// within r's reach, no other radio of the domain is tuned to ch and nothing
+// is in flight on it. (On a geometric medium this is conservative: a tuned
+// radio or a transmission out of r's range still answers no.) While that
+// holds and no other event runs, Transmit and finish reduce to the
+// bookkeeping in TransmitSole and DeliverSole.
+func (r *Radio) SoleListener(ch Channel, peer *Radio) bool {
+	m := r.medium
+	if r.state != RadioIdle || peer.state != RadioRX || peer.listenCh != ch ||
+		peer.medium != m || peer.dom != r.dom || !m.inRangeOf(r, peer) {
+		return false
+	}
+	dom := m.domains[r.dom]
+	if len(dom.active[ch]) != 0 {
+		return false
+	}
+	for _, lr := range dom.rx {
+		if lr.listenCh == ch && lr != peer {
+			return false
+		}
+	}
+	return true
+}
+
+// TransmitSole is what Transmit does to the counters for a packet occupying
+// [now, now+airtime) on ch when SoleListener holds: airtime and packet count
+// of the sender, the medium's transmission count, and the interference
+// sources asked in order with the same arguments (a collision is excluded).
+// It reports whether the packet survives. The radio does not enter RadioTX,
+// no transmission is filed and nothing is scheduled: the caller runs the end
+// of the packet itself, with DeliverSole, after moving the clock there.
+func (r *Radio) TransmitSole(ch Channel, airtime sim.Duration) (ok bool) {
+	m := r.medium
+	r.TXTime += airtime
+	r.TXPkts++
+	m.stats.Transmissions++
+	now := m.sim.Now()
+	for _, i := range m.interf {
+		if i.Corrupts(m.sim, ch, now, now+airtime) {
+			m.stats.Interfered++
+			return false
+		}
+	}
+	return true
+}
+
+// DeliverSole is finish for a packet sent with TransmitSole: the end-of-packet
+// indication, counted as delivered or missed, handed to the receiver that to
+// has installed — so whatever wraps that receiver sees the packet.
+func (r *Radio) DeliverSole(to *Radio, pkt Packet, ch Channel, ok bool) {
+	pkt.Src = r.id
+	if ok {
+		r.medium.stats.Delivered++
+		to.RXPkts++
+	} else {
+		r.medium.stats.Missed++
+	}
+	if to.recv != nil {
+		to.recv(pkt, ch, ok)
+	}
+}
+
 // AbortTX cuts a transmission short: the carrier stops, the partial packet
 // is unrecoverable at every receiver (CRC failure), and the radio is free
 // immediately. Link layers use this when a higher-priority scheduled event

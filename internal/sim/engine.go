@@ -56,9 +56,7 @@ type queue interface {
 	cancel(e *Event) bool
 	len() int
 	// peek returns the timestamp of the minimum-ordered event without
-	// removing it, and false when the queue is empty. Only the heap engine
-	// supports it (the wheel would have to run its cascade search without
-	// mutating level state); the sharded scheduler keeps its global lane on
-	// the heap engine for exactly this reason.
+	// removing it or changing what any later call returns, and false when
+	// the queue is empty.
 	peek() (Time, bool)
 }

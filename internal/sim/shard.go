@@ -31,13 +31,13 @@ import (
 // (cross posts disabled, windows bounded only by global events and the
 // horizon).
 //
-// A separate heap-backed global lane holds events that must observe every
-// domain at a consistent time (periodic samplers, metric streaming, fault
-// injection). Each window runs every domain inclusive to the window end E
-// = min(horizon, now+lookahead, next global event time); at the barrier,
-// cross-domain mail is merged deterministically by (deliver time, sender
-// domain, sender sequence) and global events due at E fire while all
-// domain clocks sit exactly at E.
+// A separate global lane holds events that must observe every domain at a
+// consistent time (periodic samplers, metric streaming, fault injection).
+// Each window runs every domain inclusive to the window end E = min(horizon,
+// now+lookahead, next global event time); at the barrier, cross-domain mail
+// is merged deterministically by (deliver time, sender domain, sender
+// sequence) and global events due at E fire while all domain clocks sit
+// exactly at E.
 type Sharded struct {
 	shards []*Sim
 	global *Sim
@@ -66,10 +66,9 @@ type crossEvent struct {
 // Domain 0's random source is seeded with seed itself, so a single-domain
 // sharded run draws the exact stream a plain New(seed) Sim would; further
 // domains and the global lane get independent streams mixed from the seed.
-// engine selects the event queue backing each domain (the global lane is
-// always heap-backed — see Sim.NextAt). lookahead is the minimum
-// cross-domain latency enforced by PostCross; pass 0 when domains are
-// fully isolated and cross posts are not used.
+// engine selects the event queue backing each domain and the global lane.
+// lookahead is the minimum cross-domain latency enforced by PostCross; pass
+// 0 when domains are fully isolated and cross posts are not used.
 func NewSharded(seed int64, engine Engine, domains int, lookahead Duration) *Sharded {
 	if domains < 1 {
 		domains = 1
@@ -79,7 +78,7 @@ func NewSharded(seed int64, engine Engine, domains int, lookahead Duration) *Sha
 	for d := range sh.shards {
 		sh.shards[d] = NewWithEngine(domainSeed(seed, d), engine)
 	}
-	sh.global = NewWithEngine(domainSeed(seed, domains), EngineHeap)
+	sh.global = NewWithEngine(domainSeed(seed, domains), engine)
 	sh.outbox = make([][]crossEvent, domains)
 	return sh
 }
@@ -106,8 +105,7 @@ func (sh *Sharded) Domains() int { return len(sh.shards) }
 func (sh *Sharded) Shard(d int) *Sim { return sh.shards[d] }
 
 // Global returns the barrier-synchronized global lane. Events scheduled
-// here observe every domain clock at exactly the event's timestamp. The
-// lane is heap-backed so the scheduler can peek its next deadline.
+// here observe every domain clock at exactly the event's timestamp.
 func (sh *Sharded) Global() *Sim { return sh.global }
 
 // Lookahead returns the configured cross-domain lookahead.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -230,25 +231,187 @@ func TestDomainSeedStreams(t *testing.T) {
 	}
 }
 
-// TestNextAt covers the heap peek used by the sharded global lane, and the
-// wheel's documented refusal.
+// TestNextAt holds the wheel's non-mutating peek to the heap's: the same
+// random script of pushes, cancels, single pops and bounded Runs is applied to
+// one Sim of each engine, and after every step both must name the same next
+// timestamp (and agree on the clock and the population, so a peek that
+// disturbed the wheel would show up as a later divergence). The scripts
+// include same-tick and same-instant events, timers beyond the wheel's
+// 19.5 h span that are then cancelled (they stay in the overflow heap, dead),
+// and events due before a cursor that a cascade has moved past the clock.
 func TestNextAt(t *testing.T) {
-	s := NewWithEngine(1, EngineHeap)
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("empty heap reported a next event")
-	}
-	s.PostAt(30*Millisecond, func() {})
-	s.PostAt(10*Millisecond, func() {})
-	if at, ok := s.NextAt(); !ok || at != 10*Millisecond {
-		t.Fatalf("NextAt = %v,%v want 10ms,true", at, ok)
-	}
-	s.Run(math.MaxInt64 / 2)
-
-	w := NewWithEngine(1, EngineWheel)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wheel NextAt did not panic")
+	for _, engine := range []Engine{EngineHeap, EngineWheel} {
+		s := NewWithEngine(1, engine)
+		if _, ok := s.NextAt(); ok {
+			t.Fatalf("%v: empty queue reported a next event", engine)
 		}
-	}()
-	w.NextAt()
+		s.PostAt(30*Millisecond, func() {})
+		s.PostAt(10*Millisecond, func() {})
+		if at, ok := s.NextAt(); !ok || at != 10*Millisecond {
+			t.Fatalf("%v: NextAt = %v,%v want 10ms,true", engine, at, ok)
+		}
+		s.Run(math.MaxInt64 / 2)
+		if _, ok := s.NextAt(); ok {
+			t.Fatalf("%v: drained queue reported a next event", engine)
+		}
+		// Beyond the wheel's span a cancelled timer stays where it is until
+		// a pop reaches it; it must not be reported.
+		s = NewWithEngine(1, engine)
+		dead := s.At(25*Hour, func() {})
+		s.PostAt(30*Hour, func() {})
+		s.Cancel(dead)
+		if at, ok := s.NextAt(); !ok || at != 30*Hour {
+			t.Fatalf("%v: NextAt = %v,%v behind a cancelled timer at 25h, want 30h", engine, at, ok)
+		}
+	}
+
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		sims := [2]*Sim{NewWithEngine(seed, EngineHeap), NewWithEngine(seed, EngineWheel)}
+		var timers [2][]Timer
+		check := func(step int, op string) {
+			t.Helper()
+			ha, hok := sims[0].NextAt()
+			wa, wok := sims[1].NextAt()
+			if ha != wa || hok != wok {
+				t.Fatalf("seed %d step %d (%s): heap NextAt %v,%v wheel %v,%v", seed, step, op, ha, hok, wa, wok)
+			}
+			if sims[0].Now() != sims[1].Now() || sims[0].Pending() != sims[1].Pending() {
+				t.Fatalf("seed %d step %d (%s): heap now %v pending %d, wheel now %v pending %d", seed, step, op,
+					sims[0].Now(), sims[0].Pending(), sims[1].Now(), sims[1].Pending())
+			}
+		}
+		for step := 0; step < 600; step++ {
+			switch r := rng.Intn(100); {
+			case r < 50:
+				var d Duration
+				switch k := rng.Intn(100); {
+				case k < 25:
+					d = Duration(rng.Intn(1024)) // inside the current tick
+				case k < 45:
+					d = Duration(rng.Intn(int(100 * Microsecond)))
+				case k < 70:
+					d = Duration(rng.Intn(int(300 * Millisecond)))
+				case k < 85:
+					d = Duration(rng.Intn(int(3 * Hour)))
+				case k < 95:
+					d = 20*Hour + Duration(rng.Intn(int(30*Hour))) // overflow
+				}
+				for i, s := range sims {
+					timers[i] = append(timers[i], s.After(d, func() {}))
+				}
+				check(step, "push")
+			case r < 70:
+				if len(timers[0]) == 0 {
+					continue
+				}
+				k := rng.Intn(len(timers[0]))
+				for i, s := range sims {
+					s.Cancel(timers[i][k])
+					timers[i] = append(timers[i][:k], timers[i][k+1:]...)
+				}
+				check(step, "cancel")
+			case r < 85:
+				// One pop. On the wheel this can cascade a higher-level slot
+				// and leave the cursor ahead of the clock, so that the next
+				// short timer is filed behind it.
+				if at, ok := sims[0].NextAt(); ok {
+					for _, s := range sims {
+						s.PostAt(at, s.Stop)
+						s.Run(at)
+					}
+				}
+				check(step, "pop")
+			default:
+				until := sims[0].Now() + Duration(rng.Intn(int(50*Millisecond)))
+				if rng.Intn(10) == 0 {
+					until += Duration(rng.Intn(int(25 * Hour)))
+				}
+				for _, s := range sims {
+					s.Run(until)
+				}
+				check(step, "run")
+			}
+		}
+	}
+}
+
+// TestNextAtBehindCursor builds the one case the random scripts reach only
+// by luck: a singleton direct pop from level 1 moves the wheel's cursor to
+// that event's tick while the clock of the caller is still earlier, and an
+// event then scheduled for "now" is filed in the cursor's slot with a
+// timestamp below the slot's window.
+func TestNextAtBehindCursor(t *testing.T) {
+	for _, engine := range []Engine{EngineHeap, EngineWheel} {
+		s := NewWithEngine(1, engine)
+		var got []Time
+		s.PostAt(200*Microsecond, func() {})
+		s.Run(100 * Microsecond) // the pop looked at the event (and may have cascaded it) without taking it
+		s.PostAt(100*Microsecond+5, func() { got = append(got, s.Now()) })
+		if at, ok := s.NextAt(); !ok || at != 100*Microsecond+5 {
+			t.Fatalf("%v: NextAt = %v,%v want %v", engine, at, ok, 100*Microsecond+5)
+		}
+		s.Run(Second)
+		if len(got) != 1 || got[0] != 100*Microsecond+5 {
+			t.Fatalf("%v: fired at %v", engine, got)
+		}
+	}
+}
+
+// TestQuietUntil: an event may run ahead only as far as neither a pending
+// event nor the end of the Run call in progress lies — both bounds inclusive
+// on the side of refusing.
+func TestQuietUntil(t *testing.T) {
+	for _, engine := range []Engine{EngineHeap, EngineWheel} {
+		s := NewWithEngine(1, engine)
+		if s.QuietUntil(1) {
+			t.Fatalf("%v: quiet beyond the present outside Run", engine)
+		}
+		ran := false
+		s.PostAt(Millisecond, func() {
+			ran = true
+			other := s.At(Millisecond+300*Microsecond, func() {})
+			for _, tc := range []struct {
+				t    Time
+				want bool
+			}{
+				{Millisecond + 299*Microsecond, true},
+				{Millisecond + 300*Microsecond, false}, // a tie is not quiet
+				{Millisecond + 400*Microsecond, false},
+			} {
+				if got := s.QuietUntil(tc.t); got != tc.want {
+					t.Errorf("%v: QuietUntil(%v) = %v with an event at %v", engine, tc.t, got, other.When())
+				}
+			}
+			s.Cancel(other)
+			if !s.QuietUntil(2*Millisecond) || s.QuietUntil(2*Millisecond+1) {
+				t.Errorf("%v: the horizon 2ms must be reachable and not passable", engine)
+			}
+			s.Advance(Millisecond + 310*Microsecond)
+			s.Post(0, func() {
+				if s.Now() != Millisecond+310*Microsecond {
+					t.Errorf("%v: event posted after Advance ran at %v", engine, s.Now())
+				}
+			})
+		})
+		s.Run(2 * Millisecond)
+		if !ran || s.Now() != 2*Millisecond {
+			t.Fatalf("%v: ran %v, now %v", engine, ran, s.Now())
+		}
+		s.PostAt(3*Millisecond, func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: Advance past the horizon did not panic", engine)
+				}
+			}()
+			s.Advance(4*Millisecond + 1)
+		})
+		s.Run(4 * Millisecond)
+		s.PostAt(5*Millisecond, func() {
+			if !s.QuietUntil(math.MaxInt64) {
+				t.Errorf("%v: RunAll is an unbounded horizon", engine)
+			}
+		})
+		s.RunAll()
+	}
 }

@@ -114,6 +114,8 @@ type Sim struct {
 	free    *Event // recycled handle-free events (Post/PostAt)
 	// processed counts executed events, for diagnostics and benchmarks.
 	processed uint64
+	// horizon is the until of the Run call in progress (QuietUntil).
+	horizon Time
 }
 
 // New creates a simulation whose random source is seeded with seed, using
@@ -147,6 +149,10 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.processed }
+
+// Scheduled returns the number of events queued so far, fired, cancelled and
+// pending alike; scheduled − processed − pending is the number cancelled.
+func (s *Sim) Scheduled() uint64 { return s.seq }
 
 // schedule queues e for when, assigning the next sequence number. Scheduling
 // in the past (or exactly now) runs the event at the current time, after
@@ -230,10 +236,38 @@ func (s *Sim) Cancel(t Timer) {
 func (s *Sim) Stop() { s.stopped = true }
 
 // NextAt returns the timestamp of the earliest pending event without
-// removing it, and false when the queue is empty. Only supported by the
-// heap engine; the wheel panics (see queue.peek). The sharded scheduler
-// calls this on its heap-backed global lane to bound each barrier window.
+// removing it, and false when the queue is empty. The sharded scheduler
+// calls this on its global lane to bound each barrier window.
 func (s *Sim) NextAt() (Time, bool) { return s.q.peek() }
+
+// QuietUntil reports whether the event in progress is the only thing this
+// Sim can run up to and including t: no pending event is due at or before t
+// (strictly after, so that no tie has to be argued), and the Run call in
+// progress reaches t, so that nothing outside the Sim — a barrier-time
+// global of a sharded run, the harness between two Run calls — gets to look
+// in between. An event for which this holds may compute what it would have
+// scheduled up to t in one step, moving the clock with Advance. Outside Run
+// and RunAll the horizon is the one last reached: nothing beyond the present
+// is quiet.
+func (s *Sim) QuietUntil(t Time) bool {
+	if t > s.horizon {
+		return false
+	}
+	next, ok := s.q.peek()
+	return !ok || next > t
+}
+
+// Advance moves the clock forward to t from inside an event, standing in for
+// an event at t that was not scheduled because QuietUntil showed nothing
+// could run before it. Moving past a pending event or the Run horizon would
+// make time run backwards for whatever comes next, so the caller must hold
+// QuietUntil for a time at or after t.
+func (s *Sim) Advance(t Time) {
+	if t < s.now || t > s.horizon {
+		panic("sim: Advance outside the window QuietUntil covers")
+	}
+	s.now = t
+}
 
 // fire executes a popped event and recycles it. The callback is read before
 // recycling so fn may itself schedule and reuse the slot; the generation
@@ -254,6 +288,7 @@ func (s *Sim) fire(e *Event) {
 // drains earlier, so subsequent scheduling is relative to the horizon.
 func (s *Sim) Run(until Time) {
 	s.stopped = false
+	s.horizon = until
 	for !s.stopped {
 		e := s.q.pop(until)
 		if e == nil {
@@ -270,6 +305,7 @@ func (s *Sim) Run(until Time) {
 // experiments always bound the horizon with Run.
 func (s *Sim) RunAll() {
 	s.stopped = false
+	s.horizon = math.MaxInt64
 	for !s.stopped {
 		e := s.q.pop(Time(math.MaxInt64))
 		if e == nil {

@@ -331,11 +331,44 @@ func (w *wheelQueue) cancel(e *Event) bool {
 
 func (w *wheelQueue) len() int { return w.live }
 
-// peek is unsupported on the wheel: finding the minimum would replay pop's
-// cascade search, which mutates level state. Callers needing a cheap
-// NextAt (the sharded scheduler's global lane) must use the heap engine.
+// peek returns the earliest timestamp among live events without moving the
+// cursor, cascading a slot or dropping a cancelled overflow entry. Within a
+// level the first occupied slot from the cursor holds the level's minimum,
+// but levels overlap: an event filed at level 2 an hour ago can be due
+// before anything at level 0, so every occupied level is consulted — except
+// one whose first slot starts at or after the best timestamp found so far,
+// since a slot's window base bounds every event in it from below. (The one
+// exception, an event filed behind the cursor, sits in the cursor's level-0
+// slot, which is looked at first and so is never skipped.)
 func (w *wheelQueue) peek() (Time, bool) {
-	panic("sim: peek is not supported by the wheel engine (use EngineHeap)")
+	if w.live == 0 {
+		return 0, false
+	}
+	best := Time(math.MaxInt64)
+	for occ := w.levelOcc; occ != 0; occ &= occ - 1 {
+		l := bits.TrailingZeros8(occ)
+		shift := uint(wheelBits * l)
+		q := w.cur >> shift
+		iL := int(q) & wheelMask
+		r := w.occupied[l]>>uint(iL) | w.occupied[l]<<uint(wheelSlots-iL)
+		tz := bits.TrailingZeros64(r)
+		if Time((q+int64(tz))<<shift<<wheelShift) >= best {
+			continue
+		}
+		for e := w.level[l][(iL+tz)&wheelMask]; e != nil; e = e.next {
+			if e.when < best {
+				best = e.when
+			}
+		}
+	}
+	if w.over != nil {
+		for _, e := range w.over.es {
+			if e.idx >= 0 && e.when < best {
+				best = e.when
+			}
+		}
+	}
+	return best, true
 }
 
 // overflowHeap is a plain binary min-heap ordered by (when, seq) for events

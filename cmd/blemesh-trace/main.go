@@ -65,12 +65,13 @@ func main() {
 		TraceSample:   *sample,
 		Shards:        *shards,
 	}
+	var stream *os.File
 	if *streamPath != "" {
 		f, err := os.Create(*streamPath)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
+		stream = f
 		cfg.StreamMetrics = f
 		cfg.StreamEvery = blemesh.Duration(*streamEvery) * blemesh.Second
 	}
@@ -83,6 +84,16 @@ func main() {
 	nw.Run(10 * blemesh.Second)
 	nw.StartTraffic(blemesh.TrafficConfig{})
 	nw.Run(blemesh.Duration(*minutes) * blemesh.Minute)
+	if stream != nil {
+		// A stream cut short by a failing sink is not a successful run.
+		err := nw.StreamErr()
+		if cerr := stream.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fatal(fmt.Errorf("metrics stream: %w", err))
+		}
+	}
 
 	w := os.Stdout
 	if *out != "" {
@@ -90,7 +101,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		w = f
 	}
 
@@ -145,6 +155,11 @@ func main() {
 		fmt.Fprintf(w, "-- %d events shown (%d recorded) --\n", len(evs), nw.Trace.Total())
 	default:
 		summarize(w, nw, *waterfalls)
+	}
+	if w != os.Stdout {
+		if err := w.Close(); err != nil {
+			fatal(err)
+		}
 	}
 }
 

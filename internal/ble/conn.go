@@ -603,7 +603,7 @@ func (c *Conn) noteTX(pdu *DataPDU) sim.Duration {
 	} else if pdu.LLID != LLIDControl {
 		c.emptyInFlight = true
 	}
-	if pdu.PID != 0 && c.ctrl.tr.Enabled() {
+	if pdu.PID != 0 && c.ctrl.tr.Keeps(pdu.PID) {
 		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLTx, pdu.PID, air,
 			"conn#%d ch=%d try=%d len=%d", c.handle, c.evCh, try, pdu.Len())
 	}
@@ -673,7 +673,9 @@ func (c *Conn) markHeadReady() {
 		return
 	}
 	it.readyMarked = true
-	c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLReady, it.pid, 0, "conn#%d qlen=%d", c.handle, c.txq.Len())
+	if c.ctrl.tr.Keeps(it.pid) {
+		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLReady, it.pid, 0, "conn#%d qlen=%d", c.handle, c.txq.Len())
+	}
 }
 
 // deliver hands a freshly received PDU to the host or executes the control
@@ -706,7 +708,7 @@ func (c *Conn) deliver(pdu *DataPDU) {
 			c.pendInstant = c.instantToIdx(pdu.Instant)
 		}
 	case len(pdu.Payload) > 0:
-		if pdu.PID != 0 && c.ctrl.tr.Enabled() {
+		if pdu.PID != 0 && c.ctrl.tr.Keeps(pdu.PID) {
 			c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLRx, pdu.PID, Airtime(pdu.Len()),
 				"conn#%d ch=%d len=%d", c.handle, c.evCh, pdu.Len())
 		}
@@ -1126,7 +1128,7 @@ func (c *Conn) terminate(reason LossReason) {
 	for i := 0; i < c.txq.Len(); i++ {
 		it := c.txq.At(i)
 		if it.ctrl == nil {
-			if it.pid != 0 {
+			if it.pid != 0 && c.ctrl.tr.Keeps(it.pid) {
 				c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindPacketDrop, it.pid, 0,
 					"cause=link-reset conn#%d reason=%s", c.handle, reason)
 			}
@@ -1151,7 +1153,7 @@ func (c *Conn) terminate(reason LossReason) {
 // that holds this connection (e.g. L2CAP frames flushed at channel
 // teardown). A zero pid or a disabled trace log makes it a no-op.
 func (c *Conn) TraceDrop(pid uint64, cause string) {
-	if pid != 0 {
+	if pid != 0 && c.ctrl.tr.Keeps(pid) {
 		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindPacketDrop, pid, 0, "cause=%s conn#%d", cause, c.handle)
 	}
 }

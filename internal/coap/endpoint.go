@@ -160,7 +160,7 @@ func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	}
 	pr.pid = pid
 	ep.stats.RequestsSent++
-	if ep.tr.Enabled() {
+	if ep.tr.Keeps(pid) {
 		ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0, "dst=%v mid=%d try=1", dst, m.MessageID)
 	}
 	if m.Type == CON {
@@ -192,7 +192,7 @@ func (ep *Endpoint) armRetry(pr *pendingReq, timeout sim.Duration) {
 			ep.stats.SendErrors++
 		} else {
 			pr.pid = pid
-			if ep.tr.Enabled() {
+			if ep.tr.Keeps(pid) {
 				ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0,
 					"dst=%v mid=%d try=%d", pr.dst, pr.msg.MessageID, pr.retries+1)
 			}
@@ -213,7 +213,7 @@ func (ep *Endpoint) fail(pr *pendingReq, key string, cause error) {
 	} else {
 		ep.stats.Timeouts++
 	}
-	if ep.tr.Enabled() {
+	if ep.tr.Keeps(pr.pid) {
 		ep.tr.EmitPkt(ep.node, trace.KindCoAPResponse, pr.pid, ep.s.Now()-pr.sentAt, "err=%v", cause)
 	}
 	if pr.cb != nil {
@@ -265,7 +265,7 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 	ep.s.Cancel(pr.expire)
 	ep.stats.ResponsesMatched++
 	rtt := ep.s.Now() - pr.sentAt
-	if ep.tr.Enabled() {
+	if ep.tr.Keeps(pr.pid) {
 		ep.tr.EmitPkt(ep.node, trace.KindCoAPResponse, pr.pid, rtt, "src=%v mid=%d", src, m.MessageID)
 	}
 	if pr.cb != nil {

@@ -184,7 +184,7 @@ func (n *NetIf) flushQueue(l *link) {
 		n.stack.Pktbuf.Free(f.buf.Len())
 		f.buf.Put()
 		n.stats.LinkDrops++
-		if f.pid != 0 && n.tr.Enabled() {
+		if f.pid != 0 && n.tr.Keeps(f.pid) {
 			n.tr.EmitPkt(n.node, trace.KindPacketDrop, f.pid, 0, "cause=link-down peer=%012x", l.peerMAC)
 		}
 	}

@@ -251,15 +251,17 @@ type Network struct {
 
 	// Metrics. In perSite runs RTTs/Series alias site 0's objects; use
 	// MergedRTTs/MergedSeries for network-wide views.
-	RTTs     *metrics.CDF
-	PerProd  *metrics.Heatmap
-	Series   *metrics.TimeSeries
-	rtts     []*metrics.CDF
-	series   []*metrics.TimeSeries
-	llSeries *llSampler
-	traffic  TrafficConfig
-	started  bool
-	lossBase uint64 // link losses before traffic start (setup collisions)
+	RTTs      *metrics.CDF
+	PerProd   *metrics.Heatmap
+	Series    *metrics.TimeSeries
+	rtts      []*metrics.CDF
+	series    []*metrics.TimeSeries
+	llSeries  *llSampler
+	streamer  *metrics.Streamer // nil unless Cfg.StreamMetrics is set
+	etxLabels map[uint64]string // ".links" labels by peer address, see etxLabel
+	traffic   TrafficConfig
+	started   bool
+	lossBase  uint64 // link losses before traffic start (setup collisions)
 
 	// Fault-injection hooks (Network implements fault.Target), one per
 	// medium so faults hit every site.
@@ -673,16 +675,29 @@ func (b *netBuild) wire() {
 		every = 60 * sim.Second
 	}
 	st := nw.Registry.StreamNDJSON(cfg.StreamMetrics)
+	nw.streamer = st // for StreamErr
 	// The tick only reads collectors and writes to an external sink —
 	// it never touches the sim RNG, so streaming cannot perturb a run.
 	// In multi-site sharded runs nw.Sim is the global lane, so each
-	// snapshot observes every site at a consistent barrier time.
+	// snapshot observes every site at a consistent barrier time. A sink
+	// that fails ends the stream (StreamErr), not the run.
 	var tick func()
 	tick = func() {
-		_ = st.Snapshot(int64(nw.Sim.Now()))
-		nw.Sim.Post(every, tick)
+		if st.Snapshot(int64(nw.Sim.Now())) == nil {
+			nw.Sim.Post(every, tick)
+		}
 	}
 	nw.Sim.Post(every, tick)
+}
+
+// StreamErr returns the write error that ended the metrics stream
+// (NetworkConfig.StreamMetrics): nil while the stream is live, and for
+// networks that do not stream.
+func (nw *Network) StreamErr() error {
+	if nw.streamer == nil {
+		return nil
+	}
+	return nw.streamer.Err()
 }
 
 // installSparseRoutes provisions only the sink-tree routes: each node
@@ -749,7 +764,21 @@ func (nw *Network) registerMetrics(ids []int) {
 	})
 }
 
-// registerNodeMetrics registers one node's per-layer collectors.
+// Per-layer sample labels, in export order.
+var (
+	coapLabels = []string{"requests_sent", "retransmissions", "responses_matched",
+		"timeouts", "give_ups", "requests_served"}
+	netifLabels    = []string{"tx_packets", "rx_packets", "queue_drops", "link_drops"}
+	ip6Labels      = []string{"sent", "received", "forwarded", "no_route", "no_neighbor", "hop_limit", "queue_drops"}
+	statconnLabels = []string{"links_opened", "link_losses", "interval_rejects", "reconnects"}
+	// The last rpl label is the rank gauge that follows the counters.
+	rplLabels = []string{"dio_sent", "dio_recv", "dao_sent", "dao_recv", "dis_sent", "dis_recv",
+		"decode_errors", "trickle_resets", "trickle_suppressed", "parent_switches",
+		"local_repairs", "joins", "rank"}
+)
+
+// registerNodeMetrics registers one node's per-layer collectors. Names are
+// built here, once: a collector runs on every streamed snapshot.
 func (nw *Network) registerNodeMetrics(id int) {
 	n := nw.Nodes[id]
 	name := n.Name
@@ -757,86 +786,75 @@ func (nw *Network) registerNodeMetrics(id int) {
 		name = fmt.Sprintf("node-%d", id)
 	}
 	coapEP, netif, stack, mgr := n.Coap, n.NetIf, n.Stack, n.Statconn
-	nw.Registry.Register(name+".coap", func() []metrics.Sample {
+	coapName, netifName, ip6Name, statconnName := name+".coap", name+".netif", name+".ip6", name+".statconn"
+	nw.Registry.Register(coapName, func() []metrics.Sample {
 		st := coapEP.Stats()
-		return counterSamples(name+".coap",
-			"requests_sent", st.RequestsSent,
-			"retransmissions", st.Retransmissions,
-			"responses_matched", st.ResponsesMatched,
-			"timeouts", st.Timeouts,
-			"give_ups", st.GiveUps,
-			"requests_served", st.RequestsServed)
+		return counterSamples(coapName, coapLabels, st.RequestsSent, st.Retransmissions,
+			st.ResponsesMatched, st.Timeouts, st.GiveUps, st.RequestsServed)
 	})
-	nw.Registry.Register(name+".netif", func() []metrics.Sample {
+	nw.Registry.Register(netifName, func() []metrics.Sample {
 		st := netif.Stats()
-		return counterSamples(name+".netif",
-			"tx_packets", st.TXPackets,
-			"rx_packets", st.RXPackets,
-			"queue_drops", st.QueueDrops,
-			"link_drops", st.LinkDrops)
+		return counterSamples(netifName, netifLabels, st.TXPackets, st.RXPackets,
+			st.QueueDrops, st.LinkDrops)
 	})
-	nw.Registry.Register(name+".ip6", func() []metrics.Sample {
+	nw.Registry.Register(ip6Name, func() []metrics.Sample {
 		st := stack.Stats()
-		return counterSamples(name+".ip6",
-			"sent", st.Sent,
-			"received", st.Received,
-			"forwarded", st.Forwarded,
-			"no_route", st.NoRoute,
-			"no_neighbor", st.NoNeighbor,
-			"hop_limit", st.HopLimit,
-			"queue_drops", st.QueueDrops)
+		return counterSamples(ip6Name, ip6Labels, st.Sent, st.Received, st.Forwarded,
+			st.NoRoute, st.NoNeighbor, st.HopLimit, st.QueueDrops)
 	})
-	nw.Registry.Register(name+".statconn", func() []metrics.Sample {
+	nw.Registry.Register(statconnName, func() []metrics.Sample {
 		st := mgr.Stats()
-		return counterSamples(name+".statconn",
-			"links_opened", st.LinksOpened,
-			"link_losses", st.LinkLosses,
-			"interval_rejects", st.IntervalRejects,
-			"reconnects", st.Reconnects)
+		return counterSamples(statconnName, statconnLabels, st.LinksOpened, st.LinkLosses,
+			st.IntervalRejects, st.Reconnects)
 	})
 	// Dynamic-routing collectors only exist in dynamic mode, so static
 	// runs' registry output stays byte-identical with pre-routing builds.
 	if router := n.RPL; router != nil {
-		nw.Registry.Register(name+".rpl", func() []metrics.Sample {
+		rplName, linksName := name+".rpl", name+".links"
+		nw.Registry.Register(rplName, func() []metrics.Sample {
 			st := router.Stats()
-			out := counterSamples(name+".rpl",
-				"dio_sent", st.DIOSent,
-				"dio_recv", st.DIORecv,
-				"dao_sent", st.DAOSent,
-				"dao_recv", st.DAORecv,
-				"dis_sent", st.DISSent,
-				"dis_recv", st.DISRecv,
-				"decode_errors", st.DecodeErrors,
-				"trickle_resets", st.TrickleResets,
-				"trickle_suppressed", st.TrickleSuppress,
-				"parent_switches", st.ParentSwitches,
-				"local_repairs", st.LocalRepairs,
-				"joins", st.Joins)
-			return append(out, metrics.Sample{Name: name + ".rpl",
-				Label: "rank", Kind: metrics.KindGauge,
+			out := counterSamples(rplName, rplLabels, st.DIOSent, st.DIORecv, st.DAOSent,
+				st.DAORecv, st.DISSent, st.DISRecv, st.DecodeErrors, st.TrickleResets,
+				st.TrickleSuppress, st.ParentSwitches, st.LocalRepairs, st.Joins)
+			return append(out, metrics.Sample{Name: rplName,
+				Label: rplLabels[len(out)], Kind: metrics.KindGauge,
 				Value: float64(st.Rank)})
 		})
 		// Per-peer link quality: the exact ETX the routing metric reads,
 		// so dashboards and parent choices can be cross-checked.
-		nw.Registry.Register(name+".links", func() []metrics.Sample {
-			var out []metrics.Sample
-			for _, l := range mgr.Stats().Links {
-				out = append(out, metrics.Sample{Name: name + ".links",
-					Label: fmt.Sprintf("etx_%012x", uint64(l.Peer)),
-					Kind:  metrics.KindGauge, Value: l.ETX})
+		nw.Registry.Register(linksName, func() []metrics.Sample {
+			links := mgr.Stats().Links
+			out := make([]metrics.Sample, len(links))
+			for i, l := range links {
+				out[i] = metrics.Sample{Name: linksName, Label: nw.etxLabel(uint64(l.Peer)),
+					Kind: metrics.KindGauge, Value: l.ETX}
 			}
 			return out
 		})
 	}
 }
 
-// counterSamples builds counter samples for one collector from
-// (label, value) pairs.
-func counterSamples(name string, pairs ...any) []metrics.Sample {
-	out := make([]metrics.Sample, 0, len(pairs)/2)
-	for i := 0; i+1 < len(pairs); i += 2 {
-		out = append(out, metrics.Sample{Name: name, Label: pairs[i].(string),
-			Kind: metrics.KindCounter, Value: float64(pairs[i+1].(uint64))})
+// etxLabel returns the ".links" sample label of a peer address, formatted
+// once per peer. Collectors run on one goroutine at a time.
+func (nw *Network) etxLabel(peer uint64) string {
+	label, ok := nw.etxLabels[peer]
+	if !ok {
+		label = fmt.Sprintf("etx_%012x", peer)
+		if nw.etxLabels == nil {
+			nw.etxLabels = make(map[uint64]string)
+		}
+		nw.etxLabels[peer] = label
+	}
+	return label
+}
+
+// counterSamples builds one collector's counter samples, values[i] under
+// labels[i]. Labels past the values name samples the caller appends; the
+// result has room for them.
+func counterSamples(name string, labels []string, values ...uint64) []metrics.Sample {
+	out := make([]metrics.Sample, len(values), len(labels))
+	for i, v := range values {
+		out[i] = metrics.Sample{Name: name, Label: labels[i], Kind: metrics.KindCounter, Value: float64(v)}
 	}
 	return out
 }

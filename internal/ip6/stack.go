@@ -435,12 +435,12 @@ func (st *Stack) output(b *pktbuf.Buf, pid uint64) error {
 		b.Put()
 		return err
 	}
-	if st.tr.Enabled() {
+	if st.tr.Keeps(pid) {
 		st.tr.EmitPkt(st.node, trace.KindPacketTX, pid, 0, "dst=%v len=%d", h.Dst, b.Len())
 	}
 	if st.isLocal(h.Dst) {
 		// Loopback delivery.
-		if st.tr.Enabled() {
+		if st.tr.Keeps(pid) {
 			st.tr.EmitPkt(st.node, trace.KindPacketRX, pid, 0, "src=%v loopback", h.Src)
 		}
 		st.deliver(h, payload, pid)
@@ -475,13 +475,13 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 		pkt.Put()
 		if viaIf == nil {
 			st.stats.NoRoute++
-			if st.tr.Enabled() {
+			if st.tr.Keeps(pid) {
 				st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=no-route dst=%v", dst)
 			}
 			return fmt.Errorf("ip6: no route to %v", dst)
 		}
 		st.stats.NoNeighbor++
-		if st.tr.Enabled() {
+		if st.tr.Keeps(pid) {
 			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=no-neighbor nh=%v", nh)
 		}
 		return fmt.Errorf("ip6: no neighbor for %v", nh)
@@ -491,7 +491,7 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 	}
 	if !ifc.Output(mac, pkt, pid) {
 		st.stats.QueueDrops++
-		if st.tr.Enabled() {
+		if st.tr.Keeps(pid) {
 			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=queue-full nh=%v", nh)
 		}
 		return fmt.Errorf("ip6: interface queue full toward %v", nh)
@@ -524,7 +524,7 @@ func (st *Stack) InputBuf(b *pktbuf.Buf, pid uint64) {
 	}
 	if st.isLocal(h.Dst) {
 		st.stats.Received++
-		if st.tr.Enabled() {
+		if st.tr.Keeps(pid) {
 			st.tr.EmitPkt(st.node, trace.KindPacketRX, pid, 0, "src=%v len=%d", h.Src, len(pkt))
 		}
 		st.deliver(h, payload, pid)
@@ -535,14 +535,14 @@ func (st *Stack) InputBuf(b *pktbuf.Buf, pid uint64) {
 	// buffer down — the zero-copy fast path a forwarder spends its life on.
 	if h.HopLimit <= 1 {
 		st.stats.HopLimit++
-		if st.tr.Enabled() {
+		if st.tr.Keeps(pid) {
 			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=hop-limit dst=%v", h.Dst)
 		}
 		b.Put()
 		return
 	}
 	pkt[7] = h.HopLimit - 1
-	if st.tr.Enabled() {
+	if st.tr.Keeps(pid) {
 		st.tr.EmitPkt(st.node, trace.KindPacketFwd, pid, 0, "dst=%v hl=%d", h.Dst, h.HopLimit-1)
 	}
 	if err := st.transmit(h.Dst, b, pid); err == nil {

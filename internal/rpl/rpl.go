@@ -677,7 +677,7 @@ func (in *Instance) sendCtrl(mac uint64, m Message) {
 		in.stats.DISSent++
 	}
 	pid, err := in.stack.SendUDPPID(ip6.LinkLocal(mac), in.cfg.Port, in.cfg.Port, m.Encode())
-	if err == nil && in.tr.Enabled() {
+	if err == nil && in.tr.Keeps(pid) {
 		in.tr.EmitPkt(in.node, trace.KindRPLCtrl, pid, 0, "tx %s to=%012x rank=%d", typeName(m.Type), mac, m.Rank)
 	}
 }

@@ -21,16 +21,40 @@ func (l *Log) WriteCSV(w io.Writer) error {
 	return WriteCSV(w, l.Events(""))
 }
 
+// kindJSON holds every kind name as a quoted JSON string, kind order.
+var kindJSON = func() (q [numKinds]string) {
+	for k, name := range kindNames {
+		q[k] = strconv.Quote(name)
+	}
+	return q
+}()
+
 // WriteNDJSON writes an event slice as newline-delimited JSON. Output is
 // buffered: the underlying writer sees large chunks, not one syscall-sized
 // write per event.
 func WriteNDJSON(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	for _, e := range events {
-		_, err := fmt.Fprintf(bw, "{\"at\":%d,\"node\":%s,\"kind\":%s,\"id\":%d,\"dur\":%d,\"detail\":%s}\n",
-			int64(e.At), strconv.Quote(e.Node), strconv.Quote(e.Kind.String()),
-			e.ID, int64(e.Dur), strconv.Quote(e.Detail))
-		if err != nil {
+	var line []byte
+	for i := range events {
+		e := &events[i]
+		line = append(line[:0], `{"at":`...)
+		line = strconv.AppendInt(line, int64(e.At), 10)
+		line = append(line, `,"node":`...)
+		line = strconv.AppendQuote(line, e.Node)
+		line = append(line, `,"kind":`...)
+		if int(e.Kind) < len(kindJSON) {
+			line = append(line, kindJSON[e.Kind]...)
+		} else {
+			line = strconv.AppendQuote(line, e.Kind.String())
+		}
+		line = append(line, `,"id":`...)
+		line = strconv.AppendUint(line, e.ID, 10)
+		line = append(line, `,"dur":`...)
+		line = strconv.AppendInt(line, int64(e.Dur), 10)
+		line = append(line, `,"detail":`...)
+		line = strconv.AppendQuote(line, e.Detail)
+		line = append(line, '}', '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}

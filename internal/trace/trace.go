@@ -256,6 +256,14 @@ func (l *Log) Freeze() { l.frozen = true }
 // every instrumentation site pays when recording is off.
 func (l *Log) Enabled() bool { return l != nil && l.armed }
 
+// Keeps reports whether an event tagged with packet id would be recorded:
+// the log is armed and the packet is untagged (id 0) or sampled in. Tagged
+// emit sites test this instead of Enabled, so the arguments of an event the
+// sampler is about to drop are never boxed.
+func (l *Log) Keeps(id uint64) bool {
+	return l != nil && l.armed && (id == 0 || l.KeepPkt(id))
+}
+
 // Enable starts recording. Idempotent. Events retained from before a
 // Disable survive. Shard buffers are allocated lazily as nodes emit.
 func (l *Log) Enable() {

@@ -169,6 +169,12 @@ func ParseEngine(name string) (Engine, error) { return sim.ParseEngine(name) }
 // ParseRouting maps a flag value ("static" or "dynamic") to a RoutingMode.
 func ParseRouting(name string) (RoutingMode, error) { return exp.ParseRouting(name) }
 
+// ValidateFlags reports a -nodes, -range or -minutes flag value no run can
+// honour (see exp.ValidateFlags); CLIs exit 2 with its message.
+func ValidateFlags(nodes int, radioRange float64, minutes int) error {
+	return exp.ValidateFlags(nodes, radioRange, minutes)
+}
+
 // RunSweep executes a producer×interval sweep across a work-stealing worker
 // pool; results are byte-identical for any worker count.
 func RunSweep(sc SweepConfig) ([]CellResult, error) { return exp.RunSweep(sc) }
@@ -257,7 +263,7 @@ func Line() Topology { return testbed.Line() }
 func Mesh() Topology { return testbed.Mesh() }
 
 // Forest returns n RF-isolated copies of the tree testbed — the multi-site
-// workload the sharded scheduler (NetworkConfig.Shards) can actually
+// workload more than one worker lane (NetworkConfig.Shards) can actually
 // parallelise.
 func Forest(n int) Topology { return testbed.Forest(n) }
 

@@ -3,9 +3,9 @@
 // cancel-heavy workloads and derives machine-independent speedup ratios
 // (heap ns per event / wheel ns per event), and it measures the end-to-end
 // packet datapath's heap cost (allocations and bytes per 7-hop CoAP
-// exchange) with the pktbuf pool on and off, and it compares the conservative
-// sharded scheduler (four worker lanes on a four-site forest) against the
-// serial engine on the same workload, and it times the canonical 10k-node
+// exchange) with the pktbuf pool on and off, and it compares four worker lanes
+// of the scheduler against one on a four-site forest, and it times the
+// canonical 10k-node
 // generated city-scale run per event (ns_per_event_10k; gated locally by
 // -max10kns, informational in CI). With -write it records the
 // result as a baseline (BENCH_sim.json); with -check it verifies the wheel's
@@ -67,13 +67,12 @@ const (
 	// fraction (sampling at 10% must shed well over half the event volume).
 	traceSampleRate         = 0.10
 	maxTraceSampledOverhead = 0.35
-	// minShardedSpeedup is the local floor for the sharded scheduler on the
-	// four-site forest: four worker lanes must not run slower than the
-	// serial engine on the same workload. Even on a single hardware thread
-	// the sharded build wins slightly (~1.05×: four 15-node timer wheels
-	// cascade cheaper than one 60-node wheel), so parity is a safe hard
-	// floor; the ≥1.5× dense-forest target needs real cores and is checked
-	// informationally in CI.
+	// minShardedSpeedup is the local floor for four worker lanes against one
+	// on the four-site forest: the same four site simulations, run on four
+	// goroutines instead of inline, must not run slower. On a single hardware
+	// thread the ratio is ≈ 1 (the goroutine hand-off per window is all that
+	// differs), so parity is the hard floor; the ≥1.5× dense-forest target
+	// needs real cores and is checked informationally in CI.
 	minShardedSpeedup = 1.0
 	// shardedBenchLanes is the worker-lane count of the gated measurement
 	// (the speedup_sharded4 key).
@@ -186,11 +185,11 @@ func traceSampledOverhead() float64 {
 }
 
 // forestNsPerEvent measures the end-to-end cost per simulated event of a
-// four-site forest run (four RF-isolated trees, 60 nodes). shards==0 drives
-// the serial engine — the baseline; shards==4 drives the conservative
-// sharded scheduler with four worker lanes. Event counts differ slightly
-// between the two modes (per-site RNG streams), so the ratio is taken per
-// event, not per run.
+// four-site forest run (four RF-isolated trees, 60 nodes) on the given
+// number of worker lanes: 0 is one lane — the baseline — and 4 runs the four
+// site windows on four goroutines. Both execute the same events (output does
+// not depend on the lane count); the cost is still reported per event so the
+// keys compare with the other ns/event keys.
 func forestNsPerEvent(shards int) float64 {
 	var events uint64
 	r := testing.Benchmark(func(b *testing.B) {
@@ -284,8 +283,9 @@ func city100kNsPerEvent(lanes int) float64 {
 	return float64(elapsed.Nanoseconds()) / float64(nw.Processed())
 }
 
-// shardedStats measures the serial-vs-sharded forest ratio with the given
-// worker-lane count. A result under the local floor gets one retry with the
+// shardedStats measures the one-lane-vs-lanes forest ratio (the keys keep
+// their historical names: "serial" is one lane, "sharded4" the given count).
+// A result under the local floor gets one retry with the
 // better of the two kept — wall-clock ratios on a shared machine are the one
 // noisy measurement in this suite.
 func shardedStats(lanes int) map[string]float64 {
@@ -315,9 +315,9 @@ func main() {
 	minSpeedup := flag.Float64("minspeedup", minDenseSpeedup,
 		"required wheel-vs-heap speedup on dense workloads (CI may pass a slightly lower floor to absorb shared-runner noise)")
 	minSharded := flag.Float64("minshardedspeedup", minShardedSpeedup,
-		"required sharded-vs-serial speedup on the four-site forest (CI passes 0 to make the wall-clock ratio informational on shared runners)")
+		"required 4-lane-vs-1-lane speedup on the four-site forest (CI passes 0 to make the wall-clock ratio informational on shared runners)")
 	shardLanes := flag.Int("shards", shardedBenchLanes,
-		"worker lanes for the sharded forest measurement (the baseline keys are recorded at the default 4)")
+		"worker lanes for the multi-lane forest measurement (the baseline keys are recorded at the default 4)")
 	max10kNs := flag.Float64("max10kns", max10kNsPerEvent,
 		"ns/event ceiling for the 10k-node city-scale run (0 disables the gate; CI passes 0 so the wall-clock value stays informational on shared runners)")
 	pf := prof.Register(flag.CommandLine)
@@ -402,7 +402,7 @@ func main() {
 			failed = true
 		}
 		if m["speedup_sharded4"] < *minSharded {
-			fmt.Fprintf(os.Stderr, "FAIL: speedup_sharded4 = %.2f, want ≥ %.2f (sharded scheduler must not lose to serial on the forest)\n",
+			fmt.Fprintf(os.Stderr, "FAIL: speedup_sharded4 = %.2f, want ≥ %.2f (four lanes must not lose to one on the forest)\n",
 				m["speedup_sharded4"], *minSharded)
 			failed = true
 		}

@@ -32,7 +32,7 @@ func main() {
 	runs := flag.Int("runs", 1, "repetitions per configuration (paper: 5)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 	engineName := flag.String("engine", "wheel", "sim event-queue engine: wheel or heap")
-	shards := flag.Int("shards", 0, "worker lanes of the sharded conservative scheduler per run (0 = serial engine; output is identical either way)")
+	shards := flag.Int("shards", 0, "worker lanes executing the RF-isolated sites of each run (0 and 1: one lane; output is the same for every value)")
 	topoName := flag.String("topo", "tree", "swept topology: tree (the paper's), geo, city, or floors (seeded generators)")
 	nodes := flag.Int("nodes", 60, "node count for -topo geo")
 	radioRange := flag.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")

@@ -7,7 +7,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
+	"blemesh/internal/exp"
 	"blemesh/internal/testbed"
 )
 
@@ -17,6 +19,10 @@ func main() {
 	nodes := flag.Int("nodes", 60, "node count for -topo geo")
 	radioRange := flag.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")
 	flag.Parse()
+	if err := exp.ValidateFlags(*nodes, *radioRange, 1); err != nil { // no -minutes here: nothing runs
+		fmt.Fprintln(os.Stderr, "blemesh-topo:", err)
+		os.Exit(2)
+	}
 
 	switch *which {
 	case "geo":

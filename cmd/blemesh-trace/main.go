@@ -42,7 +42,7 @@ func main() {
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	streamPath := fs.String("stream", "", "stream periodic registry snapshots (NDJSON) to this file during the run")
 	streamEvery := fs.Int("stream-every", 60, "streaming period in simulated seconds")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical either way)")
+	shards := fs.Int("shards", 0, "worker lanes executing the RF-isolated sites of a run (0 and 1: one lane; output is the same for every value)")
 	_ = fs.Parse(os.Args[1:])
 
 	blemesh.SetExactCDF(*exact)
@@ -75,7 +75,11 @@ func main() {
 		cfg.StreamMetrics = f
 		cfg.StreamEvery = blemesh.Duration(*streamEvery) * blemesh.Second
 	}
-	if err := cfg.Validate(); err != nil {
+	err := cfg.Validate()
+	if err == nil {
+		err = blemesh.ValidateFlags(2, 0, *minutes) // no generator flags here
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "blemesh-trace:", err)
 		os.Exit(2)
 	}

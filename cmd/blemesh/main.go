@@ -66,7 +66,7 @@ func run(args []string) {
 	runs := fs.Int("runs", 1, "repetitions (paper: 5)")
 	workers := fs.Int("workers", 0, "parallel workers for repeated/swept experiments (0 = GOMAXPROCS)")
 	engineName := fs.String("engine", "wheel", "sim event-queue engine: wheel or heap")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine; output is identical either way)")
+	shards := fs.Int("shards", 0, shardsHelp)
 	values := fs.Bool("values", false, "also print the key-number table")
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(fs)
@@ -101,6 +101,9 @@ func run(args []string) {
 	// would break the byte-identical stdout guarantee.
 	fmt.Fprintln(os.Stderr, blemesh.GCFooter())
 }
+
+// shardsHelp describes the -shards flag of run, trace and all.
+const shardsHelp = "worker lanes executing the RF-isolated sites of a run (0 and 1: one lane; output is the same for every value)"
 
 // parseTopo resolves a -topo flag value into a topology: the paper's fixed
 // layouts, or one of the seeded city-scale generators (geo honours -nodes;
@@ -145,11 +148,15 @@ func traceRun(args []string) {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	node := fs.String("node", "", "restrict to one node name")
 	routingName := fs.String("routing", "static", "routing plane: static or dynamic (RPL-lite)")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine)")
+	shards := fs.Int("shards", 0, shardsHelp)
 	nodes := fs.Int("nodes", 60, "node count for -topo geo")
 	radioRange := fs.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")
 	lean := fs.Bool("lean", false, "lean metrics + sparse sink-tree routes (the city-scale mode; required well before 10k nodes)")
 	_ = fs.Parse(args)
+	if err := blemesh.ValidateFlags(*nodes, *radioRange, *minutes); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh:", err)
+		os.Exit(2)
+	}
 	topo, err := parseTopo(*topoName, *seed, *nodes, *radioRange)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -189,7 +196,7 @@ func all(args []string) {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	scale := fs.Float64("scale", 1.0, "duration scale")
 	workers := fs.Int("workers", 0, "parallel workers for repeated/swept experiments (0 = GOMAXPROCS)")
-	shards := fs.Int("shards", 0, "worker lanes of the sharded conservative scheduler (0 = serial engine)")
+	shards := fs.Int("shards", 0, shardsHelp)
 	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(fs)
 	_ = fs.Parse(args)

@@ -15,9 +15,8 @@ import (
 // arenaExport drives one traced workload and returns the full trace +
 // metrics NDJSON. heap builds every node with a nil core.Arena — each struct
 // allocated on its own, the storage World.NewNode and the unit tests of
-// every layer use — instead of out of the per-site slabs. shards==0 is the
-// serial engine with phy domain partitioning; shards>=1 the conservative
-// sharded one.
+// every layer use — instead of out of the per-site slabs. shards is the
+// worker-lane count (0 and 1: one lane).
 func arenaExport(t *testing.T, topo testbed.Topology, seed int64, heap bool, shards int) string {
 	t.Helper()
 	cfg := NetworkConfig{
@@ -65,8 +64,8 @@ func arenaExport(t *testing.T, topo testbed.Topology, seed int64, heap bool, sha
 }
 
 // TestArenaSerialAllocEquivalence pins the one thing an Arena still decides:
-// where a node's structs live. The serial build carves per-site slabs in
-// global id order; the same generated geo and city topologies (and the
+// where a node's structs live. The one-lane build carves per-site slabs
+// site by site; the same generated geo and city topologies (and the
 // fixed-tree control) built with every struct on the heap — the storage the
 // unit tests and World.NewNode run on — must export byte-identical trace and
 // metrics NDJSON. The arena is a memory-layout knob, never an output knob.
@@ -158,6 +157,38 @@ func TestSparseRoutesRequireStaticRouting(t *testing.T) {
 		Routing:      RoutingDynamic,
 		SparseRoutes: true,
 	})
+}
+
+// TestValidateFlags: the generator and run-length flags the CLIs share are
+// refused where the generators' defaults and the run loop would silently make
+// something else of them.
+func TestValidateFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		rng     float64
+		minutes int
+		want    string // substring of the error; "" = valid
+	}{
+		{"CLI defaults", 60, 0, 10, ""},
+		{"smallest network, shortest run", 2, 0.5, 1, ""},
+		{"one node", 1, 0, 10, "-nodes = 1"},
+		{"no nodes", 0, 0, 10, "-nodes = 0"},
+		{"negative nodes", -5, 0, 10, "-nodes = -5"},
+		{"negative range", 60, -3, 10, "-range = -3"},
+		{"NaN range", 60, math.NaN(), 10, "-range = NaN"},
+		{"zero minutes", 60, 0, 0, "-minutes = 0"},
+		{"negative minutes", 60, 0, -1, "-minutes = -1"},
+		{"first offence wins", 0, -3, -1, "-nodes = 0"},
+	} {
+		err := ValidateFlags(tc.nodes, tc.rng, tc.minutes)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: ValidateFlags() = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: ValidateFlags() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestDenseIndexLookup cross-checks the dense id-indexed node table against

@@ -93,8 +93,8 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// shardedExport drives the same workload as engineExport but through the
-// conservative sharded scheduler with the given worker-lane count.
+// shardedExport drives the same workload as engineExport with the given
+// worker-lane count.
 func shardedExport(t *testing.T, seed int64, churn bool, shards int) string {
 	t.Helper()
 	nw := BuildNetwork(NetworkConfig{
@@ -134,11 +134,16 @@ func shardedExport(t *testing.T, seed int64, churn bool, shards int) string {
 	return b.String()
 }
 
-// TestShardEquivalence is the determinism contract for the sharded scheduler:
-// 16 seeds of the dense-tree and churn workloads, for every shard count in
-// {1, 2, 4, 8}, must export byte-identical trace and metrics NDJSON to the
-// serial timer-wheel engine. The shard count is a worker-lane knob, never an
-// output knob.
+// TestShardEquivalence pins worker-count invariance on a single-site network,
+// 0 included: 16 seeds of the dense-tree and churn workloads, for every
+// Shards in {1, 2, 4, 8}, must export byte-identical trace and metrics NDJSON
+// to the Shards: 0 run ("serial" below). The shard count is a worker-lane
+// knob, never an output knob. Until PR 19 Shards: 0 was a second code path —
+// one plain Sim, no scheduler — and this test proved the two equal; now both
+// sides run the same one-lane scheduler, and that identity was shown once,
+// against the parent commit, in that PR (CHANGES.md). What a one-domain
+// scheduler owes a plain Sim is pinned in internal/sim
+// (TestShardedSingleDomainMatchesSerial).
 func TestShardEquivalence(t *testing.T) {
 	for _, wl := range []struct {
 		name  string
@@ -164,8 +169,7 @@ func TestShardEquivalence(t *testing.T) {
 }
 
 // forestExport drives a four-site forest (four RF-isolated tree testbeds)
-// through the scheduler and returns the merged observable output. shards==0
-// selects the serial engine with phy domain partitioning.
+// with the given worker-lane count and returns the merged observable output.
 func forestExport(t *testing.T, seed int64, churn bool, shards int) string {
 	t.Helper()
 	nw := BuildNetwork(NetworkConfig{
@@ -210,9 +214,10 @@ func forestExport(t *testing.T, seed int64, churn bool, shards int) string {
 }
 
 // TestForestShardWorkerInvariance pins the multi-site case: a 4-site forest
-// driven with 1, 2, 4, and 8 worker lanes — with and without cross-site
-// churn — must produce byte-identical exports. This is where windows really
-// run concurrently, so it is the racing half of the determinism contract.
+// driven with Shards 0 (one lane, like 1), 2, 4, and 8 — with and without
+// cross-site churn — must produce byte-identical exports. This is where
+// windows really run concurrently, so it is the racing half of the
+// determinism contract.
 func TestForestShardWorkerInvariance(t *testing.T) {
 	for _, wl := range []struct {
 		name  string
@@ -224,7 +229,7 @@ func TestForestShardWorkerInvariance(t *testing.T) {
 				if ref == "" {
 					t.Fatalf("seed %d: empty export", seed)
 				}
-				for _, shards := range []int{2, 4, 8} {
+				for _, shards := range []int{0, 2, 4, 8} {
 					got := forestExport(t, seed, wl.churn, shards)
 					if got != ref {
 						n, g, w := firstDiff(got, ref)

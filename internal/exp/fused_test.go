@@ -16,7 +16,7 @@ import (
 // the link layer as shipped, or with every controller forced to run each
 // connection event through the queue (ble.Controller.SetEventByEvent), and
 // returns trace + metrics NDJSON and the share of coordinator events the
-// link layer ran in one step. shards==0 is the serial engine.
+// link layer ran in one step. shards is the worker-lane count (0: one).
 func fusedExport(t *testing.T, kind string, seed int64, shards int, eventByEvent bool) (string, float64) {
 	t.Helper()
 	var topo testbed.Topology
@@ -84,7 +84,7 @@ func fusedExport(t *testing.T, kind string, seed int64, shards int, eventByEvent
 // link layer may compute an idle connection event in one step, but every
 // trace line and every metric must be what the event-by-event path — the
 // general path, and the reference — produces. Eight seeds of each workload,
-// serial and on four lanes.
+// on one lane and on four.
 func TestFusedIdleEquivalence(t *testing.T) {
 	seeds := int64(8)
 	if testing.Short() {

@@ -136,14 +136,13 @@ type NetworkConfig struct {
 	// must be byte-identical either way; the differential test layer flips
 	// this to prove it.
 	LinearPHY bool
-	// Shards selects the sharded scheduler (internal/sim Sharded): the
-	// topology is cut into RF-isolated sites (connected components), each
-	// driven by its own event queue and clock under a conservative barrier
-	// protocol, and Shards worker goroutines execute the site windows.
-	// 0 (default) keeps the historical serial single-queue run. Any value
-	// ≥ 1 selects the sharded schedule, whose output is byte-identical for
-	// every worker count — and, on single-site topologies, byte-identical
-	// to the serial run as well.
+	// Shards is the number of worker lanes (goroutines) that execute the
+	// site windows of the run and the per-site build; 0 and 1 both mean one.
+	// Every network runs on internal/sim's Sharded scheduler — the topology
+	// cut into RF-isolated sites (connected components), each with its own
+	// event queue, clock and RNG stream under a conservative barrier
+	// protocol — so output is a function of the seed and the site
+	// decomposition and is byte-identical for every value of Shards.
 	Shards int
 }
 
@@ -187,6 +186,23 @@ func (c NetworkConfig) Validate() error {
 	return nil
 }
 
+// ValidateFlags reports a -nodes, -range or -minutes value no run can
+// honour. The generators and the run loop would each make something of it —
+// one node and no producer, the default range, no traffic at all — and print
+// a result; a CLI exits 2 with this message instead, as with Validate. A CLI
+// without one of the flags passes that flag's default.
+func ValidateFlags(nodes int, radioRange float64, minutes int) error {
+	switch {
+	case nodes < 2:
+		return fmt.Errorf("-nodes = %d, want ≥ 2 (a sink and a producer)", nodes)
+	case radioRange < 0 || math.IsNaN(radioRange):
+		return fmt.Errorf("-range = %v, want ≥ 0 (0: the generator's default)", radioRange)
+	case minutes < 1:
+		return fmt.Errorf("-minutes = %d, want ≥ 1", minutes)
+	}
+	return nil
+}
+
 // TrafficConfig is the §4.3 producer/consumer workload.
 type TrafficConfig struct {
 	// Interval is the mean producer interval (paper default 1s).
@@ -213,17 +229,18 @@ func (t *TrafficConfig) defaults() {
 // Network is an assembled BLE testbed network with live metric collection.
 type Network struct {
 	// Sim is the run's scheduling surface for external code (fault plans,
-	// streaming ticks): the single simulation in serial runs, site 0 in
-	// single-site sharded runs, and the barrier-synchronized global lane
-	// in multi-site sharded runs.
+	// streaming ticks, samplers): the one simulation of a single-site
+	// network; on a network of several sites, the scheduler's global lane,
+	// whose events run at a barrier and observe every site at one time.
 	Sim *sim.Sim
-	// Sharded is the conservative parallel scheduler; nil in serial runs.
+	// Sharded is the handle for changing the worker count of a run that
+	// asked for lanes: nil when Cfg.Shards == 0, sched otherwise.
 	Sharded *sim.Sharded
-	// Medium is the first (often only) RF medium; Media holds one medium
-	// per site in sharded runs (Media[0] == Medium).
-	Medium *phy.Medium
-	Media  []*phy.Medium
-	Cfg    NetworkConfig
+	// sched drives every network: domain i is site i's simulation.
+	sched *sim.Sharded
+	// Media holds one RF medium per site.
+	Media []*phy.Medium
+	Cfg   NetworkConfig
 	// Nodes and Meters are dense id-indexed slices (testbed IDs are small
 	// integers; generated topologies use 1..N). Entries at unused IDs are
 	// nil — range loops must skip them; NodeCount is the built-node count.
@@ -238,9 +255,6 @@ type Network struct {
 	sites     [][]int
 	siteOf    []int
 	consumers []int
-	// perSite marks multi-site sharded runs, where RTT/PDR collection is
-	// split per site so domain windows never share a metrics object.
-	perSite bool
 
 	// Trace is the network-wide event log (enabled via NetworkConfig).
 	Trace *trace.Log
@@ -249,8 +263,10 @@ type Network struct {
 	// and the network-level aggregates register named collectors here.
 	Registry *metrics.Registry
 
-	// Metrics. In perSite runs RTTs/Series alias site 0's objects; use
-	// MergedRTTs/MergedSeries for network-wide views.
+	// Metrics. RTT/PDR collection is split per site (rtts, series) so site
+	// windows never share a metrics object; RTTs and Series alias site 0's,
+	// which on a network of several sites is one site's share only — use
+	// MergedRTTs/MergedSeries/CoAPPDR for network-wide views.
 	RTTs      *metrics.CDF
 	PerProd   *metrics.Heatmap
 	Series    *metrics.TimeSeries
@@ -275,13 +291,9 @@ type netBuild struct {
 	nw      *Network
 	ids     []int
 	maxID   int
-	sharded bool
-	// siteSims is the scheduling surface of each site: one Sim per site in
-	// sharded runs, the same Sim for every site in serial ones.
-	siteSims []*sim.Sim
-	chanMap  ble.ChannelMap
-	ppm      map[int]float64
-	names    map[int]string
+	chanMap ble.ChannelMap
+	ppm     map[int]float64
+	names   map[int]string
 
 	arenas []*core.Arena // one per site
 	meters []energy.Meter
@@ -294,23 +306,22 @@ type netBuild struct {
 
 // BuildNetwork assembles the BLE network for cfg.
 //
-// With cfg.Shards == 0 (the default) the whole network runs on one serial
-// simulation; multi-site topologies share that simulation through a
-// domain-partitioned medium. With cfg.Shards ≥ 1 each site (connected
-// component — an RF-closure domain with effectively infinite lookahead to
-// every other site) gets its own simulation and medium under the
-// conservative barrier scheduler, and cfg.Shards worker goroutines execute
-// the site windows. Output is a pure function of the site decomposition,
-// never of the worker count.
+// Each site of the topology (connected component — an RF-closure domain
+// with effectively infinite lookahead to every other site) gets its own
+// simulation, medium, arena and RNG stream under the conservative barrier
+// scheduler; a connected topology is the one-site case, whose scheduler is
+// a plain simulation. cfg.Shards worker goroutines (0 means 1) execute the
+// site windows. Output is a pure function of the seed and the site
+// decomposition, never of the worker count.
 func BuildNetwork(cfg NetworkConfig) *Network {
 	cfg.defaults()
 	if err := cfg.Validate(); err != nil {
 		panic("exp: " + err.Error())
 	}
 	b := planNetwork(cfg) // sites, ids, one Sim per site, the trace log
-	b.buildMedia()        // one medium per site (sharded) or one for all
+	b.buildMedia()        // one medium per site
 	b.allocStorage()      // arenas, meter slab, metric surfaces, route windows
-	b.fill()              // nodes, links, routes: per site, or in global id order
+	b.fill()              // nodes, links, routes, site by site
 	b.wire()              // link-layer sampler, streaming tick
 	b.nw.registerMetrics(b.ids)
 	return b.nw
@@ -320,7 +331,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 // later phase schedules on or emits into: the simulations and the trace log.
 func planNetwork(cfg NetworkConfig) *netBuild {
 	sites := cfg.Topology.Sites()
-	b := &netBuild{cfg: cfg, ids: cfg.Topology.Nodes(), sharded: cfg.Shards >= 1}
+	b := &netBuild{cfg: cfg, ids: cfg.Topology.Nodes()}
 	for _, id := range b.ids {
 		if id > b.maxID {
 			b.maxID = id
@@ -335,7 +346,6 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 		sites:      sites,
 		siteOf:     make([]int, b.maxID+1),
 		consumers:  cfg.Topology.SiteConsumers(),
-		perSite:    b.sharded && len(sites) > 1,
 		PerProd:    metrics.NewHeatmap(60 * sim.Second),
 		Registry:   metrics.NewRegistry(),
 		jammers:    make(map[phy.Channel][]*phy.Switched),
@@ -347,25 +357,16 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 		}
 	}
 
-	// nw.Sim is the surface for external scheduling (see the field comment).
-	b.siteSims = make([]*sim.Sim, len(sites))
-	if b.sharded {
-		sh := sim.NewSharded(cfg.Seed, cfg.Engine, len(sites), 0)
-		sh.SetWorkers(cfg.Shards)
+	sh := sim.NewSharded(cfg.Seed, cfg.Engine, len(sites))
+	sh.SetWorkers(cfg.Shards)
+	nw.sched = sh
+	if cfg.Shards > 0 {
 		nw.Sharded = sh
-		for i := range b.siteSims {
-			b.siteSims[i] = sh.Shard(i)
-		}
-		if len(sites) > 1 {
-			nw.Sim = sh.Global()
-		} else {
-			nw.Sim = sh.Shard(0)
-		}
-	} else {
-		nw.Sim = sim.NewWithEngine(cfg.Seed, cfg.Engine)
-		for i := range b.siteSims {
-			b.siteSims[i] = nw.Sim
-		}
+	}
+	// nw.Sim is the surface for external scheduling (see the field comment).
+	nw.Sim = sh.Shard(0)
+	if len(sites) > 1 {
+		nw.Sim = sh.Global()
 	}
 
 	b.chanMap = ble.AllDataChannels
@@ -393,16 +394,17 @@ func (b *netBuild) newTrace() {
 		nw.Trace.Enable()
 		nw.Trace.SetSampleRate(cfg.TraceSample)
 	}
-	if b.sharded {
-		// Sharded recording must never grow the ring map from a worker
-		// goroutine: register every emitter against its site's clock before
-		// any node exists, then freeze. With tracing off the registration
-		// is skipped — a disabled log never records, and the per-node
-		// name/ring bookkeeping is pure waste at city scale.
+	if len(nw.sites) > 1 {
+		// The log's own clock is the global lane, and sites record from
+		// worker goroutines, which must never grow the ring map: register
+		// every emitter against its site's clock before any node exists,
+		// then freeze. With tracing off the registration is skipped — a
+		// disabled log never records, and the per-node name/ring
+		// bookkeeping is pure waste at city scale.
 		if cfg.Trace {
 			for _, id := range b.ids {
 				si := nw.siteOf[id]
-				nw.Trace.RegisterNode(b.nodeName(id), b.siteSims[si], si)
+				nw.Trace.RegisterNode(b.nodeName(id), nw.sched.Shard(si), si)
 			}
 		}
 		nw.Trace.Freeze()
@@ -416,20 +418,12 @@ func (b *netBuild) nodeName(id int) string {
 	return fmt.Sprintf("node-%d", id)
 }
 
-// buildMedia creates the RF media: serial runs share one medium (multi-site
-// topologies partition it into RF domains); sharded runs give each site its
-// own medium on its own simulation. Each medium knows how many nodes will
-// attach, so its radios come out of one slab.
+// buildMedia gives each site its own RF medium on its own simulation. Each
+// medium knows how many nodes will attach, so its radios come out of one slab.
 func (b *netBuild) buildMedia() {
-	nw := b.nw
-	if b.sharded {
-		for si, site := range nw.sites {
-			b.newMedium(b.siteSims[si]).ReserveRadios(len(site))
-		}
-	} else {
-		b.newMedium(nw.Sim).ReserveRadios(len(b.ids))
+	for si, site := range b.nw.sites {
+		b.newMedium(b.nw.sched.Shard(si)).ReserveRadios(len(site))
 	}
-	nw.Medium = nw.Media[0]
 }
 
 // newMedium builds one medium and appends it to nw.Media. Interference
@@ -466,8 +460,7 @@ func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 // static routing — the route windows.
 func (b *netBuild) allocStorage() {
 	cfg, nw := b.cfg, b.nw
-	// One arena per site, so sites can fill in parallel; a serial build
-	// carves the same arenas in global id order.
+	// One arena per site, so sites can fill in parallel.
 	sizes := make([]int, len(nw.sites))
 	for si, site := range nw.sites {
 		sizes[si] = len(site)
@@ -475,14 +468,10 @@ func (b *netBuild) allocStorage() {
 	b.arenas = core.NewArenas(sizes)
 	b.meters = make([]energy.Meter, b.maxID+1)
 
-	// Metric surfaces: one RTT CDF and PDR series per site in perSite
-	// runs; a single shared pair otherwise — two slabs either way, not
-	// 2·nsurf small allocations. RTTs/Series always alias site 0 so
-	// single-site experiment code reads them unchanged.
-	nsurf := 1
-	if nw.perSite {
-		nsurf = len(nw.sites)
-	}
+	// Metric surfaces: one RTT CDF and PDR series per site — two slabs, not
+	// 2·nsurf small allocations. RTTs/Series alias site 0, which is all of a
+	// single-site network.
+	nsurf := max(len(nw.sites), 1) // an empty topology still has RTTs/Series
 	seriesBucket := cfg.SeriesBucket
 	if seriesBucket <= 0 {
 		seriesBucket = 60 * sim.Second
@@ -535,27 +524,25 @@ func (b *netBuild) carveRouteWindows() {
 }
 
 // fill builds the nodes, their links and their routes. What fixes the order
-// is the RNG: a serial run draws from one stream, so the whole network fills
-// as one group in global id order; in a sharded run every site has its own
-// stream, so each site is a group and the groups fill in parallel. Every
-// write lands in site-private storage (the site's arena) or at a site-owned
-// dense index (Nodes, Meters, route windows), so workers coordinate only
-// through the claim counter.
+// is the RNG: every site has its own stream, so each site is a group, filled
+// in id order, and with more than one lane the groups fill in parallel.
+// Every write lands in site-private storage (the site's arena) or at a
+// site-owned dense index (Nodes, Meters, route windows), so workers
+// coordinate only through the claim counter.
 func (b *netBuild) fill() {
 	links, sites := b.cfg.Topology.Links, b.nw.sites
 	subCount := b.cfg.Topology.SubordinateCount()
-	if !b.sharded {
-		b.fillGroup(b.ids, links, subCount)
-		return
-	}
 	siteLinks := make([][]testbed.Link, len(sites))
 	for _, l := range links {
 		si := b.nw.siteOf[l.Coordinator]
 		siteLinks[si] = append(siteLinks[si], l)
 	}
-	workers := b.cfg.Shards
-	if workers > len(sites) {
-		workers = len(sites)
+	workers := min(b.cfg.Shards, len(sites))
+	if workers <= 1 {
+		for si, site := range sites {
+			b.fillGroup(site, siteLinks[si], subCount)
+		}
+		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -599,12 +586,6 @@ func (b *netBuild) fillGroup(ids []int, links []testbed.Link, subCount map[int]i
 func (b *netBuild) buildNode(id int) {
 	cfg, nw := b.cfg, b.nw
 	site := nw.siteOf[id]
-	medium := nw.Media[0]
-	if b.sharded {
-		medium = nw.Media[site]
-	} else {
-		medium.SetDomain(site)
-	}
 	var routing *rpl.Config
 	if cfg.Routing == RoutingDynamic {
 		routing = new(rpl.Config)
@@ -613,7 +594,7 @@ func (b *netBuild) buildNode(id int) {
 		}
 		routing.Root = id == cfg.Topology.Consumer
 	}
-	n := core.NewNode(b.siteSims[site], medium, core.NodeConfig{
+	n := core.NewNode(nw.sched.Shard(site), nw.Media[site], core.NodeConfig{
 		Name:     b.nodeName(id),
 		MAC:      uint64(0x5A0000000000) + uint64(id),
 		ClockPPM: b.ppm[id],
@@ -678,8 +659,8 @@ func (b *netBuild) wire() {
 	nw.streamer = st // for StreamErr
 	// The tick only reads collectors and writes to an external sink —
 	// it never touches the sim RNG, so streaming cannot perturb a run.
-	// In multi-site sharded runs nw.Sim is the global lane, so each
-	// snapshot observes every site at a consistent barrier time. A sink
+	// With several sites nw.Sim is the global lane, so each snapshot
+	// observes every site at a consistent barrier time. A sink
 	// that fails ends the stream (StreamErr), not the run.
 	var tick func()
 	tick = func() {
@@ -737,16 +718,11 @@ func (nw *Network) registerMetrics(ids []int) {
 	nw.Registry.RegisterGauge("net.ll_pdr", nw.LLPDR)
 	nw.Registry.RegisterCounter("net.conn_losses", func() float64 { return float64(nw.ConnLosses()) })
 	nw.Registry.RegisterCounter("net.buffer_drops", func() float64 { return float64(nw.BufferDrops()) })
-	if nw.perSite {
-		// Merge the per-site CDFs at gather time; CDFSamples reproduces
-		// RegisterCDF's exact sample shape, so the export rows are
-		// byte-compatible with the single-CDF path.
-		nw.Registry.Register("net.rtt_seconds", func() []metrics.Sample {
-			return metrics.CDFSamples("net.rtt_seconds", nw.MergedRTTs())
-		})
-	} else {
-		nw.Registry.RegisterCDF("net.rtt_seconds", nw.RTTs)
-	}
+	// The per-site CDFs are merged at gather time (on a single-site network
+	// MergedRTTs is RTTs itself).
+	nw.Registry.Register("net.rtt_seconds", func() []metrics.Sample {
+		return metrics.CDFSamples("net.rtt_seconds", nw.MergedRTTs())
+	})
 	nw.Registry.Register("net.trace", func() []metrics.Sample {
 		out := []metrics.Sample{{Name: "net.trace", Label: "events_total",
 			Kind: metrics.KindCounter, Value: float64(nw.Trace.Total())}}
@@ -882,14 +858,8 @@ func (nw *Network) Node(id int) *core.Node {
 // be contiguous), so their length is not the population.
 func (nw *Network) NodeCount() int { return nw.nodeCount }
 
-// Now returns the run's current time: the barrier time in sharded runs,
-// the simulation clock otherwise.
-func (nw *Network) Now() sim.Time {
-	if nw.Sharded != nil {
-		return nw.Sharded.Now()
-	}
-	return nw.Sim.Now()
-}
+// Now returns the run's current time: the barrier every site has reached.
+func (nw *Network) Now() sim.Time { return nw.sched.Now() }
 
 // WaitTopology runs the simulation until every configured link is up (or
 // the deadline passes). It returns whether the topology formed.
@@ -1031,17 +1001,13 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	if !nw.Cfg.Lean {
 		row = nw.PerProd.Row(name)
 	}
-	// Everything the loop touches is site-local: the node's own Sim (the
-	// shared serial Sim outside sharded runs), the site's sink, and the
-	// site's metric surfaces — so producer events run safely inside
-	// parallel domain windows.
+	// Everything the loop touches is site-local: the node's own Sim, the
+	// site's sink, and the site's metric surfaces — so producer events run
+	// safely inside parallel site windows.
 	s := node.Sim
-	series, rtts := nw.Series, nw.RTTs
-	if nw.perSite {
-		site := nw.siteOf[id]
-		series, rtts = nw.series[site], nw.rtts[site]
-	}
-	dst := nw.Nodes[nw.consumers[nw.siteOf[id]]].Addr()
+	site := nw.siteOf[id]
+	series, rtts := nw.series[site], nw.rtts[site]
+	dst := nw.Nodes[nw.consumers[site]].Addr()
 	var loop func()
 	loop = func() {
 		sent := s.Now()
@@ -1073,31 +1039,17 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	s.Post(sim.Duration(s.Rand().Int63n(int64(t.Interval))), loop)
 }
 
-// Run advances the simulation by d — window by window under the sharded
-// scheduler, serially otherwise.
-func (nw *Network) Run(d sim.Duration) {
-	if nw.Sharded != nil {
-		nw.Sharded.Run(nw.Sharded.Now() + d)
-		return
-	}
-	nw.Sim.Run(nw.Sim.Now() + d)
-}
+// Run advances the simulation by d, window by window: one window per Run on
+// a single-site network, one per global-lane event otherwise.
+func (nw *Network) Run(d sim.Duration) { nw.sched.Run(nw.sched.Now() + d) }
 
 // Processed returns the number of simulation events executed so far.
-func (nw *Network) Processed() uint64 {
-	if nw.Sharded != nil {
-		return nw.Sharded.Processed()
-	}
-	return nw.Sim.Processed()
-}
+func (nw *Network) Processed() uint64 { return nw.sched.Processed() }
 
 // ---- Aggregate results ----------------------------------------------------
 
 // CoAPPDR returns the overall CoAP delivery ratio, summed across sites.
 func (nw *Network) CoAPPDR() metrics.Counter {
-	if !nw.perSite {
-		return nw.Series.Overall()
-	}
 	var tot metrics.Counter
 	for _, s := range nw.series {
 		o := s.Overall()
@@ -1107,10 +1059,10 @@ func (nw *Network) CoAPPDR() metrics.Counter {
 	return tot
 }
 
-// MergedRTTs returns the network-wide RTT distribution: the shared CDF in
-// serial and single-site runs, a merge of the per-site CDFs otherwise.
+// MergedRTTs returns the network-wide RTT distribution: RTTs itself on a
+// single-site network, a merge of the per-site CDFs otherwise.
 func (nw *Network) MergedRTTs() *metrics.CDF {
-	if !nw.perSite {
+	if len(nw.rtts) == 1 {
 		return nw.RTTs
 	}
 	m := &metrics.CDF{}
@@ -1122,7 +1074,7 @@ func (nw *Network) MergedRTTs() *metrics.CDF {
 
 // MergedSeries returns the network-wide PDR time series (see MergedRTTs).
 func (nw *Network) MergedSeries() *metrics.TimeSeries {
-	if !nw.perSite {
+	if len(nw.series) == 1 {
 		return nw.Series
 	}
 	m := metrics.NewTimeSeries(nw.Series.Bucket)
@@ -1247,8 +1199,8 @@ func (nw *Network) CrashNode(id int) { nw.Nodes[id].Stop() }
 func (nw *Network) RestartNode(id int) { nw.Nodes[id].Restart() }
 
 // SetBlackout switches the radio-wide all-channel interference on or off.
-// Every medium (one per site in sharded builds) carries its own switch so
-// the blackout covers the whole network either way.
+// Every medium (one per site) carries its own switch so the blackout covers
+// the whole network.
 func (nw *Network) SetBlackout(on bool) {
 	for _, b := range nw.blackouts {
 		b.Set(on)

@@ -27,9 +27,9 @@ type Options struct {
 	// Engine selects the sim event-queue engine (default timer wheel;
 	// the heap reference engine exists for differential testing).
 	Engine sim.Engine
-	// Shards selects the sharded conservative scheduler with this many
-	// worker lanes (0 = serial engine). Results are byte-identical
-	// for any value ≥ 1; see NetworkConfig.Shards.
+	// Shards is the number of worker lanes each network runs its sites on
+	// (0 and 1: one lane). Results are byte-identical for every value; see
+	// NetworkConfig.Shards.
 	Shards int
 }
 

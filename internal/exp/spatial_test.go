@@ -28,8 +28,8 @@ func spatialTopology(kind string, seed int64) testbed.Topology {
 
 // spatialExport drives one traced workload with the PHY scan path pinned to
 // the spatial grid index (linear=false) or the linear distance filter
-// (linear=true) and returns the full trace + metrics NDJSON. shards==0 is
-// the serial engine with phy domain partitioning.
+// (linear=true) and returns the full trace + metrics NDJSON. shards is the
+// worker-lane count (0: one).
 func spatialExport(t *testing.T, topo testbed.Topology, seed int64, linear bool, shards int) string {
 	t.Helper()
 	nw := BuildNetwork(NetworkConfig{
@@ -101,9 +101,9 @@ func TestSpatialIndexIsRepeatable(t *testing.T) {
 	}
 }
 
-// TestGeoShardWorkerInvariance runs a generated multi-site geo topology
-// through the sharded scheduler at 1, 2, and 4 worker lanes: the worker
-// count must never leak into the merged export. This is the racing half of
+// TestGeoShardWorkerInvariance runs a generated multi-site geo topology at
+// Shards 1, 0 (one lane as well), 2 and 4: the worker count must never leak
+// into the merged export. This is the racing half of
 // the contract for the spatial index — per-site grids queried concurrently
 // from domain windows.
 func TestGeoShardWorkerInvariance(t *testing.T) {
@@ -116,7 +116,7 @@ func TestGeoShardWorkerInvariance(t *testing.T) {
 	if ref == "" {
 		t.Fatal("empty export")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{0, 2, 4} {
 		if got := spatialExport(t, topo, 11, false, shards); got != ref {
 			n, g, w := firstDiff(got, ref)
 			t.Fatalf("shards %d diverges from shards=1 at line %d:\n  got:  %s\n  want: %s",

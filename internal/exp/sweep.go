@@ -125,9 +125,9 @@ func RunSweep(sc SweepConfig) ([]CellResult, error) {
 		return runMetrics{
 			coap: nw.CoAPPDR().Rate(),
 			ll:   nw.LLPDR(),
-			// MergedRTTs is the shared CDF on single-site runs (the
+			// MergedRTTs is the one CDF of a single-site network (the
 			// historical bytes) and the cross-site merge on generated
-			// multi-site topologies under the sharded scheduler.
+			// multi-site topologies.
 			rtt:    nw.MergedRTTs().Median(),
 			losses: float64(nw.ConnLosses()),
 		}, nil

@@ -247,7 +247,7 @@ func NewTimeSeries(bucket sim.Duration) *TimeSeries {
 }
 
 // MergeFrom adds o's per-bucket counters into ts. Both series must use the
-// same bucket width; sharded runs merge per-site series this way.
+// same bucket width; multi-site networks merge per-site series this way.
 func (ts *TimeSeries) MergeFrom(o *TimeSeries) {
 	if o == nil {
 		return

@@ -108,17 +108,11 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 	})
 }
 
-// RegisterCDF registers a histogram-style source exporting count, mean,
-// and standard quantiles of a CDF. An empty CDF exports NaN values (JSON
-// null), matching the pre-sketch export bytes.
-func (r *Registry) RegisterCDF(name string, c *CDF) {
-	r.Register(name, func() []Sample { return CDFSamples(name, c) })
-}
-
-// CDFSamples renders the standard CDF sample shape (count, mean, p50, p95,
-// p99, max) used by RegisterCDF. Exported so collectors that derive a CDF
-// on the fly — e.g. merging per-site CDFs in a sharded run — produce
-// byte-identical export rows.
+// CDFSamples renders a CDF as a histogram-style source: count, mean, and the
+// standard quantiles p50, p95, p99, max. An empty CDF exports NaN values
+// (JSON null), matching the pre-sketch export bytes. A collector calls it on
+// the CDF it holds or derives on the fly — e.g. the merge of the per-site
+// CDFs of a multi-site network.
 func CDFSamples(name string, c *CDF) []Sample {
 	out := []Sample{
 		{Name: name, Label: "count", Kind: KindGauge, Value: float64(c.N())},

@@ -58,7 +58,7 @@ func TestRegistryExports(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		cdf.Add(float64(i))
 	}
-	r.RegisterCDF("lat", cdf)
+	r.Register("lat", func() []Sample { return CDFSamples("lat", cdf) })
 
 	var nd strings.Builder
 	if err := r.WriteNDJSON(&nd); err != nil {

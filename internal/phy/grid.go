@@ -1,8 +1,8 @@
 // Geometric mode and the spatial grid index.
 //
-// The historical medium is geometry-free: every radio in an RF domain hears
-// every transmission, which matches the paper's 1m×1m all-in-range testbed;
-// a scan there walks the domain's list of receiving radios (scanRX below),
+// The historical medium is geometry-free: every radio hears every
+// transmission, which matches the paper's 1m×1m all-in-range testbed; a scan
+// there walks the medium's list of receiving radios (scanRX below),
 // since only those can be told anything. City-scale generated topologies
 // (internal/testbed geo/city/floors) position radios in meters with a disk
 // radio range; in geometric mode the medium delivers carrier and
@@ -20,8 +20,8 @@
 // exactly the radios the linear distance-filtered scan visits, in exactly
 // the same order — the property the differential test layer locks down
 // byte-for-byte. Registering or moving a radio, or changing the range,
-// moves the domain's epoch; lists and grid are rebuilt on the next scan.
-// SetLinearScan keeps the uncached O(domain) path selectable as the oracle.
+// moves the medium's epoch; lists and grid are rebuilt on the next scan.
+// SetLinearScan keeps the uncached O(radios) path selectable as the oracle.
 package phy
 
 import (
@@ -39,9 +39,7 @@ func (m *Medium) SetRange(r float64) {
 		r = 0
 	}
 	m.r, m.rangeSq = r, r*r
-	for _, dom := range m.domains {
-		dom.invalidate()
-	}
+	m.invalidate()
 }
 
 // Range returns the geometric radio range, or 0 in geometry-free mode.
@@ -55,10 +53,10 @@ func (m *Medium) Range() float64 { return m.r }
 func (m *Medium) SetLinearScan(on bool) { m.linear = on }
 
 // SetPosition places the radio at (x, y, z) meters. Call during network
-// assembly: a move retires every neighbour list of the radio's domain.
+// assembly: a move retires every neighbour list of the radio's medium.
 func (r *Radio) SetPosition(x, y, z float64) {
 	r.px, r.py, r.pz = x, y, z
-	r.medium.domains[r.dom].invalidate()
+	r.medium.invalidate()
 }
 
 // Position returns the radio's position in meters.
@@ -81,20 +79,20 @@ func gridKey(x, y, r float64) [2]int32 {
 	return [2]int32{int32(math.Floor(x / r)), int32(math.Floor(y / r))}
 }
 
-// neighbors returns the radios of r's domain within range of r, in NodeID
-// order, building the list if the domain changed since it was last built.
+// neighbors returns the radios within range of r, in NodeID order, building
+// the list if the medium changed since it was last built.
 // A rebuild allocates a fresh slice, so a scan already iterating the old
 // one keeps its snapshot.
-func (m *Medium) neighbors(dom *rfDomain, r *Radio) []*Radio {
-	if r.nbrEpoch == dom.epoch {
+func (m *Medium) neighbors(r *Radio) []*Radio {
+	if r.nbrEpoch == m.epoch {
 		return r.nbrs
 	}
-	if dom.grid == nil {
-		// Per-cell lists come out in NodeID order because dom.radios is.
-		dom.grid = make(map[[2]int32][]*Radio)
-		for _, rd := range dom.radios {
+	if m.grid == nil {
+		// Per-cell lists come out in NodeID order because m.radios is.
+		m.grid = make(map[[2]int32][]*Radio)
+		for _, rd := range m.radios {
 			k := gridKey(rd.px, rd.py, m.r)
-			dom.grid[k] = append(dom.grid[k], rd)
+			m.grid[k] = append(m.grid[k], rd)
 		}
 	}
 	var buf [32]*Radio
@@ -102,7 +100,7 @@ func (m *Medium) neighbors(dom *rfDomain, r *Radio) []*Radio {
 	k := gridKey(r.px, r.py, m.r)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
-			for _, lr := range dom.grid[[2]int32{k[0] + dx, k[1] + dy}] {
+			for _, lr := range m.grid[[2]int32{k[0] + dx, k[1] + dy}] {
 				if lr != r && r.distSqTo(lr) <= m.rangeSq {
 					cand = append(cand, lr)
 				}
@@ -110,55 +108,55 @@ func (m *Medium) neighbors(dom *rfDomain, r *Radio) []*Radio {
 		}
 	}
 	slices.SortFunc(cand, func(a, b *Radio) int { return cmp.Compare(a.id, b.id) })
-	r.nbrs, r.nbrEpoch = append([]*Radio(nil), cand...), dom.epoch
+	r.nbrs, r.nbrEpoch = append([]*Radio(nil), cand...), m.epoch
 	return r.nbrs
 }
 
-// neighborScan calls fn for every radio of the sender's domain that can
-// hear the sender on ch, in registration (NodeID) order — the one scan order
+// neighborScan calls fn for every radio of the medium that can hear the
+// sender on ch, in registration (NodeID) order — the one scan order
 // every path produces. fn may transmit or retune radios. The linear oracle
 // and the neighbour lists iterate a slice header captured before the first
 // call and leave the state and channel checks to fn. A geometry-free medium
 // hears everything, so there the only filter is "receiving on ch", and the
-// indexed path applies it itself, to the domain's RX list instead of every
+// indexed path applies it itself, to the medium's RX list instead of every
 // radio: both callers' fn ignore a radio that is not receiving on ch at the
 // moment it is visited, which is exactly the moment scanRX looks at it.
-func (m *Medium) neighborScan(dom *rfDomain, sender *Radio, ch Channel, fn func(*Radio)) {
+func (m *Medium) neighborScan(sender *Radio, ch Channel, fn func(*Radio)) {
 	switch {
 	case m.linear:
-		for _, lr := range dom.radios {
+		for _, lr := range m.radios {
 			if lr != sender && m.inRangeOf(sender, lr) {
 				fn(lr)
 			}
 		}
 	case m.rangeSq <= 0:
-		dom.scanRX(sender, ch, fn)
+		m.scanRX(sender, ch, fn)
 	default:
-		for _, lr := range m.neighbors(dom, sender) {
+		for _, lr := range m.neighbors(sender) {
 			fn(lr)
 		}
 	}
 }
 
-// scanRX calls fn for the domain's radios other than sender that are
+// scanRX calls fn for the medium's radios other than sender that are
 // receiving on ch, in NodeID order. It does not iterate a snapshot: fn
-// retunes radios, and the full-domain loop it replaces looks at each radio's
+// retunes radios, and the every-radio loop it replaces looks at each radio's
 // state when it reaches it — a radio that starts listening inside an
 // earlier callback is still visited if its NodeID is larger, one that stops
 // is not. So after a callback that moved the list under the scan, the scan
 // resumes at the first listed radio past the one it just visited.
-func (dom *rfDomain) scanRX(sender *Radio, ch Channel, fn func(*Radio)) {
-	for i := 0; i < len(dom.rx); i++ {
-		lr := dom.rx[i]
+func (m *Medium) scanRX(sender *Radio, ch Channel, fn func(*Radio)) {
+	for i := 0; i < len(m.rx); i++ {
+		lr := m.rx[i]
 		if lr.listenCh != ch || lr == sender {
 			continue
 		}
 		fn(lr)
-		if i < len(dom.rx) && dom.rx[i] == lr {
+		if i < len(m.rx) && m.rx[i] == lr {
 			continue
 		}
 		i = 0
-		for i < len(dom.rx) && dom.rx[i].id <= lr.id {
+		for i < len(m.rx) && m.rx[i].id <= lr.id {
 			i++
 		}
 		i--

@@ -17,7 +17,7 @@ func candidates(m *Medium, sender *Radio, linear bool) []NodeID {
 	m.linear = linear
 	defer func() { m.linear = prev }()
 	var out []NodeID
-	m.neighborScan(m.domains[sender.dom], sender, 0, func(r *Radio) {
+	m.neighborScan(sender, 0, func(r *Radio) {
 		out = append(out, r.id)
 	})
 	return out
@@ -309,34 +309,41 @@ func TestNeighborListInvalidation(t *testing.T) {
 		}
 	})
 	t.Run("second domain added late", func(t *testing.T) {
-		_, m, radios := randomField(4, 40, 40, r)
+		// A medium is one RF domain, so the second domain is a second medium
+		// on the same clock, its radios on the same spots.
+		s, m, radios := randomField(4, 40, 40, r)
 		before := make([][]NodeID, len(radios))
 		for i, rd := range radios {
 			before[i] = candidates(m, rd, false)
 		}
-		m.SetDomain(1)
+		m2 := NewMedium(s)
+		m2.SetRange(r)
 		twins := make([]*Radio, len(radios))
+		heard := 0
 		for i, rd := range radios {
-			twins[i] = m.NewRadio()
+			twins[i] = m2.NewRadio()
 			twins[i].SetPosition(rd.px, rd.py, rd.pz)
+			twins[i].SetReceiver(func(Packet, Channel, bool) { heard++ })
+			twins[i].StartListen(3)
 		}
 		requireAllSameScan(t, m, radios)
-		requireAllSameScan(t, m, twins)
+		requireAllSameScan(t, m2, twins)
 		for i, rd := range radios {
 			if got := candidates(m, rd, false); !reflect.DeepEqual(got, before[i]) {
-				t.Fatalf("radio %d: neighbours changed when an RF-isolated domain was added: %v -> %v", rd.id, before[i], got)
+				t.Fatalf("radio %d: neighbours changed when an RF-isolated medium was added: %v -> %v", rd.id, before[i], got)
 			}
-			// The twin sits on the same spot and hears the same twins, never
-			// a domain-0 radio.
-			got := candidates(m, twins[i], false)
-			if len(got) != len(before[i]) {
-				t.Fatalf("twin of radio %d hears %d radios, want %d", rd.id, len(got), len(before[i]))
+			// Both media number their radios from 0, so the twin hears the
+			// twins of exactly the radios its original hears.
+			if got := candidates(m2, twins[i], false); !reflect.DeepEqual(got, before[i]) {
+				t.Fatalf("twin of radio %d hears %v, want %v", rd.id, got, before[i])
 			}
-			for _, id := range got {
-				if id < twins[0].id {
-					t.Fatalf("twin of radio %d hears domain-0 radio %d", rd.id, id)
-				}
-			}
+		}
+		// And nothing crosses on the air: every twin is tuned to the channel
+		// its original's medium transmits on.
+		radios[0].Transmit(3, Packet{Bits: 80}, 80*sim.Microsecond, nil)
+		s.Run(s.Now() + sim.Millisecond)
+		if heard != 0 || m2.Busy(3) || m2.Stats().Transmissions != 0 {
+			t.Fatalf("a transmission crossed media: %d indications, stats %+v", heard, m2.Stats())
 		}
 	})
 }

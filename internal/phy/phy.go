@@ -56,7 +56,6 @@ type Packet struct {
 type transmission struct {
 	pkt       Packet
 	ch        Channel
-	dom       int // sender's RF domain; scans stay inside it
 	start     sim.Time
 	end       sim.Time
 	corrupted bool
@@ -116,78 +115,66 @@ type Stats struct {
 	Missed        uint64 // corrupted indications delivered to listeners
 }
 
-// Medium is the shared broadcast channel space, partitioned into RF
-// domains. Radios in the same domain hear each other (geometry-free, as
-// the paper's 1m x 1m grid justifies); radios in different domains are
-// RF-isolated — no carrier, no delivery, no collisions across domains.
-// A medium starts with a single domain, which preserves the historical
-// everyone-hears-everyone behaviour; SetDomain partitions it for forest
-// topologies and for the sharded scheduler's per-site media, turning the
-// per-TX scan from O(all radios) into O(radios in the sender's domain).
+// Medium is one RF-closure domain: a shared broadcast channel space whose
+// radios all hear each other (geometry-free, as the paper's 1m x 1m grid
+// justifies) or hear whoever is within range (geometric mode, grid.go).
+// Radios on different media are RF-isolated — no carrier, no delivery, no
+// collisions — which is how a multi-site network is built: one medium per
+// site.
 type Medium struct {
-	sim     *sim.Sim
-	domains []*rfDomain
-	cur     int // ambient domain for NewRadio
-	interf  []Interference
-	stats   Stats
-	freeTx  *transmission // recycled transmissions
-	nradios int           // global NodeID allocator across domains
+	sim    *sim.Sim
+	radios []*Radio
+	active [NumChannels][]*transmission // in flight, per channel
+	// rx holds the radios whose state is RadioRX, in NodeID order. A
+	// geometry-free scan visits these instead of every radio (grid.go).
+	// StartListen, StopListen and Transmit are the only places a radio
+	// enters or leaves RX, and they keep the list.
+	rx     []*Radio
+	interf []Interference
+	stats  Stats
+	freeTx *transmission // recycled transmissions
 
 	// Geometric mode (see grid.go): rangeSq > 0 filters delivery, carrier,
 	// and collision closure by disk radio range; linear forces the
-	// non-indexed scan path for differential testing.
+	// non-indexed scan path for differential testing. epoch counts the
+	// changes that can alter who hears whom — a radio registered or moved,
+	// the range set. A radio's neighbour list is valid for the epoch it was
+	// built at; grid indexes the radios by position (cell edge = radio
+	// range) to build those lists and is dropped whenever the epoch moves.
 	r       float64
 	rangeSq float64
 	linear  bool
+	epoch   uint64
+	grid    map[[2]int32][]*Radio
 	reserve []Radio // slab handed out by NewRadio (see ReserveRadios)
 }
 
-// rfDomain is one RF-closure partition: the radios that can hear each
-// other and their in-flight transmissions, per channel.
-type rfDomain struct {
-	radios []*Radio
-	active [NumChannels][]*transmission
-	// rx holds the radios whose state is RadioRX, in NodeID order. A
-	// geometry-free scan visits these instead of every radio of the domain
-	// (grid.go). StartListen, StopListen and Transmit are the only places a
-	// radio enters or leaves RX, and they keep the list.
-	rx []*Radio
-
-	// Geometric mode (grid.go). epoch counts the changes that can alter who
-	// hears whom in this domain — a radio registered or moved, the range
-	// set. A radio's neighbour list is valid for the epoch it was built at;
-	// grid indexes the radios by position (cell edge = radio range) to
-	// build those lists and is dropped whenever the epoch moves.
-	epoch uint64
-	grid  map[[2]int32][]*Radio
-}
-
-// invalidate retires every neighbour list of the domain and its grid.
-func (dom *rfDomain) invalidate() {
-	dom.epoch++
-	dom.grid = nil
+// invalidate retires every neighbour list of the medium and its grid.
+func (m *Medium) invalidate() {
+	m.epoch++
+	m.grid = nil
 }
 
 // rxAdd files a radio that entered RX, keeping the list in NodeID order.
-func (dom *rfDomain) rxAdd(r *Radio) {
-	i := len(dom.rx)
-	dom.rx = append(dom.rx, r)
-	for ; i > 0 && dom.rx[i-1].id > r.id; i-- {
-		dom.rx[i] = dom.rx[i-1]
+func (m *Medium) rxAdd(r *Radio) {
+	i := len(m.rx)
+	m.rx = append(m.rx, r)
+	for ; i > 0 && m.rx[i-1].id > r.id; i-- {
+		m.rx[i] = m.rx[i-1]
 	}
-	dom.rx[i] = r
+	m.rx[i] = r
 }
 
 // rxRemove takes out a radio that left RX. The list holds a handful of
 // radios and this runs twice per connection event and endpoint: a plain loop,
 // where slices.Index + slices.Delete profiled at twice the cost.
-func (dom *rfDomain) rxRemove(r *Radio) {
-	for i, lr := range dom.rx {
+func (m *Medium) rxRemove(r *Radio) {
+	for i, lr := range m.rx {
 		if lr == r {
-			last := len(dom.rx) - 1
-			copy(dom.rx[i:], dom.rx[i+1:])
-			dom.rx[last] = nil
-			dom.rx = dom.rx[:last]
+			last := len(m.rx) - 1
+			copy(m.rx[i:], m.rx[i+1:])
+			m.rx[last] = nil
+			m.rx = m.rx[:last]
 			return
 		}
 	}
@@ -218,25 +205,10 @@ func (m *Medium) getTx() *transmission {
 	return tx
 }
 
-// NewMedium creates an empty medium with a single RF domain.
+// NewMedium creates an empty medium.
 func NewMedium(s *sim.Sim) *Medium {
-	return &Medium{sim: s, domains: []*rfDomain{{}}}
+	return &Medium{sim: s}
 }
-
-// SetDomain selects the RF domain that subsequent NewRadio calls register
-// into, growing the domain list as needed. Domain 0 is the default.
-func (m *Medium) SetDomain(d int) {
-	if d < 0 {
-		panic("phy: negative RF domain")
-	}
-	for len(m.domains) <= d {
-		m.domains = append(m.domains, &rfDomain{})
-	}
-	m.cur = d
-}
-
-// Domains returns the number of RF domains on the medium.
-func (m *Medium) Domains() int { return len(m.domains) }
 
 // AddInterference attaches an interference source to the medium.
 func (m *Medium) AddInterference(i Interference) { m.interf = append(m.interf, i) }
@@ -245,17 +217,13 @@ func (m *Medium) AddInterference(i Interference) { m.interf = append(m.interf, i
 func (m *Medium) Stats() Stats { return m.stats }
 
 // Busy reports whether any transmission or blocking interference occupies ch
-// right now. This is the CCA primitive used by the IEEE 802.15.4 MAC. It is
-// conservative across domains: any domain's carrier makes ch read busy
-// (802.15.4 experiments always run on a single-domain medium, where this is
-// exact). It also ignores geometry: a geometric medium's carrier reads busy
-// regardless of distance (the BLE link layer never calls Busy; it uses
-// per-radio carrier indications, which are range-filtered).
+// right now. This is the CCA primitive used by the IEEE 802.15.4 MAC. It
+// ignores geometry: a geometric medium's carrier reads busy regardless of
+// distance (the BLE link layer never calls Busy; it uses per-radio carrier
+// indications, which are range-filtered).
 func (m *Medium) Busy(ch Channel) bool {
-	for _, dom := range m.domains {
-		if len(dom.active[ch]) > 0 {
-			return true
-		}
+	if len(m.active[ch]) > 0 {
+		return true
 	}
 	for _, i := range m.interf {
 		if i.Busy(ch, m.sim.Now()) {
@@ -265,9 +233,8 @@ func (m *Medium) Busy(ch Channel) bool {
 	return false
 }
 
-// NewRadio registers a radio in the medium's current RF domain.
+// NewRadio registers a radio on the medium.
 func (m *Medium) NewRadio() *Radio {
-	dom := m.domains[m.cur]
 	var r *Radio
 	if len(m.reserve) > 0 {
 		r = &m.reserve[0]
@@ -275,10 +242,9 @@ func (m *Medium) NewRadio() *Radio {
 	} else {
 		r = new(Radio)
 	}
-	*r = Radio{medium: m, id: NodeID(m.nradios), dom: m.cur, listenCh: -1}
-	m.nradios++
-	dom.radios = append(dom.radios, r)
-	dom.invalidate()
+	*r = Radio{medium: m, id: NodeID(len(m.radios)), listenCh: -1}
+	m.radios = append(m.radios, r)
+	m.invalidate()
 	return r
 }
 
@@ -322,12 +288,11 @@ func (s RadioState) String() string {
 type Radio struct {
 	medium *Medium
 	id     NodeID
-	dom    int // RF domain index; only same-domain radios interact
 
 	// Position in meters; only meaningful in geometric mode (grid.go).
 	px, py, pz float64
-	// nbrs is the geometric-mode neighbour list: the domain's radios within
-	// range, in NodeID order, as of domain epoch nbrEpoch.
+	// nbrs is the geometric-mode neighbour list: the medium's radios within
+	// range, in NodeID order, as of medium epoch nbrEpoch.
 	nbrs     []*Radio
 	nbrEpoch uint64
 
@@ -385,7 +350,7 @@ func (r *Radio) StartListen(ch Channel) {
 		}
 		r.accumRX()
 	} else {
-		r.medium.domains[r.dom].rxAdd(r)
+		r.medium.rxAdd(r)
 	}
 	r.state = RadioRX
 	r.listenCh = ch
@@ -398,7 +363,7 @@ func (r *Radio) StopListen() {
 		return
 	}
 	r.accumRX()
-	r.medium.domains[r.dom].rxRemove(r)
+	r.medium.rxRemove(r)
 	r.state = RadioIdle
 	r.listenCh = -1
 }
@@ -419,10 +384,9 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 		panic("phy: non-positive airtime")
 	}
 	m := r.medium
-	dom := m.domains[r.dom]
 	if r.state == RadioRX {
 		r.accumRX()
-		dom.rxRemove(r)
+		m.rxRemove(r)
 	}
 	pkt.Src = r.id
 	r.state = RadioTX
@@ -431,18 +395,17 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	now := m.sim.Now()
 	r.txEnd = now + airtime
 	tx := m.getTx()
-	tx.pkt, tx.ch, tx.dom, tx.start, tx.end = pkt, ch, r.dom, now, now+airtime
+	tx.pkt, tx.ch, tx.start, tx.end = pkt, ch, now, now+airtime
 	tx.sender, tx.done = r, done
 	r.curTX = tx
 	m.stats.Transmissions++
 
-	// Collision detection: any overlap on the same channel within the
-	// sender's RF domain corrupts all parties — in geometric mode only when
-	// the two senders are within radio range of each other (disk carrier
-	// closure; receiver-side hidden-terminal overlap is out of model, see
-	// the package comment in grid.go). Mark existing in-flight
-	// transmissions and the new one.
-	for _, other := range dom.active[ch] {
+	// Collision detection: any overlap on the same channel corrupts all
+	// parties — in geometric mode only when the two senders are within radio
+	// range of each other (disk carrier closure; receiver-side
+	// hidden-terminal overlap is out of model, see the package comment in
+	// grid.go). Mark existing in-flight transmissions and the new one.
+	for _, other := range m.active[ch] {
 		if !m.inRangeOf(r, other.sender) {
 			continue
 		}
@@ -465,12 +428,11 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 			}
 		}
 	}
-	dom.active[ch] = append(dom.active[ch], tx)
+	m.active[ch] = append(m.active[ch], tx)
 
-	// Start-of-packet (carrier) indication for eligible listeners in the
-	// sender's domain only — and, in geometric mode, within radio range of
-	// the sender (indexed candidate cells instead of the whole domain).
-	m.neighborScan(dom, r, ch, func(lr *Radio) {
+	// Start-of-packet (carrier) indication for eligible listeners — in
+	// geometric mode, those within radio range of the sender.
+	m.neighborScan(r, ch, func(lr *Radio) {
 		if lr.state != RadioRX || lr.listenCh != ch || lr.listenSince > now {
 			return
 		}
@@ -484,7 +446,7 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 
 // SoleListener reports whether a packet r put on ch at this instant would
 // be a closed affair between r and peer: r is idle, peer is receiving on ch
-// within r's reach, no other radio of the domain is tuned to ch and nothing
+// within r's reach, no other radio of the medium is tuned to ch and nothing
 // is in flight on it. (On a geometric medium this is conservative: a tuned
 // radio or a transmission out of r's range still answers no.) While that
 // holds and no other event runs, Transmit and finish reduce to the
@@ -492,14 +454,13 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 func (r *Radio) SoleListener(ch Channel, peer *Radio) bool {
 	m := r.medium
 	if r.state != RadioIdle || peer.state != RadioRX || peer.listenCh != ch ||
-		peer.medium != m || peer.dom != r.dom || !m.inRangeOf(r, peer) {
+		peer.medium != m || !m.inRangeOf(r, peer) {
 		return false
 	}
-	dom := m.domains[r.dom]
-	if len(dom.active[ch]) != 0 {
+	if len(m.active[ch]) != 0 {
 		return false
 	}
-	for _, lr := range dom.rx {
+	for _, lr := range m.rx {
 		if lr.listenCh == ch && lr != peer {
 			return false
 		}
@@ -564,11 +525,11 @@ func (r *Radio) AbortTX() {
 	r.curTX = nil
 }
 
-// removeActive takes tx out of its domain's in-flight set. The vacated tail
+// removeActive takes tx out of the in-flight set. The vacated tail
 // slot is cleared: transmissions are recycled, and a stale pointer behind
 // the slice length would keep one (and its Packet.Payload) reachable.
 func (m *Medium) removeActive(tx *transmission) {
-	active := &m.domains[tx.dom].active[tx.ch]
+	active := &m.active[tx.ch]
 	lst := *active
 	for i, t := range lst {
 		if t == tx {
@@ -584,14 +545,13 @@ func (m *Medium) removeActive(tx *transmission) {
 // finish removes tx from the active set, returns the sender to idle, and
 // delivers end-of-packet indications to eligible listeners.
 func (m *Medium) finish(sender *Radio, tx *transmission) {
-	dom := m.domains[tx.dom]
 	if !tx.aborted {
 		m.removeActive(tx)
 		sender.state = RadioIdle
 		sender.curTX = nil
 	}
 
-	m.neighborScan(dom, sender, tx.ch, func(r *Radio) {
+	m.neighborScan(sender, tx.ch, func(r *Radio) {
 		if r.state != RadioRX || r.listenCh != tx.ch {
 			return
 		}

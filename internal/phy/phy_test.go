@@ -336,7 +336,7 @@ func TestRemoveActiveClearsVacatedSlot(t *testing.T) {
 	s, m := setup()
 	a, b, c := m.NewRadio(), m.NewRadio(), m.NewRadio()
 	stale := func() int {
-		lst := m.domains[0].active[5]
+		lst := m.active[5]
 		n := 0
 		for _, tx := range lst[len(lst):cap(lst)] {
 			if tx != nil {
@@ -349,11 +349,11 @@ func TestRemoveActiveClearsVacatedSlot(t *testing.T) {
 		r.Transmit(5, Packet{Bits: 800, Payload: make([]byte, 100)}, sim.Millisecond, nil)
 	}
 	a.AbortTX() // swap-remove from the front: the tail entry moves down
-	if got := len(m.domains[0].active[5]); got != 2 || stale() != 0 {
+	if got := len(m.active[5]); got != 2 || stale() != 0 {
 		t.Fatalf("after abort: %d in flight, %d stale slots behind them; want 2, 0", got, stale())
 	}
 	s.Run(sim.Second)
-	if got := len(m.domains[0].active[5]); got != 0 || stale() != 0 {
+	if got := len(m.active[5]); got != 0 || stale() != 0 {
 		t.Fatalf("after end of packet: %d in flight, %d stale slots; want 0, 0", got, stale())
 	}
 }

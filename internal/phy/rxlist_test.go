@@ -9,12 +9,13 @@ import (
 	"blemesh/internal/sim"
 )
 
-// indication is one callback the medium made: kind 'C' (carrier) or 'R'
-// (end of packet), the radio that got it, the channel, and ok (always true
-// for a carrier indication).
+// indication is one callback a medium made: kind 'C' (carrier) or 'R'
+// (end of packet), the radio that got it (its index in rxWorld.radios, which
+// on the first medium is its NodeID), the channel, and ok (always true for a
+// carrier indication).
 type indication struct {
 	kind  byte
-	radio NodeID
+	radio int
 	ch    Channel
 	ok    bool
 }
@@ -23,33 +24,34 @@ func (i indication) String() string {
 	return fmt.Sprintf("%c%d/ch%d/%v", i.kind, i.radio, i.ch, i.ok)
 }
 
-// rxWorld is a geometry-free medium of two RF domains whose radios log every
-// indication. inScan, when set, runs inside every callback — the hook the
-// reentrancy script uses to retune radios in the middle of a scan.
+// rxWorld is two geometry-free media on one clock — two RF-isolated sites
+// whose transmissions interleave in time — whose radios log every indication.
+// inScan, when set, runs inside every callback — the hook the reentrancy
+// script uses to retune radios (of either medium) in the middle of a scan.
 type rxWorld struct {
 	s      *sim.Sim
-	m      *Medium
+	media  [2]*Medium
 	radios []*Radio
 	log    []indication
 	inScan func(visited *Radio, ch Channel)
 }
 
-func newRXWorld(linear bool, perDomain int) *rxWorld {
+func newRXWorld(linear bool, perMedium int) *rxWorld {
 	w := &rxWorld{s: sim.New(1)}
-	w.m = NewMedium(w.s)
-	w.m.SetLinearScan(linear)
-	for dom := 0; dom < 2; dom++ {
-		w.m.SetDomain(dom)
-		for i := 0; i < perDomain; i++ {
-			rd := w.m.NewRadio()
+	for i := range w.media {
+		m := NewMedium(w.s)
+		m.SetLinearScan(linear)
+		w.media[i] = m
+		for j := 0; j < perMedium; j++ {
+			rd, idx := m.NewRadio(), len(w.radios)
 			rd.SetCarrier(func(ch Channel, _ sim.Time) {
-				w.log = append(w.log, indication{'C', rd.id, ch, true})
+				w.log = append(w.log, indication{'C', idx, ch, true})
 				if w.inScan != nil {
 					w.inScan(rd, ch)
 				}
 			})
 			rd.SetReceiver(func(_ Packet, ch Channel, ok bool) {
-				w.log = append(w.log, indication{'R', rd.id, ch, ok})
+				w.log = append(w.log, indication{'R', idx, ch, ok})
 				if w.inScan != nil {
 					w.inScan(rd, ch)
 				}
@@ -61,19 +63,19 @@ func newRXWorld(linear bool, perDomain int) *rxWorld {
 }
 
 // checkRXLists asserts the invariant the indexed scan rests on: a radio is
-// in its domain's list exactly while its state is RadioRX, and every list is
+// in its medium's list exactly while its state is RadioRX, and every list is
 // strictly increasing in NodeID (sorted, no duplicates).
 func (w *rxWorld) checkRXLists(t *testing.T, step int) {
 	t.Helper()
 	listed := make(map[*Radio]bool)
-	for d, dom := range w.m.domains {
-		for i, rd := range dom.rx {
-			if rd.dom != d {
-				t.Fatalf("step %d: radio %d of domain %d listed in domain %d", step, rd.id, rd.dom, d)
+	for d, m := range w.media {
+		for i, rd := range m.rx {
+			if rd.medium != m {
+				t.Fatalf("step %d: radio %d of another medium listed in medium %d", step, rd.id, d)
 			}
-			if i > 0 && dom.rx[i-1].id >= rd.id {
-				t.Fatalf("step %d: domain %d list not strictly increasing at %d: %d then %d",
-					step, d, i, dom.rx[i-1].id, rd.id)
+			if i > 0 && m.rx[i-1].id >= rd.id {
+				t.Fatalf("step %d: medium %d list not strictly increasing at %d: %d then %d",
+					step, d, i, m.rx[i-1].id, rd.id)
 			}
 			listed[rd] = true
 		}
@@ -108,8 +110,8 @@ func (w *rxWorld) act(rng *rand.Rand) {
 	}
 }
 
-// TestRXListMatchesLinearRandom drives a geometry-free medium down the
-// RX-list path and its twin down the full-domain oracle with one random
+// TestRXListMatchesLinearRandom drives geometry-free media down the
+// RX-list path and their twins down the every-radio oracle with one random
 // script of StartListen, StopListen, Transmit and AbortTX: the two must make
 // the same indications in the same order, and the list invariant must hold
 // after every step.
@@ -158,7 +160,7 @@ func firstDiff(a, b []indication) string {
 // TestRXListScanReentrantRandom retunes radios from inside the scan: every
 // callback stops or retunes the visited radio, starts or stops another one
 // (of lower or higher NodeID) on the scanned channel, or transmits. The
-// full-domain loop looks at a radio's state when it reaches it; the list
+// every-radio loop looks at a radio's state when it reaches it; the list
 // walk must see exactly the same radios.
 func TestRXListScanReentrantRandom(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {

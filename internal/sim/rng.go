@@ -4,7 +4,7 @@ package sim
 //
 // The standard library's rand.NewSource allocates a 607-word lagged-Fibonacci
 // state (~4.9KB). One source per Sim is invisible at testbed scale, but the
-// sharded city-scale builds create one Sim per RF-isolated site: at 10k nodes
+// city-scale builds create one Sim per RF-isolated site: at 10k nodes
 // that is ~2k sources (10MB — the largest single item on the build heap), and
 // at the 100k design point ~20k sources (~100MB, more than the rest of the
 // network combined). xoshiro256++ keeps the same *rand.Rand front end through

@@ -4,122 +4,220 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
-// storm schedules a self-perpetuating random cascade of events on s,
-// appending each firing time to log. The cascade is a pure function of the
-// Sim's rng, so two Sims seeded identically produce identical logs.
-func storm(s *Sim, log *[]Time, limit int) {
-	n := 0
-	var step func()
-	step = func() {
-		*log = append(*log, s.Now())
-		n++
-		if n > limit {
-			return
-		}
-		d := Duration(s.Rand().Intn(997)) * Microsecond
-		s.Post(d, step)
-		if s.Rand().Intn(4) == 0 {
-			s.Post(d/2+1, step)
-		}
-	}
-	s.Post(0, step)
+// firing is what one event of a cascade saw when it ran: the clock, a draw
+// from the Sim's random source, and how far ahead the Sim said it was quiet —
+// which depends on the queue and on the horizon of the Run call in progress,
+// the two things Conn.fusedIdle consults.
+type firing struct {
+	now   Time
+	draw  int64
+	quiet bool
 }
 
-// TestShardedSingleDomainMatchesSerial locks down the degenerate case the
-// network layer relies on for byte-compatibility: one domain, no lookahead,
-// empty global lane — the sharded Run must be indistinguishable from a
-// plain serial Sim with the same seed.
+// cascade is a self-perpetuating random script on one Sim: every event logs
+// a firing, then posts, arms, cancels or runs ahead (Advance under
+// QuietUntil, as a fused idle connection event does) as the Sim's own random
+// source says. It keeps between one and maxLive events pending, so it neither
+// dies out nor explodes. Two Sims that behave identically produce identical
+// logs.
+type cascade struct {
+	s      *Sim
+	log    []firing
+	timers []Timer
+	live   int // pending events of this cascade
+}
+
+const maxLive = 3
+
+func (c *cascade) start() {
+	c.live++
+	c.s.Post(0, c.step)
+}
+
+// observe logs a firing and returns how far ahead it asked and the answer.
+func (c *cascade) observe() (ahead Time, quiet bool) {
+	s := c.s
+	r := s.Rand().Int63()
+	ahead = s.Now() + Duration(r%400)*Microsecond
+	quiet = s.QuietUntil(ahead)
+	c.log = append(c.log, firing{s.Now(), r, quiet})
+	return ahead, quiet
+}
+
+func (c *cascade) step() {
+	s := c.s
+	c.live--
+	ahead, quiet := c.observe()
+	d := Duration(s.Rand().Intn(997)) * Microsecond
+	switch op := s.Rand().Intn(10); {
+	case op < 2 && c.live < maxLive:
+		c.live++
+		s.PostAt(s.Now()+d/2+1, c.step)
+	case op < 4 && c.live < maxLive:
+		c.live++
+		c.timers = append(c.timers, s.After(2*d, c.step))
+	case op < 6 && len(c.timers) > 0:
+		k := s.Rand().Intn(len(c.timers))
+		if c.timers[k].Scheduled() {
+			c.live--
+		}
+		s.Cancel(c.timers[k])
+		c.timers = append(c.timers[:k], c.timers[k+1:]...)
+	case op < 8 && quiet:
+		s.Advance(ahead)
+	}
+	c.live++
+	s.Post(d, c.step)
+}
+
+// TestShardedSingleDomainMatchesSerial is the statement every single-site
+// network rests on: a one-domain Sharded is a plain Sim. Both run the same
+// cascade under the same harness — many consecutive Run calls of uneven
+// length (the 100 ms polling of WaitTopology among them), events posted from
+// outside between two calls (StartTraffic), and global-lane events, some
+// landing exactly on the end of a Run call. A global event at G is, for the
+// plain Sim, the harness stopping at G, acting, and running to G once more
+// before going on. Firing order, random draws, QuietUntil answers, clocks and
+// event counts must agree after every call.
 func TestShardedSingleDomainMatchesSerial(t *testing.T) {
 	for _, engine := range []Engine{EngineWheel, EngineHeap} {
-		serial := NewWithEngine(42, engine)
-		var want []Time
-		storm(serial, &want, 2000)
-		serial.Run(1 * Second)
+		for seed := int64(1); seed <= 5; seed++ {
+			serial := &cascade{s: NewWithEngine(seed, engine)}
+			sh := NewSharded(seed, engine, 1)
+			dom := &cascade{s: sh.Shard(0)}
+			serial.start()
+			dom.start()
 
-		sh := NewSharded(42, engine, 1, 0)
-		var got []Time
-		storm(sh.Shard(0), &got, 2000)
-		sh.Run(1 * Second)
+			drv := rand.New(rand.NewSource(seed * 31))
+			var globals uint64 // fired so far; the scheduler counts them as events
+			var sawSerial, sawSharded []Time
+			for call := 0; call < 120; call++ {
+				span := 100 * Millisecond
+				if drv.Intn(3) == 0 {
+					span = Duration(drv.Intn(250_000)+1) * Microsecond
+				}
+				until := serial.s.Now() + span
+				if drv.Intn(4) == 0 && serial.live < maxLive {
+					serial.start()
+					dom.start()
+				}
+				// Up to two global events inside the call, the second
+				// sometimes exactly at its end.
+				var at []Time
+				if drv.Intn(3) == 0 {
+					at = append(at, serial.s.Now()+Duration(drv.Int63n(int64(span)))+1)
+					if drv.Intn(2) == 0 {
+						at = append(at, until)
+					}
+				}
+				for _, g := range at {
+					sh.Global().PostAt(g, func() {
+						sawSharded = append(sawSharded, dom.s.Now())
+						dom.s.Post(0, func() { dom.observe() })
+					})
+				}
+				sh.Run(until)
+				for _, g := range at {
+					serial.s.Run(g)
+					sawSerial = append(sawSerial, serial.s.Now())
+					serial.s.Post(0, func() { serial.observe() })
+					serial.s.Run(g)
+					globals++
+				}
+				serial.s.Run(until)
 
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("%v: sharded single-domain log diverges from serial (%d vs %d events)",
-				engine, len(want), len(got))
-		}
-		if serial.Processed() != sh.Processed() {
-			t.Fatalf("%v: processed %d serial vs %d sharded", engine, serial.Processed(), sh.Processed())
-		}
-		if serial.Now() != sh.Now() || sh.Shard(0).Now() != serial.Now() {
-			t.Fatalf("%v: clocks diverge: serial %v sharded %v shard0 %v",
-				engine, serial.Now(), sh.Now(), sh.Shard(0).Now())
+				if serial.s.Now() != until || sh.Now() != until || dom.s.Now() != until || sh.Global().Now() != until {
+					t.Fatalf("%v seed %d call %d: clocks serial %v barrier %v domain %v global %v, want %v", engine, seed, call,
+						serial.s.Now(), sh.Now(), dom.s.Now(), sh.Global().Now(), until)
+				}
+				if len(serial.log) != len(dom.log) || serial.s.Processed()+globals != sh.Processed() {
+					t.Fatalf("%v seed %d call %d: %d firings, %d events serial; %d firings, %d events (%d global) sharded", engine, seed, call,
+						len(serial.log), serial.s.Processed(), len(dom.log), sh.Processed(), globals)
+				}
+			}
+			if !slices.Equal(serial.log, dom.log) {
+				for i := range serial.log {
+					if serial.log[i] != dom.log[i] {
+						t.Fatalf("%v seed %d: firing %d: serial %+v, one-domain sharded %+v", engine, seed, i, serial.log[i], dom.log[i])
+					}
+				}
+			}
+			if !slices.Equal(sawSerial, sawSharded) || globals == 0 {
+				t.Fatalf("%v seed %d: %d global events saw the domain at %v, the harness at %v", engine, seed, globals, sawSharded, sawSerial)
+			}
+			var quiet int
+			for _, f := range serial.log {
+				if f.quiet {
+					quiet++
+				}
+			}
+			if len(serial.log) < 10000 || quiet < len(serial.log)/10 || quiet > len(serial.log)*9/10 {
+				t.Fatalf("%v seed %d: %d firings, %d of them quiet: the script proves little", engine, seed, len(serial.log), quiet)
+			}
+			if a, b := serial.s.Rand().Int63(), dom.s.Rand().Int63(); a != b {
+				t.Fatalf("%v seed %d: random streams diverge after the run", engine, seed)
+			}
 		}
 	}
 }
 
-// shardedRun drives a 4-domain system with per-domain storms, cross-domain
-// mail, and a periodic global sampler, and returns everything observable:
-// per-domain firing logs, cross-delivery logs, and global snapshots.
-func shardedRun(t *testing.T, workers int) ([][]Time, [][][2]int64, [][]Time) {
-	t.Helper()
+// shardedRun drives a 4-domain system with per-domain cascades and a periodic
+// global sampler that reads every clock and kicks one domain at the barrier,
+// and returns everything observable: per-domain firing logs, the kicks each
+// domain received, and the sampler's snapshots.
+func shardedRun(workers int) ([][]firing, [][]Time, [][]Time) {
 	const domains = 4
-	sh := NewSharded(7, EngineWheel, domains, 5*Millisecond)
+	sh := NewSharded(7, EngineWheel, domains)
 	sh.SetWorkers(workers)
 
-	logs := make([][]Time, domains)
-	recv := make([][][2]int64, domains) // per receiver: (deliverAt, sender)
-	for d := 0; d < domains; d++ {
-		d := d
-		s := sh.Shard(d)
-		n := 0
-		var step func()
-		step = func() {
-			logs[d] = append(logs[d], s.Now())
-			n++
-			if n > 500 {
-				return
-			}
-			s.Post(Duration(s.Rand().Intn(2000)+1)*Microsecond, step)
-			if s.Rand().Intn(3) == 0 {
-				to := (d + 1 + s.Rand().Intn(domains-1)) % domains
-				sh.PostCross(d, to, Duration(s.Rand().Intn(10))*Millisecond, func() {
-					recv[to] = append(recv[to], [2]int64{int64(sh.Shard(to).Now()), int64(d)})
-				})
-			}
-		}
-		s.Post(0, step)
+	cascades := make([]*cascade, domains)
+	kicks := make([][]Time, domains)
+	for d := range cascades {
+		cascades[d] = &cascade{s: sh.Shard(d)}
+		cascades[d].start()
 	}
 
 	var snaps [][]Time
 	var tick func()
 	tick = func() {
-		snap := make([]Time, 0, domains+1)
-		snap = append(snap, sh.Global().Now())
+		snap := []Time{sh.Global().Now()}
 		for d := 0; d < domains; d++ {
 			snap = append(snap, sh.Shard(d).Now())
 		}
 		snaps = append(snaps, snap)
+		d := len(snaps) % domains
+		sh.Shard(d).Post(0, func() {
+			kicks[d] = append(kicks[d], sh.Shard(d).Now())
+			cascades[d].observe()
+		})
 		sh.Global().Post(100*Millisecond, tick)
 	}
 	sh.Global().Post(100*Millisecond, tick)
 
 	sh.Run(1 * Second)
-	return logs, recv, snaps
+	logs := make([][]firing, domains)
+	for d, c := range cascades {
+		logs[d] = c.log
+	}
+	return logs, kicks, snaps
 }
 
 // TestShardedWorkerCountInvariance is the in-run analogue of the sweep
 // runner's any-worker-count guarantee: every observable log must be
 // byte-identical whether windows execute inline or race across goroutines.
 func TestShardedWorkerCountInvariance(t *testing.T) {
-	refLogs, refRecv, refSnaps := shardedRun(t, 1)
+	refLogs, refKicks, refSnaps := shardedRun(1)
 	for _, workers := range []int{2, 4, 8} {
-		logs, recvd, snaps := shardedRun(t, workers)
+		logs, kicks, snaps := shardedRun(workers)
 		if !reflect.DeepEqual(refLogs, logs) {
-			t.Fatalf("workers=%d: per-domain event logs diverge from serial execution", workers)
+			t.Fatalf("workers=%d: per-domain event logs diverge from inline execution", workers)
 		}
-		if !reflect.DeepEqual(refRecv, recvd) {
-			t.Fatalf("workers=%d: cross-domain delivery logs diverge", workers)
+		if !reflect.DeepEqual(refKicks, kicks) {
+			t.Fatalf("workers=%d: barrier-scheduled domain events diverge", workers)
 		}
 		if !reflect.DeepEqual(refSnaps, snaps) {
 			t.Fatalf("workers=%d: global-lane snapshots diverge", workers)
@@ -129,7 +227,7 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 		t.Fatal("global sampler never fired")
 	}
 	// The barrier contract: a global event at time T observes every domain
-	// clock at exactly T.
+	// clock at exactly T, and work it posts on a domain runs at T.
 	for _, snap := range refSnaps {
 		for i := 1; i < len(snap); i++ {
 			if snap[i] != snap[0] {
@@ -137,74 +235,24 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
-	for d, rc := range refRecv {
-		_ = d
-		if len(rc) > 0 {
-			return // at least one cross delivery observed somewhere
+	for i, snap := range refSnaps {
+		d := (i + 1) % len(refKicks)
+		if k := i / len(refKicks); k >= len(refKicks[d]) || refKicks[d][k] != snap[0] {
+			t.Fatalf("kick %d of domain %d (posted at the %v barrier) ran at %v", k, d, snap[0], refKicks[d])
 		}
 	}
-	t.Fatal("no cross-domain mail was delivered; the test exercises nothing")
-}
-
-// TestCrossMailboxMergeOrder pins the deterministic merge key: equal
-// delivery times order by sender domain, then per-sender sequence.
-func TestCrossMailboxMergeOrder(t *testing.T) {
-	const look = 1 * Millisecond
-	sh := NewSharded(1, EngineWheel, 3, look)
-	got := [][2]int{}
-	// Senders post in "reverse" order (domain 2 first) at the same local
-	// time with the same delay; delivery must still come out 0,0,1,1,2,2.
-	for d := 2; d >= 0; d-- {
-		d := d
-		s := sh.Shard(d)
-		s.PostAt(10*Millisecond, func() {
-			for i := 0; i < 2; i++ {
-				i := i
-				sh.PostCross(d, 0, 4*Millisecond, func() {
-					got = append(got, [2]int{d, i})
-				})
-			}
-		})
-	}
-	sh.Run(1 * Second)
-	want := [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 0}, {2, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge order %v, want %v", got, want)
-	}
-}
-
-// TestCrossMailboxLookaheadClamp verifies short delays are clamped up to
-// the lookahead, the conservative bound that keeps stragglers impossible.
-func TestCrossMailboxLookaheadClamp(t *testing.T) {
-	const look = 2 * Millisecond
-	sh := NewSharded(1, EngineWheel, 2, look)
-	var at Time
-	sh.Shard(0).PostAt(10*Millisecond, func() {
-		sh.PostCross(0, 1, 0, func() { at = sh.Shard(1).Now() })
-	})
-	sh.Run(1 * Second)
-	if want := 12 * Millisecond; at != want {
-		t.Fatalf("zero-delay cross delivered at %v, want send+lookahead = %v", at, want)
-	}
-}
-
-// TestPostCrossWithoutLookaheadPanics: with lookahead 0 a cross post has no
-// conservative bound, so the scheduler must refuse it loudly.
-func TestPostCrossWithoutLookaheadPanics(t *testing.T) {
-	sh := NewSharded(1, EngineWheel, 2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PostCross with zero lookahead did not panic")
+	for d, log := range refLogs {
+		if len(log) < 500 {
+			t.Fatalf("domain %d: only %d firings; the test exercises nothing", d, len(log))
 		}
-	}()
-	sh.PostCross(0, 1, Millisecond, func() {})
+	}
 }
 
 // TestGlobalSchedulesDomainWorkAtBarrier: work a global callback posts on a
 // domain at the barrier instant runs at that instant, before the next
 // window advances time past it.
 func TestGlobalSchedulesDomainWorkAtBarrier(t *testing.T) {
-	sh := NewSharded(3, EngineWheel, 2, 0)
+	sh := NewSharded(3, EngineWheel, 2)
 	var fired Time
 	sh.Global().PostAt(50*Millisecond, func() {
 		sh.Shard(1).Post(0, func() { fired = sh.Shard(1).Now() })
@@ -215,14 +263,14 @@ func TestGlobalSchedulesDomainWorkAtBarrier(t *testing.T) {
 	}
 }
 
-// TestDomainSeedStreams: domain 0 must share the serial seed stream; other
-// domains must not.
+// TestDomainSeedStreams: domain 0 must draw the stream of a plain Sim with
+// the same seed; other domains must not.
 func TestDomainSeedStreams(t *testing.T) {
-	sh := NewSharded(99, EngineWheel, 3, 0)
+	sh := NewSharded(99, EngineWheel, 3)
 	serial := New(99)
 	for i := 0; i < 16; i++ {
 		if sh.Shard(0).Rand().Uint64() != serial.Rand().Uint64() {
-			t.Fatal("domain 0 rng stream diverges from the serial seed stream")
+			t.Fatal("domain 0 rng stream diverges from the plain seed stream")
 		}
 	}
 	a, b := sh.Shard(1).Rand().Uint64(), sh.Shard(2).Rand().Uint64()

@@ -244,7 +244,7 @@ func (s *Sim) NextAt() (Time, bool) { return s.q.peek() }
 // Sim can run up to and including t: no pending event is due at or before t
 // (strictly after, so that no tie has to be argued), and the Run call in
 // progress reaches t, so that nothing outside the Sim — a barrier-time
-// global of a sharded run, the harness between two Run calls — gets to look
+// global of a multi-site run, the harness between two Run calls — gets to look
 // in between. An event for which this holds may compute what it would have
 // scheduled up to t in one step, moving the clock with Advance. Outside Run
 // and RunAll the horizon is the one last reached: nothing beyond the present

@@ -214,7 +214,7 @@ func (t Topology) nodesUncached() []int {
 }
 
 // Sites returns the connected components of the link graph — the RF-closure
-// domains a sharded run may execute independently. Each component is sorted
+// domains the scheduler executes independently. Each component is sorted
 // by ID; components are ordered by their minimum ID. A connected topology
 // has exactly one site.
 func (t Topology) Sites() [][]int {

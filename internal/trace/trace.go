@@ -106,8 +106,8 @@ type Event struct {
 	// seq is the emission sequence number, site<<48 | per-site counter:
 	// the secondary merge key that restores one chronology across
 	// per-node shards (events at the same sim instant keep their emission
-	// order; serial runs use only site 0, where this is the historical
-	// global counter).
+	// order; a single-site network uses only site 0, where this is the
+	// historical global counter).
 	seq uint64
 }
 
@@ -133,17 +133,16 @@ type Log struct {
 	filter uint32 // bitmask of enabled kinds; 0 = all
 	armed  bool
 
-	// siteSeq holds one sequence counter per site (sharded-run domain).
-	// Serial runs use only site 0, where the counter is the historical
-	// global emission sequence. In sharded runs each site counts its own
-	// emissions so recording stays write-local to the emitting domain;
-	// events carry site<<48|counter and exports merge on (At, seq), which
-	// reduces to the historical pure-seq order when there is one site.
+	// siteSeq holds one sequence counter per site (scheduler domain). Each
+	// site counts its own emissions so recording stays write-local to the
+	// emitting domain; events carry site<<48|counter and exports merge on
+	// (At, seq), which reduces to the historical pure-seq order — one
+	// global emission sequence — when there is one site.
 	siteSeq []uint64
 
-	// frozen refuses lazy ring creation: in sharded runs every emitter is
-	// registered up front (RegisterNode) so recording never mutates the
-	// ring map from a worker goroutine.
+	// frozen refuses lazy ring creation: on a network of several sites
+	// every emitter is registered up front (RegisterNode) so recording
+	// never mutates the ring map from a worker goroutine.
 	frozen bool
 
 	// Packet sampling: when armed (rate in (0,1)), provenance-tagged
@@ -159,8 +158,8 @@ type Log struct {
 
 // shard is one node's ring. buf grows geometrically to max before the ring
 // wraps, so short runs never pay worst-case capacity. sim/site bind the
-// ring to its owner's clock and domain in sharded runs (sim nil = use the
-// Log's); kept/dropped count sampling verdicts ring-locally so DecidePkt
+// ring to its owner's clock and domain on multi-site networks (sim nil = use
+// the Log's); kept/dropped count sampling verdicts ring-locally so DecidePkt
 // stays free of cross-domain writes.
 type shard struct {
 	buf     []Event
@@ -227,8 +226,8 @@ func New(s *sim.Sim, capacity int) *Log {
 }
 
 // RegisterNode pre-creates node's ring, bound to the given simulation clock
-// and site. Sharded runs register every emitter up front and then Freeze
-// the log, so recording from parallel domain windows touches only
+// and site. Multi-site networks register every emitter up front and then
+// Freeze the log, so recording from parallel domain windows touches only
 // site-local state (the ring and its site's sequence counter).
 func (l *Log) RegisterNode(node string, s *sim.Sim, site int) {
 	if site < 0 {
@@ -248,8 +247,9 @@ func (l *Log) RegisterNode(node string, s *sim.Sim, site int) {
 }
 
 // Freeze forbids lazy ring creation: after this, emitting under an
-// unregistered node name panics instead of growing the ring map. Sharded
-// runs freeze after registering all nodes; serial runs never freeze.
+// unregistered node name panics instead of growing the ring map. A network
+// of several sites freezes after registering all nodes, whatever its lane
+// count; a single-site network, whose one clock is the log's own, never does.
 func (l *Log) Freeze() { l.frozen = true }
 
 // Enabled reports whether the log records anything. This is the one branch
@@ -399,7 +399,7 @@ func (l *Log) KeepPkt(id uint64) bool {
 // returns it. The origin stack calls this once per mint so kept/dropped
 // population counts stay exact even though dropped packets leave no events.
 // The verdict is counted on the minting node's ring when one is registered,
-// keeping the write local to the node's domain in sharded runs.
+// keeping the write local to the node's domain on multi-site networks.
 func (l *Log) DecidePkt(node string, id uint64) bool {
 	keep := l.KeepPkt(id)
 	if sh := l.shards[node]; sh != nil {
@@ -479,8 +479,8 @@ func (l *Log) Events(node string, kinds ...Kind) []Event {
 		out = sh.retained(match, out)
 	}
 	// Merge on (At, seq): per-site sequence streams are only ordered
-	// against each other by timestamp; within a site (and in any serial
-	// run) the sequence alone restores the exact emission chronology.
+	// against each other by timestamp; within a site (and on any single-site
+	// network) the sequence alone restores the exact emission chronology.
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At

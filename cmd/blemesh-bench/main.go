@@ -238,9 +238,12 @@ func cityNsPerEvent(lanes int) float64 {
 // cityMemStats measures the settled heap cost per node of the canonical
 // 10k-node city-scale build, plus the build's wall clock. The heap-in-use
 // delta is taken across the build after a double GC on each side (the
-// network held live), so the number is the resident per-node footprint, not
-// allocation churn. Informational: the memory regression guard is the
-// city-10k live_heap_mb metric of benchmark/, which has a bound and a spread.
+// network held live), so the number is resident footprint, not allocation
+// churn — of a network that is built and *unformed*: no connection, L2CAP
+// endpoint or RTT sketch exists yet, and those are most of what a running
+// node costs (≈ 2.7× this key). The formed figure, and the memory regression
+// guard, is benchmark/'s city-10k live_heap_mb ÷ nodes (bound and spread
+// there; internal/exp TestFormedFootprintBudget pins it per node).
 func cityMemStats(lanes int) map[string]float64 {
 	runtime.GC()
 	runtime.GC()

@@ -69,9 +69,12 @@ type ConnStats struct {
 	Retrans       uint64 // retransmissions triggered
 	SupResets     uint64 // supervision timer resets
 
-	// Per-channel accounting for Fig. 12's per-channel PDR panel.
-	ChannelTX [NumDataChannels]uint64
-	ChannelOK [NumDataChannels]uint64
+	// Per-channel accounting for Fig. 12's per-channel PDR panel. 32 bits:
+	// a link moves tens of PDUs a second over 37 channels, so one channel
+	// takes centuries of simulated time to wrap, and two uint64 arrays were
+	// half of a Conn.
+	ChannelTX [NumDataChannels]uint32
+	ChannelOK [NumDataChannels]uint32
 }
 
 // LLPDR returns the link-layer packet delivery rate: the fraction of
@@ -252,7 +255,6 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 		c.relSCA = params.CoordSCA + ctrl.cfg.SCA
 	}
 	c.act = &Activity{
-		Name:       fmt.Sprintf("conn#%d", c.handle), // hotpath:ignore — once per connection
 		NextAnchor: func() sim.Time { return c.nextStart },
 		OnPreempt:  c.preempted,
 	}

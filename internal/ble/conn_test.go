@@ -2,6 +2,7 @@ package ble
 
 import (
 	"testing"
+	"unsafe"
 
 	"blemesh/internal/phy"
 	"blemesh/internal/sim"
@@ -464,5 +465,19 @@ func TestRequestParamsFromSubordinate(t *testing.T) {
 	}
 	if coord.Closed() || sub.Closed() {
 		t.Fatal("connection died across a rejected parameter request")
+	}
+}
+
+// A Conn is allocated per link end and lives as long as the link, so the
+// size class it lands in is paid 16 500 times by the formed 10k city. It was
+// 1 232 B (the 1 280 B class), 592 of them two [37]uint64 per-channel
+// arrays; with 32-bit counters it is 936 B. Growing past 1 024 B costs a
+// quarter more per connection: shrink something else first.
+func TestConnFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Conn{}); sz > 1024 {
+		t.Fatalf("unsafe.Sizeof(Conn{}) = %d, over the 1024 B size class (ConnStats is %d of it)",
+			sz, unsafe.Sizeof(ConnStats{}))
+	} else {
+		t.Logf("unsafe.Sizeof(Conn{}) = %d, ConnStats %d", sz, unsafe.Sizeof(ConnStats{}))
 	}
 }

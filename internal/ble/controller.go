@@ -361,7 +361,6 @@ func (ctrl *Controller) StartAdvertising(p AdvParams) {
 	ctrl.advStop = false
 	ctrl.advParams = p
 	ctrl.advAct = &Activity{
-		Name:       "adv",
 		NextAnchor: func() sim.Time { return ctrl.advNext },
 		OnPreempt:  ctrl.advPreempted,
 	}
@@ -626,7 +625,7 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 		return
 	}
 	// Acquire the radio as a real activity for the CONNECT_IND exchange.
-	initAct := &Activity{Name: "initiate"}
+	initAct := &Activity{}
 	if _, granted := ctrl.sched.Acquire(initAct, ctrl.s.Now()+5*sim.Millisecond); !granted {
 		return
 	}

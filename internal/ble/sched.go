@@ -32,8 +32,6 @@ func (a Arbitration) String() string {
 // connection, one for advertising. Scanning is the radio's background
 // filler and never blocks an activity.
 type Activity struct {
-	// Name labels the activity in diagnostics.
-	Name string
 	// NextAnchor returns the simulation time of the activity's next
 	// planned radio claim, or 0 when none is planned. The scheduler uses
 	// it to bound how long the current owner may keep the radio (this is

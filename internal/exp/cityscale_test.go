@@ -1,11 +1,15 @@
 package exp
 
 import (
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"blemesh/internal/sim"
+	"blemesh/internal/statconn"
+	"blemesh/internal/testbed"
 )
 
 // cityScaleConfig attaches streaming to the canonical 10k-node build
@@ -104,4 +108,62 @@ func TestCityScale100k(t *testing.T) {
 	if wall > cityScale100kBudget {
 		t.Fatalf("100k smoke took %v, budget %v", wall, cityScale100kBudget)
 	}
+}
+
+// settledHeap is the heap still reachable after two collections.
+func settledHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// formedFootprintBudget is the settled heap a formed, loaded node may cost,
+// in bytes: 10 % above what TestFormedFootprintBudget reads (8 806; 12 410
+// before link and site state was sized for what it holds). Most of a node's
+// cost is allocated after BuildNetwork returns — connections, L2CAP
+// endpoints, per-site sketches — which is why a built, unformed network
+// (blemesh-bench bytes_per_node_10k) reads two fifths of this.
+const formedFootprintBudget = 9700
+
+// TestFormedFootprintBudget pins what a node costs the host once its links
+// are up and traffic flows, on a 2 000-node city at the canonical density
+// (256 m² per node) in the shape the 10k and 100k cities run in.
+func TestFormedFootprintBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2 000-node formed run in -short mode")
+	}
+	const n = 2000
+	side := 1600 * math.Sqrt(float64(n)/10000)
+	before := settledHeap()
+	nw := BuildNetwork(NetworkConfig{
+		Seed: 42,
+		Topology: testbed.RandomGeometric(testbed.GeoConfig{
+			Seed: 42, N: n, Width: side, Height: side, Range: 15}),
+		Policy:       statconn.Static{Interval: 75 * sim.Millisecond},
+		JamChannel22: true,
+		Lean:         true,
+		SparseRoutes: true,
+	})
+	built := settledHeap() - before
+	nw.Run(20 * sim.Second)
+	formed := settledHeap() - before
+	nw.StartTraffic(TrafficConfig{Interval: 10 * sim.Second})
+	nw.Run(10 * sim.Second)
+	loaded := settledHeap() - before
+
+	ends := 0
+	for _, id := range nw.Cfg.Topology.Nodes() {
+		ends += len(nw.Node(id).NetIf.Links())
+	}
+	if ends < n {
+		t.Fatalf("%d link ends on %d nodes: the city did not form", ends, n)
+	}
+	t.Logf("%d nodes, %d link ends, %d sites: built %d B/node, formed %d, loaded %d (%d B per link end over built)",
+		n, ends, len(nw.Cfg.Topology.Sites()), built/n, formed/n, loaded/n, (loaded-built)/uint64(ends))
+	if perNode := loaded / n; perNode > formedFootprintBudget {
+		t.Fatalf("formed, loaded footprint %d B/node, budget %d", perNode, formedFootprintBudget)
+	}
+	runtime.KeepAlive(nw)
 }

@@ -243,7 +243,7 @@ func (a *ATT) onDiscoveryRsp(b []byte) {
 
 func (a *ATT) finish(svcs []Service, err error) {
 	done := a.done
-	a.done = nil
+	a.done, a.found, a.timeout = nil, nil, sim.Timer{} // the link outlives discovery; its answer need not
 	if done != nil {
 		done(svcs, err)
 	}

@@ -3,6 +3,7 @@ package l2cap
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"blemesh/internal/ble"
 	"blemesh/internal/pktbuf"
@@ -328,7 +329,7 @@ func (ch *Channel) teardown() {
 		ch.sduBuf.Put()
 		ch.sduBuf = nil
 	}
-	delete(ch.ep.channels, ch.scid)
+	ch.ep.channels.del(ch.scid)
 	if ch.OnClose != nil {
 		ch.OnClose()
 	}
@@ -341,9 +342,9 @@ type Endpoint struct {
 
 	nextCID  uint16
 	sigID    byte
-	channels map[uint16]*Channel // by local scid
-	servers  map[uint16]serverEntry
-	pending  map[byte]pendingDial // signaling id → dial state
+	channels table[uint16, *Channel]  // by local scid, ascending
+	servers  table[uint16, Config]    // by PSM
+	pending  table[byte, pendingDial] // signaling id → dial state
 
 	// LL-level PDU reassembly (a PDU may span several LL fragments). The
 	// buffer's capacity is reused across PDUs; rxActive marks a PDU in
@@ -355,7 +356,7 @@ type Endpoint struct {
 	rxPID    uint64 // provenance ID of the PDU being reassembled
 
 	// Fixed-channel handlers (ATT rides the fixed CID 0x0004).
-	fixed map[uint16]func(payload []byte)
+	fixed table[uint16, func(payload []byte)]
 
 	kickArmed bool
 
@@ -367,8 +368,49 @@ type Endpoint struct {
 	OnChannelOpen func(*Channel)
 }
 
-type serverEntry struct {
-	cfg Config
+// table is an association list in insertion order, nil until used. An
+// endpoint's tables hold one entry each (IPSP opens one channel per link), so
+// a lookup is one compare, and iteration order is the same in every run.
+type table[K comparable, V any] []tableEntry[K, V]
+
+type tableEntry[K comparable, V any] struct {
+	k K
+	v V
+}
+
+func (t table[K, V]) index(k K) int {
+	for i := range t {
+		if t[i].k == k {
+			return i
+		}
+	}
+	return -1
+}
+
+func (t table[K, V]) get(k K) (v V, ok bool) {
+	if i := t.index(k); i >= 0 {
+		return t[i].v, true
+	}
+	return v, false
+}
+
+// put sets k's value, appending k when it is new.
+func (t *table[K, V]) put(k K, v V) {
+	if i := t.index(k); i >= 0 {
+		(*t)[i].v = v
+		return
+	}
+	*t = append(*t, tableEntry[K, V]{k, v})
+}
+
+// del removes k, if present, keeping the order of the rest; an emptied table
+// lets go of its storage.
+func (t *table[K, V]) del(k K) {
+	if i := t.index(k); i >= 0 {
+		if *t = slices.Delete(*t, i, i+1); len(*t) == 0 {
+			*t = nil
+		}
+	}
 }
 
 type pendingDial struct {
@@ -387,15 +429,7 @@ type EndpointStats struct {
 
 // NewEndpoint attaches an L2CAP endpoint to an established BLE connection.
 func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
-	ep := &Endpoint{
-		s:        s,
-		conn:     conn,
-		nextCID:  FirstDynamicCID,
-		channels: make(map[uint16]*Channel),
-		servers:  make(map[uint16]serverEntry),
-		pending:  make(map[byte]pendingDial),
-		fixed:    make(map[uint16]func([]byte)),
-	}
+	ep := &Endpoint{s: s, conn: conn, nextCID: FirstDynamicCID}
 	conn.OnData = ep.onLL
 	return ep
 }
@@ -409,8 +443,8 @@ func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 // Channels returns the currently open channels.
 func (ep *Endpoint) Channels() []*Channel {
 	out := make([]*Channel, 0, len(ep.channels))
-	for _, ch := range ep.channels {
-		out = append(out, ch)
+	for _, e := range ep.channels {
+		out = append(out, e.v)
 	}
 	return out
 }
@@ -419,7 +453,7 @@ func (ep *Endpoint) Channels() []*Channel {
 // configuration. IPSP nodes register PSMIPSP.
 func (ep *Endpoint) RegisterServer(psm uint16, cfg Config) {
 	cfg.defaults()
-	ep.servers[psm] = serverEntry{cfg: cfg}
+	ep.servers.put(psm, cfg)
 }
 
 // Dial opens a channel to the peer's psm server. cb is invoked with the open
@@ -427,9 +461,9 @@ func (ep *Endpoint) RegisterServer(psm uint16, cfg Config) {
 func (ep *Endpoint) Dial(psm uint16, cfg Config, cb func(*Channel, error)) {
 	cfg.defaults()
 	ch := &Channel{ep: ep, scid: ep.allocCID(), psm: psm, cfg: cfg, rxCredits: cfg.InitialCredits}
-	ep.channels[ch.scid] = ch
+	ep.channels.put(ch.scid, ch)
 	id := ep.nextSigID()
-	ep.pending[id] = pendingDial{ch: ch, cb: cb}
+	ep.pending.put(id, pendingDial{ch: ch, cb: cb})
 	ep.sendSignal(signal{
 		code: codeConnReq, id: id, psm: psm,
 		scid: ch.scid, mtu: uint16(cfg.MTU), mps: uint16(cfg.MPS), credits: uint16(cfg.InitialCredits),
@@ -467,7 +501,8 @@ func (ep *Endpoint) scheduleKick() {
 	ep.kickArmed = true
 	ep.s.Post(2*sim.Millisecond, func() {
 		ep.kickArmed = false
-		for _, ch := range ep.channels {
+		for _, e := range ep.channels {
+			ch := e.v
 			wasBlocked := !ch.Writable()
 			ch.drain()
 			ch.notifyWritable(wasBlocked)
@@ -580,11 +615,11 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 		}
 		return
 	}
-	if h, ok := ep.fixed[p.cid]; ok {
+	if h, ok := ep.fixed.get(p.cid); ok {
 		h(p.payload)
 		return
 	}
-	ch, ok := ep.channels[p.cid]
+	ch, ok := ep.channels.get(p.cid)
 	switch {
 	case !ok:
 		ep.stats.UnknownCID++
@@ -598,34 +633,34 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 func (ep *Endpoint) onSignal(s signal) {
 	switch s.code {
 	case codeConnReq:
-		srv, ok := ep.servers[s.psm]
+		cfg, ok := ep.servers.get(s.psm)
 		if !ok {
 			ep.sendSignal(signal{code: codeConnRsp, id: s.id, result: resultRefusedPSM})
 			return
 		}
 		ch := &Channel{
 			ep: ep, scid: ep.allocCID(), dcid: s.scid, psm: s.psm,
-			cfg: srv.cfg, rxCredits: srv.cfg.InitialCredits,
+			cfg: cfg, rxCredits: cfg.InitialCredits,
 			peerMTU: int(s.mtu), peerMPS: int(s.mps), txCredits: int(s.credits),
 			open: true,
 		}
-		ep.channels[ch.scid] = ch
+		ep.channels.put(ch.scid, ch)
 		ep.sendSignal(signal{
 			code: codeConnRsp, id: s.id, dcid: ch.scid,
-			mtu: uint16(srv.cfg.MTU), mps: uint16(srv.cfg.MPS),
-			credits: uint16(srv.cfg.InitialCredits), result: resultSuccess,
+			mtu: uint16(cfg.MTU), mps: uint16(cfg.MPS),
+			credits: uint16(cfg.InitialCredits), result: resultSuccess,
 		})
 		if ep.OnChannelOpen != nil {
 			ep.OnChannelOpen(ch)
 		}
 	case codeConnRsp:
-		pd, ok := ep.pending[s.id]
+		pd, ok := ep.pending.get(s.id)
 		if !ok {
 			return
 		}
-		delete(ep.pending, s.id)
+		ep.pending.del(s.id)
 		if s.result != resultSuccess {
-			delete(ep.channels, pd.ch.scid)
+			ep.channels.del(pd.ch.scid)
 			if pd.cb != nil {
 				pd.cb(nil, fmt.Errorf("l2cap: peer refused channel (result %#x)", s.result))
 			}
@@ -643,14 +678,14 @@ func (ep *Endpoint) onSignal(s signal) {
 		ch.drain()
 	case codeFlowCredit:
 		// The cid in the signal is the PEER's channel id; find ours.
-		for _, ch := range ep.channels {
-			if ch.dcid == s.cid {
-				ch.creditsGranted(int(s.credits))
+		for _, e := range ep.channels {
+			if e.v.dcid == s.cid {
+				e.v.creditsGranted(int(s.credits))
 				break
 			}
 		}
 	case codeDisconnReq:
-		if ch, ok := ep.channels[s.dcid]; ok {
+		if ch, ok := ep.channels.get(s.dcid); ok {
 			ep.sendSignal(signal{code: codeDisconnRsp, id: s.id, dcid: s.dcid, scid: s.scid})
 			ch.teardown()
 		}
@@ -681,7 +716,7 @@ const CIDATT uint16 = 0x0004
 // HandleFixed installs a handler for a fixed L2CAP channel (e.g. ATT).
 // Fixed channels have no flow control; PDUs are delivered as they arrive.
 func (ep *Endpoint) HandleFixed(cid uint16, h func(payload []byte)) {
-	ep.fixed[cid] = h
+	ep.fixed.put(cid, h)
 }
 
 // SendFixed transmits a PDU on a fixed channel, retrying briefly when the

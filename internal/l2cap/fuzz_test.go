@@ -12,19 +12,12 @@ import (
 // the SDU recombination path can be driven directly with hostile K-frames.
 func loneChannel(credits int) *Channel {
 	s := sim.New(1)
-	ep := &Endpoint{
-		s:        s,
-		nextCID:  FirstDynamicCID,
-		channels: make(map[uint16]*Channel),
-		servers:  make(map[uint16]serverEntry),
-		pending:  make(map[byte]pendingDial),
-		fixed:    make(map[uint16]func([]byte)),
-	}
+	ep := &Endpoint{s: s, nextCID: FirstDynamicCID} // NewEndpoint without a conn
 	cfg := Config{}
 	cfg.defaults()
 	ch := &Channel{ep: ep, scid: FirstDynamicCID, dcid: FirstDynamicCID,
 		psm: PSMIPSP, cfg: cfg, rxCredits: credits, open: true}
-	ep.channels[ch.scid] = ch
+	ep.channels.put(ch.scid, ch)
 	return ch
 }
 

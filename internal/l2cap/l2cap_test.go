@@ -2,12 +2,16 @@ package l2cap
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"blemesh/internal/ble"
 	"blemesh/internal/phy"
 	"blemesh/internal/sim"
+	"blemesh/internal/trace"
 )
 
 func TestPDUCodecRoundTrip(t *testing.T) {
@@ -132,14 +136,21 @@ type pair struct {
 
 func newPair(t *testing.T, seed int64) *pair {
 	t.Helper()
+	return newPairPool(t, seed, 0)
+}
+
+// newPairPool is newPair with the coordinator's LL pool set to coordPool
+// bytes (0 = the default 6600).
+func newPairPool(t *testing.T, seed int64, coordPool int) *pair {
+	t.Helper()
 	s := sim.New(seed)
 	m := phy.NewMedium(s)
-	mk := func(ppm float64, addr int) *ble.Controller {
+	mk := func(ppm float64, addr, pool int) *ble.Controller {
 		clk := sim.NewClock(s, ppm)
-		return ble.NewController(s, clk, m.NewRadio(), ble.ControllerConfig{Addr: ble.DevAddr(addr)})
+		return ble.NewController(s, clk, m.NewRadio(), ble.ControllerConfig{Addr: ble.DevAddr(addr), PoolBytes: pool})
 	}
-	a := mk(1.5, 0xAA)
-	b := mk(-1.5, 0xBB)
+	a := mk(1.5, 0xAA, 0)
+	b := mk(-1.5, 0xBB, coordPool)
 	p := &pair{s: s, subCtrl: a, coordCtl: b}
 	a.OnConnect = func(c *ble.Conn) { p.subEP = NewEndpoint(s, c) }
 	b.OnConnect = func(c *ble.Conn) { p.coordEP = NewEndpoint(s, c) }
@@ -370,5 +381,110 @@ func TestWritableBackpressure(t *testing.T) {
 	p.s.Run(p.s.Now() + 5*sim.Second)
 	if !writableAgain {
 		t.Fatal("OnWritable never fired after drain")
+	}
+}
+
+// twoChannelRun opens two channels on one endpoint whose LL pool holds three
+// frames, queues frames on both twice over — once left to the endpoint's
+// kick to drain, once torn down — and returns everything an upper layer or a
+// trace reader could observe, in order.
+func twoChannelRun(t *testing.T) []string {
+	p := newPairPool(t, 11, 700)
+	tr := trace.New(p.s, 0)
+	tr.SetFilter(trace.KindPacketDrop)
+	tr.Enable()
+	p.coordCtl.SetTrace(tr, "coord")
+
+	var log []string
+	note := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	p.subEP.RegisterServer(PSMIPSP, Config{})
+	p.subEP.OnChannelOpen = func(ch *Channel) {
+		ch.OnSDU = func(sdu []byte, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid) }
+	}
+	var chs []*Channel
+	for i := 0; i < 2; i++ {
+		p.coordEP.Dial(PSMIPSP, Config{}, func(ch *Channel, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			ch.OnWritable = func() { note("writable scid=%#x", ch.SCID()) }
+			ch.OnClose = func() { note("close scid=%#x", ch.SCID()) }
+			chs = append(chs, ch)
+		})
+	}
+	for i := 0; i < 100 && len(chs) < 2; i++ {
+		p.s.Run(p.s.Now() + 50*sim.Millisecond)
+	}
+	if len(chs) != 2 {
+		t.Fatal("two channels did not open")
+	}
+	// Three 206-byte PDUs fill the 700-byte pool; the fourth SDU arms the
+	// kick, and from there both channels hold queued frames.
+	pid := uint64(0)
+	burst := func() {
+		for i := 0; i < 3; i++ {
+			for _, ch := range chs {
+				pid++
+				id := pid
+				if err := ch.SendSDU(make([]byte, 200), id, func() { note("done pid=%d", id) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if chs[0].QueueLen() == 0 || chs[1].QueueLen() == 0 {
+			t.Fatalf("queued frames %d/%d, want some on both channels", chs[0].QueueLen(), chs[1].QueueLen())
+		}
+	}
+	burst()
+	p.s.Run(p.s.Now() + 2*sim.Second) // the kick drains both
+	if chs[0].QueueLen() != 0 || chs[1].QueueLen() != 0 {
+		t.Fatal("kick did not drain the channels")
+	}
+	note("teardown")
+	burst()
+	p.coordEP.Teardown()
+	for _, e := range tr.Events("coord", trace.KindPacketDrop) {
+		note("trace pid=%d %s", e.ID, e.Detail)
+	}
+	return log
+}
+
+// An endpoint with two channels used to range over a Go map in its kick,
+// in Teardown and in the credit search, so which channel drained, closed and
+// logged its link-reset drops first changed from run to run (IPSP opens one
+// channel, which hid it). The tables are ordered: ascending scid, every run.
+func TestEndpointTwoChannelsDeterministicOrder(t *testing.T) {
+	want := twoChannelRun(t)
+	closes := slices.DeleteFunc(slices.Clone(want), func(s string) bool { return !strings.HasPrefix(s, "close") })
+	if !slices.Equal(closes, []string{"close scid=0x40", "close scid=0x41"}) {
+		t.Fatalf("teardown closed %v, want ascending scid", closes)
+	}
+	for rep := 1; rep < 20; rep++ {
+		if got := twoChannelRun(t); !slices.Equal(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("repetition %d diverges at record %d of %d: %q, first run %q", rep, i, len(want), append(got, "<end>")[i], want[i])
+				}
+			}
+			t.Fatalf("repetition %d: %d records, first run %d", rep, len(got), len(want))
+		}
+	}
+}
+
+// What an endpoint costs before a channel opens, paid per link end:
+// NewEndpoint, the IPSP server registration and the ATT fixed-channel handler.
+// With a Go map behind each of the four tables this was 8 allocations (the
+// struct, its bound onLL, four map headers, and the first group of the two
+// maps written to); the tables are nil until used, so it is the struct, onLL
+// and one entry for each of the two.
+func TestEndpointSetupAllocs(t *testing.T) {
+	conn := new(ble.Conn)
+	handler := func([]byte) {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		ep := NewEndpoint(nil, conn)
+		ep.RegisterServer(PSMIPSP, Config{})
+		ep.HandleFixed(CIDATT, handler)
+	}); allocs != 4 {
+		t.Fatalf("endpoint set-up: %v allocations, want 4 (was 8 with map tables)", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -307,6 +308,102 @@ func TestSketchMemBounded(t *testing.T) {
 	}
 	if c := s.Centroids(); c > 4*DefaultCompression {
 		t.Errorf("centroid count %d exceeds 4δ=%d", c, 4*DefaultCompression)
+	}
+}
+
+// preallocated is the reference the lazily grown buffer is held to: a sketch
+// whose insertion buffer has its full capacity from the start, as every
+// sketch's had before the buffer grew with the stream, so that "full" and
+// "at the flush limit" are the same moment.
+func preallocated(delta float64) *Sketch {
+	s := NewCompression(delta)
+	s.buf = make([]float64, 0, s.bufLimit())
+	return s
+}
+
+// sameSketch compares everything a sketch exports. Quantile and Serialize
+// flush, identically on both sides.
+func sameSketch(t *testing.T, what string, got, want *Sketch) {
+	t.Helper()
+	if got.N() != want.N() || got.Sum() != want.Sum() {
+		t.Fatalf("%s: N/Sum %d/%v, reference %d/%v", what, got.N(), got.Sum(), want.N(), want.Sum())
+	}
+	gmin, gok := got.Min()
+	wmin, wok := want.Min()
+	gmax, _ := got.Max()
+	wmax, _ := want.Max()
+	if gok != wok || gmin != wmin || gmax != wmax {
+		t.Fatalf("%s: min/max %v/%v, reference %v/%v", what, gmin, gmax, wmin, wmax)
+	}
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		g, _ := got.Quantile(q)
+		w, _ := want.Quantile(q)
+		if g != w {
+			t.Fatalf("%s: p%g = %v, reference %v", what, 100*q, g, w)
+		}
+	}
+	if !bytes.Equal(got.Serialize(), want.Serialize()) {
+		t.Fatalf("%s: serialized bytes differ from the reference (%d vs %d centroids)", what, got.Centroids(), want.Centroids())
+	}
+}
+
+// TestLazyBufferIdentity: growing the insertion buffer with the stream must
+// not move a compaction point. Stream lengths sit on both sides of the first
+// capacity (16) and of the flush limit (1 600).
+func TestLazyBufferIdentity(t *testing.T) {
+	fill := func(s *Sketch, vals []float64) *Sketch {
+		for _, v := range vals {
+			s.Add(v)
+		}
+		return s
+	}
+	vals := synthetic("lognormal", 100_000)
+	for _, n := range []int{0, 1, 15, 16, 17, 1599, 1600, 1601, 3200, 100_000} {
+		sameSketch(t, fmt.Sprintf("stream of %d", n), fill(New(), vals[:n]), fill(preallocated(DefaultCompression), vals[:n]))
+	}
+	// Merge flushes both sides' partly filled buffers, one past its first
+	// compaction and one short of it.
+	got := fill(New(), vals[:2500])
+	got.Merge(fill(New(), vals[2500:3200]))
+	want := fill(preallocated(DefaultCompression), vals[:2500])
+	want.Merge(fill(preallocated(DefaultCompression), vals[2500:3200]))
+	sameSketch(t, "merge of 2500 and 700", got, want)
+	// A compression whose limit is not a power of two times the first capacity.
+	sameSketch(t, "δ=33.3", fill(NewCompression(33.3), vals[:5000]), fill(preallocated(33.3), vals[:5000]))
+}
+
+// TestBufferNeverExceedsLimit: the buffer stops growing at bufFactor ×
+// compression, so a sketch that has seen a full buffer retains exactly what
+// one with a preallocated buffer does, and getting there takes a handful of
+// allocations.
+func TestBufferNeverExceedsLimit(t *testing.T) {
+	vals := synthetic("exponential", 5000)
+	for _, delta := range []float64{20, 33.3, DefaultCompression} {
+		s, ref := NewCompression(delta), preallocated(delta)
+		for i, v := range vals {
+			s.Add(v)
+			ref.Add(v)
+			if cap(s.buf) > s.bufLimit() {
+				t.Fatalf("δ=%v: buffer capacity %d after %d samples, limit %d", delta, cap(s.buf), i+1, s.bufLimit())
+			}
+		}
+		if s.MemBytes() != ref.MemBytes() {
+			t.Fatalf("δ=%v: full sketch MemBytes %d, preallocated %d", delta, s.MemBytes(), ref.MemBytes())
+		}
+	}
+	if got := New(); got.MemBytes() > 64 {
+		t.Fatalf("empty sketch MemBytes %d", got.MemBytes())
+	}
+	// 16 → 32 → … → 1 024 → 1 600 is eight buffers; New is the ninth
+	// allocation. Short of the limit nothing else allocates.
+	limit := New().bufLimit()
+	if allocs := testing.AllocsPerRun(20, func() {
+		s := New()
+		for _, v := range vals[:limit-1] {
+			s.Add(v)
+		}
+	}); allocs > 9 {
+		t.Fatalf("filling a fresh sketch to one short of its limit: %v allocations, want ≤ 9", allocs)
 	}
 }
 

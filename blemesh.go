@@ -94,10 +94,6 @@ type (
 	Options = exp.Options
 	Report  = exp.Report
 
-	// Engine selects the sim event-queue implementation (timer wheel by
-	// default, binary heap as the reference).
-	Engine = sim.Engine
-
 	// RoutingMode selects the routing plane for NetworkConfig.Routing:
 	// static precomputed host routes (the default, byte-identical to the
 	// pre-routing harness) or the dynamic RPL-lite DODAG.
@@ -115,9 +111,8 @@ type (
 	TrafficConfig = exp.TrafficConfig
 	Network       = exp.Network
 
-	// CDF is the quantile accumulator used throughout the harness. It is
-	// backed by a mergeable quantile sketch by default; SetExactCDF flips
-	// new CDFs to the exact sorted-sample store.
+	// CDF is the quantile accumulator used throughout the harness, backed
+	// by a mergeable quantile sketch (bounded memory, ≤1% quantile error).
 	CDF = metrics.CDF
 	// MetricsRegistry is the unified metrics surface a Network exposes.
 	MetricsRegistry = metrics.Registry
@@ -151,20 +146,11 @@ const (
 	Hour        = sim.Hour
 )
 
-// Event-queue engines for Options.Engine / NetworkConfig.Engine.
-const (
-	EngineWheel = sim.EngineWheel
-	EngineHeap  = sim.EngineHeap
-)
-
 // Routing planes for NetworkConfig.Routing.
 const (
 	RoutingStatic  = exp.RoutingStatic
 	RoutingDynamic = exp.RoutingDynamic
 )
-
-// ParseEngine maps a flag value ("wheel" or "heap") to an Engine.
-func ParseEngine(name string) (Engine, error) { return sim.ParseEngine(name) }
 
 // ParseRouting maps a flag value ("static" or "dynamic") to a RoutingMode.
 func ParseRouting(name string) (RoutingMode, error) { return exp.ParseRouting(name) }
@@ -196,14 +182,6 @@ func SweepText(cells []CellResult) string { return exp.SweepText(cells) }
 // NewMetricsRegistry creates an empty metrics registry (for sweep progress
 // gauges and custom studies).
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// SetExactCDF selects the backing store for CDFs created afterwards: exact
-// sorted samples (unbounded memory, exact quantiles) instead of the default
-// mergeable t-digest sketch (bounded memory, ≤1% quantile error).
-func SetExactCDF(on bool) { metrics.SetExact(on) }
-
-// ExactCDFMode reports the current CDF backend selection.
-func ExactCDFMode() bool { return metrics.ExactMode() }
 
 // CoAP message constants, re-exported for building requests.
 const (

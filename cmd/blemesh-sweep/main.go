@@ -7,8 +7,8 @@
 //
 //	blemesh-sweep [-scale F] [-runs N] [-seed N] [-workers N]
 //	              [-producers 100,1000] [-intervals "25,75,[65:85]"]
-//	              [-topo tree|geo|city|floors] [-nodes N] [-range M]
-//	              [-engine wheel|heap] [-shards N] [-progress]
+//	              [-topo tree|line|mesh|forest|geo|city|floors] [-nodes N]
+//	              [-range M] [-shards N] [-progress]
 //
 // At -scale 1 -runs 5 this is the paper's full 300 simulated hours. The
 // output is byte-identical for every -workers value; only wall-clock time
@@ -24,6 +24,7 @@ import (
 
 	"blemesh"
 	"blemesh/internal/prof"
+	"blemesh/internal/testbed"
 )
 
 func main() {
@@ -31,29 +32,21 @@ func main() {
 	scale := flag.Float64("scale", 0.1, "duration scale (1.0 = 1h per run)")
 	runs := flag.Int("runs", 1, "repetitions per configuration (paper: 5)")
 	workers := flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-	engineName := flag.String("engine", "wheel", "sim event-queue engine: wheel or heap")
 	shards := flag.Int("shards", 0, "worker lanes executing the RF-isolated sites of each run (0 and 1: one lane; output is the same for every value)")
-	topoName := flag.String("topo", "tree", "swept topology: tree (the paper's), geo, city, or floors (seeded generators)")
+	topoName := flag.String("topo", "tree", "swept topology: tree (the paper's), line, mesh, forest, or a seeded generator: geo, city, floors")
 	nodes := flag.Int("nodes", 60, "node count for -topo geo")
 	radioRange := flag.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")
 	producersFlag := flag.String("producers", "", "comma-separated producer intervals in ms (default: full Fig. 15 grid)")
 	intervalsFlag := flag.String("intervals", "", "comma-separated interval config names, e.g. 25,75,[65:85] (default: all ten)")
 	progress := flag.Bool("progress", false, "report per-run progress on stderr")
-	exact := flag.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
 	if err := (blemesh.NetworkConfig{Shards: *shards}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
 		os.Exit(2)
 	}
-	blemesh.SetExactCDF(*exact)
 	defer pf.Start()()
 
-	engine, err := blemesh.ParseEngine(*engineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	producers, err := parseProducers(*producersFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -64,16 +57,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	topo, err := parseTopo(*topoName, *seed, *nodes, *radioRange)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	// The zero-value Topology tells RunSweep to use its tree default.
+	var topo blemesh.Topology
+	if *topoName != "tree" {
+		if topo, err = testbed.ByName(*topoName, *seed, *nodes, *radioRange); err != nil {
+			fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
+			os.Exit(2)
+		}
 	}
 
 	sc := blemesh.SweepConfig{
 		Options: blemesh.Options{
 			Seed: *seed, Scale: *scale, Runs: *runs,
-			Workers: *workers, Engine: engine, Shards: *shards,
+			Workers: *workers, Shards: *shards,
 		},
 		Producers: producers,
 		Configs:   configs,
@@ -101,28 +97,6 @@ func main() {
 	// plotting. SweepText emits keys in sorted order, so the bytes are
 	// reproducible run-to-run and worker-count-to-worker-count.
 	fmt.Print(blemesh.SweepText(cells))
-}
-
-// parseTopo resolves the -topo flag: the paper's tree, or one of the
-// seeded city-scale generators (geo honours -nodes; all honour -range,
-// 0 keeping the generator default). The zero-value Topology tells
-// RunSweep to use its tree default.
-func parseTopo(name string, seed int64, nodes int, radioRange float64) (blemesh.Topology, error) {
-	switch name {
-	case "", "tree":
-		return blemesh.Topology{}, nil
-	case "geo":
-		return blemesh.RandomGeometric(blemesh.GeoConfig{
-			Seed: seed, N: nodes, Range: radioRange}), nil
-	case "city":
-		return blemesh.CityBlocks(blemesh.CityConfig{
-			Seed: seed, Range: radioRange}), nil
-	case "floors":
-		return blemesh.BuildingFloors(blemesh.FloorsConfig{
-			Seed: seed, Range: radioRange}), nil
-	}
-	return blemesh.Topology{}, fmt.Errorf(
-		"blemesh-sweep: unknown topology %q (tree, geo, city, or floors)", name)
 }
 
 // parseProducers parses "100,1000" (milliseconds) into durations; an empty

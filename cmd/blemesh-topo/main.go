@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	which := flag.String("topo", "both", "tree, line, both, geo, city, or floors")
+	which := flag.String("topo", "both", "both (tree and line), tree, line, mesh, forest, geo, city, or floors")
 	seed := flag.Int64("seed", 1, "generator seed for geo/city/floors")
 	nodes := flag.Int("nodes", 60, "node count for -topo geo")
 	radioRange := flag.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")
@@ -24,19 +24,18 @@ func main() {
 		os.Exit(2)
 	}
 
-	switch *which {
-	case "geo":
-		showGeo(testbed.RandomGeometric(testbed.GeoConfig{
-			Seed: *seed, N: *nodes, Range: *radioRange}))
-		return
-	case "city":
-		showGeo(testbed.CityBlocks(testbed.CityConfig{
-			Seed: *seed, Range: *radioRange}))
-		return
-	case "floors":
-		showGeo(testbed.BuildingFloors(testbed.FloorsConfig{
-			Seed: *seed, Range: *radioRange}))
-		return
+	topos := []testbed.Topology{testbed.Tree(), testbed.Line()}
+	if *which != "both" {
+		t, err := testbed.ByName(*which, *seed, *nodes, *radioRange)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "blemesh-topo:", err)
+			os.Exit(2)
+		}
+		if t.Pos != nil {
+			showGeo(t)
+			return
+		}
+		topos = []testbed.Topology{t}
 	}
 
 	fmt.Println("== FIT IoT-Lab inventory (paper §4.1) ==")
@@ -53,9 +52,18 @@ func main() {
 	fmt.Println("  ... (15 total)")
 
 	show := func(t testbed.Topology) {
-		fmt.Printf("\n== %s topology (Fig. 6) ==\n", t.Name)
-		fmt.Printf("consumer: node %d; %d producers; avg hop count %.2f; max depth %d\n",
-			t.Consumer, len(t.Producers()), t.AvgHopCount(), t.MaxDepth())
+		fig := ""
+		if t.Name == "tree" || t.Name == "line" {
+			fig = " (Fig. 6)"
+		}
+		fmt.Printf("\n== %s topology%s ==\n", t.Name, fig)
+		if sinks := t.SiteConsumers(); len(sinks) > 1 {
+			fmt.Printf("consumers: nodes %v; ", sinks)
+		} else {
+			fmt.Printf("consumer: node %d; ", t.Consumer)
+		}
+		fmt.Printf("%d producers; avg hop count %.2f; max depth %d\n",
+			len(t.Producers()), t.AvgHopCount(), t.MaxDepth())
 		fmt.Println("links (coordinator -> subordinate):")
 		for _, l := range t.Links {
 			fmt.Printf("  %2d -> %2d\n", l.Coordinator, l.Subordinate)
@@ -68,14 +76,8 @@ func main() {
 			}
 		}
 	}
-	switch *which {
-	case "tree":
-		show(testbed.Tree())
-	case "line":
-		show(testbed.Line())
-	default:
-		show(testbed.Tree())
-		show(testbed.Line())
+	for _, t := range topos {
+		show(t)
 	}
 }
 

@@ -7,6 +7,7 @@
 //
 //	blemesh-trace -minutes 5                          # summary
 //	blemesh-trace -kind ll-tx,ll-rx -node nrf52dk-1   # filtered event dump
+//	blemesh-trace -topo mesh -routing dynamic -events # every event of an RPL run
 //	blemesh-trace -id 5a0000000003c001                # one packet's life
 //	blemesh-trace -waterfalls 3                       # slowest three packets
 //	blemesh-trace -export ndjson -o trace.ndjson      # machine-readable trace
@@ -22,12 +23,17 @@ import (
 	"strings"
 
 	"blemesh"
+	"blemesh/internal/testbed"
 	"blemesh/internal/trace"
 )
 
 func main() {
 	fs := flag.NewFlagSet("blemesh-trace", flag.ExitOnError)
-	topoName := fs.String("topo", "tree", "topology: tree, line, or forest (4 isolated trees)")
+	topoName := fs.String("topo", "tree", "tree, line, mesh, forest (4 isolated trees), geo, city, or floors")
+	nodes := fs.Int("nodes", 60, "node count for -topo geo")
+	radioRange := fs.Float64("range", 0, "disk radio range in meters for generated topologies (0 = generator default)")
+	lean := fs.Bool("lean", false, "lean metrics + sparse sink-tree routes (the city-scale mode; required well before 10k nodes)")
+	routingName := fs.String("routing", "static", "routing plane: static or dynamic (RPL-lite)")
 	minutes := fs.Int("minutes", 5, "simulated minutes of traffic")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	node := fs.String("node", "", "restrict the event dump to one node name")
@@ -39,22 +45,21 @@ func main() {
 	out := fs.String("o", "", "write export/metrics output to a file instead of stdout")
 	events := fs.Bool("events", false, "dump the (filtered) event log")
 	sample := fs.Float64("sample", 0, "keep provenance spans for only this fraction of packets (0 or 1 = all)")
-	exact := fs.Bool("exact", false, "use the exact CDF backend instead of the quantile sketch")
 	streamPath := fs.String("stream", "", "stream periodic registry snapshots (NDJSON) to this file during the run")
 	streamEvery := fs.Int("stream-every", 60, "streaming period in simulated seconds")
 	shards := fs.Int("shards", 0, "worker lanes executing the RF-isolated sites of a run (0 and 1: one lane; output is the same for every value)")
 	_ = fs.Parse(os.Args[1:])
 
-	blemesh.SetExactCDF(*exact)
-	topo := blemesh.Tree()
-	switch *topoName {
-	case "tree":
-	case "line":
-		topo = blemesh.Line()
-	case "forest":
-		topo = blemesh.Forest(4)
-	default:
-		fatal(fmt.Errorf("unknown topology %q (tree, line, or forest)", *topoName))
+	if err := blemesh.ValidateFlags(*nodes, *radioRange, *minutes); err != nil {
+		usageError(err)
+	}
+	topo, err := testbed.ByName(*topoName, *seed, *nodes, *radioRange)
+	if err != nil {
+		usageError(err)
+	}
+	routing, err := blemesh.ParseRouting(*routingName)
+	if err != nil {
+		usageError(err)
 	}
 	cfg := blemesh.NetworkConfig{
 		Seed:          *seed,
@@ -64,6 +69,9 @@ func main() {
 		TraceCapacity: 1 << 20,
 		TraceSample:   *sample,
 		Shards:        *shards,
+		Routing:       routing,
+		Lean:          *lean,
+		SparseRoutes:  *lean,
 	}
 	var stream *os.File
 	if *streamPath != "" {
@@ -75,16 +83,14 @@ func main() {
 		cfg.StreamMetrics = f
 		cfg.StreamEvery = blemesh.Duration(*streamEvery) * blemesh.Second
 	}
-	err := cfg.Validate()
-	if err == nil {
-		err = blemesh.ValidateFlags(2, 0, *minutes) // no generator flags here
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "blemesh-trace:", err)
-		os.Exit(2)
+	if err := cfg.Validate(); err != nil {
+		usageError(err)
 	}
 	nw := blemesh.BuildNetwork(cfg)
 	nw.WaitTopology(60 * blemesh.Second)
+	if routing == blemesh.RoutingDynamic && !nw.WaitConverged(120*blemesh.Second) {
+		fmt.Fprintln(os.Stderr, "warning: DODAG did not converge within 120s; tracing anyway")
+	}
 	nw.Run(10 * blemesh.Second)
 	nw.StartTraffic(blemesh.TrafficConfig{})
 	nw.Run(blemesh.Duration(*minutes) * blemesh.Minute)
@@ -255,6 +261,12 @@ func summarize(w *os.File, nw *blemesh.Network, nWaterfalls int) {
 			fmt.Fprint(w, j.Waterfall(60))
 		}
 	}
+}
+
+// usageError exits 2: the flags ask for a network that cannot be built.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "blemesh-trace:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

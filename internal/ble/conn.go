@@ -203,9 +203,6 @@ func (c *Conn) Role() Role { return c.role }
 // Peer returns the remote device address.
 func (c *Conn) Peer() DevAddr { return c.peer }
 
-// Handle returns the controller-local connection handle.
-func (c *Conn) Handle() int { return c.handle }
-
 // Params returns the current connection parameters.
 func (c *Conn) Params() ConnParams { return c.params }
 

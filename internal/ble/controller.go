@@ -93,7 +93,6 @@ type ControllerEvents struct {
 type pool struct {
 	capacity int
 	used     int
-	peak     int
 }
 
 func (p *pool) alloc(n int) bool {
@@ -101,9 +100,6 @@ func (p *pool) alloc(n int) bool {
 		return false
 	}
 	p.used += n
-	if p.used > p.peak {
-		p.peak = p.used
-	}
 	return true
 }
 
@@ -279,9 +275,6 @@ func (ctrl *Controller) Events() ControllerEvents { return ctrl.events }
 
 // Scheduler exposes the radio scheduler (read-mostly: stats, arbitration).
 func (ctrl *Controller) Scheduler() *Scheduler { return &ctrl.sched }
-
-// PoolUsed returns current and peak LL pool occupancy in bytes.
-func (ctrl *Controller) PoolUsed() (used, peak int) { return ctrl.pool.used, ctrl.pool.peak }
 
 // Conns returns the active connections.
 func (ctrl *Controller) Conns() []*Conn {

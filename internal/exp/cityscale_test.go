@@ -88,8 +88,10 @@ func TestCityScale100k(t *testing.T) {
 	nw.StartTraffic(TrafficConfig{Interval: 10 * sim.Second})
 	nw.Run(10 * sim.Second)
 	wall := time.Since(start)
-	t.Logf("100k: build %v, total %v, %d events, %d sites",
-		buildWall, wall, nw.Processed(), len(nw.Cfg.Topology.Sites()))
+	t.Logf("100k: build %v, total %v, %d events (%.0f ns/event after the build), %d sites",
+		buildWall, wall, nw.Processed(),
+		float64((wall-buildWall).Nanoseconds())/float64(max(nw.Processed(), 1)),
+		len(nw.Cfg.Topology.Sites()))
 	if got := nw.NodeCount(); got != 100000 {
 		t.Fatalf("built %d nodes, want 100000", got)
 	}
@@ -123,8 +125,8 @@ func settledHeap() uint64 {
 // in bytes: 10 % above what TestFormedFootprintBudget reads (8 806; 12 410
 // before link and site state was sized for what it holds). Most of a node's
 // cost is allocated after BuildNetwork returns — connections, L2CAP
-// endpoints, per-site sketches — which is why a built, unformed network
-// (blemesh-bench bytes_per_node_10k) reads two fifths of this.
+// endpoints, per-site sketches — which is why a built, unformed network (the
+// "built" figure the test logs) reads two fifths of this.
 const formedFootprintBudget = 9700
 
 // TestFormedFootprintBudget pins what a node costs the host once its links

@@ -383,7 +383,7 @@ func TestTraceRecordsLinkEvents(t *testing.T) {
 	if len(evs) < 14*2 {
 		t.Fatalf("trace has %d events, want ≥28 (14 links, both ends)", len(evs))
 	}
-	if nw.Trace.Render("nrf52dk-1") == "" {
+	if len(nw.Trace.Events("nrf52dk-1")) == 0 {
 		t.Fatal("consumer has no trace lines")
 	}
 	// An untraced network must stay silent.

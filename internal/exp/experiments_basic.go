@@ -22,7 +22,6 @@ func runTopo(o Options, run int, topo testbed.Topology, policy statconn.Interval
 	traffic TrafficConfig, dur sim.Duration, mutate func(*NetworkConfig)) *Network {
 	cfg := NetworkConfig{
 		Seed:         o.Seed + int64(run)*1000,
-		Engine:       o.Engine,
 		Shards:       o.Shards,
 		Topology:     topo,
 		Policy:       policy,

@@ -67,7 +67,6 @@ func densityTopology(seed int64, c DensityCell) testbed.Topology {
 func DensityConfig(o Options, c DensityCell) NetworkConfig {
 	return NetworkConfig{
 		Seed:         o.Seed,
-		Engine:       o.Engine,
 		Shards:       o.Shards,
 		Topology:     densityTopology(o.Seed, c),
 		Policy:       statconn.Static{Interval: 75 * sim.Millisecond},

@@ -119,8 +119,8 @@ func runScaleObs(o Options) *Report {
 	// Streaming + sketch footprint.
 	r.addf("metrics streaming: %d bytes of NDJSON over the run", streamed.n)
 	r.set("stream_bytes", float64(streamed.n))
-	r.addf("RTT distribution: %d samples in %d bytes (%s backend)",
-		full.RTTs.N(), full.RTTs.MemBytes(), backendName(full.RTTs.Exact()))
+	r.addf("RTT distribution: %d samples in %d bytes (sketch backend)",
+		full.RTTs.N(), full.RTTs.MemBytes())
 	r.set("rtt_samples", float64(full.RTTs.N()))
 	r.set("rtt_mem_bytes", float64(full.RTTs.MemBytes()))
 	r.addf("RTT p50 %.4fs p95 %.4fs p99 %.4fs",
@@ -136,11 +136,4 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func backendName(exact bool) string {
-	if exact {
-		return "exact"
-	}
-	return "sketch"
 }

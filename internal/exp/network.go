@@ -63,9 +63,9 @@ func ParseRouting(s string) (RoutingMode, error) {
 type NetworkConfig struct {
 	Seed     int64
 	Topology testbed.Topology
-	// Engine selects the sim event-queue engine backing the run (default
-	// timer wheel; the heap reference engine exists for equivalence
-	// testing).
+	// Engine selects the sim event-queue engine backing the run: the timer
+	// wheel, or the heap reference the equivalence suites compare it against
+	// (no CLI or experiment option reaches this field).
 	Engine sim.Engine
 	// Policy selects the connection interval strategy (static vs the
 	// paper's randomized mitigation).
@@ -272,7 +272,6 @@ type Network struct {
 	Series    *metrics.TimeSeries
 	rtts      []*metrics.CDF
 	series    []*metrics.TimeSeries
-	llSeries  *llSampler
 	streamer  *metrics.Streamer // nil unless Cfg.StreamMetrics is set
 	etxLabels map[uint64]string // ".links" labels by peer address, see etxLabel
 	traffic   TrafficConfig
@@ -322,7 +321,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	b.buildMedia()        // one medium per site
 	b.allocStorage()      // arenas, meter slab, metric surfaces, route windows
 	b.fill()              // nodes, links, routes, site by site
-	b.wire()              // link-layer sampler, streaming tick
+	b.wire()              // streaming tick
 	b.nw.registerMetrics(b.ids)
 	return b.nw
 }
@@ -644,10 +643,9 @@ func (b *netBuild) installRoutes(ids []int) {
 	}
 }
 
-// wire starts the observers that run on the simulation clock.
+// wire starts the streaming tick, the one observer on the simulation clock.
 func (b *netBuild) wire() {
 	cfg, nw := b.cfg, b.nw
-	nw.llSeries = newLLSampler(nw, 60*sim.Second)
 	if cfg.StreamMetrics == nil {
 		return
 	}
@@ -1246,49 +1244,4 @@ func (nw *Network) UpstreamConn(id int) *ble.Conn {
 		return nil
 	}
 	return nw.Nodes[id].Ctrl.FindConn(nw.Nodes[parent].DevAddr())
-}
-
-// LLSeries returns the sampled link-layer PDR time series (Fig. 13b).
-func (nw *Network) LLSeries() []float64 { return nw.llSeries.rates }
-
-// llSampler periodically snapshots network-wide LL counters.
-type llSampler struct {
-	nw       *Network
-	interval sim.Duration
-	prevTX   uint64
-	prevRt   uint64
-	rates    []float64
-}
-
-func newLLSampler(nw *Network, interval sim.Duration) *llSampler {
-	ls := &llSampler{nw: nw, interval: interval}
-	var tick func()
-	tick = func() {
-		var tx, retr uint64
-		for _, n := range nw.Nodes {
-			if n == nil {
-				continue
-			}
-			for _, c := range n.Ctrl.Conns() {
-				st := c.Stats()
-				tx += st.TXPDUs - st.TXEmpty
-				retr += st.Retrans
-			}
-		}
-		dTX := tx - ls.prevTX
-		dRt := retr - ls.prevRt
-		// Counters on closed connections vanish; clamp regressions.
-		if tx < ls.prevTX {
-			dTX, dRt = 0, 0
-		}
-		rate := 1.0
-		if dTX > 0 {
-			rate = float64(dTX-dRt) / float64(dTX)
-		}
-		ls.rates = append(ls.rates, rate)
-		ls.prevTX, ls.prevRt = tx, retr
-		nw.Sim.Post(interval, tick)
-	}
-	nw.Sim.Post(interval, tick)
-	return ls
 }

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-
-	"blemesh/internal/sim"
 )
 
 // Options tune an experiment run.
@@ -24,9 +22,6 @@ type Options struct {
 	// swept experiments (0 = GOMAXPROCS). Results are byte-identical
 	// regardless of this setting.
 	Workers int
-	// Engine selects the sim event-queue engine (default timer wheel;
-	// the heap reference engine exists for differential testing).
-	Engine sim.Engine
 	// Shards is the number of worker lanes each network runs its sites on
 	// (0 and 1: one lane). Results are byte-identical for every value; see
 	// NetworkConfig.Shards.

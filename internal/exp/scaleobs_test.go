@@ -50,9 +50,10 @@ func TestSampledTracingDoesNotPerturbTheRun(t *testing.T) {
 	if full.Sim.Now() != samp.Sim.Now() {
 		t.Fatalf("clocks diverged: %v vs %v", full.Sim.Now(), samp.Sim.Now())
 	}
-	if samp.Trace.Total() == 0 || samp.Trace.Total()*2 >= full.Trace.Total() {
-		t.Fatalf("10%% sampling kept %d of %d events — expected well under half",
-			samp.Trace.Total(), full.Trace.Total())
+	surviving := float64(samp.Trace.Total()) / float64(full.Trace.Total())
+	t.Logf("10%% sampling kept %d of %d events (%.3f)", samp.Trace.Total(), full.Trace.Total(), surviving)
+	if samp.Trace.Total() == 0 || surviving > 0.35 {
+		t.Fatalf("10%% sampling kept %.3f of the event volume — want ≤ 0.35", surviving)
 	}
 	kept, dropped := samp.Trace.PktKept(), samp.Trace.PktDropped()
 	if kept == 0 || dropped == 0 {

@@ -199,9 +199,6 @@ func (st *Stack) ReserveRoutes(buf []Route) {
 	st.routes = buf[:0]
 }
 
-// LinkLocalAddr returns the node's fe80:: address.
-func (st *Stack) LinkLocalAddr() Addr { return st.linkLocal }
-
 // GlobalAddr returns the node's mesh-prefix (fd00::) address.
 func (st *Stack) GlobalAddr() Addr { return st.global }
 

@@ -701,12 +701,6 @@ func min(a, b int) int {
 	return b
 }
 
-// TXCredits returns the credits currently granted by the peer.
-func (ch *Channel) TXCredits() int { return ch.txCredits }
-
-// RXCredits returns the credits we have granted and the peer has not spent.
-func (ch *Channel) RXCredits() int { return ch.rxCredits }
-
 // QueueLen returns the number of K-frames waiting for transmission.
 func (ch *Channel) QueueLen() int { return ch.txq.Len() }
 

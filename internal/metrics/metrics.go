@@ -15,96 +15,63 @@ import (
 
 // CDF accumulates samples and answers quantile queries.
 //
-// The backing store is a Distribution, latched at the first Add: by default
-// the mergeable quantile sketch (internal/metrics/sketch — O(compression)
-// memory, ≤1% quantile error, exact N/mean/min/max), or the exact
-// sorted-sample store when SetExact(true) is in effect
-// (every sample retained, exact quantiles — the equivalence-suite mode).
+// The backing store is the mergeable quantile sketch
+// (internal/metrics/sketch — O(compression) memory, ≤1% quantile error,
+// exact N/mean/min/max), created at the first Add so an empty CDF costs one
+// pointer.
 //
 // Scalar accessors (Quantile, Mean, Min, Max, Median, FractionBelow)
 // return 0 for an empty CDF; use the OK variants to distinguish "empty"
 // from a genuine zero.
 type CDF struct {
-	d Distribution
-}
-
-// dist returns the backing store, latching the mode-selected backend on
-// first use.
-func (c *CDF) dist() Distribution {
-	if c.d == nil {
-		c.d = newDistribution()
-	}
-	return c.d
-}
-
-// Exact reports whether this CDF is backed by the exact sample store (an
-// empty CDF reports the mode it would latch).
-func (c *CDF) Exact() bool {
-	if c.d == nil {
-		return ExactMode()
-	}
-	_, exact := c.d.(*exactDist)
-	return exact
+	s *sketch.Sketch
 }
 
 // Add inserts a sample.
-func (c *CDF) Add(v float64) { c.dist().Add(v) }
+func (c *CDF) Add(v float64) {
+	if c.s == nil {
+		c.s = sketch.New()
+	}
+	c.s.Add(v)
+}
 
 // AddDuration inserts a sim duration as seconds.
 func (c *CDF) AddDuration(d sim.Duration) { c.Add(d.Seconds()) }
 
 // N returns the sample count.
 func (c *CDF) N() int {
-	if c.d == nil {
+	if c.s == nil {
 		return 0
 	}
-	return c.d.N()
+	return c.s.N()
 }
 
-// MemBytes estimates the backing store's retained heap bytes — the number
-// blemesh-bench compares across sketch and exact modes.
+// MemBytes estimates the sketch's retained heap bytes.
 func (c *CDF) MemBytes() int {
-	if c.d == nil {
+	if c.s == nil {
 		return 0
 	}
-	return c.d.MemBytes()
+	return c.s.MemBytes()
 }
 
-// Merge folds another CDF's samples into this one. Same-backend merges are
-// native (sketch centroid merge / sorted-sample append) and deterministic
-// for a deterministic merge order. Mixed-backend merges (possible only if
-// the mode was flipped between the two CDFs' first samples) degrade to
-// replaying the other side through its quantile function.
+// Merge folds another CDF's samples into this one: a sketch centroid merge,
+// deterministic for a deterministic merge order.
 func (c *CDF) Merge(o *CDF) {
-	if o == nil || o.d == nil || o.d.N() == 0 {
+	if o == nil || o.N() == 0 {
 		return
 	}
-	d := c.dist()
-	switch od := o.d.(type) {
-	case *sketch.Sketch:
-		if sd, ok := d.(*sketch.Sketch); ok {
-			sd.Merge(od)
-			return
-		}
-	case *exactDist:
-		if ed, ok := d.(*exactDist); ok {
-			ed.merge(od)
-			return
-		}
+	if c.s == nil {
+		c.s = sketch.New()
 	}
-	n := o.d.N()
-	for i := 0; i < n; i++ {
-		v, _ := o.d.Quantile((float64(i) + 0.5) / float64(n))
-		d.Add(v)
-	}
+	c.s.Merge(o.s)
 }
 
 // QuantileOK returns the q-quantile (0..1), and false when empty.
 func (c *CDF) QuantileOK(q float64) (float64, bool) {
-	if c.d == nil {
+	if c.s == nil {
 		return 0, false
 	}
-	return c.d.Quantile(q)
+	return c.s.Quantile(q)
 }
 
 // Quantile returns the q-quantile (0..1); 0 when empty.
@@ -118,10 +85,10 @@ func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
 // MeanOK returns the arithmetic mean, and false when empty.
 func (c *CDF) MeanOK() (float64, bool) {
-	if c.d == nil {
+	if c.s == nil {
 		return 0, false
 	}
-	return c.d.Mean()
+	return c.s.Mean()
 }
 
 // Mean returns the arithmetic mean; 0 when empty.
@@ -132,10 +99,10 @@ func (c *CDF) Mean() float64 {
 
 // MaxOK returns the largest sample, and false when empty.
 func (c *CDF) MaxOK() (float64, bool) {
-	if c.d == nil {
+	if c.s == nil {
 		return 0, false
 	}
-	return c.d.Max()
+	return c.s.Max()
 }
 
 // Max returns the largest sample; 0 when empty.
@@ -146,10 +113,10 @@ func (c *CDF) Max() float64 {
 
 // MinOK returns the smallest sample, and false when empty.
 func (c *CDF) MinOK() (float64, bool) {
-	if c.d == nil {
+	if c.s == nil {
 		return 0, false
 	}
-	return c.d.Min()
+	return c.s.Min()
 }
 
 // Min returns the smallest sample; 0 when empty.
@@ -158,14 +125,13 @@ func (c *CDF) Min() float64 {
 	return v
 }
 
-// FractionBelowOK returns the empirical CDF value at x, and false when
-// empty. Exact mode counts samples strictly below x; sketch mode
-// interpolates the centroid CDF.
+// FractionBelowOK returns the empirical CDF value at x (interpolated over
+// the sketch's centroids), and false when empty.
 func (c *CDF) FractionBelowOK(x float64) (float64, bool) {
-	if c.d == nil {
+	if c.s == nil {
 		return 0, false
 	}
-	return c.d.Fraction(x)
+	return c.s.Fraction(x)
 }
 
 // FractionBelow returns the empirical CDF value at x; 0 when empty.

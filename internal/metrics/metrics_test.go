@@ -64,119 +64,67 @@ func TestCDFEmpty(t *testing.T) {
 	}
 }
 
-// withExact runs fn under the given backend mode and restores the previous
-// mode afterwards.
-func withExact(t *testing.T, exact bool, fn func()) {
-	t.Helper()
-	prev := ExactMode()
-	SetExact(exact)
-	defer SetExact(prev)
-	fn()
-}
-
-func TestCDFBackendLatch(t *testing.T) {
-	withExact(t, true, func() {
-		var c CDF
-		c.Add(1)
-		if !c.Exact() {
-			t.Fatal("exact mode did not latch exact backend")
-		}
-		// Mode flips do not migrate an already-latched CDF.
-		SetExact(false)
-		c.Add(2)
-		if !c.Exact() {
-			t.Fatal("latched backend changed after mode flip")
-		}
-		var d CDF
-		d.Add(1)
-		if d.Exact() {
-			t.Fatal("sketch mode did not latch sketch backend")
-		}
-	})
-}
-
 func TestCDFBothBackendsAgreeOnSmallSets(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		withExact(t, exact, func() {
-			var c CDF
-			for i := 1; i <= 100; i++ {
-				c.Add(float64(i))
-			}
-			if c.Min() != 1 || c.Max() != 100 || c.N() != 100 {
-				t.Fatalf("exact=%v: min/max/n = %v/%v/%d", exact, c.Min(), c.Max(), c.N())
-			}
-			if m := c.Mean(); math.Abs(m-50.5) > 1e-9 {
-				t.Fatalf("exact=%v: mean=%v", exact, m)
-			}
-			if m := c.Median(); m < 50 || m > 51 {
-				t.Fatalf("exact=%v: median=%v", exact, m)
-			}
-		})
+	var c CDF
+	for i := 1; i <= 100; i++ {
+		c.Add(float64(i))
+	}
+	if c.Min() != 1 || c.Max() != 100 || c.N() != 100 {
+		t.Fatalf("min/max/n = %v/%v/%d", c.Min(), c.Max(), c.N())
+	}
+	if m := c.Mean(); math.Abs(m-50.5) > 1e-9 {
+		t.Fatalf("mean=%v", m)
+	}
+	if m := c.Median(); m < 50 || m > 51 {
+		t.Fatalf("median=%v", m)
 	}
 }
 
 func TestCDFMerge(t *testing.T) {
-	for _, exact := range []bool{false, true} {
-		withExact(t, exact, func() {
-			var a, b CDF
-			for i := 1; i <= 50; i++ {
-				a.Add(float64(i))
-			}
-			for i := 51; i <= 100; i++ {
-				b.Add(float64(i))
-			}
-			a.Merge(&b)
-			if a.N() != 100 {
-				t.Fatalf("exact=%v: merged N=%d", exact, a.N())
-			}
-			if a.Min() != 1 || a.Max() != 100 {
-				t.Fatalf("exact=%v: merged min/max = %v/%v", exact, a.Min(), a.Max())
-			}
-			if m := a.Mean(); math.Abs(m-50.5) > 1e-9 {
-				t.Fatalf("exact=%v: merged mean=%v", exact, m)
-			}
-			if m := a.Median(); m < 49 || m > 52 {
-				t.Fatalf("exact=%v: merged median=%v", exact, m)
-			}
-			// Merging an empty or nil CDF is a no-op.
-			var empty CDF
-			a.Merge(&empty)
-			a.Merge(nil)
-			if a.N() != 100 {
-				t.Fatalf("exact=%v: N after empty merges=%d", exact, a.N())
-			}
-		})
-	}
-}
-
-func TestCDFMergeMixedBackends(t *testing.T) {
 	var a, b CDF
-	withExact(t, true, func() { a.Add(1); a.Add(2) })
-	withExact(t, false, func() {
-		for i := 3; i <= 10; i++ {
-			b.Add(float64(i))
-		}
-	})
-	a.Merge(&b)
-	if a.N() != 10 {
-		t.Fatalf("mixed merge N=%d", a.N())
+	for i := 1; i <= 50; i++ {
+		a.Add(float64(i))
 	}
-	if a.Min() != 1 || a.Max() > 10+1e-9 {
-		t.Fatalf("mixed merge min/max = %v/%v", a.Min(), a.Max())
+	for i := 51; i <= 100; i++ {
+		b.Add(float64(i))
+	}
+	a.Merge(&b)
+	if a.N() != 100 {
+		t.Fatalf("merged N=%d", a.N())
+	}
+	if a.Min() != 1 || a.Max() != 100 {
+		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	}
+	if m := a.Mean(); math.Abs(m-50.5) > 1e-9 {
+		t.Fatalf("merged mean=%v", m)
+	}
+	if m := a.Median(); m < 49 || m > 52 {
+		t.Fatalf("merged median=%v", m)
+	}
+	// Merging an empty or nil CDF is a no-op.
+	var empty CDF
+	a.Merge(&empty)
+	a.Merge(nil)
+	if a.N() != 100 {
+		t.Fatalf("N after empty merges=%d", a.N())
+	}
+	// Merging into an empty CDF creates its sketch.
+	var into CDF
+	into.Merge(&a)
+	if into.N() != 100 || into.Max() != 100 {
+		t.Fatalf("merge into empty: N=%d max=%v", into.N(), into.Max())
 	}
 }
 
 func TestCDFSketchMemoryBounded(t *testing.T) {
-	withExact(t, false, func() {
-		var sk CDF
-		for i := 0; i < 1_000_000; i++ {
-			sk.Add(float64(i % 9973))
-		}
-		exactBytes := 8 * 1_000_000
-		if got := sk.MemBytes(); got*10 > exactBytes {
-			t.Fatalf("sketch CDF MemBytes=%d, want ≥10× below exact %d", got, exactBytes)
-		}
-	})
+	var sk CDF
+	for i := 0; i < 1_000_000; i++ {
+		sk.Add(float64(i % 9973))
+	}
+	exactBytes := 8 * 1_000_000
+	if got := sk.MemBytes(); got*10 > exactBytes {
+		t.Fatalf("sketch CDF MemBytes=%d, want ≥10× below exact %d", got, exactBytes)
+	}
 }
 
 func TestCDFFractionBelow(t *testing.T) {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -84,80 +83,5 @@ func TestRegistryExports(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "lat{p50}") {
 		t.Fatalf("render:\n%s", r.Render())
-	}
-}
-
-func TestCDFSortCacheCorrectAcrossInterleavedAdds(t *testing.T) {
-	// The exact backend's cached sorted prefix must behave exactly like
-	// re-sorting from scratch, under any interleaving of Add and Quantile.
-	rng := rand.New(rand.NewSource(7))
-	cached := &exactDist{}
-	var plain []float64
-	for round := 0; round < 50; round++ {
-		for i := 0; i < rng.Intn(20); i++ {
-			v := rng.NormFloat64() * 100
-			cached.Add(v)
-			plain = append(plain, v)
-		}
-		if len(plain) == 0 {
-			continue
-		}
-		fresh := &exactDist{samples: append([]float64(nil), plain...)}
-		for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-			got, _ := cached.Quantile(q)
-			want, _ := fresh.Quantile(q)
-			if got != want {
-				t.Fatalf("round %d q=%v: got %v want %v", round, q, got, want)
-			}
-		}
-	}
-}
-
-// benchCDF builds an exact-backend store with n samples in random order.
-func benchCDF(n int) *exactDist {
-	rng := rand.New(rand.NewSource(1))
-	c := &exactDist{}
-	for i := 0; i < n; i++ {
-		c.Add(rng.Float64())
-	}
-	return c
-}
-
-// BenchmarkCDFQuantileCached measures repeated quantile reads on one CDF:
-// the sorted state is computed once and reused.
-func BenchmarkCDFQuantileCached(b *testing.B) {
-	c := benchCDF(100_000)
-	c.Quantile(0.5) // warm the cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Quantile(0.99)
-	}
-}
-
-// BenchmarkCDFQuantileResortEachCall is the pre-caching behaviour for
-// comparison: every read pays a full copy+sort.
-func BenchmarkCDFQuantileResortEachCall(b *testing.B) {
-	c := benchCDF(100_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fresh := &exactDist{}
-		fresh.samples = append(fresh.samples, c.samples...)
-		fresh.Quantile(0.99)
-	}
-}
-
-// BenchmarkCDFAddThenQuantile measures the amortised mixed workload the
-// harness actually runs: bursts of appends between quantile reads. The
-// sorted-prefix merge makes each re-sort O(new·log new + n) instead of
-// O(n·log n).
-func BenchmarkCDFAddThenQuantile(b *testing.B) {
-	c := benchCDF(100_000)
-	rng := rand.New(rand.NewSource(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 10; j++ {
-			c.Add(rng.Float64())
-		}
-		c.Quantile(0.95)
 	}
 }

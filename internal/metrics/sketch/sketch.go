@@ -72,9 +72,6 @@ func NewCompression(delta float64) *Sketch {
 	}
 }
 
-// Compression returns the sketch's δ parameter.
-func (s *Sketch) Compression() float64 { return s.compression }
-
 // Add inserts one sample. NaN samples are ignored (they carry no quantile
 // information and would poison every centroid mean).
 func (s *Sketch) Add(v float64) {
@@ -140,8 +137,8 @@ func (s *Sketch) Max() (float64, bool) {
 func (s *Sketch) Centroids() int { return len(s.means) }
 
 // MemBytes estimates the sketch's steady-state heap footprint: the backing
-// arrays it retains across its lifetime. The comparison point for the
-// O(samples)-vs-O(sketch) gate in blemesh-bench.
+// arrays it retains across its lifetime. TestSketchMemBounded compares it
+// with the 8 bytes per sample a sorted-sample store would hold.
 func (s *Sketch) MemBytes() int {
 	return 8*(cap(s.means)+cap(s.weights)+cap(s.buf)) + 64
 }

@@ -59,9 +59,6 @@ func (r *Radio) SetPosition(x, y, z float64) {
 	r.medium.invalidate()
 }
 
-// Position returns the radio's position in meters.
-func (r *Radio) Position() (x, y, z float64) { return r.px, r.py, r.pz }
-
 // distSqTo returns the squared 3D distance to another radio.
 func (r *Radio) distSqTo(o *Radio) float64 {
 	dx, dy, dz := r.px-o.px, r.py-o.py, r.pz-o.pz

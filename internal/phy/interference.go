@@ -88,12 +88,6 @@ func NewBurstNoise(s *sim.Sim, p BurstParams) *BurstNoise {
 	return &BurstNoise{s: s, p: p}
 }
 
-// Bad reports whether the process is in the bad state at time t.
-func (b *BurstNoise) Bad(t sim.Time) bool {
-	b.advance(t)
-	return b.bad
-}
-
 // advance walks the state chain forward to time t.
 func (b *BurstNoise) advance(t sim.Time) {
 	if !b.started {

@@ -13,7 +13,7 @@
 // counts are plain integers; the pools themselves are safe to share across
 // the parallel sweep's worker goroutines.
 //
-// Pooling can be disabled process-wide (SetPooling(false)), in which case
+// Tests can disable pooling process-wide (SetPooling(false)), in which case
 // every Get is a plain make and every final Put drops the arena for the GC.
 // The datapath must behave byte-identically in both modes; the equivalence
 // tests in internal/exp lock that down.
@@ -86,9 +86,10 @@ var (
 	bufPool    = sync.Pool{New: func() any { return new(Buf) }}
 )
 
-// SetPooling switches buffer recycling on or off process-wide (the plain
-// `make` fallback). Intended for the byte-identity regression tests; flip it
-// only while no buffers are live.
+// SetPooling is the reference switch of internal/exp's
+// TestPoolingByteIdentity and TestPacketPathAllocBudget: off, every Get is a
+// plain make, the path the pooled one is compared against. Nothing outside
+// tests calls it; flip it only while no buffers are live.
 func SetPooling(on bool) { poolingOn = on }
 
 // Pooling reports whether buffer recycling is enabled.
@@ -176,9 +177,6 @@ func (b *Buf) Len() int { return b.end - b.off }
 
 // Headroom returns the bytes available for Prepend without growing.
 func (b *Buf) Headroom() int { return b.off }
-
-// Tailroom returns the bytes available for Append without growing.
-func (b *Buf) Tailroom() int { return len(b.a.data) - b.end }
 
 // Prepend extends the view n bytes to the front and returns the new front
 // region. If the headroom is exhausted the buffer migrates to a larger

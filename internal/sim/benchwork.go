@@ -5,8 +5,8 @@ import "fmt"
 // TimerStorm drives n self-rescheduling timers with mixed periods — the
 // shape of the protocol stack's load: many short connection-event timers,
 // some medium retransmission timers, a few long supervision timeouts. It is
-// the shared workload of the in-package benchmarks and the blemesh-bench
-// regression gate.
+// the shared workload of the in-package benchmarks and benchmark/'s
+// sim.dispatch_ns probe.
 func TimerStorm(s *Sim, nTimers, events int) {
 	fired := 0
 	periods := []Duration{

@@ -16,7 +16,6 @@ type Clock struct {
 	sim *Sim
 	// rate is local nanoseconds per simulation nanosecond.
 	rate float64
-	ppm  float64
 	// epoch anchors the linear mapping: local = (simNow-epochSim)*rate + epochLocal.
 	epochSim   Time
 	epochLocal Time
@@ -32,11 +31,8 @@ func NewClock(s *Sim, ppm float64) *Clock {
 
 // NewClockInto initializes a clock in place (arena-backed construction).
 func NewClockInto(c *Clock, s *Sim, ppm float64) {
-	*c = Clock{sim: s, rate: 1 + ppm*1e-6, ppm: ppm, epochSim: s.Now()}
+	*c = Clock{sim: s, rate: 1 + ppm*1e-6, epochSim: s.Now()}
 }
-
-// PPM returns the clock's frequency error in parts per million.
-func (c *Clock) PPM() float64 { return c.ppm }
 
 // Now returns the node's local time.
 func (c *Clock) Now() Time {

@@ -21,7 +21,7 @@ const (
 	EngineHeap
 )
 
-// String returns the engine's flag-friendly name.
+// String names the engine in test and benchmark output.
 func (e Engine) String() string {
 	switch e {
 	case EngineWheel:
@@ -30,17 +30,6 @@ func (e Engine) String() string {
 		return "heap"
 	}
 	return fmt.Sprintf("Engine(%d)", uint8(e))
-}
-
-// ParseEngine maps a flag value ("wheel" or "heap") to an Engine.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "wheel", "":
-		return EngineWheel, nil
-	case "heap":
-		return EngineHeap, nil
-	}
-	return EngineWheel, fmt.Errorf("sim: unknown engine %q (want wheel or heap)", name)
 }
 
 // queue is the engine-internal event-queue contract. Events are totally

@@ -16,7 +16,7 @@ package sim
 // phases) across the whole repository at once. All determinism properties are
 // preserved — same seed, same run; every golden-trace, sweep-determinism, and
 // shard-equivalence gate compares runs within one binary — but recorded
-// absolute numbers (BENCH_sim.json) were re-baselined with this change.
+// absolute numbers were re-baselined with this change.
 
 // splitmix64 is the seed expander recommended by the xoshiro authors: it
 // decorrelates arbitrary (including zero and sequential) seeds into full

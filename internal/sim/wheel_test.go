@@ -258,22 +258,6 @@ func TestPostRecyclesEvents(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag parsing round trip.
-func TestParseEngine(t *testing.T) {
-	for _, e := range []Engine{EngineWheel, EngineHeap} {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	if _, err := ParseEngine("btree"); err == nil {
-		t.Fatal("ParseEngine accepted an unknown engine")
-	}
-	if e, err := ParseEngine(""); err != nil || e != EngineWheel {
-		t.Fatalf("ParseEngine(\"\") = %v, %v; want default wheel", e, err)
-	}
-}
-
 // TestWheelFootprint pins what lets every RF-isolated site of a city own a
 // wheel: an idle queue is one small struct with no levels, a queue pays only
 // for the timer horizons it has seen (the BLE stack's are 1 µs, 150 µs,

@@ -300,6 +300,31 @@ func Forest(sites int) Topology {
 	return f
 }
 
+// ByName resolves a CLI -topo value: the paper's fixed layouts (tree, line,
+// mesh, forest = four isolated trees) or one of the seeded generators, of
+// which geo honours nodes and all three honour radioRange (0 keeps the
+// generator's default).
+func ByName(name string, seed int64, nodes int, radioRange float64) (Topology, error) {
+	switch name {
+	case "tree":
+		return Tree(), nil
+	case "line":
+		return Line(), nil
+	case "mesh":
+		return Mesh(), nil
+	case "forest":
+		return Forest(4), nil
+	case "geo":
+		return RandomGeometric(GeoConfig{Seed: seed, N: nodes, Range: radioRange}), nil
+	case "city":
+		return CityBlocks(CityConfig{Seed: seed, Range: radioRange}), nil
+	case "floors":
+		return BuildingFloors(FloorsConfig{Seed: seed, Range: radioRange}), nil
+	}
+	return Topology{}, fmt.Errorf(
+		"unknown topology %q (tree, line, mesh, forest, geo, city, or floors)", name)
+}
+
 // adjacency returns the neighbor sets: the sealed index when available, a
 // fresh Links-order build otherwise. Callers must not mutate the result.
 func (t Topology) adjacency() map[int][]int {
@@ -375,22 +400,37 @@ func (t Topology) HopCount(a, b int) int {
 	return -1
 }
 
+// sinkHops returns every producer's path length to the consumer of its own
+// site (the only consumer there is in a connected topology).
+func (t Topology) sinkHops() []int {
+	var hops []int
+	sinks := t.SiteConsumers()
+	for i, site := range t.Sites() {
+		for _, id := range site {
+			if id != sinks[i] {
+				hops = append(hops, t.HopCount(id, sinks[i]))
+			}
+		}
+	}
+	return hops
+}
+
 // AvgHopCount returns the mean producer→consumer path length (the paper
 // quotes 2.14 for the tree and 7.5 for the line).
 func (t Topology) AvgHopCount() float64 {
 	sum := 0
-	prods := t.Producers()
-	for _, p := range prods {
-		sum += t.HopCount(p, t.Consumer)
+	hops := t.sinkHops()
+	for _, h := range hops {
+		sum += h
 	}
-	return float64(sum) / float64(len(prods))
+	return float64(sum) / float64(len(hops))
 }
 
 // MaxDepth returns the maximum producer→consumer path length.
 func (t Topology) MaxDepth() int {
 	max := 0
-	for _, p := range t.Producers() {
-		if h := t.HopCount(p, t.Consumer); h > max {
+	for _, h := range t.sinkHops() {
+		if h > max {
 			max = h
 		}
 	}

@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -143,5 +145,47 @@ func TestClockPPMDeterministicAndBounded(t *testing.T) {
 	c := ClockPPM(43, ids, 3)
 	if c[ids[0]] == a[ids[0]] {
 		t.Fatal("different seeds should differ")
+	}
+}
+
+// TestByName holds the one -topo parser to what the four CLI switches it
+// replaced built: the same Name, node count and link list for every name any
+// of them accepted, and an error that lists the names for anything else.
+func TestByName(t *testing.T) {
+	const seed, nodes, radioRange = 7, 80, 25.0
+	for name, want := range map[string]Topology{
+		"tree":   Tree(),
+		"line":   Line(),
+		"mesh":   Mesh(),
+		"forest": Forest(4),
+		"geo":    RandomGeometric(GeoConfig{Seed: seed, N: nodes, Range: radioRange}),
+		"city":   CityBlocks(CityConfig{Seed: seed, Range: radioRange}),
+		"floors": BuildingFloors(FloorsConfig{Seed: seed, Range: radioRange}),
+	} {
+		got, err := ByName(name, seed, nodes, radioRange)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		if got.Name != want.Name || got.Range != want.Range || len(got.Nodes()) != len(want.Nodes()) ||
+			!reflect.DeepEqual(got.Links, want.Links) {
+			t.Errorf("ByName(%q) = %s with %d nodes, %d links; the constructor gives %s with %d, %d",
+				name, got.Name, len(got.Nodes()), len(got.Links), want.Name, len(want.Nodes()), len(want.Links))
+		}
+	}
+	for _, name := range []string{"", "both", "Tree", "msh"} {
+		_, err := ByName(name, seed, nodes, radioRange)
+		if err == nil || !strings.Contains(err.Error(), "tree, line, mesh, forest, geo, city, or floors") {
+			t.Errorf("ByName(%q) error = %v, want one listing the seven names", name, err)
+		}
+	}
+}
+
+// TestHopCountsArePerSite: a producer's depth is measured to the consumer of
+// its own site, so four isolated trees read as one tree does.
+func TestHopCountsArePerSite(t *testing.T) {
+	tree, forest := Tree(), Forest(4)
+	if forest.AvgHopCount() != tree.AvgHopCount() || forest.MaxDepth() != tree.MaxDepth() {
+		t.Fatalf("forest avg hops %.3f depth %d, tree %.3f and %d",
+			forest.AvgHopCount(), forest.MaxDepth(), tree.AvgHopCount(), tree.MaxDepth())
 	}
 }

@@ -502,16 +502,6 @@ func (l *Log) EventsByID(id uint64) []Event {
 	return out
 }
 
-// Render formats the selected events, one per line.
-func (l *Log) Render(node string, kinds ...Kind) string {
-	var b strings.Builder
-	for _, e := range l.Events(node, kinds...) {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 // CountByKind tallies retained events per kind.
 func (l *Log) CountByKind() map[Kind]int {
 	out := make(map[Kind]int)

@@ -42,8 +42,8 @@ func TestEmitAndQuery(t *testing.T) {
 	if got := l.Events("", KindConnOpen); len(got) != 1 {
 		t.Fatalf("kind filter: %+v", got)
 	}
-	if !strings.Contains(l.Render("n1"), "conn-open") {
-		t.Fatal("render missing event")
+	if got := l.Events("n1"); len(got) != 1 || !strings.Contains(got[0].String(), "conn-open") {
+		t.Fatalf("rendered event: %v", got)
 	}
 	if l.CountByKind()[KindConnLoss] != 1 {
 		t.Fatal("count by kind")

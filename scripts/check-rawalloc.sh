@@ -4,7 +4,7 @@
 # The zero-copy datapath gets its allocation guarantees from internal/pktbuf;
 # a stray make([]byte, ...) in a packet-handling package silently reintroduces
 # the per-hop copies the pool removed, and nothing else would catch it until
-# the allocs/op gate in blemesh-bench drifts. Deliberate fallbacks ([]byte
+# TestPacketPathAllocBudget (internal/exp) trips. Deliberate fallbacks ([]byte
 # compatibility APIs, cold signaling/diagnostic paths) carry a
 # "// pktbuf:ignore — <reason>" marker on the same line; everything else is an
 # error. Test files are exempt.

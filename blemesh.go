@@ -161,8 +161,15 @@ func ValidateFlags(nodes int, radioRange float64, minutes int) error {
 	return exp.ValidateFlags(nodes, radioRange, minutes)
 }
 
-// RunSweep executes a producer×interval sweep across a work-stealing worker
-// pool; results are byte-identical for any worker count.
+// ValidateRunFlags reports a -scale, -runs or -workers flag value the
+// experiment runners would silently replace (see exp.ValidateRunFlags);
+// CLIs exit 2 with its message.
+func ValidateRunFlags(scale float64, runs, workers int) error {
+	return exp.ValidateRunFlags(scale, runs, workers)
+}
+
+// RunSweep executes a producer×interval sweep across a pool of workers;
+// results are byte-identical for any worker count.
 func RunSweep(sc SweepConfig) ([]CellResult, error) { return exp.RunSweep(sc) }
 
 // Fig14Configs and Fig15Producers span the paper's sweep grid.

@@ -1,6 +1,6 @@
 // Command blemesh-sweep runs the Appendix-B parameter sweep (Fig. 15): six
 // producer intervals × ten connection-interval configurations, each
-// repeated, fanned across a work-stealing worker pool, and prints the
+// repeated, fanned across a pool of workers, and prints the
 // aggregated grid as CSV for plotting.
 //
 // Usage:
@@ -41,9 +41,14 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-run progress on stderr")
 	pf := prof.Register(flag.CommandLine)
 	flag.Parse()
-	if err := (blemesh.NetworkConfig{Shards: *shards}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
-		os.Exit(2)
+	for _, err := range []error{
+		blemesh.NetworkConfig{Shards: *shards}.Validate(),
+		blemesh.ValidateRunFlags(*scale, *runs, *workers),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
+			os.Exit(2)
+		}
 	}
 	defer pf.Start()()
 

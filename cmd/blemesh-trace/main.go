@@ -53,6 +53,9 @@ func main() {
 	if err := blemesh.ValidateFlags(*nodes, *radioRange, *minutes); err != nil {
 		usageError(err)
 	}
+	if *streamEvery < 1 {
+		usageError(fmt.Errorf("-stream-every = %d, want ≥ 1", *streamEvery))
+	}
 	topo, err := testbed.ByName(*topoName, *seed, *nodes, *radioRange)
 	if err != nil {
 		usageError(err)

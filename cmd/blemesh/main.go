@@ -69,7 +69,8 @@ func run(args []string) {
 	}
 	id := args[0]
 	_ = fs.Parse(args[1:])
-	validate(blemesh.NetworkConfig{Shards: *shards})
+	validate(blemesh.NetworkConfig{Shards: *shards}.Validate())
+	validate(blemesh.ValidateRunFlags(*scale, *runs, *workers))
 	defer pf.Start()()
 	rep, err := blemesh.RunExperiment(id, blemesh.Options{
 		Seed: *seed, Scale: *scale, Runs: *runs, Workers: *workers, Shards: *shards,
@@ -92,9 +93,9 @@ func run(args []string) {
 const shardsHelp = "worker lanes executing the RF-isolated sites of a run (0 and 1: one lane; output is the same for every value)"
 
 // validate exits 2 with a one-line message when the flags ask for a network
-// that cannot be built.
-func validate(cfg blemesh.NetworkConfig) {
-	if err := cfg.Validate(); err != nil {
+// that cannot be built or a run the runners would silently replace.
+func validate(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "blemesh:", err)
 		os.Exit(2)
 	}
@@ -108,7 +109,8 @@ func all(args []string) {
 	shards := fs.Int("shards", 0, shardsHelp)
 	pf := prof.Register(fs)
 	_ = fs.Parse(args)
-	validate(blemesh.NetworkConfig{Shards: *shards})
+	validate(blemesh.NetworkConfig{Shards: *shards}.Validate())
+	validate(blemesh.ValidateRunFlags(*scale, 1, *workers))
 	defer pf.Start()()
 	for _, e := range blemesh.Experiments() {
 		rep, err := blemesh.RunExperiment(e.ID, blemesh.Options{Seed: *seed, Scale: *scale, Workers: *workers, Shards: *shards})

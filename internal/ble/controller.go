@@ -197,16 +197,8 @@ func (ctrl *Controller) SetEventByEvent(on bool) { ctrl.eventByEvent = on }
 
 // NewController creates a controller bound to a radio and a local clock.
 func NewController(s *sim.Sim, clk *sim.Clock, radio *phy.Radio, cfg ControllerConfig) *Controller {
-	ctrl := new(Controller)
-	NewControllerInto(ctrl, s, clk, radio, cfg)
-	return ctrl
-}
-
-// NewControllerInto initializes a controller in place (arena-backed
-// construction).
-func NewControllerInto(ctrl *Controller, s *sim.Sim, clk *sim.Clock, radio *phy.Radio, cfg ControllerConfig) {
 	cfg.defaults()
-	*ctrl = Controller{
+	ctrl := &Controller{
 		s:     s,
 		clk:   clk,
 		radio: radio,
@@ -218,6 +210,7 @@ func NewControllerInto(ctrl *Controller, s *sim.Sim, clk *sim.Clock, radio *phy.
 	}
 	radio.SetReceiver(ctrl.dispatchRx)
 	radio.SetCarrier(ctrl.dispatchCarrier)
+	return ctrl
 }
 
 // scanTarget is one pending connection target.

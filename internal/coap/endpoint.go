@@ -103,23 +103,16 @@ func (ep *Endpoint) SetTrace(l *trace.Log, node string) {
 	ep.node = node
 }
 
-// NewEndpoint binds a CoAP endpoint to the stack's CoAP port.
+// NewEndpoint binds a CoAP endpoint to the stack's CoAP port. The
+// message-ID RNG draw must stay in build order for byte-identical runs.
 func NewEndpoint(s *sim.Sim, st *ip6.Stack, port uint16) *Endpoint {
-	ep := new(Endpoint)
-	NewEndpointInto(ep, s, st, port)
-	return ep
-}
-
-// NewEndpointInto initializes an endpoint in place (arena-backed
-// construction). The message-ID RNG draw must stay in build order for
-// byte-identical runs.
-func NewEndpointInto(ep *Endpoint, s *sim.Sim, st *ip6.Stack, port uint16) {
 	if port == 0 {
 		port = DefaultPort
 	}
-	*ep = Endpoint{s: s, st: st, port: port}
+	ep := &Endpoint{s: s, st: st, port: port}
 	ep.mid = uint16(s.Rand().Intn(1 << 16))
 	st.ListenUDP(port, ep.onUDP)
+	return ep
 }
 
 // Stats returns a copy of the endpoint counters.

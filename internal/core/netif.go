@@ -81,20 +81,14 @@ func (n *NetIf) SetTrace(l *trace.Log, node string) {
 
 // NewNetIf creates the adapter and attaches it to the stack.
 func NewNetIf(s *sim.Sim, stack *ip6.Stack) *NetIf {
-	n := new(NetIf)
-	NewNetIfInto(n, s, stack)
-	return n
-}
-
-// NewNetIfInto initializes an adapter in place (arena-backed construction).
-func NewNetIfInto(n *NetIf, s *sim.Sim, stack *ip6.Stack) {
-	*n = NetIf{
+	n := &NetIf{
 		s:     s,
 		stack: stack,
 		mac:   stack.MAC(),
 		ctxs:  sixlo.DefaultContexts,
 	}
 	stack.AddInterface(n)
+	return n
 }
 
 // linkFor returns the link toward mac, or nil.

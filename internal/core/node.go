@@ -42,9 +42,6 @@ type NodeConfig struct {
 	// the node fully static — no extra timers, no extra RNG draws, so
 	// static runs stay byte-identical with pre-routing builds.
 	Routing *rpl.Config
-	// Arena, when non-nil, supplies preallocated storage for the node's
-	// structs; nil allocates them one by one. Nothing else depends on it.
-	Arena *Arena
 }
 
 // Node is one fully assembled node: radio, drifting clock, BLE controller,
@@ -78,7 +75,6 @@ type provisioned struct {
 // NewNode builds a node on the given medium. The construction order fixes
 // the order of RNG draws, so it is part of the simulator's output.
 func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
-	st := cfg.Arena.storage()
 	sca := cfg.SCA
 	if sca == 0 {
 		sca = 50
@@ -91,16 +87,15 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		ExchangeGap:           cfg.ExchangeGap,
 		DisableWindowWidening: cfg.DisableWindowWidening,
 	}
-	clk, ctrl, stack, netif, mgr := st.clock, st.ctrl, st.stack, st.netif, st.mgr
-	sim.NewClockInto(clk, s, cfg.ClockPPM)
+	clk := sim.NewClock(s, cfg.ClockPPM)
 	radio := medium.NewRadio()
-	ble.NewControllerInto(ctrl, s, clk, radio, ctrlCfg)
-	ip6.NewStackInto(stack, s, cfg.MAC)
+	ctrl := ble.NewController(s, clk, radio, ctrlCfg)
+	stack := ip6.NewStack(s, cfg.MAC)
 	if cfg.PktbufBytes > 0 {
 		stack.Pktbuf.Capacity = cfg.PktbufBytes
 	}
-	NewNetIfInto(netif, s, stack)
-	statconn.NewInto(mgr, s, ctrl, cfg.Statconn)
+	netif := NewNetIf(s, stack)
+	mgr := statconn.New(s, ctrl, cfg.Statconn)
 	tr := cfg.Trace
 	name := cfg.Name
 	ctrl.SetTrace(tr, name)
@@ -130,14 +125,12 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 			router.LinkDown(uint64(c.Peer()))
 		}
 	}
-	ep := st.coap
-	coap.NewEndpointInto(ep, s, stack, 0)
+	ep := coap.NewEndpoint(s, stack, 0)
 	ep.SetTrace(tr, name)
 	if router != nil {
 		router.Start()
 	}
-	nd := st.node
-	*nd = Node{
+	return &Node{
 		Name:     cfg.Name,
 		Sim:      s,
 		Clock:    clk,
@@ -150,7 +143,6 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		RPL:      router,
 		running:  true,
 	}
-	return nd
 }
 
 // Addr returns the node's mesh (fd00::) address.
@@ -190,11 +182,11 @@ func (n *Node) AddHostRoute(dst, nextHop *Node) {
 	_ = n.Stack.AddRoute(r)
 }
 
-// ReserveProvRoutes aims the provisioned-route list at preallocated storage
-// (arena carving): a builder that knows the node's exact route count carves
-// one window of a shared slab instead of letting append grow a fresh
-// allocation per node. Must be called before any AddHostRoute; an
-// under-counted reservation degrades gracefully to append growth.
+// ReserveProvRoutes aims the provisioned-route list at preallocated storage:
+// a builder that knows the node's exact route count hands it one window of a
+// shared backing array instead of letting append grow a fresh allocation per
+// node. Must be called before any AddHostRoute; an under-counted reservation
+// degrades gracefully to append growth.
 func (n *Node) ReserveProvRoutes(buf []ip6.Route) {
 	if len(n.prov.routes) > 0 {
 		panic("core: ReserveProvRoutes after AddHostRoute")

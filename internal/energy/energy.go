@@ -67,15 +67,9 @@ type Meter struct {
 // NewMeter attaches a meter to a BLE controller/radio pair using the given
 // calibration.
 func NewMeter(p Params, ctrl *ble.Controller, radio *phy.Radio) *Meter {
-	m := new(Meter)
-	NewMeterInto(m, p, ctrl, radio)
-	return m
-}
-
-// NewMeterInto initializes a meter in place (arena-backed construction).
-func NewMeterInto(m *Meter, p Params, ctrl *ble.Controller, radio *phy.Radio) {
-	*m = Meter{p: p, ctrl: ctrl, radio: radio}
+	m := &Meter{p: p, ctrl: ctrl, radio: radio}
 	m.start = m.snapshot(0)
+	return m
 }
 
 func (m *Meter) snapshot(at sim.Time) Snapshot {

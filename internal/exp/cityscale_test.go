@@ -63,13 +63,13 @@ func TestCityScaleSmoke(t *testing.T) {
 }
 
 // cityScale100kBudget bounds the 100k smoke's wall clock: build plus 15
-// simulated seconds of a 100k-node network. The arena-backed builder holds
+// simulated seconds of a 100k-node network. The per-site builder holds
 // this comfortably; blowing it means a superlinear regression somewhere in
 // build or steady-state cost, not noise.
 const cityScale100kBudget = 10 * time.Minute
 
-// TestCityScale100k drives the 100k-node city-scale network — the
-// struct-of-arrays builder's design target — end to end: streaming-only
+// TestCityScale100k drives the 100k-node city-scale network — the per-site
+// builder's design target — end to end: streaming-only
 // metrics, lean mode, sparse routes, parallel per-site build, all under a
 // wall-clock budget. Skipped in -short (the build alone is seconds and the
 // run dominates a quick suite).

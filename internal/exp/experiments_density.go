@@ -96,9 +96,8 @@ func CityScaleConfig(shards int) NetworkConfig {
 
 // CityScale100kConfig is the 100k-node variant of CityScaleConfig at the
 // same spatial density (the area scales with N) — the population the
-// arena-backed struct-of-arrays builder is sized for. Same lean,
-// sparse-route, streaming-friendly shape; the 100k smoke test and the
-// ns_per_event_100k bench key run exactly this network.
+// per-site builder is sized for. Same lean, sparse-route,
+// streaming-friendly shape; the 100k smoke test runs exactly this network.
 func CityScale100kConfig(shards int) NetworkConfig {
 	return NetworkConfig{
 		Seed: 42,

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"blemesh/internal/arena"
 	"blemesh/internal/ble"
 	"blemesh/internal/coap"
 	"blemesh/internal/core"
@@ -65,7 +64,9 @@ type NetworkConfig struct {
 	Topology testbed.Topology
 	// Engine selects the sim event-queue engine backing the run: the timer
 	// wheel, or the heap reference the equivalence suites compare it against
-	// (no CLI or experiment option reaches this field).
+	// (no CLI or experiment option reaches this field). It is a config field,
+	// not a post-build switch, because each site's Sim picks its queue when
+	// BuildNetwork creates it.
 	Engine sim.Engine
 	// Policy selects the connection interval strategy (static vs the
 	// paper's randomized mitigation).
@@ -116,9 +117,6 @@ type NetworkConfig struct {
 	// Routing selects static provisioned routes (default, the paper's
 	// configuration) or the RPL-lite dynamic routing plane.
 	Routing RoutingMode
-	// RPL overrides the per-node RPL-lite configuration in dynamic mode
-	// (Root is set per node regardless; nil uses rpl defaults).
-	RPL *rpl.Config
 	// Lean drops the per-node registry collectors and the per-producer
 	// heatmap rows, keeping only the network-level aggregates. City-scale
 	// runs (10k+ nodes) set it so metric memory stays O(sites), not
@@ -130,12 +128,6 @@ type NetworkConfig struct {
 	// down the tree — instead of all-pairs host routes: O(N·depth) entries
 	// rather than O(N²). The producer/consumer workload needs nothing more.
 	SparseRoutes bool
-	// LinearPHY forces every medium down the scan that visits each radio
-	// of the RF domain — instead of the neighbour lists of a geometric
-	// medium, or the list of receiving radios of a geometry-free one. Output
-	// must be byte-identical either way; the differential test layer flips
-	// this to prove it.
-	LinearPHY bool
 	// Shards is the number of worker lanes (goroutines) that execute the
 	// site windows of the run and the per-site build; 0 and 1 both mean one.
 	// Every network runs on internal/sim's Sharded scheduler — the topology
@@ -199,6 +191,23 @@ func ValidateFlags(nodes int, radioRange float64, minutes int) error {
 		return fmt.Errorf("-range = %v, want ≥ 0 (0: the generator's default)", radioRange)
 	case minutes < 1:
 		return fmt.Errorf("-minutes = %d, want ≥ 1", minutes)
+	}
+	return nil
+}
+
+// ValidateRunFlags reports a -scale, -runs or -workers value the experiment
+// CLIs would otherwise turn into something else: Options maps a scale ≤ 0 to
+// the paper-length hour and runs ≤ 0 to one run, runner.Map maps negative
+// workers to GOMAXPROCS, and a NaN scale collapses to the shortest run. A
+// CLI exits 2 with this message instead, as with ValidateFlags.
+func ValidateRunFlags(scale float64, runs, workers int) error {
+	switch {
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("-scale = %v, want a finite value > 0 (1: paper length)", scale)
+	case runs < 1:
+		return fmt.Errorf("-runs = %d, want ≥ 1", runs)
+	case workers < 0:
+		return fmt.Errorf("-workers = %d, want ≥ 0 (0: GOMAXPROCS)", workers)
 	}
 	return nil
 }
@@ -294,12 +303,11 @@ type netBuild struct {
 	ppm     map[int]float64
 	names   map[int]string
 
-	arenas []*core.Arena // one per site
-	meters []energy.Meter
 	// Sparse-route storage: the sink forest, and each node's exact window
-	// of one shared slab (see carveRouteWindows).
+	// routeBuf[routeOff[id]:routeOff[id+1]] of one shared backing array (see
+	// carveRouteWindows).
 	sinkParent map[int]int
-	routeB     *arena.Builder
+	routeOff   []int
 	routeBuf   []ip6.Route
 }
 
@@ -307,7 +315,7 @@ type netBuild struct {
 //
 // Each site of the topology (connected component — an RF-closure domain
 // with effectively infinite lookahead to every other site) gets its own
-// simulation, medium, arena and RNG stream under the conservative barrier
+// simulation, medium and RNG stream under the conservative barrier
 // scheduler; a connected topology is the one-site case, whose scheduler is
 // a plain simulation. cfg.Shards worker goroutines (0 means 1) execute the
 // site windows. Output is a pure function of the seed and the site
@@ -319,7 +327,7 @@ func BuildNetwork(cfg NetworkConfig) *Network {
 	}
 	b := planNetwork(cfg) // sites, ids, one Sim per site, the trace log
 	b.buildMedia()        // one medium per site
-	b.allocStorage()      // arenas, meter slab, metric surfaces, route windows
+	b.allocStorage()      // metric surfaces, route windows
 	b.fill()              // nodes, links, routes, site by site
 	b.wire()              // streaming tick
 	b.nw.registerMetrics(b.ids)
@@ -449,24 +457,14 @@ func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 	if cfg.Topology.Range > 0 {
 		m.SetRange(cfg.Topology.Range)
 	}
-	m.SetLinearScan(cfg.LinearPHY)
 	nw.Media = append(nw.Media, m)
 	return m
 }
 
 // allocStorage preallocates everything whose size the plan already fixes:
-// per-site node arenas, the meter slab, the metric surfaces and — for sparse
-// static routing — the route windows.
+// the metric surfaces and — for sparse static routing — the route windows.
 func (b *netBuild) allocStorage() {
 	cfg, nw := b.cfg, b.nw
-	// One arena per site, so sites can fill in parallel.
-	sizes := make([]int, len(nw.sites))
-	for si, site := range nw.sites {
-		sizes[si] = len(site)
-	}
-	b.arenas = core.NewArenas(sizes)
-	b.meters = make([]energy.Meter, b.maxID+1)
-
 	// Metric surfaces: one RTT CDF and PDR series per site — two slabs, not
 	// 2·nsurf small allocations. RTTs/Series alias site 0, which is all of a
 	// single-site network.
@@ -498,36 +496,41 @@ func (b *netBuild) allocStorage() {
 // carveRouteWindows is count-then-carve for the sparse route tables: walk
 // the same SinkForest parent chains installSparseRoutes walks — one upward
 // route per non-sink node, one downward route per ancestor on its chain —
-// then size one shared slab that every node gets its exact window of. The
-// stack's live table and the node's provisioned copy alias the same backing:
-// AddHostRoute appends the same route to both lists in lockstep (sparse
-// sink-tree destinations are unique per node, so AddRoute never takes its
-// replace branch), static routes are never removed, and a Restart re-appends
-// the identical values over themselves — so one window serves both views at
-// half the storage.
+// then turn the counts into offsets with a prefix sum and size one shared
+// backing array that every node gets its exact window of. The offsets depend
+// only on the topology, never on fill order, so sites may fill in parallel.
+// The stack's live table and the node's provisioned copy alias the same
+// backing: AddHostRoute appends the same route to both lists in lockstep
+// (sparse sink-tree destinations are unique per node, so AddRoute never
+// takes its replace branch), static routes are never removed, and a Restart
+// re-appends the identical values over themselves — so one window serves
+// both views at half the storage.
 func (b *netBuild) carveRouteWindows() {
-	b.routeB = arena.NewBuilder(b.maxID + 1)
+	off := make([]int, b.maxID+2) // off[id+1] counts id's routes until the sum
 	for _, id := range b.ids {
 		p, ok := b.sinkParent[id]
 		if !ok {
 			continue
 		}
-		b.routeB.Count(id, 1)
+		off[id+1]++
 		for ok {
-			b.routeB.Count(p, 1)
+			off[p+1]++
 			p, ok = b.sinkParent[p]
 		}
 	}
-	b.routeB.Seal()
-	b.routeBuf = make([]ip6.Route, b.routeB.Total())
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	b.routeOff = off
+	b.routeBuf = make([]ip6.Route, off[len(off)-1])
 }
 
 // fill builds the nodes, their links and their routes. What fixes the order
 // is the RNG: every site has its own stream, so each site is a group, filled
 // in id order, and with more than one lane the groups fill in parallel.
-// Every write lands in site-private storage (the site's arena) or at a
-// site-owned dense index (Nodes, Meters, route windows), so workers
-// coordinate only through the claim counter.
+// Every write lands in freshly allocated node structs or at a site-owned
+// dense index (Nodes, Meters, route windows), so workers coordinate only
+// through the claim counter.
 func (b *netBuild) fill() {
 	links, sites := b.cfg.Topology.Links, b.nw.sites
 	subCount := b.cfg.Topology.SubordinateCount()
@@ -587,11 +590,7 @@ func (b *netBuild) buildNode(id int) {
 	site := nw.siteOf[id]
 	var routing *rpl.Config
 	if cfg.Routing == RoutingDynamic {
-		routing = new(rpl.Config)
-		if cfg.RPL != nil {
-			*routing = *cfg.RPL
-		}
-		routing.Root = id == cfg.Topology.Consumer
+		routing = &rpl.Config{Root: id == cfg.Topology.Consumer}
 	}
 	n := core.NewNode(nw.sched.Shard(site), nw.Media[site], core.NodeConfig{
 		Name:     b.nodeName(id),
@@ -607,15 +606,12 @@ func (b *netBuild) buildNode(id int) {
 		DisableWindowWidening: cfg.DisableWindowWidening,
 		Trace:                 nw.Trace,
 		Routing:               routing,
-		Arena:                 b.arenas[site],
 	})
 	if p, ok := cfg.Topology.Pos[id]; ok {
 		n.Radio.SetPosition(p.X, p.Y, p.Z)
 	}
 	nw.Nodes[id] = n
-	m := &b.meters[id]
-	energy.NewMeterInto(m, energy.DefaultParams(), n.Ctrl, n.Radio)
-	nw.Meters[id] = m
+	nw.Meters[id] = energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
 }
 
 // installRoutes provisions the manual IP routes along the unique topology
@@ -627,8 +623,9 @@ func (b *netBuild) installRoutes(ids []int) {
 		return
 	}
 	if cfg.SparseRoutes {
+		off := b.routeOff
 		for _, id := range ids {
-			v := arena.View(b.routeB, b.routeBuf, id)
+			v := b.routeBuf[off[id]:off[id]:off[id+1]]
 			nw.Nodes[id].Stack.ReserveRoutes(v)
 			nw.Nodes[id].ReserveProvRoutes(v)
 		}

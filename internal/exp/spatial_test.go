@@ -11,8 +11,8 @@ import (
 
 // spatialTopology builds one cell of the differential matrix: a generated
 // geometric topology ("geo", "city") or the paper's fixed tree — the
-// geometry-free case, where the LinearPHY switch selects the full-domain
-// scan over the list of receiving radios.
+// geometry-free case, where phy.Medium.SetLinearScan selects the
+// full-domain scan over the list of receiving radios.
 func spatialTopology(kind string, seed int64) testbed.Topology {
 	switch kind {
 	case "geo":
@@ -41,8 +41,15 @@ func spatialExport(t *testing.T, topo testbed.Topology, seed int64, linear bool,
 		JamChannel22:  true,
 		Trace:         true,
 		TraceCapacity: 1 << 18,
-		LinearPHY:     linear,
 	})
+	// The scan path is switched after the build; no radio has transmitted
+	// yet, so every transmission of the run takes the pinned path.
+	for _, m := range nw.Media {
+		if n := m.Stats().Transmissions; n != 0 {
+			t.Fatalf("medium transmitted %d times during the build", n)
+		}
+		m.SetLinearScan(linear)
+	}
 	// Formation failure on a hard seed is itself fine — both scan paths
 	// must fail identically, and byte equality still checks that.
 	nw.WaitTopology(60 * sim.Second)

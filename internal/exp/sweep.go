@@ -86,7 +86,7 @@ func (c CellResult) TotalLosses() float64 {
 	return t
 }
 
-// RunSweep executes the grid across a work-stealing worker pool: one job
+// RunSweep executes the grid across a pool of workers: one job
 // per (producer, config, run) triple, each building and running its own
 // hermetic seeded network. Cells are returned in grid order (producers
 // outer, configs inner) with per-run metrics in run order, so the output

@@ -169,14 +169,7 @@ func (st *Stack) mintPID() uint64 {
 // address. The node gets fe80::IID and fd00::IID (DefaultPrefix) addresses.
 // The NIB is bounded to 32 entries, the value the paper raises GNRC to.
 func NewStack(s *sim.Sim, mac uint64) *Stack {
-	st := new(Stack)
-	NewStackInto(st, s, mac)
-	return st
-}
-
-// NewStackInto initializes a stack in place (arena-backed construction).
-func NewStackInto(st *Stack, s *sim.Sim, mac uint64) {
-	*st = Stack{
+	return &Stack{
 		s:               s,
 		mac:             mac,
 		linkLocal:       LinkLocal(mac),
@@ -189,7 +182,7 @@ func NewStackInto(st *Stack, s *sim.Sim, mac uint64) {
 
 // ReserveRoutes hands the stack a pre-carved backing array for its route
 // table (len 0, exact capacity): the normal AddRoute append path then fills
-// the slab without allocating. Appending past the reserved capacity falls
+// it without allocating. Appending past the reserved capacity falls
 // back to ordinary slice growth, so an under-counted reservation degrades
 // to the historical behaviour instead of failing.
 func (st *Stack) ReserveRoutes(buf []Route) {

@@ -1,7 +1,7 @@
-// Package runner provides a work-stealing parallel execution engine for
-// independent simulation replicas. Each job builds and runs its own
-// sim.Sim, so jobs share no state and the only synchronisation is around
-// the job queues and the result slots.
+// Package runner provides a parallel execution engine for independent
+// simulation replicas. Each job builds and runs its own sim.Sim, so jobs
+// share no state: workers claim job numbers from one atomic counter and
+// write only their own jobs' result slots.
 //
 // The contract that makes parallel sweeps safe to trust:
 //
@@ -57,64 +57,21 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// deque is one worker's job queue. The owner pops from the front; thieves
-// steal from the back, so an owner working through its own deal keeps
-// cache-friendly job order while idle workers drain the far end.
-type deque struct {
-	mu   sync.Mutex
-	jobs []int
-}
-
-func (d *deque) popFront() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	j := d.jobs[0]
-	d.jobs = d.jobs[1:]
-	return j, true
-}
-
-func (d *deque) stealBack() (int, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.jobs) == 0 {
-		return 0, false
-	}
-	last := len(d.jobs) - 1
-	j := d.jobs[last]
-	d.jobs = d.jobs[:last]
-	return j, true
-}
-
-// Map runs fn for every job index in [0, n) across a work-stealing worker
-// pool and returns the results in job order. The returned error is nil only
-// if every job succeeded; otherwise it reports the failures in job order
-// (a panicking fn surfaces as a *PanicError, other jobs keep running).
+// Map runs fn for every job index in [0, n) across a pool of workers that
+// each claim the next unclaimed job until none is left, so a slow job holds
+// up only its own worker. It returns the results in job order. The returned
+// error is nil only if every job succeeded; otherwise it reports the
+// failures in job order (a panicking fn surfaces as a *PanicError, other
+// jobs keep running).
 func Map[T any](n int, opts Options, fn func(job int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	errs := make([]error, n)
 	if n <= 0 {
 		return results, nil
 	}
-	nw := opts.workers()
-	if nw > n {
-		nw = n
-	}
+	nw := min(opts.workers(), n)
 
-	// Deal jobs round-robin so every worker starts with a spread of the
-	// grid (adjacent grid points often have correlated cost).
-	queues := make([]*deque, nw)
-	for w := range queues {
-		queues[w] = &deque{}
-	}
-	for j := 0; j < n; j++ {
-		q := queues[j%nw]
-		q.jobs = append(q.jobs, j)
-	}
-
-	var done, panicked atomic.Int64
+	var next, done, panicked atomic.Int64
 	if opts.Registry != nil && opts.Name != "" {
 		name := "runner." + opts.Name
 		total := float64(n)
@@ -128,12 +85,15 @@ func Map[T any](n int, opts Options, fn func(job int) (T, error)) ([]T, error) {
 	}
 	var progressMu sync.Mutex
 	report := func() {
-		d := int(done.Add(1))
-		if opts.OnProgress != nil {
-			progressMu.Lock()
-			opts.OnProgress(d, n)
-			progressMu.Unlock()
+		if opts.OnProgress == nil {
+			done.Add(1)
+			return
 		}
+		// Count under the lock, so the serialised calls see done rise by
+		// one each and the last call reports n.
+		progressMu.Lock()
+		defer progressMu.Unlock()
+		opts.OnProgress(int(done.Add(1)), n)
 	}
 
 	runJob := func(j int) {
@@ -150,23 +110,16 @@ func Map[T any](n int, opts Options, fn func(job int) (T, error)) ([]T, error) {
 	var wg sync.WaitGroup
 	wg.Add(nw)
 	for w := 0; w < nw; w++ {
-		go func(self int) {
+		go func() {
 			defer wg.Done()
 			for {
-				j, ok := queues[self].popFront()
-				if !ok {
-					// Own deque drained: steal from the back of the
-					// other workers' deques, nearest neighbour first.
-					for k := 1; k < nw && !ok; k++ {
-						j, ok = queues[(self+k)%nw].stealBack()
-					}
-					if !ok {
-						return
-					}
+				j := int(next.Add(1)) - 1
+				if j >= n {
+					return
 				}
 				runJob(j)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 

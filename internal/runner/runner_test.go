@@ -50,14 +50,14 @@ func TestMapOrderIndependentOfWorkers(t *testing.T) {
 	}
 }
 
-// TestMapStealing forces one worker's deal to be slow and checks every job
-// still completes exactly once.
-func TestMapStealing(t *testing.T) {
+// TestMapUnevenJobs makes every fourth job slow and checks every job still
+// completes exactly once.
+func TestMapUnevenJobs(t *testing.T) {
 	const n = 32
 	var ran [n]atomic.Int32
 	_, err := Map(n, Options{Workers: 4}, func(j int) (int, error) {
 		if j%4 == 0 {
-			// Worker 0's own jobs are heavy; the rest should get stolen.
+			// The jobs a round-robin deal would give one worker are heavy.
 			s := sim.New(int64(j))
 			for i := 0; i < 2000; i++ {
 				s.Post(sim.Duration(i), func() {})

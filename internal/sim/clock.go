@@ -24,14 +24,7 @@ type Clock struct {
 // NewClock creates a clock with the given frequency error in parts per
 // million. ppm 0 is a perfect clock; positive ppm runs fast.
 func NewClock(s *Sim, ppm float64) *Clock {
-	c := new(Clock)
-	NewClockInto(c, s, ppm)
-	return c
-}
-
-// NewClockInto initializes a clock in place (arena-backed construction).
-func NewClockInto(c *Clock, s *Sim, ppm float64) {
-	*c = Clock{sim: s, rate: 1 + ppm*1e-6, epochSim: s.Now()}
+	return &Clock{sim: s, rate: 1 + ppm*1e-6, epochSim: s.Now()}
 }
 
 // Now returns the node's local time.

@@ -338,15 +338,8 @@ type Manager struct {
 // New wires a manager onto a controller. The manager owns the controller's
 // OnConnect/OnDisconnect hooks.
 func New(s *sim.Sim, ctrl *ble.Controller, cfg Config) *Manager {
-	m := new(Manager)
-	NewInto(m, s, ctrl, cfg)
-	return m
-}
-
-// NewInto initializes a manager in place (arena-backed construction).
-func NewInto(m *Manager, s *sim.Sim, ctrl *ble.Controller, cfg Config) {
 	cfg.defaults()
-	*m = Manager{
+	m := &Manager{
 		s:    s,
 		ctrl: ctrl,
 		cfg:  cfg,
@@ -355,6 +348,7 @@ func NewInto(m *Manager, s *sim.Sim, ctrl *ble.Controller, cfg Config) {
 	ctrl.SetScanParams(ble.ScanParams{Interval: cfg.ScanInterval, Window: cfg.ScanWindow})
 	ctrl.OnConnect = m.handleConnect
 	ctrl.OnDisconnect = m.handleDisconnect
+	return m
 }
 
 // slot returns peer's slot, or nil when the peer has never been touched.

@@ -44,6 +44,7 @@ func main() {
 	for _, err := range []error{
 		blemesh.NetworkConfig{Shards: *shards}.Validate(),
 		blemesh.ValidateRunFlags(*scale, *runs, *workers),
+		blemesh.ValidateFlags(*nodes, *radioRange, 1), // no -minutes flag: the sweep's length is -scale
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)

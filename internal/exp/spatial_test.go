@@ -11,8 +11,8 @@ import (
 
 // spatialTopology builds one cell of the differential matrix: a generated
 // geometric topology ("geo", "city") or the paper's fixed tree — the
-// geometry-free case, where phy.Medium.SetLinearScan selects the
-// full-domain scan over the list of receiving radios.
+// geometry-free case. On each, phy.Medium.SetLinearScan swaps the scan of
+// receiving radios for the visit-every-radio oracle.
 func spatialTopology(kind string, seed int64) testbed.Topology {
 	switch kind {
 	case "geo":
@@ -27,7 +27,7 @@ func spatialTopology(kind string, seed int64) testbed.Topology {
 }
 
 // spatialExport drives one traced workload with the PHY scan path pinned to
-// the spatial grid index (linear=false) or the linear distance filter
+// the list of receiving radios (linear=false) or the linear distance filter
 // (linear=true) and returns the full trace + metrics NDJSON. shards is the
 // worker-lane count (0: one).
 func spatialExport(t *testing.T, topo testbed.Topology, seed int64, linear bool, shards int) string {
@@ -66,11 +66,12 @@ func spatialExport(t *testing.T, topo testbed.Topology, seed int64, linear bool,
 	return b.String()
 }
 
-// TestSpatialIndexEquivalence is the lockdown for the spatial grid index:
-// 16 seeds of generated geo and city topologies (and the geometry-free tree
-// control) must export byte-identical trace and metrics NDJSON whether the
-// medium scans through the grid or the linear distance filter. The index is
-// a lookup accelerator, never an output knob.
+// TestSpatialIndexEquivalence is the lockdown for the PHY scan: 16 seeds of
+// generated geo and city topologies (and the geometry-free tree control) must
+// export byte-identical trace and metrics NDJSON whether the medium scans its
+// receiving radios with a range check or every radio through the linear
+// distance filter. The scan path is a lookup accelerator, never an output
+// knob.
 func TestSpatialIndexEquivalence(t *testing.T) {
 	seeds := int64(16)
 	if testing.Short() {
@@ -87,7 +88,7 @@ func TestSpatialIndexEquivalence(t *testing.T) {
 				}
 				if idx != lin {
 					n, g, w := firstDiff(idx, lin)
-					t.Fatalf("%s seed %d: grid index diverges from linear scan at line %d:\n  grid:   %s\n  linear: %s",
+					t.Fatalf("%s seed %d: receive-list scan diverges from linear scan at line %d:\n  rx:     %s\n  linear: %s",
 						kind, seed, n, g, w)
 				}
 			}
@@ -110,9 +111,8 @@ func TestSpatialIndexIsRepeatable(t *testing.T) {
 
 // TestGeoShardWorkerInvariance runs a generated multi-site geo topology at
 // Shards 1, 0 (one lane as well), 2 and 4: the worker count must never leak
-// into the merged export. This is the racing half of
-// the contract for the spatial index — per-site grids queried concurrently
-// from domain windows.
+// into the merged export. This is the racing half of the contract for the
+// PHY scan — per-site media scanned concurrently from domain windows.
 func TestGeoShardWorkerInvariance(t *testing.T) {
 	topo := testbed.RandomGeometric(testbed.GeoConfig{
 		Seed: 11, N: 60, Width: 200, Height: 200, Range: 22})

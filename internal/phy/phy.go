@@ -4,10 +4,12 @@
 // paper found BLE channel 22 permanently jammed in the IoT-Lab), and random
 // background noise.
 //
-// The model is deliberately geometry-free: the paper states that all BLE
+// By default the model is geometry-free: the paper states that all BLE
 // nodes were in radio range of each other in a 1m x 1m grid and that node
 // placement had negligible impact, so every radio on the medium hears every
-// transmission on its channel. Loss comes from collisions, jammers, and a
+// transmission on its channel. Generated city-scale topologies switch a
+// medium to geometric mode (geo.go), where only radios within a disk range
+// of the sender hear it. Loss comes from collisions, jammers, and a
 // configurable stochastic noise process — the three RF loss processes the
 // paper identifies — never from path loss.
 package phy
@@ -117,7 +119,7 @@ type Stats struct {
 
 // Medium is one RF-closure domain: a shared broadcast channel space whose
 // radios all hear each other (geometry-free, as the paper's 1m x 1m grid
-// justifies) or hear whoever is within range (geometric mode, grid.go).
+// justifies) or hear whoever is within range (geometric mode, geo.go).
 // Radios on different media are RF-isolated — no carrier, no delivery, no
 // collisions — which is how a multi-site network is built: one medium per
 // site.
@@ -125,8 +127,8 @@ type Medium struct {
 	sim    *sim.Sim
 	radios []*Radio
 	active [NumChannels][]*transmission // in flight, per channel
-	// rx holds the radios whose state is RadioRX, in NodeID order. A
-	// geometry-free scan visits these instead of every radio (grid.go).
+	// rx holds the radios whose state is RadioRX, in NodeID order. A scan
+	// visits these instead of every radio (geo.go).
 	// StartListen, StopListen and Transmit are the only places a radio
 	// enters or leaves RX, and they keep the list.
 	rx     []*Radio
@@ -134,25 +136,12 @@ type Medium struct {
 	stats  Stats
 	freeTx *transmission // recycled transmissions
 
-	// Geometric mode (see grid.go): rangeSq > 0 filters delivery, carrier,
+	// Geometric mode (see geo.go): rangeSq > 0 filters delivery, carrier,
 	// and collision closure by disk radio range; linear forces the
-	// non-indexed scan path for differential testing. epoch counts the
-	// changes that can alter who hears whom — a radio registered or moved,
-	// the range set. A radio's neighbour list is valid for the epoch it was
-	// built at; grid indexes the radios by position (cell edge = radio
-	// range) to build those lists and is dropped whenever the epoch moves.
-	r       float64
+	// every-radio scan path for differential testing.
 	rangeSq float64
 	linear  bool
-	epoch   uint64
-	grid    map[[2]int32][]*Radio
 	reserve []Radio // slab handed out by NewRadio (see ReserveRadios)
-}
-
-// invalidate retires every neighbour list of the medium and its grid.
-func (m *Medium) invalidate() {
-	m.epoch++
-	m.grid = nil
 }
 
 // rxAdd files a radio that entered RX, keeping the list in NodeID order.
@@ -244,15 +233,14 @@ func (m *Medium) NewRadio() *Radio {
 	}
 	*r = Radio{medium: m, id: NodeID(len(m.radios)), listenCh: -1}
 	m.radios = append(m.radios, r)
-	m.invalidate()
 	return r
 }
 
 // ReserveRadios pre-allocates the next n radios as one contiguous slab.
 // Subsequent NewRadio calls hand out pointers into the slab (registration
 // order, NodeID assignment, and behaviour are unchanged) until it is
-// exhausted — the struct-of-arrays build path calls this with the site's
-// node count so position/state fields end up dense in memory.
+// exhausted — network assembly calls this with the site's node count so
+// a site's radios end up dense in memory.
 func (m *Medium) ReserveRadios(n int) {
 	if n > len(m.reserve) {
 		m.reserve = make([]Radio, n)
@@ -289,12 +277,8 @@ type Radio struct {
 	medium *Medium
 	id     NodeID
 
-	// Position in meters; only meaningful in geometric mode (grid.go).
+	// Position in meters; only meaningful in geometric mode (geo.go).
 	px, py, pz float64
-	// nbrs is the geometric-mode neighbour list: the medium's radios within
-	// range, in NodeID order, as of medium epoch nbrEpoch.
-	nbrs     []*Radio
-	nbrEpoch uint64
 
 	state       RadioState
 	listenCh    Channel
@@ -404,7 +388,7 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	// parties — in geometric mode only when the two senders are within radio
 	// range of each other (disk carrier closure; receiver-side
 	// hidden-terminal overlap is out of model, see the package comment in
-	// grid.go). Mark existing in-flight transmissions and the new one.
+	// geo.go). Mark existing in-flight transmissions and the new one.
 	for _, other := range m.active[ch] {
 		if !m.inRangeOf(r, other.sender) {
 			continue

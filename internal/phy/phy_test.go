@@ -3,6 +3,7 @@ package phy
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"blemesh/internal/sim"
 )
@@ -391,5 +392,17 @@ func TestCarrierNotFiredForLateListener(t *testing.T) {
 	s.Run(sim.Second)
 	if fired {
 		t.Fatal("carrier fired for a mid-packet listener")
+	}
+}
+
+// A Radio is allocated per node, so the formed 100k city pays its size 100 000
+// times. It is 128 B, exactly one size class; growing past that moves a radio
+// allocated by NewRadio alone into the 144 B class: shrink something else
+// first.
+func TestRadioFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Radio{}); sz > 128 {
+		t.Fatalf("unsafe.Sizeof(Radio{}) = %d, over the 128 B size class", sz)
+	} else {
+		t.Logf("unsafe.Sizeof(Radio{}) = %d", sz)
 	}
 }

@@ -109,7 +109,11 @@ func (it *txItem) size() int {
 	return len(it.payload)
 }
 
-// Conn is one BLE connection endpoint (either role).
+// Conn is one BLE connection endpoint (either role). Every timer and radio
+// callback it arms is a method of a type declared over Conn (connWake and
+// its siblings below), so a link end is this one object: no closure, no
+// separately allocated Activity. Fields are ordered so the bytes and flags
+// pack; TestConnFitsSizeClass holds it inside the 768 B size class.
 type Conn struct {
 	ctrl   *Controller
 	role   Role
@@ -119,6 +123,26 @@ type Conn struct {
 	csa    ChannelSelector
 	access uint32
 
+	// Acknowledgement state (1-bit SN/NESN scheme).
+	sn, nesn byte
+	peerMD   bool
+	// emptyInFlight: the last transmitted, still unacknowledged PDU was
+	// an empty one. A retransmission must resend the SAME PDU — reusing
+	// the sequence number for fresh data would be treated as a duplicate
+	// by the peer while its acknowledgement discards the data.
+	emptyInFlight bool
+
+	closed  bool
+	closing bool // TERMINATE_IND queued
+	// fusing is set on a subordinate while its coordinator runs the event's
+	// exchange in one step (fusedIdle): the reply is built, not scheduled.
+	fusing bool
+	// In-event flags: inside an event, a valid packet received in it, and
+	// the current exchange moved a data/control payload.
+	inEvent  bool
+	evGotPkt bool
+	exData   bool
+
 	// Event timing. evIdx counts connection events since event 0; the
 	// 16-bit on-air event counter is its low half.
 	evIdx       uint64
@@ -127,22 +151,15 @@ type Conn struct {
 	lastSyncIdx uint64   // subordinate: event index at last resync
 	relSCA      float64  // combined declared sleep-clock accuracy (ppm)
 
-	// Acknowledgement state (1-bit SN/NESN scheme).
-	sn, nesn byte
-	peerMD   bool
-	txq      ring.Ring[*txItem]
-	// emptyInFlight: the last transmitted, still unacknowledged PDU was
-	// an empty one. A retransmission must resend the SAME PDU — reusing
-	// the sequence number for fresh data would be treated as a duplicate
-	// by the peer while its acknowledgement discards the data.
-	emptyInFlight bool
+	txq ring.Ring[*txItem]
 
 	// Pending parameter update (applied at instant).
 	pendUpdate  *ConnUpdate
 	pendChanMap *ChannelMap
 	pendInstant uint64
 
-	act          *Activity
+	// act is the connection's claim on the radio; its anchor is nextStart.
+	act          Activity
 	wake         sim.Timer
 	nextStart    sim.Time // sim-time estimate of next event start
 	lastAttended uint64   // subordinate: last event index actually serviced
@@ -152,39 +169,17 @@ type Conn struct {
 	// that comes early re-arms itself for the deadline.
 	supDeadline sim.Time
 	supEvent    sim.Timer
-	closed      bool
-	closing     bool // TERMINATE_IND queued
-	// fusing is set on a subordinate while its coordinator runs the event's
-	// exchange in one step (fusedIdle): the reply is built, not scheduled.
-	fusing bool
 	// peerConn is the other endpoint of the link, learned from the first
 	// valid packet. It outlives a peer that was killed or rebooted, so it is
 	// only trusted while it is open and points back here.
 	peerConn *Conn
 
 	// In-event state.
-	inEvent   bool
 	evCh      phy.Channel
 	evLimit   sim.Time
-	evGotPkt  bool
 	evTXBase  uint64 // stats.TXPDUs at event start (first-exchange detection)
-	exData    bool   // current exchange moved a data/control payload
 	rxTimeout sim.Timer
-
-	// Prebound hot-path callbacks, created once per connection so the
-	// per-event scheduling paths (thousands per second of simulated time)
-	// never allocate closures.
-	eventStartFn func()
-	superviseFn  func()
-	rxExpireFn   func()
-	onRxFn       phy.Receiver
-	onCarrierFn  phy.CarrierFunc
-	coordDoneFn  func()
-	coordNextFn  func()
-	subSendFn    func()
-	subDoneFn    func()
-	replyPDU     *DataPDU // PDU built for the pending subordinate reply
-	scratch      DataPDU  // reused data/empty PDU (control PDUs keep their own)
+	replyPDU  *DataPDU // PDU built for the pending subordinate reply
 
 	stats ConnStats
 
@@ -195,6 +190,87 @@ type Conn struct {
 	// subordinate's Connection Parameters Request. Returning true applies
 	// the proposed interval via the update procedure; false rejects it.
 	OnParamRequest func(interval sim.Duration) bool
+}
+
+// The connection's events. Each type is Conn itself under another name, so
+// (*connWake)(c) is the pointer c stored in a sim.Handler: arming it
+// allocates nothing, and no per-connection callback object exists.
+type (
+	connWake      Conn // the next connection event is due (eventStart)
+	connSupervise Conn // the supervision wake-up
+	connRxExpire  Conn // the receive window closed without a packet
+	connCoordDone Conn // the coordinator's packet left the air
+	connCoordNext Conn // the coordinator's next exchange of the event
+	connSubSend   Conn // the subordinate's reply, one IFS after the packet
+	connSubDone   Conn // the subordinate's reply left the air
+	connPreempt   Conn // the scheduler took the radio away (preempted)
+)
+
+func (w *connWake) Fire()    { (*Conn)(w).eventStart() }
+func (w *connPreempt) Fire() { (*Conn)(w).preempted() }
+
+func (w *connSupervise) Fire() {
+	c := (*Conn)(w)
+	if c.sim().Now() < c.supDeadline {
+		c.supEvent = c.sim().Schedule(c.supDeadline, w)
+		return
+	}
+	c.terminate(LossSupervision)
+}
+
+func (w *connRxExpire) Fire() {
+	c := (*Conn)(w)
+	c.rxTimeout = sim.Timer{}
+	c.closeEvent()
+}
+
+func (w *connCoordDone) Fire() {
+	c := (*Conn)(w)
+	if !c.inEvent {
+		return
+	}
+	// Wait for the subordinate's reply, due exactly one IFS after our
+	// last bit.
+	c.tune()
+	c.rxTimeout = c.sim().Schedule(c.sim().Now()+IFS+CarrierMargin, (*connRxExpire)(c))
+}
+
+func (w *connCoordNext) Fire() {
+	c := (*Conn)(w)
+	if c.inEvent && c.ctrl.sched.Owns(&c.act) {
+		c.coordTX()
+	}
+}
+
+func (w *connSubSend) Fire() {
+	c := (*Conn)(w)
+	pdu := c.replyPDU
+	c.replyPDU = nil
+	if !c.inEvent || !c.ctrl.sched.Owns(&c.act) {
+		c.closeEvent()
+		return
+	}
+	c.transmitPDU(pdu, (*connSubDone)(c))
+}
+
+func (w *connSubDone) Fire() {
+	c := (*Conn)(w)
+	if !c.inEvent {
+		return
+	}
+	// Continue listening if the coordinator may send more. A data exchange
+	// delays the coordinator's next packet by its processing gap
+	// (homogeneous firmware assumed).
+	wait := IFS + CarrierMargin
+	if c.exData {
+		wait += c.ctrl.cfg.ExchangeGap
+	}
+	if (c.peerMD || c.txq.Len() > 0) && c.sim().Now()+wait < c.evLimit {
+		c.tune()
+		c.rxTimeout = c.sim().Schedule(c.sim().Now()+wait, (*connRxExpire)(c))
+	} else {
+		c.closeEvent()
+	}
 }
 
 // Role returns the local role on this connection.
@@ -223,7 +299,7 @@ func (c *Conn) Usable() bool { return !c.closed && !c.closing }
 func (c *Conn) QueueLen() int { return c.txq.Len() }
 
 func (c *Conn) String() string {
-	return fmt.Sprintf("conn#%d(%s→%s %s itvl=%v)", c.handle, c.ctrl.addr, c.peer, c.role, c.params.Interval)
+	return fmt.Sprintf("conn#%d(%s→%s %s itvl=%v)", c.handle, c.ctrl.cfg.Addr, c.peer, c.role, c.params.Interval)
 }
 
 // newConn wires a connection endpoint and schedules its first event.
@@ -251,15 +327,11 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 		c.lastSyncIdx = 0
 		c.relSCA = params.CoordSCA + ctrl.cfg.SCA
 	}
-	c.act = &Activity{
-		NextAnchor: func() sim.Time { return c.nextStart },
-		OnPreempt:  c.preempted,
-	}
-	ctrl.sched.Register(c.act)
+	c.act = Activity{anchor: &c.nextStart, onPreempt: (*connPreempt)(c)}
+	ctrl.sched.Register(&c.act)
 	// Connection establishment: until the first valid packet is received
 	// the specification bounds the timeout to six connection intervals,
 	// so a CONNECT_IND the peer never heard fails fast.
-	c.bindCallbacks()
 	est := 6 * params.Interval
 	if est > params.Supervision {
 		est = params.Supervision
@@ -267,67 +339,6 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 	c.armSupervision(est)
 	c.scheduleEvent()
 	return c
-}
-
-// bindCallbacks creates the connection's reusable callbacks. Everything the
-// per-event machinery schedules refers to these, so steady-state connection
-// events are allocation-free.
-func (c *Conn) bindCallbacks() {
-	c.eventStartFn = c.eventStart
-	c.superviseFn = func() {
-		if c.sim().Now() < c.supDeadline {
-			c.supEvent = c.sim().At(c.supDeadline, c.superviseFn)
-			return
-		}
-		c.terminate(LossSupervision)
-	}
-	c.rxExpireFn = func() {
-		c.rxTimeout = sim.Timer{}
-		c.closeEvent()
-	}
-	c.onRxFn = c.onRx
-	c.onCarrierFn = c.onCarrier
-	c.coordDoneFn = func() {
-		if !c.inEvent {
-			return
-		}
-		// Wait for the subordinate's reply, due exactly one IFS after
-		// our last bit.
-		c.tune()
-		c.rxTimeout = c.sim().After(IFS+CarrierMargin, c.rxExpireFn)
-	}
-	c.coordNextFn = func() {
-		if c.inEvent && c.ctrl.sched.Owns(c.act) {
-			c.coordTX()
-		}
-	}
-	c.subSendFn = func() {
-		pdu := c.replyPDU
-		c.replyPDU = nil
-		if !c.inEvent || !c.ctrl.sched.Owns(c.act) {
-			c.closeEvent()
-			return
-		}
-		c.transmitPDU(pdu, c.subDoneFn)
-	}
-	c.subDoneFn = func() {
-		if !c.inEvent {
-			return
-		}
-		// Continue listening if the coordinator may send more. A
-		// data exchange delays the coordinator's next packet by
-		// its processing gap (homogeneous firmware assumed).
-		wait := IFS + CarrierMargin
-		if c.exData {
-			wait += c.ctrl.cfg.ExchangeGap
-		}
-		if (c.peerMD || c.txq.Len() > 0) && c.sim().Now()+wait < c.evLimit {
-			c.tune()
-			c.rxTimeout = c.sim().After(wait, c.rxExpireFn)
-		} else {
-			c.closeEvent()
-		}
-	}
 }
 
 func (c *Conn) sim() *sim.Sim     { return c.ctrl.sim() }
@@ -349,7 +360,7 @@ func (c *Conn) armSupervision(timeout sim.Duration) {
 		}
 		c.sim().Cancel(c.supEvent)
 	}
-	c.supEvent = c.sim().At(c.supDeadline, c.superviseFn)
+	c.supEvent = c.sim().Schedule(c.supDeadline, (*connSupervise)(c))
 }
 
 func (c *Conn) resetSupervision() {
@@ -404,7 +415,7 @@ func (c *Conn) scheduleEvent() {
 	}
 	simDelay := c.clk().ToSim(d)
 	c.nextStart = c.sim().Now() + simDelay
-	c.wake = c.sim().After(simDelay, c.eventStartFn)
+	c.wake = c.sim().Schedule(c.nextStart, (*connWake)(c))
 }
 
 // applyPendingAt applies a pending connection update / channel map change
@@ -455,7 +466,7 @@ func (c *Conn) eventStart() {
 	}
 
 	maxEnd := c.nextStart - IFS
-	limit, ok := c.ctrl.sched.Acquire(c.act, maxEnd)
+	limit, ok := c.ctrl.sched.Acquire(&c.act, maxEnd)
 	if !ok {
 		// Radio busy: the whole event is skipped. Under connection
 		// shading this happens for hundreds of consecutive events.
@@ -524,7 +535,7 @@ func (c *Conn) closeEvent() {
 	} else {
 		c.stats.EventsEmpty++
 	}
-	c.ctrl.sched.Release(c.act)
+	c.ctrl.sched.Release(&c.act)
 }
 
 func (c *Conn) cancelRxTimeout() {
@@ -544,18 +555,16 @@ func (c *Conn) buildPDU() *DataPDU {
 			pdu = it.ctrl
 			pdu.LLID = LLIDControl
 		} else {
-			// Data PDUs reuse the per-connection scratch object: receivers
-			// consume a PDU synchronously at its end-of-air instant, and the
-			// next buildPDU on this connection is always at least one IFS
-			// later, so the previous contents are dead by the time we reset.
-			pdu = &c.scratch
+			// Data PDUs reuse the controller's scratch object (see
+			// Controller.scratch for why one per radio is enough).
+			pdu = &c.ctrl.scratch
 			*pdu = DataPDU{LLID: it.llid, Payload: it.payload, PID: it.pid}
 		}
 		if !it.sent {
 			it.sent = true
 		}
 	} else {
-		pdu = &c.scratch
+		pdu = &c.ctrl.scratch
 		*pdu = DataPDU{LLID: LLIDDataCont} // empty PDU
 	}
 	pdu.Access = c.access
@@ -569,7 +578,7 @@ func (c *Conn) buildPDU() *DataPDU {
 // transmitPDU sends pdu on the event channel and invokes done afterwards.
 // Retransmission accounting: if the queue head has already been on the air
 // once, this transmission is a retransmission of it.
-func (c *Conn) transmitPDU(pdu *DataPDU, done func()) {
+func (c *Conn) transmitPDU(pdu *DataPDU, done sim.Handler) {
 	air := c.noteTX(pdu)
 	c.radio().Transmit(c.evCh, onAir(pdu, air), air, done)
 }
@@ -731,13 +740,13 @@ func (c *Conn) instantToIdx(instant uint16) uint64 {
 // timeout.
 func (c *Conn) listen(deadline sim.Time) {
 	c.tune()
-	c.rxTimeout = c.sim().At(deadline, c.rxExpireFn)
+	c.rxTimeout = c.sim().Schedule(deadline, (*connRxExpire)(c))
 }
 
 // tune starts receiving on the event channel for this connection.
 func (c *Conn) tune() {
 	c.radio().StartListen(c.evCh)
-	c.ctrl.setRx(c.onRxFn, c.onCarrierFn)
+	c.ctrl.setRxConn(c)
 }
 
 // onCarrier extends the receive deadline to the detected end of packet.
@@ -754,7 +763,7 @@ func (c *Conn) onCarrier(_ phy.Channel, end sim.Time) {
 	// not scanning does not need it. (Scanning that starts under this
 	// packet rotates one scan interval later, past the end of any packet.)
 	if c.ctrl.scanOn {
-		c.rxTimeout = c.sim().At(end+sim.Microsecond, c.rxExpireFn)
+		c.rxTimeout = c.sim().Schedule(end+sim.Microsecond, (*connRxExpire)(c))
 	}
 }
 
@@ -769,7 +778,7 @@ func (c *Conn) onRx(pkt phy.Packet, _ phy.Channel, ok bool) {
 		// A packet of a co-channel connection: the radio never
 		// synchronises to a foreign access address. Keep listening for
 		// our own packet until the window closes.
-		c.rxTimeout = c.sim().After(CarrierMargin, c.rxExpireFn)
+		c.rxTimeout = c.sim().Schedule(c.sim().Now()+CarrierMargin, (*connRxExpire)(c))
 		return
 	}
 	if !ok || !isData {
@@ -813,7 +822,7 @@ func (c *Conn) coordTX() {
 	c.exData = false
 	pdu := c.buildPDU()
 	need := Airtime(pdu.Len()) + IFS + Airtime(0)
-	if !first && (c.sim().Now()+need > c.evLimit || !c.ctrl.sched.Owns(c.act)) {
+	if !first && (c.sim().Now()+need > c.evLimit || !c.ctrl.sched.Owns(&c.act)) {
 		// No room for another full exchange before the next activity
 		// needs the radio: the event yields (Fig. 4 truncation). The
 		// FIRST exchange of an event is mandatory per the spec's packet
@@ -822,7 +831,7 @@ func (c *Conn) coordTX() {
 		c.closeEvent()
 		return
 	}
-	c.transmitPDU(pdu, c.coordDoneFn)
+	c.transmitPDU(pdu, (*connCoordDone)(c))
 }
 
 // coordAfterRx decides whether to start another exchange in this event.
@@ -830,7 +839,7 @@ func (c *Conn) coordTX() {
 // the host/controller processing time before the next buffer is ready.
 func (c *Conn) coordAfterRx() {
 	more := c.peerMD || c.txq.Len() > 0
-	if more && c.ctrl.sched.Owns(c.act) {
+	if more && c.ctrl.sched.Owns(&c.act) {
 		wait := IFS
 		if c.exData {
 			wait += c.ctrl.cfg.ExchangeGap
@@ -838,7 +847,7 @@ func (c *Conn) coordAfterRx() {
 		next := c.buildPDUPreview()
 		need := wait + Airtime(next) + IFS + Airtime(0)
 		if c.sim().Now()+need <= c.evLimit {
-			c.sim().Post(wait, c.coordNextFn)
+			c.sim().Schedule(c.sim().Now()+wait, (*connCoordNext)(c))
 			return
 		}
 	}
@@ -911,7 +920,7 @@ func (c *Conn) fusedIdle() bool {
 	pc := p.ctrl
 
 	// coordTX and, at the end of the packet, the medium's finish followed
-	// by coordDoneFn.
+	// by connCoordDone.
 	c.exData = false
 	pdu := c.buildPDU()
 	air := c.noteTX(pdu)
@@ -925,19 +934,20 @@ func (c *Conn) fusedIdle() bool {
 	reply := p.replyPDU
 	if reply == nil {
 		// The subordinate did not hear us and has closed its event: this
-		// side's listen timeout runs out (rxExpireFn).
+		// side's listen timeout runs out (connRxExpire).
 		s.Advance(t1 + IFS + CarrierMargin)
 		c.closeEvent()
 		return true
 	}
-	// subSendFn and, at the end of the reply, finish followed by subDoneFn.
+	// connSubSend and, at the end of the reply, finish followed by
+	// connSubDone.
 	p.replyPDU = nil
 	s.Advance(t2)
 	air = p.noteTX(reply)
 	ok = pc.radio.TransmitSole(c.evCh, air)
 	s.Advance(t2 + air)
 	pc.radio.DeliverSole(ctrl.radio, onAir(reply, air), c.evCh, ok)
-	p.subDoneFn()
+	(*connSubDone)(p).Fire()
 	return true
 }
 
@@ -946,7 +956,7 @@ func (c *Conn) fusedIdle() bool {
 // fusedIdle's preconditions on the two nodes and their RF domain.
 func (c *Conn) aloneWith(p *Conn) bool {
 	ctrl, pc := c.ctrl, p.ctrl
-	return p.inEvent && p.evCh == c.evCh && pc.sched.Owns(p.act) && pc.s == ctrl.s &&
+	return p.inEvent && p.evCh == c.evCh && pc.sched.Owns(&p.act) && pc.s == ctrl.s &&
 		!ctrl.scanOn && !pc.scanOn && ctrl.radio.SoleListener(c.evCh, pc.radio)
 }
 
@@ -957,7 +967,7 @@ func (c *Conn) aloneWith(p *Conn) bool {
 // at least one full exchange per event); only FURTHER exchanges yield to the
 // node's other radio activities.
 func (c *Conn) subReply() {
-	if !c.ctrl.sched.Owns(c.act) {
+	if !c.ctrl.sched.Owns(&c.act) {
 		c.closeEvent()
 		return
 	}
@@ -965,7 +975,7 @@ func (c *Conn) subReply() {
 	if c.fusing {
 		return // the coordinator sends it, one IFS from now (fusedIdle)
 	}
-	c.sim().Post(IFS, c.subSendFn)
+	c.sim().Schedule(c.sim().Now()+IFS, (*connSubSend)(c))
 }
 
 // ---- Host interface -----------------------------------------------------
@@ -1116,7 +1126,7 @@ func (c *Conn) terminate(reason LossReason) {
 		}
 		c.ctrl.clearRx()
 		c.inEvent = false
-		c.ctrl.sched.Release(c.act)
+		c.ctrl.sched.Release(&c.act)
 	}
 	c.sim().Cancel(c.wake)
 	c.sim().Cancel(c.supEvent)
@@ -1145,6 +1155,13 @@ func (c *Conn) terminate(reason LossReason) {
 		c.ctrl.putItem(it)
 	}
 	c.txq.Reset()
+	c.replyPDU = nil
+	// The controller's scratch PDU may still hold this link's last packet,
+	// long delivered: it must not keep the dead Conn and its payload
+	// reachable.
+	if c.ctrl.scratch.from == c {
+		c.ctrl.scratch = DataPDU{}
+	}
 	c.ctrl.removeConn(c, reason)
 }
 

@@ -1,6 +1,7 @@
 package ble
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -470,14 +471,95 @@ func TestRequestParamsFromSubordinate(t *testing.T) {
 
 // A Conn is allocated per link end and lives as long as the link, so the
 // size class it lands in is paid 16 500 times by the formed 10k city. It was
-// 1 232 B (the 1 280 B class), 592 of them two [37]uint64 per-channel
-// arrays; with 32-bit counters it is 936 B. Growing past 1 024 B costs a
-// quarter more per connection: shrink something else first.
+// 1 232 B (the 1 280 B class), then 936 B with 32-bit per-channel counters;
+// without per-link closures, with its Activity inline and the scratch PDU on
+// the controller it fits 768 B. Growing past that costs an eighth more per
+// connection: shrink something else first.
 func TestConnFitsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Conn{}); sz > 1024 {
-		t.Fatalf("unsafe.Sizeof(Conn{}) = %d, over the 1024 B size class (ConnStats is %d of it)",
+	if sz := unsafe.Sizeof(Conn{}); sz > 768 {
+		t.Fatalf("unsafe.Sizeof(Conn{}) = %d, over the 768 B size class (ConnStats is %d of it)",
 			sz, unsafe.Sizeof(ConnStats{}))
 	} else {
 		t.Logf("unsafe.Sizeof(Conn{}) = %d, ConnStats %d", sz, unsafe.Sizeof(ConnStats{}))
+	}
+}
+
+// A Controller is allocated per node and carries the scratch PDU its
+// connections share; 640 B is a size class, and the next one is 704 B.
+func TestControllerFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Controller{}); sz > 640 {
+		t.Fatalf("unsafe.Sizeof(Controller{}) = %d, over the 640 B size class (Scheduler %d, DataPDU %d of it)",
+			sz, unsafe.Sizeof(Scheduler{}), unsafe.Sizeof(DataPDU{}))
+	} else {
+		t.Logf("unsafe.Sizeof(Controller{}) = %d", sz)
+	}
+}
+
+// TestConnHoldsNoCallbacks: every event a link end arms is a method of a
+// type declared over Conn, so a Conn holds no func value but the two host
+// upcalls. A func field — directly or inside a struct field — is one more
+// heap object per link end for the garbage collector to mark.
+func TestConnHoldsNoCallbacks(t *testing.T) {
+	allowed := map[string]bool{"OnData": true, "OnParamRequest": true}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := path + f.Name
+			switch f.Type.Kind() {
+			case reflect.Func:
+				if !allowed[name] {
+					t.Errorf("Conn.%s is a func (%v): make it a handler type declared over Conn", name, f.Type)
+				}
+			case reflect.Struct:
+				walk(name+".", f.Type)
+			}
+		}
+	}
+	walk("", reflect.TypeOf(Conn{}))
+}
+
+// TestRemovedConnIsUnreachable: the controller's connection table, its
+// scheduler's activity list and its scratch PDU must not keep a terminated
+// link reachable. The newest of three connections is the one a plain
+// append-delete leaves behind the slice length, and with the Activity inside
+// the Conn a stale activity pointer would hold the whole Conn and its queue.
+func TestRemovedConnIsUnreachable(t *testing.T) {
+	s, _, nodes := newTestNet(33, 0, 0, 0, 0)
+	hub := nodes[3]
+	var newest *Conn
+	for _, n := range nodes[:3] {
+		_, newest = connectPair(t, s, n, hub, params75())
+	}
+	if got := len(hub.ctrl.conns); got != 3 {
+		t.Fatalf("hub has %d connections, want 3", got)
+	}
+	payload := []byte{1, 2, 3, 4}
+	if !newest.Send(LLIDDataStart, payload, 0, nil) {
+		t.Fatal("Send rejected")
+	}
+	for deadline := s.Now() + sim.Second; hub.ctrl.scratch.from != newest || len(hub.ctrl.scratch.Payload) == 0; {
+		if s.Now() >= deadline {
+			t.Fatal("the newest connection never put its payload in the controller's scratch PDU")
+		}
+		s.Run(s.Now() + 10*sim.Microsecond)
+	}
+	newest.Kill()
+	conns, acts := hub.ctrl.conns, hub.ctrl.sched.acts
+	if len(conns) != 2 || len(acts) != 2 {
+		t.Fatalf("after Kill: %d connections, %d activities; want 2, 2", len(conns), len(acts))
+	}
+	for _, c := range conns[len(conns):cap(conns)] {
+		if c == newest {
+			t.Error("the terminated Conn stays in the connection table behind its length")
+		}
+	}
+	for _, a := range acts[len(acts):cap(acts)] {
+		if a == &newest.act {
+			t.Error("the terminated Conn's Activity stays in the scheduler behind its length")
+		}
+	}
+	if sc := &hub.ctrl.scratch; sc.from == newest || (len(sc.Payload) > 0 && &sc.Payload[0] == &payload[0]) {
+		t.Error("the controller's scratch PDU still points at the terminated Conn or its payload")
 	}
 }

@@ -2,7 +2,7 @@ package ble
 
 import (
 	"fmt"
-	"math/rand"
+	"slices"
 
 	"blemesh/internal/phy"
 	"blemesh/internal/sim"
@@ -118,15 +118,23 @@ type ConnUpFunc func(c *Conn)
 
 // Controller is one node's BLE controller: the single radio, its scheduler,
 // the set of active connections, and the advertising/scanning machinery.
+// Fields are ordered so the flags pack; TestControllerFitsSizeClass holds it
+// inside the 640 B size class.
 type Controller struct {
 	s     *sim.Sim
 	clk   *sim.Clock
 	radio *phy.Radio
-	cfg   ControllerConfig
-	addr  DevAddr
+	cfg   ControllerConfig // cfg.Addr is the device address
 	sched Scheduler
 	pool  pool
-	rng   *rand.Rand
+
+	advOn      bool
+	advStop    bool // mid-event stop request
+	scanOn     bool
+	connecting bool
+	// eventByEvent keeps every connection event on the general path
+	// (SetEventByEvent).
+	eventByEvent bool
 
 	// conns is the connection table: a short slice (a BLE node sustains a
 	// handful of links, so linear scans beat hashing) that stays ordered
@@ -140,29 +148,34 @@ type Controller struct {
 	freeItems []*txItem
 
 	// Advertising state.
-	advOn     bool
 	advParams AdvParams
 	advAct    *Activity
 	advWake   sim.Timer
 	advNext   sim.Time
-	advStop   bool // mid-event stop request
 
 	// Scanning / initiating state.
-	scanOn      bool
 	scanParams  ScanParams
 	scanTargets []scanTarget
 	scanCh      phy.Channel
 	scanRotate  sim.Timer
-	connecting  bool
 	initAct     *Activity // radio claim of an in-progress CONNECT_IND
 
-	// Receive dispatch: whoever currently listens installs its handler.
+	// Receive dispatch: whoever currently listens installs itself. A
+	// connection in its event is rxConn; advertising and scanning install
+	// func handlers.
+	rxConn         *Conn
 	rxHandler      phy.Receiver
 	carrierHandler phy.CarrierFunc
 
-	// eventByEvent keeps every connection event on the general path
-	// (SetEventByEvent).
-	eventByEvent bool
+	// scratch is the data or empty PDU the connections of this controller
+	// build (control PDUs keep their own). One is enough for all of them:
+	// the controller has one radio, and a receiver consumes a PDU
+	// synchronously at its end of air, so a PDU is dead once its
+	// transmission ends (a packet cut off by pre-emption ends corrupted,
+	// and nobody reads a corrupted packet's payload). The one gap between
+	// building a PDU and sending it is the subordinate's IFS before its
+	// reply, and a link pre-empted in that gap does not send (connSubSend).
+	scratch DataPDU
 
 	// epoch invalidates in-flight advertising/initiating continuations
 	// across a Shutdown: closures capture it at schedule time and bail if
@@ -203,10 +216,8 @@ func NewController(s *sim.Sim, clk *sim.Clock, radio *phy.Radio, cfg ControllerC
 		clk:   clk,
 		radio: radio,
 		cfg:   cfg,
-		addr:  cfg.Addr,
 		sched: Scheduler{sim: s, mode: cfg.Arbitration},
 		pool:  pool{capacity: cfg.PoolBytes},
-		rng:   s.Rand(),
 	}
 	radio.SetReceiver(ctrl.dispatchRx)
 	radio.SetCarrier(ctrl.dispatchCarrier)
@@ -221,15 +232,15 @@ type scanTarget struct {
 
 func (ctrl *Controller) addConn(c *Conn) { ctrl.conns = append(ctrl.conns, c) }
 
-// dropConn removes c from the table, reporting whether it was present.
+// dropConn removes c from the table, reporting whether it was present. The
+// vacated tail slot is cleared, so a removed Conn is not kept reachable.
 func (ctrl *Controller) dropConn(c *Conn) bool {
-	for i, x := range ctrl.conns {
-		if x == c {
-			ctrl.conns = append(ctrl.conns[:i], ctrl.conns[i+1:]...)
-			return true
-		}
+	i := slices.Index(ctrl.conns, c)
+	if i < 0 {
+		return false
 	}
-	return false
+	ctrl.conns = slices.Delete(ctrl.conns, i, i+1)
+	return true
 }
 
 func (ctrl *Controller) targetSet(peer DevAddr, p ConnParams) {
@@ -261,7 +272,7 @@ func (ctrl *Controller) targetDel(peer DevAddr) {
 }
 
 // Addr returns the controller's device address.
-func (ctrl *Controller) Addr() DevAddr { return ctrl.addr }
+func (ctrl *Controller) Addr() DevAddr { return ctrl.cfg.Addr }
 
 // Events returns a copy of the controller counters.
 func (ctrl *Controller) Events() ControllerEvents { return ctrl.events }
@@ -294,24 +305,38 @@ func (ctrl *Controller) nextHandle() int {
 	return ctrl.handles
 }
 
+// setRx installs the receive handlers of advertising or scanning.
 func (ctrl *Controller) setRx(rx phy.Receiver, carrier phy.CarrierFunc) {
+	ctrl.rxConn = nil
 	ctrl.rxHandler = rx
 	ctrl.carrierHandler = carrier
 }
 
+// setRxConn makes c the receiver of the radio's indications.
+func (ctrl *Controller) setRxConn(c *Conn) {
+	ctrl.rxConn = c
+	ctrl.rxHandler = nil
+	ctrl.carrierHandler = nil
+}
+
 func (ctrl *Controller) clearRx() {
+	ctrl.rxConn = nil
 	ctrl.rxHandler = nil
 	ctrl.carrierHandler = nil
 }
 
 func (ctrl *Controller) dispatchRx(pkt phy.Packet, ch phy.Channel, ok bool) {
-	if ctrl.rxHandler != nil {
+	if c := ctrl.rxConn; c != nil {
+		c.onRx(pkt, ch, ok)
+	} else if ctrl.rxHandler != nil {
 		ctrl.rxHandler(pkt, ch, ok)
 	}
 }
 
 func (ctrl *Controller) dispatchCarrier(ch phy.Channel, end sim.Time) {
-	if ctrl.carrierHandler != nil {
+	if c := ctrl.rxConn; c != nil {
+		c.onCarrier(ch, end)
+	} else if ctrl.carrierHandler != nil {
 		ctrl.carrierHandler(ch, end)
 	}
 }
@@ -320,7 +345,7 @@ func (ctrl *Controller) removeConn(c *Conn, reason LossReason) {
 	if !ctrl.dropConn(c) {
 		return
 	}
-	ctrl.sched.Unregister(c.act)
+	ctrl.sched.Unregister(&c.act)
 	if reason == LossSupervision {
 		ctrl.events.ConnsLost++
 	} else {
@@ -346,12 +371,9 @@ func (ctrl *Controller) StartAdvertising(p AdvParams) {
 	ctrl.advOn = true
 	ctrl.advStop = false
 	ctrl.advParams = p
-	ctrl.advAct = &Activity{
-		NextAnchor: func() sim.Time { return ctrl.advNext },
-		OnPreempt:  ctrl.advPreempted,
-	}
+	ctrl.advAct = &Activity{anchor: &ctrl.advNext, onPreempt: (*advPreempt)(ctrl)}
 	ctrl.sched.Register(ctrl.advAct)
-	ctrl.scheduleAdvEvent(ctrl.clk.ToSim(sim.Duration(ctrl.rng.Int63n(int64(p.Interval)))))
+	ctrl.scheduleAdvEvent(ctrl.clk.ToSim(sim.Duration(ctrl.s.Rand().Int63n(int64(p.Interval)))))
 }
 
 // StopAdvertising stops advertising after the current event, if any.
@@ -371,7 +393,7 @@ func (ctrl *Controller) StopAdvertising() {
 
 func (ctrl *Controller) scheduleAdvEvent(delay sim.Duration) {
 	// advDelay: 0..10ms pseudo-random per the specification.
-	jitter := sim.Duration(ctrl.rng.Int63n(int64(10 * sim.Millisecond)))
+	jitter := sim.Duration(ctrl.s.Rand().Int63n(int64(10 * sim.Millisecond)))
 	d := delay + ctrl.clk.ToSim(jitter)
 	ctrl.advNext = ctrl.s.Now() + d
 	ctrl.advWake = ctrl.s.After(d, ctrl.advEvent)
@@ -403,9 +425,9 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 		return
 	}
 	epoch := ctrl.epoch
-	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.addr, DataLen: ctrl.advParams.DataLen}
+	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: ctrl.advParams.DataLen}
 	air := pdu.AdvAirtime()
-	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, func() {
+	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, sim.Func(func() {
 		if ctrl.epoch != epoch || !ctrl.sched.Owns(ctrl.advAct) {
 			return // preempted mid-event or controller reset
 		}
@@ -415,7 +437,7 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 		var timeout sim.Timer
 		ctrl.setRx(func(pkt phy.Packet, _ phy.Channel, ok bool) {
 			ci, is := pkt.Payload.(*AdvPDU)
-			if !ok || !is || ci.Type != PDUConnectInd || ci.Adv != ctrl.addr {
+			if !ok || !is || ci.Type != PDUConnectInd || ci.Adv != ctrl.cfg.Addr {
 				return
 			}
 			ctrl.s.Cancel(timeout)
@@ -438,8 +460,14 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 				ctrl.advStepDone(ch)
 			}
 		})
-	})
+	}))
 }
+
+// advPreempt is the advertising activity's pre-emption event
+// (advPreempted).
+type advPreempt Controller
+
+func (a *advPreempt) Fire() { (*Controller)(a).advPreempted() }
 
 // advPreempted stops the in-progress advertising event when another
 // activity takes the radio (alternate arbitration only).
@@ -621,14 +649,14 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 	// from the subordinate's perspective the relative timing against its
 	// other connections is arbitrary (§2.3 of the paper).
 	units := int64(params.Interval / ConnIntervalUnit)
-	winOffset := sim.Duration(ctrl.rng.Int63n(units)) * ConnIntervalUnit
+	winOffset := sim.Duration(ctrl.s.Rand().Int63n(units)) * ConnIntervalUnit
 	ci := &AdvPDU{
 		Type:      PDUConnectInd,
 		Adv:       adv.Adv,
-		Init:      ctrl.addr,
+		Init:      ctrl.cfg.Addr,
 		Params:    params,
 		WinOffset: winOffset,
-		Hop:       RandomHopIncrement(ctrl.rng),
+		Hop:       RandomHopIncrement(ctrl.s.Rand()),
 	}
 	air := ci.AdvAirtime()
 	epoch := ctrl.epoch
@@ -636,7 +664,7 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 		if ctrl.epoch != epoch {
 			return // controller reset while the CONNECT_IND was pending
 		}
-		ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: ci}, air, func() {
+		ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: ci}, air, sim.Func(func() {
 			if ctrl.epoch != epoch {
 				return
 			}
@@ -650,13 +678,13 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 			}
 			anchor0 := ctrl.s.Now() + TransmitWindowDelay + winOffset
 			c := newConn(ctrl, Coordinator, adv.Adv, params,
-				accessFromAddrs(ctrl.addr, adv.Adv), ci.Hop, anchor0)
+				accessFromAddrs(ctrl.cfg.Addr, adv.Adv), ci.Hop, anchor0)
 			ctrl.addConn(c)
 			ctrl.events.ConnsOpened++
 			if ctrl.OnConnect != nil {
 				ctrl.OnConnect(c)
 			}
-		})
+		}))
 	})
 }
 
@@ -713,7 +741,7 @@ func accessFromAddrs(a, b DevAddr) uint32 {
 
 // String identifies the controller in diagnostics.
 func (ctrl *Controller) String() string {
-	return fmt.Sprintf("ctrl(%s conns=%d)", ctrl.addr, len(ctrl.conns))
+	return fmt.Sprintf("ctrl(%s conns=%d)", ctrl.cfg.Addr, len(ctrl.conns))
 }
 
 // PoolFree returns the bytes currently available in the LL buffer pool.

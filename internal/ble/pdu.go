@@ -107,9 +107,9 @@ type DataPDU struct {
 
 	// Control PDU fields (valid when LLID == LLIDControl).
 	Opcode  ControlOpcode
+	Instant uint16
 	Update  ConnUpdate
 	ChanMap ChannelMap
-	Instant uint16
 
 	// PID is simulation metadata: the provenance ID of the application
 	// packet this PDU carries a fragment of (0 = untagged). It is not an

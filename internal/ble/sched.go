@@ -1,6 +1,8 @@
 package ble
 
 import (
+	"slices"
+
 	"blemesh/internal/sim"
 )
 
@@ -32,14 +34,15 @@ func (a Arbitration) String() string {
 // connection, one for advertising. Scanning is the radio's background
 // filler and never blocks an activity.
 type Activity struct {
-	// NextAnchor returns the simulation time of the activity's next
-	// planned radio claim, or 0 when none is planned. The scheduler uses
-	// it to bound how long the current owner may keep the radio (this is
-	// what truncates connection events, Fig. 4 of the paper).
-	NextAnchor func() sim.Time
-	// OnPreempt is invoked when ArbitrateAlternate takes the radio away
+	// anchor points at the simulation time of the activity's next planned
+	// radio claim, 0 when none is planned; nil for a one-off claim. The
+	// scheduler reads it to bound how long the current owner may keep the
+	// radio (this is what truncates connection events, Fig. 4 of the
+	// paper).
+	anchor *sim.Time
+	// onPreempt fires when ArbitrateAlternate takes the radio away
 	// mid-event. The activity must stop using the radio immediately.
-	OnPreempt func()
+	onPreempt sim.Handler
 
 	blockedBy *Activity
 }
@@ -76,13 +79,13 @@ func (sd *Scheduler) Stats() SchedStats { return sd.stats }
 // Register adds an activity to the anchor bookkeeping.
 func (sd *Scheduler) Register(a *Activity) { sd.acts = append(sd.acts, a) }
 
-// Unregister removes an activity. It must not own the radio.
+// Unregister removes an activity. It must not own the radio. The vacated
+// tail slot is cleared: a connection's Activity lives inside its Conn, and
+// a stale pointer behind the slice length would keep the whole dead link
+// reachable.
 func (sd *Scheduler) Unregister(a *Activity) {
-	for i, x := range sd.acts {
-		if x == a {
-			sd.acts = append(sd.acts[:i], sd.acts[i+1:]...)
-			break
-		}
+	if i := slices.Index(sd.acts, a); i >= 0 {
+		sd.acts = slices.Delete(sd.acts, i, i+1)
 	}
 	for _, x := range sd.acts {
 		if x.blockedBy == a {
@@ -144,8 +147,8 @@ func (sd *Scheduler) Acquire(a *Activity, maxEnd sim.Time) (limit sim.Time, ok b
 			victim := sd.owner
 			sd.owner = nil
 			sd.stats.Preempts++
-			if victim.OnPreempt != nil {
-				victim.OnPreempt()
+			if victim.onPreempt != nil {
+				victim.onPreempt.Fire()
 			}
 			a.blockedBy = nil
 		} else {
@@ -161,10 +164,10 @@ func (sd *Scheduler) Acquire(a *Activity, maxEnd sim.Time) (limit sim.Time, ok b
 	sd.stats.Grants++
 	limit = maxEnd
 	for _, b := range sd.acts {
-		if b == a || b.NextAnchor == nil {
+		if b == a || b.anchor == nil {
 			continue
 		}
-		na := b.NextAnchor()
+		na := *b.anchor
 		if na > now && na-IFS < limit {
 			limit = na - IFS
 			sd.stats.Truncated++

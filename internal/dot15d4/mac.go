@@ -261,7 +261,7 @@ func (m *MAC) transmit() {
 	if e.retries > 0 {
 		m.stats.Retries++
 	}
-	m.radio.Transmit(Channel, phy.Packet{Bits: f.MACLen() * 8, Payload: f}, air, func() {
+	m.radio.Transmit(Channel, phy.Packet{Bits: f.MACLen() * 8, Payload: f}, air, sim.Func(func() {
 		m.radio.StartListen(Channel) // resume idle listening
 		if !f.AR {
 			m.stats.Delivered++
@@ -280,7 +280,7 @@ func (m *MAC) transmit() {
 			e.be = MinBE
 			m.backoff()
 		})
-	})
+	}))
 }
 
 // finish completes the in-service frame and services the next. The pooled
@@ -337,9 +337,9 @@ func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
 				return // own transmission started; ack lost
 			}
 			m.radio.Transmit(Channel, phy.Packet{Bits: AckFrameLen * 8, Payload: ack},
-				Airtime(AckFrameLen), func() {
+				Airtime(AckFrameLen), sim.Func(func() {
 					m.radio.StartListen(Channel)
-				})
+				}))
 			m.stats.AcksSent++
 		})
 	}

@@ -380,7 +380,7 @@ func TestNeighborScanReentrant(t *testing.T) {
 				visits = append(visits, rd.id)
 				// The second and fourth receivers answer on the spot.
 				if pkt.Src == radios[0].id && (rd == radios[2] || rd == radios[4]) {
-					rd.Transmit(ch, Packet{Bits: 80}, 80*sim.Microsecond, func() { rd.StartListen(ch) })
+					rd.Transmit(ch, Packet{Bits: 80}, 80*sim.Microsecond, sim.Func(func() { rd.StartListen(ch) }))
 				}
 			})
 			rd.SetCarrier(func(Channel, sim.Time) { visits = append(visits, -rd.id) })

@@ -52,9 +52,9 @@ type Packet struct {
 }
 
 // transmission is one in-flight packet on a channel. Transmissions are
-// recycled through the medium's free list; fire is the prebound
-// end-of-transmission callback created once per object so the steady-state
-// TX path schedules without allocating.
+// recycled through the medium's free list, and a transmission is its own
+// end-of-packet event (Fire), so the steady-state TX path schedules without
+// allocating.
 type transmission struct {
 	pkt       Packet
 	ch        Channel
@@ -63,9 +63,22 @@ type transmission struct {
 	corrupted bool
 	aborted   bool
 	sender    *Radio
-	done      func()
-	fire      func()
+	done      sim.Handler
 	next      *transmission
+}
+
+// Fire ends the transmission: the medium delivers it, recycles it, and then
+// runs the sender's done handler.
+func (tx *transmission) Fire() {
+	m := tx.sender.medium
+	m.finish(tx.sender, tx)
+	done := tx.done
+	tx.pkt, tx.sender, tx.done = Packet{}, nil, nil
+	tx.next = m.freeTx
+	m.freeTx = tx
+	if done != nil {
+		done.Fire()
+	}
 }
 
 // Receiver is the callback a radio installs to get end-of-packet
@@ -126,7 +139,10 @@ type Stats struct {
 type Medium struct {
 	sim    *sim.Sim
 	radios []*Radio
-	active [NumChannels][]*transmission // in flight, per channel
+	// active holds the transmissions in flight, on every channel: a medium
+	// rarely has more than a couple at once, so one list checked by
+	// channel costs less to keep than a list per channel.
+	active []*transmission
 	// rx holds the radios whose state is RadioRX, in NodeID order. A scan
 	// visits these instead of every radio (geo.go).
 	// StartListen, StopListen and Transmit are the only places a radio
@@ -170,27 +186,15 @@ func (m *Medium) rxRemove(r *Radio) {
 }
 
 // getTx takes a transmission from the free list (or allocates one) and
-// resets its per-flight state. The fire closure is created once per object
-// and survives recycling.
+// resets its per-flight state.
 func (m *Medium) getTx() *transmission {
 	tx := m.freeTx
-	if tx != nil {
-		m.freeTx = tx.next
-		tx.next = nil
-		tx.corrupted, tx.aborted = false, false
-		return tx
+	if tx == nil {
+		return &transmission{}
 	}
-	tx = &transmission{}
-	tx.fire = func() {
-		m.finish(tx.sender, tx)
-		done := tx.done
-		tx.pkt, tx.sender, tx.done = Packet{}, nil, nil
-		tx.next = m.freeTx
-		m.freeTx = tx
-		if done != nil {
-			done()
-		}
-	}
+	m.freeTx = tx.next
+	tx.next = nil
+	tx.corrupted, tx.aborted = false, false
 	return tx
 }
 
@@ -211,11 +215,21 @@ func (m *Medium) Stats() Stats { return m.stats }
 // distance (the BLE link layer never calls Busy; it uses per-radio carrier
 // indications, which are range-filtered).
 func (m *Medium) Busy(ch Channel) bool {
-	if len(m.active[ch]) > 0 {
+	if m.inFlight(ch) {
 		return true
 	}
 	for _, i := range m.interf {
 		if i.Busy(ch, m.sim.Now()) {
+			return true
+		}
+	}
+	return false
+}
+
+// inFlight reports whether a transmission occupies ch.
+func (m *Medium) inFlight(ch Channel) bool {
+	for _, tx := range m.active {
+		if tx.ch == ch {
 			return true
 		}
 	}
@@ -359,8 +373,8 @@ func (r *Radio) accumRX() {
 // Transmit puts pkt on the air on ch for the given airtime. The radio must
 // not already be transmitting. Listening stops for the TX duration (BLE and
 // 802.15.4 radios are half-duplex) and is NOT resumed automatically.
-// The done callback, if non-nil, fires when the transmission ends.
-func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func()) {
+// The done handler, if non-nil, fires when the transmission ends.
+func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done sim.Handler) {
 	if r.state == RadioTX {
 		panic("phy: Transmit while already transmitting")
 	}
@@ -389,8 +403,8 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 	// range of each other (disk carrier closure; receiver-side
 	// hidden-terminal overlap is out of model, see the package comment in
 	// geo.go). Mark existing in-flight transmissions and the new one.
-	for _, other := range m.active[ch] {
-		if !m.inRangeOf(r, other.sender) {
+	for _, other := range m.active {
+		if other.ch != ch || !m.inRangeOf(r, other.sender) {
 			continue
 		}
 		if !other.corrupted {
@@ -412,7 +426,7 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 			}
 		}
 	}
-	m.active[ch] = append(m.active[ch], tx)
+	m.active = append(m.active, tx)
 
 	// Start-of-packet (carrier) indication for eligible listeners — in
 	// geometric mode, those within radio range of the sender.
@@ -425,7 +439,7 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done func
 		}
 	})
 
-	m.sim.PostAt(tx.end, tx.fire)
+	m.sim.Schedule(tx.end, tx)
 }
 
 // SoleListener reports whether a packet r put on ch at this instant would
@@ -441,7 +455,7 @@ func (r *Radio) SoleListener(ch Channel, peer *Radio) bool {
 		peer.medium != m || !m.inRangeOf(r, peer) {
 		return false
 	}
-	if len(m.active[ch]) != 0 {
+	if m.inFlight(ch) {
 		return false
 	}
 	for _, lr := range m.rx {
@@ -513,14 +527,12 @@ func (r *Radio) AbortTX() {
 // slot is cleared: transmissions are recycled, and a stale pointer behind
 // the slice length would keep one (and its Packet.Payload) reachable.
 func (m *Medium) removeActive(tx *transmission) {
-	active := &m.active[tx.ch]
-	lst := *active
-	for i, t := range lst {
+	for i, t := range m.active {
 		if t == tx {
-			last := len(lst) - 1
-			lst[i] = lst[last]
-			lst[last] = nil
-			*active = lst[:last]
+			last := len(m.active) - 1
+			m.active[i] = m.active[last]
+			m.active[last] = nil
+			m.active = m.active[:last]
 			return
 		}
 	}

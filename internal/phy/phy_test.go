@@ -86,12 +86,17 @@ func TestCollisionCorruptsBoth(t *testing.T) {
 	}
 }
 
+// TestNoCollisionAcrossChannels: the medium keeps one in-flight list for
+// every channel, so each use of it must look at the channel — collision
+// marking, CCA (Busy), SoleListener, and removal on abort.
 func TestNoCollisionAcrossChannels(t *testing.T) {
 	s, m := setup()
 	a := m.NewRadio()
 	b := m.NewRadio()
 	rx1 := m.NewRadio()
 	rx2 := m.NewRadio()
+	c := m.NewRadio()
+	rx5 := m.NewRadio()
 	ok1, ok2 := false, false
 	rx1.SetReceiver(func(_ Packet, _ Channel, ok bool) { ok1 = ok })
 	rx2.SetReceiver(func(_ Packet, _ Channel, ok bool) { ok2 = ok })
@@ -102,6 +107,36 @@ func TestNoCollisionAcrossChannels(t *testing.T) {
 	s.Run(sim.Second)
 	if !ok1 || !ok2 {
 		t.Fatalf("cross-channel transmissions interfered: ok1=%v ok2=%v", ok1, ok2)
+	}
+
+	// Channels 3 and 4 in flight at once: channel 5 reads free and a packet
+	// on it would reach rx5 alone; aborting channel 3 leaves channel 4's
+	// packet whole.
+	ok1, ok2 = true, false
+	var got4 []Packet
+	rx2.SetReceiver(func(p Packet, _ Channel, ok bool) { ok2 = ok; got4 = append(got4, p) })
+	rx5.StartListen(5)
+	a.Transmit(3, Packet{Bits: 800}, 800*sim.Microsecond, nil)
+	b.Transmit(4, Packet{Bits: 800, Payload: "four"}, 800*sim.Microsecond, nil)
+	if !m.Busy(3) || !m.Busy(4) || m.Busy(5) {
+		t.Fatalf("Busy(3, 4, 5) = %v, %v, %v; want true, true, false", m.Busy(3), m.Busy(4), m.Busy(5))
+	}
+	if !c.SoleListener(5, rx5) {
+		t.Fatal("SoleListener on channel 5 is false while only channels 3 and 4 carry packets")
+	}
+	if c.SoleListener(4, rx2) {
+		t.Fatal("SoleListener on channel 4 is true under a packet in flight there")
+	}
+	a.AbortTX()
+	if m.Busy(3) || !m.Busy(4) {
+		t.Fatalf("after aborting channel 3: Busy(3, 4) = %v, %v; want false, true", m.Busy(3), m.Busy(4))
+	}
+	s.Run(2 * sim.Second)
+	if ok1 || !ok2 || len(got4) != 1 || got4[0].Payload != "four" {
+		t.Fatalf("channel 3 delivered ok=%v (want false), channel 4 ok=%v packets %v (want one \"four\")", ok1, ok2, got4)
+	}
+	if st := m.Stats(); st.Collisions != 0 {
+		t.Fatalf("collisions = %d across channels, want 0", st.Collisions)
 	}
 }
 
@@ -171,7 +206,7 @@ func TestTransmitDoneCallbackAndState(t *testing.T) {
 	s, m := setup()
 	tx := m.NewRadio()
 	var doneAt sim.Time
-	tx.Transmit(2, Packet{Bits: 160}, 160*sim.Microsecond, func() { doneAt = s.Now() })
+	tx.Transmit(2, Packet{Bits: 160}, 160*sim.Microsecond, sim.Func(func() { doneAt = s.Now() }))
 	if tx.State() != RadioTX {
 		t.Fatal("radio should be in TX state during transmission")
 	}
@@ -337,7 +372,7 @@ func TestRemoveActiveClearsVacatedSlot(t *testing.T) {
 	s, m := setup()
 	a, b, c := m.NewRadio(), m.NewRadio(), m.NewRadio()
 	stale := func() int {
-		lst := m.active[5]
+		lst := m.active
 		n := 0
 		for _, tx := range lst[len(lst):cap(lst)] {
 			if tx != nil {
@@ -350,11 +385,11 @@ func TestRemoveActiveClearsVacatedSlot(t *testing.T) {
 		r.Transmit(5, Packet{Bits: 800, Payload: make([]byte, 100)}, sim.Millisecond, nil)
 	}
 	a.AbortTX() // swap-remove from the front: the tail entry moves down
-	if got := len(m.active[5]); got != 2 || stale() != 0 {
+	if got := len(m.active); got != 2 || stale() != 0 {
 		t.Fatalf("after abort: %d in flight, %d stale slots behind them; want 2, 0", got, stale())
 	}
 	s.Run(sim.Second)
-	if got := len(m.active[5]); got != 0 || stale() != 0 {
+	if got := len(m.active); got != 0 || stale() != 0 {
 		t.Fatalf("after end of packet: %d in flight, %d stale slots; want 0, 0", got, stale())
 	}
 }

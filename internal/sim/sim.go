@@ -57,6 +57,19 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Milliseconds converts t to floating-point milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
+// Handler is what an event runs when it fires. A pointer to a named type
+// that is already allocated — a link end, a transmission — is stored in the
+// interface as it is, so arming such a handler allocates nothing, where a
+// method value or closure is one more heap object per owner.
+type Handler interface{ Fire() }
+
+// Func adapts a plain function to Handler. At, After, Post and PostAt wrap
+// their argument in it.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
 // Event is a scheduled callback. Events are single-shot; rescheduling is the
 // caller's responsibility. Event objects are owned by the Sim and recycled
 // through a free list after they fire or are cancelled; external code holds
@@ -64,7 +77,7 @@ func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) 
 type Event struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
-	fn   func()
+	h    Handler
 	// idx is the heap index under EngineHeap. Under EngineWheel it encodes
 	// the slot (level<<6|slot, or wheelOverflow): >= 0 while queued, -1
 	// once fired or cancelled.
@@ -154,19 +167,31 @@ func (s *Sim) Processed() uint64 { return s.processed }
 // pending alike; scheduled − processed − pending is the number cancelled.
 func (s *Sim) Scheduled() uint64 { return s.seq }
 
-// schedule queues e for when, assigning the next sequence number. Scheduling
-// in the past (or exactly now) runs the event at the current time, after
-// already-queued events with the same timestamp.
-func (s *Sim) schedule(e *Event, when Time, fn func()) {
-	if fn == nil {
+// schedule queues h for when on an event from the free list, assigning the
+// next sequence number. Scheduling in the past (or exactly now) runs the
+// event at the current time, after already-queued events with the same
+// timestamp.
+func (s *Sim) schedule(when Time, h Handler) *Event {
+	if h == nil {
 		panic("sim: nil event func")
 	}
 	if when < s.now {
 		when = s.now
 	}
-	e.when, e.seq, e.fn = when, s.seq, fn
+	e := s.getEvent()
+	e.when, e.seq, e.h = when, s.seq, h
 	s.seq++
 	s.q.push(e)
+	return e
+}
+
+// handler wraps fn for schedule, keeping a nil func nil so that it panics
+// there.
+func handler(fn func()) Handler {
+	if fn == nil {
+		return nil
+	}
+	return Func(fn)
 }
 
 // getEvent takes an Event from the free list, or allocates one.
@@ -180,14 +205,16 @@ func (s *Sim) getEvent() *Event {
 	return &Event{}
 }
 
-// At schedules fn to run at absolute time when. It returns a handle that can
+// Schedule runs h.Fire at absolute time when. It returns a handle that can
 // cancel the event. The backing Event comes from the same free list as
 // Post's, so arming timers is allocation-free in steady state.
-func (s *Sim) At(when Time, fn func()) Timer {
-	e := s.getEvent()
-	s.schedule(e, when, fn)
+func (s *Sim) Schedule(when Time, h Handler) Timer {
+	e := s.schedule(when, h)
 	return Timer{e: e, gen: e.gen}
 }
+
+// At schedules fn to run at absolute time when, like Schedule.
+func (s *Sim) At(when Time, fn func()) Timer { return s.Schedule(when, handler(fn)) }
 
 // After schedules fn to run delay from now.
 func (s *Sim) After(delay Duration, fn func()) Timer {
@@ -207,9 +234,7 @@ func (s *Sim) Post(delay Duration, fn func()) {
 }
 
 // PostAt is Post with an absolute timestamp.
-func (s *Sim) PostAt(when Time, fn func()) {
-	s.schedule(s.getEvent(), when, fn)
-}
+func (s *Sim) PostAt(when Time, fn func()) { s.schedule(when, handler(fn)) }
 
 // Cancel removes a pending timer from the queue. Cancelling a timer that
 // already fired, was cancelled, or is the zero Timer is a no-op.
@@ -220,7 +245,7 @@ func (s *Sim) Cancel(t Timer) {
 	}
 	eager := s.q.cancel(e)
 	e.idx = -1
-	e.fn = nil
+	e.h = nil
 	e.gen++
 	if eager {
 		// The queue no longer references the event; recycle it. (Lazily
@@ -269,18 +294,18 @@ func (s *Sim) Advance(t Time) {
 	s.now = t
 }
 
-// fire executes a popped event and recycles it. The callback is read before
-// recycling so fn may itself schedule and reuse the slot; the generation
+// fire executes a popped event and recycles it. The handler is read before
+// recycling so it may itself schedule and reuse the slot; the generation
 // bump invalidates any Timer handle still pointing here.
 func (s *Sim) fire(e *Event) {
 	s.now = e.when
-	fn := e.fn
-	e.fn = nil
+	h := e.h
+	e.h = nil
 	e.gen++
 	s.processed++
 	e.next = s.free
 	s.free = e
-	fn()
+	h.Fire()
 }
 
 // Run executes events in timestamp order until the queue is empty or the

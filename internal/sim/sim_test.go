@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -323,5 +324,57 @@ func TestQuickClockMonotone(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(11))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An Event is recycled, not freed, so a run holds as many as it ever had
+// pending at once. Storing a Handler (two words) instead of a func (one)
+// keeps it at exactly 64 B, one size class.
+func TestEventFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Event{}); sz > 64 {
+		t.Fatalf("unsafe.Sizeof(Event{}) = %d, over the 64 B size class", sz)
+	}
+}
+
+// counter is a Handler that is not a Func.
+type counter int
+
+func (c *counter) Fire() { *c++ }
+
+// TestNilEventPanics: a nil func or Handler is refused when it is scheduled,
+// not when it would fire, and on every scheduling entry point. (A nil func
+// wrapped in Func would be a non-nil Handler that panics only at its
+// timestamp.)
+func TestNilEventPanics(t *testing.T) {
+	s := New(1)
+	for name, schedule := range map[string]func(){
+		"At":       func() { s.At(Millisecond, nil) },
+		"After":    func() { s.After(Millisecond, nil) },
+		"Post":     func() { s.Post(Millisecond, nil) },
+		"PostAt":   func() { s.PostAt(Millisecond, nil) },
+		"Schedule": func() { s.Schedule(Millisecond, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != "sim: nil event func" {
+					t.Errorf("%s(nil) panicked with %v, want \"sim: nil event func\"", name, r)
+				}
+			}()
+			schedule()
+		}()
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("%d events queued by refused calls", n)
+	}
+	var c counter
+	tm := s.Schedule(Millisecond, &c)
+	s.Schedule(2*Millisecond, &c)
+	if !tm.Scheduled() || tm.When() != Millisecond {
+		t.Fatalf("Schedule returned a timer at %v (scheduled %v)", tm.When(), tm.Scheduled())
+	}
+	s.Cancel(tm)
+	s.Run(Second)
+	if c != 1 {
+		t.Fatalf("handler fired %d times, want 1 (one of two cancelled)", c)
 	}
 }

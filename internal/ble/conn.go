@@ -980,35 +980,14 @@ func (c *Conn) subReply() {
 
 // ---- Host interface -----------------------------------------------------
 
-// Send enqueues one LL data payload (≤ MaxDataLen bytes) tagged with the
-// provenance ID of the packet it carries (0 = untagged). onAck fires when
-// the peer acknowledges it. It returns false when the controller's shared
-// buffer pool is exhausted — the backpressure signal L2CAP translates into
-// credit stalling.
-func (c *Conn) Send(llid LLID, payload []byte, pid uint64, onAck func()) bool {
-	if c.closed || c.closing {
-		return false
-	}
-	if len(payload) > MaxDataLen {
-		panic(fmt.Sprintf("ble: payload %d exceeds LL maximum %d", len(payload), MaxDataLen))
-	}
-	if !c.ctrl.pool.alloc(len(payload)) {
-		c.ctrl.events.PoolExhausted++
-		return false
-	}
-	it := c.ctrl.getItem()
-	it.llid, it.payload, it.pid = llid, payload, pid
-	it.poolN = len(payload)
-	it.onAck = onAck
-	c.txq.Push(it)
-	c.markHeadReady()
-	return true
-}
-
-// SendBuf is Send for pooled buffers: the LL transmits straight out of b
-// and releases it when the item completes. Ownership of b passes to the
-// connection in every case — on a false return (link closed or controller
-// pool exhausted) the buffer has already been released.
+// SendBuf enqueues the LL data payload in b (≤ MaxDataLen bytes) tagged
+// with the provenance ID of the packet it carries (0 = untagged). The LL
+// transmits straight out of b and releases it when the item completes;
+// onAck fires when the peer acknowledges it. It returns false when the link
+// is closed or the controller's shared buffer pool is exhausted — the
+// backpressure signal L2CAP translates into credit stalling. Ownership of b
+// passes to the connection in every case: on a false return the buffer has
+// already been released.
 func (c *Conn) SendBuf(llid LLID, b *pktbuf.Buf, pid uint64, onAck func()) bool {
 	if c.closed || c.closing {
 		b.Put()

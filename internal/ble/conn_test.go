@@ -6,6 +6,7 @@ import (
 	"unsafe"
 
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -92,7 +93,7 @@ func TestDataTransferCoordinatorToSubordinate(t *testing.T) {
 	payloads := make([][]byte, 10)
 	for i := range payloads {
 		payloads[i] = []byte{byte(i), 1, 2, 3}
-		if !coord.Send(LLIDDataStart, payloads[i], 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payloads[i]), 0, nil) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -113,7 +114,7 @@ func TestDataTransferSubordinateToCoordinator(t *testing.T) {
 	var got [][]byte
 	coord.OnData = func(_ LLID, p []byte, _ uint64) { got = append(got, p) }
 	for i := 0; i < 10; i++ {
-		if !sub.Send(LLIDDataStart, []byte{byte(i)}, 0, nil) {
+		if !sub.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -143,7 +144,7 @@ func TestMoreDataBatchesInOneEvent(t *testing.T) {
 	}
 	start := s.Now()
 	for i := 0; i < 20; i++ {
-		if !coord.Send(LLIDDataStart, make([]byte, 100), 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
 			t.Fatalf("Send %d rejected (pool)", i)
 		}
 	}
@@ -162,7 +163,7 @@ func TestOnAckFiresOncePerPayload(t *testing.T) {
 	_, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	acks := 0
 	for i := 0; i < 5; i++ {
-		coord.Send(LLIDDataStart, []byte{byte(i)}, 0, func() { acks++ })
+		coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, func() { acks++ })
 	}
 	s.Run(s.Now() + 2*sim.Second)
 	if acks != 5 {
@@ -179,7 +180,7 @@ func TestReliabilityUnderNoise(t *testing.T) {
 	var got []byte
 	sub.OnData = func(_ LLID, p []byte, _ uint64) { got = append(got, p[0]) }
 	for i := 0; i < 30; i++ {
-		if !coord.Send(LLIDDataStart, []byte{byte(i)}, 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -250,7 +251,7 @@ func TestPoolExhaustionRejectsSend(t *testing.T) {
 	// radio can't drain them that fast.
 	accepted := 0
 	for i := 0; i < 100; i++ {
-		if coord.Send(LLIDDataStart, make([]byte, 100), 0, nil) {
+		if coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
 			accepted++
 		}
 	}
@@ -265,7 +266,7 @@ func TestPoolExhaustionRejectsSend(t *testing.T) {
 	}
 	// Draining the queue must free the pool again.
 	s.Run(s.Now() + 10*sim.Second)
-	if !coord.Send(LLIDDataStart, make([]byte, 100), 0, nil) {
+	if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
 		t.Fatal("pool not freed after drain")
 	}
 }
@@ -352,7 +353,7 @@ func TestJammedChannelDegradesButDoesNotKill(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		s.After(sim.Duration(i)*200*sim.Millisecond, func() {
-			coord.Send(LLIDDataStart, []byte{byte(i)}, 0, nil)
+			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil)
 		})
 	}
 	s.Run(s.Now() + 30*sim.Second)
@@ -395,7 +396,7 @@ func TestConnectionWithCSA1(t *testing.T) {
 	delivered := 0
 	sub.OnData = func(_ LLID, _ []byte, _ uint64) { delivered++ }
 	for i := 0; i < 10; i++ {
-		if !coord.Send(LLIDDataStart, []byte{byte(i)}, 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatal("send rejected")
 		}
 	}
@@ -535,7 +536,7 @@ func TestRemovedConnIsUnreachable(t *testing.T) {
 		t.Fatalf("hub has %d connections, want 3", got)
 	}
 	payload := []byte{1, 2, 3, 4}
-	if !newest.Send(LLIDDataStart, payload, 0, nil) {
+	if !newest.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) {
 		t.Fatal("Send rejected")
 	}
 	for deadline := s.Now() + sim.Second; hub.ctrl.scratch.from != newest || len(hub.ctrl.scratch.Payload) == 0; {

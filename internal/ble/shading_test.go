@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -264,7 +265,7 @@ func TestCapacitySplitMatchesRelativeAnchorPosition(t *testing.T) {
 				return
 			}
 			for connA.QueueLen() < 32 {
-				if !connA.Send(LLIDDataStart, make([]byte, MaxDataLen), 0, nil) {
+				if !connA.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0, nil) {
 					break
 				}
 			}
@@ -330,7 +331,7 @@ func TestThroughputBaselineNearPaperValue(t *testing.T) {
 			return
 		}
 		for coord.QueueLen() < 64 {
-			if !coord.Send(LLIDDataStart, make([]byte, MaxDataLen), 0, nil) {
+			if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0, nil) {
 				break
 			}
 		}

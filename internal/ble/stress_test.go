@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -69,7 +70,7 @@ func TestLLNeverLosesOrReordersUnderNoise(t *testing.T) {
 			for c.QueueLen() < 8 {
 				p := make([]byte, 40)
 				binary.BigEndian.PutUint32(p, *seq)
-				if !c.Send(LLIDDataStart, p, 0, func() { *acked++ }) {
+				if !c.SendBuf(LLIDDataStart, pktbuf.FromBytes(p), 0, func() { *acked++ }) {
 					break
 				}
 				*seq++

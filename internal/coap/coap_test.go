@@ -139,12 +139,11 @@ type wireIf struct {
 }
 
 func (w *wireIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
-	defer pkt.Put()
 	if w.drop != nil && w.drop() {
+		pkt.Put()
 		return true // swallowed
 	}
-	cp := append([]byte(nil), pkt.Bytes()...)
-	w.s.After(w.delay, func() { w.peer.Input(cp, pid) })
+	w.s.After(w.delay, func() { w.peer.InputBuf(pkt, pid) })
 	return true
 }
 func (w *wireIf) HasNeighbor(mac uint64) bool { return mac == w.peerMAC }
@@ -292,8 +291,8 @@ func TestDuplicateRequestSuppressed(t *testing.T) {
 	// arriving after the response was lost).
 	req := &Message{Type: CON, Code: CodeGET, MessageID: 77, Token: []byte{9}}
 	enc, _ := req.Encode()
-	b.Input(buildUDP(a, b, enc), 0)
-	b.Input(buildUDP(a, b, enc), 0)
+	b.InputBuf(buildUDP(a, b, enc), 0)
+	b.InputBuf(buildUDP(a, b, enc), 0)
 	s.Run(sim.Second)
 	if served != 1 {
 		t.Fatalf("handler ran %d times for duplicate MID", served)
@@ -303,11 +302,18 @@ func TestDuplicateRequestSuppressed(t *testing.T) {
 	}
 }
 
-func buildUDP(from, to *ip6.Stack, payload []byte) []byte {
-	d := ip6.EncodeUDP(from.GlobalAddr(), to.GlobalAddr(), DefaultPort, DefaultPort, payload)
+// buildUDP builds the CoAP-port UDP packet from one stack to another in a
+// pooled buffer, back to front as ip6.Stack.SendUDPPID does.
+func buildUDP(from, to *ip6.Stack, payload []byte) *pktbuf.Buf {
 	h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: 64,
 		Src: from.GlobalAddr(), Dst: to.GlobalAddr()}
-	return h.Encode(d)
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, len(payload))
+	copy(b.Bytes(), payload)
+	b.Prepend(ip6.UDPHeaderLen)
+	ip6.PutUDP(h.Src, h.Dst, DefaultPort, DefaultPort, b.Bytes())
+	pl := b.Len()
+	h.Put(b.Prepend(ip6.HeaderLen), pl)
+	return b
 }
 
 func TestTokensDistinguishConcurrentRequests(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"blemesh/internal/coap"
 	"blemesh/internal/ip6"
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -28,11 +29,11 @@ func TestUnicastWithAck(t *testing.T) {
 	var got []byte
 	b.SetReceiver(func(src uint64, p []byte, _ uint64) {
 		if src == 0x0A {
-			got = p
+			got = append([]byte(nil), p...)
 		}
 	})
 	okResult := false
-	if !a.Send(0x0B, []byte("frame"), 0, func(ok bool) { okResult = ok }) {
+	if !a.SendBuf(0x0B, pktbuf.FromBytes([]byte("frame")), 0, func(ok bool) { okResult = ok }) {
 		t.Fatal("send rejected")
 	}
 	s.Run(sim.Second)
@@ -56,7 +57,7 @@ func TestBroadcastNoAck(t *testing.T) {
 	rx := 0
 	b.SetReceiver(func(uint64, []byte, uint64) { rx++ })
 	c.SetReceiver(func(uint64, []byte, uint64) { rx++ })
-	a.Send(BroadcastAddr, []byte("hello"), 0, nil)
+	a.SendBuf(BroadcastAddr, pktbuf.FromBytes([]byte("hello")), 0, nil)
 	s.Run(sim.Second)
 	if rx != 2 {
 		t.Fatalf("broadcast reached %d receivers", rx)
@@ -74,7 +75,7 @@ func TestRetryAfterCollisionThenDrop(t *testing.T) {
 	m.AddInterference(phy.Jammer{Ch: Channel})
 	a := NewMAC(s, m, 0x0A)
 	failed := false
-	a.Send(0x0B, []byte("x"), 0, func(ok bool) { failed = !ok })
+	a.SendBuf(0x0B, pktbuf.FromBytes([]byte("x")), 0, func(ok bool) { failed = !ok })
 	s.Run(10 * sim.Second)
 	if !failed {
 		t.Fatal("send into jammed channel succeeded")
@@ -91,7 +92,7 @@ func TestNoAckDropsAfterMaxRetries(t *testing.T) {
 	a := NewMAC(s, m, 0x0A)
 	NewMAC(s, m, 0x0C) // bystander, not the destination
 	failed := false
-	a.Send(0x0B, []byte("x"), 0, func(ok bool) { failed = !ok })
+	a.SendBuf(0x0B, pktbuf.FromBytes([]byte("x")), 0, func(ok bool) { failed = !ok })
 	s.Run(10 * sim.Second)
 	if !failed {
 		t.Fatal("unacked frame reported success")
@@ -109,7 +110,7 @@ func TestQueueBound(t *testing.T) {
 	a := NewMAC(s, m, 0x0A)
 	accepted := 0
 	for i := 0; i < 50; i++ {
-		if a.Send(0x0B, []byte{byte(i)}, 0, nil) {
+		if a.SendBuf(0x0B, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			accepted++
 		}
 	}
@@ -138,7 +139,7 @@ func TestContentionManySenders(t *testing.T) {
 		for j := 0; j < 20; j++ {
 			j := j
 			s.At(sim.Time(j)*100*sim.Millisecond+sim.Time(i)*7*sim.Millisecond, func() {
-				mac.Send(0xFF0, make([]byte, 50), 0, func(ok bool) {
+				mac.SendBuf(0xFF0, pktbuf.FromBytes(make([]byte, 50)), 0, func(ok bool) {
 					if ok {
 						okCount++
 					} else {

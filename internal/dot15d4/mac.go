@@ -132,8 +132,8 @@ type txEntry struct {
 	nb      int // CSMA backoff attempts for the current try
 	be      int
 	onDone  func(ok bool)
-	// buf, when non-nil, is the pooled buffer backing frame.Payload; the
-	// MAC owns it and releases it when the entry completes.
+	// buf is the pooled buffer backing frame.Payload; the MAC owns it and
+	// releases it when the entry completes.
 	buf *pktbuf.Buf
 }
 
@@ -160,29 +160,11 @@ func (m *MAC) Stats() MACStats { return m.stats }
 // SetReceiver installs the payload upcall.
 func (m *MAC) SetReceiver(fn RxFunc) { m.onRx = fn }
 
-// Send queues a payload toward dst (BroadcastAddr for broadcast). onDone
-// reports delivery (ack received / broadcast sent) or failure. It returns
-// false when the queue is full.
-func (m *MAC) Send(dst uint64, payload []byte, pid uint64, onDone func(ok bool)) bool {
-	if len(payload) > MaxPayload {
-		panic(fmt.Sprintf("dot15d4: payload %d exceeds frame budget %d", len(payload), MaxPayload))
-	}
-	if len(m.txq) >= m.QueueCap {
-		m.stats.QueueDrops++
-		return false
-	}
-	m.seq++
-	f := &Frame{AR: dst != BroadcastAddr, Seq: m.seq, Src: m.addr, Dst: dst, Payload: payload, PID: pid}
-	m.txq = append(m.txq, &txEntry{frame: f, be: MinBE, onDone: onDone})
-	m.stats.TXUnique++
-	m.kick()
-	return true
-}
-
-// SendBuf is Send for pooled buffers: the frame transmits straight out of b
-// and the MAC releases it when the frame completes. Ownership of b passes
-// to the MAC in every case — on a false return (queue full) the buffer has
-// already been released.
+// SendBuf queues the payload in b toward dst (BroadcastAddr for broadcast).
+// The frame transmits straight out of b and the MAC releases it when the
+// frame completes; onDone reports delivery (ack received / broadcast sent)
+// or failure. Ownership of b passes to the MAC in every case: on a false
+// return (queue full) the buffer has already been released.
 func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64, onDone func(ok bool)) bool {
 	payload := b.Bytes()
 	if len(payload) > MaxPayload {
@@ -284,9 +266,9 @@ func (m *MAC) transmit() {
 }
 
 // finish completes the in-service frame and services the next. The pooled
-// payload buffer (if any) is released here: receivers have consumed the
-// frame synchronously at PHY delivery time, which always precedes the
-// sender's completion callback.
+// payload buffer is released here: receivers have consumed the frame
+// synchronously at PHY delivery time, which always precedes the sender's
+// completion callback.
 func (m *MAC) finish(ok bool) {
 	e := m.pending
 	m.pending = nil
@@ -295,10 +277,8 @@ func (m *MAC) finish(ok bool) {
 		if e.onDone != nil {
 			e.onDone(ok)
 		}
-		if e.buf != nil {
-			e.buf.Put()
-			e.buf = nil
-		}
+		e.buf.Put()
+		e.buf = nil
 	}
 	m.kick()
 }

@@ -58,8 +58,8 @@ func (n *NetIf) MTU() int { return 1280 }
 func (n *NetIf) HasNeighbor(uint64) bool { return true }
 
 // Output implements ip6.NetIf. Ownership of pkt passes to the adapter in
-// every case. Packets that fit one frame ride their pooled buffer through
-// the MAC untouched; larger ones fall back to the copying fragmenter.
+// every case. A packet that fits one frame rides its pooled buffer through
+// the MAC untouched; a larger one goes out as RFC 4944 fragments.
 func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	if err := sixlo.CompressBuf(pkt, n.mac.Addr(), mac, n.ctxs); err != nil {
 		n.stats.CompressErr++
@@ -67,29 +67,7 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		return false
 	}
 	n.tag++
-	if pkt.Len()+sixlo.Frag1HeaderLen <= MaxPayload {
-		// Single-frame fast path (Fragment would pass the frame through
-		// unchanged): charge the pktbuf, hand the buffer to the MAC.
-		size := pkt.Len()
-		if !n.stack.Pktbuf.Alloc(size) {
-			n.stats.QueueDrops++
-			pkt.Put()
-			return false
-		}
-		release := func(ok bool) {
-			if !ok {
-				n.stats.TXFailures++
-			}
-			n.stack.Pktbuf.Free(size)
-		}
-		if !n.mac.SendBuf(mac, pkt, pid, release) {
-			n.stats.QueueDrops++
-			release(false)
-		}
-		n.stats.TXPackets++
-		return true
-	}
-	frags, err := sixlo.Fragment(pkt.Bytes(), MaxPayload, n.tag)
+	frags, err := sixlo.Fragment(pkt, MaxPayload, n.tag)
 	if err != nil {
 		n.stats.CompressErr++
 		pkt.Put()
@@ -101,11 +79,13 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	// Charge the whole packet to the pktbuf until the MAC is done.
 	total := 0
 	for _, f := range frags {
-		total += len(f)
+		total += f.Len()
 	}
 	if !n.stack.Pktbuf.Alloc(total) {
 		n.stats.QueueDrops++
-		pkt.Put()
+		for _, f := range frags {
+			f.Put()
+		}
 		return false
 	}
 	left := len(frags)
@@ -119,12 +99,11 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		}
 	}
 	for _, f := range frags {
-		if !n.mac.Send(mac, f, pid, release) {
+		if !n.mac.SendBuf(mac, f, pid, release) {
 			n.stats.QueueDrops++
 			release(false)
 		}
 	}
-	pkt.Put() // the fragments copied out of the buffer
 	n.stats.TXPackets++
 	return true
 }

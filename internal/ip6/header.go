@@ -43,14 +43,6 @@ func (h *Header) Put(out []byte, payloadLen int) {
 	copy(out[24:40], h.Dst[:])
 }
 
-// Encode serialises the header followed by payload.
-func (h *Header) Encode(payload []byte) []byte {
-	out := make([]byte, HeaderLen+len(payload)) // pktbuf:ignore — []byte fallback API
-	h.Put(out, len(payload))
-	copy(out[HeaderLen:], payload)
-	return out
-}
-
 // Decode parses an IPv6 packet into its header and payload slice.
 func Decode(pkt []byte) (Header, []byte, error) {
 	if len(pkt) < HeaderLen {
@@ -81,8 +73,7 @@ type UDPHeader struct {
 
 // PutUDP fills in the UDP header at the front of dgram (whose remaining
 // bytes are the already-placed payload), computing the pseudo-header
-// checksum without materialising the pseudo-header. The resulting datagram
-// bytes are identical to EncodeUDP's.
+// checksum without materialising the pseudo-header.
 func PutUDP(src, dst Addr, srcPort, dstPort uint16, dgram []byte) {
 	binary.BigEndian.PutUint16(dgram[0:], srcPort)
 	binary.BigEndian.PutUint16(dgram[2:], dstPort)
@@ -93,15 +84,6 @@ func PutUDP(src, dst Addr, srcPort, dstPort uint16, dgram []byte) {
 		ck = 0xffff
 	}
 	binary.BigEndian.PutUint16(dgram[6:], ck)
-}
-
-// EncodeUDP builds a UDP datagram (header + payload) with a checksum over
-// the IPv6 pseudo-header.
-func EncodeUDP(src, dst Addr, srcPort, dstPort uint16, payload []byte) []byte {
-	out := make([]byte, UDPHeaderLen+len(payload)) // pktbuf:ignore — []byte fallback API
-	copy(out[UDPHeaderLen:], payload)
-	PutUDP(src, dst, srcPort, dstPort, out)
-	return out
 }
 
 // DecodeUDP parses and verifies a UDP datagram.
@@ -116,12 +98,12 @@ func DecodeUDP(src, dst Addr, dgram []byte) (UDPHeader, []byte, error) {
 	h := UDPHeader{
 		SrcPort:  binary.BigEndian.Uint16(dgram[0:]),
 		DstPort:  binary.BigEndian.Uint16(dgram[2:]),
-		Checksum: binary.BigEndian.Uint16(dgram[4+2:]),
+		Checksum: binary.BigEndian.Uint16(dgram[6:]),
 	}
-	if h.Checksum != 0 {
-		if checksum(pseudoHeader(src, dst, ln, ProtoUDP), dgram[:ln]) != 0 {
-			return UDPHeader{}, nil, fmt.Errorf("ip6: UDP checksum mismatch")
-		}
+	// A zero checksum field means "not computed", which IPv6 forbids
+	// (RFC 8200 §8.1): such a datagram is discarded, not accepted unverified.
+	if h.Checksum == 0 || checksumPseudo(src, dst, ln, ProtoUDP, dgram[:ln]) != 0 {
+		return UDPHeader{}, nil, fmt.Errorf("ip6: UDP checksum mismatch")
 	}
 	return h, dgram[UDPHeaderLen:ln], nil
 }
@@ -139,16 +121,14 @@ type ICMPEcho struct {
 	Data    []byte
 }
 
-// EncodeICMPEcho builds an ICMPv6 echo message with checksum.
-func EncodeICMPEcho(src, dst Addr, e ICMPEcho) []byte {
-	out := make([]byte, 8+len(e.Data)) // pktbuf:ignore — cold diagnostic path
-	out[0] = e.Type
+// putEcho writes the ICMPv6 echo message e, checksum included, into out,
+// which must hold exactly 8+len(e.Data) bytes.
+func putEcho(out []byte, src, dst Addr, e ICMPEcho) {
+	out[0], out[1], out[2], out[3] = e.Type, 0, 0, 0
 	binary.BigEndian.PutUint16(out[4:], e.ID)
 	binary.BigEndian.PutUint16(out[6:], e.Seq)
 	copy(out[8:], e.Data)
-	ck := checksum(pseudoHeader(src, dst, len(out), ProtoICMPv6), out)
-	binary.BigEndian.PutUint16(out[2:], ck)
-	return out
+	binary.BigEndian.PutUint16(out[2:], checksumPseudo(src, dst, len(out), ProtoICMPv6, out))
 }
 
 // DecodeICMPEcho parses and verifies an ICMPv6 echo message.
@@ -159,7 +139,7 @@ func DecodeICMPEcho(src, dst Addr, b []byte) (ICMPEcho, error) {
 	if b[0] != ICMPEchoRequest && b[0] != ICMPEchoReply {
 		return ICMPEcho{}, fmt.Errorf("ip6: unsupported ICMPv6 type %d", b[0])
 	}
-	if checksum(pseudoHeader(src, dst, len(b), ProtoICMPv6), b) != 0 {
+	if checksumPseudo(src, dst, len(b), ProtoICMPv6, b) != 0 {
 		return ICMPEcho{}, fmt.Errorf("ip6: ICMPv6 checksum mismatch")
 	}
 	return ICMPEcho{
@@ -170,20 +150,9 @@ func DecodeICMPEcho(src, dst Addr, b []byte) (ICMPEcho, error) {
 	}, nil
 }
 
-// pseudoHeader builds the IPv6 pseudo-header for upper-layer checksums.
-func pseudoHeader(src, dst Addr, upperLen int, proto byte) []byte {
-	ph := make([]byte, 40) // pktbuf:ignore — []byte fallback API
-	copy(ph[0:16], src[:])
-	copy(ph[16:32], dst[:])
-	binary.BigEndian.PutUint32(ph[32:], uint32(upperLen))
-	ph[39] = proto
-	return ph
-}
-
 // checksumPseudo computes the Internet checksum of the IPv6 pseudo-header
-// followed by data, without materialising the pseudo-header. It sums the
-// same byte pairs as checksum(pseudoHeader(...), data) and so produces
-// identical results.
+// (source, destination, upper-layer length, next header) followed by data,
+// without materialising the pseudo-header.
 func checksumPseudo(src, dst Addr, upperLen int, proto byte, data []byte) uint16 {
 	var sum uint32
 	for i := 0; i < 16; i += 2 {
@@ -198,23 +167,6 @@ func checksumPseudo(src, dst Addr, upperLen int, proto byte, data []byte) uint16
 	}
 	if len(data)%2 == 1 {
 		sum += uint32(data[len(data)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// checksum computes the Internet checksum over the given byte slices.
-func checksum(parts ...[]byte) uint16 {
-	var sum uint32
-	for _, p := range parts {
-		for i := 0; i+1 < len(p); i += 2 {
-			sum += uint32(p[i])<<8 | uint32(p[i+1])
-		}
-		if len(p)%2 == 1 {
-			sum += uint32(p[len(p)-1]) << 8
-		}
 	}
 	for sum>>16 != 0 {
 		sum = sum&0xffff + sum>>16

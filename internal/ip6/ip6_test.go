@@ -60,13 +60,34 @@ func TestParseAddr(t *testing.T) {
 	}
 }
 
+// packet builds the IPv6 packet h carrying payload in a pooled buffer, the
+// way the stack builds the packets it sends.
+func packet(h Header, payload []byte) *pktbuf.Buf {
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, len(payload))
+	copy(b.Bytes(), payload)
+	pl := b.Len()
+	h.Put(b.Prepend(HeaderLen), pl)
+	return b
+}
+
+// udp returns the UDP datagram from port sp to dp carrying payload,
+// checksummed for the src→dst pseudo-header.
+func udp(src, dst Addr, sp, dp uint16, payload []byte) []byte {
+	d := make([]byte, UDPHeaderLen+len(payload))
+	copy(d[UDPHeaderLen:], payload)
+	PutUDP(src, dst, sp, dp, d)
+	return d
+}
+
 func TestHeaderRoundTrip(t *testing.T) {
 	h := Header{
 		TrafficClass: 0x12, FlowLabel: 0xABCDE, NextHeader: ProtoUDP,
 		HopLimit: 64, Src: MustParseAddr("fd00::1"), Dst: MustParseAddr("fd00::2"),
 	}
 	payload := []byte{1, 2, 3, 4, 5}
-	pkt := h.Encode(payload)
+	b := packet(h, payload)
+	defer b.Put()
+	pkt := b.Bytes()
 	if len(pkt) != HeaderLen+5 {
 		t.Fatalf("encoded length %d", len(pkt))
 	}
@@ -88,13 +109,15 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode(make([]byte, 10)); err == nil {
 		t.Fatal("short packet accepted")
 	}
-	bad := (&Header{HopLimit: 1}).Encode(nil)
-	bad[0] = 0x40 // IPv4 version
-	if _, _, err := Decode(bad); err == nil {
+	bad := packet(Header{HopLimit: 1}, nil)
+	defer bad.Put()
+	bad.Bytes()[0] = 0x40 // IPv4 version
+	if _, _, err := Decode(bad.Bytes()); err == nil {
 		t.Fatal("wrong version accepted")
 	}
-	trunc := (&Header{}).Encode(make([]byte, 10))
-	if _, _, err := Decode(trunc[:45]); err == nil {
+	trunc := packet(Header{}, make([]byte, 10))
+	defer trunc.Put()
+	if _, _, err := Decode(trunc.Bytes()[:45]); err == nil {
 		t.Fatal("truncated payload accepted")
 	}
 }
@@ -103,8 +126,9 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 	f := func(tc byte, fl uint32, nh byte, hl byte, src, dst [16]byte, n uint8) bool {
 		h := Header{TrafficClass: tc, FlowLabel: fl & 0xFFFFF, NextHeader: nh,
 			HopLimit: hl, Src: Addr(src), Dst: Addr(dst)}
-		pl := make([]byte, n)
-		got, _, err := Decode(h.Encode(pl))
+		b := packet(h, make([]byte, n))
+		defer b.Put()
+		got, _, err := Decode(b.Bytes())
 		if err != nil {
 			return false
 		}
@@ -118,7 +142,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 
 func TestUDPRoundTripAndChecksum(t *testing.T) {
 	src, dst := MustParseAddr("fd00::1"), MustParseAddr("fd00::2")
-	d := EncodeUDP(src, dst, 1234, 5683, []byte("payload"))
+	d := udp(src, dst, 1234, 5683, []byte("payload"))
 	h, pl, err := DecodeUDP(src, dst, d)
 	if err != nil {
 		t.Fatal(err)
@@ -136,11 +160,18 @@ func TestUDPRoundTripAndChecksum(t *testing.T) {
 	if _, _, err := DecodeUDP(src, MustParseAddr("fd00::3"), d); err == nil {
 		t.Fatal("UDP with wrong pseudo-header accepted")
 	}
+	// A zero checksum field is "not computed", which IPv6 forbids: the
+	// datagram is discarded, not accepted unverified.
+	d[6], d[7] = 0, 0
+	if _, _, err := DecodeUDP(src, dst, d); err == nil {
+		t.Fatal("UDP with a zero checksum accepted")
+	}
 }
 
 func TestICMPEchoRoundTrip(t *testing.T) {
 	src, dst := MustParseAddr("fe80::1"), MustParseAddr("fe80::2")
-	b := EncodeICMPEcho(src, dst, ICMPEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte{1, 2}})
+	b := make([]byte, 8+2)
+	putEcho(b, src, dst, ICMPEcho{Type: ICMPEchoRequest, ID: 7, Seq: 9, Data: []byte{1, 2}})
 	e, err := DecodeICMPEcho(src, dst, b)
 	if err != nil {
 		t.Fatal(err)
@@ -436,7 +467,7 @@ func TestForwardingDecrementsHopLimit(t *testing.T) {
 	dst := ULA(DefaultPrefix, 0x99)
 	st.AddRoute(Route{Dst: dst, PrefixLen: 128, NextHop: ULA(DefaultPrefix, 0x03)})
 	h := Header{NextHeader: ProtoUDP, HopLimit: 5, Src: ULA(DefaultPrefix, 0x01), Dst: dst}
-	st.Input(h.Encode(EncodeUDP(h.Src, h.Dst, 1, 2, nil)), 0)
+	st.InputBuf(packet(h, udp(h.Src, h.Dst, 1, 2, nil)), 0)
 	if len(ifc.sent) != 1 {
 		t.Fatalf("not forwarded")
 	}
@@ -457,7 +488,7 @@ func TestHopLimitExhaustionDrops(t *testing.T) {
 	dst := ULA(DefaultPrefix, 0x99)
 	st.AddRoute(Route{Dst: dst, PrefixLen: 128, NextHop: ULA(DefaultPrefix, 0x03)})
 	h := Header{NextHeader: ProtoUDP, HopLimit: 1, Src: ULA(DefaultPrefix, 0x01), Dst: dst}
-	st.Input(h.Encode(nil), 0)
+	st.InputBuf(packet(h, nil), 0)
 	if len(ifc.sent) != 0 || st.Stats().HopLimit != 1 {
 		t.Fatalf("hop-limit-1 packet forwarded (sent=%d)", len(ifc.sent))
 	}
@@ -474,7 +505,7 @@ func TestUDPDelivery(t *testing.T) {
 	})
 	src := ULA(DefaultPrefix, 0x01)
 	h := Header{NextHeader: ProtoUDP, HopLimit: 64, Src: src, Dst: st.GlobalAddr()}
-	st.Input(h.Encode(EncodeUDP(src, st.GlobalAddr(), 4444, 5683, []byte("coap"))), 0)
+	st.InputBuf(packet(h, udp(src, st.GlobalAddr(), 4444, 5683, []byte("coap"))), 0)
 	if gotSrc != src || gotPort != 4444 || string(gotData) != "coap" {
 		t.Fatalf("UDP delivery: src=%v port=%d data=%q", gotSrc, gotPort, gotData)
 	}
@@ -502,9 +533,10 @@ func TestEchoRequestGeneratesReply(t *testing.T) {
 	ifc := &fakeIf{neighbors: map[uint64]bool{0x01: true}}
 	st.AddInterface(ifc)
 	src := ULA(DefaultPrefix, 0x01)
-	icmp := EncodeICMPEcho(src, st.GlobalAddr(), ICMPEcho{Type: ICMPEchoRequest, ID: 3, Seq: 4})
+	icmp := make([]byte, 8)
+	putEcho(icmp, src, st.GlobalAddr(), ICMPEcho{Type: ICMPEchoRequest, ID: 3, Seq: 4})
 	h := Header{NextHeader: ProtoICMPv6, HopLimit: 64, Src: src, Dst: st.GlobalAddr()}
-	st.Input(h.Encode(icmp), 0)
+	st.InputBuf(packet(h, icmp), 0)
 	if len(ifc.sent) != 1 {
 		t.Fatal("no echo reply emitted")
 	}
@@ -512,6 +544,30 @@ func TestEchoRequestGeneratesReply(t *testing.T) {
 	e, err := DecodeICMPEcho(rh.Src, rh.Dst, pl)
 	if err != nil || e.Type != ICMPEchoReply || e.ID != 3 || e.Seq != 4 {
 		t.Fatalf("bad echo reply: %+v err=%v", e, err)
+	}
+	if rh.Src != st.GlobalAddr() || rh.Dst != src || rh.HopLimit != st.HopLimitDefault {
+		t.Fatalf("echo reply header %+v", rh)
+	}
+}
+
+func TestSendEcho(t *testing.T) {
+	st := NewStack(sim.New(1), 0x02)
+	ifc := &fakeIf{neighbors: map[uint64]bool{0x01: true}}
+	st.AddInterface(ifc)
+	dst := LinkLocal(0x01)
+	if err := st.SendEcho(dst, 5, 6, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if len(ifc.sent) != 1 {
+		t.Fatal("no echo request emitted")
+	}
+	h, pl, err := Decode(ifc.sent[0].pkt)
+	if err != nil || h.NextHeader != ProtoICMPv6 || h.Src != LinkLocal(0x02) || h.Dst != dst {
+		t.Fatalf("echo request header %+v err=%v", h, err)
+	}
+	e, err := DecodeICMPEcho(h.Src, h.Dst, pl)
+	if err != nil || e.Type != ICMPEchoRequest || e.ID != 5 || e.Seq != 6 || string(e.Data) != "ping" {
+		t.Fatalf("bad echo request: %+v err=%v", e, err)
 	}
 }
 

@@ -401,10 +401,19 @@ func (st *Stack) SendUDPPID(dst Addr, srcPort, dstPort uint16, payload []byte) (
 
 // SendEcho emits an ICMPv6 echo request.
 func (st *Stack) SendEcho(dst Addr, id, seq uint16, data []byte) error {
+	return st.sendEcho(dst, ICMPEcho{Type: ICMPEchoRequest, ID: id, Seq: seq, Data: data})
+}
+
+// sendEcho emits an ICMPv6 echo message, built in one pooled buffer the way
+// SendUDPPID builds a datagram.
+func (st *Stack) sendEcho(dst Addr, e ICMPEcho) error {
 	src := st.srcFor(dst)
-	icmp := EncodeICMPEcho(src, dst, ICMPEcho{Type: ICMPEchoRequest, ID: id, Seq: seq, Data: data})
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, 8+len(e.Data))
+	putEcho(b.Bytes(), src, dst, e)
 	h := Header{NextHeader: ProtoICMPv6, HopLimit: st.HopLimitDefault, Src: src, Dst: dst}
-	return st.output(pktbuf.FromBytes(h.Encode(icmp)), st.mintPID())
+	pl := b.Len()
+	h.Put(b.Prepend(HeaderLen), pl)
+	return st.output(b, st.mintPID())
 }
 
 // srcFor selects the source address for a destination (link-local stays
@@ -494,16 +503,10 @@ func (st *Stack) isLocal(dst Addr) bool {
 	return dst == st.linkLocal || dst == st.global || dst == AllNodes
 }
 
-// Input accepts an IPv6 packet from a netif (already decompressed), tagged
-// with the provenance ID it arrived under (0 = untagged). This []byte form
-// copies into a pooled buffer; the datapath hands pooled buffers straight
-// to InputBuf.
-func (st *Stack) Input(pkt []byte, pid uint64) {
-	st.InputBuf(pktbuf.FromBytes(pkt), pid)
-}
-
-// InputBuf is the forwarding plane: local delivery, hop-limit handling, and
-// routing. It takes ownership of b.
+// InputBuf accepts an IPv6 packet from a netif (already decompressed),
+// tagged with the provenance ID it arrived under (0 = untagged). It is the
+// forwarding plane: local delivery, hop-limit handling, and routing. It
+// takes ownership of b.
 func (st *Stack) InputBuf(b *pktbuf.Buf, pid uint64) {
 	pkt := b.Bytes()
 	h, payload, err := Decode(pkt)
@@ -560,11 +563,8 @@ func (st *Stack) deliver(h Header, payload []byte, pid uint64) {
 		}
 		switch e.Type {
 		case ICMPEchoRequest:
-			reply := EncodeICMPEcho(st.srcFor(h.Src), h.Src,
-				ICMPEcho{Type: ICMPEchoReply, ID: e.ID, Seq: e.Seq, Data: e.Data})
-			rh := Header{NextHeader: ProtoICMPv6, HopLimit: st.HopLimitDefault,
-				Src: st.srcFor(h.Src), Dst: h.Src}
-			_ = st.output(pktbuf.FromBytes(rh.Encode(reply)), st.mintPID())
+			e.Type = ICMPEchoReply
+			_ = st.sendEcho(h.Src, e)
 		case ICMPEchoReply:
 			if st.onEcho != nil {
 				st.onEcho(h.Src, e)

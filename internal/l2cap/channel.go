@@ -1,7 +1,6 @@
 package l2cap
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -84,11 +83,8 @@ type Channel struct {
 	// OnSDUBuf delivers a complete received SDU (an IPv6 packet, for
 	// IPSP) in a pooled buffer with the provenance ID carried by its
 	// first K-frame (0 = untagged). Ownership of the buffer passes to
-	// the handler. When unset, OnSDU receives a copy instead.
+	// the handler; with no handler the SDU is dropped.
 	OnSDUBuf func(sdu *pktbuf.Buf, pid uint64)
-	// OnSDU is the []byte fallback of OnSDUBuf; the slice is the
-	// handler's to keep.
-	OnSDU func(sdu []byte, pid uint64)
 	// OnWritable fires when the channel transitions from blocked to
 	// accepting more SDUs.
 	OnWritable func()
@@ -118,18 +114,11 @@ func (ch *Channel) Stats() ChannelStats { return ch.stats }
 // PeerMTU returns the largest SDU the peer accepts.
 func (ch *Channel) PeerMTU() int { return ch.peerMTU }
 
-// Writable reports whether SendSDU will accept another SDU right now: the
+// Writable reports whether SendSDUBuf will accept another SDU right now: the
 // previous queue must have drained and the peer must have granted credit.
 // This is the backpressure signal the network layer's interface queue obeys.
 func (ch *Channel) Writable() bool {
 	return ch.Open() && ch.txq.Len() == 0 && ch.txCredits > 0
-}
-
-// SendSDU is the []byte form of SendSDUBuf: it copies data into a pooled
-// buffer and queues it. Kept for tests and tooling; the datapath calls
-// SendSDUBuf directly.
-func (ch *Channel) SendSDU(data []byte, pid uint64, onDone func()) error {
-	return ch.SendSDUBuf(pktbuf.FromBytes(data), pid, onDone)
 }
 
 // SendSDUBuf segments an SDU into K-frames tagged with the packet's
@@ -172,27 +161,6 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 	ch.stats.SDUsSent++
 	ch.drain()
 	return nil
-}
-
-// segment is the reference segmentation: it splits an SDU into K-frames
-// ([][]byte), the first carrying the 2-byte SDU length prefix, every frame
-// at most mps payload bytes. SendSDUBuf produces the same frame bytes by
-// sub-slicing one buffer; tests use segment to cross-check that and to
-// drive receiveFrame directly.
-func segment(sdu []byte, mps int) [][]byte {
-	first := make([]byte, sduHeaderLen, sduHeaderLen+min(len(sdu), mps-sduHeaderLen)) // pktbuf:ignore — []byte fallback API
-	first[0] = byte(len(sdu))
-	first[1] = byte(len(sdu) >> 8)
-	n := min(len(sdu), mps-sduHeaderLen)
-	first = append(first, sdu[:n]...)
-	frames := [][]byte{first}
-	rest := sdu[n:]
-	for len(rest) > 0 {
-		n := min(len(rest), mps)
-		frames = append(frames, rest[:n:n])
-		rest = rest[n:]
-	}
-	return frames
 }
 
 // drain pushes queued frames while credits and LL buffers allow.
@@ -259,14 +227,9 @@ func (ch *Channel) receiveFrame(payload []byte, pid uint64) {
 		ch.sduBuf = nil
 		ch.sduPID = 0
 		ch.stats.SDUsReceived++
-		switch {
-		case ch.OnSDUBuf != nil:
+		if ch.OnSDUBuf != nil {
 			ch.OnSDUBuf(sdu, pid)
-		case ch.OnSDU != nil:
-			cp := append([]byte(nil), sdu.Bytes()...) // pktbuf:ignore — []byte fallback API
-			sdu.Put()
-			ch.OnSDU(cp, pid)
-		default:
+		} else {
 			sdu.Put()
 		}
 	}
@@ -523,9 +486,7 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 	if ep.conn.PoolFree() < total {
 		return false
 	}
-	hdr := b.Prepend(basicHeaderLen)
-	binary.LittleEndian.PutUint16(hdr[0:], uint16(total-basicHeaderLen))
-	binary.LittleEndian.PutUint16(hdr[2:], cid)
+	prependBasicHeader(b, cid)
 	if b.Len() <= ble.MaxDataLen {
 		// Single LL fragment: the common IPSP case, zero-copy.
 		if !ep.conn.SendBuf(ble.LLIDDataStart, b, pid, onDone) {

@@ -13,6 +13,8 @@ package l2cap
 import (
 	"encoding/binary"
 	"fmt"
+
+	"blemesh/internal/pktbuf"
 )
 
 // Channel identifiers.
@@ -54,13 +56,13 @@ type pdu struct {
 	payload []byte
 }
 
-// encodePDU prepends the basic header.
-func encodePDU(cid uint16, payload []byte) []byte {
-	out := make([]byte, basicHeaderLen+len(payload)) // pktbuf:ignore — []byte fallback API
-	binary.LittleEndian.PutUint16(out[0:], uint16(len(payload)))
-	binary.LittleEndian.PutUint16(out[2:], cid)
-	copy(out[basicHeaderLen:], payload)
-	return out
+// prependBasicHeader turns the PDU payload in b into a PDU for channel cid by
+// prepending the basic header in place.
+func prependBasicHeader(b *pktbuf.Buf, cid uint16) {
+	n := b.Len()
+	hdr := b.Prepend(basicHeaderLen)
+	binary.LittleEndian.PutUint16(hdr[0:], uint16(n))
+	binary.LittleEndian.PutUint16(hdr[2:], cid)
 }
 
 // decodePDU parses a complete L2CAP PDU.

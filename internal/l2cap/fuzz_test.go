@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -35,9 +36,7 @@ func FuzzSDURecombination(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, chop byte) {
 		ch := loneChannel(1 << 20)
 		var delivered [][]byte
-		ch.OnSDU = func(sdu []byte, pid uint64) {
-			delivered = append(delivered, sdu)
-		}
+		ch.OnSDUBuf = sduBytes(&delivered)
 		step := int(chop)%64 + 1
 		for len(data) > 0 {
 			n := step
@@ -55,12 +54,15 @@ func FuzzSDURecombination(f *testing.F) {
 		if ch.sduBuf != nil && ch.sduBuf.Len() >= ch.sduLen {
 			t.Fatal("complete SDU left undelivered in the reassembly buffer")
 		}
+		if ch.sduBuf != nil {
+			ch.sduBuf.Put()
+		}
 	})
 }
 
 // FuzzSegmentRoundTrip is the positive property: any SDU within the peer's
-// MTU, segmented at any legal MPS, must recombine byte-identically with its
-// provenance ID intact.
+// MTU, segmented by SendSDUBuf at any legal MPS, must recombine
+// byte-identically with its provenance ID intact.
 func FuzzSegmentRoundTrip(f *testing.F) {
 	f.Add([]byte("x"), 23)
 	f.Add(bytes.Repeat([]byte{0xA5}, 1280), 245)
@@ -74,24 +76,26 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		if len(sdu) > ch.cfg.MTU {
 			sdu = sdu[:ch.cfg.MTU]
 		}
-		frames := segment(sdu, mps)
+		frames, pids := queuedFrames(t, sdu, 77, mps)
 		for i, fr := range frames {
 			if len(fr) > mps {
 				t.Fatalf("frame %d is %d bytes, MPS %d", i, len(fr), mps)
 			}
 		}
-		var got []byte
+		var got [][]byte
 		var gotPID uint64
-		fired := 0
-		ch.OnSDU = func(s []byte, pid uint64) { got, gotPID, fired = s, pid, fired+1 }
-		for _, fr := range frames {
-			ch.receiveFrame(fr, 77)
+		ch.OnSDUBuf = func(b *pktbuf.Buf, pid uint64) {
+			gotPID = pid
+			sduBytes(&got)(b, pid)
 		}
-		if fired != 1 {
-			t.Fatalf("OnSDU fired %d times, want 1", fired)
+		for i, fr := range frames {
+			ch.receiveFrame(fr, pids[i])
 		}
-		if !bytes.Equal(got, sdu) {
-			t.Fatalf("recombined SDU is %d bytes, want %d", len(got), len(sdu))
+		if len(got) != 1 {
+			t.Fatalf("OnSDUBuf fired %d times, want 1", len(got))
+		}
+		if !bytes.Equal(got[0], sdu) {
+			t.Fatalf("recombined SDU is %d bytes, want %d", len(got[0]), len(sdu))
 		}
 		if gotPID != 77 {
 			t.Fatalf("provenance ID %d lost in recombination", gotPID)
@@ -103,18 +107,20 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 }
 
 // FuzzFrameDecoders checks the wire decoders never panic and that anything
-// they accept re-encodes to the exact input bytes (a parse/print fixpoint).
+// they accept re-encodes to the exact input bytes (a parse/print fixpoint):
+// a PDU through the basic header sendPDU writes, a signal through
+// encodeSignal.
 func FuzzFrameDecoders(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(encodePDU(CIDSignaling, encodeSignal(signal{
+	f.Add(pduBytes(CIDSignaling, encodeSignal(signal{
 		code: codeConnReq, id: 1, psm: PSMIPSP, scid: 0x40, mtu: 1280, mps: 245, credits: 10})))
 	f.Add(encodeSignal(signal{code: codeFlowCredit, id: 2, cid: 0x41, credits: 5}))
 	f.Add(encodeSignal(signal{code: codeDisconnReq, id: 3, dcid: 0x40, scid: 0x41}))
 	f.Add([]byte{0x15, 0x01, 0x0A, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if p, err := decodePDU(b); err == nil {
-			if !bytes.Equal(encodePDU(p.cid, p.payload), b) {
-				t.Fatal("decodePDU/encodePDU is not a fixpoint")
+			if !bytes.Equal(pduBytes(p.cid, p.payload), b) {
+				t.Fatal("decodePDU/prependBasicHeader is not a fixpoint")
 			}
 		}
 		if s, err := decodeSignal(b); err == nil {

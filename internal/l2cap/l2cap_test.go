@@ -10,14 +10,53 @@ import (
 
 	"blemesh/internal/ble"
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 	"blemesh/internal/trace"
 )
 
+// pduBytes returns the PDU for channel cid carrying payload, framed with the
+// basic header sendPDU writes.
+func pduBytes(cid uint16, payload []byte) []byte {
+	b := pktbuf.FromBytes(payload)
+	defer b.Put()
+	prependBasicHeader(b, cid)
+	return bytes.Clone(b.Bytes())
+}
+
+// queuedFrames hands sdu to SendSDUBuf on a lone channel whose peer accepts
+// K-frames of up to mps bytes and grants no credit, so every K-frame stays
+// queued. It returns a copy of each queued frame with its provenance ID and
+// releases the queue.
+func queuedFrames(t testing.TB, sdu []byte, pid uint64, mps int) (frames [][]byte, pids []uint64) {
+	t.Helper()
+	ch := loneChannel(0)
+	ch.peerMTU, ch.peerMPS = 0xFFFF, mps
+	if err := ch.SendSDUBuf(pktbuf.FromBytes(sdu), pid, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < ch.txq.Len(); i++ {
+		f := ch.txq.At(i)
+		frames = append(frames, bytes.Clone(f.buf.Bytes()))
+		pids = append(pids, f.pid)
+		f.buf.Put()
+	}
+	ch.txq.Reset()
+	return frames, pids
+}
+
+// sduBytes returns an OnSDUBuf handler that appends a copy of every SDU
+// delivered to *got and releases the buffer.
+func sduBytes(got *[][]byte) func(*pktbuf.Buf, uint64) {
+	return func(b *pktbuf.Buf, _ uint64) {
+		*got = append(*got, bytes.Clone(b.Bytes()))
+		b.Put()
+	}
+}
+
 func TestPDUCodecRoundTrip(t *testing.T) {
 	for _, payload := range [][]byte{nil, {1}, make([]byte, 500)} {
-		enc := encodePDU(0x40, payload)
-		p, err := decodePDU(enc)
+		p, err := decodePDU(pduBytes(0x40, payload))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -31,7 +70,7 @@ func TestPDUDecodeErrors(t *testing.T) {
 	if _, err := decodePDU([]byte{1, 2}); err == nil {
 		t.Fatal("short PDU accepted")
 	}
-	bad := encodePDU(5, []byte{1, 2, 3})
+	bad := pduBytes(5, []byte{1, 2, 3})
 	bad[0] = 99 // corrupt length
 	if _, err := decodePDU(bad); err == nil {
 		t.Fatal("length mismatch accepted")
@@ -76,7 +115,7 @@ func TestSegmentation(t *testing.T) {
 	for i := range sdu {
 		sdu[i] = byte(i)
 	}
-	frames := segment(sdu, 245)
+	frames, _ := queuedFrames(t, sdu, 0, 245)
 	// First frame: 2-byte header + 243 payload; then 245-byte frames.
 	if len(frames[0]) != 245 {
 		t.Fatalf("first frame %d bytes", len(frames[0]))
@@ -106,7 +145,7 @@ func TestQuickSegmentationCoversSDU(t *testing.T) {
 		if len(data) > 2000 {
 			data = data[:2000]
 		}
-		frames := segment(data, mps)
+		frames, _ := queuedFrames(t, data, 0, mps)
 		var re []byte
 		for i, fr := range frames {
 			if len(fr) > mps {
@@ -227,16 +266,16 @@ func TestSDUTransferBothDirections(t *testing.T) {
 	p := newPair(t, 3)
 	coordCh, subCh := p.openIPSP(t)
 	var gotSub, gotCoord [][]byte
-	subCh.OnSDU = func(b []byte, _ uint64) { gotSub = append(gotSub, b) }
-	coordCh.OnSDU = func(b []byte, _ uint64) { gotCoord = append(gotCoord, b) }
+	subCh.OnSDUBuf = sduBytes(&gotSub)
+	coordCh.OnSDUBuf = sduBytes(&gotCoord)
 	msg := make([]byte, 100)
 	for i := range msg {
 		msg[i] = byte(i * 3)
 	}
-	if err := coordCh.SendSDU(msg, 0, nil); err != nil {
+	if err := coordCh.SendSDUBuf(pktbuf.FromBytes(msg), 0, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := subCh.SendSDU(msg[:50], 0, nil); err != nil {
+	if err := subCh.SendSDUBuf(pktbuf.FromBytes(msg[:50]), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.s.Run(p.s.Now() + 2*sim.Second)
@@ -251,25 +290,25 @@ func TestSDUTransferBothDirections(t *testing.T) {
 func TestLargeSDUSpansManyFramesAndLLFragments(t *testing.T) {
 	p := newPair(t, 4)
 	coordCh, subCh := p.openIPSP(t)
-	var got []byte
-	subCh.OnSDU = func(b []byte, _ uint64) { got = b }
+	var got [][]byte
+	subCh.OnSDUBuf = sduBytes(&got)
 	sdu := make([]byte, 1280)
 	for i := range sdu {
 		sdu[i] = byte(i % 251)
 	}
-	if err := coordCh.SendSDU(sdu, 0, nil); err != nil {
+	if err := coordCh.SendSDUBuf(pktbuf.FromBytes(sdu), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	p.s.Run(p.s.Now() + 10*sim.Second)
-	if !bytes.Equal(got, sdu) {
-		t.Fatalf("1280-byte SDU not reassembled (got %d bytes)", len(got))
+	if len(got) != 1 || !bytes.Equal(got[0], sdu) {
+		t.Fatalf("1280-byte SDU not reassembled (got %d SDUs)", len(got))
 	}
 }
 
 func TestSDUExceedingMTURejected(t *testing.T) {
 	p := newPair(t, 5)
 	coordCh, _ := p.openIPSP(t)
-	if err := coordCh.SendSDU(make([]byte, 1281), 0, nil); err == nil {
+	if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 1281)), 0, nil); err == nil {
 		t.Fatal("SDU above peer MTU accepted")
 	}
 }
@@ -280,12 +319,12 @@ func TestCreditFlowSustainsManySDUs(t *testing.T) {
 	p := newPair(t, 6)
 	coordCh, subCh := p.openIPSP(t)
 	received := 0
-	subCh.OnSDU = func([]byte, uint64) { received++ }
+	subCh.OnSDUBuf = func(b *pktbuf.Buf, _ uint64) { received++; b.Put() }
 	sent := 0
 	var feed func()
 	feed = func() {
 		for sent < 50 && coordCh.Writable() {
-			if err := coordCh.SendSDU(make([]byte, 100), 0, nil); err != nil {
+			if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 100)), 0, nil); err != nil {
 				t.Errorf("send %d: %v", sent, err)
 				return
 			}
@@ -313,7 +352,7 @@ func TestOnDoneFiresAfterDelivery(t *testing.T) {
 	coordCh, _ := p.openIPSP(t)
 	done := 0
 	for i := 0; i < 5; i++ {
-		if err := coordCh.SendSDU(make([]byte, 60), 0, func() { done++ }); err != nil {
+		if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 60)), 0, func() { done++ }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -337,7 +376,7 @@ func TestChannelCloseHandshake(t *testing.T) {
 	if coordCh.Open() || subCh.Open() {
 		t.Fatal("channels still open after close")
 	}
-	if err := coordCh.SendSDU([]byte{1}, 0, nil); err == nil {
+	if err := coordCh.SendSDUBuf(pktbuf.FromBytes([]byte{1}), 0, nil); err == nil {
 		t.Fatal("send on closed channel accepted")
 	}
 }
@@ -369,7 +408,7 @@ func TestWritableBackpressure(t *testing.T) {
 			blocked = true
 			break
 		}
-		if err := coordCh.SendSDU(make([]byte, 100), 0, nil); err != nil {
+		if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 100)), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -399,7 +438,7 @@ func twoChannelRun(t *testing.T) []string {
 	note := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
 	p.subEP.RegisterServer(PSMIPSP, Config{})
 	p.subEP.OnChannelOpen = func(ch *Channel) {
-		ch.OnSDU = func(sdu []byte, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid) }
+		ch.OnSDUBuf = func(sdu *pktbuf.Buf, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid); sdu.Put() }
 	}
 	var chs []*Channel
 	for i := 0; i < 2; i++ {
@@ -426,7 +465,7 @@ func twoChannelRun(t *testing.T) []string {
 			for _, ch := range chs {
 				pid++
 				id := pid
-				if err := ch.SendSDU(make([]byte, 200), id, func() { note("done pid=%d", id) }); err != nil {
+				if err := ch.SendSDUBuf(pktbuf.FromBytes(make([]byte, 200)), id, func() { note("done pid=%d", id) }); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -34,13 +34,13 @@ func (f *fakeIf) Output(mac uint64, b *pktbuf.Buf, pid uint64) bool {
 		b.Put()
 		return false
 	}
-	pkt := append([]byte(nil), b.Bytes()...)
-	b.Put()
 	f.s.Post(2*sim.Millisecond, func() {
-		if _, still := f.peers[mac]; still {
-			f.delivered[mac]++
-			p.stack.Input(pkt, pid)
+		if _, still := f.peers[mac]; !still {
+			b.Put()
+			return
 		}
+		f.delivered[mac]++
+		p.stack.InputBuf(b, pid)
 	})
 	return true
 }

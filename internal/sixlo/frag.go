@@ -15,62 +15,59 @@ const (
 	maskFrag      byte = 0xF8
 )
 
-// Frag1HeaderLen and fragNHeaderLen are the fragment header sizes.
-// Frag1HeaderLen is exported so link adapters can test whether a frame
-// needs fragmenting at all (Fragment passes it through untouched when
-// frame+header fits the MTU) and take a zero-copy path.
+// Fragment header sizes.
 const (
-	Frag1HeaderLen = 4
-	frag1HeaderLen = Frag1HeaderLen
+	frag1HeaderLen = 4
 	fragNHeaderLen = 5
 )
 
+// maxDatagramSize is the largest frame the 11-bit datagram_size field of the
+// fragment headers can describe.
+const maxDatagramSize = 0x7FF
+
 // Fragment splits a 6LoWPAN frame into link fragments of at most mtu bytes
 // each (including fragment headers). Offsets are in 8-byte units as the RFC
-// requires, so non-final fragment payloads are multiples of 8.
+// requires, so non-final fragment payloads are multiples of 8. A frame that
+// fits one link frame comes back unchanged as the only element; otherwise
+// every fragment is a fresh pooled buffer and frame is released. On success
+// the caller owns the returned buffers; on error it still owns frame.
 //
 // Deviation from RFC 4944: the datagram_size field counts the bytes of the
 // frame being fragmented (the compressed form), not the uncompressed IPv6
 // datagram. Both endpoints of this implementation agree on that meaning;
 // the on-air byte counts are identical.
-func Fragment(frame []byte, mtu int, tag uint16) ([][]byte, error) {
-	if len(frame) > 0xFFFF {
-		return nil, fmt.Errorf("sixlo: datagram too large (%d)", len(frame))
+func Fragment(frame *pktbuf.Buf, mtu int, tag uint16) ([]*pktbuf.Buf, error) {
+	size := frame.Len()
+	if size+frag1HeaderLen <= mtu {
+		return []*pktbuf.Buf{frame}, nil
 	}
-	if len(frame)+frag1HeaderLen <= mtu {
-		return [][]byte{frame}, nil
+	if size > maxDatagramSize {
+		return nil, fmt.Errorf("sixlo: datagram too large (%d)", size)
 	}
 	if mtu < fragNHeaderLen+8 {
 		return nil, fmt.Errorf("sixlo: MTU %d too small to fragment", mtu)
 	}
-	var out [][]byte
-	// First fragment: payload multiple of 8.
-	first := (mtu - frag1HeaderLen) &^ 7
-	hdr := make([]byte, frag1HeaderLen, frag1HeaderLen+first) // pktbuf:ignore — []byte fallback API
-	hdr[0] = dispatchFrag1 | byte(len(frame)>>8)
-	hdr[1] = byte(len(frame))
-	binary.BigEndian.PutUint16(hdr[2:], tag)
-	out = append(out, append(hdr, frame[:first]...))
-
-	off := first
-	for off < len(frame) {
-		n := (mtu - fragNHeaderLen) &^ 7
-		last := false
-		if off+n >= len(frame) {
-			n = len(frame) - off
-			last = true
+	data := frame.Bytes()
+	var out []*pktbuf.Buf
+	for off := 0; off < size; {
+		hl, dispatch := fragNHeaderLen, dispatchFragN
+		if off == 0 {
+			hl, dispatch = frag1HeaderLen, dispatchFrag1
 		}
-		h := make([]byte, fragNHeaderLen, fragNHeaderLen+n) // pktbuf:ignore — []byte fallback API
-		h[0] = dispatchFragN | byte(len(frame)>>8)
-		h[1] = byte(len(frame))
-		binary.BigEndian.PutUint16(h[2:], tag)
-		h[4] = byte(off / 8)
-		out = append(out, append(h, frame[off:off+n]...))
+		n := min((mtu-hl)&^7, size-off)
+		f := pktbuf.Get(0, hl+n)
+		b := f.Bytes()
+		b[0] = dispatch | byte(size>>8)
+		b[1] = byte(size)
+		binary.BigEndian.PutUint16(b[2:], tag)
+		if off > 0 {
+			b[4] = byte(off / 8)
+		}
+		copy(b[hl:], data[off:off+n])
+		out = append(out, f)
 		off += n
-		if last {
-			break
-		}
 	}
+	frame.Put()
 	return out, nil
 }
 
@@ -88,8 +85,8 @@ func IsFragment(frame []byte) bool {
 type reassembly struct {
 	size    int
 	buf     *pktbuf.Buf
-	have    map[int]bool // offsets received (8-byte units)
-	gotLen  int
+	have    [(maxDatagramSize + 1) / 8 / 64]uint64 // 8-byte units received
+	got     int                                    // units received
 	expires sim.Time
 	pid     uint64 // provenance ID carried by the datagram's fragments
 }
@@ -98,7 +95,7 @@ type reassembly struct {
 type ReassemblerStats struct {
 	Completed uint64
 	Timeouts  uint64
-	Dropped   uint64 // table full or malformed
+	Dropped   uint64 // table full, malformed or overlapping
 }
 
 // Reassembler rebuilds datagrams from fragments, keyed by (sender, tag),
@@ -137,24 +134,6 @@ func (r *Reassembler) Reset() {
 		re.buf.Put()
 		delete(r.table, k)
 	}
-}
-
-// Input processes one fragment from the given sender. When the fragment
-// completes a datagram, the full frame is returned; otherwise nil.
-func (r *Reassembler) Input(sender uint64, frag []byte) []byte {
-	frame, _ := r.InputPID(sender, frag, 0)
-	return frame
-}
-
-// InputPID is InputBufPID flattened to []byte, for tests and tooling.
-func (r *Reassembler) InputPID(sender uint64, frag []byte, pid uint64) ([]byte, uint64) {
-	b, p := r.InputBufPID(sender, frag, pid)
-	if b == nil {
-		return nil, 0
-	}
-	out := append([]byte(nil), b.Bytes()...) // pktbuf:ignore — []byte fallback API
-	b.Put()
-	return out, p
 }
 
 // InputBufPID processes one fragment from the given sender. The pid of the
@@ -205,31 +184,38 @@ func (r *Reassembler) InputBufPID(sender uint64, frag []byte, pid uint64) (*pktb
 				return nil, 0
 			}
 		}
-		// The buffer is zeroed so datagrams whose fragments under-cover
-		// the advertised size (possible with malformed input) still
-		// reassemble to deterministic bytes, as the make-based code did.
 		buf := pktbuf.New(pktbuf.DefaultHeadroom, size)
-		data := buf.Append(size)
-		for i := range data {
-			data[i] = 0
-		}
-		re = &reassembly{size: size, buf: buf, have: make(map[int]bool), pid: pid}
+		buf.Append(size)
+		re = &reassembly{size: size, buf: buf, pid: pid}
 		r.table[key] = re
 	}
 	re.expires = now + r.Timeout
-	if off+len(payload) > re.size || re.have[off] {
-		if re.have[off] {
-			return nil, 0 // duplicate fragment
-		}
+	// A fragment covers the 8-byte units [lo, hi). Every unit it marks is
+	// fully written, because only the final fragment may end off a unit
+	// boundary. One whose units are all held already carries nothing new
+	// (a retransmission) and is ignored; one that holds only some of them
+	// overlaps another fragment and drops the datagram (RFC 4944 §5.3).
+	end := off + len(payload)
+	lo, hi := off/8, (end+7)/8
+	held := 0
+	for u := lo; u < hi && end <= re.size; u++ {
+		held += int(re.have[u/64] >> (u % 64) & 1)
+	}
+	if held > 0 && held == hi-lo {
+		return nil, 0 // duplicate fragment
+	}
+	if end > re.size || held > 0 || (end < re.size && len(payload)%8 != 0) {
 		r.stats.Dropped++
 		re.buf.Put()
 		delete(r.table, key)
 		return nil, 0
 	}
 	copy(re.buf.Bytes()[off:], payload)
-	re.have[off] = true
-	re.gotLen += len(payload)
-	if re.gotLen >= re.size {
+	for u := lo; u < hi; u++ {
+		re.have[u/64] |= 1 << (u % 64)
+	}
+	re.got += hi - lo
+	if re.got == (re.size+7)/8 {
 		delete(r.table, key)
 		r.stats.Completed++
 		return re.buf, re.pid

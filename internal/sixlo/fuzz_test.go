@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
-
-// maxDatagram is the largest datagram size the RFC 4944 header can carry:
-// the size field is 11 bits (3 in the dispatch byte + 8 in the next).
-const maxDatagram = 0x7FF
 
 // FuzzReassemblerInput throws arbitrary byte strings at the reassembler as
 // if they were received fragments: truncated headers, bogus dispatch values,
@@ -24,8 +21,13 @@ func FuzzReassemblerInput(f *testing.F) {
 	f.Add(uint64(2), []byte{0xC0, 0x08, 0x00, 0x07, 1, 2, 3}) // valid opener
 	f.Add(uint64(2), []byte{0xE7, 0xFF, 0xFF, 0xFF, 0xFF, 9}) // max size, max offset
 	f.Add(uint64(3), []byte{0x41, 0x00, 0x00, 0x00})          // not a fragment
-	frags, _ := Fragment(bytes.Repeat([]byte{0xAB}, 300), 128, 7)
-	f.Add(uint64(4), bytes.Join(frags, nil))
+	frags, _ := Fragment(pktbuf.FromBytes(bytes.Repeat([]byte{0xAB}, 300)), 128, 7)
+	var joined []byte
+	for _, fr := range frags {
+		joined = append(joined, fr.Bytes()...)
+		fr.Put()
+	}
+	f.Add(uint64(4), joined)
 	f.Fuzz(func(t *testing.T, sender uint64, data []byte) {
 		s := sim.New(1)
 		r := NewReassembler(s, 4)
@@ -34,9 +36,11 @@ func FuzzReassemblerInput(f *testing.F) {
 			if n > len(data) {
 				n = len(data)
 			}
-			frame, _ := r.InputPID(sender%4, data[:n], uint64(i))
-			if frame != nil && len(frame) > maxDatagram {
-				t.Fatalf("reassembled frame of %d bytes exceeds the 11-bit size field", len(frame))
+			if frame, _ := r.InputBufPID(sender%4, data[:n], uint64(i)); frame != nil {
+				if frame.Len() > maxDatagramSize {
+					t.Fatalf("reassembled frame of %d bytes exceeds the 11-bit size field", frame.Len())
+				}
+				frame.Put()
 			}
 			data = data[n:]
 			if i%7 == 3 {
@@ -47,6 +51,7 @@ func FuzzReassemblerInput(f *testing.F) {
 		if len(r.table) > 4 {
 			t.Fatalf("reassembly table grew to %d slots, cap is 4", len(r.table))
 		}
+		r.Reset()
 	})
 }
 
@@ -62,55 +67,62 @@ func FuzzFragmentRoundTrip(f *testing.F) {
 		if len(payload) == 0 {
 			return
 		}
-		if len(payload) > maxDatagram {
-			payload = payload[:maxDatagram]
+		if len(payload) > maxDatagramSize {
+			payload = payload[:maxDatagramSize]
 		}
 		if mtu < 0 {
 			mtu = -mtu
 		}
 		mtu = fragNHeaderLen + 8 + mtu%400 // always large enough to fragment
-		frags, err := Fragment(payload, mtu, 0x1234)
+		frame := pktbuf.FromBytes(payload)
+		frags, err := Fragment(frame, mtu, 0x1234)
 		if err != nil {
 			t.Fatalf("Fragment(%d bytes, mtu %d): %v", len(payload), mtu, err)
 		}
+		defer func() {
+			for _, fr := range frags {
+				fr.Put()
+			}
+		}()
 		for i, fr := range frags {
-			if len(fr) > mtu {
-				t.Fatalf("fragment %d is %d bytes, MTU %d", i, len(fr), mtu)
+			if fr.Len() > mtu {
+				t.Fatalf("fragment %d is %d bytes, MTU %d", i, fr.Len(), mtu)
 			}
 		}
 		if len(frags) == 1 {
-			// Fits one frame: sent unfragmented, byte-identical.
-			if !bytes.Equal(frags[0], payload) {
+			// Fits one frame: sent unfragmented, the same buffer untouched.
+			if frags[0] != frame || !bytes.Equal(frame.Bytes(), payload) {
 				t.Fatal("single-frame passthrough altered the payload")
 			}
 			return
 		}
 		r := NewReassembler(sim.New(1), 4)
-		feed := make([][]byte, len(frags))
+		feed := make([]*pktbuf.Buf, len(frags))
 		copy(feed, frags)
 		if reverse {
 			for i, j := 0, len(feed)-1; i < j; i, j = i+1, j-1 {
 				feed[i], feed[j] = feed[j], feed[i]
 			}
 		}
-		var got []byte
+		var got *pktbuf.Buf
 		for i, fr := range feed {
 			if !reverse && i < len(feed)-1 {
 				// Duplicate delivery of a pending fragment must be a no-op.
-				if dup := r.Input(9, fr); dup != nil {
+				if dup, _ := r.InputBufPID(9, fr.Bytes(), 0); dup != nil {
 					t.Fatal("reassembly completed prematurely")
 				}
 			}
-			if frame := r.Input(9, fr); frame != nil {
+			if frame, _ := r.InputBufPID(9, fr.Bytes(), 0); frame != nil {
 				if got != nil {
 					t.Fatal("datagram completed twice")
 				}
 				got = frame
 			}
 		}
-		if !bytes.Equal(got, payload) {
-			t.Fatalf("round-trip mismatch: got %d bytes, want %d", len(got), len(payload))
+		if got == nil || !bytes.Equal(got.Bytes(), payload) {
+			t.Fatalf("round-trip mismatch: got %v, want %d bytes", got != nil, len(payload))
 		}
+		got.Put()
 		if st := r.Stats(); st.Completed != 1 || st.Dropped != 0 {
 			t.Fatalf("stats %+v after a clean round-trip", st)
 		}

@@ -4,11 +4,11 @@
 // compression but not the fragmentation (L2CAP carries full 1280-byte MTUs);
 // the IEEE 802.15.4 comparison stack uses both.
 //
-// The hot datapath operates in place on pooled pktbuf buffers: CompressBuf
-// rewrites the leading IPv6(+UDP) headers of a packet into their IPHC form
-// inside the buffer's reserved headroom, and DecompressBuf reverses it. The
-// []byte-returning Compress/Decompress remain as allocation-per-call
-// fallbacks for tests and tooling; both forms produce identical bytes.
+// Every entry point works on pooled pktbuf buffers: CompressBuf rewrites
+// the leading IPv6(+UDP) headers of a packet into their IPHC form in place,
+// inside the buffer's reserved headroom, and DecompressBuf reverses it;
+// Fragment splits a frame too large for one link frame into pooled
+// fragments, and Reassembler.InputBufPID rebuilds it in one buffer.
 package sixlo
 
 import (
@@ -209,34 +209,19 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 	return n, consumed, ip6.HeaderLen + h.PayloadLen, nil
 }
 
-// Compress turns a full IPv6 packet into a 6LoWPAN IPHC frame. srcMAC and
-// dstMAC are the link-layer addresses of this hop (needed to elide
-// IID-derived addresses). Unsupported shapes fall back to less compressed
-// but always valid encodings. This is the []byte fallback; the datapath
-// uses CompressBuf.
-func Compress(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context) ([]byte, error) {
-	var hdr [maxIPHCHeaderLen]byte
-	hl, consumed, total, err := compressInto(pkt, srcMAC, dstMAC, ctxs, hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, hl+total-consumed) // pktbuf:ignore — []byte fallback API
-	copy(out, hdr[:hl])
-	copy(out[hl:], pkt[consumed:total])
-	return out, nil
-}
-
 // CompressBuf rewrites b in place into its 6LoWPAN IPHC form: the leading
 // IPv6 (and, when compressible, UDP) headers are replaced by the compressed
-// header, with any extra length taken from the buffer's headroom. The
-// resulting bytes are identical to Compress's output.
+// header, with any extra length taken from the buffer's headroom.
+// Unsupported shapes fall back to less compressed but always valid
+// encodings. srcMAC and dstMAC are the link-layer addresses of this hop,
+// needed to elide IID-derived addresses.
 func CompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 	var hdr [maxIPHCHeaderLen]byte
 	hl, consumed, total, err := compressInto(b.Bytes(), srcMAC, dstMAC, ctxs, hdr[:])
 	if err != nil {
 		return err
 	}
-	b.Trim(total) // honour the IPv6 length field, as Decode-based Compress does
+	b.Trim(total) // honour the IPv6 length field
 	b.TrimFront(consumed)
 	copy(b.Prepend(hl), hdr[:hl])
 	return nil
@@ -409,40 +394,10 @@ func truncErr(p int) error {
 	return fmt.Errorf("sixlo: IPHC truncated at offset %d", p)
 }
 
-// Decompress reconstructs the full IPv6 packet from an IPHC frame. This is
-// the []byte fallback; the datapath uses DecompressBuf.
-func Decompress(frame []byte, srcMAC, dstMAC uint64, ctxs []Context) ([]byte, error) {
-	if len(frame) == 0 {
-		return nil, fmt.Errorf("sixlo: empty frame")
-	}
-	if frame[0] == dispatchIPv6 {
-		return frame[1:], nil
-	}
-	if frame[0]&maskIPHC != dispatchIPHC {
-		return nil, fmt.Errorf("sixlo: unknown dispatch %#x", frame[0])
-	}
-	h, consumed, u, err := decompressHeader(frame, srcMAC, dstMAC, ctxs)
-	if err != nil {
-		return nil, err
-	}
-	payload := frame[consumed:]
-	if u.present {
-		dgram := make([]byte, ip6.UDPHeaderLen+len(payload)) // pktbuf:ignore — []byte fallback API
-		binary.BigEndian.PutUint16(dgram[0:], u.srcPort)
-		binary.BigEndian.PutUint16(dgram[2:], u.dstPort)
-		binary.BigEndian.PutUint16(dgram[4:], uint16(len(dgram)))
-		dgram[6], dgram[7] = u.ck0, u.ck1
-		copy(dgram[ip6.UDPHeaderLen:], payload)
-		payload = dgram
-	}
-	return h.Encode(payload), nil
-}
-
 // DecompressBuf reconstructs the full IPv6 packet in place: the compressed
 // header at the front of b is replaced by the expanded IPv6 (and UDP)
-// headers, drawing on the buffer's headroom. The resulting bytes are
-// identical to Decompress's output. Received frames therefore need at least
-// 48 bytes of headroom; pktbuf.DefaultHeadroom provides it.
+// headers, drawing on the buffer's headroom. Received frames therefore need
+// at least 48 bytes of headroom; pktbuf.DefaultHeadroom provides it.
 func DecompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 	fr := b.Bytes()
 	if len(fr) == 0 {

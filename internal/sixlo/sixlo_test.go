@@ -2,10 +2,12 @@ package sixlo
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"blemesh/internal/ip6"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -14,18 +16,49 @@ const (
 	macB = 0x0000B1B2B3B4
 )
 
-// roundTrip compresses and decompresses pkt across the A→B hop.
-func roundTrip(t *testing.T, pkt []byte) ([]byte, []byte) {
+// packet builds the IPv6 packet h carrying payload in a pooled buffer, back
+// to front as ip6.Stack builds the packets it sends. A UDP packet
+// (h.NextHeader == ip6.ProtoUDP) gets a UDP header with ports sp and dp.
+func packet(h ip6.Header, sp, dp uint16, payload []byte) *pktbuf.Buf {
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, len(payload))
+	copy(b.Bytes(), payload)
+	if h.NextHeader == ip6.ProtoUDP {
+		b.Prepend(ip6.UDPHeaderLen)
+		ip6.PutUDP(h.Src, h.Dst, sp, dp, b.Bytes())
+	}
+	pl := b.Len()
+	h.Put(b.Prepend(ip6.HeaderLen), pl)
+	return b
+}
+
+// compressRoundTrip runs b through CompressBuf and DecompressBuf across the
+// srcMAC→dstMAC hop and releases it. It returns the packet as built, the
+// compressed frame and the packet decompression rebuilt.
+func compressRoundTrip(b *pktbuf.Buf, srcMAC, dstMAC uint64) (orig, comp, back []byte, err error) {
+	defer b.Put()
+	orig = bytes.Clone(b.Bytes())
+	if err := CompressBuf(b, srcMAC, dstMAC, DefaultContexts); err != nil {
+		return nil, nil, nil, err
+	}
+	comp = bytes.Clone(b.Bytes())
+	if err := DecompressBuf(b, srcMAC, dstMAC, DefaultContexts); err != nil {
+		return nil, nil, nil, err
+	}
+	return orig, comp, bytes.Clone(b.Bytes()), nil
+}
+
+// roundTrip is compressRoundTrip across the A→B hop, failing the test unless
+// the rebuilt packet equals the original. It returns the compressed frame.
+func roundTrip(t *testing.T, b *pktbuf.Buf) []byte {
 	t.Helper()
-	comp, err := Compress(pkt, macA, macB, DefaultContexts)
+	orig, comp, back, err := compressRoundTrip(b, macA, macB)
 	if err != nil {
-		t.Fatalf("compress: %v", err)
+		t.Fatal(err)
 	}
-	back, err := Decompress(comp, macA, macB, DefaultContexts)
-	if err != nil {
-		t.Fatalf("decompress: %v", err)
+	if !bytes.Equal(back, orig) {
+		t.Fatalf("round trip mismatch\n in: %x\nout: %x", orig, back)
 	}
-	return comp, back
+	return comp
 }
 
 func TestIPHCElidesEverythingOnBestCase(t *testing.T) {
@@ -34,14 +67,8 @@ func TestIPHCElidesEverythingOnBestCase(t *testing.T) {
 	// to a handful of bytes.
 	src := ip6.ULA(ip6.DefaultPrefix, macA)
 	dst := ip6.ULA(ip6.DefaultPrefix, macB)
-	dgram := ip6.EncodeUDP(src, dst, 5683, 5683, []byte("hello coap"))
 	h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-	pkt := h.Encode(dgram)
-
-	comp, back := roundTrip(t, pkt)
-	if !bytes.Equal(back, pkt) {
-		t.Fatalf("round trip mismatch\n in: %x\nout: %x", pkt, back)
-	}
+	comp := roundTrip(t, packet(h, 5683, 5683, []byte("hello coap")))
 	// 2 IPHC + 1 CID + UDP NHC (1+4+2) + payload.
 	overhead := len(comp) - len("hello coap")
 	if overhead > 12 {
@@ -54,11 +81,7 @@ func TestIPHCLinkLocalElision(t *testing.T) {
 	src := ip6.LinkLocal(macA)
 	dst := ip6.LinkLocal(macB)
 	h := ip6.Header{NextHeader: ip6.ProtoICMPv6, HopLimit: 255, Src: src, Dst: dst}
-	pkt := h.Encode([]byte{1, 2, 3, 4, 5, 6, 7, 8})
-	comp, back := roundTrip(t, pkt)
-	if !bytes.Equal(back, pkt) {
-		t.Fatal("link-local round trip mismatch")
-	}
+	comp := roundTrip(t, packet(h, 0, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}))
 	// 2 IPHC + NH inline: both addresses and the hop limit elided.
 	if len(comp) != 2+1+8 {
 		t.Fatalf("link-local frame = %d bytes, want 11", len(comp))
@@ -68,11 +91,7 @@ func TestIPHCLinkLocalElision(t *testing.T) {
 func TestIPHCMulticastDst(t *testing.T) {
 	src := ip6.LinkLocal(macA)
 	h := ip6.Header{NextHeader: ip6.ProtoICMPv6, HopLimit: 1, Src: src, Dst: ip6.AllNodes}
-	pkt := h.Encode([]byte{9})
-	comp, back := roundTrip(t, pkt)
-	if !bytes.Equal(back, pkt) {
-		t.Fatal("multicast round trip mismatch")
-	}
+	comp := roundTrip(t, packet(h, 0, 0, []byte{9}))
 	// ff02::1 compresses to a single byte.
 	if len(comp) != 2+1+1+1 {
 		t.Fatalf("multicast frame = %d bytes", len(comp))
@@ -85,11 +104,7 @@ func TestIPHCForeignAddressesInline(t *testing.T) {
 	dst := ip6.MustParseAddr("2001:db8::2")
 	h := ip6.Header{NextHeader: 99, HopLimit: 17, TrafficClass: 3,
 		FlowLabel: 0x12345, Src: src, Dst: dst}
-	pkt := h.Encode([]byte("x"))
-	_, back := roundTrip(t, pkt)
-	if !bytes.Equal(back, pkt) {
-		t.Fatal("foreign-address round trip mismatch")
-	}
+	roundTrip(t, packet(h, 0, 0, []byte("x")))
 }
 
 func TestIPHCHopLimitVariants(t *testing.T) {
@@ -97,39 +112,28 @@ func TestIPHCHopLimitVariants(t *testing.T) {
 	dst := ip6.ULA(ip6.DefaultPrefix, macB)
 	for _, hl := range []byte{1, 2, 63, 64, 65, 255} {
 		h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: hl, Src: src, Dst: dst}
-		pkt := h.Encode(ip6.EncodeUDP(src, dst, 1000, 2000, []byte("p")))
-		_, back := roundTrip(t, pkt)
-		got, _, err := ip6.Decode(back)
-		if err != nil || got.HopLimit != hl {
-			t.Fatalf("hop limit %d round trip -> %d (err %v)", hl, got.HopLimit, err)
-		}
+		roundTrip(t, packet(h, 1000, 2000, []byte("p")))
 	}
 }
 
 func TestUDPNHCPortModes(t *testing.T) {
 	src := ip6.ULA(ip6.DefaultPrefix, macA)
 	dst := ip6.ULA(ip6.DefaultPrefix, macB)
-	cases := []struct{ sp, dp uint16 }{
-		{0xF0B1, 0xF0B2}, // both 4-bit
-		{1234, 0xF042},   // dst 8-bit
-		{0xF042, 5683},   // src 8-bit
-		{5683, 5683},     // both 16-bit
+	cases := []struct {
+		sp, dp uint16
+		nhc    int // UDP NHC bytes: dispatch + ports + checksum
+	}{
+		{0xF0B1, 0xF0B2, 1 + 1 + 2}, // both 4-bit
+		{1234, 0xF042, 1 + 3 + 2},   // dst 8-bit
+		{0xF042, 5683, 1 + 3 + 2},   // src 8-bit
+		{5683, 5683, 1 + 4 + 2},     // both 16-bit
 	}
 	for _, c := range cases {
-		dgram := ip6.EncodeUDP(src, dst, c.sp, c.dp, []byte("data"))
 		h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-		pkt := h.Encode(dgram)
-		_, back := roundTrip(t, pkt)
-		bh, pl, err := ip6.Decode(back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uh, data, err := ip6.DecodeUDP(bh.Src, bh.Dst, pl)
-		if err != nil {
-			t.Fatalf("ports %d/%d: %v", c.sp, c.dp, err)
-		}
-		if uh.SrcPort != c.sp || uh.DstPort != c.dp || string(data) != "data" {
-			t.Fatalf("ports %d/%d decoded as %d/%d", c.sp, c.dp, uh.SrcPort, uh.DstPort)
+		comp := roundTrip(t, packet(h, c.sp, c.dp, []byte("data")))
+		// 2 IPHC + 1 CID; addresses and hop limit elided.
+		if got := len(comp) - 3 - len("data"); got != c.nhc {
+			t.Fatalf("ports %d/%d: UDP NHC of %d bytes, want %d", c.sp, c.dp, got, c.nhc)
 		}
 	}
 }
@@ -137,10 +141,11 @@ func TestUDPNHCPortModes(t *testing.T) {
 func TestUncompressedDispatch(t *testing.T) {
 	h := ip6.Header{NextHeader: 77, HopLimit: 7,
 		Src: ip6.MustParseAddr("fd00::1"), Dst: ip6.MustParseAddr("fd00::2")}
-	pkt := h.Encode([]byte("raw"))
-	frame := append([]byte{dispatchIPv6}, pkt...)
-	back, err := Decompress(frame, macA, macB, DefaultContexts)
-	if err != nil || !bytes.Equal(back, pkt) {
+	b := packet(h, 0, 0, []byte("raw"))
+	defer b.Put()
+	pkt := bytes.Clone(b.Bytes())
+	b.Prepend(1)[0] = dispatchIPv6
+	if err := DecompressBuf(b, macA, macB, DefaultContexts); err != nil || !bytes.Equal(b.Bytes(), pkt) {
 		t.Fatalf("uncompressed dispatch failed: %v", err)
 	}
 }
@@ -153,9 +158,11 @@ func TestDecompressErrors(t *testing.T) {
 		{0x7F, 0xFF, 0x00}, // CID byte + impossible trailing state
 	}
 	for i, c := range cases {
-		if _, err := Decompress(c, macA, macB, DefaultContexts); err == nil {
+		b := pktbuf.FromBytes(c)
+		if err := DecompressBuf(b, macA, macB, DefaultContexts); err == nil {
 			t.Errorf("case %d: bad frame accepted", i)
 		}
+		b.Put()
 	}
 }
 
@@ -167,20 +174,10 @@ func TestQuickIPHCRoundTripUDP(t *testing.T) {
 			payload = payload[:1000]
 		}
 		sm, dm := uint64(srcMAC), uint64(dstMAC)
-		src := ip6.ULA(ip6.DefaultPrefix, sm)
-		dst := ip6.ULA(ip6.DefaultPrefix, dm)
-		dgram := ip6.EncodeUDP(src, dst, sp, dp, payload)
-		h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: hl, Src: src, Dst: dst}
-		pkt := h.Encode(dgram)
-		comp, err := Compress(pkt, sm, dm, DefaultContexts)
-		if err != nil {
-			return false
-		}
-		back, err := Decompress(comp, sm, dm, DefaultContexts)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(back, pkt) && len(comp) < len(pkt)
+		h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: hl,
+			Src: ip6.ULA(ip6.DefaultPrefix, sm), Dst: ip6.ULA(ip6.DefaultPrefix, dm)}
+		orig, comp, back, err := compressRoundTrip(packet(h, sp, dp, payload), sm, dm)
+		return err == nil && bytes.Equal(back, orig) && len(comp) < len(orig)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -188,14 +185,15 @@ func TestQuickIPHCRoundTripUDP(t *testing.T) {
 }
 
 func TestFragmentSmallFrameUntouched(t *testing.T) {
-	frame := make([]byte, 80)
+	frame := pktbuf.FromBytes(make([]byte, 80))
 	frags, err := Fragment(frame, 102, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(frags) != 1 || !bytes.Equal(frags[0], frame) {
+	if len(frags) != 1 || frags[0] != frame {
 		t.Fatalf("small frame fragmented into %d pieces", len(frags))
 	}
+	frame.Put()
 }
 
 func TestFragmentAndReassemble(t *testing.T) {
@@ -205,10 +203,7 @@ func TestFragmentAndReassemble(t *testing.T) {
 	for i := range frame {
 		frame[i] = byte(i * 7)
 	}
-	frags, err := Fragment(frame, 102, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frags := mustFrag(t, frame, 42)
 	if len(frags) < 10 {
 		t.Fatalf("1000 bytes over 102-byte MTU should be ≥10 fragments, got %d", len(frags))
 	}
@@ -220,16 +215,89 @@ func TestFragmentAndReassemble(t *testing.T) {
 			t.Fatal("fragment not recognized")
 		}
 	}
-	var out []byte
-	for _, f := range frags {
-		out = r.Input(macA, f)
+	var out *pktbuf.Buf
+	var pid uint64
+	for i, f := range frags {
+		out, pid = r.InputBufPID(macA, f, uint64(100+i))
 	}
-	if !bytes.Equal(out, frame) {
+	if out == nil || !bytes.Equal(out.Bytes(), frame) {
 		t.Fatal("reassembly mismatch")
+	}
+	out.Put()
+	if pid != 100 {
+		t.Fatalf("reassembled datagram carries pid %d, want the first fragment's 100", pid)
 	}
 	if r.Stats().Completed != 1 {
 		t.Fatalf("completed=%d", r.Stats().Completed)
 	}
+}
+
+// RFC 4944's datagram_size field is 11 bits: 2 047 bytes is the largest
+// frame that can be fragmented, and a larger one must be refused rather
+// than spill its high bits into the dispatch byte.
+func TestFragmentDatagramSizeLimit(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		ok   bool
+	}{{2047, true}, {2048, false}} {
+		data := make([]byte, c.size)
+		for i := range data {
+			data[i] = byte(i * 13)
+		}
+		frame := pktbuf.FromBytes(data)
+		frags, err := Fragment(frame, 102, 5)
+		if !c.ok {
+			if err == nil {
+				t.Fatalf("%d-byte frame fragmented, want an error", c.size)
+			}
+			frame.Put() // an error leaves the frame with the caller
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d-byte frame: %v", c.size, err)
+		}
+		r := NewReassembler(sim.New(1), 4)
+		var out *pktbuf.Buf
+		for _, f := range frags {
+			out, _ = r.InputBufPID(macA, f.Bytes(), 0)
+			f.Put()
+		}
+		if out == nil || !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("%d-byte frame did not reassemble", c.size)
+		}
+		out.Put()
+	}
+}
+
+// A fragment that overlaps bytes already held, at another offset, must drop
+// the datagram: counting its bytes as new would complete the reassembly
+// with a hole no fragment ever wrote.
+func TestReassemblyOverlapDropped(t *testing.T) {
+	r := NewReassembler(sim.New(1), 4)
+	frag := func(off, n int) []byte {
+		hl, d := fragNHeaderLen, dispatchFragN
+		if off == 0 {
+			hl, d = frag1HeaderLen, dispatchFrag1
+		}
+		b := make([]byte, hl+n)
+		b[0], b[1] = d, 200 // datagram_size 200
+		binary.BigEndian.PutUint16(b[2:], 9)
+		if off > 0 {
+			b[4] = byte(off / 8)
+		}
+		return b
+	}
+	// [0,96) + [8,104) + [104,112): 200 payload bytes for a 200-byte
+	// datagram, of which bytes 112–199 were never sent.
+	for _, f := range [][]byte{frag(0, 96), frag(8, 96), frag(104, 8)} {
+		if out, _ := r.InputBufPID(macA, f, 0); out != nil {
+			t.Fatalf("overlapping fragments completed a %d-byte datagram", out.Len())
+		}
+	}
+	if st := r.Stats(); st.Completed != 0 || st.Dropped != 1 {
+		t.Fatalf("stats %+v, want the overlap dropped once", st)
+	}
+	r.Reset()
 }
 
 func TestReassemblyInterleavedSenders(t *testing.T) {
@@ -237,50 +305,57 @@ func TestReassemblyInterleavedSenders(t *testing.T) {
 	r := NewReassembler(s, 4)
 	f1 := mustFrag(t, bytes.Repeat([]byte{1}, 500), 7)
 	f2 := mustFrag(t, bytes.Repeat([]byte{2}, 500), 7) // same tag, other sender
-	var out1, out2 []byte
+	var out1, out2 *pktbuf.Buf
 	for i := range f1 {
-		out1 = r.Input(macA, f1[i])
-		out2 = r.Input(macB, f2[i])
+		out1, _ = r.InputBufPID(macA, f1[i], 0)
+		out2, _ = r.InputBufPID(macB, f2[i], 0)
 	}
 	if out1 == nil || out2 == nil {
 		t.Fatal("interleaved reassembly failed")
 	}
-	if out1[0] != 1 || out2[0] != 2 {
+	if out1.Bytes()[0] != 1 || out2.Bytes()[0] != 2 {
 		t.Fatal("reassemblies crossed senders")
 	}
+	out1.Put()
+	out2.Put()
 }
 
 func TestReassemblyTimeout(t *testing.T) {
 	s := sim.New(1)
 	r := NewReassembler(s, 4)
 	frags := mustFrag(t, make([]byte, 500), 9)
-	r.Input(macA, frags[0])
+	r.InputBufPID(macA, frags[0], 0)
 	s.Run(10 * sim.Second) // past the 5s timeout
 	// Completing after timeout restarts the reassembly instead.
 	for _, f := range frags[1:] {
-		if out := r.Input(macA, f); out != nil {
+		if out, _ := r.InputBufPID(macA, f, 0); out != nil {
 			t.Fatal("stale reassembly completed after timeout")
 		}
 	}
 	if r.Stats().Timeouts == 0 {
 		t.Fatal("timeout not counted")
 	}
+	r.Reset()
 }
 
 func TestReassemblyDuplicateFragmentIgnored(t *testing.T) {
 	s := sim.New(1)
 	r := NewReassembler(s, 4)
 	frags := mustFrag(t, make([]byte, 400), 3)
-	r.Input(macA, frags[0])
-	if out := r.Input(macA, frags[0]); out != nil {
+	r.InputBufPID(macA, frags[0], 0)
+	if out, _ := r.InputBufPID(macA, frags[0], 0); out != nil {
 		t.Fatal("duplicate completed a datagram")
 	}
-	var out []byte
+	var out *pktbuf.Buf
 	for _, f := range frags[1:] {
-		out = r.Input(macA, f)
+		out, _ = r.InputBufPID(macA, f, 0)
 	}
 	if out == nil {
 		t.Fatal("reassembly failed after duplicate")
+	}
+	out.Put()
+	if r.Stats().Dropped != 0 {
+		t.Fatalf("duplicate counted as a drop: %+v", r.Stats())
 	}
 }
 
@@ -289,7 +364,7 @@ func TestReassemblerTableBounded(t *testing.T) {
 	r := NewReassembler(s, 2)
 	for tag := uint16(0); tag < 5; tag++ {
 		frags := mustFrag(t, make([]byte, 300), tag)
-		r.Input(macA, frags[0]) // leave all incomplete
+		r.InputBufPID(macA, frags[0], 0) // leave all incomplete
 	}
 	if len(r.table) > 2 {
 		t.Fatalf("table grew to %d, cap 2", len(r.table))
@@ -297,6 +372,7 @@ func TestReassemblerTableBounded(t *testing.T) {
 	if r.Stats().Dropped == 0 {
 		t.Fatal("overflow not counted")
 	}
+	r.Reset()
 }
 
 func TestQuickFragmentReassembleIdentity(t *testing.T) {
@@ -308,38 +384,53 @@ func TestQuickFragmentReassembleIdentity(t *testing.T) {
 			data = data[:2000]
 		}
 		mtu := 30 + int(mtuRaw)%120
-		s := sim.New(int64(tag))
-		r := NewReassembler(s, 4)
-		frags, err := Fragment(data, mtu, tag)
+		r := NewReassembler(sim.New(int64(tag)), 4)
+		frags, err := Fragment(pktbuf.FromBytes(data), mtu, tag)
 		if err != nil {
 			return false
 		}
-		var out []byte
+		var out *pktbuf.Buf
+		ok := true
 		for _, fr := range frags {
-			if len(fr) > mtu {
-				return false
-			}
-			if len(frags) > 1 {
-				out = r.Input(macA, fr)
-			} else {
+			ok = ok && fr.Len() <= mtu
+			if len(frags) == 1 {
 				out = fr
+				break
 			}
+			out, _ = r.InputBufPID(macA, fr.Bytes(), 0)
+			fr.Put()
 		}
-		return bytes.Equal(out, data)
+		ok = ok && out != nil && bytes.Equal(out.Bytes(), data)
+		if out != nil {
+			out.Put()
+		}
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// mustFrag fragments a copy of frame over a 102-byte MTU and returns the
+// fragments' bytes, failing unless it took more than one. The pooled
+// fragments are released when the test ends.
 func mustFrag(t *testing.T, frame []byte, tag uint16) [][]byte {
 	t.Helper()
-	frags, err := Fragment(frame, 102, tag)
+	frags, err := Fragment(pktbuf.FromBytes(frame), 102, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		for _, f := range frags {
+			f.Put()
+		}
+	})
 	if len(frags) < 2 {
 		t.Fatal("test frame did not fragment")
 	}
-	return frags
+	out := make([][]byte, len(frags))
+	for i, f := range frags {
+		out[i] = f.Bytes()
+	}
+	return out
 }

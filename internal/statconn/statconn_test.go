@@ -7,6 +7,7 @@ import (
 
 	"blemesh/internal/ble"
 	"blemesh/internal/phy"
+	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
 )
 
@@ -275,7 +276,7 @@ func TestLinkQualitySnapshot(t *testing.T) {
 		t.Fatal("connection missing")
 	}
 	for i := 0; i < 20; i++ {
-		c.Send(ble.LLIDDataStart, make([]byte, 20), 0, nil)
+		c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0, nil)
 	}
 	s.Run(10 * sim.Second)
 	mgrB.SampleLinkQuality()

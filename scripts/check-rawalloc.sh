@@ -4,10 +4,12 @@
 # The zero-copy datapath gets its allocation guarantees from internal/pktbuf;
 # a stray make([]byte, ...) in a packet-handling package silently reintroduces
 # the per-hop copies the pool removed, and nothing else would catch it until
-# TestPacketPathAllocBudget (internal/exp) trips. Deliberate fallbacks ([]byte
-# compatibility APIs, cold signaling/diagnostic paths) carry a
-# "// pktbuf:ignore — <reason>" marker on the same line; everything else is an
-# error. Test files are exempt.
+# TestPacketPathAllocBudget (internal/exp) trips. Deliberate copies on cold
+# paths (signaling, diagnostics) carry a "// pktbuf:ignore — <reason>" marker
+# on the same line; everything else is an error. A marker whose reason is a
+# "fallback API" is an error too: every datapath layer has one entry point on
+# *pktbuf.Buf, and a []byte twin beside it is not a reason to copy. Test files
+# are exempt.
 #
 # Usage: scripts/check-rawalloc.sh   (from the repo root; exits 1 on offence)
 set -eu
@@ -18,10 +20,19 @@ offences=$(grep -rn 'make(\[\]byte' $DATAPATH --include='*.go' \
     | grep -v '_test\.go:' \
     | grep -v 'pktbuf:ignore' || true)
 
+fallbacks=$(grep -rn 'pktbuf:ignore.*fallback API' $DATAPATH --include='*.go' \
+    | grep -v '_test\.go:' || true)
+
 if [ -n "$offences" ]; then
     echo "raw make([]byte in the pooled datapath — use pktbuf.Get or add a" >&2
     echo "'// pktbuf:ignore — <reason>' marker if the copy is deliberate:" >&2
     echo "$offences" >&2
+    exit 1
+fi
+if [ -n "$fallbacks" ]; then
+    echo "pktbuf:ignore for a []byte fallback API — each layer keeps one entry" >&2
+    echo "point on *pktbuf.Buf; delete the twin instead:" >&2
+    echo "$fallbacks" >&2
     exit 1
 fi
 echo "check-rawalloc: datapath packages clean"

@@ -68,13 +68,26 @@ type ConnStats struct {
 	RXCorrupt     uint64 // CRC-failed receptions
 	Retrans       uint64 // retransmissions triggered
 	SupResets     uint64 // supervision timer resets
+}
 
-	// Per-channel accounting for Fig. 12's per-channel PDR panel. 32 bits:
-	// a link moves tens of PDUs a second over 37 channels, so one channel
-	// takes centuries of simulated time to wrap, and two uint64 arrays were
-	// half of a Conn.
-	ChannelTX [NumDataChannels]uint32
-	ChannelOK [NumDataChannels]uint32
+// ChannelCounts is a connection's per-data-channel accounting, for Fig. 12's
+// per-channel PDR panel: TX counts the PDUs it put on the air on each channel
+// (TXPDUs split by channel), OK the valid PDUs it received there (RXPDUs split
+// by channel). A connection keeps one only when its controller counts
+// channels (Controller.CountChannels): one experiment reads them, and they
+// were two fifths of every link end. 32 bits: a link moves tens of PDUs a
+// second over 37 channels, so one channel takes centuries of simulated time
+// to wrap.
+type ChannelCounts struct {
+	TX [NumDataChannels]uint32
+	OK [NumDataChannels]uint32
+}
+
+// DataHandler takes the LL data payloads (LLID start/cont) a connection
+// receives, with the carried packet's provenance ID (0 = untagged). The
+// payload aliases the received PDU and is valid only during the call.
+type DataHandler interface {
+	LLData(llid LLID, payload []byte, pid uint64)
 }
 
 // LLPDR returns the link-layer packet delivery rate: the fraction of
@@ -112,8 +125,10 @@ func (it *txItem) size() int {
 // Conn is one BLE connection endpoint (either role). Every timer and radio
 // callback it arms is a method of a type declared over Conn (connWake and
 // its siblings below), so a link end is this one object: no closure, no
-// separately allocated Activity. Fields are ordered so the bytes and flags
-// pack; TestConnFitsSizeClass holds it inside the 768 B size class.
+// separately allocated Activity; its host upcall is an interface the layer
+// above implements with a type it already allocates. Fields are ordered so
+// the bytes and flags pack; TestConnFitsSizeClass holds it inside the 480 B
+// size class.
 type Conn struct {
 	ctrl   *Controller
 	role   Role
@@ -182,10 +197,10 @@ type Conn struct {
 	replyPDU  *DataPDU // PDU built for the pending subordinate reply
 
 	stats ConnStats
+	chans *ChannelCounts // nil unless the controller counts channels
 
-	// OnData delivers received LL data payloads (LLID start/cont) upward
-	// to L2CAP, with the carried packet's provenance ID (0 = untagged).
-	OnData func(llid LLID, payload []byte, pid uint64)
+	// OnData delivers received LL data payloads upward to L2CAP.
+	OnData DataHandler
 	// OnParamRequest lets the coordinator's host decide on a
 	// subordinate's Connection Parameters Request. Returning true applies
 	// the proposed interval via the update procedure; false rejects it.
@@ -288,6 +303,10 @@ func (c *Conn) Interval() sim.Duration { return c.params.Interval }
 // Stats returns a copy of the link-layer counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
 
+// ChannelCounts returns the connection's live per-channel counters, or nil
+// when its controller did not count channels when it opened.
+func (c *Conn) ChannelCounts() *ChannelCounts { return c.chans }
+
 // Closed reports whether the connection has been torn down.
 func (c *Conn) Closed() bool { return c.closed }
 
@@ -312,6 +331,9 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 		handle: ctrl.nextHandle(),
 		params: params,
 		access: access,
+	}
+	if ctrl.countChannels {
+		c.chans = new(ChannelCounts)
 	}
 	if params.CSA == 1 {
 		c.csa = NewCSA1(hop)
@@ -615,7 +637,9 @@ func (c *Conn) noteTX(pdu *DataPDU) sim.Duration {
 		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLTx, pdu.PID, air,
 			"conn#%d ch=%d try=%d len=%d", c.handle, c.evCh, try, pdu.Len())
 	}
-	c.stats.ChannelTX[c.evCh]++
+	if c.chans != nil {
+		c.chans.TX[c.evCh]++
+	}
 	return air
 }
 
@@ -627,7 +651,9 @@ func (c *Conn) processRx(pdu *DataPDU) {
 		c.exData = true
 	}
 	c.stats.RXPDUs++
-	c.stats.ChannelOK[c.evCh]++
+	if c.chans != nil {
+		c.chans.OK[c.evCh]++
+	}
 	c.resetSupervision()
 	c.peerMD = pdu.MD
 
@@ -721,7 +747,7 @@ func (c *Conn) deliver(pdu *DataPDU) {
 				"conn#%d ch=%d len=%d", c.handle, c.evCh, pdu.Len())
 		}
 		if c.OnData != nil {
-			c.OnData(pdu.LLID, pdu.Payload, pdu.PID)
+			c.OnData.LLData(pdu.LLID, pdu.Payload, pdu.PID)
 		}
 	}
 }

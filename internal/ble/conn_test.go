@@ -32,12 +32,27 @@ func newTestNet(seed int64, ppm ...float64) (*sim.Sim, *phy.Medium, []*testNode)
 	return s, m, nodes
 }
 
+// DataFunc adapts a function to DataHandler.
+type DataFunc func(llid LLID, payload []byte, pid uint64)
+
+// LLData calls f.
+func (f DataFunc) LLData(llid LLID, payload []byte, pid uint64) { f(llid, payload, pid) }
+
+// upcalls returns the controller's ConnFuncs, installing them on first use,
+// so a test can set one upcall without dropping another.
+func upcalls(ctrl *Controller) *ConnFuncs {
+	if ctrl.OnConn == nil {
+		ctrl.OnConn = &ConnFuncs{}
+	}
+	return ctrl.OnConn.(*ConnFuncs)
+}
+
 // connectPair establishes a connection: a advertises (subordinate), b scans
 // and initiates (coordinator). It runs the sim until the link is up.
 func connectPair(t *testing.T, s *sim.Sim, a, b *testNode, params ConnParams) (sub, coord *Conn) {
 	t.Helper()
-	a.ctrl.OnConnect = func(c *Conn) { sub = c }
-	b.ctrl.OnConnect = func(c *Conn) { coord = c }
+	upcalls(a.ctrl).Up = func(c *Conn) { sub = c }
+	upcalls(b.ctrl).Up = func(c *Conn) { coord = c }
 	a.ctrl.StartAdvertising(AdvParams{Interval: 90 * sim.Millisecond, DataLen: 11})
 	if err := b.ctrl.Connect(a.ctrl.Addr(), params); err != nil {
 		t.Fatalf("Connect: %v", err)
@@ -74,8 +89,8 @@ func TestConnectionEstablishment(t *testing.T) {
 	}
 	// The link must stay alive: run 10s and check no disconnect.
 	lost := false
-	nodes[0].ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
-	nodes[1].ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
+	upcalls(nodes[0].ctrl).Down = func(*Conn, LossReason) { lost = true }
+	upcalls(nodes[1].ctrl).Down = func(*Conn, LossReason) { lost = true }
 	s.Run(s.Now() + 10*sim.Second)
 	if lost {
 		t.Fatal("idle connection dropped within 10s")
@@ -89,7 +104,7 @@ func TestDataTransferCoordinatorToSubordinate(t *testing.T) {
 	s, _, nodes := newTestNet(2, 1.5, -1.5)
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	var got [][]byte
-	sub.OnData = func(_ LLID, p []byte, _ uint64) { got = append(got, p) }
+	sub.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { got = append(got, p) })
 	payloads := make([][]byte, 10)
 	for i := range payloads {
 		payloads[i] = []byte{byte(i), 1, 2, 3}
@@ -112,7 +127,7 @@ func TestDataTransferSubordinateToCoordinator(t *testing.T) {
 	s, _, nodes := newTestNet(3, 1.5, -1.5)
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	var got [][]byte
-	coord.OnData = func(_ LLID, p []byte, _ uint64) { got = append(got, p) }
+	coord.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { got = append(got, p) })
 	for i := 0; i < 10; i++ {
 		if !sub.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatalf("Send %d rejected", i)
@@ -136,12 +151,12 @@ func TestMoreDataBatchesInOneEvent(t *testing.T) {
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	delivered := 0
 	var doneAt sim.Time
-	sub.OnData = func(_ LLID, _ []byte, _ uint64) {
+	sub.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) {
 		delivered++
 		if delivered == 20 {
 			doneAt = s.Now()
 		}
-	}
+	})
 	start := s.Now()
 	for i := 0; i < 20; i++ {
 		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
@@ -178,7 +193,7 @@ func TestReliabilityUnderNoise(t *testing.T) {
 	m.AddInterference(phy.RandomNoise{PER: 0.2})
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	var got []byte
-	sub.OnData = func(_ LLID, p []byte, _ uint64) { got = append(got, p[0]) }
+	sub.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { got = append(got, p[0]) })
 	for i := 0; i < 30; i++ {
 		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatalf("Send %d rejected", i)
@@ -203,7 +218,7 @@ func TestSupervisionTimeoutOnDeadPeer(t *testing.T) {
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	var reason LossReason
 	lostAt := sim.Time(0)
-	nodes[1].ctrl.OnDisconnect = func(_ *Conn, r LossReason) { reason = r; lostAt = s.Now() }
+	upcalls(nodes[1].ctrl).Down = func(_ *Conn, r LossReason) { reason = r; lostAt = s.Now() }
 	// Subordinate dies silently (battery out): force-terminate without
 	// the TERMINATE_IND handshake.
 	s.After(sim.Second, func() { sub.forceDrop() })
@@ -226,8 +241,8 @@ func TestGracefulClose(t *testing.T) {
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	var subReason, coordReason LossReason
 	subLost, coordLost := false, false
-	nodes[0].ctrl.OnDisconnect = func(_ *Conn, r LossReason) { subReason = r; subLost = true }
-	nodes[1].ctrl.OnDisconnect = func(_ *Conn, r LossReason) { coordReason = r; coordLost = true }
+	upcalls(nodes[0].ctrl).Down = func(_ *Conn, r LossReason) { subReason = r; subLost = true }
+	upcalls(nodes[1].ctrl).Down = func(_ *Conn, r LossReason) { coordReason = r; coordLost = true }
 	s.After(sim.Second, coord.Close)
 	s.Run(s.Now() + 3*sim.Second)
 	if !subLost || !coordLost {
@@ -281,8 +296,8 @@ func TestConnectionParameterUpdate(t *testing.T) {
 		t.Fatalf("UpdateParams: %v", err)
 	}
 	lost := false
-	nodes[0].ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
-	nodes[1].ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
+	upcalls(nodes[0].ctrl).Down = func(*Conn, LossReason) { lost = true }
+	upcalls(nodes[1].ctrl).Down = func(*Conn, LossReason) { lost = true }
 	s.Run(s.Now() + 10*sim.Second)
 	if lost {
 		t.Fatal("connection died across parameter update")
@@ -301,6 +316,7 @@ func TestConnectionParameterUpdate(t *testing.T) {
 
 func TestChannelMapUpdateExcludesChannel(t *testing.T) {
 	s, _, nodes := newTestNet(11, 1, -1)
+	nodes[1].ctrl.CountChannels()
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	s.Run(s.Now() + 5*sim.Second)
 	if err := coord.UpdateChannelMap(AllDataChannels.WithoutChannel(22)); err != nil {
@@ -308,9 +324,9 @@ func TestChannelMapUpdateExcludesChannel(t *testing.T) {
 	}
 	// Let the instant pass, then snapshot and verify channel 22 is dark.
 	s.Run(s.Now() + 2*sim.Second)
-	base := coord.Stats().ChannelTX[22]
+	base := coord.ChannelCounts().TX[22]
 	s.Run(s.Now() + 20*sim.Second)
-	if coord.Stats().ChannelTX[22] != base {
+	if coord.ChannelCounts().TX[22] != base {
 		t.Fatalf("coordinator still transmits on excluded channel 22")
 	}
 	if sub.Params().ChanMap.Used(22) {
@@ -347,9 +363,10 @@ func TestSubordinateLatencySkipsEvents(t *testing.T) {
 func TestJammedChannelDegradesButDoesNotKill(t *testing.T) {
 	s, m, nodes := newTestNet(13, 2, -2)
 	m.AddInterference(phy.Jammer{Ch: 22})
+	nodes[1].ctrl.CountChannels()
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	delivered := 0
-	sub.OnData = func(_ LLID, _ []byte, _ uint64) { delivered++ }
+	sub.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) { delivered++ })
 	for i := 0; i < 50; i++ {
 		i := i
 		s.After(sim.Duration(i)*200*sim.Millisecond, func() {
@@ -361,9 +378,77 @@ func TestJammedChannelDegradesButDoesNotKill(t *testing.T) {
 		t.Fatalf("delivered %d/50 with one jammed channel", delivered)
 	}
 	// 1/37 of events land on channel 22 and must fail there.
-	if coord.Stats().ChannelOK[22] != 0 {
+	if coord.ChannelCounts().OK[22] != 0 {
 		t.Fatal("packets 'succeeded' on the jammed channel")
 	}
+}
+
+// TestChannelCountsConservation: with counting on, the per-channel counters
+// split TXPDUs and RXPDUs by channel exactly, and a jammed channel records
+// transmissions but no reception; with counting off a connection has no
+// counters, and opening one allocates nothing for them.
+func TestChannelCountsConservation(t *testing.T) {
+	s, m, nodes := newTestNet(14, 2, -2)
+	m.AddInterference(phy.Jammer{Ch: 22})
+	m.AddInterference(phy.RandomNoise{PER: 0.005})
+	for _, n := range nodes {
+		n.ctrl.CountChannels()
+	}
+	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
+	for i := 0; i < 200; i++ {
+		s.After(sim.Duration(i)*100*sim.Millisecond, func() {
+			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0, nil)
+			sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0, nil)
+		})
+	}
+	s.Run(s.Now() + 30*sim.Second)
+	for _, c := range []*Conn{sub, coord} {
+		cc, st := c.ChannelCounts(), c.Stats()
+		if cc == nil {
+			t.Fatalf("%v: no channel counts with counting on", c)
+		}
+		var tx, ok uint64
+		for ch := 0; ch < NumDataChannels; ch++ {
+			tx += uint64(cc.TX[ch])
+			ok += uint64(cc.OK[ch])
+		}
+		if tx != st.TXPDUs || ok != st.RXPDUs {
+			t.Errorf("%v: Σ TX %d, Σ OK %d; want TXPDUs %d, RXPDUs %d", c, tx, ok, st.TXPDUs, st.RXPDUs)
+		}
+		if cc.OK[22] != 0 {
+			t.Errorf("%v: %d receptions on the jammed channel 22", c, cc.OK[22])
+		}
+		if st.RXCorrupt == 0 {
+			t.Errorf("%v: no corrupted reception under noise and a jammer", c)
+		}
+	}
+	if coord.ChannelCounts().TX[22] == 0 {
+		t.Error("the coordinator never transmitted on channel 22: the jammer was not exercised")
+	}
+
+	s2, _, plain := newTestNet(15, 1, -1)
+	psub, pcoord := connectPair(t, s2, plain[0], plain[1], params75())
+	if psub.ChannelCounts() != nil || pcoord.ChannelCounts() != nil {
+		t.Error("a connection of a controller that does not count channels has channel counts")
+	}
+	off, on := newConnAllocs(false), newConnAllocs(true)
+	if on != off+1 {
+		t.Errorf("newConn allocations: %v counting, %v not; want exactly the ChannelCounts between them", on, off)
+	}
+}
+
+// newConnAllocs returns the allocations of one newConn on a fresh
+// controller, counting channels or not.
+func newConnAllocs(count bool) float64 {
+	s := sim.New(1)
+	ctrl := NewController(s, sim.NewClock(s, 0), phy.NewMedium(s).NewRadio(), ControllerConfig{Addr: 1})
+	if count {
+		ctrl.CountChannels()
+	}
+	p := params75()
+	return testing.AllocsPerRun(50, func() {
+		newConn(ctrl, Coordinator, 2, p, 0x50654321, 5, s.Now()+sim.Millisecond)
+	})
 }
 
 func TestStatsLLPDR(t *testing.T) {
@@ -392,9 +477,10 @@ func TestConnectionWithCSA1(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _, nodes := newTestNet(30, 1, -1)
+	nodes[1].ctrl.CountChannels()
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], p)
 	delivered := 0
-	sub.OnData = func(_ LLID, _ []byte, _ uint64) { delivered++ }
+	sub.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) { delivered++ })
 	for i := 0; i < 10; i++ {
 		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
 			t.Fatal("send rejected")
@@ -405,10 +491,10 @@ func TestConnectionWithCSA1(t *testing.T) {
 		t.Fatalf("delivered %d/10 over a CSA#1 connection", delivered)
 	}
 	// The hop sequence must touch many channels.
-	st := coord.Stats()
+	cc := coord.ChannelCounts()
 	used := 0
 	for ch := 0; ch < NumDataChannels; ch++ {
-		if st.ChannelTX[ch] > 0 {
+		if cc.TX[ch] > 0 {
 			used++
 		}
 	}
@@ -477,8 +563,8 @@ func TestRequestParamsFromSubordinate(t *testing.T) {
 // the controller it fits 768 B. Growing past that costs an eighth more per
 // connection: shrink something else first.
 func TestConnFitsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Conn{}); sz > 768 {
-		t.Fatalf("unsafe.Sizeof(Conn{}) = %d, over the 768 B size class (ConnStats is %d of it)",
+	if sz := unsafe.Sizeof(Conn{}); sz > 480 {
+		t.Fatalf("unsafe.Sizeof(Conn{}) = %d, over the 480 B size class (ConnStats is %d of it)",
 			sz, unsafe.Sizeof(ConnStats{}))
 	} else {
 		t.Logf("unsafe.Sizeof(Conn{}) = %d, ConnStats %d", sz, unsafe.Sizeof(ConnStats{}))
@@ -497,11 +583,13 @@ func TestControllerFitsSizeClass(t *testing.T) {
 }
 
 // TestConnHoldsNoCallbacks: every event a link end arms is a method of a
-// type declared over Conn, so a Conn holds no func value but the two host
-// upcalls. A func field — directly or inside a struct field — is one more
-// heap object per link end for the garbage collector to mark.
+// type declared over Conn, and its data upcall is an interface L2CAP
+// implements with its endpoint, so a Conn holds no func value but the
+// parameter-request hook only the Renegotiate policy sets. A func field —
+// directly or inside a struct field — is one more heap object per link end
+// for the garbage collector to mark.
 func TestConnHoldsNoCallbacks(t *testing.T) {
-	allowed := map[string]bool{"OnData": true, "OnParamRequest": true}
+	allowed := map[string]bool{"OnParamRequest": true}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {

@@ -110,11 +110,34 @@ func (p *pool) free(n int) {
 	}
 }
 
-// ConnLossFunc notifies the host of a terminated connection.
-type ConnLossFunc func(c *Conn, reason LossReason)
+// ConnHandler takes a controller's connection upcalls: ConnUp when a
+// connection is established (either role), ConnDown when one ends for any
+// reason.
+type ConnHandler interface {
+	ConnUp(c *Conn)
+	ConnDown(c *Conn, reason LossReason)
+}
 
-// ConnUpFunc notifies the host of a new connection.
-type ConnUpFunc func(c *Conn)
+// ConnFuncs adapts two functions to ConnHandler; a nil one ignores its
+// upcall.
+type ConnFuncs struct {
+	Up   func(c *Conn)
+	Down func(c *Conn, reason LossReason)
+}
+
+// ConnUp calls f.Up.
+func (f *ConnFuncs) ConnUp(c *Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+// ConnDown calls f.Down.
+func (f *ConnFuncs) ConnDown(c *Conn, reason LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
+	}
+}
 
 // Controller is one node's BLE controller: the single radio, its scheduler,
 // the set of active connections, and the advertising/scanning machinery.
@@ -135,6 +158,9 @@ type Controller struct {
 	// eventByEvent keeps every connection event on the general path
 	// (SetEventByEvent).
 	eventByEvent bool
+	// countChannels gives every connection opened from now on its
+	// ChannelCounts (CountChannels).
+	countChannels bool
 
 	// conns is the connection table: a short slice (a BLE node sustains a
 	// handful of links, so linear scans beat hashing) that stays ordered
@@ -189,10 +215,9 @@ type Controller struct {
 	tr   *trace.Log
 	node string
 
-	// OnConnect fires when a connection is established (either role).
-	OnConnect ConnUpFunc
-	// OnDisconnect fires when a connection ends for any reason.
-	OnDisconnect ConnLossFunc
+	// OnConn takes the connection upcalls: establishment (either role)
+	// and termination for any reason.
+	OnConn ConnHandler
 }
 
 // SetTrace wires the controller (and every current and future connection)
@@ -201,6 +226,11 @@ func (ctrl *Controller) SetTrace(l *trace.Log, node string) {
 	ctrl.tr = l
 	ctrl.node = node
 }
+
+// CountChannels makes every connection this controller opens from now on
+// count its PDUs per data channel (Conn.ChannelCounts). Fig. 12's
+// per-channel panel is the one reader, so the counters are off by default.
+func (ctrl *Controller) CountChannels() { ctrl.countChannels = true }
 
 // SetEventByEvent makes this controller's coordinator endpoints run every
 // connection event through the queue, including the idle ones fusedIdle would
@@ -351,8 +381,8 @@ func (ctrl *Controller) removeConn(c *Conn, reason LossReason) {
 	} else {
 		ctrl.events.ConnsClosed++
 	}
-	if ctrl.OnDisconnect != nil {
-		ctrl.OnDisconnect(c, reason)
+	if ctrl.OnConn != nil {
+		ctrl.OnConn.ConnDown(c, reason)
 	}
 }
 
@@ -521,8 +551,8 @@ func (ctrl *Controller) acceptConnection(ci *AdvPDU) {
 	c := newConn(ctrl, Subordinate, ci.Init, ci.Params, accessFromAddrs(ci.Init, ci.Adv), ci.Hop, anchor0)
 	ctrl.addConn(c)
 	ctrl.events.ConnsOpened++
-	if ctrl.OnConnect != nil {
-		ctrl.OnConnect(c)
+	if ctrl.OnConn != nil {
+		ctrl.OnConn.ConnUp(c)
 	}
 }
 
@@ -681,8 +711,8 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 				accessFromAddrs(ctrl.cfg.Addr, adv.Adv), ci.Hop, anchor0)
 			ctrl.addConn(c)
 			ctrl.events.ConnsOpened++
-			if ctrl.OnConnect != nil {
-				ctrl.OnConnect(c)
+			if ctrl.OnConn != nil {
+				ctrl.OnConn.ConnUp(c)
 			}
 		}))
 	})

@@ -125,7 +125,7 @@ func buildFused(t *testing.T, tc *fusedCase, size int, eventByEvent bool) *fused
 		radio := n.m.NewRadio()
 		ctrl := NewController(s, clk, radio, ControllerConfig{Addr: DevAddr(0xF0000 + i), Arbitration: tc.arb, SCA: tc.sca})
 		ctrl.SetEventByEvent(eventByEvent)
-		ctrl.OnConnect = func(c *Conn) { n.conns = append(n.conns, c) }
+		upcalls(ctrl).Up = func(c *Conn) { n.conns = append(n.conns, c) }
 		n.nodes = append(n.nodes, &testNode{ctrl: ctrl, radio: radio, clk: clk})
 	}
 	p := tc.params
@@ -192,11 +192,11 @@ func TestFusedIdleMatchesEventByEvent(t *testing.T) {
 		{name: "clocks +250/-250 ppm", ppm: [3]float64{250, -250, 250}, sca: 250, want: 0.4},
 		{name: "clocks -250/+250 ppm", ppm: [3]float64{-250, 250, -250}, sca: 250, want: 0.85},
 		{name: "data from the coordinator", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {
-			n.sub.OnData = func(_ LLID, p []byte, _ uint64) { n.logf("sub data %d at %d", len(p), n.s.Now()) }
+			n.sub.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { n.logf("sub data %d at %d", len(p), n.s.Now()) })
 			every(n.s, 410*sim.Millisecond, func() { n.coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) })
 		}},
 		{name: "data from the subordinate", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {
-			n.coord.OnData = func(_ LLID, p []byte, _ uint64) { n.logf("coord data %d at %d", len(p), n.s.Now()) }
+			n.coord.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { n.logf("coord data %d at %d", len(p), n.s.Now()) })
 			every(n.s, 410*sim.Millisecond, func() { n.sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) })
 		}},
 		{name: "data from the subordinate, a timer behind the empty exchange", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {

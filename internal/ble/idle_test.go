@@ -31,7 +31,7 @@ type lossWatch struct {
 
 func watchLoss(s *sim.Sim, n *testNode) *lossWatch {
 	w := &lossWatch{}
-	n.ctrl.OnDisconnect = func(_ *Conn, r LossReason) { w.at, w.reason, w.n = s.Now(), r, w.n+1 }
+	upcalls(n.ctrl).Down = func(_ *Conn, r LossReason) { w.at, w.reason, w.n = s.Now(), r, w.n+1 }
 	return w
 }
 

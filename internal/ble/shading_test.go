@@ -44,8 +44,8 @@ func buildShading(t *testing.T, seed int64, itvlA, itvlB sim.Duration, arb Arbit
 		sc.nodes = append(sc.nodes, &testNode{ctrl: ctrl, radio: radio, clk: clk})
 	}
 	hub := sc.nodes[0]
-	hub.ctrl.OnConnect = func(c *Conn) { sc.conns = append(sc.conns, c) }
-	hub.ctrl.OnDisconnect = func(c *Conn, r LossReason) {
+	upcalls(hub.ctrl).Up = func(c *Conn) { sc.conns = append(sc.conns, c) }
+	upcalls(hub.ctrl).Down = func(c *Conn, r LossReason) {
 		sc.losses++
 		sc.reasons = append(sc.reasons, r)
 	}
@@ -171,8 +171,8 @@ func TestWindowWideningKeepsSingleLinkAliveUnderDrift(t *testing.T) {
 	}
 	a, b := mk(+250, 0xC1), mk(-250, 0xC2)
 	lost := false
-	a.ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
-	b.ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
+	upcalls(a.ctrl).Down = func(*Conn, LossReason) { lost = true }
+	upcalls(b.ctrl).Down = func(*Conn, LossReason) { lost = true }
 	p := ConnParams{Interval: 75 * sim.Millisecond, CoordSCA: 250}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -205,8 +205,8 @@ func TestWindowWideningDisabledLosesSync(t *testing.T) {
 	// bare ±32µs window cannot tolerate.
 	a, b := mk(-250, 0xD1), mk(+250, 0xD2)
 	lost := false
-	a.ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
-	b.ctrl.OnDisconnect = func(*Conn, LossReason) { lost = true }
+	upcalls(a.ctrl).Down = func(*Conn, LossReason) { lost = true }
+	upcalls(b.ctrl).Down = func(*Conn, LossReason) { lost = true }
 	p := ConnParams{Interval: 75 * sim.Millisecond}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ func TestCapacitySplitMatchesRelativeAnchorPosition(t *testing.T) {
 		hub.ctrl.addConn(connA)
 		subA := newConn(peerA.ctrl, Subordinate, hub.ctrl.Addr(), p, 0x1111, 7, t0)
 		peerA.ctrl.addConn(subA)
-		subA.OnData = func(_ LLID, _ []byte, _ uint64) { delivered++ }
+		subA.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) { delivered++ })
 		if withB {
 			// Connection B: hub subordinate, peerB coordinates.
 			coordB := newConn(peerB.ctrl, Coordinator, hub.ctrl.Addr(), p, 0x2222, 9, t0+offset)
@@ -310,11 +310,11 @@ func TestThroughputBaselineNearPaperValue(t *testing.T) {
 	}
 	a, b := mk(0.5, 0xF1), mk(-0.5, 0xF2)
 	bytesRx := 0
-	a.ctrl.OnConnect = func(c *Conn) {
-		c.OnData = func(_ LLID, p []byte, _ uint64) { bytesRx += len(p) }
+	upcalls(a.ctrl).Up = func(c *Conn) {
+		c.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { bytesRx += len(p) })
 	}
 	var coord *Conn
-	b.ctrl.OnConnect = func(c *Conn) { coord = c }
+	upcalls(b.ctrl).Up = func(c *Conn) { coord = c }
 	p := ConnParams{Interval: 75 * sim.Millisecond}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)

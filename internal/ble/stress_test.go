@@ -29,12 +29,12 @@ func TestLLNeverLosesOrReordersUnderNoise(t *testing.T) {
 	other := mk(1.2, 0xA3)
 
 	var hubConn, peerConn *Conn
-	hub.ctrl.OnConnect = func(c *Conn) {
+	upcalls(hub.ctrl).Up = func(c *Conn) {
 		if c.Peer() == peer.ctrl.Addr() {
 			hubConn = c
 		}
 	}
-	peer.ctrl.OnConnect = func(c *Conn) { peerConn = c }
+	upcalls(peer.ctrl).Up = func(c *Conn) { peerConn = c }
 	// hub <-> peer: hub coordinator. hub <-> other: hub subordinate
 	// (so hub's radio is contended, like a forwarder).
 	peer.ctrl.StartAdvertising(AdvParams{Interval: 90 * sim.Millisecond})
@@ -57,8 +57,8 @@ func TestLLNeverLosesOrReordersUnderNoise(t *testing.T) {
 
 	// Bidirectional sequenced streams.
 	var rxAtPeer, rxAtHub []uint32
-	peerConn.OnData = func(_ LLID, p []byte, _ uint64) { rxAtPeer = append(rxAtPeer, binary.BigEndian.Uint32(p)) }
-	hubConn.OnData = func(_ LLID, p []byte, _ uint64) { rxAtHub = append(rxAtHub, binary.BigEndian.Uint32(p)) }
+	peerConn.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { rxAtPeer = append(rxAtPeer, binary.BigEndian.Uint32(p)) })
+	hubConn.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { rxAtHub = append(rxAtHub, binary.BigEndian.Uint32(p)) })
 	sentHub, ackedHub := uint32(0), 0
 	sentPeer, ackedPeer := uint32(0), 0
 	pump := func(c *Conn, seq *uint32, acked *int) func() {

@@ -21,7 +21,7 @@ func TestScanTargetsAgainstMapModel(t *testing.T) {
 		peers = append(peers, n.ctrl.Addr()) // advertise later in the script
 	}
 	model := map[DevAddr]ConnParams{}
-	scanner.OnConnect = func(c *Conn) { delete(model, c.Peer()) }
+	upcalls(scanner).Up = func(c *Conn) { delete(model, c.Peer()) }
 	check := func(step int, op string) {
 		t.Helper()
 		if len(scanner.scanTargets) != len(model) {

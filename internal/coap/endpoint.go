@@ -1,8 +1,10 @@
 package coap
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"blemesh/internal/ip6"
 	"blemesh/internal/sim"
@@ -60,14 +62,52 @@ type ResponseFunc func(resp *Message, rtt sim.Duration, err error)
 
 // pendingReq is one outstanding request exchange.
 type pendingReq struct {
+	ep       *Endpoint
 	dst      ip6.Addr
 	msg      *Message
 	cb       ResponseFunc
 	sentAt   sim.Time
-	pid      uint64 // provenance ID of the latest (re)transmission
+	pid      uint64       // provenance ID of the latest (re)transmission
+	rto      sim.Duration // the timeout retryEvt was armed with
 	retries  int
 	retryEvt sim.Timer
 	expire   sim.Timer
+}
+
+// The exchange's two timers. Each type is pendingReq under another name, so
+// arming one stores the exchange itself in the sim.Handler: no closure.
+type (
+	reqExpire pendingReq // ResponseTimeout passed without a response
+	reqRetry  pendingReq // a confirmable request's retransmission is due
+)
+
+func (h *reqExpire) Fire() {
+	pr := (*pendingReq)(h)
+	pr.ep.fail(pr, ErrTimeout)
+}
+
+func (h *reqRetry) Fire() {
+	pr := (*pendingReq)(h)
+	ep := pr.ep
+	if pr.retries >= MaxRetransmit {
+		// RFC 7252 §4.2: MAX_RETRANSMIT attempts exhausted — the
+		// exchange is abandoned, distinctly from a lost response.
+		ep.fail(pr, ErrGaveUp)
+		return
+	}
+	pr.retries++
+	ep.stats.Retransmissions++
+	pid, err := ep.send(pr.dst, pr.msg)
+	if err != nil {
+		ep.stats.SendErrors++
+	} else {
+		pr.pid = pid
+		if ep.tr.Keeps(pid) {
+			ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0,
+				"dst=%v mid=%d try=%d", pr.dst, pr.msg.MessageID, pr.retries+1)
+		}
+	}
+	ep.armRetry(pr, pr.rto*2)
 }
 
 // Endpoint is a CoAP client+server bound to one UDP port of a node's stack.
@@ -78,11 +118,10 @@ type Endpoint struct {
 
 	mid    uint16
 	tokSeq uint64
-	// pending holds the outstanding requests by token. It is nil until the
-	// first Request: a city-scale build creates 10k+ endpoints whose maps
-	// mostly stay empty until traffic starts, and reads of a nil map are
-	// safe.
-	pending map[string]*pendingReq
+	// pending holds the outstanding requests in the order they were sent,
+	// matched by token (pendingIndex). It is nil until the first Request: a
+	// city-scale build creates 10k+ endpoints, most of which never send one.
+	pending []*pendingReq
 
 	// dedup suppresses repeated requests, CON and NON alike, by (peer, MID).
 	// It is nil until the first request arrives: of a city's 10k endpoints
@@ -139,15 +178,11 @@ func (ep *Endpoint) newToken() []byte {
 func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	m.MessageID = ep.NewMessageID()
 	m.Token = ep.newToken()
-	pr := &pendingReq{dst: dst, msg: m, cb: cb, sentAt: ep.s.Now()}
-	key := string(m.Token)
-	if ep.pending == nil {
-		ep.pending = make(map[string]*pendingReq)
-	}
-	ep.pending[key] = pr
+	pr := &pendingReq{ep: ep, dst: dst, msg: m, cb: cb, sentAt: ep.s.Now()}
+	ep.pending = append(ep.pending, pr)
 	pid, err := ep.send(dst, m)
 	if err != nil {
-		delete(ep.pending, key)
+		ep.unpend(pr)
 		ep.stats.SendErrors++
 		return err
 	}
@@ -159,10 +194,33 @@ func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	if m.Type == CON {
 		ep.armRetry(pr, ep.initialTimeout())
 	}
-	pr.expire = ep.s.After(ResponseTimeout, func() {
-		ep.fail(pr, key, ErrTimeout)
-	})
+	pr.expire = ep.s.Schedule(ep.s.Now()+ResponseTimeout, (*reqExpire)(pr))
 	return nil
+}
+
+// pendingIndex returns the index of the outstanding request whose token is
+// tok, or -1. It scans from the newest: a response answers a recent request,
+// while requests whose responses were lost sit at the front until they
+// expire.
+func (ep *Endpoint) pendingIndex(tok []byte) int {
+	for i := len(ep.pending) - 1; i >= 0; i-- {
+		if bytes.Equal(ep.pending[i].msg.Token, tok) {
+			return i
+		}
+	}
+	return -1
+}
+
+// unpend removes pr from the outstanding requests, reporting whether it was
+// there. slices.Delete clears the vacated tail slot, so a finished exchange
+// is not kept reachable.
+func (ep *Endpoint) unpend(pr *pendingReq) bool {
+	i := slices.Index(ep.pending, pr)
+	if i < 0 {
+		return false
+	}
+	ep.pending = slices.Delete(ep.pending, i, i+1)
+	return true
 }
 
 func (ep *Endpoint) initialTimeout() sim.Duration {
@@ -171,34 +229,14 @@ func (ep *Endpoint) initialTimeout() sim.Duration {
 }
 
 func (ep *Endpoint) armRetry(pr *pendingReq, timeout sim.Duration) {
-	pr.retryEvt = ep.s.After(timeout, func() {
-		if pr.retries >= MaxRetransmit {
-			// RFC 7252 §4.2: MAX_RETRANSMIT attempts exhausted — the
-			// exchange is abandoned, distinctly from a lost response.
-			ep.fail(pr, string(pr.msg.Token), ErrGaveUp)
-			return
-		}
-		pr.retries++
-		ep.stats.Retransmissions++
-		pid, err := ep.send(pr.dst, pr.msg)
-		if err != nil {
-			ep.stats.SendErrors++
-		} else {
-			pr.pid = pid
-			if ep.tr.Keeps(pid) {
-				ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0,
-					"dst=%v mid=%d try=%d", pr.dst, pr.msg.MessageID, pr.retries+1)
-			}
-		}
-		ep.armRetry(pr, timeout*2)
-	})
+	pr.rto = timeout
+	pr.retryEvt = ep.s.Schedule(ep.s.Now()+timeout, (*reqRetry)(pr))
 }
 
-func (ep *Endpoint) fail(pr *pendingReq, key string, cause error) {
-	if _, live := ep.pending[key]; !live {
+func (ep *Endpoint) fail(pr *pendingReq, cause error) {
+	if !ep.unpend(pr) {
 		return
 	}
-	delete(ep.pending, key)
 	ep.s.Cancel(pr.retryEvt)
 	ep.s.Cancel(pr.expire)
 	if errors.Is(cause, ErrGaveUp) {
@@ -219,11 +257,11 @@ func (ep *Endpoint) fail(pr *pendingReq, key string, cause error) {
 // dedup cache empties. Cumulative statistics and the port binding survive —
 // they model the observer, not the device.
 func (ep *Endpoint) Reset() {
-	for key, pr := range ep.pending {
+	for _, pr := range ep.pending {
 		ep.s.Cancel(pr.retryEvt)
 		ep.s.Cancel(pr.expire)
-		delete(ep.pending, key)
 	}
+	ep.pending = nil
 	ep.dedup = nil
 }
 
@@ -248,12 +286,13 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 		return
 	}
 	// Response (or empty ACK): match by token.
-	pr, ok := ep.pending[string(m.Token)]
-	if !ok {
+	i := ep.pendingIndex(m.Token)
+	if i < 0 {
 		ep.stats.Unmatched++
 		return
 	}
-	delete(ep.pending, string(m.Token))
+	pr := ep.pending[i]
+	ep.pending = slices.Delete(ep.pending, i, i+1)
 	ep.s.Cancel(pr.retryEvt)
 	ep.s.Cancel(pr.expire)
 	ep.stats.ResponsesMatched++

@@ -363,3 +363,28 @@ func TestStopRestartRebootsCleanly(t *testing.T) {
 		t.Fatal("network did not recover after the reboot")
 	}
 }
+
+// TestRemovedLinkIsUnreachable: the adapter's neighbor table must not keep a
+// dead link reachable behind its length — with it its L2CAP endpoint,
+// channel, ATT mux and queue. Killing a node's only link empties the table,
+// which is the case a plain append-delete leaves the entry behind in.
+func TestRemovedLinkIsUnreachable(t *testing.T) {
+	s := sim.New(4)
+	nodes := buildLine(t, s, 2, statconn.Static{Interval: 75 * sim.Millisecond},
+		func(i int) float64 { return []float64{1, -1}[i] })
+	waitLinks(t, s, nodes, 1)
+	netif := nodes[1].NetIf
+	if len(netif.links) != 1 {
+		t.Fatalf("%d links, want 1", len(netif.links))
+	}
+	dead := netif.links[0]
+	dead.conn.Kill()
+	if len(netif.links) != 0 {
+		t.Fatalf("after Kill: %d links, want 0", len(netif.links))
+	}
+	for _, l := range netif.links[:cap(netif.links)] {
+		if l == dead {
+			t.Error("the dead link stays in the neighbor table behind its length")
+		}
+	}
+}

@@ -30,13 +30,15 @@ func TestNetIfLinksAgainstMapModel(t *testing.T) {
 	}
 	hub := mk(0)
 	model := map[uint64]*ble.Conn{}
-	up, down := hub.Statconn.OnLinkUp, hub.Statconn.OnLinkDown
-	hub.Statconn.OnLinkUp = func(c *ble.Conn) { up(c); model[uint64(c.Peer())] = c }
-	hub.Statconn.OnLinkDown = func(c *ble.Conn, r ble.LossReason) {
-		down(c, r)
-		if model[uint64(c.Peer())] == c {
-			delete(model, uint64(c.Peer()))
-		}
+	node := hub.Statconn.OnLink
+	hub.Statconn.OnLink = &statconn.LinkFuncs{
+		Up: func(c *ble.Conn) { node.LinkUp(c); model[uint64(c.Peer())] = c },
+		Down: func(c *ble.Conn, r ble.LossReason) {
+			node.LinkDown(c, r)
+			if model[uint64(c.Peer())] == c {
+				delete(model, uint64(c.Peer()))
+			}
+		},
 	}
 	var macs []uint64
 	for i := 1; i <= leaves; i++ {
@@ -106,7 +108,7 @@ func TestNetIfLinksAgainstMapModel(t *testing.T) {
 	// The removed links' connections are still alive below the adapter;
 	// kill them so statconn re-establishes and the adapter re-adds.
 	for _, c := range stale {
-		model[uint64(c.Peer())] = c // OnLinkDown will report exactly these
+		model[uint64(c.Peer())] = c // LinkDown will report exactly these
 		c.Kill()
 	}
 	formed("re-formed")
@@ -114,7 +116,7 @@ func TestNetIfLinksAgainstMapModel(t *testing.T) {
 	hub.Stop()
 	check("stopped")
 	if len(model) != 0 {
-		t.Fatalf("stopped: model still has %d links — OnLinkDown did not fire for each", len(model))
+		t.Fatalf("stopped: model still has %d links — LinkDown did not fire for each", len(model))
 	}
 	hub.Restart()
 	formed("restarted")

@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"blemesh/internal/ble"
@@ -36,8 +37,11 @@ type NetIfStats struct {
 }
 
 // link is the per-neighbor state: one BLE connection, its L2CAP endpoint,
-// the ATT mux with the IPSS database, and the IPSP channel once open.
+// the ATT mux with the IPSS database, and the IPSP channel once open. It is
+// also the endpoint's l2cap.Server and the channel's l2cap.ChannelEvents, so
+// the upcalls of a link end allocate nothing beyond it.
 type link struct {
+	n       *NetIf
 	conn    *ble.Conn
 	ep      *l2cap.Endpoint
 	att     *gatt.ATT
@@ -101,12 +105,12 @@ func (n *NetIf) linkFor(mac uint64) *link {
 	return nil
 }
 
+// delLinkEntry removes the link toward mac. The vacated tail slot is
+// cleared, so a dead link and its L2CAP, ATT and queue state are not kept
+// reachable until the next link-up.
 func (n *NetIf) delLinkEntry(mac uint64) {
-	for i, l := range n.links {
-		if l.peerMAC == mac {
-			n.links = append(n.links[:i], n.links[i+1:]...)
-			return
-		}
+	if i := slices.IndexFunc(n.links, func(l *link) bool { return l.peerMAC == mac }); i >= 0 {
+		n.links = slices.Delete(n.links, i, i+1)
 	}
 }
 
@@ -136,10 +140,9 @@ func (n *NetIf) Links() []uint64 {
 // Protocol Support Profile prescribes) and then dials the IPSP channel.
 func (n *NetIf) AddLink(conn *ble.Conn) {
 	peerMAC := uint64(conn.Peer())
-	l := &link{conn: conn, peerMAC: peerMAC}
+	l := &link{n: n, conn: conn, peerMAC: peerMAC}
 	l.ep = l2cap.NewEndpoint(n.s, conn)
-	l.ep.RegisterServer(l2cap.PSMIPSP, l2cap.Config{})
-	l.ep.OnChannelOpen = func(ch *l2cap.Channel) { n.channelUp(l, ch) }
+	l.ep.OnChannelOpen = l
 	l.att = gatt.NewATT(n.s, l.ep, ipssDB)
 	if conn.Role() == ble.Coordinator {
 		_ = l.att.SupportsIPSS(func(ok bool, err error) {
@@ -202,10 +205,27 @@ func (n *NetIf) Reset() {
 // channelUp installs the IPSP channel on a link and starts draining.
 func (n *NetIf) channelUp(l *link, ch *l2cap.Channel) {
 	l.ch = ch
-	ch.OnSDUBuf = func(sdu *pktbuf.Buf, pid uint64) { n.input(l, sdu, pid) }
-	ch.OnWritable = func() { n.drain(l) }
+	ch.OnEvents = l
 	n.drain(l)
 }
+
+// Accept implements l2cap.Server: a link serves the IPSP channel alone.
+func (l *link) Accept(psm uint16) (l2cap.Config, bool) {
+	return l2cap.Config{}, psm == l2cap.PSMIPSP
+}
+
+// ChannelOpen implements l2cap.Server.
+func (l *link) ChannelOpen(ch *l2cap.Channel) { l.n.channelUp(l, ch) }
+
+// ReceiveSDU implements l2cap.ChannelEvents.
+func (l *link) ReceiveSDU(sdu *pktbuf.Buf, pid uint64) { l.n.input(l, sdu, pid) }
+
+// Unblocked implements l2cap.ChannelEvents.
+func (l *link) Unblocked() { l.n.drain(l) }
+
+// Closed implements l2cap.ChannelEvents: the adapter learns of a dead link
+// from statconn, which also flushes its queue (RemoveLink).
+func (l *link) Closed() {}
 
 // Output implements ip6.NetIf: compress in place, charge the pktbuf, queue,
 // drain. The packet's pooled buffer is carried through to the LL without

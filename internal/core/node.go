@@ -111,26 +111,12 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		router.SetETX(func(mac uint64) float64 { return mgr.PeerETX(ble.DevAddr(mac)) })
 		mgr.EnableQualitySampling(0)
 	}
-	mgr.OnLinkUp = func(c *ble.Conn) {
-		tr.Emit(name, trace.KindConnOpen, "peer=%v role=%v itvl=%v", c.Peer(), c.Role(), c.Interval())
-		netif.AddLink(c)
-		if router != nil {
-			router.LinkUp(uint64(c.Peer()))
-		}
-	}
-	mgr.OnLinkDown = func(c *ble.Conn, reason ble.LossReason) {
-		tr.Emit(name, trace.KindConnLoss, "peer=%v reason=%v", c.Peer(), reason)
-		netif.RemoveLink(c)
-		if router != nil {
-			router.LinkDown(uint64(c.Peer()))
-		}
-	}
 	ep := coap.NewEndpoint(s, stack, 0)
 	ep.SetTrace(tr, name)
 	if router != nil {
 		router.Start()
 	}
-	return &Node{
+	n := &Node{
 		Name:     cfg.Name,
 		Sim:      s,
 		Clock:    clk,
@@ -142,6 +128,31 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		Coap:     ep,
 		RPL:      router,
 		running:  true,
+	}
+	mgr.OnLink = (*nodeLinks)(n)
+	return n
+}
+
+// nodeLinks is the node as its statconn manager's LinkHandler: a link that
+// comes up or goes down is traced under the node name, wired into or out of
+// the adapter, and reported to the router.
+type nodeLinks Node
+
+func (h *nodeLinks) LinkUp(c *ble.Conn) {
+	n := (*Node)(h)
+	n.NetIf.tr.Emit(n.NetIf.node, trace.KindConnOpen, "peer=%v role=%v itvl=%v", c.Peer(), c.Role(), c.Interval())
+	n.NetIf.AddLink(c)
+	if n.RPL != nil {
+		n.RPL.LinkUp(uint64(c.Peer()))
+	}
+}
+
+func (h *nodeLinks) LinkDown(c *ble.Conn, reason ble.LossReason) {
+	n := (*Node)(h)
+	n.NetIf.tr.Emit(n.NetIf.node, trace.KindConnLoss, "peer=%v reason=%v", c.Peer(), reason)
+	n.NetIf.RemoveLink(c)
+	if n.RPL != nil {
+		n.RPL.LinkDown(uint64(c.Peer()))
 	}
 }
 

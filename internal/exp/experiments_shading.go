@@ -130,6 +130,11 @@ func runFig12(o Options) *Report {
 		Arbitration:  ble.ArbitrateAlternate,
 		JamChannel22: true,
 	})
+	for _, n := range nw.Nodes {
+		if n != nil {
+			n.Ctrl.CountChannels() // the per-channel panel below
+		}
+	}
 	nw.WaitTopology(60 * sim.Second)
 	nw.Run(10 * sim.Second)
 	nw.StartTraffic(TrafficConfig{})
@@ -181,14 +186,14 @@ func runFig12(o Options) *Report {
 	r.addBlock(line)
 	// Per-channel PDR of that link: shading hits all channels evenly.
 	if c := nw.UpstreamConn(worstID); c != nil {
-		st := c.Stats()
+		cc := c.ChannelCounts()
 		lo, hi := 1.0, 0.0
 		var chans int
 		for ch := 0; ch < ble.NumDataChannels; ch++ {
-			if st.ChannelTX[ch] < 20 {
+			if cc.TX[ch] < 20 {
 				continue
 			}
-			v := float64(st.ChannelOK[ch]) / float64(st.ChannelTX[ch])
+			v := float64(cc.OK[ch]) / float64(cc.TX[ch])
 			chans++
 			if v < lo {
 				lo = v

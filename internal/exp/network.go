@@ -999,39 +999,59 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	// Everything the loop touches is site-local: the node's own Sim, the
 	// site's sink, and the site's metric surfaces — so producer events run
 	// safely inside parallel site windows.
-	s := node.Sim
 	site := nw.siteOf[id]
-	series, rtts := nw.series[site], nw.rtts[site]
-	dst := nw.Nodes[nw.consumers[site]].Addr()
-	var loop func()
-	loop = func() {
-		sent := s.Now()
-		req := &coap.Message{Type: coap.NON, Code: coap.CodeGET,
-			Payload: make([]byte, t.PayloadBytes)}
-		req.SetPath("s")
-		series.RecordSent(sent)
-		if row != nil {
-			row.RecordSent(sent)
-		}
-		err := node.Coap.Request(dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
-			if m == nil {
-				return
-			}
-			series.RecordDelivered(sent)
-			if row != nil {
-				row.RecordDelivered(sent)
-			}
-			rtts.AddDuration(rtt)
-		})
-		_ = err // send failures (no route during reconnect) count as losses
-		delay := t.Interval
-		if t.Jitter > 0 {
-			delay += sim.Duration(s.Rand().Int63n(int64(2*t.Jitter))) - t.Jitter
-		}
-		s.Post(delay, loop)
+	p := &producer{
+		node:   node,
+		dst:    nw.Nodes[nw.consumers[site]].Addr(),
+		t:      t,
+		series: nw.series[site],
+		row:    row,
+		rtts:   nw.rtts[site],
 	}
 	// Desynchronise producers at start.
-	s.Post(sim.Duration(s.Rand().Int63n(int64(t.Interval))), loop)
+	s := node.Sim
+	s.Schedule(s.Now()+sim.Duration(s.Rand().Int63n(int64(t.Interval))), p)
+}
+
+// producer is one node's CoAP send loop and its own sim.Handler, so a
+// producer is this one object rather than a self-rescheduling closure, the
+// variable holding it and the traffic configuration it captured.
+type producer struct {
+	node   *core.Node
+	dst    ip6.Addr
+	t      TrafficConfig
+	series *metrics.TimeSeries
+	row    *metrics.TimeSeries // the heatmap row; nil on lean runs
+	rtts   *metrics.CDF
+}
+
+// Fire sends one request and schedules the next.
+func (p *producer) Fire() {
+	s := p.node.Sim
+	sent := s.Now()
+	req := &coap.Message{Type: coap.NON, Code: coap.CodeGET,
+		Payload: make([]byte, p.t.PayloadBytes)}
+	req.SetPath("s")
+	p.series.RecordSent(sent)
+	if p.row != nil {
+		p.row.RecordSent(sent)
+	}
+	err := p.node.Coap.Request(p.dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
+		if m == nil {
+			return
+		}
+		p.series.RecordDelivered(sent)
+		if p.row != nil {
+			p.row.RecordDelivered(sent)
+		}
+		p.rtts.AddDuration(rtt)
+	})
+	_ = err // send failures (no route during reconnect) count as losses
+	delay := p.t.Interval
+	if p.t.Jitter > 0 {
+		delay += sim.Duration(s.Rand().Int63n(int64(2*p.t.Jitter))) - p.t.Jitter
+	}
+	s.Schedule(s.Now()+delay, p)
 }
 
 // Run advances the simulation by d, window by window: one window per Run on

@@ -139,9 +139,14 @@ type ATT struct {
 // NewATT installs the fixed-channel mux on an endpoint.
 func NewATT(s *sim.Sim, ep *l2cap.Endpoint, server *Server) *ATT {
 	a := &ATT{s: s, ep: ep, server: server}
-	ep.HandleFixed(l2cap.CIDATT, a.onPDU)
+	ep.HandleFixed(l2cap.CIDATT, (*attFixed)(a))
 	return a
 }
+
+// attFixed is the mux as its endpoint's fixed-channel handler.
+type attFixed ATT
+
+func (f *attFixed) FixedPDU(b []byte) { (*ATT)(f).onPDU(b) }
 
 // Server returns the attached attribute database (may be nil).
 func (a *ATT) Server() *Server { return a.server }

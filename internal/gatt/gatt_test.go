@@ -66,12 +66,12 @@ func attPair(t *testing.T, seed int64, serverUUIDs ...uint16) (*sim.Sim, *ATT, *
 	a := mk(1, 0xA)
 	b := mk(-1, 0xB)
 	var attA, attB *ATT
-	a.OnConnect = func(c *ble.Conn) {
+	a.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
 		attA = NewATT(s, l2cap.NewEndpoint(s, c), NewServer(serverUUIDs...))
-	}
-	b.OnConnect = func(c *ble.Conn) {
+	}}
+	b.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
 		attB = NewATT(s, l2cap.NewEndpoint(s, c), NewServer(UUIDIPSS))
-	}
+	}}
 	a.StartAdvertising(ble.AdvParams{Interval: 90 * sim.Millisecond})
 	p := ble.ConnParams{Interval: 50 * sim.Millisecond}
 	if err := p.Validate(); err != nil {

@@ -73,24 +73,31 @@ type Channel struct {
 	txq ring.Ring[txFrame]
 
 	// Reassembly state: the SDU accumulates in a pooled buffer that is
-	// handed to OnSDUBuf on completion.
+	// handed to OnEvents.ReceiveSDU on completion.
 	sduBuf *pktbuf.Buf
 	sduLen int
 	sduPID uint64 // provenance ID of the SDU being reassembled
 
 	stats ChannelStats
 
-	// OnSDUBuf delivers a complete received SDU (an IPv6 packet, for
+	// OnEvents takes the channel's upcalls; with none, received SDUs are
+	// dropped.
+	OnEvents ChannelEvents
+}
+
+// ChannelEvents takes a channel's upcalls. The layer above implements it
+// with a type it already allocates per link, so a channel holds no closure.
+type ChannelEvents interface {
+	// ReceiveSDU takes a complete received SDU (an IPv6 packet, for
 	// IPSP) in a pooled buffer with the provenance ID carried by its
-	// first K-frame (0 = untagged). Ownership of the buffer passes to
-	// the handler; with no handler the SDU is dropped.
-	OnSDUBuf func(sdu *pktbuf.Buf, pid uint64)
-	// OnWritable fires when the channel transitions from blocked to
-	// accepting more SDUs.
-	OnWritable func()
-	// OnClose fires when the channel is torn down (peer disconnect
-	// request or the BLE link dying).
-	OnClose func()
+	// first K-frame (0 = untagged). Ownership of the buffer passes to it.
+	ReceiveSDU(sdu *pktbuf.Buf, pid uint64)
+	// Unblocked fires when the channel goes from blocked to accepting
+	// more SDUs.
+	Unblocked()
+	// Closed fires when the channel is torn down (peer disconnect request
+	// or the BLE link dying).
+	Closed()
 }
 
 type txFrame struct {
@@ -184,11 +191,12 @@ func (ch *Channel) drain() {
 	}
 }
 
-// notifyWritable fires OnWritable on a blocked→writable transition. Callers
-// capture the blocked state BEFORE the action that may unblock the channel.
+// notifyWritable fires OnEvents.Unblocked on a blocked→writable transition.
+// Callers capture the blocked state BEFORE the action that may unblock the
+// channel.
 func (ch *Channel) notifyWritable(wasBlocked bool) {
-	if wasBlocked && ch.Writable() && ch.OnWritable != nil {
-		ch.OnWritable()
+	if wasBlocked && ch.Writable() && ch.OnEvents != nil {
+		ch.OnEvents.Unblocked()
 	}
 }
 
@@ -227,8 +235,8 @@ func (ch *Channel) receiveFrame(payload []byte, pid uint64) {
 		ch.sduBuf = nil
 		ch.sduPID = 0
 		ch.stats.SDUsReceived++
-		if ch.OnSDUBuf != nil {
-			ch.OnSDUBuf(sdu, pid)
+		if ch.OnEvents != nil {
+			ch.OnEvents.ReceiveSDU(sdu, pid)
 		} else {
 			sdu.Put()
 		}
@@ -293,8 +301,8 @@ func (ch *Channel) teardown() {
 		ch.sduBuf = nil
 	}
 	ch.ep.channels.del(ch.scid)
-	if ch.OnClose != nil {
-		ch.OnClose()
+	if ch.OnEvents != nil {
+		ch.OnEvents.Closed()
 	}
 }
 
@@ -306,7 +314,6 @@ type Endpoint struct {
 	nextCID  uint16
 	sigID    byte
 	channels table[uint16, *Channel]  // by local scid, ascending
-	servers  table[uint16, Config]    // by PSM
 	pending  table[byte, pendingDial] // signaling id → dial state
 
 	// LL-level PDU reassembly (a PDU may span several LL fragments). The
@@ -318,17 +325,41 @@ type Endpoint struct {
 	rxActive bool
 	rxPID    uint64 // provenance ID of the PDU being reassembled
 
-	// Fixed-channel handlers (ATT rides the fixed CID 0x0004).
-	fixed table[uint16, func(payload []byte)]
+	// The one fixed channel besides signaling, and its handler (ATT rides
+	// the fixed CID 0x0004; HandleFixed).
+	fixedCID uint16
+	fixed    FixedHandler
 
 	kickArmed bool
 
 	// EndpointStats diagnostics.
 	stats EndpointStats
 
-	// OnChannelOpen fires for channels opened by the peer (after the
-	// server accepted them).
-	OnChannelOpen func(*Channel)
+	// OnChannelOpen decides the peer's channel requests and takes each
+	// channel it accepted; with none, every request is refused.
+	OnChannelOpen Server
+}
+
+// Server decides the channel requests a peer sends to an endpoint.
+type Server interface {
+	// Accept returns the receive configuration for a channel to psm, or
+	// false to refuse it.
+	Accept(psm uint16) (Config, bool)
+	// ChannelOpen takes a channel Accept let in, once it is open.
+	ChannelOpen(ch *Channel)
+}
+
+// FixedHandler takes the PDUs of a fixed channel. The payload aliases the
+// endpoint's reassembly buffer and is valid only during the call.
+type FixedHandler interface {
+	FixedPDU(payload []byte)
+}
+
+// llData is the endpoint as its connection's DataHandler.
+type llData Endpoint
+
+func (e *llData) LLData(llid ble.LLID, payload []byte, pid uint64) {
+	(*Endpoint)(e).onLL(llid, payload, pid)
 }
 
 // table is an association list in insertion order, nil until used. An
@@ -393,7 +424,7 @@ type EndpointStats struct {
 // NewEndpoint attaches an L2CAP endpoint to an established BLE connection.
 func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
 	ep := &Endpoint{s: s, conn: conn, nextCID: FirstDynamicCID}
-	conn.OnData = ep.onLL
+	conn.OnData = (*llData)(ep)
 	return ep
 }
 
@@ -410,13 +441,6 @@ func (ep *Endpoint) Channels() []*Channel {
 		out = append(out, e.v)
 	}
 	return out
-}
-
-// RegisterServer accepts incoming channels for psm with the given receive
-// configuration. IPSP nodes register PSMIPSP.
-func (ep *Endpoint) RegisterServer(psm uint16, cfg Config) {
-	cfg.defaults()
-	ep.servers.put(psm, cfg)
 }
 
 // Dial opens a channel to the peer's psm server. cb is invoked with the open
@@ -462,15 +486,21 @@ func (ep *Endpoint) scheduleKick() {
 		return
 	}
 	ep.kickArmed = true
-	ep.s.Post(2*sim.Millisecond, func() {
-		ep.kickArmed = false
-		for _, e := range ep.channels {
-			ch := e.v
-			wasBlocked := !ch.Writable()
-			ch.drain()
-			ch.notifyWritable(wasBlocked)
-		}
-	})
+	ep.s.Schedule(ep.s.Now()+2*sim.Millisecond, (*epKick)(ep))
+}
+
+// epKick is the endpoint as its drain retry's sim.Handler.
+type epKick Endpoint
+
+func (k *epKick) Fire() {
+	ep := (*Endpoint)(k)
+	ep.kickArmed = false
+	for _, e := range ep.channels {
+		ch := e.v
+		wasBlocked := !ch.Writable()
+		ch.drain()
+		ch.notifyWritable(wasBlocked)
+	}
 }
 
 // sendPDU prepends the basic header to an L2CAP PDU in place and hands it
@@ -576,8 +606,8 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 		}
 		return
 	}
-	if h, ok := ep.fixed.get(p.cid); ok {
-		h(p.payload)
+	if ep.fixed != nil && p.cid == ep.fixedCID {
+		ep.fixed.FixedPDU(p.payload)
 		return
 	}
 	ch, ok := ep.channels.get(p.cid)
@@ -594,11 +624,16 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 func (ep *Endpoint) onSignal(s signal) {
 	switch s.code {
 	case codeConnReq:
-		cfg, ok := ep.servers.get(s.psm)
+		var cfg Config
+		ok := false
+		if ep.OnChannelOpen != nil {
+			cfg, ok = ep.OnChannelOpen.Accept(s.psm)
+		}
 		if !ok {
 			ep.sendSignal(signal{code: codeConnRsp, id: s.id, result: resultRefusedPSM})
 			return
 		}
+		cfg.defaults()
 		ch := &Channel{
 			ep: ep, scid: ep.allocCID(), dcid: s.scid, psm: s.psm,
 			cfg: cfg, rxCredits: cfg.InitialCredits,
@@ -611,9 +646,7 @@ func (ep *Endpoint) onSignal(s signal) {
 			mtu: uint16(cfg.MTU), mps: uint16(cfg.MPS),
 			credits: uint16(cfg.InitialCredits), result: resultSuccess,
 		})
-		if ep.OnChannelOpen != nil {
-			ep.OnChannelOpen(ch)
-		}
+		ep.OnChannelOpen.ChannelOpen(ch)
 	case codeConnRsp:
 		pd, ok := ep.pending.get(s.id)
 		if !ok {
@@ -668,10 +701,15 @@ func (ch *Channel) QueueLen() int { return ch.txq.Len() }
 // CIDATT is the fixed channel of the Attribute Protocol.
 const CIDATT uint16 = 0x0004
 
-// HandleFixed installs a handler for a fixed L2CAP channel (e.g. ATT).
-// Fixed channels have no flow control; PDUs are delivered as they arrive.
-func (ep *Endpoint) HandleFixed(cid uint16, h func(payload []byte)) {
-	ep.fixed.put(cid, h)
+// HandleFixed installs the handler for a fixed L2CAP channel (ATT, the one
+// this stack carries besides signaling). Fixed channels have no flow control;
+// PDUs are delivered as they arrive. An endpoint holds one such handler; a
+// second call for the same cid replaces it.
+func (ep *Endpoint) HandleFixed(cid uint16, h FixedHandler) {
+	if ep.fixed != nil && cid != ep.fixedCID {
+		panic("l2cap: an endpoint serves one fixed channel besides signaling")
+	}
+	ep.fixedCID, ep.fixed = cid, h
 }
 
 // SendFixed transmits a PDU on a fixed channel, retrying briefly when the

@@ -36,7 +36,7 @@ func FuzzSDURecombination(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, chop byte) {
 		ch := loneChannel(1 << 20)
 		var delivered [][]byte
-		ch.OnSDUBuf = sduBytes(&delivered)
+		ch.OnEvents = &ChannelFuncs{SDU: sduBytes(&delivered)}
 		step := int(chop)%64 + 1
 		for len(data) > 0 {
 			n := step
@@ -84,15 +84,15 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		var got [][]byte
 		var gotPID uint64
-		ch.OnSDUBuf = func(b *pktbuf.Buf, pid uint64) {
+		ch.OnEvents = &ChannelFuncs{SDU: func(b *pktbuf.Buf, pid uint64) {
 			gotPID = pid
 			sduBytes(&got)(b, pid)
-		}
+		}}
 		for i, fr := range frames {
 			ch.receiveFrame(fr, pids[i])
 		}
 		if len(got) != 1 {
-			t.Fatalf("OnSDUBuf fired %d times, want 1", len(got))
+			t.Fatalf("ReceiveSDU fired %d times, want 1", len(got))
 		}
 		if !bytes.Equal(got[0], sdu) {
 			t.Fatalf("recombined SDU is %d bytes, want %d", len(got[0]), len(sdu))

@@ -45,8 +45,63 @@ func queuedFrames(t testing.TB, sdu []byte, pid uint64, mps int) (frames [][]byt
 	return frames, pids
 }
 
-// sduBytes returns an OnSDUBuf handler that appends a copy of every SDU
-// delivered to *got and releases the buffer.
+// ChannelFuncs adapts functions to ChannelEvents; a nil one ignores its
+// upcall, and a nil SDU drops the SDU.
+type ChannelFuncs struct {
+	SDU      func(sdu *pktbuf.Buf, pid uint64)
+	Writable func()
+	Close    func()
+}
+
+// ReceiveSDU calls f.SDU, or releases sdu.
+func (f *ChannelFuncs) ReceiveSDU(sdu *pktbuf.Buf, pid uint64) {
+	if f.SDU == nil {
+		sdu.Put()
+		return
+	}
+	f.SDU(sdu, pid)
+}
+
+// Unblocked calls f.Writable.
+func (f *ChannelFuncs) Unblocked() {
+	if f.Writable != nil {
+		f.Writable()
+	}
+}
+
+// Closed calls f.Close.
+func (f *ChannelFuncs) Closed() {
+	if f.Close != nil {
+		f.Close()
+	}
+}
+
+// Listener adapts one PSM to Server: it accepts PSM with Config and hands
+// each channel opened to Open, when set.
+type Listener struct {
+	PSM    uint16
+	Config Config
+	Open   func(ch *Channel)
+}
+
+// Accept implements Server.
+func (l *Listener) Accept(psm uint16) (Config, bool) { return l.Config, psm == l.PSM }
+
+// ChannelOpen implements Server.
+func (l *Listener) ChannelOpen(ch *Channel) {
+	if l.Open != nil {
+		l.Open(ch)
+	}
+}
+
+// FixedFunc adapts a function to FixedHandler.
+type FixedFunc func(payload []byte)
+
+// FixedPDU calls f.
+func (f FixedFunc) FixedPDU(payload []byte) { f(payload) }
+
+// sduBytes returns a ChannelFuncs.SDU function that appends a copy of every
+// SDU delivered to *got and releases the buffer.
 func sduBytes(got *[][]byte) func(*pktbuf.Buf, uint64) {
 	return func(b *pktbuf.Buf, _ uint64) {
 		*got = append(*got, bytes.Clone(b.Bytes()))
@@ -191,8 +246,8 @@ func newPairPool(t *testing.T, seed int64, coordPool int) *pair {
 	a := mk(1.5, 0xAA, 0)
 	b := mk(-1.5, 0xBB, coordPool)
 	p := &pair{s: s, subCtrl: a, coordCtl: b}
-	a.OnConnect = func(c *ble.Conn) { p.subEP = NewEndpoint(s, c) }
-	b.OnConnect = func(c *ble.Conn) { p.coordEP = NewEndpoint(s, c) }
+	a.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) { p.subEP = NewEndpoint(s, c) }}
+	b.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) { p.coordEP = NewEndpoint(s, c) }}
 	a.StartAdvertising(ble.AdvParams{Interval: 90 * sim.Millisecond})
 	cp := ble.ConnParams{Interval: 75 * sim.Millisecond}
 	if err := cp.Validate(); err != nil {
@@ -214,8 +269,7 @@ func newPairPool(t *testing.T, seed int64, coordPool int) *pair {
 // channel endpoints.
 func (p *pair) openIPSP(t *testing.T) (coordCh, subCh *Channel) {
 	t.Helper()
-	p.subEP.RegisterServer(PSMIPSP, Config{})
-	p.subEP.OnChannelOpen = func(ch *Channel) { subCh = ch }
+	p.subEP.OnChannelOpen = &Listener{PSM: PSMIPSP, Open: func(ch *Channel) { subCh = ch }}
 	p.coordEP.Dial(PSMIPSP, Config{}, func(ch *Channel, err error) {
 		if err != nil {
 			t.Errorf("dial: %v", err)
@@ -266,8 +320,8 @@ func TestSDUTransferBothDirections(t *testing.T) {
 	p := newPair(t, 3)
 	coordCh, subCh := p.openIPSP(t)
 	var gotSub, gotCoord [][]byte
-	subCh.OnSDUBuf = sduBytes(&gotSub)
-	coordCh.OnSDUBuf = sduBytes(&gotCoord)
+	subCh.OnEvents = &ChannelFuncs{SDU: sduBytes(&gotSub)}
+	coordCh.OnEvents = &ChannelFuncs{SDU: sduBytes(&gotCoord)}
 	msg := make([]byte, 100)
 	for i := range msg {
 		msg[i] = byte(i * 3)
@@ -291,7 +345,7 @@ func TestLargeSDUSpansManyFramesAndLLFragments(t *testing.T) {
 	p := newPair(t, 4)
 	coordCh, subCh := p.openIPSP(t)
 	var got [][]byte
-	subCh.OnSDUBuf = sduBytes(&got)
+	subCh.OnEvents = &ChannelFuncs{SDU: sduBytes(&got)}
 	sdu := make([]byte, 1280)
 	for i := range sdu {
 		sdu[i] = byte(i % 251)
@@ -319,7 +373,7 @@ func TestCreditFlowSustainsManySDUs(t *testing.T) {
 	p := newPair(t, 6)
 	coordCh, subCh := p.openIPSP(t)
 	received := 0
-	subCh.OnSDUBuf = func(b *pktbuf.Buf, _ uint64) { received++; b.Put() }
+	subCh.OnEvents = &ChannelFuncs{SDU: func(b *pktbuf.Buf, _ uint64) { received++; b.Put() }}
 	sent := 0
 	var feed func()
 	feed = func() {
@@ -366,8 +420,8 @@ func TestChannelCloseHandshake(t *testing.T) {
 	p := newPair(t, 8)
 	coordCh, subCh := p.openIPSP(t)
 	subClosed, coordClosed := false, false
-	subCh.OnClose = func() { subClosed = true }
-	coordCh.OnClose = func() { coordClosed = true }
+	subCh.OnEvents = &ChannelFuncs{Close: func() { subClosed = true }}
+	coordCh.OnEvents = &ChannelFuncs{Close: func() { coordClosed = true }}
 	coordCh.Close()
 	p.s.Run(p.s.Now() + 2*sim.Second)
 	if !coordClosed || !subClosed {
@@ -385,13 +439,13 @@ func TestTeardownOnLinkDeath(t *testing.T) {
 	p := newPair(t, 9)
 	coordCh, _ := p.openIPSP(t)
 	closed := false
-	coordCh.OnClose = func() { closed = true }
+	coordCh.OnEvents = &ChannelFuncs{Close: func() { closed = true }}
 	// The host notices the link dying and tears the endpoint down.
-	p.coordCtl.OnDisconnect = func(c *ble.Conn, r ble.LossReason) { p.coordEP.Teardown() }
+	p.coordCtl.OnConn.(*ble.ConnFuncs).Down = func(c *ble.Conn, r ble.LossReason) { p.coordEP.Teardown() }
 	p.coordEP.Conn().Close()
 	p.s.Run(p.s.Now() + 3*sim.Second)
 	if !closed {
-		t.Fatal("channel OnClose not invoked on link teardown")
+		t.Fatal("channel Closed not invoked on link teardown")
 	}
 }
 
@@ -416,10 +470,10 @@ func TestWritableBackpressure(t *testing.T) {
 		t.Fatal("channel never exerted backpressure within initial credit budget")
 	}
 	writableAgain := false
-	coordCh.OnWritable = func() { writableAgain = true }
+	coordCh.OnEvents = &ChannelFuncs{Writable: func() { writableAgain = true }}
 	p.s.Run(p.s.Now() + 5*sim.Second)
 	if !writableAgain {
-		t.Fatal("OnWritable never fired after drain")
+		t.Fatal("Unblocked never fired after drain")
 	}
 }
 
@@ -436,18 +490,19 @@ func twoChannelRun(t *testing.T) []string {
 
 	var log []string
 	note := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
-	p.subEP.RegisterServer(PSMIPSP, Config{})
-	p.subEP.OnChannelOpen = func(ch *Channel) {
-		ch.OnSDUBuf = func(sdu *pktbuf.Buf, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid); sdu.Put() }
-	}
+	p.subEP.OnChannelOpen = &Listener{PSM: PSMIPSP, Open: func(ch *Channel) {
+		ch.OnEvents = &ChannelFuncs{SDU: func(sdu *pktbuf.Buf, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid); sdu.Put() }}
+	}}
 	var chs []*Channel
 	for i := 0; i < 2; i++ {
 		p.coordEP.Dial(PSMIPSP, Config{}, func(ch *Channel, err error) {
 			if err != nil {
 				t.Fatalf("dial: %v", err)
 			}
-			ch.OnWritable = func() { note("writable scid=%#x", ch.SCID()) }
-			ch.OnClose = func() { note("close scid=%#x", ch.SCID()) }
+			ch.OnEvents = &ChannelFuncs{
+				Writable: func() { note("writable scid=%#x", ch.SCID()) },
+				Close:    func() { note("close scid=%#x", ch.SCID()) },
+			}
 			chs = append(chs, ch)
 		})
 	}
@@ -511,19 +566,22 @@ func TestEndpointTwoChannelsDeterministicOrder(t *testing.T) {
 }
 
 // What an endpoint costs before a channel opens, paid per link end:
-// NewEndpoint, the IPSP server registration and the ATT fixed-channel handler.
-// With a Go map behind each of the four tables this was 8 allocations (the
-// struct, its bound onLL, four map headers, and the first group of the two
-// maps written to); the tables are nil until used, so it is the struct, onLL
-// and one entry for each of the two.
+// NewEndpoint, its channel server and the ATT fixed-channel handler. With a
+// Go map behind each of four tables this was 8 allocations (the struct, its
+// bound onLL, four map headers, and the first group of the two maps written
+// to); with the tables nil until used, 4 (the struct, onLL and one entry for
+// each of the two). The upcalls are interfaces the layers above implement
+// with types they already allocate, and the server and fixed handler are
+// one slot each, so it is the struct alone.
 func TestEndpointSetupAllocs(t *testing.T) {
 	conn := new(ble.Conn)
-	handler := func([]byte) {}
+	srv := &Listener{PSM: PSMIPSP}
+	handler := FixedFunc(func([]byte) {})
 	if allocs := testing.AllocsPerRun(100, func() {
 		ep := NewEndpoint(nil, conn)
-		ep.RegisterServer(PSMIPSP, Config{})
+		ep.OnChannelOpen = srv
 		ep.HandleFixed(CIDATT, handler)
-	}); allocs != 4 {
-		t.Fatalf("endpoint set-up: %v allocations, want 4 (was 8 with map tables)", allocs)
+	}); allocs != 1 {
+		t.Fatalf("endpoint set-up: %v allocations, want 1 (was 4 with closures and tables)", allocs)
 	}
 }

@@ -21,7 +21,7 @@ func (j *dataJam) Busy(phy.Channel, sim.Time) bool { return false }
 
 // mapModel is the Manager's per-peer bookkeeping restated the obvious way —
 // one map per concept, keyed by peer — and advanced only from what a host
-// can see: its own Connect/Shutdown/Restart calls and the OnLinkUp/OnLinkDown
+// can see: its own Connect/Shutdown/Restart calls and the LinkUp/LinkDown
 // callbacks. The Manager keeps the same facts in one slice of slots that
 // regrows as peers appear; the two must never disagree.
 type mapModel struct {
@@ -58,7 +58,7 @@ func (md *mapModel) quality(p ble.DevAddr) *modelQual {
 	return md.qual[p]
 }
 
-// linkUp mirrors a coordinator-role OnLinkUp.
+// linkUp mirrors a coordinator-role LinkUp.
 func (md *mapModel) linkUp(c *ble.Conn) {
 	p := c.Peer()
 	md.events[p]++
@@ -75,7 +75,7 @@ func (md *mapModel) linkUp(c *ble.Conn) {
 	}
 }
 
-// linkDown mirrors a coordinator-role OnLinkDown.
+// linkDown mirrors a coordinator-role LinkDown.
 func (md *mapModel) linkDown(c *ble.Conn, reason ble.LossReason) {
 	p := c.Peer()
 	md.events[p]++
@@ -181,7 +181,7 @@ func (md *mapModel) check(t *testing.T, stage string, m *Manager, peers []ble.De
 // connect, link loss, backoff, Shutdown, Restart and reconnect, and after
 // every stage compares the Manager's slot table with mapModel. Ten peers
 // force the slots slice to regrow (4 → 8 → 16) while earlier peers' quality
-// state is live in it, and both regrows happen inside the OnLinkUp of a
+// state is live in it, and both regrows happen inside the LinkUp of a
 // repaired link — while handleConnect is on the stack with a pointer into
 // the old backing array — so a write through a stale pointer would surface
 // as a lost reconnect count.
@@ -213,16 +213,18 @@ func TestManagerAgainstMapModel(t *testing.T) {
 		md.wanted[addrs[i]] = true
 		hub.Connect(addrs[i])
 	}
-	// Peers [4, chainLimit) are declared one by one from inside OnLinkUp.
+	// Peers [4, chainLimit) are declared one by one from inside LinkUp.
 	chain, chainLimit := 4, 4
-	hub.OnLinkUp = func(c *ble.Conn) {
-		md.linkUp(c)
-		if chain < chainLimit {
-			chain++
-			connect(chain - 1)
-		}
+	hub.OnLink = &LinkFuncs{
+		Up: func(c *ble.Conn) {
+			md.linkUp(c)
+			if chain < chainLimit {
+				chain++
+				connect(chain - 1)
+			}
+		},
+		Down: md.linkDown,
 	}
-	hub.OnLinkDown = md.linkDown
 	runFor := func(d sim.Duration) { s.Run(s.Now() + d) }
 	allUp := func(stage string, n int) {
 		t.Helper()
@@ -239,7 +241,7 @@ func TestManagerAgainstMapModel(t *testing.T) {
 	allUp("four peers", 4)
 
 	// grow kills victim's proven link from the far side and lets the
-	// repair's OnLinkUp start declaring peers up to limit — so the slots
+	// repair's LinkUp start declaring peers up to limit — so the slots
 	// slice regrows inside handleConnect, before it credits the reconnect.
 	grow := func(stage string, victim, limit int) {
 		t.Helper()

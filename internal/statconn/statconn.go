@@ -9,6 +9,7 @@ package statconn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"blemesh/internal/ble"
@@ -304,7 +305,7 @@ type Manager struct {
 	// exponential backoff), when its proven link went down (drives
 	// recovery-latency measurement) and its link-quality state
 	// (retransmission EWMA plus loss/reconnect counters — observer state,
-	// which survives Shutdown). up lists the links reported via OnLinkUp.
+	// which survives Shutdown). up lists the links reported via LinkUp.
 	slots []peerSlot
 	up    []*ble.Conn
 
@@ -328,15 +329,50 @@ type Manager struct {
 
 	stats Stats
 
-	// OnLinkUp fires for every usable connection (colliding-interval
-	// connections are filtered out before this fires).
-	OnLinkUp func(c *ble.Conn)
-	// OnLinkDown fires when a previously usable connection ended.
-	OnLinkDown func(c *ble.Conn, reason ble.LossReason)
+	// OnLink takes the manager's link upcalls.
+	OnLink LinkHandler
+}
+
+// LinkHandler takes a manager's link upcalls: LinkUp for every usable
+// connection (colliding-interval connections are filtered out before it),
+// LinkDown when a previously usable connection ended.
+type LinkHandler interface {
+	LinkUp(c *ble.Conn)
+	LinkDown(c *ble.Conn, reason ble.LossReason)
+}
+
+// LinkFuncs adapts two functions to LinkHandler; a nil one ignores its
+// upcall.
+type LinkFuncs struct {
+	Up   func(c *ble.Conn)
+	Down func(c *ble.Conn, reason ble.LossReason)
+}
+
+// LinkUp calls f.Up.
+func (f *LinkFuncs) LinkUp(c *ble.Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+// LinkDown calls f.Down.
+func (f *LinkFuncs) LinkDown(c *ble.Conn, reason ble.LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
+	}
+}
+
+// connEvents is the manager as its controller's ble.ConnHandler.
+type connEvents Manager
+
+func (h *connEvents) ConnUp(c *ble.Conn) { (*Manager)(h).handleConnect(c) }
+
+func (h *connEvents) ConnDown(c *ble.Conn, reason ble.LossReason) {
+	(*Manager)(h).handleDisconnect(c, reason)
 }
 
 // New wires a manager onto a controller. The manager owns the controller's
-// OnConnect/OnDisconnect hooks.
+// OnConn upcalls.
 func New(s *sim.Sim, ctrl *ble.Controller, cfg Config) *Manager {
 	cfg.defaults()
 	m := &Manager{
@@ -346,8 +382,7 @@ func New(s *sim.Sim, ctrl *ble.Controller, cfg Config) *Manager {
 		rng:  s.Rand(),
 	}
 	ctrl.SetScanParams(ble.ScanParams{Interval: cfg.ScanInterval, Window: cfg.ScanWindow})
-	ctrl.OnConnect = m.handleConnect
-	ctrl.OnDisconnect = m.handleDisconnect
+	ctrl.OnConn = (*connEvents)(m)
 	return m
 }
 
@@ -394,12 +429,11 @@ func (m *Manager) isUp(c *ble.Conn) bool {
 	return false
 }
 
+// clearUp removes c from the up list. The vacated tail slot is cleared, so
+// a dead link end is not kept reachable until the next link-up.
 func (m *Manager) clearUp(c *ble.Conn) {
-	for i, x := range m.up {
-		if x == c {
-			m.up = append(m.up[:i], m.up[i+1:]...)
-			return
-		}
+	if i := slices.Index(m.up, c); i >= 0 {
+		m.up = slices.Delete(m.up, i, i+1)
 	}
 }
 
@@ -510,7 +544,7 @@ func (m *Manager) ensureAdvertising() {
 // Shutdown forgets the configured topology and stops reacting to link
 // events, as the host side of a crashing node: pending backoff timers are
 // invalidated, and losses reported while stopped (the controller tearing its
-// connections down) only propagate to OnLinkDown. Cumulative statistics and
+// connections down) only propagate to LinkDown. Cumulative statistics and
 // recovery measurements survive — they model the observer, not the device.
 // Call before the controller's own Shutdown.
 func (m *Manager) Shutdown() {
@@ -563,7 +597,7 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 	if c.Role() == ble.Coordinator {
 		if _, ok := m.cfg.Policy.(Renegotiate); ok {
 			conn := c
-			conn.OnParamRequest = func(iv sim.Duration) bool {
+			conn.OnParamRequest = func(iv sim.Duration) bool { // hotpath:ignore — the Renegotiate ablation alone, one per coordinator link
 				// The coordinator only sees its own constraint
 				// set — the paper's point.
 				for _, other := range m.ctrl.Conns() {
@@ -600,8 +634,8 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 		m.stats.Reconnects++
 		q.reconnects++
 	}
-	if m.OnLinkUp != nil {
-		m.OnLinkUp(c)
+	if m.OnLink != nil {
+		m.OnLink.LinkUp(c)
 	}
 }
 
@@ -623,8 +657,8 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 		// network layer detaches, but restore nothing.
 		if m.isUp(c) {
 			m.clearUp(c)
-			if m.OnLinkDown != nil {
-				m.OnLinkDown(c, reason)
+			if m.OnLink != nil {
+				m.OnLink.LinkDown(c, reason)
 			}
 		}
 		return
@@ -680,8 +714,8 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 		m.pendingReopens++
 		m.ensureAdvertising()
 	}
-	if m.OnLinkDown != nil {
-		m.OnLinkDown(c, reason)
+	if m.OnLink != nil {
+		m.OnLink.LinkDown(c, reason)
 	}
 }
 

@@ -99,7 +99,7 @@ func buildPair(seed int64, cfg Config) (*sim.Sim, *Manager, *Manager, *ble.Contr
 func TestManagerEstablishesAndReports(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(1, Config{})
 	var up *ble.Conn
-	mgrB.OnLinkUp = func(c *ble.Conn) { up = c }
+	mgrB.OnLink = &LinkFuncs{Up: func(c *ble.Conn) { up = c }}
 	mgrA.ExpectInbound(1)
 	mgrB.Connect(ctrlA.Addr())
 	s.Run(5 * sim.Second)
@@ -114,11 +114,34 @@ func TestManagerEstablishesAndReports(t *testing.T) {
 	}
 }
 
+// TestRemovedLinkIsUnreachable: the up list must not keep a dead link end
+// reachable behind its length. Killing a node's only link empties the list,
+// which is the case a plain append-delete leaves the Conn behind in.
+func TestRemovedLinkIsUnreachable(t *testing.T) {
+	s, mgrA, mgrB, ctrlA, _ := buildPair(3, Config{})
+	mgrA.ExpectInbound(1)
+	mgrB.Connect(ctrlA.Addr())
+	s.Run(5 * sim.Second)
+	if len(mgrB.up) != 1 {
+		t.Fatalf("%d links up, want 1", len(mgrB.up))
+	}
+	dead := mgrB.up[0]
+	dead.Kill()
+	if len(mgrB.up) != 0 {
+		t.Fatalf("after Kill: %d links up, want 0", len(mgrB.up))
+	}
+	for _, c := range mgrB.up[:cap(mgrB.up)] {
+		if c == dead {
+			t.Error("the dead Conn stays in the up list behind its length")
+		}
+	}
+}
+
 func TestManagerReconnectsAfterLoss(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, _ := buildPair(2, Config{})
 	ups := 0
 	var last *ble.Conn
-	mgrB.OnLinkUp = func(c *ble.Conn) { ups++; last = c }
+	mgrB.OnLink = &LinkFuncs{Up: func(c *ble.Conn) { ups++; last = c }}
 	mgrA.ExpectInbound(1)
 	mgrB.Connect(ctrlA.Addr())
 	s.Run(5 * sim.Second)

@@ -1,6 +1,7 @@
 #!/bin/sh
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
-# the datapath packages and the two layers every packet runs on (phy, sim).
+# the datapath packages and the two layers every packet runs on (phy, sim),
+# and closures on the upcall fields of the layers a link end is built from.
 #
 # Both cost nothing to write and were most of the loaded tree's host time:
 # a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
@@ -13,7 +14,13 @@
 #                 block (three of the four benchmark workloads run with
 #                 tracing off; mesh-churn samples one packet in ten, and
 #                 Keeps is false for the other nine);
-#   x = x[1:]     never: pop from a ring.Ring.
+#   x = x[1:]     never: pop from a ring.Ring;
+#   x.OnFoo = func(...)
+#                 never in ble, l2cap, gatt, core and statconn: an upcall
+#                 field holds an interface the layer above implements with a
+#                 type it already allocates (a link, an endpoint, a manager),
+#                 because a closure there is one more heap object per link
+#                 end or node for the garbage collector to mark.
 #
 # A deliberate cold-path use carries a "// hotpath:ignore — <reason>" marker
 # on the same line. Test files are exempt.
@@ -43,6 +50,10 @@ FNR == 1 { exempt = 0 }
 
 shifts=$(grep -HnE '([A-Za-z_][A-Za-z0-9_.]*) = \1\[1:\]' $files | grep -v 'hotpath:ignore' || true)
 
+UPCALLS="internal/ble internal/l2cap internal/gatt internal/core internal/statconn"
+upfiles=$(find $UPCALLS -name '*.go' ! -name '*_test.go' | sort)
+closures=$(grep -HnE '\.On[A-Z][A-Za-z0-9]* *= .*func *\(' $upfiles | grep -v 'hotpath:ignore' || true)
+
 status=0
 if [ -n "$sprints" ]; then
     echo "fmt.Sprint* on the datapath — pack the value into an integer or a" >&2
@@ -54,6 +65,13 @@ if [ -n "$shifts" ]; then
     echo "slice-shift queue pop on the datapath — use ring.Ring, or add a" >&2
     echo "'// hotpath:ignore — <reason>' marker if the path is cold:" >&2
     echo "$shifts" >&2
+    status=1
+fi
+if [ -n "$closures" ]; then
+    echo "func literal assigned to an upcall field — implement the field's interface" >&2
+    echo "with a type the owner already allocates, or add a" >&2
+    echo "'// hotpath:ignore — <reason>' marker if it is set once and cold:" >&2
+    echo "$closures" >&2
     status=1
 fi
 [ $status -eq 0 ] && echo "check-hotpath: datapath packages clean"

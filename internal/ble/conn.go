@@ -494,7 +494,7 @@ func (c *Conn) eventStart() {
 		// shading this happens for hundreds of consecutive events.
 		c.stats.EventsSkipped++
 		if c.ctrl.tr.Enabled() {
-			c.ctrl.tr.Emit(c.ctrl.node, trace.KindEventSkipped, "conn#%d ev=%d qlen=%d", c.handle, idx, c.txq.Len())
+			c.ctrl.tr.Add(c.ctrl.node, 0, 0, trace.EventSkipped(c.handle, idx, c.txq.Len()))
 		}
 		return
 	}
@@ -634,8 +634,7 @@ func (c *Conn) noteTX(pdu *DataPDU) sim.Duration {
 		c.emptyInFlight = true
 	}
 	if pdu.PID != 0 && c.ctrl.tr.Keeps(pdu.PID) {
-		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLTx, pdu.PID, air,
-			"conn#%d ch=%d try=%d len=%d", c.handle, c.evCh, try, pdu.Len())
+		c.ctrl.tr.Add(c.ctrl.node, pdu.PID, air, trace.LLTx(c.handle, uint8(c.evCh), try, pdu.Len()))
 	}
 	if c.chans != nil {
 		c.chans.TX[c.evCh]++
@@ -708,7 +707,7 @@ func (c *Conn) markHeadReady() {
 	}
 	it.readyMarked = true
 	if c.ctrl.tr.Keeps(it.pid) {
-		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLReady, it.pid, 0, "conn#%d qlen=%d", c.handle, c.txq.Len())
+		c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.LLReady(c.handle, c.txq.Len()))
 	}
 }
 
@@ -743,8 +742,7 @@ func (c *Conn) deliver(pdu *DataPDU) {
 		}
 	case len(pdu.Payload) > 0:
 		if pdu.PID != 0 && c.ctrl.tr.Keeps(pdu.PID) {
-			c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindLLRx, pdu.PID, Airtime(pdu.Len()),
-				"conn#%d ch=%d len=%d", c.handle, c.evCh, pdu.Len())
+			c.ctrl.tr.Add(c.ctrl.node, pdu.PID, Airtime(pdu.Len()), trace.LLRx(c.handle, uint8(c.evCh), pdu.Len()))
 		}
 		if c.OnData != nil {
 			c.OnData.LLData(pdu.LLID, pdu.Payload, pdu.PID)
@@ -1143,8 +1141,7 @@ func (c *Conn) terminate(reason LossReason) {
 		it := c.txq.At(i)
 		if it.ctrl == nil {
 			if it.pid != 0 && c.ctrl.tr.Keeps(it.pid) {
-				c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindPacketDrop, it.pid, 0,
-					"cause=link-reset conn#%d reason=%s", c.handle, reason)
+				c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.DropConnLost(c.handle, trace.Loss(reason)))
 			}
 			if it.poolN > 0 {
 				c.ctrl.pool.free(it.poolN)
@@ -1172,10 +1169,11 @@ func (c *Conn) terminate(reason LossReason) {
 
 // TraceDrop records a provenance-tagged packet dropped by an upper layer
 // that holds this connection (e.g. L2CAP frames flushed at channel
-// teardown). A zero pid or a disabled trace log makes it a no-op.
-func (c *Conn) TraceDrop(pid uint64, cause string) {
+// teardown) as a link-reset. A zero pid or a disabled trace log makes it a
+// no-op.
+func (c *Conn) TraceDrop(pid uint64) {
 	if pid != 0 && c.ctrl.tr.Keeps(pid) {
-		c.ctrl.tr.EmitPkt(c.ctrl.node, trace.KindPacketDrop, pid, 0, "cause=%s conn#%d", cause, c.handle)
+		c.ctrl.tr.Add(c.ctrl.node, pid, 0, trace.DropLinkReset(c.handle))
 	}
 }
 

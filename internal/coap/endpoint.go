@@ -103,8 +103,7 @@ func (h *reqRetry) Fire() {
 	} else {
 		pr.pid = pid
 		if ep.tr.Keeps(pid) {
-			ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0,
-				"dst=%v mid=%d try=%d", pr.dst, pr.msg.MessageID, pr.retries+1)
+			ep.tr.Add(ep.node, pid, 0, trace.CoAPReq(pr.dst, pr.msg.MessageID, pr.retries+1))
 		}
 	}
 	ep.armRetry(pr, pr.rto*2)
@@ -189,7 +188,7 @@ func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	pr.pid = pid
 	ep.stats.RequestsSent++
 	if ep.tr.Keeps(pid) {
-		ep.tr.EmitPkt(ep.node, trace.KindCoAPRequest, pid, 0, "dst=%v mid=%d try=1", dst, m.MessageID)
+		ep.tr.Add(ep.node, pid, 0, trace.CoAPReq(dst, m.MessageID, 1))
 	}
 	if m.Type == CON {
 		ep.armRetry(pr, ep.initialTimeout())
@@ -239,13 +238,15 @@ func (ep *Endpoint) fail(pr *pendingReq, cause error) {
 	}
 	ep.s.Cancel(pr.retryEvt)
 	ep.s.Cancel(pr.expire)
+	failure := trace.CoAPTimeout
 	if errors.Is(cause, ErrGaveUp) {
 		ep.stats.GiveUps++
+		failure = trace.CoAPGaveUp
 	} else {
 		ep.stats.Timeouts++
 	}
 	if ep.tr.Keeps(pr.pid) {
-		ep.tr.EmitPkt(ep.node, trace.KindCoAPResponse, pr.pid, ep.s.Now()-pr.sentAt, "err=%v", cause)
+		ep.tr.Add(ep.node, pr.pid, ep.s.Now()-pr.sentAt, trace.CoAPFail(failure))
 	}
 	if pr.cb != nil {
 		pr.cb(nil, 0, cause)
@@ -298,7 +299,7 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 	ep.stats.ResponsesMatched++
 	rtt := ep.s.Now() - pr.sentAt
 	if ep.tr.Keeps(pr.pid) {
-		ep.tr.EmitPkt(ep.node, trace.KindCoAPResponse, pr.pid, rtt, "src=%v mid=%d", src, m.MessageID)
+		ep.tr.Add(ep.node, pr.pid, rtt, trace.CoAPRsp(src, m.MessageID))
 	}
 	if pr.cb != nil {
 		pr.cb(m, rtt, nil)

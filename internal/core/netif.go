@@ -182,7 +182,7 @@ func (n *NetIf) flushQueue(l *link) {
 		f.buf.Put()
 		n.stats.LinkDrops++
 		if f.pid != 0 && n.tr.Keeps(f.pid) {
-			n.tr.EmitPkt(n.node, trace.KindPacketDrop, f.pid, 0, "cause=link-down peer=%012x", l.peerMAC)
+			n.tr.Add(n.node, f.pid, 0, trace.DropLinkDown(l.peerMAC))
 		}
 	}
 	l.queue.Reset()

@@ -224,21 +224,23 @@ type rankPoint struct {
 	rank uint16
 }
 
+// rankTimelines reconstructs each node's rank timeline from its rpl-rank
+// transitions: one point per event.
+func rankTimelines(l *trace.Log) map[string][]rankPoint {
+	timeline := make(map[string][]rankPoint)
+	for _, e := range l.Events("", trace.KindRPLRank) {
+		rank, _, _ := e.Rank()
+		timeline[e.Node] = append(timeline[e.Node], rankPoint{at: e.At, rank: rank})
+	}
+	return timeline
+}
+
 // loopCheck scans the provenance journeys for routing loops. It returns the
 // number of journeys that revisited a node, the number of consumer-bound
 // hops that went rank-upward (both endpoint ranks known at forwarding time),
 // and how many upward hops were checked.
 func loopCheck(nw *Network) (loops, rankViol, upHops int) {
-	// Reconstruct each node's rank timeline from its rpl-rank transitions.
-	timeline := make(map[string][]rankPoint)
-	for _, e := range nw.Trace.Events("", trace.KindRPLRank) {
-		var rank, parent uint64
-		var cause string
-		if _, err := fmt.Sscanf(e.Detail, "rank=%d parent=%x cause=%s", &rank, &parent, &cause); err != nil {
-			continue
-		}
-		timeline[e.Node] = append(timeline[e.Node], rankPoint{at: e.At, rank: uint16(rank)})
-	}
+	timeline := rankTimelines(nw.Trace)
 	rankAt := func(node string, t sim.Time) (uint16, bool) {
 		pts := timeline[node]
 		for i := len(pts) - 1; i >= 0; i-- {

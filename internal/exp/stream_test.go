@@ -35,7 +35,7 @@ func referenceTrace(w io.Writer, events []trace.Event) {
 	for _, e := range events {
 		fmt.Fprintf(w, "{\"at\":%d,\"node\":%s,\"kind\":%s,\"id\":%d,\"dur\":%d,\"detail\":%s}\n",
 			int64(e.At), strconv.Quote(e.Node), strconv.Quote(e.Kind.String()),
-			e.ID, int64(e.Dur), strconv.Quote(e.Detail))
+			e.ID, int64(e.Dur), strconv.Quote(e.Detail()))
 	}
 }
 

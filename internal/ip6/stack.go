@@ -435,12 +435,12 @@ func (st *Stack) output(b *pktbuf.Buf, pid uint64) error {
 		return err
 	}
 	if st.tr.Keeps(pid) {
-		st.tr.EmitPkt(st.node, trace.KindPacketTX, pid, 0, "dst=%v len=%d", h.Dst, b.Len())
+		st.tr.Add(st.node, pid, 0, trace.PktTX(h.Dst, b.Len()))
 	}
 	if st.isLocal(h.Dst) {
 		// Loopback delivery.
 		if st.tr.Keeps(pid) {
-			st.tr.EmitPkt(st.node, trace.KindPacketRX, pid, 0, "src=%v loopback", h.Src)
+			st.tr.Add(st.node, pid, 0, trace.PktLoopback(h.Src))
 		}
 		st.deliver(h, payload, pid)
 		b.Put()
@@ -475,13 +475,13 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 		if viaIf == nil {
 			st.stats.NoRoute++
 			if st.tr.Keeps(pid) {
-				st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=no-route dst=%v", dst)
+				st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseNoRoute, dst))
 			}
 			return fmt.Errorf("ip6: no route to %v", dst)
 		}
 		st.stats.NoNeighbor++
 		if st.tr.Keeps(pid) {
-			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=no-neighbor nh=%v", nh)
+			st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseNoNeighbor, nh))
 		}
 		return fmt.Errorf("ip6: no neighbor for %v", nh)
 	}
@@ -491,7 +491,7 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 	if !ifc.Output(mac, pkt, pid) {
 		st.stats.QueueDrops++
 		if st.tr.Keeps(pid) {
-			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=queue-full nh=%v", nh)
+			st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseQueueFull, nh))
 		}
 		return fmt.Errorf("ip6: interface queue full toward %v", nh)
 	}
@@ -518,7 +518,7 @@ func (st *Stack) InputBuf(b *pktbuf.Buf, pid uint64) {
 	if st.isLocal(h.Dst) {
 		st.stats.Received++
 		if st.tr.Keeps(pid) {
-			st.tr.EmitPkt(st.node, trace.KindPacketRX, pid, 0, "src=%v len=%d", h.Src, len(pkt))
+			st.tr.Add(st.node, pid, 0, trace.PktRX(h.Src, len(pkt)))
 		}
 		st.deliver(h, payload, pid)
 		b.Put()
@@ -529,14 +529,14 @@ func (st *Stack) InputBuf(b *pktbuf.Buf, pid uint64) {
 	if h.HopLimit <= 1 {
 		st.stats.HopLimit++
 		if st.tr.Keeps(pid) {
-			st.tr.EmitPkt(st.node, trace.KindPacketDrop, pid, 0, "cause=hop-limit dst=%v", h.Dst)
+			st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseHopLimit, h.Dst))
 		}
 		b.Put()
 		return
 	}
 	pkt[7] = h.HopLimit - 1
 	if st.tr.Keeps(pid) {
-		st.tr.EmitPkt(st.node, trace.KindPacketFwd, pid, 0, "dst=%v hl=%d", h.Dst, h.HopLimit-1)
+		st.tr.Add(st.node, pid, 0, trace.PktFwd(h.Dst, h.HopLimit-1))
 	}
 	if err := st.transmit(h.Dst, b, pid); err == nil {
 		st.stats.Forwarded++

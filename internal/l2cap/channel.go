@@ -287,7 +287,7 @@ func (ch *Channel) teardown() {
 	for i := 0; i < ch.txq.Len(); i++ {
 		f := ch.txq.At(i)
 		if f.pid != lastPID { // frames of one SDU share a pid: emit once
-			ch.ep.conn.TraceDrop(f.pid, "link-reset")
+			ch.ep.conn.TraceDrop(f.pid)
 			lastPID = f.pid
 		}
 		if f.onDone != nil {

@@ -538,7 +538,7 @@ func twoChannelRun(t *testing.T) []string {
 	burst()
 	p.coordEP.Teardown()
 	for _, e := range tr.Events("coord", trace.KindPacketDrop) {
-		note("trace pid=%d %s", e.ID, e.Detail)
+		note("trace pid=%d %s", e.ID, e.Detail())
 	}
 	return log
 }

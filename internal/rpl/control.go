@@ -120,19 +120,6 @@ func DecodeMessage(b []byte) (Message, error) {
 	return Message{}, fmt.Errorf("rpl: unknown message type %#x", m.Type)
 }
 
-// typeName names a message type for traces.
-func typeName(t byte) string {
-	switch t {
-	case TypeDIO:
-		return "dio"
-	case TypeDAO:
-		return "dao"
-	case TypeDIS:
-		return "dis"
-	}
-	return fmt.Sprintf("type-%#x", t)
-}
-
 // seqNewer reports whether a is fresher than b under serial-number
 // arithmetic (RFC 1982 style, 16-bit).
 func seqNewer(a, b uint16) bool { return int16(a-b) > 0 }

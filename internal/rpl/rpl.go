@@ -227,7 +227,7 @@ func (in *Instance) Start() {
 		in.rank = RootRank
 		in.lowestRank = RootRank
 		in.root = in.stack.GlobalAddr()
-		in.emitRank("root")
+		in.emitRank(trace.RankRoot)
 		in.trick.start()
 	} else {
 		// DAO refresh: periodic upward re-advertisement of our own
@@ -304,7 +304,7 @@ func (in *Instance) LinkDown(mac uint64) {
 	delete(in.parents, mac)
 	if in.preferred == mac {
 		in.preferred = 0
-		in.reselectParent("parent-link-down")
+		in.reselectParent(trace.RankParentLinkDown)
 	}
 }
 
@@ -323,7 +323,7 @@ func (in *Instance) handleUDP(src ip6.Addr, srcPort uint16, payload []byte) {
 		return
 	}
 	if in.tr.Enabled() {
-		in.tr.Emit(in.node, trace.KindRPLCtrl, "rx %s from=%012x rank=%d", typeName(m.Type), mac, m.Rank)
+		in.tr.Add(in.node, 0, 0, trace.RPLRx(m.Type, mac, m.Rank))
 	}
 	switch m.Type {
 	case TypeDIO:
@@ -354,7 +354,7 @@ func (in *Instance) handleDIO(mac uint64, m Message) {
 		if in.preferred == mac {
 			in.preferred = 0
 			in.stack.RemoveRoute(ip6.Unspecified, 0)
-			in.reselectParent("parent-poisoned")
+			in.reselectParent(trace.RankParentPoisoned)
 		}
 		return
 	}
@@ -369,7 +369,7 @@ func (in *Instance) handleDIO(mac uint64, m Message) {
 	in.root = m.Root
 	in.parents[mac] = &parentInfo{rank: m.Rank, lastHeard: in.s.Now()}
 	in.trick.hear()
-	in.reselectParent("dio")
+	in.reselectParent(trace.RankDIO)
 }
 
 // handleDIS answers a solicitation with an immediate unicast DIO.
@@ -462,7 +462,7 @@ func (in *Instance) linkCost(mac uint64) uint16 {
 // demand a Hysteresis improvement before abandoning a live preferred
 // parent, and detach when the best choice would push rank beyond the
 // repair bound.
-func (in *Instance) reselectParent(cause string) {
+func (in *Instance) reselectParent(cause trace.RankCause) {
 	if in.cfg.Root || !in.running {
 		return
 	}
@@ -504,7 +504,7 @@ func (in *Instance) reselectParent(cause string) {
 	if in.lowestRank != RankInfinite && bestVia > uint32(in.lowestRank)+uint32(in.cfg.MaxRankIncrease) {
 		// Advancing would exceed the repair bound — likely our own
 		// sub-DODAG echoing back. Detach and rejoin from scratch.
-		in.detach("rank-bound")
+		in.detach(trace.RankBound)
 		return
 	}
 
@@ -540,7 +540,7 @@ func (in *Instance) reselectParent(cause string) {
 // detach leaves the DODAG: poison the sub-DODAG first (children must not
 // route through us), then solicit fresh DIOs to rejoin. LocalRepairs
 // counts these transitions.
-func (in *Instance) detach(cause string) {
+func (in *Instance) detach(cause trace.RankCause) {
 	in.stats.LocalRepairs++
 	in.rank = RankInfinite
 	in.preferred = 0
@@ -579,7 +579,7 @@ func (in *Instance) sweep() {
 		}
 	}
 	if lostPreferred {
-		in.reselectParent("parent-timeout")
+		in.reselectParent(trace.RankParentTimeout)
 	}
 	if !in.Joined() {
 		for _, mac := range in.sortedNeighbors() {
@@ -678,7 +678,7 @@ func (in *Instance) sendCtrl(mac uint64, m Message) {
 	}
 	pid, err := in.stack.SendUDPPID(ip6.LinkLocal(mac), in.cfg.Port, in.cfg.Port, m.Encode())
 	if err == nil && in.tr.Keeps(pid) {
-		in.tr.EmitPkt(in.node, trace.KindRPLCtrl, pid, 0, "tx %s to=%012x rank=%d", typeName(m.Type), mac, m.Rank)
+		in.tr.Add(in.node, pid, 0, trace.RPLTx(m.Type, mac, m.Rank))
 	}
 }
 
@@ -692,9 +692,9 @@ func (in *Instance) sortedNeighbors() []uint64 {
 }
 
 // emitRank records a rank transition for the monotone-rank loop check.
-func (in *Instance) emitRank(cause string) {
+func (in *Instance) emitRank(cause trace.RankCause) {
 	in.stats.Rank = in.rank
 	if in.tr.Enabled() {
-		in.tr.Emit(in.node, trace.KindRPLRank, "rank=%d parent=%012x cause=%s", in.rank, in.preferred, cause)
+		in.tr.Add(in.node, 0, 0, trace.RPLRank(in.rank, in.preferred, cause))
 	}
 }

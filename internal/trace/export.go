@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
@@ -29,9 +28,10 @@ var kindJSON = func() (q [numKinds]string) {
 	return q
 }()
 
-// WriteNDJSON writes an event slice as newline-delimited JSON. Output is
-// buffered: the underlying writer sees large chunks, not one syscall-sized
-// write per event.
+// WriteNDJSON writes an event slice as newline-delimited JSON. Each line is
+// appended into one reused buffer, the detail text rendered straight into
+// it, so the export allocates nothing per event; the underlying writer sees
+// large chunks, not one syscall-sized write per event.
 func WriteNDJSON(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var line []byte
@@ -52,7 +52,11 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 		line = append(line, `,"dur":`...)
 		line = strconv.AppendInt(line, int64(e.Dur), 10)
 		line = append(line, `,"detail":`...)
-		line = strconv.AppendQuote(line, e.Detail)
+		if e.hasText() {
+			line = strconv.AppendQuote(line, e.text)
+		} else {
+			line = append(e.appendDetail(append(line, '"')), '"')
+		}
 		line = append(line, '}', '\n')
 		if _, err := bw.Write(line); err != nil {
 			return err
@@ -61,32 +65,48 @@ func WriteNDJSON(w io.Writer, events []Event) error {
 	return bw.Flush()
 }
 
-// WriteCSV writes an event slice as CSV with a header row, buffered like
-// WriteNDJSON.
+// WriteCSV writes an event slice as CSV with a header row, encoded and
+// buffered like WriteNDJSON.
 func WriteCSV(w io.Writer, events []Event) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := io.WriteString(bw, "at_ns,node,kind,id,dur_ns,detail\n"); err != nil {
 		return err
 	}
-	for _, e := range events {
-		_, err := fmt.Fprintf(bw, "%d,%s,%s,%d,%d,%s\n",
-			int64(e.At), csvField(e.Node), csvField(e.Kind.String()),
-			e.ID, int64(e.Dur), csvField(e.Detail))
-		if err != nil {
+	var line []byte
+	for i := range events {
+		e := &events[i]
+		line = strconv.AppendInt(line[:0], int64(e.At), 10)
+		line = appendCSVField(append(line, ','), e.Node)
+		line = appendCSVField(append(line, ','), e.Kind.String())
+		line = strconv.AppendUint(append(line, ','), e.ID, 10)
+		line = strconv.AppendInt(append(line, ','), int64(e.Dur), 10)
+		line = append(line, ',')
+		if e.hasText() {
+			line = appendCSVField(line, e.text)
+		} else {
+			line = e.appendDetail(line)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// csvField quotes a value when it contains CSV metacharacters (RFC 4180:
-// wrap in double quotes, double any embedded quotes).
-func csvField(s string) string {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ',', '"', '\n', '\r':
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
+// appendCSVField appends a value, quoted when it contains CSV
+// metacharacters (RFC 4180: wrap in double quotes, double any embedded
+// quotes).
+func appendCSVField(b []byte, s string) []byte {
+	if !strings.ContainsAny(s, ",\"\n\r") {
+		return append(b, s...)
 	}
-	return s
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' {
+			b = append(b, '"')
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '"')
 }

@@ -17,7 +17,7 @@ func referenceNDJSON(w io.Writer, events []Event) {
 	for _, e := range events {
 		fmt.Fprintf(w, "{\"at\":%d,\"node\":%s,\"kind\":%s,\"id\":%d,\"dur\":%d,\"detail\":%s}\n",
 			int64(e.At), strconv.Quote(e.Node), strconv.Quote(e.Kind.String()),
-			e.ID, int64(e.Dur), strconv.Quote(e.Detail))
+			e.ID, int64(e.Dur), strconv.Quote(e.Detail()))
 	}
 }
 
@@ -27,12 +27,13 @@ func TestWriteNDJSONMatchesReference(t *testing.T) {
 	for k := Kind(0); k <= numKinds+1; k++ { // two kinds past the table
 		for i, node := range texts {
 			events = append(events, Event{
-				At:     sim.Time(int64(k)*1e9 + int64(i)),
-				Node:   node,
-				Kind:   k,
-				ID:     uint64(i) * 0x5a00_0000_0000_0001,
-				Dur:    sim.Duration(i * 376_000),
-				Detail: texts[(i+int(k))%len(texts)],
+				At:   sim.Time(int64(k)*1e9 + int64(i)),
+				Node: node,
+				Kind: k,
+				ID:   uint64(i) * 0x5a00_0000_0000_0001,
+				Dur:  sim.Duration(i * 376_000),
+				text: texts[(i+int(k))%len(texts)],
+				r:    Rec{op: opText},
 			})
 		}
 	}
@@ -113,12 +114,12 @@ func BenchmarkTraceWriteNDJSON(b *testing.B) {
 	events := make([]Event, 1<<16)
 	for i := range events {
 		events[i] = Event{
-			At:     sim.Time(i) * 1250,
-			Node:   "nrf52dk-" + strconv.Itoa(i%15),
-			Kind:   Kind(i % int(numKinds)),
-			ID:     uint64(i%15)<<48 | uint64(i),
-			Dur:    sim.Duration(i%400) * 1000,
-			Detail: "conn#3 ch=" + strconv.Itoa(i%37) + " try=1 len=108",
+			At:   sim.Time(i) * 1250,
+			Node: "nrf52dk-" + strconv.Itoa(i%15),
+			Kind: Kind(i % int(numKinds)),
+			ID:   uint64(i%15)<<48 | uint64(i),
+			Dur:  sim.Duration(i%400) * 1000,
+			r:    LLTx(3, uint8(i%37), 1, 108),
 		}
 	}
 	b.ReportAllocs()

@@ -159,7 +159,7 @@ func (b *journeyBuilder) feed(e Event) {
 		j.Delivered = true
 	case KindPacketDrop:
 		if j.DropCause == "" && !j.Delivered {
-			j.DropCause = dropCause(e)
+			j.DropCause = e.Cause().String()
 			j.End = e.At
 			b.closeHop(e.At)
 		}

@@ -11,19 +11,19 @@ func TestEnableDisableMidRun(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 16)
 	l.Enable()
-	l.Emit("n", KindPacketTX, "before")
+	l.Add("n", 0, 0, seqRec(1))
 	l.Disable()
 	if l.Enabled() {
 		t.Fatal("still enabled after Disable")
 	}
-	l.Emit("n", KindPacketTX, "while off")
+	l.Add("n", 0, 0, seqRec(2))
 	if l.Total() != 1 {
 		t.Fatalf("recorded while disabled: total=%d", l.Total())
 	}
 	l.Enable()
-	l.Emit("n", KindPacketTX, "after")
+	l.Add("n", 0, 0, seqRec(3))
 	evs := l.Events("")
-	if len(evs) != 2 || evs[0].Detail != "before" || evs[1].Detail != "after" {
+	if len(evs) != 2 || seqOf(evs[0]) != 1 || seqOf(evs[1]) != 3 {
 		t.Fatalf("retained: %+v", evs)
 	}
 	// Disable must tolerate a nil log (instrumentation sites pass nil).
@@ -35,8 +35,8 @@ func TestEmitPktAndEventsByID(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 32)
 	l.Enable()
-	l.EmitPkt("a", KindPacketTX, 7, 0, "dst=x")
-	l.EmitPkt("a", KindLLTx, 7, 300*sim.Microsecond, "try=1")
+	l.Add("a", 7, 0, PktTX(dstC, 40))
+	l.Add("a", 7, 300*sim.Microsecond, LLTx(1, 5, 1, 27))
 	l.EmitPkt("b", KindLLRx, 9, 300*sim.Microsecond, "other packet")
 	got := l.EventsByID(7)
 	if len(got) != 2 || got[0].Kind != KindPacketTX || got[1].Dur != 300*sim.Microsecond {
@@ -45,18 +45,26 @@ func TestEmitPktAndEventsByID(t *testing.T) {
 	if !strings.Contains(got[0].String(), "0000000000000007") {
 		t.Fatalf("tagged event string lacks ID: %q", got[0].String())
 	}
+	if o := l.EventsByID(9); len(o) != 1 || o[0].Detail() != "other packet" {
+		t.Fatalf("EmitPkt text event: %+v", o)
+	}
 }
+
+// dstC is the address the synthetic journeys are sent to.
+var dstC = [16]byte{0: 0xfd, 15: 0x0c}
 
 func TestDropCauses(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 32)
 	l.Enable()
-	l.EmitPkt("a", KindPacketDrop, 1, 0, "cause=no-route dst=x")
-	l.EmitPkt("a", KindPacketDrop, 2, 0, "cause=no-route dst=y")
-	l.EmitPkt("b", KindPacketDrop, 3, 0, "cause=link-down peer=abc")
-	l.EmitPkt("b", KindPacketDrop, 4, 0, "malformed detail")
+	l.Add("a", 1, 0, Drop(CauseNoRoute, dstC))
+	l.Add("a", 2, 0, Drop(CauseNoRoute, [16]byte{}))
+	l.Add("b", 3, 0, DropLinkDown(0xabc))
+	l.Add("b", 4, 0, DropConnLost(2, LossSupervision))
+	l.Add("b", 5, 0, DropLinkReset(2))
+	l.EmitPkt("b", KindPacketDrop, 6, 0, "cause=queue-full text")
 	got := l.DropCauses()
-	if got["no-route"] != 2 || got["link-down"] != 1 || got["unknown"] != 1 {
+	if len(got) != 3 || got["no-route"] != 2 || got["link-down"] != 1 || got["link-reset"] != 2 {
 		t.Fatalf("DropCauses: %v", got)
 	}
 }
@@ -66,14 +74,14 @@ func TestDropCauses(t *testing.T) {
 // by the retransmission gap, with the given airtime per PDU.
 func emitHop(s *sim.Sim, l *Log, id uint64, from, to string, start sim.Time,
 	queue, wait, air, gap sim.Duration, tries int) sim.Time {
-	s.At(start+sim.Time(queue), func() { l.EmitPkt(from, KindLLReady, id, 0, "q") })
+	s.At(start+sim.Time(queue), func() { l.Add(from, id, 0, LLReady(1, 1)) })
 	tx := start + sim.Time(queue+wait)
 	for i := 0; i < tries; i++ {
 		at := tx + sim.Time(sim.Duration(i)*gap)
-		s.At(at, func() { l.EmitPkt(from, KindLLTx, id, air, "try") })
+		s.At(at, func() { l.Add(from, id, air, LLTx(1, 5, i+1, 27)) })
 	}
 	end := tx + sim.Time(sim.Duration(tries-1)*gap+air)
-	s.At(end, func() { l.EmitPkt(to, KindLLRx, id, air, "rx") })
+	s.At(end, func() { l.Add(to, id, air, LLRx(1, 5, 27)) })
 	return end
 }
 
@@ -84,11 +92,11 @@ func TestJourneyDecompositionExact(t *testing.T) {
 	const id = 0x42
 	// Two hops: a->b (2 tries), b->c (1 try). All times in µs for clarity.
 	us := sim.Microsecond
-	s.At(1000, func() { l.EmitPkt("a", KindPacketTX, id, 0, "dst=c") })
+	s.At(1000, func() { l.Add("a", id, 0, PktTX(dstC, 40)) })
 	end1 := emitHop(s, l, id, "a", "b", 1000, 50*us, 200*us, 30*us, 75*us, 2)
-	s.At(end1, func() { l.EmitPkt("b", KindPacketFwd, id, 0, "dst=c") })
+	s.At(end1, func() { l.Add("b", id, 0, PktFwd(dstC, 63)) })
 	end2 := emitHop(s, l, id, "b", "c", end1, 10*us, 100*us, 30*us, 0, 1)
-	s.At(end2, func() { l.EmitPkt("c", KindPacketRX, id, 0, "src=a") })
+	s.At(end2, func() { l.Add("c", id, 0, PktRX(dstC, 40)) })
 	s.Run(sim.Second)
 
 	js := Journeys(l)
@@ -131,8 +139,8 @@ func TestJourneyDrop(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 64)
 	l.Enable()
-	s.At(100, func() { l.EmitPkt("a", KindPacketTX, 5, 0, "dst=c") })
-	s.At(200, func() { l.EmitPkt("a", KindPacketDrop, 5, 0, "cause=queue-full nh=b") })
+	s.At(100, func() { l.Add("a", 5, 0, PktTX(dstC, 40)) })
+	s.At(200, func() { l.Add("a", 5, 0, Drop(CauseQueueFull, dstC)) })
 	s.Run(sim.Second)
 	js := Journeys(l)
 	if len(js) != 1 || js[0].Delivered || js[0].DropCause != "queue-full" {
@@ -148,8 +156,8 @@ func TestJourneysSkipUnanchored(t *testing.T) {
 	l := New(s, 64)
 	l.Enable()
 	// Span events whose pkt-tx was evicted must not fabricate a journey.
-	l.EmitPkt("b", KindLLRx, 77, 10, "orphan")
-	l.EmitPkt("c", KindPacketRX, 77, 0, "orphan")
+	l.Add("b", 77, 10, LLRx(1, 5, 27))
+	l.Add("c", 77, 0, PktRX(dstC, 40))
 	if js := Journeys(l); len(js) != 0 {
 		t.Fatalf("unanchored journey fabricated: %+v", js)
 	}
@@ -160,8 +168,8 @@ func TestExportNDJSONAndCSV(t *testing.T) {
 	l := New(s, 16)
 	l.Enable()
 	s.At(sim.Millisecond, func() {
-		l.EmitPkt("n1", KindLLTx, 0xABC, 328*sim.Microsecond, "conn#1 ch=5")
-		l.Emit("n2", KindConnLoss, `reason="supervision, timeout"`)
+		l.Add("n1", 0xABC, 328*sim.Microsecond, LLTx(1, 5, 2, 27))
+		l.EmitPkt("n2", KindConnLoss, 0, 0, `reason="supervision, timeout"`)
 	})
 	s.Run(sim.Second)
 
@@ -173,7 +181,7 @@ func TestExportNDJSONAndCSV(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("ndjson lines: %d", len(lines))
 	}
-	want := `{"at":1000000,"node":"n1","kind":"ll-tx","id":2748,"dur":328000,"detail":"conn#1 ch=5"}`
+	want := `{"at":1000000,"node":"n1","kind":"ll-tx","id":2748,"dur":328000,"detail":"conn#1 ch=5 try=2 len=27"}`
 	if lines[0] != want {
 		t.Fatalf("ndjson[0]:\n got %s\nwant %s", lines[0], want)
 	}

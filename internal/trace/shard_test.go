@@ -19,7 +19,7 @@ func TestShardMergeRestoresChronology(t *testing.T) {
 	nodes := []string{"a", "b", "c", "d"}
 	const total = 100
 	for i := 0; i < total; i++ {
-		l.Emit(nodes[i%len(nodes)], KindPacketTX, "i=%d", i)
+		l.Add(nodes[i%len(nodes)], 0, 0, seqRec(i))
 	}
 	if l.Shards() != len(nodes) {
 		t.Fatalf("shards=%d, want %d", l.Shards(), len(nodes))
@@ -29,15 +29,15 @@ func TestShardMergeRestoresChronology(t *testing.T) {
 		t.Fatalf("retained %d, want %d", len(evs), total)
 	}
 	for i, e := range evs {
-		if want := fmt.Sprintf("i=%d", i); e.Detail != want {
-			t.Fatalf("event %d out of order: %q (want %q)", i, e.Detail, want)
+		if seqOf(e) != i {
+			t.Fatalf("event %d out of order: %q", i, e.Detail())
 		}
 	}
 	// Per-node queries keep per-node order without a merge.
 	for ni, n := range nodes {
 		for j, e := range l.Events(n) {
-			if want := fmt.Sprintf("i=%d", j*len(nodes)+ni); e.Detail != want {
-				t.Fatalf("node %s event %d: %q (want %q)", n, j, e.Detail, want)
+			if want := j*len(nodes) + ni; seqOf(e) != want || e.Node != n {
+				t.Fatalf("node %s event %d: %s %q (want %d)", n, j, e.Node, e.Detail(), want)
 			}
 		}
 	}
@@ -49,48 +49,55 @@ func TestShardWrapPerNode(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 8)
 	l.Enable()
-	l.Emit("quiet", KindConnOpen, "first")
+	l.Add("quiet", 0, 0, ConnOpen(0x0a0b0c0d0e0f, RoleSubordinate, sim.Second))
 	for i := 0; i < 100; i++ {
-		l.Emit("chatty", KindPacketTX, "i=%d", i)
+		l.Add("chatty", 0, 0, seqRec(i))
 	}
-	if got := l.Events("quiet"); len(got) != 1 || got[0].Detail != "first" {
+	if got := l.Events("quiet"); len(got) != 1 || got[0].Kind != KindConnOpen {
 		t.Fatalf("chatty node evicted quiet node's event: %+v", got)
 	}
 	ch := l.Events("chatty")
 	if len(ch) != 8 {
 		t.Fatalf("chatty retained %d, cap 8", len(ch))
 	}
-	if ch[0].Detail != "i=92" || ch[7].Detail != "i=99" {
-		t.Fatalf("chatty ring order: %v .. %v", ch[0].Detail, ch[7].Detail)
+	if seqOf(ch[0]) != 92 || seqOf(ch[7]) != 99 {
+		t.Fatalf("chatty ring order: %v .. %v", ch[0].Detail(), ch[7].Detail())
 	}
 	// The merged view holds the quiet event plus the chatty tail, in order.
 	all := l.Events("")
-	if len(all) != 9 || all[0].Detail != "first" || all[8].Detail != "i=99" {
-		t.Fatalf("merged view wrong: %d events, %v .. %v", len(all), all[0].Detail, all[len(all)-1].Detail)
+	if len(all) != 9 || all[0].Node != "quiet" || seqOf(all[8]) != 99 {
+		t.Fatalf("merged view wrong: %d events, %v .. %v", len(all), all[0], all[len(all)-1])
 	}
 }
 
-// TestShardLazyGrowth checks that shard buffers start small and only grow to
-// what was actually emitted, not to the configured capacity.
+// TestShardLazyGrowth checks that shard rings start at one chunk and grow
+// one chunk at a time to what was actually emitted, not to the configured
+// capacity, and that growing keeps every record where it was.
 func TestShardLazyGrowth(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 1<<20)
 	l.Enable()
 	for i := 0; i < 10; i++ {
-		l.Emit("n", KindPacketTX, "i=%d", i)
+		l.Add("n", 0, 0, seqRec(i))
 	}
 	sh := l.shards["n"]
-	if len(sh.buf) != shardSeedCap {
-		t.Fatalf("10 events grew buf to %d, want seed %d", len(sh.buf), shardSeedCap)
+	if len(sh.chunks) != 1 || sh.size != chunkLen {
+		t.Fatalf("10 events grew the ring to %d chunks, %d records; want one chunk of %d", len(sh.chunks), sh.size, chunkLen)
 	}
-	for i := 10; i < shardSeedCap+1; i++ {
-		l.Emit("n", KindPacketTX, "i=%d", i)
+	for i := 10; i < chunkLen+1; i++ {
+		l.Add("n", 0, 0, seqRec(i))
 	}
-	if len(sh.buf) != 2*shardSeedCap {
-		t.Fatalf("after %d events buf=%d, want doubled %d", shardSeedCap+1, len(sh.buf), 2*shardSeedCap)
+	if len(sh.chunks) != 2 || sh.size != 2*chunkLen {
+		t.Fatalf("after %d events the ring has %d chunks, %d records; want 2, %d", chunkLen+1, len(sh.chunks), sh.size, 2*chunkLen)
 	}
-	if got := l.Events("n"); len(got) != shardSeedCap+1 {
+	got := l.Events("n")
+	if len(got) != chunkLen+1 {
 		t.Fatalf("retained %d across growth", len(got))
+	}
+	for i, e := range got {
+		if seqOf(e) != i {
+			t.Fatalf("record %d moved across growth: %q", i, e.Detail())
+		}
 	}
 }
 
@@ -141,10 +148,10 @@ func TestSamplingKeepsWholeJourneys(t *testing.T) {
 			keptIDs[id] = true
 		}
 		for _, n := range nodes {
-			l.EmitPkt(n, KindPacketTX, id, 0, "hop")
+			l.Add(n, id, 0, seqRec(i))
 		}
 	}
-	l.Emit("src", KindConnOpen, "untagged")
+	l.Add("src", 0, 0, ConnOpen(0x0a0b0c0d0e0f, RoleCoordinator, sim.Second))
 	if int(l.PktKept()) != len(keptIDs) || l.PktKept()+l.PktDropped() != pkts {
 		t.Fatalf("decision counters: kept=%d dropped=%d, want %d total", l.PktKept(), l.PktDropped(), pkts)
 	}
@@ -187,7 +194,7 @@ func TestSampledExportDeterministic(t *testing.T) {
 		l.Enable()
 		l.SetSampleRate(0.5)
 		for i := 1; i <= 200; i++ {
-			l.EmitPkt(fmt.Sprintf("n%d", i%5), KindPacketTX, uint64(i), 0, "i=%d", i)
+			l.Add(fmt.Sprintf("n%d", i%5), uint64(i), 0, seqRec(i))
 		}
 		return l
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"testing"
 
 	"blemesh/internal/sim"
@@ -19,10 +20,10 @@ func TestMultiSiteMergeByTime(t *testing.T) {
 
 	// Interleave emissions against out-of-order wall progress: site 1
 	// emits at t=5ms before site 0 emits at t=3ms.
-	s1.PostAt(5*sim.Millisecond, func() { l.Emit("b", KindConnOpen, "b1") })
+	s1.PostAt(5*sim.Millisecond, func() { l.Add("b", 0, 0, seqRec(1)) })
 	s1.Run(10 * sim.Millisecond)
-	s0.PostAt(3*sim.Millisecond, func() { l.Emit("a", KindConnOpen, "a1") })
-	s0.PostAt(5*sim.Millisecond, func() { l.Emit("a", KindConnOpen, "a2") })
+	s0.PostAt(3*sim.Millisecond, func() { l.Add("a", 0, 0, seqRec(1)) })
+	s0.PostAt(5*sim.Millisecond, func() { l.Add("a", 0, 0, seqRec(2)) })
 	s0.Run(10 * sim.Millisecond)
 
 	evs := l.Events("")
@@ -32,8 +33,8 @@ func TestMultiSiteMergeByTime(t *testing.T) {
 	// a1 (3ms) first; at 5ms site 0 precedes site 1.
 	want := []string{"a1", "a2", "b1"}
 	for i, d := range want {
-		if evs[i].Detail != d {
-			t.Fatalf("pos %d: got %q want %q (order %v)", i, evs[i].Detail, d, evs)
+		if got := fmt.Sprint(evs[i].Node, seqOf(evs[i])); got != d {
+			t.Fatalf("pos %d: got %q want %q (order %v)", i, got, d, evs)
 		}
 	}
 	if l.Total() != 3 {
@@ -49,13 +50,13 @@ func TestFrozenLogRefusesUnknownNodes(t *testing.T) {
 	l.RegisterNode("known", s, 0)
 	l.Freeze()
 	l.Enable()
-	l.Emit("known", KindConnOpen, "fine")
+	l.Add("known", 0, 0, seqRec(1))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("emit from unregistered node on frozen log did not panic")
 		}
 	}()
-	l.Emit("ghost", KindConnOpen, "boom")
+	l.Add("ghost", 0, 0, seqRec(2))
 }
 
 // TestDecidePktPerRing: sampling verdicts land on the minting node's ring

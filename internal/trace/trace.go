@@ -18,7 +18,6 @@ package trace
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"blemesh/internal/sim"
 )
@@ -91,41 +90,42 @@ func KindByName(name string) (Kind, bool) {
 // KindNames lists every kind name in kind order.
 func KindNames() []string { return append([]string(nil), kindNames[:]...) }
 
-// Event is one log record. Detail is kept to a short preformatted string,
-// like the paper's character-budgeted STDIO records. ID is the packet
-// provenance ID for span events (0 = untagged); Dur carries a span length
-// where one applies (airtime for ll-tx/ll-rx, RTT for coap-rsp).
+// Event is one retained record as the log returns it, with its node's
+// name. ID is the packet provenance ID for span events (0 = untagged); Dur
+// carries a span length where one applies (airtime for ll-tx/ll-rx, RTT for
+// coap-rsp). The record's typed fields render as Detail, like the paper's
+// character-budgeted STDIO records; Cause and Rank read them back.
 type Event struct {
-	At     sim.Time
-	Node   string
-	Kind   Kind
-	ID     uint64
-	Dur    sim.Duration
-	Detail string
+	At   sim.Time
+	Node string
+	Kind Kind
+	ID   uint64
+	Dur  sim.Duration
 
-	// seq is the emission sequence number, site<<48 | per-site counter:
-	// the secondary merge key that restores one chronology across
-	// per-node shards (events at the same sim instant keep their emission
-	// order; a single-site network uses only site 0, where this is the
-	// historical global counter).
-	seq uint64
+	r    Rec    // the ring record: typed fields, and the emission sequence
+	text string // an EmitPkt event's formatted text
 }
 
 func (e Event) String() string {
 	if e.ID != 0 {
-		return fmt.Sprintf("%12.6f %-12s %-13s %016x %s", e.At.Seconds(), e.Node, e.Kind, e.ID, e.Detail)
+		return fmt.Sprintf("%12.6f %-12s %-13s %016x %s", e.At.Seconds(), e.Node, e.Kind, e.ID, e.Detail())
 	}
-	return fmt.Sprintf("%12.6f %-12s %-13s %s", e.At.Seconds(), e.Node, e.Kind, e.Detail)
+	return fmt.Sprintf("%12.6f %-12s %-13s %s", e.At.Seconds(), e.Node, e.Kind, e.Detail())
 }
+
+// hasText reports whether the event's Detail is EmitPkt's text rather than
+// a rendering of typed fields.
+func (e *Event) hasText() bool { return e.r.op == opText }
 
 // Log is the flight recorder of one simulation: per-node bounded ring
 // buffers (shards) sharing one global sequence counter. Sharding keeps
 // recording O(1) per event with no cross-node contention for capacity —
 // a chatty border router can no longer evict a quiet leaf's history — and
-// shards grow lazily (geometric doubling up to the per-shard capacity), so
-// an armed log costs memory proportional to what was actually emitted, not
-// nodes × capacity. Export paths merge shards deterministically on the
-// global sequence. The zero Log is disabled; Enable arms it.
+// shards grow lazily, one fixed chunk at a time up to the per-shard
+// capacity, so an armed log costs memory proportional to what was actually
+// emitted, not nodes × capacity. Export paths merge shards
+// deterministically on the global sequence. The zero Log is disabled;
+// Enable arms it.
 type Log struct {
 	s      *sim.Sim
 	cap    int // per-shard event capacity
@@ -156,13 +156,18 @@ type Log struct {
 	pktDropped   uint64 // minted IDs decided drop, unregistered nodes
 }
 
-// shard is one node's ring. buf grows geometrically to max before the ring
-// wraps, so short runs never pay worst-case capacity. sim/site bind the
-// ring to its owner's clock and domain on multi-site networks (sim nil = use
-// the Log's); kept/dropped count sampling verdicts ring-locally so DecidePkt
-// stays free of cross-domain writes.
+// shard is one node's ring. It grows by one chunk of chunkLen records at a
+// time up to max, then wraps, so short runs never pay worst-case capacity
+// and growing never copies. text holds EmitPkt's formatted texts beside the
+// chunks they belong to, allocated only for a chunk that has one. sim/site
+// bind the ring to its owner's clock and domain on multi-site networks (sim
+// nil = use the Log's); kept/dropped count sampling verdicts ring-locally so
+// DecidePkt stays free of cross-domain writes.
 type shard struct {
-	buf     []Event
+	name    string
+	chunks  [][]Rec
+	text    [][]string
+	size    int // records allocated over all chunks
 	next    int
 	wrapped bool
 	max     int
@@ -173,45 +178,60 @@ type shard struct {
 	dropped uint64
 }
 
-// shardSeedCap is the initial shard allocation (events).
-const shardSeedCap = 512
+// chunkLen is the number of records a ring grows by: 16 KiB of them.
+const chunkLen = 256
 
-func (sh *shard) put(e Event) {
-	if sh.next == len(sh.buf) {
-		// Full at sub-capacity size (a wrapped ring never parks next at
-		// len(buf)): double up to the bound.
-		n := len(sh.buf) * 2
-		if n < shardSeedCap {
-			n = shardSeedCap
-		}
-		if n > sh.max {
-			n = sh.max
-		}
-		grown := make([]Event, n)
-		copy(grown, sh.buf)
-		sh.buf = grown
+func (sh *shard) at(i int) *Rec { return &sh.chunks[i/chunkLen][i%chunkLen] }
+
+func (sh *shard) put(r *Rec, text string) {
+	if sh.next == sh.size {
+		// Full below the bound (a wrapped ring never parks next at size):
+		// one more chunk, the last one cut to the bound.
+		n := min(chunkLen, sh.max-sh.size)
+		sh.chunks = append(sh.chunks, make([]Rec, n))
+		sh.size += n
 	}
-	sh.buf[sh.next] = e
+	c, i := sh.next/chunkLen, sh.next%chunkLen
+	sh.chunks[c][i] = *r
+	if r.op == opText {
+		for len(sh.text) <= c {
+			sh.text = append(sh.text, nil)
+		}
+		if sh.text[c] == nil {
+			sh.text[c] = make([]string, len(sh.chunks[c]))
+		}
+		sh.text[c][i] = text
+	} else if c < len(sh.text) && sh.text[c] != nil {
+		sh.text[c][i] = "" // the slot's old text is evicted with it
+	}
 	sh.next++
-	if sh.next == sh.max && len(sh.buf) == sh.max {
+	if sh.next == sh.max {
 		sh.next = 0
 		sh.wrapped = true
 	}
 }
 
-// retained appends the shard's events in emission order, filtered.
-func (sh *shard) retained(match func(Event) bool, out []Event) []Event {
+// retained appends the shard's events of the kinds in mask (0 = all) in
+// emission order.
+func (sh *shard) retained(mask uint32, out []Event) []Event {
+	emit := func(i int) {
+		r := sh.at(i)
+		if mask != 0 && mask&(1<<uint(r.kind)) == 0 {
+			return
+		}
+		e := Event{At: r.at, Node: sh.name, Kind: r.kind, ID: r.id, Dur: r.dur, r: *r}
+		if r.op == opText {
+			e.text = sh.text[i/chunkLen][i%chunkLen]
+		}
+		out = append(out, e)
+	}
 	if sh.wrapped {
-		for _, e := range sh.buf[sh.next:] {
-			if match(e) {
-				out = append(out, e)
-			}
+		for i := sh.next; i < sh.size; i++ {
+			emit(i)
 		}
 	}
-	for _, e := range sh.buf[:sh.next] {
-		if match(e) {
-			out = append(out, e)
-		}
+	for i := 0; i < sh.next; i++ {
+		emit(i)
 	}
 	return out
 }
@@ -243,7 +263,7 @@ func (l *Log) RegisterNode(node string, s *sim.Sim, site int) {
 		sh.sim, sh.site = s, site
 		return
 	}
-	l.shards[node] = &shard{max: l.cap, sim: s, site: site}
+	l.shards[node] = &shard{name: node, max: l.cap, sim: s, site: site}
 }
 
 // Freeze forbids lazy ring creation: after this, emitting under an
@@ -258,8 +278,8 @@ func (l *Log) Enabled() bool { return l != nil && l.armed }
 
 // Keeps reports whether an event tagged with packet id would be recorded:
 // the log is armed and the packet is untagged (id 0) or sampled in. Tagged
-// emit sites test this instead of Enabled, so the arguments of an event the
-// sampler is about to drop are never boxed.
+// emit sites test this instead of Enabled, so an event the sampler is about
+// to drop costs one hash and its fields are never gathered.
 func (l *Log) Keeps(id uint64) bool {
 	return l != nil && l.armed && (id == 0 || l.KeepPkt(id))
 }
@@ -289,42 +309,46 @@ func (l *Log) SetFilter(kinds ...Kind) {
 	}
 }
 
-// Emit records an untagged event. A disabled or filtered log drops it
-// cheaply. Detail formatting is deferred until after the filter check.
-func (l *Log) Emit(node string, kind Kind, format string, args ...any) {
+// Add records one typed event — a record built by one of the constructors
+// of record.go — for node, tagged with packet id (0 = untagged) and spanning
+// dur. A nil, disabled or filtered log, or a sampled-out id, drops it; the
+// fields came by value, so even then nothing was boxed or allocated.
+func (l *Log) Add(node string, id uint64, dur sim.Duration, r Rec) {
 	if !l.Enabled() {
 		return
 	}
-	l.record(node, kind, 0, 0, format, args)
+	l.record(node, id, dur, &r, "", nil)
 }
 
-// EmitPkt records a provenance-tagged span event with an optional duration.
-// A disabled or filtered log drops it cheaply.
+// EmitPkt records a provenance-tagged span event whose detail is formatted
+// text, kept beside its ring slot and evicted with it. A disabled or
+// filtered log drops it before formatting. The simulator's own layers call
+// Add instead; EmitPkt remains for callers outside them.
 func (l *Log) EmitPkt(node string, kind Kind, id uint64, dur sim.Duration, format string, args ...any) {
 	if !l.Enabled() {
 		return
 	}
-	l.record(node, kind, id, dur, format, args)
+	l.record(node, id, dur, &Rec{kind: kind, op: opText}, format, args)
 }
 
-func (l *Log) record(node string, kind Kind, id uint64, dur sim.Duration, format string, args []any) {
-	if l.filter != 0 && l.filter&(1<<uint(kind)) == 0 {
+func (l *Log) record(node string, id uint64, dur sim.Duration, r *Rec, format string, args []any) {
+	if l.filter != 0 && l.filter&(1<<uint(r.kind)) == 0 {
 		return
 	}
 	if id != 0 && !l.KeepPkt(id) {
 		return // sampled-out packet: drop its whole journey, every layer
-	}
-	detail := format
-	if len(args) > 0 {
-		detail = fmt.Sprintf(format, args...)
 	}
 	sh := l.shards[node]
 	if sh == nil {
 		if l.frozen {
 			panic("trace: emit from unregistered node " + node + " on a frozen log")
 		}
-		sh = &shard{max: l.cap}
+		sh = &shard{name: node, max: l.cap}
 		l.shards[node] = sh
+	}
+	text := format
+	if len(args) > 0 {
+		text = fmt.Sprintf(format, args...)
 	}
 	clock := sh.sim
 	if clock == nil {
@@ -332,8 +356,8 @@ func (l *Log) record(node string, kind Kind, id uint64, dur sim.Duration, format
 	}
 	seq := l.siteSeq[sh.site]
 	l.siteSeq[sh.site] = seq + 1
-	sh.put(Event{At: clock.Now(), Node: node, Kind: kind, ID: id, Dur: dur, Detail: detail,
-		seq: uint64(sh.site)<<48 | seq})
+	r.at, r.seq, r.id, r.dur = clock.Now(), uint64(sh.site)<<48|seq, id, dur
+	sh.put(r, text)
 }
 
 // Total returns the number of events ever recorded (including evicted ones).
@@ -456,27 +480,21 @@ func (l *Log) Events(node string, kinds ...Kind) []Event {
 	for _, k := range kinds {
 		mask |= 1 << uint(k)
 	}
-	match := func(e Event) bool {
-		if mask != 0 && mask&(1<<uint(e.Kind)) == 0 {
-			return false
-		}
-		return true
-	}
 	if node != "" {
 		sh := l.shards[node]
 		if sh == nil {
 			return nil
 		}
-		return sh.retained(match, nil)
+		return sh.retained(mask, nil)
 	}
 	if len(l.shards) == 1 {
 		for _, sh := range l.shards {
-			return sh.retained(match, nil)
+			return sh.retained(mask, nil)
 		}
 	}
 	var out []Event
 	for _, sh := range l.shards {
-		out = sh.retained(match, out)
+		out = sh.retained(mask, out)
 	}
 	// Merge on (At, seq): per-site sequence streams are only ordered
 	// against each other by timestamp; within a site (and on any single-site
@@ -485,7 +503,7 @@ func (l *Log) Events(node string, kinds ...Kind) []Event {
 		if out[i].At != out[j].At {
 			return out[i].At < out[j].At
 		}
-		return out[i].seq < out[j].seq
+		return out[i].r.seq < out[j].r.seq
 	})
 	return out
 }
@@ -511,26 +529,15 @@ func (l *Log) CountByKind() map[Kind]int {
 	return out
 }
 
-// DropCauses tallies retained pkt-drop events by their cause token (the
-// leading "cause=..." of the detail), keyed by cause — the drop-cause table
-// of the trace tooling.
+// DropCauses tallies retained pkt-drop events by cause name — the
+// drop-cause table of the trace tooling. EmitPkt's text events carry no
+// cause and are not counted.
 func (l *Log) DropCauses() map[string]int {
 	out := make(map[string]int)
 	for _, e := range l.Events("", KindPacketDrop) {
-		out[dropCause(e)]++
+		if c := e.Cause(); c != 0 {
+			out[c.String()]++
+		}
 	}
 	return out
-}
-
-// dropCause extracts the cause token of a pkt-drop event's detail.
-func dropCause(e Event) string {
-	d := e.Detail
-	if !strings.HasPrefix(d, "cause=") {
-		return "unknown"
-	}
-	d = d[len("cause="):]
-	if i := strings.IndexByte(d, ' '); i >= 0 {
-		d = d[:i]
-	}
-	return d
 }

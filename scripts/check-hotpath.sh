@@ -1,7 +1,8 @@
 #!/bin/sh
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
 # the datapath packages and the two layers every packet runs on (phy, sim),
-# and closures on the upcall fields of the layers a link end is built from.
+# closures on the upcall fields of the layers a link end is built from, and
+# format-string trace calls anywhere in the simulator.
 #
 # Both cost nothing to write and were most of the loaded tree's host time:
 # a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
@@ -20,7 +21,14 @@
 #                 field holds an interface the layer above implements with a
 #                 type it already allocates (a link, an endpoint, a manager),
 #                 because a closure there is one more heap object per link
-#                 end or node for the garbage collector to mark.
+#                 end or node for the garbage collector to mark;
+#   x.Emit(, x.EmitPkt(
+#                 never in internal/ (rpl, exp and the rest as well as the
+#                 datapath): a layer records an event with Log.Add and a
+#                 typed record from internal/trace/record.go, which takes
+#                 its fields by value and formats nothing until export.
+#                 EmitPkt's format string boxes its arguments and allocates
+#                 text per kept event; it stays for callers outside internal/.
 #
 # A deliberate cold-path use carries a "// hotpath:ignore — <reason>" marker
 # on the same line. Test files are exempt.
@@ -54,6 +62,8 @@ UPCALLS="internal/ble internal/l2cap internal/gatt internal/core internal/statco
 upfiles=$(find $UPCALLS -name '*.go' ! -name '*_test.go' | sort)
 closures=$(grep -HnE '\.On[A-Z][A-Za-z0-9]* *= .*func *\(' $upfiles | grep -v 'hotpath:ignore' || true)
 
+traces=$(find internal -name '*.go' ! -name '*_test.go' | sort | xargs grep -HnE '\.(Emit|EmitPkt)\(' | grep -v 'hotpath:ignore' || true)
+
 status=0
 if [ -n "$sprints" ]; then
     echo "fmt.Sprint* on the datapath — pack the value into an integer or a" >&2
@@ -72,6 +82,13 @@ if [ -n "$closures" ]; then
     echo "with a type the owner already allocates, or add a" >&2
     echo "'// hotpath:ignore — <reason>' marker if it is set once and cold:" >&2
     echo "$closures" >&2
+    status=1
+fi
+if [ -n "$traces" ]; then
+    echo "format-string trace call in the simulator — record a typed event with" >&2
+    echo "Log.Add and a constructor of internal/trace/record.go, or add a" >&2
+    echo "'// hotpath:ignore — <reason>' marker if it is deliberate:" >&2
+    echo "$traces" >&2
     status=1
 fi
 [ $status -eq 0 ] && echo "check-hotpath: datapath packages clean"

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -102,7 +103,12 @@ func main() {
 	// Per-cell summary lines, then a CSV of the grid for external
 	// plotting. SweepText emits keys in sorted order, so the bytes are
 	// reproducible run-to-run and worker-count-to-worker-count.
-	fmt.Print(blemesh.SweepText(cells))
+	out := bufio.NewWriter(os.Stdout)
+	out.WriteString(blemesh.SweepText(cells))
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
+		os.Exit(1)
+	}
 }
 
 // parseProducers parses "100,1000" (milliseconds) into durations; an empty

@@ -5,8 +5,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"blemesh/internal/exp"
@@ -31,48 +33,58 @@ func main() {
 			fmt.Fprintln(os.Stderr, "blemesh-topo:", err)
 			os.Exit(2)
 		}
-		if t.Pos != nil {
-			showGeo(t)
-			return
-		}
 		topos = []testbed.Topology{t}
 	}
+	w := bufio.NewWriter(os.Stdout)
+	if t := topos[0]; t.Pos != nil {
+		showGeo(w, t)
+	} else {
+		showTestbed(w, topos)
+	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh-topo:", err)
+		os.Exit(1)
+	}
+}
 
-	fmt.Println("== FIT IoT-Lab inventory (paper §4.1) ==")
-	fmt.Println("BLE nodes (Saclay):")
+// showTestbed prints the paper's node inventory and each topology's link
+// list and role assignment.
+func showTestbed(w io.Writer, topos []testbed.Topology) {
+	fmt.Fprintln(w, "== FIT IoT-Lab inventory (paper §4.1) ==")
+	fmt.Fprintln(w, "BLE nodes (Saclay):")
 	for _, n := range testbed.BLENodes() {
-		fmt.Printf("  %2d  %-14s %-22s RAM %3dKB flash %4dKB  grid (%.0f,%.0f)\n",
+		fmt.Fprintf(w, "  %2d  %-14s %-22s RAM %3dKB flash %4dKB  grid (%.0f,%.0f)\n",
 			n.ID, n.Name, n.HW.SoC, n.HW.RAMKB, n.HW.FlashKB, n.X, n.Y)
 	}
-	fmt.Println("IEEE 802.15.4 nodes (Strasbourg):")
+	fmt.Fprintln(w, "IEEE 802.15.4 nodes (Strasbourg):")
 	for _, n := range testbed.M3Nodes()[:3] {
-		fmt.Printf("  %2d  %-14s %-22s RAM %3dKB flash %4dKB\n",
+		fmt.Fprintf(w, "  %2d  %-14s %-22s RAM %3dKB flash %4dKB\n",
 			n.ID, n.Name, n.HW.SoC, n.HW.RAMKB, n.HW.FlashKB)
 	}
-	fmt.Println("  ... (15 total)")
+	fmt.Fprintln(w, "  ... (15 total)")
 
 	show := func(t testbed.Topology) {
 		fig := ""
 		if t.Name == "tree" || t.Name == "line" {
 			fig = " (Fig. 6)"
 		}
-		fmt.Printf("\n== %s topology%s ==\n", t.Name, fig)
+		fmt.Fprintf(w, "\n== %s topology%s ==\n", t.Name, fig)
 		if sinks := t.SiteConsumers(); len(sinks) > 1 {
-			fmt.Printf("consumers: nodes %v; ", sinks)
+			fmt.Fprintf(w, "consumers: nodes %v; ", sinks)
 		} else {
-			fmt.Printf("consumer: node %d; ", t.Consumer)
+			fmt.Fprintf(w, "consumer: node %d; ", t.Consumer)
 		}
-		fmt.Printf("%d producers; avg hop count %.2f; max depth %d\n",
+		fmt.Fprintf(w, "%d producers; avg hop count %.2f; max depth %d\n",
 			len(t.Producers()), t.AvgHopCount(), t.MaxDepth())
-		fmt.Println("links (coordinator -> subordinate):")
+		fmt.Fprintln(w, "links (coordinator -> subordinate):")
 		for _, l := range t.Links {
-			fmt.Printf("  %2d -> %2d\n", l.Coordinator, l.Subordinate)
+			fmt.Fprintf(w, "  %2d -> %2d\n", l.Coordinator, l.Subordinate)
 		}
-		fmt.Println("subordinate-role link counts (shading requires ≥2):")
+		fmt.Fprintln(w, "subordinate-role link counts (shading requires ≥2):")
 		sc := t.SubordinateCount()
 		for _, id := range t.Nodes() {
 			if sc[id] >= 2 {
-				fmt.Printf("  node %2d is subordinate for %d links\n", id, sc[id])
+				fmt.Fprintf(w, "  node %2d is subordinate for %d links\n", id, sc[id])
 			}
 		}
 	}
@@ -84,7 +96,7 @@ func main() {
 // showGeo prints a generated positioned topology: the arena, the site
 // decomposition, and the per-site sinks, rather than Fig. 6's hand-drawn
 // link list (a 10k-node link list is not a display).
-func showGeo(t testbed.Topology) {
+func showGeo(w io.Writer, t testbed.Topology) {
 	minX, minY, maxX, maxY := 0.0, 0.0, 0.0, 0.0
 	first := true
 	for _, p := range t.Pos {
@@ -97,18 +109,18 @@ func showGeo(t testbed.Topology) {
 		minY, maxY = min(minY, p.Y), max(maxY, p.Y)
 	}
 	sites := t.Sites()
-	fmt.Printf("== %s (generated) ==\n", t.Name)
-	fmt.Printf("%d nodes on a %.0fm × %.0fm arena, radio range %.1fm, mean disk degree %.2f\n",
+	fmt.Fprintf(w, "== %s (generated) ==\n", t.Name)
+	fmt.Fprintf(w, "%d nodes on a %.0fm × %.0fm arena, radio range %.1fm, mean disk degree %.2f\n",
 		len(t.Nodes()), maxX-minX, maxY-minY, t.Range, t.MeanDiskDegree())
-	fmt.Printf("%d links (BFS spanning forest of the disk graph), %d sites\n",
+	fmt.Fprintf(w, "%d links (BFS spanning forest of the disk graph), %d sites\n",
 		len(t.Links), len(sites))
 	sinks := t.SiteConsumers()
 	for i, site := range sites {
 		p := t.Pos[sinks[i]]
-		fmt.Printf("  site %3d: %4d nodes, sink node %d at (%.0f,%.0f)\n",
+		fmt.Fprintf(w, "  site %3d: %4d nodes, sink node %d at (%.0f,%.0f)\n",
 			i, len(site), sinks[i], p.X, p.Y)
 		if i == 19 && len(sites) > 20 {
-			fmt.Printf("  ... (%d more sites)\n", len(sites)-20)
+			fmt.Fprintf(w, "  ... (%d more sites)\n", len(sites)-20)
 			break
 		}
 	}

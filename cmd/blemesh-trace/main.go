@@ -15,8 +15,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -108,14 +110,13 @@ func main() {
 		}
 	}
 
-	w := os.Stdout
+	f := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
+		if f, err = os.Create(*out); err != nil {
 			fatal(err)
 		}
-		w = f
 	}
+	w := bufio.NewWriter(f)
 
 	switch {
 	case *export != "":
@@ -169,8 +170,12 @@ func main() {
 	default:
 		summarize(w, nw, *waterfalls)
 	}
-	if w != os.Stdout {
-		if err := w.Close(); err != nil {
+	// Output that cannot be written fails the run.
+	if err := w.Flush(); err != nil {
+		fatal(err)
+	}
+	if f != os.Stdout {
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 	}
@@ -194,7 +199,7 @@ func filtered(l *blemesh.TraceLog, node, kinds string) []trace.Event {
 
 // summarize prints the run's flight-recorder digest: event counts, the
 // latency decomposition, a drop-cause table, and optional waterfalls.
-func summarize(w *os.File, nw *blemesh.Network, nWaterfalls int) {
+func summarize(w io.Writer, nw *blemesh.Network, nWaterfalls int) {
 	pdr := nw.CoAPPDR()
 	fmt.Fprintf(w, "run: %d trace events, CoAP PDR %.4f (%d/%d), %d connection losses\n",
 		nw.Trace.Total(), pdr.Rate(), pdr.Delivered, pdr.Sent, nw.ConnLosses())

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -27,16 +28,32 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+	out := bufio.NewWriter(os.Stdout)
 	switch os.Args[1] {
 	case "list":
-		list()
+		list(out)
 	case "run":
-		run(os.Args[2:])
+		run(out, os.Args[2:])
 	case "all":
-		all(os.Args[2:])
+		all(out, os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
+	}
+	flush(out)
+	if os.Args[1] != "list" {
+		// The GC footer goes to stderr: heap numbers vary across runtimes
+		// and would break the byte-identical stdout guarantee.
+		fmt.Fprintln(os.Stderr, blemesh.GCFooter())
+	}
+}
+
+// flush writes out what stdout has buffered: output that cannot be
+// written fails the run.
+func flush(out *bufio.Writer) {
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "blemesh:", err)
+		os.Exit(1)
 	}
 }
 
@@ -47,14 +64,14 @@ func usage() {
   blemesh all [-scale F] [-seed N] [-workers N] [-shards N]  run everything`)
 }
 
-func list() {
-	fmt.Printf("%-9s %-22s %s\n", "ID", "PAPER ARTIFACT", "TITLE")
+func list(out *bufio.Writer) {
+	fmt.Fprintf(out, "%-9s %-22s %s\n", "ID", "PAPER ARTIFACT", "TITLE")
 	for _, e := range blemesh.Experiments() {
-		fmt.Printf("%-9s %-22s %s\n", e.ID, e.Figure, e.Title)
+		fmt.Fprintf(out, "%-9s %-22s %s\n", e.ID, e.Figure, e.Title)
 	}
 }
 
-func run(args []string) {
+func run(out *bufio.Writer, args []string) {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	scale := fs.Float64("scale", 1.0, "duration scale (1.0 = paper length)")
@@ -79,14 +96,11 @@ func run(args []string) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Print(rep.String())
+	out.WriteString(rep.String())
 	if *values {
-		fmt.Println("-- key numbers --")
-		fmt.Print(rep.ValuesTable())
+		out.WriteString("-- key numbers --\n")
+		out.WriteString(rep.ValuesTable())
 	}
-	// The GC footer goes to stderr: heap numbers vary across runtimes and
-	// would break the byte-identical stdout guarantee.
-	fmt.Fprintln(os.Stderr, blemesh.GCFooter())
 }
 
 // shardsHelp describes the -shards flag of run and all.
@@ -101,7 +115,7 @@ func validate(err error) {
 	}
 }
 
-func all(args []string) {
+func all(out *bufio.Writer, args []string) {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	seed := fs.Int64("seed", 1, "simulation seed")
 	scale := fs.Float64("scale", 1.0, "duration scale")
@@ -118,8 +132,7 @@ func all(args []string) {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Print(rep.String())
-		fmt.Println()
+		out.WriteString(rep.String() + "\n")
+		flush(out)
 	}
-	fmt.Fprintln(os.Stderr, blemesh.GCFooter())
 }

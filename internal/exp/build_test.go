@@ -12,57 +12,6 @@ import (
 	"blemesh/internal/testbed"
 )
 
-// buildExport drives one traced workload and returns the full trace +
-// metrics NDJSON. shards is the worker-lane count (0 and 1: one lane).
-func buildExport(t *testing.T, topo testbed.Topology, seed int64, shards int) string {
-	t.Helper()
-	nw := BuildNetwork(NetworkConfig{
-		Seed:          seed,
-		Engine:        sim.EngineWheel,
-		Shards:        shards,
-		Topology:      topo,
-		Policy:        statconn.Static{Interval: 75 * sim.Millisecond},
-		JamChannel22:  true,
-		Trace:         true,
-		TraceCapacity: 1 << 18,
-	})
-	// Formation failure on a hard seed is itself fine — both builds must
-	// fail identically, and byte equality still checks that.
-	nw.WaitTopology(60 * sim.Second)
-	nw.Run(5 * sim.Second)
-	nw.StartTraffic(TrafficConfig{Interval: sim.Second, Jitter: 500 * sim.Millisecond})
-	nw.Run(20 * sim.Second)
-	var b strings.Builder
-	if err := nw.Trace.WriteNDJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Registry.WriteNDJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
-
-// TestParallelBuildRepeatable pins the parallel per-site fill itself: the
-// same many-site topology built twice with 8 claim-racing workers must
-// produce identical node populations and identical exports. Run under
-// -race this is also the data-race check for the two-pass builder.
-func TestParallelBuildRepeatable(t *testing.T) {
-	topo := testbed.RandomGeometric(testbed.GeoConfig{
-		Seed: 11, N: 120, Width: 400, Height: 400, Range: 20})
-	if len(topo.Sites()) < 4 {
-		t.Fatalf("fixture topology has %d sites, need many for worker racing", len(topo.Sites()))
-	}
-	a := buildExport(t, topo, 11, 8)
-	b := buildExport(t, topo, 11, 8)
-	if a == "" {
-		t.Fatal("empty export")
-	}
-	if a != b {
-		n, g, w := firstDiff(a, b)
-		t.Fatalf("same parallel build diverges run-to-run at line %d:\n  %s\n  %s", n, g, w)
-	}
-}
-
 // TestSparseRouteWindowsExact pins the count-then-carve of the sparse route
 // tables on a multi-site city: the counting pass must size every node's
 // window to exactly the routes installSparseRoutes gives it, and those routes

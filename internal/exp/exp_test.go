@@ -201,28 +201,6 @@ func TestTables(t *testing.T) {
 	}
 }
 
-func TestRunsAreDeterministic(t *testing.T) {
-	// Bit-identical metrics for identical seeds: the reproducibility
-	// contract of the whole platform.
-	a := runFig7(small(2))
-	b := runFig7(small(2))
-	for k, v := range a.Values {
-		if b.Values[k] != v {
-			t.Fatalf("value %q differs across identical runs: %v vs %v", k, v, b.Values[k])
-		}
-	}
-	c := runFig7(small(4))
-	same := true
-	for k, v := range a.Values {
-		if c.Values[k] != v {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical results")
-	}
-}
-
 func TestAblationRenegotiate(t *testing.T) {
 	// The loss comparison is seed-sensitive at Scale 0.25 (losses are
 	// single-digit counts); this seed is one where the typical ordering
@@ -310,17 +288,7 @@ func TestChurnRecoversAndIsDeterministic(t *testing.T) {
 	if rep.Value("reconnects") == 0 {
 		t.Fatal("no reconnect latencies recorded")
 	}
-
-	// Same seed ⇒ byte-identical metrics (the reproducibility contract).
-	rep2 := runChurn(small(2))
-	if len(rep.Values) != len(rep2.Values) {
-		t.Fatalf("value sets differ in size: %d vs %d", len(rep.Values), len(rep2.Values))
-	}
-	for k, v := range rep.Values {
-		if rep2.Values[k] != v {
-			t.Fatalf("value %q differs across identical runs: %v vs %v", k, v, rep2.Values[k])
-		}
-	}
+	// Same seed ⇒ the same report: TestGolden's churn line.
 }
 
 func TestSelfhealRepairsAndBeatsStatic(t *testing.T) {

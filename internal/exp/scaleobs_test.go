@@ -11,10 +11,9 @@ import (
 
 // sampledRun drives the tracedRun workload with packet sampling armed and an
 // optional streaming sink.
-func sampledRun(seed int64, rate float64, engine sim.Engine, stream *strings.Builder) *Network {
+func sampledRun(seed int64, rate float64, stream *strings.Builder) *Network {
 	cfg := NetworkConfig{
 		Seed:          seed,
-		Engine:        engine,
 		Topology:      testbed.Tree(),
 		Policy:        statconn.Static{Interval: 75 * sim.Millisecond},
 		JamChannel22:  true,
@@ -39,8 +38,8 @@ func sampledRun(seed int64, rate float64, engine sim.Engine, stream *strings.Bui
 // run of the same seed must agree on every simulation outcome, while the
 // sampled trace sheds most of the event volume.
 func TestSampledTracingDoesNotPerturbTheRun(t *testing.T) {
-	full := sampledRun(5, 0, sim.EngineWheel, nil)
-	samp := sampledRun(5, 0.1, sim.EngineWheel, nil)
+	full := sampledRun(5, 0, nil)
+	samp := sampledRun(5, 0.1, nil)
 	if a, b := full.CoAPPDR(), samp.CoAPPDR(); a != b {
 		t.Fatalf("PDR differs: full %+v vs sampled %+v", a, b)
 	}
@@ -70,7 +69,7 @@ func TestSampledTracingDoesNotPerturbTheRun(t *testing.T) {
 // trace still decomposes into components that tile its end-to-end latency
 // with zero residual.
 func TestSampledJourneysDecomposeExactly(t *testing.T) {
-	nw := sampledRun(5, 0.2, sim.EngineWheel, nil)
+	nw := sampledRun(5, 0.2, nil)
 	js := nw.Journeys()
 	delivered := 0
 	for _, j := range js {
@@ -88,39 +87,13 @@ func TestSampledJourneysDecomposeExactly(t *testing.T) {
 	}
 }
 
-// TestSampledTraceEngineEquivalence pins the sampled flight recorder across
-// event-queue engines: the wheel and the heap must export byte-identical
-// sampled traces and metrics, shard merge and sampling decisions included.
-func TestSampledTraceEngineEquivalence(t *testing.T) {
-	export := func(engine sim.Engine) string {
-		nw := sampledRun(7, 0.1, engine, nil)
-		var b strings.Builder
-		if err := nw.Trace.WriteNDJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Registry.WriteNDJSON(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	wheel := export(sim.EngineWheel)
-	heap := export(sim.EngineHeap)
-	if wheel != heap {
-		n, g, w := firstDiff(wheel, heap)
-		t.Fatalf("sampled export differs across engines at line %d:\n  wheel: %s\n  heap:  %s", n, g, w)
-	}
-	if !strings.Contains(wheel, "\"kind\":\"pkt-tx\"") {
-		t.Fatal("sampled export retained no packet spans")
-	}
-}
-
 // TestStreamingDoesNotPerturbTheRun checks that attaching a metrics
 // streamer changes nothing about the simulation — and that the stream
 // itself is well-formed, deterministic, and actually periodic.
 func TestStreamingDoesNotPerturbTheRun(t *testing.T) {
-	plain := sampledRun(5, 0, sim.EngineWheel, nil)
+	plain := sampledRun(5, 0, nil)
 	var stream strings.Builder
-	streamed := sampledRun(5, 0, sim.EngineWheel, &stream)
+	streamed := sampledRun(5, 0, &stream)
 	if a, b := plain.CoAPPDR(), streamed.CoAPPDR(); a != b {
 		t.Fatalf("PDR differs: plain %+v vs streamed %+v", a, b)
 	}
@@ -143,7 +116,7 @@ func TestStreamingDoesNotPerturbTheRun(t *testing.T) {
 	}
 	// Determinism: the same run streams the same bytes.
 	var again strings.Builder
-	sampledRun(5, 0, sim.EngineWheel, &again)
+	sampledRun(5, 0, &again)
 	if again.String() != out {
 		t.Fatal("streamed NDJSON differs across identical runs")
 	}

@@ -14,9 +14,9 @@ package sim
 // Swapping the generator changes every seeded draw sequence, so it shifts
 // jittered outcomes (advertising delays, CoAP retransmit spreads, traffic
 // phases) across the whole repository at once. All determinism properties are
-// preserved — same seed, same run; every golden-trace, sweep-determinism, and
-// shard-equivalence gate compares runs within one binary — but recorded
-// absolute numbers were re-baselined with this change.
+// preserved — same seed, same run — but recorded absolute numbers were
+// re-baselined with this change, and a swap now moves every line of the
+// golden digest corpus (internal/exp/testdata/golden).
 
 // splitmix64 is the seed expander recommended by the xoshiro authors: it
 // decorrelates arbitrary (including zero and sequential) seeds into full

@@ -173,7 +173,7 @@ func BenchmarkLinkThroughput(b *testing.B) {
 		var pump func()
 		pump = func() {
 			for j := 0; j < 4; j++ {
-				_ = c.Stack.SendUDP(a.Addr(), 9, 9, make([]byte, 1000))
+				_, _ = c.Stack.SendUDPPID(a.Addr(), 9, 9, make([]byte, 1000))
 			}
 			w.Sim.After(20*Millisecond, pump)
 		}

@@ -133,8 +133,10 @@ type (
 	FaultEvent    = fault.Event
 	FaultInjector = fault.Injector
 
-	// EnergyParams is the calibrated energy model.
+	// EnergyParams is the calibrated energy model; an EnergyMeter
+	// (Network.StartMeter) applies it to one node's activity.
 	EnergyParams = energy.Params
+	EnergyMeter  = energy.Meter
 )
 
 // Convenient duration units.
@@ -161,6 +163,11 @@ func ValidateFlags(nodes int, radioRange float64, minutes int) error {
 	return exp.ValidateFlags(nodes, radioRange, minutes)
 }
 
+// ValidateTopology reports a topology without a producer, whose run would
+// report a perfect 0/0 delivery (see exp.ValidateTopology); the run CLIs
+// exit 2 with its message.
+func ValidateTopology(t Topology) error { return exp.ValidateTopology(t) }
+
 // ValidateRunFlags reports a -scale, -runs or -workers flag value the
 // experiment runners would silently replace (see exp.ValidateRunFlags);
 // CLIs exit 2 with its message.
@@ -186,8 +193,7 @@ func GCFooter() string { return exp.GCFooter() }
 // SweepText renders a sweep result exactly as blemesh-sweep prints it.
 func SweepText(cells []CellResult) string { return exp.SweepText(cells) }
 
-// NewMetricsRegistry creates an empty metrics registry (for sweep progress
-// gauges and custom studies).
+// NewMetricsRegistry creates an empty metrics registry for custom studies.
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // CoAP message constants, re-exported for building requests.

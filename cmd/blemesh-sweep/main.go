@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -67,7 +68,10 @@ func main() {
 	// The zero-value Topology tells RunSweep to use its tree default.
 	var topo blemesh.Topology
 	if *topoName != "tree" {
-		if topo, err = testbed.ByName(*topoName, *seed, *nodes, *radioRange); err != nil {
+		if topo, err = testbed.ByName(*topoName, *seed, *nodes, *radioRange); err == nil {
+			err = blemesh.ValidateTopology(topo)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "blemesh-sweep:", err)
 			os.Exit(2)
 		}
@@ -81,7 +85,6 @@ func main() {
 		Producers: producers,
 		Configs:   configs,
 		Topology:  topo,
-		Registry:  blemesh.NewMetricsRegistry(),
 	}
 	if *progress {
 		sc.Progress = func(done, total int) {
@@ -96,10 +99,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *progress {
-		fmt.Fprint(os.Stderr, sc.Registry.Render())
-	}
-
 	// Per-cell summary lines, then a CSV of the grid for external
 	// plotting. SweepText emits keys in sorted order, so the bytes are
 	// reproducible run-to-run and worker-count-to-worker-count.
@@ -123,7 +122,11 @@ func parseProducers(s string) ([]blemesh.Duration, error) {
 		if err != nil || ms <= 0 {
 			return nil, fmt.Errorf("blemesh-sweep: bad producer interval %q (want ms)", f)
 		}
-		out = append(out, blemesh.Duration(ms)*blemesh.Millisecond)
+		d := blemesh.Duration(ms) * blemesh.Millisecond
+		if slices.Contains(out, d) {
+			return nil, fmt.Errorf("blemesh-sweep: producer interval %d ms given twice", ms)
+		}
+		out = append(out, d)
 	}
 	return out, nil
 }
@@ -138,15 +141,9 @@ func parseIntervals(s string) ([]blemesh.IntervalConfig, error) {
 	var out []blemesh.IntervalConfig
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
-		found := false
-		for _, c := range all {
-			if c.Name == name {
-				out = append(out, c)
-				found = true
-				break
-			}
-		}
-		if !found {
+		named := func(c blemesh.IntervalConfig) bool { return c.Name == name }
+		i := slices.IndexFunc(all, named)
+		if i < 0 {
 			names := make([]string, len(all))
 			for i, c := range all {
 				names[i] = c.Name
@@ -154,6 +151,10 @@ func parseIntervals(s string) ([]blemesh.IntervalConfig, error) {
 			return nil, fmt.Errorf("blemesh-sweep: unknown interval config %q (have: %s)",
 				name, strings.Join(names, " "))
 		}
+		if slices.ContainsFunc(out, named) {
+			return nil, fmt.Errorf("blemesh-sweep: interval config %q given twice", name)
+		}
+		out = append(out, all[i])
 	}
 	return out, nil
 }

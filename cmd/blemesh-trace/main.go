@@ -59,6 +59,9 @@ func main() {
 		usageError(fmt.Errorf("-stream-every = %d, want ≥ 1", *streamEvery))
 	}
 	topo, err := testbed.ByName(*topoName, *seed, *nodes, *radioRange)
+	if err == nil {
+		err = blemesh.ValidateTopology(topo)
+	}
 	if err != nil {
 		usageError(err)
 	}

@@ -31,6 +31,13 @@ func main() {
 	}
 	fmt.Printf("topology up after %v (14 links)\n", nw.Sim.Now())
 
+	// Energy meters cover the traffic phase only.
+	ids := nw.Cfg.Topology.Nodes()
+	sort.Ints(ids)
+	meters := make([]*blemesh.EnergyMeter, len(ids))
+	for i, id := range ids {
+		meters[i] = nw.StartMeter(id)
+	}
 	nw.StartTraffic(blemesh.TrafficConfig{}) // 1s ±0.5s, 39-byte payloads
 	nw.Run(10 * blemesh.Minute)
 
@@ -43,10 +50,8 @@ func main() {
 
 	// Energy: the paper's battery-life argument, per node.
 	fmt.Println("\nper-node radio current (µA) and coin-cell life (days):")
-	ids := nw.Cfg.Topology.Nodes()
-	sort.Ints(ids)
-	for _, id := range ids {
-		rep := nw.Meters[id].Report(nw.Sim.Now())
+	for i, id := range ids {
+		rep := meters[i].Report(nw.Sim.Now())
 		fmt.Printf("  node %2d (%s): %6.1fµA radio, %6.1fµA total → %5.0f days\n",
 			id, nw.Nodes[id].Name, rep.RadioCurrent, rep.AvgCurrent,
 			230.0*1000/rep.AvgCurrent/24)

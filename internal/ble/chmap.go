@@ -23,11 +23,6 @@ func (m ChannelMap) WithoutChannel(ch phy.Channel) ChannelMap {
 	return m &^ (1 << uint(ch))
 }
 
-// WithChannel returns a copy of the map with data channel ch enabled.
-func (m ChannelMap) WithChannel(ch phy.Channel) ChannelMap {
-	return (m | 1<<uint(ch)) & AllDataChannels
-}
-
 // Used reports whether data channel ch is enabled.
 func (m ChannelMap) Used(ch phy.Channel) bool {
 	return ch >= 0 && ch < NumDataChannels && m&(1<<uint(ch)) != 0

@@ -170,7 +170,6 @@ type Conn struct {
 
 	// Pending parameter update (applied at instant).
 	pendUpdate  *ConnUpdate
-	pendChanMap *ChannelMap
 	pendInstant uint64
 
 	// act is the connection's claim on the radio; its anchor is nextStart.
@@ -440,8 +439,8 @@ func (c *Conn) scheduleEvent() {
 	c.wake = c.sim().Schedule(c.nextStart, (*connWake)(c))
 }
 
-// applyPendingAt applies a pending connection update / channel map change
-// when its instant is reached.
+// applyPendingAt applies a pending connection update when its instant is
+// reached.
 func (c *Conn) applyPendingAt(idx uint64) {
 	if c.pendUpdate != nil && idx >= c.pendInstant {
 		// The event at the update instant keeps its old-schedule anchor;
@@ -459,10 +458,6 @@ func (c *Conn) applyPendingAt(idx uint64) {
 		}
 		c.pendUpdate = nil
 		c.armSupervision(c.params.Supervision)
-	}
-	if c.pendChanMap != nil && idx >= c.pendInstant {
-		c.params.ChanMap = *c.pendChanMap
-		c.pendChanMap = nil
 	}
 }
 
@@ -734,10 +729,6 @@ func (c *Conn) deliver(pdu *DataPDU) {
 		case OpConnUpdateInd:
 			u := pdu.Update
 			c.pendUpdate = &u
-			c.pendInstant = c.instantToIdx(pdu.Instant)
-		case OpChannelMapInd:
-			m := pdu.ChanMap
-			c.pendChanMap = &m
 			c.pendInstant = c.instantToIdx(pdu.Instant)
 		}
 	case len(pdu.Payload) > 0:
@@ -1069,23 +1060,6 @@ func (c *Conn) UpdateParams(interval sim.Duration, latency int, supervision sim.
 	return nil
 }
 
-// UpdateChannelMap distributes a new channel map (coordinator only),
-// applied 6 events ahead.
-func (c *Conn) UpdateChannelMap(m ChannelMap) error {
-	if c.role != Coordinator {
-		return fmt.Errorf("ble: only the coordinator can update the channel map")
-	}
-	if m.Count() < 2 {
-		return fmt.Errorf("ble: channel map must keep at least 2 data channels")
-	}
-	instant := c.evIdx + 6
-	c.sendControl(&DataPDU{Opcode: OpChannelMapInd, ChanMap: m, Instant: uint16(instant)})
-	mm := m
-	c.pendChanMap = &mm
-	c.pendInstant = instant
-	return nil
-}
-
 // Close terminates the connection gracefully: an LL_TERMINATE_IND is sent
 // and the link is dropped once it is acknowledged (or after a fallback
 // timeout if the peer is unreachable).
@@ -1179,9 +1153,6 @@ func (c *Conn) TraceDrop(pid uint64) {
 
 // PoolFree exposes the controller's free LL buffer bytes to upper layers.
 func (c *Conn) PoolFree() int { return c.ctrl.PoolFree() }
-
-// Controller returns the controller this connection belongs to.
-func (c *Conn) Controller() *Controller { return c.ctrl }
 
 // RequestParams starts the Connection Parameters Request procedure from the
 // subordinate side: propose a new connection interval to the coordinator,

@@ -314,27 +314,27 @@ func TestConnectionParameterUpdate(t *testing.T) {
 	}
 }
 
-func TestChannelMapUpdateExcludesChannel(t *testing.T) {
+func TestSetupChannelMapExcludesChannel(t *testing.T) {
+	// The paper leaves the jammed channel 22 out of the map the connection
+	// is set up with; neither side may ever hop there.
 	s, _, nodes := newTestNet(11, 1, -1)
+	nodes[0].ctrl.CountChannels()
 	nodes[1].ctrl.CountChannels()
-	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
-	s.Run(s.Now() + 5*sim.Second)
-	if err := coord.UpdateChannelMap(AllDataChannels.WithoutChannel(22)); err != nil {
-		t.Fatalf("UpdateChannelMap: %v", err)
-	}
-	// Let the instant pass, then snapshot and verify channel 22 is dark.
-	s.Run(s.Now() + 2*sim.Second)
-	base := coord.ChannelCounts().TX[22]
-	s.Run(s.Now() + 20*sim.Second)
-	if coord.ChannelCounts().TX[22] != base {
-		t.Fatalf("coordinator still transmits on excluded channel 22")
+	p := params75()
+	p.ChanMap = AllDataChannels.WithoutChannel(22)
+	sub, coord := connectPair(t, s, nodes[0], nodes[1], p)
+	s.Run(s.Now() + 25*sim.Second)
+	if tx := coord.ChannelCounts().TX[22] + sub.ChannelCounts().TX[22]; tx != 0 {
+		t.Fatalf("%d transmissions on excluded channel 22", tx)
 	}
 	if sub.Params().ChanMap.Used(22) {
-		t.Fatal("subordinate did not apply the channel map update")
+		t.Fatal("subordinate did not take the coordinator's channel map")
 	}
-	lost := coord.Closed() || sub.Closed()
-	if lost {
-		t.Fatal("connection died across channel map update")
+	if coord.ChannelCounts().TX[21] == 0 || coord.ChannelCounts().TX[23] == 0 {
+		t.Fatal("the neighbouring channels were never used; the run lost its coverage")
+	}
+	if coord.Closed() || sub.Closed() {
+		t.Fatal("connection died")
 	}
 }
 

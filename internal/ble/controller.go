@@ -327,9 +327,6 @@ func (ctrl *Controller) FindConn(peer DevAddr) *Conn {
 
 func (ctrl *Controller) sim() *sim.Sim { return ctrl.s }
 
-// Clock returns the node's local clock.
-func (ctrl *Controller) Clock() *sim.Clock { return ctrl.clk }
-
 func (ctrl *Controller) nextHandle() int {
 	ctrl.handles++
 	return ctrl.handles
@@ -569,14 +566,6 @@ func (ctrl *Controller) Connect(peer DevAddr, params ConnParams) error {
 	ctrl.targetSet(peer, params)
 	ctrl.ensureScanning()
 	return nil
-}
-
-// CancelConnect removes a pending connection target.
-func (ctrl *Controller) CancelConnect(peer DevAddr) {
-	ctrl.targetDel(peer)
-	if len(ctrl.scanTargets) == 0 {
-		ctrl.stopScanning()
-	}
 }
 
 // SetScanParams configures the scan duty cycle (before or while scanning).

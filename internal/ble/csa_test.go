@@ -17,17 +17,13 @@ func TestChannelMapBasics(t *testing.T) {
 	if m.Count() != 36 || m.Used(22) {
 		t.Fatalf("channel 22 not removed: %v", m)
 	}
-	m = m.WithChannel(22)
-	if m.Count() != 37 || !m.Used(22) {
-		t.Fatalf("channel 22 not restored: %v", m)
-	}
 	if m.Used(37) || m.Used(-1) {
 		t.Fatal("out-of-range channels must read unused")
 	}
 }
 
 func TestChannelMapChannelsSorted(t *testing.T) {
-	m := ChannelMap(0).WithChannel(5).WithChannel(1).WithChannel(36)
+	m := ChannelMap(1<<5 | 1<<1 | 1<<36)
 	chs := m.Channels()
 	if len(chs) != 3 || chs[0] != 1 || chs[1] != 5 || chs[2] != 36 {
 		t.Fatalf("Channels() = %v", chs)
@@ -35,7 +31,7 @@ func TestChannelMapChannelsSorted(t *testing.T) {
 }
 
 func TestChannelMapString(t *testing.T) {
-	m := ChannelMap(0).WithChannel(0).WithChannel(36)
+	m := ChannelMap(1<<0 | 1<<36)
 	s := m.String()
 	if len(s) != 37 || s[0] != '1' || s[36] != '1' || s[1] != '0' {
 		t.Fatalf("String() = %q", s)

@@ -213,11 +213,9 @@ func TestFusedIdleMatchesEventByEvent(t *testing.T) {
 		}},
 		{name: "coordinator scanning", want: -1, intrude: func(t *testing.T, n *fusedNet) {
 			n.s.Post(500*sim.Millisecond, func() { _ = n.nodes[1].ctrl.Connect(absent, params75()) })
-			n.s.Post(4*sim.Second, func() { n.nodes[1].ctrl.CancelConnect(absent) })
 		}},
 		{name: "subordinate scanning", want: -1, intrude: func(t *testing.T, n *fusedNet) {
 			n.s.Post(500*sim.Millisecond, func() { _ = n.nodes[0].ctrl.Connect(absent, params75()) })
-			n.s.Post(4*sim.Second, func() { n.nodes[0].ctrl.CancelConnect(absent) })
 		}},
 		{name: "a third radio on the event channel", want: 0.5, intrude: func(t *testing.T, n *fusedNet) {
 			// It sits on data channels 5, 11, 17 in turn and hears every
@@ -284,13 +282,6 @@ func TestFusedIdleMatchesEventByEvent(t *testing.T) {
 				}
 			})
 		}},
-		{name: "channel map update pending", want: 0.5, intrude: func(t *testing.T, n *fusedNet) {
-			n.s.Post(700*sim.Millisecond, func() {
-				if err := n.coord.UpdateChannelMap(AllDataChannels.WithoutChannel(3).WithoutChannel(22)); err != nil {
-					t.Error(err)
-				}
-			})
-		}},
 		{name: "subordinate latency 3", params: ConnParams{Latency: 3}, want: 0.15},
 		{name: "alternate arbitration, anchors crossing", ppm: [3]float64{0, 125, -125}, sca: 250,
 			arb: ArbitrateAlternate, shared: true, seconds: 400, params: ConnParams{Supervision: 750 * sim.Millisecond}, want: -1},
@@ -298,7 +289,7 @@ func TestFusedIdleMatchesEventByEvent(t *testing.T) {
 		// busy with the other coordinator — with two channels in the map, half
 		// the time on the very channel of the event it skipped.
 		{name: "anchors crossing on a two-channel map", ppm: [3]float64{0, 125, -125}, sca: 250, shared: true, seconds: 400,
-			params: ConnParams{Supervision: 4 * sim.Second, ChanMap: ChannelMap(0).WithChannel(4).WithChannel(30)}, want: -1},
+			params: ConnParams{Supervision: 4 * sim.Second, ChanMap: ChannelMap(1<<4 | 1<<30)}, want: -1},
 		{name: "subordinate killed", want: -1, intrude: func(t *testing.T, n *fusedNet) {
 			n.s.Post(1010*sim.Millisecond, n.sub.Kill)
 		}},

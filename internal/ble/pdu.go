@@ -1,7 +1,7 @@
 // Package ble implements the Bluetooth Low Energy link layer as used by
 // IPv6-over-BLE: connection events with deterministic connection intervals,
-// coordinator/subordinate roles, channel-selection algorithms, adaptive
-// channel maps, the 1-bit SN/NESN acknowledgement scheme, supervision
+// coordinator/subordinate roles, channel-selection algorithms over channel
+// maps fixed at setup, the 1-bit SN/NESN acknowledgement scheme, supervision
 // timeouts, window widening against clock drift, advertising and scanning,
 // and — critically — a per-node radio scheduler that can service only one
 // event at a time. The combination of deterministic intervals, independent
@@ -82,7 +82,6 @@ type ControlOpcode byte
 // Control opcodes (subset relevant to the platform).
 const (
 	OpConnUpdateInd ControlOpcode = 0x00
-	OpChannelMapInd ControlOpcode = 0x01
 	OpTerminateInd  ControlOpcode = 0x02
 	// OpConnParamReq/OpRejectInd implement the BLE 4.1+ Connection
 	// Parameters Request procedure: the subordinate proposes new
@@ -109,7 +108,6 @@ type DataPDU struct {
 	Opcode  ControlOpcode
 	Instant uint16
 	Update  ConnUpdate
-	ChanMap ChannelMap
 
 	// PID is simulation metadata: the provenance ID of the application
 	// packet this PDU carries a fragment of (0 = untagged). It is not an
@@ -127,8 +125,6 @@ func (p *DataPDU) Len() int {
 		switch p.Opcode {
 		case OpConnUpdateInd:
 			return 12
-		case OpChannelMapInd:
-			return 8
 		case OpConnParamReq:
 			return 24
 		default:
@@ -192,7 +188,8 @@ type ConnParams struct {
 	// Supervision is the supervision timeout: the connection is declared
 	// lost when no valid packet is received for this long.
 	Supervision sim.Duration
-	// ChanMap restricts the data channels in use (adaptive hopping).
+	// ChanMap restricts the data channels in use. It is fixed when the
+	// connection is set up: the paper leaves the jammed channel 22 out.
 	ChanMap ChannelMap
 	// CSA selects the channel selection algorithm (1 or 2).
 	CSA int

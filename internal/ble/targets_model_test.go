@@ -8,11 +8,10 @@ import (
 )
 
 // TestScanTargetsAgainstMapModel drives the controller's scan-target table
-// through a random script of Connect (new and re-declared peers),
-// CancelConnect (present and absent peers), Shutdown and targets consumed by
-// an answered advertisement, and after every step compares it with a plain
-// map[DevAddr]ConnParams kept here: same members, same parameters, and
-// scanning on exactly while the map is non-empty.
+// through a random script of Connect (new and re-declared peers), Shutdown
+// and targets consumed by an answered advertisement, and after every step
+// compares it with a plain map[DevAddr]ConnParams kept here: same members,
+// same parameters, and scanning on exactly while the map is non-empty.
 func TestScanTargetsAgainstMapModel(t *testing.T) {
 	s, _, nodes := newTestNet(5, 0, 1, -1, 2)
 	scanner := nodes[0].ctrl
@@ -56,11 +55,7 @@ func TestScanTargetsAgainstMapModel(t *testing.T) {
 			}
 			params.CoordSCA = scanner.cfg.SCA
 			model[p] = params
-		case r < 17:
-			op = "cancel"
-			scanner.CancelConnect(p)
-			delete(model, p)
-		case r < 18:
+		case r < 14:
 			op = "shutdown"
 			scanner.Shutdown()
 			model = map[DevAddr]ConnParams{}

@@ -299,11 +299,3 @@ func (n *NetIf) Channel(mac uint64) *l2cap.Channel {
 	}
 	return nil
 }
-
-// Endpoint returns the L2CAP endpoint toward a neighbor, or nil.
-func (n *NetIf) Endpoint(mac uint64) *l2cap.Endpoint {
-	if l := n.linkFor(mac); l != nil {
-		return l.ep
-	}
-	return nil
-}

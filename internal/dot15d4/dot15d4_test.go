@@ -235,7 +235,7 @@ func TestLargePacketFragmentsOverDot15d4(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if err := a.Stack.SendUDP(b.Addr(), 7777, 7777, payload); err != nil {
+	if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, payload); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(5 * sim.Second)

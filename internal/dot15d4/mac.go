@@ -183,15 +183,6 @@ func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64, onDone func(ok bool
 	return true
 }
 
-// QueueLen returns the number of frames waiting (including in service).
-func (m *MAC) QueueLen() int {
-	n := len(m.txq)
-	if m.busy {
-		n++
-	}
-	return n
-}
-
 // kick starts servicing the queue head if idle.
 func (m *MAC) kick() {
 	if m.busy || len(m.txq) == 0 {

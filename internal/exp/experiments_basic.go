@@ -20,6 +20,16 @@ func hour(o Options) sim.Duration {
 // runTopo builds, settles, and drives one BLE network run.
 func runTopo(o Options, run int, topo testbed.Topology, policy statconn.IntervalPolicy,
 	traffic TrafficConfig, dur sim.Duration, mutate func(*NetworkConfig)) *Network {
+	nw := settleTopo(o, run, topo, policy, mutate)
+	nw.StartTraffic(traffic)
+	nw.Run(dur)
+	return nw
+}
+
+// settleTopo builds one BLE network run and lets its links form and settle,
+// stopping where runTopo starts the traffic.
+func settleTopo(o Options, run int, topo testbed.Topology, policy statconn.IntervalPolicy,
+	mutate func(*NetworkConfig)) *Network {
 	cfg := NetworkConfig{
 		Seed:         o.Seed + int64(run)*1000,
 		Shards:       o.Shards,
@@ -33,8 +43,6 @@ func runTopo(o Options, run int, topo testbed.Topology, policy statconn.Interval
 	nw := BuildNetwork(cfg)
 	nw.WaitTopology(60 * sim.Second)
 	nw.Run(10 * sim.Second) // settle
-	nw.StartTraffic(traffic)
-	nw.Run(dur)
 	return nw
 }
 

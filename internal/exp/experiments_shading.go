@@ -6,7 +6,6 @@ import (
 	"blemesh/internal/ble"
 	"blemesh/internal/core"
 	"blemesh/internal/energy"
-	"blemesh/internal/runner"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
 	"blemesh/internal/testbed"
@@ -89,9 +88,11 @@ func runSec54(o Options) *Report {
 	// Forwarder measurement: node 2 of the tree (coordinator toward the
 	// consumer, subordinate for its two children) under the paper's
 	// medium load.
-	nw := runTopo(o, 0, testbed.Tree(), statconn.Static{Interval: 75 * sim.Millisecond},
-		TrafficConfig{}, hour(o), nil)
-	rep := nw.Meters[2].Report(nw.Sim.Now())
+	nw := settleTopo(o, 0, testbed.Tree(), statconn.Static{Interval: 75 * sim.Millisecond}, nil)
+	meter := nw.StartMeter(2)
+	nw.StartTraffic(TrafficConfig{})
+	nw.Run(hour(o))
+	rep := meter.Report(nw.Sim.Now())
 	r.addf("forwarder (tree node 2, 3 connections, producer 1s): radio +%.0fµA, total %.0fµA (paper: +123µA)",
 		rep.RadioCurrent, rep.AvgCurrent)
 	r.set("forwarder_radio_uA", rep.RadioCurrent)
@@ -293,35 +294,21 @@ func runFig14(o Options) *Report {
 	o.defaults()
 	r := newReport("fig14", "Connection losses per interval configuration (1s producer, 5×1h, drift 10×)")
 	dur := hour(o)
-	configs := Fig14Configs()
-	// As in sec62, drift is exaggerated ×10 so scaled runs still exercise
-	// shading; static configs show losses, randomized ones stay clean.
-	// The config×run grid fans out across the worker pool; one hermetic
-	// network per job.
-	losses, err := runner.Map(len(configs)*o.Runs, runner.Options{Workers: o.Workers, Name: "fig14"},
-		func(job int) (uint64, error) {
-			cfg, run := configs[job/o.Runs], job%o.Runs
-			nw := runTopo(o, run, testbed.Tree(), cfg.Policy, TrafficConfig{}, dur,
-				func(c *NetworkConfig) { c.MaxPPM = 30 })
-			return nw.ConnLosses(), nil
-		})
+	// Fig. 14 is the sweep's 1 s producer row: as in sec62, drift is
+	// exaggerated ×10 so scaled runs still exercise shading; static configs
+	// show losses, randomized ones stay clean.
+	cells, err := RunSweep(SweepConfig{Options: o, Producers: []sim.Duration{sim.Second}})
 	if err != nil {
 		panic(err) // a job panic is a programming error, not a result
 	}
-	for ci, cfg := range configs {
-		total := uint64(0)
-		perRun := make([]float64, o.Runs)
-		for run := 0; run < o.Runs; run++ {
-			v := losses[ci*o.Runs+run]
-			total += v
-			perRun[run] = float64(v)
-		}
-		r.addf("interval %-10s losses %3d over %d×%v", cfg.Name, total, o.Runs, dur)
-		r.set("losses_"+cfg.Name, float64(total))
+	for _, c := range cells {
+		total := c.TotalLosses()
+		r.addf("interval %-10s losses %3d over %d×%v", c.Config, uint64(total), o.Runs, dur)
+		r.set("losses_"+c.Config, total)
 		if o.Runs > 1 {
-			mean, half := MeanCI95(perRun)
-			r.set("losses_"+cfg.Name+"_mean", mean)
-			r.set("losses_"+cfg.Name+"_ci95", half)
+			mean, half := MeanCI95(c.Losses)
+			r.set("losses_"+c.Config+"_mean", mean)
+			r.set("losses_"+c.Config+"_ci95", half)
 		}
 	}
 	r.addf("(paper: static intervals lose connections, randomized windows largely do not)")

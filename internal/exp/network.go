@@ -195,6 +195,20 @@ func ValidateFlags(nodes int, radioRange float64, minutes int) error {
 	return nil
 }
 
+// ValidateTopology reports a topology no run can measure: one without a
+// producer, where every node is alone in its site and so its own sink, as
+// when a generator places all nodes out of each other's range. A run would
+// send nothing and report a perfect 0/0 delivery; a run CLI exits 2 with
+// this message instead, as with ValidateFlags. blemesh-topo still displays
+// such a topology.
+func ValidateTopology(t testbed.Topology) error {
+	if len(t.Producers()) == 0 {
+		return fmt.Errorf("topology %s has no producer: its %d nodes have %d links, so each is the sink of its own site (a larger -range joins them)",
+			t.Name, len(t.Nodes()), len(t.Links))
+	}
+	return nil
+}
+
 // ValidateRunFlags reports a -scale, -runs or -workers value the experiment
 // CLIs would otherwise turn into something else: Options maps a scale ≤ 0 to
 // the paper-length hour and runs ≤ 0 to one run, runner.Map maps negative
@@ -250,11 +264,10 @@ type Network struct {
 	// Media holds one RF medium per site.
 	Media []*phy.Medium
 	Cfg   NetworkConfig
-	// Nodes and Meters are dense id-indexed slices (testbed IDs are small
-	// integers; generated topologies use 1..N). Entries at unused IDs are
-	// nil — range loops must skip them; NodeCount is the built-node count.
-	Nodes  []*core.Node
-	Meters []*energy.Meter
+	// Nodes is a dense id-indexed slice (testbed IDs are small integers;
+	// generated topologies use 1..N). Entries at unused IDs are nil — range
+	// loops must skip them; NodeCount is the built-node count.
+	Nodes []*core.Node
 
 	consumerID int
 	nodeCount  int
@@ -283,9 +296,7 @@ type Network struct {
 	series    []*metrics.TimeSeries
 	streamer  *metrics.Streamer // nil unless Cfg.StreamMetrics is set
 	etxLabels map[uint64]string // ".links" labels by peer address, see etxLabel
-	traffic   TrafficConfig
-	started   bool
-	lossBase  uint64 // link losses before traffic start (setup collisions)
+	lossBase  uint64            // link losses before traffic start (setup collisions)
 
 	// Fault-injection hooks (Network implements fault.Target), one per
 	// medium so faults hit every site.
@@ -347,7 +358,6 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 	nw := &Network{
 		Cfg:        cfg,
 		Nodes:      make([]*core.Node, b.maxID+1),
-		Meters:     make([]*energy.Meter, b.maxID+1),
 		consumerID: cfg.Topology.Consumer,
 		nodeCount:  len(b.ids),
 		sites:      sites,
@@ -529,7 +539,7 @@ func (b *netBuild) carveRouteWindows() {
 // is the RNG: every site has its own stream, so each site is a group, filled
 // in id order, and with more than one lane the groups fill in parallel.
 // Every write lands in freshly allocated node structs or at a site-owned
-// dense index (Nodes, Meters, route windows), so workers coordinate only
+// dense index (Nodes, route windows), so workers coordinate only
 // through the claim counter.
 func (b *netBuild) fill() {
 	links, sites := b.cfg.Topology.Links, b.nw.sites
@@ -611,7 +621,6 @@ func (b *netBuild) buildNode(id int) {
 		n.Radio.SetPosition(p.X, p.Y, p.Z)
 	}
 	nw.Nodes[id] = n
-	nw.Meters[id] = energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
 }
 
 // installRoutes provisions the manual IP routes along the unique topology
@@ -849,9 +858,19 @@ func (nw *Network) Node(id int) *core.Node {
 }
 
 // NodeCount returns the number of nodes built into the network. The dense
-// id-indexed Nodes/Meters slices may carry nil gaps (testbed IDs need not
-// be contiguous), so their length is not the population.
+// id-indexed Nodes slice may carry nil gaps (testbed IDs need not be
+// contiguous), so its length is not the population.
 func (nw *Network) NodeCount() int { return nw.nodeCount }
+
+// StartMeter starts an energy meter on node id: its reports cover the
+// node's radio and link-layer activity from now on. Start it where the
+// measured interval begins, such as right before StartTraffic.
+func (nw *Network) StartMeter(id int) *energy.Meter {
+	n := nw.Nodes[id]
+	m := energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
+	m.Reset(nw.Now())
+	return m
+}
 
 // Now returns the run's current time: the barrier every site has reached.
 func (nw *Network) Now() sim.Time { return nw.sched.Now() }
@@ -961,17 +980,7 @@ func (nw *Network) WaitConverged(deadline sim.Duration) bool {
 // send loop (each with its own uniform jitter, as §4.3 prescribes).
 func (nw *Network) StartTraffic(t TrafficConfig) {
 	t.defaults()
-	nw.traffic = t
-	nw.started = true
 	nw.lossBase = nw.rawConnLosses()
-	// Iterate node IDs in topology order, not map order: Reset is
-	// order-independent today, but output/scheduling paths must never
-	// depend on Go map iteration.
-	for _, id := range nw.Cfg.Topology.Nodes() {
-		if m := nw.Meters[id]; m != nil {
-			m.Reset(nw.Now())
-		}
-	}
 	// Every site's sink answers; single-site topologies have exactly the
 	// historical consumer.
 	for _, cid := range nw.consumers {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"blemesh/internal/metrics"
 	"blemesh/internal/runner"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
@@ -54,8 +53,6 @@ type SweepConfig struct {
 	// tree). City-scale sweeps pass a generated geo/city topology here;
 	// every grid cell then runs that same layout.
 	Topology testbed.Topology
-	// Registry, when non-nil, receives the runner's live progress gauges.
-	Registry *metrics.Registry
 	// Progress, when non-nil, is called after each completed run with
 	// (done, total) counts. Calls are serialised but arrive in completion
 	// order; use it for display only.
@@ -112,8 +109,6 @@ func RunSweep(sc SweepConfig) ([]CellResult, error) {
 	}
 	results, err := runner.Map(nJobs, runner.Options{
 		Workers:    sc.Options.Workers,
-		Name:       "sweep",
-		Registry:   sc.Registry,
 		OnProgress: sc.Progress,
 	}, func(job int) (runMetrics, error) {
 		cell, run := job/runs, job%runs

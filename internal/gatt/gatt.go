@@ -148,9 +148,6 @@ type attFixed ATT
 
 func (f *attFixed) FixedPDU(b []byte) { (*ATT)(f).onPDU(b) }
 
-// Server returns the attached attribute database (may be nil).
-func (a *ATT) Server() *Server { return a.server }
-
 func (a *ATT) onPDU(b []byte) {
 	if len(b) == 0 {
 		return

@@ -1,9 +1,9 @@
 // Package ip6 implements the network layer of the platform: IPv6 header
 // processing, UDP, a minimal ICMPv6 (echo), static routing with host routes
-// (the paper configures IP routes manually, §4.3), a neighbor information
-// base with a bounded entry count (the paper raises GNRC's limit to 32), and
-// a GNRC-style byte-budget packet buffer whose overflow is the loss process
-// of the paper's high-load scenarios (§5.2).
+// (the paper configures IP routes manually, §4.3), next-hop resolution from
+// the BLE device address in the interface identifier (RFC 7668), and a
+// GNRC-style byte-budget packet buffer whose overflow is the loss process of
+// the paper's high-load scenarios (§5.2).
 package ip6
 
 import (

@@ -264,10 +264,10 @@ func TestRoutingLongestPrefix(t *testing.T) {
 	target := ULA(DefaultPrefix, 0x99)
 	st.AddRoute(Route{Dst: DefaultPrefix, PrefixLen: 0, NextHop: ULA(DefaultPrefix, 0x02)})
 	st.AddRoute(Route{Dst: target, PrefixLen: 128, NextHop: ULA(DefaultPrefix, 0x03)})
-	if err := st.SendUDP(target, 1, 2, []byte("x")); err != nil {
+	if _, err := st.SendUDPPID(target, 1, 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SendUDP(ULA(DefaultPrefix, 0x77), 1, 2, []byte("y")); err != nil {
+	if _, err := st.SendUDPPID(ULA(DefaultPrefix, 0x77), 1, 2, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
 	if len(ifc.sent) != 2 {
@@ -293,7 +293,7 @@ func TestAddRouteUpserts(t *testing.T) {
 	if n := len(st.Routes()); n != 1 {
 		t.Fatalf("routes=%d after upsert, want 1", n)
 	}
-	if err := st.SendUDP(target, 1, 2, []byte("x")); err != nil {
+	if _, err := st.SendUDPPID(target, 1, 2, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if ifc.sent[0].mac != 0x03 {
@@ -403,7 +403,7 @@ func TestLookupRouteMatchesReference(t *testing.T) {
 				st.AddRoute(r)
 			}
 		case op == 7 && rng.Intn(40) == 0:
-			st.ClearRoutes()
+			st.Reset()
 		}
 		dst := flip(flip(base, rng.Intn(129)), rng.Intn(129))
 		got, ok := st.LookupRoute(dst)
@@ -419,7 +419,7 @@ func TestNoRouteCounted(t *testing.T) {
 	s := sim.New(1)
 	st := NewStack(s, 0x01)
 	st.AddInterface(&fakeIf{neighbors: map[uint64]bool{}})
-	if err := st.SendUDP(ULA(DefaultPrefix, 0x42), 1, 2, nil); err == nil {
+	if _, err := st.SendUDPPID(ULA(DefaultPrefix, 0x42), 1, 2, nil); err == nil {
 		t.Fatal("send without route succeeded")
 	}
 	if st.Stats().NoRoute != 1 {
@@ -429,33 +429,16 @@ func TestNoRouteCounted(t *testing.T) {
 
 func TestAddressDerivedNeighborResolution(t *testing.T) {
 	// 6LoWPAN: the IID embeds the MAC, so an on-link mesh address
-	// resolves without any NIB entry.
+	// resolves with no neighbour table.
 	s := sim.New(1)
 	st := NewStack(s, 0x01)
 	ifc := &fakeIf{neighbors: map[uint64]bool{0x55: true}}
 	st.AddInterface(ifc)
-	if err := st.SendUDP(ULA(DefaultPrefix, 0x55), 1, 2, []byte("hi")); err != nil {
+	if _, err := st.SendUDPPID(ULA(DefaultPrefix, 0x55), 1, 2, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
 	if len(ifc.sent) != 1 || ifc.sent[0].mac != 0x55 {
 		t.Fatalf("address-derived resolution failed: %+v", ifc.sent)
-	}
-}
-
-func TestNIBBoundedEviction(t *testing.T) {
-	s := sim.New(1)
-	st := NewStack(s, 0x01)
-	ifc := &fakeIf{neighbors: map[uint64]bool{}}
-	st.AddInterface(ifc)
-	for i := 0; i < 40; i++ {
-		st.AddNeighbor(ULA(DefaultPrefix, uint64(0x1000+i)), uint64(0x1000+i), ifc)
-	}
-	if len(st.nib) != 32 {
-		t.Fatalf("NIB grew to %d entries, cap is 32", len(st.nib))
-	}
-	// The oldest entries were evicted; the newest must still resolve.
-	if _, _, ok := st.resolve(ULA(DefaultPrefix, 0x1000+39)); !ok {
-		t.Fatal("newest NIB entry missing")
 	}
 }
 
@@ -519,7 +502,7 @@ func TestLoopbackDelivery(t *testing.T) {
 	st := NewStack(s, 0x02)
 	got := false
 	st.ListenUDP(99, func(Addr, uint16, []byte) { got = true })
-	if err := st.SendUDP(st.GlobalAddr(), 1, 99, []byte("self")); err != nil {
+	if _, err := st.SendUDPPID(st.GlobalAddr(), 1, 99, []byte("self")); err != nil {
 		t.Fatal(err)
 	}
 	if !got {
@@ -577,7 +560,7 @@ func TestQueueDropCounted(t *testing.T) {
 	ifc := &fakeIf{neighbors: map[uint64]bool{0x03: true}, reject: true}
 	st.AddInterface(ifc)
 	dst := ULA(DefaultPrefix, 0x03)
-	if err := st.SendUDP(dst, 1, 2, nil); err == nil {
+	if _, err := st.SendUDPPID(dst, 1, 2, nil); err == nil {
 		t.Fatal("send into full queue succeeded")
 	}
 	if st.Stats().QueueDrops != 1 {

@@ -82,13 +82,6 @@ type Route struct {
 	If        NetIf
 }
 
-// neighbor is one NIB entry.
-type neighbor struct {
-	addr Addr
-	mac  uint64
-	ifc  NetIf
-}
-
 // StackStats counts network-layer events.
 type StackStats struct {
 	Sent        uint64 // locally originated packets handed to a netif
@@ -108,19 +101,16 @@ type UDPHandler func(src Addr, srcPort uint16, payload []byte)
 // EchoHandler observes echo replies (for ping-style tooling).
 type EchoHandler func(src Addr, e ICMPEcho)
 
-// Stack is one node's IPv6 stack: addresses, routes, neighbor base, UDP
-// demultiplexing, and forwarding, in the spirit of GNRC with the 6LoWPAN
-// router role enabled (§4.2 of the paper).
+// Stack is one node's IPv6 stack: addresses, routes, UDP demultiplexing,
+// and forwarding, in the spirit of GNRC with the 6LoWPAN router role enabled
+// (§4.2 of the paper). Next hops resolve from the BLE device address in
+// their interface identifier (RFC 7668), so there is no neighbour table.
 type Stack struct {
-	s *sim.Sim
-
 	linkLocal Addr
 	global    Addr
 	mac       uint64
 
 	routes []Route
-	nib    []neighbor
-	nibMax int
 
 	Pktbuf Pool
 
@@ -167,14 +157,12 @@ func (st *Stack) mintPID() uint64 {
 
 // NewStack builds a stack for a node with the given 48-bit link-layer
 // address. The node gets fe80::IID and fd00::IID (DefaultPrefix) addresses.
-// The NIB is bounded to 32 entries, the value the paper raises GNRC to.
-func NewStack(s *sim.Sim, mac uint64) *Stack {
+// The stack keeps no timers, so it does not use the simulator it is given.
+func NewStack(_ *sim.Sim, mac uint64) *Stack {
 	return &Stack{
-		s:               s,
 		mac:             mac,
 		linkLocal:       LinkLocal(mac),
 		global:          ULA(DefaultPrefix, mac),
-		nibMax:          32,
 		Pktbuf:          Pool{Capacity: 6144},
 		HopLimitDefault: 64,
 	}
@@ -262,39 +250,14 @@ func (st *Stack) Routes() []Route { return append([]Route(nil), st.routes...) }
 // experiment harness's convergence probes).
 func (st *Stack) LookupRoute(dst Addr) (Route, bool) { return st.lookupRoute(dst) }
 
-// ClearRoutes removes all routes (topology reconfiguration).
-func (st *Stack) ClearRoutes() { st.routes = nil }
-
-// Reset drops all volatile stack state — routes, the neighbor base, and
-// every pktbuf allocation — as a node reboot would. Code-like wiring (UDP
-// handlers, interfaces, addresses) survives: it models the firmware, not
-// the RAM. Callers must have torn interface queues down first, or their
-// later frees will underflow the freshly emptied pktbuf.
+// Reset drops all volatile stack state — routes and every pktbuf
+// allocation — as a node reboot would. Code-like wiring (UDP handlers,
+// interfaces, addresses) survives: it models the firmware, not the RAM.
+// Callers must have torn interface queues down first, or their later frees
+// will underflow the freshly emptied pktbuf.
 func (st *Stack) Reset() {
 	st.routes = nil
-	st.nib = nil
 	st.Pktbuf.Reset()
-}
-
-// AddNeighbor installs a NIB entry mapping an IPv6 address to a link-layer
-// address on an interface. The table is bounded; inserting beyond the limit
-// evicts the oldest entry (GNRC would fail neighbor resolution instead, but
-// the experiments size the NIB to fit all nodes, as the paper does).
-func (st *Stack) AddNeighbor(addr Addr, mac uint64, ifc NetIf) {
-	if ifc == nil && len(st.ifaces) == 1 {
-		ifc = st.ifaces[0]
-	}
-	for i := range st.nib {
-		if st.nib[i].addr == addr {
-			st.nib[i].mac = mac
-			st.nib[i].ifc = ifc
-			return
-		}
-	}
-	if len(st.nib) >= st.nibMax {
-		st.nib = st.nib[1:] // hotpath:ignore — cold: only a new neighbor overflowing the bounded NIB gets here
-	}
-	st.nib = append(st.nib, neighbor{addr: addr, mac: mac, ifc: ifc})
 }
 
 // lookupRoute returns the longest-prefix match for dst; among routes of equal
@@ -333,11 +296,6 @@ func prefixMatch(hi, lo uint64, p *Addr, bits int) bool {
 
 // resolve maps a next-hop (or on-link destination) address to (MAC, netif).
 func (st *Stack) resolve(nh Addr) (uint64, NetIf, bool) {
-	for _, n := range st.nib {
-		if n.addr == nh {
-			return n.mac, n.ifc, true
-		}
-	}
 	// Link-local and mesh-local addresses embed the MAC in their IID:
 	// 6LoWPAN's address-derived resolution needs no NDP round trip.
 	if mac, ok := nh.MAC(); ok {
@@ -374,12 +332,6 @@ func (st *Stack) lookupUDP(port uint16) UDPHandler {
 
 // OnEchoReply registers the echo-reply observer.
 func (st *Stack) OnEchoReply(h EchoHandler) { st.onEcho = h }
-
-// SendUDP emits a UDP datagram from this node.
-func (st *Stack) SendUDP(dst Addr, srcPort, dstPort uint16, payload []byte) error {
-	_, err := st.SendUDPPID(dst, srcPort, dstPort, payload)
-	return err
-}
 
 // SendUDPPID emits a UDP datagram and returns the provenance ID assigned
 // to it, letting application layers (CoAP) correlate their own span events

@@ -265,15 +265,6 @@ func (ch *Channel) creditsGranted(n int) {
 	ch.notifyWritable(wasBlocked)
 }
 
-// Close tears the channel down with a disconnect handshake.
-func (ch *Channel) Close() {
-	if ch.closed {
-		return
-	}
-	ch.ep.sendSignal(signal{code: codeDisconnReq, id: ch.ep.nextSigID(), dcid: ch.dcid, scid: ch.scid})
-	ch.teardown()
-}
-
 func (ch *Channel) teardown() {
 	if ch.closed {
 		return
@@ -331,9 +322,6 @@ type Endpoint struct {
 	fixed    FixedHandler
 
 	kickArmed bool
-
-	// EndpointStats diagnostics.
-	stats EndpointStats
 
 	// OnChannelOpen decides the peer's channel requests and takes each
 	// channel it accepted; with none, every request is refused.
@@ -412,15 +400,6 @@ type pendingDial struct {
 	cb func(*Channel, error)
 }
 
-// EndpointStats counts endpoint-level anomalies (all zero in a healthy run).
-type EndpointStats struct {
-	UnknownCID       uint64 // PDU for a CID with no channel
-	ClosedCID        uint64 // PDU for a closed channel
-	ContWithoutStart uint64 // continuation fragment with no start
-	StartMidPDU      uint64 // start fragment while a PDU was incomplete
-	DecodeErrors     uint64
-}
-
 // NewEndpoint attaches an L2CAP endpoint to an established BLE connection.
 func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
 	ep := &Endpoint{s: s, conn: conn, nextCID: FirstDynamicCID}
@@ -430,9 +409,6 @@ func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
 
 // Conn returns the underlying BLE connection.
 func (ep *Endpoint) Conn() *ble.Conn { return ep.conn }
-
-// Stats returns a copy of the endpoint anomaly counters.
-func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 
 // Channels returns the currently open channels.
 func (ep *Endpoint) Channels() []*Channel {
@@ -574,15 +550,12 @@ func (ep *Endpoint) sendSignal(s signal) {
 func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 	switch llid {
 	case ble.LLIDDataStart:
-		if ep.rxActive && len(ep.rxBuf) > 0 {
-			ep.stats.StartMidPDU++
-		}
+		// A start while a PDU was incomplete abandons that PDU.
 		ep.rxBuf = append(ep.rxBuf[:0], payload...)
 		ep.rxActive = true
 		ep.rxPID = pid
 	case ble.LLIDDataCont:
 		if !ep.rxActive {
-			ep.stats.ContWithoutStart++
 			return // continuation without a start: drop
 		}
 		ep.rxBuf = append(ep.rxBuf, payload...)
@@ -597,7 +570,6 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 	ep.rxActive = false
 	ep.rxPID = 0
 	if err != nil {
-		ep.stats.DecodeErrors++
 		return
 	}
 	if p.cid == CIDSignaling {
@@ -610,13 +582,8 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 		ep.fixed.FixedPDU(p.payload)
 		return
 	}
-	ch, ok := ep.channels.get(p.cid)
-	switch {
-	case !ok:
-		ep.stats.UnknownCID++
-	case !ch.Open():
-		ep.stats.ClosedCID++
-	default:
+	// A PDU for an unknown or closed channel is dropped.
+	if ch, ok := ep.channels.get(p.cid); ok && ch.Open() {
 		ch.receiveFrame(p.payload, pduPID)
 	}
 }
@@ -678,13 +645,6 @@ func (ep *Endpoint) onSignal(s signal) {
 				break
 			}
 		}
-	case codeDisconnReq:
-		if ch, ok := ep.channels.get(s.dcid); ok {
-			ep.sendSignal(signal{code: codeDisconnRsp, id: s.id, dcid: s.dcid, scid: s.scid})
-			ch.teardown()
-		}
-	case codeDisconnRsp:
-		// Our disconnect completed; nothing further to do.
 	}
 }
 

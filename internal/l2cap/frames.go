@@ -33,8 +33,6 @@ const (
 	codeConnReq    byte = 0x14 // LE credit based connection request
 	codeConnRsp    byte = 0x15 // LE credit based connection response
 	codeFlowCredit byte = 0x16 // LE flow control credit
-	codeDisconnReq byte = 0x06
-	codeDisconnRsp byte = 0x07
 )
 
 // basicHeaderLen is the L2CAP basic header: Length(2) + CID(2).
@@ -121,10 +119,6 @@ func encodeSignal(s signal) []byte {
 		body = make([]byte, 4) // pktbuf:ignore — cold signaling path
 		binary.LittleEndian.PutUint16(body[0:], s.cid)
 		binary.LittleEndian.PutUint16(body[2:], s.credits)
-	case codeDisconnReq, codeDisconnRsp:
-		body = make([]byte, 4) // pktbuf:ignore — cold signaling path
-		binary.LittleEndian.PutUint16(body[0:], s.dcid)
-		binary.LittleEndian.PutUint16(body[2:], s.scid)
 	default:
 		panic(fmt.Sprintf("l2cap: encode of unknown signal code %#x", s.code))
 	}
@@ -171,12 +165,6 @@ func decodeSignal(b []byte) (signal, error) {
 		}
 		s.cid = binary.LittleEndian.Uint16(body[0:])
 		s.credits = binary.LittleEndian.Uint16(body[2:])
-	case codeDisconnReq, codeDisconnRsp:
-		if ln != 4 {
-			return signal{}, fmt.Errorf("l2cap: bad disconnect length %d", ln)
-		}
-		s.dcid = binary.LittleEndian.Uint16(body[0:])
-		s.scid = binary.LittleEndian.Uint16(body[2:])
 	default:
 		return signal{}, fmt.Errorf("l2cap: unknown signal code %#x", s.code)
 	}

@@ -115,7 +115,7 @@ func FuzzFrameDecoders(f *testing.F) {
 	f.Add(pduBytes(CIDSignaling, encodeSignal(signal{
 		code: codeConnReq, id: 1, psm: PSMIPSP, scid: 0x40, mtu: 1280, mps: 245, credits: 10})))
 	f.Add(encodeSignal(signal{code: codeFlowCredit, id: 2, cid: 0x41, credits: 5}))
-	f.Add(encodeSignal(signal{code: codeDisconnReq, id: 3, dcid: 0x40, scid: 0x41}))
+	f.Add(encodeSignal(signal{code: codeConnRsp, id: 3, dcid: 0x40, mtu: 1280, mps: 245, credits: 10, result: resultSuccess}))
 	f.Add([]byte{0x15, 0x01, 0x0A, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if p, err := decodePDU(b); err == nil {

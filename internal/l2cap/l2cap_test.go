@@ -138,8 +138,6 @@ func TestSignalCodecRoundTrip(t *testing.T) {
 		{code: codeConnRsp, id: 3, dcid: 0x42, mtu: 1280, mps: 245, credits: 8, result: resultSuccess},
 		{code: codeConnRsp, id: 4, result: resultRefusedPSM},
 		{code: codeFlowCredit, id: 5, cid: 0x41, credits: 6},
-		{code: codeDisconnReq, id: 6, dcid: 0x42, scid: 0x41},
-		{code: codeDisconnRsp, id: 6, dcid: 0x42, scid: 0x41},
 	}
 	for i, s := range cases {
 		got, err := decodeSignal(encodeSignal(s))
@@ -416,25 +414,6 @@ func TestOnDoneFiresAfterDelivery(t *testing.T) {
 	}
 }
 
-func TestChannelCloseHandshake(t *testing.T) {
-	p := newPair(t, 8)
-	coordCh, subCh := p.openIPSP(t)
-	subClosed, coordClosed := false, false
-	subCh.OnEvents = &ChannelFuncs{Close: func() { subClosed = true }}
-	coordCh.OnEvents = &ChannelFuncs{Close: func() { coordClosed = true }}
-	coordCh.Close()
-	p.s.Run(p.s.Now() + 2*sim.Second)
-	if !coordClosed || !subClosed {
-		t.Fatalf("close not propagated: coord=%v sub=%v", coordClosed, subClosed)
-	}
-	if coordCh.Open() || subCh.Open() {
-		t.Fatal("channels still open after close")
-	}
-	if err := coordCh.SendSDUBuf(pktbuf.FromBytes([]byte{1}), 0, nil); err == nil {
-		t.Fatal("send on closed channel accepted")
-	}
-}
-
 func TestTeardownOnLinkDeath(t *testing.T) {
 	p := newPair(t, 9)
 	coordCh, _ := p.openIPSP(t)
@@ -484,7 +463,6 @@ func TestWritableBackpressure(t *testing.T) {
 func twoChannelRun(t *testing.T) []string {
 	p := newPairPool(t, 11, 700)
 	tr := trace.New(p.s, 0)
-	tr.SetFilter(trace.KindPacketDrop)
 	tr.Enable()
 	p.coordCtl.SetTrace(tr, "coord")
 

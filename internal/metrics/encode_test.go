@@ -127,25 +127,6 @@ func TestSampleLineCacheTracksCollectorShape(t *testing.T) {
 	checkAgainstReference(t, r, st, &out, 9e9)
 }
 
-func TestSampleLineCacheSeesReplacedCollector(t *testing.T) {
-	r := NewRegistry()
-	r.RegisterGauge("a", func() float64 { return 1 })
-	r.RegisterOrReplace("run.progress", func() []Sample {
-		return []Sample{{Name: "run.progress", Label: "done", Kind: KindGauge, Value: 1}}
-	})
-	var out bytes.Buffer
-	st := r.StreamNDJSON(&out)
-	checkAgainstReference(t, r, st, &out, 1)
-	r.RegisterOrReplace("run.progress", func() []Sample {
-		return []Sample{{Name: "run.progress", Label: "total", Kind: KindGauge, Value: 2},
-			{Name: "run.progress", Label: "done", Kind: KindGauge, Value: 3}}
-	})
-	checkAgainstReference(t, r, st, &out, 2)
-	if !bytes.Contains(out.Bytes(), []byte(`"label":"total","kind":"gauge","value":2}`)) {
-		t.Fatalf("replaced collector not picked up:\n%s", out.Bytes())
-	}
-}
-
 func TestSampleLineCacheRealignsAfterRegister(t *testing.T) {
 	r := NewRegistry()
 	r.RegisterGauge("a", func() float64 { return 1 })
@@ -228,9 +209,9 @@ func TestStreamErrIsSticky(t *testing.T) {
 	}
 }
 
-// TestGatherConcurrentWithRegistration is the sweep runner's use: progress
-// callbacks gather and stream on their own goroutines while a job replaces
-// its gauge. Run under -race.
+// TestGatherConcurrentWithRegistration registers collectors while other
+// goroutines gather and stream: the registry's lock must order the two.
+// Run under -race.
 func TestGatherConcurrentWithRegistration(t *testing.T) {
 	r, _ := benchRegistry()
 	var wg sync.WaitGroup
@@ -250,15 +231,13 @@ func TestGatherConcurrentWithRegistration(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 50; i++ {
-		v := float64(i)
-		r.RegisterOrReplace("sweep.progress", func() []Sample {
-			return []Sample{{Name: "sweep.progress", Kind: KindGauge, Value: v}}
-		})
+		name := fmt.Sprintf("z.late-%02d", i)
+		r.RegisterGauge(name, func() float64 { return float64(i) })
 	}
 	wg.Wait()
 	got := r.Gather()
-	if last := got[len(got)-1]; last.Name != "sweep.progress" || last.Value != 49 {
-		t.Fatalf("last replacement not visible: %+v", last)
+	if last := got[len(got)-1]; last.Name != "z.late-49" || last.Value != 49 {
+		t.Fatalf("last registration not visible: %+v", last)
 	}
 }
 

@@ -140,19 +140,6 @@ func (c *CDF) FractionBelow(x float64) float64 {
 	return v
 }
 
-// Points returns n evenly spaced (x, F(x)) pairs for plotting.
-func (c *CDF) Points(n int) [][2]float64 {
-	if c.N() == 0 || n < 2 {
-		return nil
-	}
-	out := make([][2]float64, 0, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		out = append(out, [2]float64{c.Quantile(q), q})
-	}
-	return out
-}
-
 // ASCII renders the CDF as a small terminal plot.
 func (c *CDF) ASCII(width, height int, label string) string {
 	if c.N() == 0 {
@@ -243,15 +230,6 @@ func (ts *TimeSeries) RecordSent(t sim.Time) { ts.bucketAt(t).Sent++ }
 
 // RecordDelivered counts a success attributed to send time t.
 func (ts *TimeSeries) RecordDelivered(t sim.Time) { ts.bucketAt(t).Delivered++ }
-
-// Rates returns the per-bucket delivery rates.
-func (ts *TimeSeries) Rates() []float64 {
-	out := make([]float64, len(ts.buckets))
-	for i, b := range ts.buckets {
-		out[i] = b.Rate()
-	}
-	return out
-}
 
 // Window sums the buckets overlapping [from, to) — the churn experiment's
 // view of traffic during a specific phase (pre-fault, outage, recovered).
@@ -352,64 +330,6 @@ func (h *Heatmap) ASCII() string {
 	for _, l := range h.order {
 		b.WriteString(fmt.Sprintf("%-*s ", w, l))
 		b.WriteString(h.rows[l].ASCII(""))
-	}
-	return b.String()
-}
-
-// Summary aggregates a set of scalar observations keyed by name, used for
-// the table-style outputs (energy table, Fig. 14/15 cells).
-type Summary struct {
-	names  []string
-	values map[string][]float64
-}
-
-// NewSummary creates an empty summary.
-func NewSummary() *Summary { return &Summary{values: make(map[string][]float64)} }
-
-// Observe appends a value under a name.
-func (s *Summary) Observe(name string, v float64) {
-	if _, ok := s.values[name]; !ok {
-		s.names = append(s.names, name)
-	}
-	s.values[name] = append(s.values[name], v)
-}
-
-// Mean returns the mean of a named series (NaN when absent).
-func (s *Summary) Mean(name string) float64 {
-	vs := s.values[name]
-	if len(vs) == 0 {
-		return math.NaN()
-	}
-	sum := 0.0
-	for _, v := range vs {
-		sum += v
-	}
-	return sum / float64(len(vs))
-}
-
-// MinMax returns the extremes of a named series.
-func (s *Summary) MinMax(name string) (float64, float64) {
-	vs := s.values[name]
-	if len(vs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	return lo, hi
-}
-
-// Names returns the observation names in first-seen order.
-func (s *Summary) Names() []string { return append([]string(nil), s.names...) }
-
-// Table renders "name: mean [min..max] (n)" lines.
-func (s *Summary) Table() string {
-	var b strings.Builder
-	for _, n := range s.names {
-		lo, hi := s.MinMax(n)
-		fmt.Fprintf(&b, "%-40s %10.4f  [%.4f .. %.4f]  n=%d\n", n, s.Mean(n), lo, hi, len(s.values[n]))
 	}
 	return b.String()
 }

@@ -83,17 +83,6 @@ func (r *Registry) Register(name string, collect func() []Sample) {
 	r.sorted = nil
 }
 
-// RegisterOrReplace adds a collector, replacing any existing collector of
-// the same name. Intended for sources that are re-created per run (the
-// sweep runner's progress gauges); regular subsystems should use Register
-// so collisions stay loud.
-func (r *Registry) RegisterOrReplace(name string, collect func() []Sample) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.collectors[name] = collect
-	r.sorted = nil
-}
-
 // RegisterCounter registers a single monotonically increasing value.
 func (r *Registry) RegisterCounter(name string, fn func() float64) {
 	r.Register(name, func() []Sample {

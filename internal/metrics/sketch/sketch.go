@@ -20,7 +20,6 @@ package sketch
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sort"
 )
@@ -383,39 +382,6 @@ func (s *Sketch) Serialize() []byte {
 	return out
 }
 
-// Deserialize decodes a sketch previously produced by Serialize.
-func Deserialize(b []byte) (*Sketch, error) {
-	const head = 4 + 8*5 + 4
-	if len(b) < head {
-		return nil, fmt.Errorf("sketch: truncated header (%d bytes)", len(b))
-	}
-	if [4]byte(b[:4]) != magic {
-		return nil, fmt.Errorf("sketch: bad magic %q", b[:4])
-	}
-	s := NewCompression(readF64(b[4:]))
-	s.count = binary.BigEndian.Uint64(b[12:])
-	s.sum = readF64(b[20:])
-	s.min = readF64(b[28:])
-	s.max = readF64(b[36:])
-	nc := int(binary.BigEndian.Uint32(b[44:]))
-	if len(b) != head+16*nc {
-		return nil, fmt.Errorf("sketch: body is %d bytes, want %d for %d centroids",
-			len(b)-head, 16*nc, nc)
-	}
-	s.means = make([]float64, nc)
-	s.weights = make([]float64, nc)
-	for i := 0; i < nc; i++ {
-		s.means[i] = readF64(b[head+16*i:])
-		s.weights[i] = readF64(b[head+16*i+8:])
-		s.nProc += s.weights[i]
-	}
-	return s, nil
-}
-
 func appendF64(b []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(b, math.Float64bits(v))
-}
-
-func readF64(b []byte) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(b))
 }

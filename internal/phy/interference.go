@@ -26,9 +26,6 @@ func NewSwitched(inner Interference) *Switched { return &Switched{inner: inner} 
 // Set turns the wrapped source on or off.
 func (w *Switched) Set(on bool) { w.on = on }
 
-// On reports the current switch state.
-func (w *Switched) On() bool { return w.on }
-
 // Corrupts implements Interference.
 func (w *Switched) Corrupts(s *sim.Sim, ch Channel, start, end sim.Time) bool {
 	return w.on && w.inner.Corrupts(s, ch, start, end)

@@ -300,7 +300,6 @@ type Radio struct {
 	recv        Receiver
 	carrier     CarrierFunc
 
-	txEnd sim.Time
 	curTX *transmission
 
 	// Accumulated air-interface activity, consumed by the energy model.
@@ -391,7 +390,6 @@ func (r *Radio) Transmit(ch Channel, pkt Packet, airtime sim.Duration, done sim.
 	r.TXTime += airtime
 	r.TXPkts++
 	now := m.sim.Now()
-	r.txEnd = now + airtime
 	tx := m.getTx()
 	tx.pkt, tx.ch, tx.start, tx.end = pkt, ch, now, now+airtime
 	tx.sender, tx.done = r, done

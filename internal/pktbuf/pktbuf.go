@@ -92,9 +92,6 @@ var (
 // tests calls it; flip it only while no buffers are live.
 func SetPooling(on bool) { poolingOn = on }
 
-// Pooling reports whether buffer recycling is enabled.
-func Pooling() bool { return poolingOn }
-
 func classFor(n int) int {
 	for c, sz := range classSizes {
 		if n <= sz {

@@ -29,7 +29,7 @@ func TestPrependAppendLayout(t *testing.T) {
 func TestDoublePutPanics(t *testing.T) {
 	// Disable pooling so the struct cannot be re-issued between the two
 	// Puts — the panic must be deterministic for the test.
-	defer SetPooling(Pooling())
+	defer SetPooling(poolingOn)
 	SetPooling(false)
 	b := Get(4, 4)
 	b.Put()
@@ -105,7 +105,7 @@ func TestAppendGrow(t *testing.T) {
 // Get explicitly does NOT zero (callers write before reading); what must
 // hold is that a recycled arena's stale bytes never alias a live view.
 func TestPoolReusePoisoning(t *testing.T) {
-	defer SetPooling(Pooling())
+	defer SetPooling(poolingOn)
 	SetPooling(true)
 	b := Get(8, 16)
 	for i := range b.Bytes() {
@@ -133,7 +133,7 @@ func TestPoolReusePoisoning(t *testing.T) {
 }
 
 func TestUnpooledModeIndependentArenas(t *testing.T) {
-	defer SetPooling(Pooling())
+	defer SetPooling(poolingOn)
 	SetPooling(false)
 	b := Get(8, 16)
 	for i := range b.Bytes() {
@@ -169,7 +169,7 @@ func TestFromBytesClone(t *testing.T) {
 }
 
 func TestRefcountUnderflowPanics(t *testing.T) {
-	defer SetPooling(Pooling())
+	defer SetPooling(poolingOn)
 	SetPooling(false)
 	b := Get(0, 4)
 	v := b.Slice(0, 2)
@@ -184,7 +184,7 @@ func TestRefcountUnderflowPanics(t *testing.T) {
 }
 
 func TestZeroAllocSteadyState(t *testing.T) {
-	defer SetPooling(Pooling())
+	defer SetPooling(poolingOn)
 	SetPooling(true)
 	// Warm the pools.
 	for i := 0; i < 8; i++ {

@@ -207,7 +207,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	root.stack.ListenUDP(9000, func(src ip6.Addr, srcPort uint16, payload []byte) {
 		got = append([]byte(nil), payload...)
 	})
-	if err := n2.stack.SendUDP(root.stack.GlobalAddr(), 9000, 9000, []byte("hi")); err != nil {
+	if _, err := n2.stack.SendUDPPID(root.stack.GlobalAddr(), 9000, 9000, []byte("hi")); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	s.Run(s.Now() + sim.Time(time1s))
@@ -219,7 +219,7 @@ func TestEndToEndDelivery(t *testing.T) {
 	n2.stack.ListenUDP(9001, func(src ip6.Addr, srcPort uint16, payload []byte) {
 		back = append([]byte(nil), payload...)
 	})
-	if err := root.stack.SendUDP(n2.stack.GlobalAddr(), 9001, 9001, []byte("yo")); err != nil {
+	if _, err := root.stack.SendUDPPID(n2.stack.GlobalAddr(), 9001, 9001, []byte("yo")); err != nil {
 		t.Fatalf("send down: %v", err)
 	}
 	s.Run(s.Now() + sim.Time(time1s))

@@ -19,8 +19,6 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-
-	"blemesh/internal/metrics"
 )
 
 // Options configures a Map call.
@@ -28,11 +26,6 @@ type Options struct {
 	// Workers is the number of worker goroutines; <= 0 means
 	// runtime.GOMAXPROCS(0).
 	Workers int
-	// Name labels this run in progress metrics ("" disables them).
-	Name string
-	// Registry, when non-nil, receives live progress gauges under
-	// "runner.<Name>": jobs total, done, and panicked.
-	Registry *metrics.Registry
 	// OnProgress, when non-nil, is called after every completed job with
 	// the number done so far and the total. Calls are serialised.
 	OnProgress func(done, total int)
@@ -71,18 +64,7 @@ func Map[T any](n int, opts Options, fn func(job int) (T, error)) ([]T, error) {
 	}
 	nw := min(opts.workers(), n)
 
-	var next, done, panicked atomic.Int64
-	if opts.Registry != nil && opts.Name != "" {
-		name := "runner." + opts.Name
-		total := float64(n)
-		opts.Registry.RegisterOrReplace(name, func() []metrics.Sample {
-			return []metrics.Sample{
-				{Name: name, Label: "jobs", Kind: metrics.KindGauge, Value: total},
-				{Name: name, Label: "done", Kind: metrics.KindGauge, Value: float64(done.Load())},
-				{Name: name, Label: "panicked", Kind: metrics.KindGauge, Value: float64(panicked.Load())},
-			}
-		})
-	}
+	var next, done atomic.Int64
 	var progressMu sync.Mutex
 	report := func() {
 		if opts.OnProgress == nil {
@@ -99,7 +81,6 @@ func Map[T any](n int, opts Options, fn func(job int) (T, error)) ([]T, error) {
 	runJob := func(j int) {
 		defer func() {
 			if r := recover(); r != nil {
-				panicked.Add(1)
 				errs[j] = &PanicError{Job: j, Value: r, Stack: debug.Stack()}
 			}
 			report()

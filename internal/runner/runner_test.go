@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"blemesh/internal/metrics"
 	"blemesh/internal/sim"
 )
 
@@ -126,15 +125,12 @@ func TestMapErrorOrder(t *testing.T) {
 	}
 }
 
-// TestMapProgress checks the progress callback and registry gauges.
+// TestMapProgress checks the progress callback.
 func TestMapProgress(t *testing.T) {
-	reg := metrics.NewRegistry()
 	var calls int
 	last := -1
 	_, err := Map(10, Options{
-		Workers:  2,
-		Name:     "test",
-		Registry: reg,
+		Workers: 2,
 		OnProgress: func(done, total int) {
 			calls++
 			if total != 10 || done < 1 || done > 10 {
@@ -148,25 +144,6 @@ func TestMapProgress(t *testing.T) {
 	}
 	if calls != 10 || last != 10 {
 		t.Fatalf("progress called %d times, last=%d", calls, last)
-	}
-	var done, jobs float64
-	for _, s := range reg.Gather() {
-		if s.Name == "runner.test" {
-			switch s.Label {
-			case "done":
-				done = s.Value
-			case "jobs":
-				jobs = s.Value
-			}
-		}
-	}
-	if done != 10 || jobs != 10 {
-		t.Fatalf("registry gauges done=%v jobs=%v", done, jobs)
-	}
-	// A second run under the same name must not panic the registry.
-	if _, err := Map(3, Options{Workers: 1, Name: "test", Registry: reg},
-		func(j int) (int, error) { return j, nil }); err != nil {
-		t.Fatal(err)
 	}
 }
 

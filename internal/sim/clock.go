@@ -49,17 +49,3 @@ func (c *Clock) ToLocal(simd Duration) Duration {
 	}
 	return Duration(float64(simd) * c.rate)
 }
-
-// AfterLocal schedules fn after a delay measured on this node's local clock.
-func (c *Clock) AfterLocal(local Duration, fn func()) Timer {
-	return c.sim.After(c.ToSim(local), fn)
-}
-
-// AtLocal schedules fn at an absolute local timestamp.
-func (c *Clock) AtLocal(local Time, fn func()) Timer {
-	d := local - c.Now()
-	if d < 0 {
-		d = 0
-	}
-	return c.AfterLocal(d, fn)
-}

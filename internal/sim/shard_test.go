@@ -365,7 +365,7 @@ func TestNextAt(t *testing.T) {
 				// short timer is filed behind it.
 				if at, ok := sims[0].NextAt(); ok {
 					for _, s := range sims {
-						s.PostAt(at, s.Stop)
+						s.PostAt(at, func() {})
 						s.Run(at)
 					}
 				}

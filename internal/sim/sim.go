@@ -118,13 +118,11 @@ func (t Timer) When() Time {
 // instances share no state and may run on separate goroutines (the parallel
 // sweep runner relies on this).
 type Sim struct {
-	now     Time
-	q       queue
-	engine  Engine
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
-	free    *Event // recycled handle-free events (Post/PostAt)
+	now  Time
+	q    queue
+	seq  uint64
+	rng  *rand.Rand
+	free *Event // recycled handle-free events (Post/PostAt)
 	// processed counts executed events, for diagnostics and benchmarks.
 	processed uint64
 	// horizon is the until of the Run call in progress (QuietUntil).
@@ -140,19 +138,15 @@ func NewWithEngine(seed int64, engine Engine) *Sim {
 	// xoshiro256++ (rng.go), not rand.NewSource: the stdlib source carries
 	// ~4.9KB of state per Sim, which dominates the heap of city-scale
 	// builds that run one Sim per RF-isolated site.
-	s := &Sim{rng: rand.New(newXoshiro256(seed)), engine: engine}
+	s := &Sim{rng: rand.New(newXoshiro256(seed))}
 	switch engine {
 	case EngineHeap:
 		s.q = &heapQueue{}
 	default:
-		s.engine = EngineWheel
 		s.q = newWheelQueue()
 	}
 	return s
 }
-
-// Engine returns the event-queue engine backing this simulation.
-func (s *Sim) Engine() Engine { return s.engine }
 
 // Now returns the current simulation time.
 func (s *Sim) Now() Time { return s.now }
@@ -256,10 +250,6 @@ func (s *Sim) Cancel(t Timer) {
 	}
 }
 
-// Stop makes the current Run call return after the event in progress
-// completes. Pending events stay queued.
-func (s *Sim) Stop() { s.stopped = true }
-
 // NextAt returns the timestamp of the earliest pending event without
 // removing it, and false when the queue is empty. The sharded scheduler
 // calls this on its global lane to bound each barrier window.
@@ -312,16 +302,15 @@ func (s *Sim) fire(e *Event) {
 // next event is later than until. Time advances to until if the queue
 // drains earlier, so subsequent scheduling is relative to the horizon.
 func (s *Sim) Run(until Time) {
-	s.stopped = false
 	s.horizon = until
-	for !s.stopped {
+	for {
 		e := s.q.pop(until)
 		if e == nil {
 			break
 		}
 		s.fire(e)
 	}
-	if s.now < until && !s.stopped {
+	if s.now < until {
 		s.now = until
 	}
 }
@@ -329,9 +318,8 @@ func (s *Sim) Run(until Time) {
 // RunAll executes events until the queue is empty. Intended for tests; real
 // experiments always bound the horizon with Run.
 func (s *Sim) RunAll() {
-	s.stopped = false
 	s.horizon = math.MaxInt64
-	for !s.stopped {
+	for {
 		e := s.q.pop(Time(math.MaxInt64))
 		if e == nil {
 			return

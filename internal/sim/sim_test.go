@@ -95,27 +95,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestStopMidRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	for i := 1; i <= 10; i++ {
-		i := i
-		s.At(Time(i)*Millisecond, func() {
-			count++
-			if i == 5 {
-				s.Stop()
-			}
-		})
-	}
-	s.Run(Second)
-	if count != 5 {
-		t.Fatalf("stop did not halt run: executed %d", count)
-	}
-	if s.Pending() != 5 {
-		t.Fatalf("pending after stop = %d, want 5", s.Pending())
-	}
-}
-
 func TestRunHorizonLeavesLaterEvents(t *testing.T) {
 	s := New(1)
 	fired := 0
@@ -217,7 +196,7 @@ func TestClockLocalTimerFiresEarlyWhenFast(t *testing.T) {
 	s := New(1)
 	c := NewClock(s, 100) // fast clock
 	var fired Time
-	c.AfterLocal(Second, func() { fired = s.Now() })
+	s.After(c.ToSim(Second), func() { fired = s.Now() }) // a timer set in local time
 	s.Run(2 * Second)
 	if fired >= Second {
 		t.Fatalf("fast clock should fire local 1s timer early in sim time, fired at %v", fired)
@@ -252,20 +231,6 @@ func TestClockRoundTripConversion(t *testing.T) {
 				t.Errorf("ppm=%v dur=%v: round trip error %dns", ppm, d, diff)
 			}
 		}
-	}
-}
-
-func TestClockAtLocal(t *testing.T) {
-	s := New(1)
-	c := NewClock(s, 50)
-	var fired Time
-	s.At(100*Millisecond, func() {
-		c.AtLocal(c.Now()+50*Millisecond, func() { fired = s.Now() })
-	})
-	s.Run(Second)
-	want := 100*Millisecond + c.ToSim(50*Millisecond)
-	if diff := fired - want; diff < -Microsecond || diff > Microsecond {
-		t.Fatalf("AtLocal fired at %v, want ~%v", fired, want)
 	}
 }
 

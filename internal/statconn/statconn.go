@@ -309,10 +309,7 @@ type Manager struct {
 	slots []peerSlot
 	up    []*ble.Conn
 
-	// lossTimes records when each loss happened (Fig. 14's counts and the
-	// reconnect-latency characterization).
-	lossTimes      []sim.Time
-	reconnectEnds  []sim.Time
+	// pendingReopens counts lost links whose next LinkUp is a reconnect.
 	pendingReopens int
 
 	// recovery holds the completed recovery latencies as a mergeable
@@ -457,13 +454,6 @@ func secondsToDuration(s float64) sim.Duration { return sim.Duration(s*1e9 + 0.5
 // this node's coordinator-side links (seconds). The caller may Merge it
 // into a network-wide aggregate but must not Add to it.
 func (m *Manager) RecoveryDist() *metrics.CDF { return &m.recovery }
-
-// LossTimes returns when supervision losses happened (for loss-over-time
-// reporting).
-func (m *Manager) LossTimes() []sim.Time { return append([]sim.Time(nil), m.lossTimes...) }
-
-// Config returns the active configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // ExpectInbound declares how many subordinate-role connections this node
 // accepts. The manager advertises whenever fewer are active.
@@ -630,7 +620,6 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 	m.stats.LinksOpened++
 	if m.pendingReopens > 0 {
 		m.pendingReopens--
-		m.reconnectEnds = append(m.reconnectEnds, m.s.Now())
 		m.stats.Reconnects++
 		q.reconnects++
 	}
@@ -686,7 +675,6 @@ func (m *Manager) handleDisconnect(c *ble.Conn, reason ble.LossReason) {
 			m.stats.LinkLosses++
 		}
 		m.quality(c.Peer()).losses++
-		m.lossTimes = append(m.lossTimes, m.s.Now())
 	default:
 		m.stats.OtherLoss++
 	}

@@ -271,19 +271,6 @@ func TestRenegotiateResolvesSetupCollision(t *testing.T) {
 	}
 }
 
-func TestLossTimesRecorded(t *testing.T) {
-	s, mgrA, mgrB, ctrlA, _ := buildPair(7, Config{})
-	mgrA.ExpectInbound(1)
-	mgrB.Connect(ctrlA.Addr())
-	s.Run(5 * sim.Second)
-	if len(mgrB.LossTimes()) != 0 {
-		t.Fatal("phantom loss times")
-	}
-	if mgrB.Config().AdvInterval != 90*sim.Millisecond {
-		t.Fatal("Config() accessor broken")
-	}
-}
-
 func TestLinkQualitySnapshot(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(9, Config{})
 	mgrA.ExpectInbound(1)

@@ -15,11 +15,6 @@ func (l *Log) WriteNDJSON(w io.Writer) error {
 	return WriteNDJSON(w, l.Events(""))
 }
 
-// WriteCSV writes the retained events as CSV with a header row.
-func (l *Log) WriteCSV(w io.Writer) error {
-	return WriteCSV(w, l.Events(""))
-}
-
 // kindJSON holds every kind name as a quoted JSON string, kind order.
 var kindJSON = func() (q [numKinds]string) {
 	for k, name := range kindNames {

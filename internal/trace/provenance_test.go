@@ -7,30 +7,6 @@ import (
 	"blemesh/internal/sim"
 )
 
-func TestEnableDisableMidRun(t *testing.T) {
-	s := sim.New(1)
-	l := New(s, 16)
-	l.Enable()
-	l.Add("n", 0, 0, seqRec(1))
-	l.Disable()
-	if l.Enabled() {
-		t.Fatal("still enabled after Disable")
-	}
-	l.Add("n", 0, 0, seqRec(2))
-	if l.Total() != 1 {
-		t.Fatalf("recorded while disabled: total=%d", l.Total())
-	}
-	l.Enable()
-	l.Add("n", 0, 0, seqRec(3))
-	evs := l.Events("")
-	if len(evs) != 2 || seqOf(evs[0]) != 1 || seqOf(evs[1]) != 3 {
-		t.Fatalf("retained: %+v", evs)
-	}
-	// Disable must tolerate a nil log (instrumentation sites pass nil).
-	var nilLog *Log
-	nilLog.Disable()
-}
-
 func TestEmitPktAndEventsByID(t *testing.T) {
 	s := sim.New(1)
 	l := New(s, 32)
@@ -187,7 +163,7 @@ func TestExportNDJSONAndCSV(t *testing.T) {
 	}
 
 	var csv strings.Builder
-	if err := l.WriteCSV(&csv); err != nil {
+	if err := WriteCSV(&csv, l.Events("")); err != nil {
 		t.Fatal(err)
 	}
 	out := csv.String()

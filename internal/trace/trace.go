@@ -130,7 +130,6 @@ type Log struct {
 	s      *sim.Sim
 	cap    int // per-shard event capacity
 	shards map[string]*shard
-	filter uint32 // bitmask of enabled kinds; 0 = all
 	armed  bool
 
 	// siteSeq holds one sequence counter per site (scheduler domain). Each
@@ -284,8 +283,8 @@ func (l *Log) Keeps(id uint64) bool {
 	return l != nil && l.armed && (id == 0 || l.KeepPkt(id))
 }
 
-// Enable starts recording. Idempotent. Events retained from before a
-// Disable survive. Shard buffers are allocated lazily as nodes emit.
+// Enable starts recording. Idempotent. Shard buffers are allocated lazily
+// as nodes emit.
 func (l *Log) Enable() {
 	if l.shards == nil {
 		l.shards = make(map[string]*shard)
@@ -293,25 +292,9 @@ func (l *Log) Enable() {
 	l.armed = true
 }
 
-// Disable pauses recording without discarding retained events; Enable
-// resumes. A nil log tolerates the call.
-func (l *Log) Disable() {
-	if l != nil {
-		l.armed = false
-	}
-}
-
-// SetFilter restricts recording to the given kinds (none = all).
-func (l *Log) SetFilter(kinds ...Kind) {
-	l.filter = 0
-	for _, k := range kinds {
-		l.filter |= 1 << uint(k)
-	}
-}
-
 // Add records one typed event — a record built by one of the constructors
 // of record.go — for node, tagged with packet id (0 = untagged) and spanning
-// dur. A nil, disabled or filtered log, or a sampled-out id, drops it; the
+// dur. A nil or disabled log, or a sampled-out id, drops it; the
 // fields came by value, so even then nothing was boxed or allocated.
 func (l *Log) Add(node string, id uint64, dur sim.Duration, r Rec) {
 	if !l.Enabled() {
@@ -321,8 +304,8 @@ func (l *Log) Add(node string, id uint64, dur sim.Duration, r Rec) {
 }
 
 // EmitPkt records a provenance-tagged span event whose detail is formatted
-// text, kept beside its ring slot and evicted with it. A disabled or
-// filtered log drops it before formatting. The simulator's own layers call
+// text, kept beside its ring slot and evicted with it. A disabled log drops
+// it before formatting. The simulator's own layers call
 // Add instead; EmitPkt remains for callers outside them.
 func (l *Log) EmitPkt(node string, kind Kind, id uint64, dur sim.Duration, format string, args ...any) {
 	if !l.Enabled() {
@@ -332,9 +315,6 @@ func (l *Log) EmitPkt(node string, kind Kind, id uint64, dur sim.Duration, forma
 }
 
 func (l *Log) record(node string, id uint64, dur sim.Duration, r *Rec, format string, args []any) {
-	if l.filter != 0 && l.filter&(1<<uint(r.kind)) == 0 {
-		return
-	}
 	if id != 0 && !l.KeepPkt(id) {
 		return // sampled-out packet: drop its whole journey, every layer
 	}

@@ -75,18 +75,6 @@ func TestRingEviction(t *testing.T) {
 	}
 }
 
-func TestRecordingFilter(t *testing.T) {
-	s := sim.New(1)
-	l := New(s, 16)
-	l.Enable()
-	l.SetFilter(KindConnLoss)
-	l.Add("n", 0, 0, seqRec(1))
-	l.Add("n", 0, 0, ConnLoss(0x0a0b0c0d0e0f, LossPeerTerminated))
-	if got := l.Events(""); len(got) != 1 || got[0].Kind != KindConnLoss {
-		t.Fatalf("filter: %+v", got)
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
 		if s := k.String(); s == "" || strings.HasPrefix(s, "Kind(") {

@@ -178,9 +178,11 @@ type Conn struct {
 	nextStart    sim.Time // sim-time estimate of next event start
 	lastAttended uint64   // subordinate: last event index actually serviced
 	// Supervision: supDeadline is the sim time at which the link dies
-	// unless a valid packet arrives first. supEvent is a wake-up pending at
-	// or before it — a valid packet moves only the deadline, and a wake-up
-	// that comes early re-arms itself for the deadline.
+	// unless a valid packet arrives first. supEvent is the wake-up for it,
+	// filed only once the deadline is at or before the wake of the next
+	// connection event (fileSupervision): until then that wake comes first
+	// and looks again. A valid packet moves only the deadline, so a wake-up
+	// filed before it may come early; it then looks again too.
 	supDeadline sim.Time
 	supEvent    sim.Timer
 	// peerConn is the other endpoint of the link, learned from the first
@@ -226,7 +228,7 @@ func (w *connPreempt) Fire() { (*Conn)(w).preempted() }
 func (w *connSupervise) Fire() {
 	c := (*Conn)(w)
 	if c.sim().Now() < c.supDeadline {
-		c.supEvent = c.sim().Schedule(c.supDeadline, w)
+		c.fileSupervision(c.nextStart)
 		return
 	}
 	c.terminate(LossSupervision)
@@ -369,10 +371,10 @@ func (c *Conn) radio() *phy.Radio { return c.ctrl.radio }
 // ---- Supervision -----------------------------------------------------
 
 // armSupervision moves the supervision deadline to timeout (local clock)
-// from now. The pending wake-up is left where it is unless the deadline
-// moved in front of it (a ConnUpdate that shortens the timeout): every
-// valid packet pushes the deadline out, and re-filing a timer that fires
-// only when the link dies was two queue operations per connection event.
+// from now. A pending wake-up is left where it is unless the deadline moved
+// in front of it (a ConnUpdate that shortens the timeout): every valid
+// packet pushes the deadline out, and re-filing a timer that fires only when
+// the link dies was two queue operations per connection event.
 func (c *Conn) armSupervision(timeout sim.Duration) {
 	c.supDeadline = c.sim().Now() + c.clk().ToSim(timeout)
 	if c.supEvent.Scheduled() {
@@ -381,7 +383,23 @@ func (c *Conn) armSupervision(timeout sim.Duration) {
 		}
 		c.sim().Cancel(c.supEvent)
 	}
-	c.supEvent = c.sim().Schedule(c.supDeadline, (*connSupervise)(c))
+	wake := c.nextStart
+	if wake == 0 {
+		wake = c.supDeadline // no event scheduled yet: file it outright
+	}
+	c.fileSupervision(wake)
+}
+
+// fileSupervision files the supervision wake-up if none is pending and the
+// deadline is at or before wake, the wake of the next connection event. A
+// later deadline needs no timer: that wake fires first and calls this again
+// for the event after it, so an idle, healthy link keeps only its
+// connection wake-ups in the queue, and none of them lands inside the
+// link's own exchange to stop fusedIdle.
+func (c *Conn) fileSupervision(wake sim.Time) {
+	if c.supDeadline <= wake && !c.supEvent.Scheduled() {
+		c.supEvent = c.sim().Schedule(c.supDeadline, (*connSupervise)(c))
+	}
 }
 
 func (c *Conn) resetSupervision() {
@@ -436,6 +454,8 @@ func (c *Conn) scheduleEvent() {
 	}
 	simDelay := c.clk().ToSim(d)
 	c.nextStart = c.sim().Now() + simDelay
+	// Filed before the wake, so a deadline on the wake's instant fires first.
+	c.fileSupervision(c.nextStart)
 	c.wake = c.sim().Schedule(c.nextStart, (*connWake)(c))
 }
 

@@ -572,13 +572,39 @@ func TestConnFitsSizeClass(t *testing.T) {
 }
 
 // A Controller is allocated per node and carries the scratch PDU its
-// connections share; 640 B is a size class, and the next one is 704 B.
+// connections share. Its advertising and scanning state lives in formation,
+// held only while the controller forms links, so it fits 512 B; the next
+// size class is 576 B.
 func TestControllerFitsSizeClass(t *testing.T) {
-	if sz := unsafe.Sizeof(Controller{}); sz > 640 {
-		t.Fatalf("unsafe.Sizeof(Controller{}) = %d, over the 640 B size class (Scheduler %d, DataPDU %d of it)",
+	if sz := unsafe.Sizeof(Controller{}); sz > 512 {
+		t.Fatalf("unsafe.Sizeof(Controller{}) = %d, over the 512 B size class (Scheduler %d, DataPDU %d of it)",
 			sz, unsafe.Sizeof(Scheduler{}), unsafe.Sizeof(DataPDU{}))
 	} else {
 		t.Logf("unsafe.Sizeof(Controller{}) = %d", sz)
+	}
+}
+
+// TestFormedControllerDropsFormationState: once both ends of a link have
+// stopped advertising and scanning, neither controller holds formation
+// state; advertising again allocates it, and stopping drops it again.
+func TestFormedControllerDropsFormationState(t *testing.T) {
+	s, _, nodes := newTestNet(34, 0, 0)
+	connectPair(t, s, nodes[0], nodes[1], params75())
+	for _, n := range nodes {
+		if n.ctrl.form != nil {
+			t.Fatalf("%v holds formation state on a formed link", n.ctrl)
+		}
+	}
+	ctrl := nodes[0].ctrl
+	ctrl.StartAdvertising(AdvParams{Interval: 30 * sim.Millisecond})
+	s.Run(s.Now() + 200*sim.Millisecond)
+	if ctrl.form == nil || ctrl.Events().AdvEvents == 0 {
+		t.Fatalf("advertising without formation state (%d advertising events)", ctrl.Events().AdvEvents)
+	}
+	ctrl.StopAdvertising()
+	s.Run(s.Now() + 200*sim.Millisecond)
+	if ctrl.form != nil {
+		t.Fatal("formation state survives the end of advertising")
 	}
 }
 

@@ -142,7 +142,7 @@ func (f *ConnFuncs) ConnDown(c *Conn, reason LossReason) {
 // Controller is one node's BLE controller: the single radio, its scheduler,
 // the set of active connections, and the advertising/scanning machinery.
 // Fields are ordered so the flags pack; TestControllerFitsSizeClass holds it
-// inside the 640 B size class.
+// inside the 512 B size class.
 type Controller struct {
 	s     *sim.Sim
 	clk   *sim.Clock
@@ -151,16 +151,18 @@ type Controller struct {
 	sched Scheduler
 	pool  pool
 
-	advOn      bool
-	advStop    bool // mid-event stop request
-	scanOn     bool
-	connecting bool
+	scanOn  bool
+	advStop bool // mid-event stop request; outlives the formation state
 	// eventByEvent keeps every connection event on the general path
 	// (SetEventByEvent).
 	eventByEvent bool
 	// countChannels gives every connection opened from now on its
 	// ChannelCounts (CountChannels).
 	countChannels bool
+	// epoch invalidates in-flight advertising/initiating continuations
+	// across a Shutdown: closures capture it at schedule time and bail if
+	// the controller has been reset since.
+	epoch int32
 
 	// conns is the connection table: a short slice (a BLE node sustains a
 	// handful of links, so linear scans beat hashing) that stays ordered
@@ -173,25 +175,16 @@ type Controller struct {
 	// steady-state data path does not allocate per queued payload.
 	freeItems []*txItem
 
-	// Advertising state.
-	advParams AdvParams
-	advAct    *Activity
-	advWake   sim.Timer
-	advNext   sim.Time
-
-	// Scanning / initiating state.
-	scanParams  ScanParams
-	scanTargets []scanTarget
-	scanCh      phy.Channel
-	scanRotate  sim.Timer
-	initAct     *Activity // radio claim of an in-progress CONNECT_IND
+	// form is the advertising and scanning state (formation), nil while
+	// the controller does neither. scanParams is the host's configuration
+	// and outlives it.
+	form       *formation
+	scanParams ScanParams
 
 	// Receive dispatch: whoever currently listens installs itself. A
 	// connection in its event is rxConn; advertising and scanning install
-	// func handlers.
-	rxConn         *Conn
-	rxHandler      phy.Receiver
-	carrierHandler phy.CarrierFunc
+	// func handlers in form.
+	rxConn *Conn
 
 	// scratch is the data or empty PDU the connections of this controller
 	// build (control PDUs keep their own). One is enough for all of them:
@@ -202,11 +195,6 @@ type Controller struct {
 	// building a PDU and sending it is the subordinate's IFS before its
 	// reply, and a link pre-empted in that gap does not send (connSubSend).
 	scratch DataPDU
-
-	// epoch invalidates in-flight advertising/initiating continuations
-	// across a Shutdown: closures capture it at schedule time and bail if
-	// the controller has been reset since.
-	epoch int
 
 	events ControllerEvents
 
@@ -260,6 +248,60 @@ type scanTarget struct {
 	params ConnParams
 }
 
+// formation is what a controller needs only while it advertises, scans or
+// initiates: a formed node does neither, so its controller drops this
+// (settle) and holds none of it — the scan targets' backing array included.
+type formation struct {
+	advOn      bool
+	connecting bool // a CONNECT_IND is in progress
+
+	// Advertising.
+	advParams AdvParams
+	advAct    *Activity
+	advWake   sim.Timer
+	advNext   sim.Time
+
+	// Scanning / initiating.
+	scanTargets []scanTarget
+	scanCh      phy.Channel
+	scanRotate  sim.Timer
+	initAct     *Activity // radio claim of an in-progress CONNECT_IND
+
+	// The receive handlers advertising and scanning install (setRx).
+	rxHandler      phy.Receiver
+	carrierHandler phy.CarrierFunc
+}
+
+// formation returns the controller's formation state, allocating it when
+// the controller starts advertising or scanning.
+func (ctrl *Controller) formation() *formation {
+	if ctrl.form == nil {
+		ctrl.form = new(formation)
+	}
+	return ctrl.form
+}
+
+// settle drops the formation state once the controller neither advertises
+// nor finishes an advertising event (advAct), initiates (initAct), scans,
+// nor holds a target or a receive handler of either. Every field of a
+// dropped formation reads as its zero value, which is what the controller
+// would hold there anyway.
+func (ctrl *Controller) settle() {
+	f := ctrl.form
+	if f != nil && f.advAct == nil && f.initAct == nil && !ctrl.scanOn && len(f.scanTargets) == 0 &&
+		f.rxHandler == nil && f.carrierHandler == nil {
+		ctrl.form = nil
+	}
+}
+
+// advAct returns the advertising activity, or nil.
+func (ctrl *Controller) advAct() *Activity {
+	if ctrl.form == nil {
+		return nil
+	}
+	return ctrl.form.advAct
+}
+
 func (ctrl *Controller) addConn(c *Conn) { ctrl.conns = append(ctrl.conns, c) }
 
 // dropConn removes c from the table, reporting whether it was present. The
@@ -273,29 +315,29 @@ func (ctrl *Controller) dropConn(c *Conn) bool {
 	return true
 }
 
-func (ctrl *Controller) targetSet(peer DevAddr, p ConnParams) {
-	for i := range ctrl.scanTargets {
-		if ctrl.scanTargets[i].peer == peer {
-			ctrl.scanTargets[i].params = p
+func (f *formation) targetSet(peer DevAddr, p ConnParams) {
+	for i := range f.scanTargets {
+		if f.scanTargets[i].peer == peer {
+			f.scanTargets[i].params = p
 			return
 		}
 	}
-	ctrl.scanTargets = append(ctrl.scanTargets, scanTarget{peer: peer, params: p})
+	f.scanTargets = append(f.scanTargets, scanTarget{peer: peer, params: p})
 }
 
-func (ctrl *Controller) targetGet(peer DevAddr) (ConnParams, bool) {
-	for i := range ctrl.scanTargets {
-		if ctrl.scanTargets[i].peer == peer {
-			return ctrl.scanTargets[i].params, true
+func (f *formation) targetGet(peer DevAddr) (ConnParams, bool) {
+	for i := range f.scanTargets {
+		if f.scanTargets[i].peer == peer {
+			return f.scanTargets[i].params, true
 		}
 	}
 	return ConnParams{}, false
 }
 
-func (ctrl *Controller) targetDel(peer DevAddr) {
-	for i := range ctrl.scanTargets {
-		if ctrl.scanTargets[i].peer == peer {
-			ctrl.scanTargets = append(ctrl.scanTargets[:i], ctrl.scanTargets[i+1:]...)
+func (f *formation) targetDel(peer DevAddr) {
+	for i := range f.scanTargets {
+		if f.scanTargets[i].peer == peer {
+			f.scanTargets = append(f.scanTargets[:i], f.scanTargets[i+1:]...)
 			return
 		}
 	}
@@ -335,36 +377,38 @@ func (ctrl *Controller) nextHandle() int {
 // setRx installs the receive handlers of advertising or scanning.
 func (ctrl *Controller) setRx(rx phy.Receiver, carrier phy.CarrierFunc) {
 	ctrl.rxConn = nil
-	ctrl.rxHandler = rx
-	ctrl.carrierHandler = carrier
+	f := ctrl.formation()
+	f.rxHandler = rx
+	f.carrierHandler = carrier
 }
 
 // setRxConn makes c the receiver of the radio's indications.
 func (ctrl *Controller) setRxConn(c *Conn) {
+	ctrl.clearRx()
 	ctrl.rxConn = c
-	ctrl.rxHandler = nil
-	ctrl.carrierHandler = nil
 }
 
 func (ctrl *Controller) clearRx() {
 	ctrl.rxConn = nil
-	ctrl.rxHandler = nil
-	ctrl.carrierHandler = nil
+	if f := ctrl.form; f != nil {
+		f.rxHandler = nil
+		f.carrierHandler = nil
+	}
 }
 
 func (ctrl *Controller) dispatchRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 	if c := ctrl.rxConn; c != nil {
 		c.onRx(pkt, ch, ok)
-	} else if ctrl.rxHandler != nil {
-		ctrl.rxHandler(pkt, ch, ok)
+	} else if f := ctrl.form; f != nil && f.rxHandler != nil {
+		f.rxHandler(pkt, ch, ok)
 	}
 }
 
 func (ctrl *Controller) dispatchCarrier(ch phy.Channel, end sim.Time) {
 	if c := ctrl.rxConn; c != nil {
 		c.onCarrier(ch, end)
-	} else if ctrl.carrierHandler != nil {
-		ctrl.carrierHandler(ch, end)
+	} else if f := ctrl.form; f != nil && f.carrierHandler != nil {
+		f.carrierHandler(ch, end)
 	}
 }
 
@@ -391,54 +435,62 @@ func (ctrl *Controller) StartAdvertising(p AdvParams) {
 	if p.Interval <= 0 {
 		p.Interval = 100 * sim.Millisecond
 	}
-	if ctrl.advOn {
-		ctrl.advParams = p
+	f := ctrl.formation()
+	if f.advOn {
+		f.advParams = p
 		return
 	}
-	ctrl.advOn = true
+	f.advOn = true
 	ctrl.advStop = false
-	ctrl.advParams = p
-	ctrl.advAct = &Activity{anchor: &ctrl.advNext, onPreempt: (*advPreempt)(ctrl)}
-	ctrl.sched.Register(ctrl.advAct)
+	f.advParams = p
+	f.advAct = &Activity{anchor: &f.advNext, onPreempt: (*advPreempt)(ctrl)}
+	ctrl.sched.Register(f.advAct)
 	ctrl.scheduleAdvEvent(ctrl.clk.ToSim(sim.Duration(ctrl.s.Rand().Int63n(int64(p.Interval)))))
 }
 
 // StopAdvertising stops advertising after the current event, if any.
 func (ctrl *Controller) StopAdvertising() {
-	if !ctrl.advOn {
+	f := ctrl.form
+	if f == nil || !f.advOn {
 		return
 	}
-	ctrl.advOn = false
+	f.advOn = false
 	ctrl.advStop = true
-	ctrl.s.Cancel(ctrl.advWake)
-	ctrl.advWake = sim.Timer{}
-	if ctrl.advAct != nil && !ctrl.sched.Owns(ctrl.advAct) {
-		ctrl.sched.Unregister(ctrl.advAct)
-		ctrl.advAct = nil
+	ctrl.s.Cancel(f.advWake)
+	f.advWake = sim.Timer{}
+	if f.advAct != nil && !ctrl.sched.Owns(f.advAct) {
+		ctrl.sched.Unregister(f.advAct)
+		f.advAct = nil
 	}
+	ctrl.settle()
 }
 
 func (ctrl *Controller) scheduleAdvEvent(delay sim.Duration) {
 	// advDelay: 0..10ms pseudo-random per the specification.
 	jitter := sim.Duration(ctrl.s.Rand().Int63n(int64(10 * sim.Millisecond)))
 	d := delay + ctrl.clk.ToSim(jitter)
-	ctrl.advNext = ctrl.s.Now() + d
-	ctrl.advWake = ctrl.s.After(d, ctrl.advEvent)
+	f := ctrl.form
+	f.advNext = ctrl.s.Now() + d
+	f.advWake = ctrl.s.After(d, ctrl.advEvent)
 }
 
 // advEvent performs one advertising event: ADV_IND on 37, 38, 39, listening
 // after each PDU for a CONNECT_IND.
 func (ctrl *Controller) advEvent() {
-	ctrl.advWake = sim.Timer{}
-	if !ctrl.advOn {
+	f := ctrl.form
+	if f == nil {
+		return
+	}
+	f.advWake = sim.Timer{}
+	if !f.advOn {
 		return
 	}
 	// An advertising event occupies the radio for three PDUs plus listen
 	// gaps — bounded well under 10ms.
 	maxEnd := ctrl.s.Now() + 10*sim.Millisecond
-	if _, ok := ctrl.sched.Acquire(ctrl.advAct, maxEnd); !ok {
+	if _, ok := ctrl.sched.Acquire(f.advAct, maxEnd); !ok {
 		// Radio busy (e.g. a connection event): skip this round.
-		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(ctrl.advParams.Interval))
+		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
 		return
 	}
 	ctrl.events.AdvEvents++
@@ -452,10 +504,10 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 		return
 	}
 	epoch := ctrl.epoch
-	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: ctrl.advParams.DataLen}
+	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: ctrl.form.advParams.DataLen}
 	air := pdu.AdvAirtime()
 	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, sim.Func(func() {
-		if ctrl.epoch != epoch || !ctrl.sched.Owns(ctrl.advAct) {
+		if ctrl.epoch != epoch || !ctrl.sched.Owns(ctrl.advAct()) {
 			return // preempted mid-event or controller reset
 		}
 		// Listen one IFS + CONNECT_IND airtime for an initiator.
@@ -472,7 +524,7 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 			ctrl.clearRx()
 			// The advertising event ends here: hand the radio back
 			// before the connection starts scheduling its events.
-			ctrl.sched.Release(ctrl.advAct)
+			ctrl.sched.Release(ctrl.advAct())
 			ctrl.acceptConnection(ci)
 		}, func(_ phy.Channel, end sim.Time) {
 			ctrl.s.Cancel(timeout)
@@ -506,13 +558,13 @@ func (ctrl *Controller) advPreempted() {
 		ctrl.radio.AbortTX()
 	}
 	ctrl.clearRx()
-	if ctrl.advOn {
-		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(ctrl.advParams.Interval))
+	if f := ctrl.form; f != nil && f.advOn {
+		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
 	}
 }
 
 func (ctrl *Controller) advStepDone(ch phy.Channel) {
-	if !ctrl.sched.Owns(ctrl.advAct) {
+	if !ctrl.sched.Owns(ctrl.advAct()) {
 		return // preempted mid-event
 	}
 	ctrl.radio.StopListen()
@@ -528,16 +580,18 @@ func (ctrl *Controller) advStepDone(ch phy.Channel) {
 }
 
 func (ctrl *Controller) finishAdvEvent(reschedule bool) {
-	ctrl.sched.Release(ctrl.advAct)
-	if ctrl.advStop || !ctrl.advOn {
-		if ctrl.advAct != nil {
-			ctrl.sched.Unregister(ctrl.advAct)
-			ctrl.advAct = nil
+	ctrl.sched.Release(ctrl.advAct())
+	f := ctrl.form
+	if ctrl.advStop || f == nil || !f.advOn {
+		if f != nil && f.advAct != nil {
+			ctrl.sched.Unregister(f.advAct)
+			f.advAct = nil
 		}
+		ctrl.settle()
 		return
 	}
 	if reschedule {
-		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(ctrl.advParams.Interval))
+		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
 	}
 }
 
@@ -563,7 +617,7 @@ func (ctrl *Controller) Connect(peer DevAddr, params ConnParams) error {
 		return err
 	}
 	params.CoordSCA = ctrl.cfg.SCA
-	ctrl.targetSet(peer, params)
+	ctrl.formation().targetSet(peer, params)
 	ctrl.ensureScanning()
 	return nil
 }
@@ -580,16 +634,17 @@ func (ctrl *Controller) SetScanParams(p ScanParams) {
 }
 
 func (ctrl *Controller) ensureScanning() {
-	if ctrl.scanOn || len(ctrl.scanTargets) == 0 {
+	f := ctrl.form
+	if ctrl.scanOn || len(f.scanTargets) == 0 {
 		return
 	}
 	if ctrl.scanParams.Interval == 0 {
 		ctrl.SetScanParams(ScanParams{})
 	}
 	ctrl.scanOn = true
-	ctrl.scanCh = phy.AdvChannel37
+	f.scanCh = phy.AdvChannel37
 	ctrl.sched.SetFiller(ctrl.scanResume, ctrl.scanPause)
-	ctrl.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
+	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
 }
 
 func (ctrl *Controller) stopScanning() {
@@ -598,32 +653,35 @@ func (ctrl *Controller) stopScanning() {
 	}
 	ctrl.scanOn = false
 	ctrl.sched.ClearFiller()
-	ctrl.s.Cancel(ctrl.scanRotate)
-	ctrl.scanRotate = sim.Timer{}
+	f := ctrl.form
+	ctrl.s.Cancel(f.scanRotate)
+	f.scanRotate = sim.Timer{}
+	ctrl.settle()
 }
 
 func (ctrl *Controller) rotateScanChannel() {
 	if !ctrl.scanOn {
 		return
 	}
-	switch ctrl.scanCh {
+	f := ctrl.form
+	switch f.scanCh {
 	case phy.AdvChannel37:
-		ctrl.scanCh = phy.AdvChannel38
+		f.scanCh = phy.AdvChannel38
 	case phy.AdvChannel38:
-		ctrl.scanCh = phy.AdvChannel39
+		f.scanCh = phy.AdvChannel39
 	default:
-		ctrl.scanCh = phy.AdvChannel37
+		f.scanCh = phy.AdvChannel37
 	}
-	if ctrl.radio.State() == phy.RadioRX && !ctrl.connecting {
-		ctrl.radio.StartListen(ctrl.scanCh)
+	if ctrl.radio.State() == phy.RadioRX && !f.connecting {
+		ctrl.radio.StartListen(f.scanCh)
 	}
-	ctrl.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
+	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
 }
 
 // scanResume is the scheduler filler start hook: listen on the current
 // advertising channel whenever the radio is otherwise idle.
 func (ctrl *Controller) scanResume() {
-	if !ctrl.scanOn || ctrl.connecting {
+	if !ctrl.scanOn || ctrl.form.connecting {
 		return
 	}
 	if ctrl.radio.State() == phy.RadioTX {
@@ -631,13 +689,13 @@ func (ctrl *Controller) scanResume() {
 		// resumes at the next radio hand-back.
 		return
 	}
-	ctrl.radio.StartListen(ctrl.scanCh)
+	ctrl.radio.StartListen(ctrl.form.scanCh)
 	ctrl.setRx(ctrl.scanRx, nil)
 }
 
 // scanPause is the scheduler filler stop hook.
 func (ctrl *Controller) scanPause() {
-	if ctrl.connecting {
+	if ctrl.form.connecting {
 		return
 	}
 	if ctrl.radio.State() == phy.RadioRX {
@@ -653,8 +711,9 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 		return
 	}
 	ctrl.events.AdvReceived++
-	params, want := ctrl.targetGet(adv.Adv)
-	if !want || ctrl.connecting {
+	f := ctrl.form
+	params, want := f.targetGet(adv.Adv)
+	if !want || f.connecting {
 		return
 	}
 	// Acquire the radio as a real activity for the CONNECT_IND exchange.
@@ -662,8 +721,8 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 	if _, granted := ctrl.sched.Acquire(initAct, ctrl.s.Now()+5*sim.Millisecond); !granted {
 		return
 	}
-	ctrl.initAct = initAct
-	ctrl.connecting = true
+	f.initAct = initAct
+	f.connecting = true
 	// Window offset randomises where the first connection event lands —
 	// from the subordinate's perspective the relative timing against its
 	// other connections is arbitrary (§2.3 of the paper).
@@ -688,11 +747,12 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 				return
 			}
 			ctrl.events.ConnectsTX++
-			ctrl.connecting = false
+			f := ctrl.form
+			f.connecting = false
 			ctrl.sched.Release(initAct)
-			ctrl.initAct = nil
-			ctrl.targetDel(adv.Adv)
-			if len(ctrl.scanTargets) == 0 {
+			f.initAct = nil
+			f.targetDel(adv.Adv)
+			if len(f.scanTargets) == 0 {
 				ctrl.stopScanning()
 			}
 			anchor0 := ctrl.s.Now() + TransmitWindowDelay + winOffset
@@ -724,19 +784,24 @@ func (ctrl *Controller) Shutdown() {
 		c.terminate(LossHostTerminated)
 	}
 	ctrl.StopAdvertising()
-	ctrl.connecting = false
-	ctrl.scanTargets = ctrl.scanTargets[:0]
-	ctrl.stopScanning()
-	if ctrl.initAct != nil {
-		ctrl.sched.Release(ctrl.initAct)
-		ctrl.initAct = nil
+	if f := ctrl.form; f != nil {
+		f.connecting = false
+		f.scanTargets = f.scanTargets[:0]
 	}
-	if ctrl.advAct != nil {
-		ctrl.sched.Release(ctrl.advAct)
-		ctrl.sched.Unregister(ctrl.advAct)
-		ctrl.advAct = nil
+	ctrl.stopScanning()
+	if f := ctrl.form; f != nil {
+		if f.initAct != nil {
+			ctrl.sched.Release(f.initAct)
+			f.initAct = nil
+		}
+		if f.advAct != nil {
+			ctrl.sched.Release(f.advAct)
+			ctrl.sched.Unregister(f.advAct)
+			f.advAct = nil
+		}
 	}
 	ctrl.clearRx()
+	ctrl.settle()
 	switch ctrl.radio.State() {
 	case phy.RadioRX:
 		ctrl.radio.StopListen()

@@ -129,24 +129,37 @@ func TestEstablishmentTimeoutSixIntervals(t *testing.T) {
 	}
 }
 
-// TestTerminateCancelsSupervision: a closed connection leaves nothing in the
-// queue — with both ends closed and neither node advertising or scanning,
+// TestTerminateCancelsSupervision: the supervision wake-up exists only
+// while the link can end by it. Once the peer goes silent, the survivor has
+// it filed at exactly the deadline before the deadline passes; Kill cancels
+// it, and with both ends closed and neither node advertising or scanning,
 // the simulation is empty.
 func TestTerminateCancelsSupervision(t *testing.T) {
-	s, _, nodes := newTestNet(44, 5, -5)
-	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
-	s.Run(s.Now() + 3*sim.Second)
-	for _, c := range []*Conn{sub, coord} {
-		if !c.supEvent.Scheduled() {
-			t.Fatalf("%v: no supervision wake-up pending on a live link", c)
+	for _, survivor := range []Role{Coordinator, Subordinate} {
+		s, _, nodes := newTestNet(44, 5, -5)
+		sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
+		s.Run(s.Now() + 3*sim.Second)
+		keep, silent := coord, sub
+		if survivor == Subordinate {
+			keep, silent = sub, coord
 		}
-		c.Kill()
-		if c.supEvent.Scheduled() {
-			t.Fatalf("%v: supervision wake-up survives terminate", c)
+		silent.Kill()
+		// A packet already on the air may still land: let it, then the
+		// deadline stays where the last one put it.
+		s.Run(s.Now() + keep.Params().Interval)
+		deadline := keep.supDeadline
+		s.Run(deadline - 1)
+		if !keep.supEvent.Scheduled() || keep.supEvent.When() != deadline {
+			t.Fatalf("%v: 1 ns before the deadline %v the wake-up is pending %v at %v",
+				keep, deadline, keep.supEvent.Scheduled(), keep.supEvent.When())
 		}
-	}
-	if n := s.Pending(); n != 0 {
-		t.Fatalf("%d events pending after both endpoints closed", n)
+		keep.Kill()
+		if keep.supEvent.Scheduled() {
+			t.Fatalf("%v: supervision wake-up survives terminate", keep)
+		}
+		if n := s.Pending(); n != 0 {
+			t.Fatalf("%v survivor: %d events pending after both endpoints closed", survivor, n)
+		}
 	}
 }
 
@@ -166,24 +179,26 @@ func idlePair(t *testing.T, seed int64) (*sim.Sim, []*testNode, *Conn, *Conn) {
 }
 
 // TestStaleSupervisionWakeup runs an idle link through many supervision
-// periods. The wake-ups that find the deadline moved on must neither end the
-// link nor accumulate: the queue holds the same handful of events throughout
-// (next anchor and supervision wake-up per endpoint, plus whatever the event
-// in progress has filed).
+// periods. While the deadline lies beyond the next connection event's wake,
+// an endpoint files no supervision wake-up: between two events the queue
+// holds the link's two connection wake-ups and nothing else, and the link
+// neither ends nor misses a reset.
 func TestStaleSupervisionWakeup(t *testing.T) {
 	s, nodes, sub, coord := idlePair(t, 45)
 	lossA, lossB := watchLoss(s, nodes[0]), watchLoss(s, nodes[1])
 	resets := sub.Stats().SupResets
 	for i := 0; i < 400; i++ {
 		s.Run(s.Now() + 333*sim.Millisecond)
-		if n := s.Pending(); n > 8 {
-			t.Fatalf("after %v: %d events pending on an idle link", s.Now(), n)
-		}
+		// Stop just before the next wake, when no event is in progress.
+		s.Run(min(sub.nextStart, coord.nextStart) - 1)
 		for _, c := range []*Conn{sub, coord} {
-			if !c.supEvent.Scheduled() || c.supEvent.When() > c.supDeadline {
-				t.Fatalf("%v: wake-up at %v (pending %v) does not cover the deadline %v",
-					c, c.supEvent.When(), c.supEvent.Scheduled(), c.supDeadline)
+			if c.supDeadline <= c.nextStart || c.supEvent.Scheduled() || !c.wake.Scheduled() {
+				t.Fatalf("%v at %v: deadline %v, next wake %v (pending %v), supervision wake-up pending %v at %v",
+					c, s.Now(), c.supDeadline, c.nextStart, c.wake.Scheduled(), c.supEvent.Scheduled(), c.supEvent.When())
 			}
+		}
+		if n := s.Pending(); n != 2 {
+			t.Fatalf("after %v: %d events pending on an idle link, want its two connection wake-ups", s.Now(), n)
 		}
 	}
 	if lossA.n+lossB.n != 0 {
@@ -217,16 +232,13 @@ func measureQueueOps(s *sim.Sim, coord *Conn, n uint64) queueOps {
 // Declined: a third party's timer lies inside every exchange, so every event
 // runs through the queue as it did before the fused path existed: five fired
 // (anchor wake-up at each end, two ends of transmission, the subordinate's
-// IFS), seven pushed, two cancelled, plus the supervision wake-ups that arrive
-// early, one per endpoint per supervision period of 20 events, each fired and
-// re-filed. The third party's own timer is not counted.
+// IFS), seven pushed, two cancelled. The third party's own timer is not
+// counted.
 //
 // Taken (fusedIdle): two fired — the anchor wake-up at each end — three
-// pushed and one cancelled (the subordinate's listen timeout), plus the same
-// supervision wake-ups. Those arrive a whole number of intervals after a
-// packet, that is inside a later exchange of the same link, which is
-// therefore declined: one event in twenty costs the declined row's figures,
-// and the average comes to 2.26 / 3.31 / 1.05.
+// pushed and one cancelled (the subordinate's listen timeout), and every
+// event runs in one step. A healthy link files no supervision wake-up
+// (fileSupervision), so none lands inside an exchange to decline it.
 //
 // Both rows allocate nothing, remapped channels included (22 is excluded
 // from the map).
@@ -237,8 +249,8 @@ func TestIdleConnEventQueueOps(t *testing.T) {
 		min, max queueOps
 		fused    float64 // least share of the coordinator's events run in one step
 	}{
-		{"taken", false, queueOps{2, 3, 1}, queueOps{2.27, 3.32, 1.06}, 0.94},
-		{"declined", true, queueOps{5, 7, 2}, queueOps{5.11, 7.11, 2}, 0},
+		{"taken", false, queueOps{2, 3, 1}, queueOps{2, 3, 1}, 1},
+		{"declined", true, queueOps{5, 7, 2}, queueOps{5, 7, 2}, 0},
 	} {
 		s, nodes, sub, coord := idlePair(t, 46)
 		if tc.intrude {
@@ -380,7 +392,7 @@ func TestScanRotationLeavesConnectionEventsAlone(t *testing.T) {
 		s.At(rotateAt+1, func() { tuned = nodes[0].radio.Listening() })
 		s.Run(rotateAt + 10*sim.Millisecond)
 		after := sub.Stats()
-		if ctrl.scanCh == phy.AdvChannel37 {
+		if f := ctrl.form; f == nil || f.scanCh == phy.AdvChannel37 {
 			t.Fatalf("midPacket=%v: the scan channel never rotated", midPacket)
 		}
 		if tuned != sub.evCh {

@@ -11,7 +11,8 @@ import (
 // through a random script of Connect (new and re-declared peers), Shutdown
 // and targets consumed by an answered advertisement, and after every step
 // compares it with a plain map[DevAddr]ConnParams kept here: same members,
-// same parameters, and scanning on exactly while the map is non-empty.
+// same parameters, and scanning on — with the formation state that holds the
+// table allocated — exactly while the map is non-empty.
 func TestScanTargetsAgainstMapModel(t *testing.T) {
 	s, _, nodes := newTestNet(5, 0, 1, -1, 2)
 	scanner := nodes[0].ctrl
@@ -23,11 +24,18 @@ func TestScanTargetsAgainstMapModel(t *testing.T) {
 	upcalls(scanner).Up = func(c *Conn) { delete(model, c.Peer()) }
 	check := func(step int, op string) {
 		t.Helper()
-		if len(scanner.scanTargets) != len(model) {
-			t.Fatalf("step %d (%s): %d targets, model %d", step, op, len(scanner.scanTargets), len(model))
+		f := scanner.form
+		if (f != nil) != scanner.scanOn {
+			t.Fatalf("step %d (%s): formation state held %v while scanning %v", step, op, f != nil, scanner.scanOn)
+		}
+		if f == nil {
+			f = new(formation)
+		}
+		if len(f.scanTargets) != len(model) {
+			t.Fatalf("step %d (%s): %d targets, model %d", step, op, len(f.scanTargets), len(model))
 		}
 		for _, p := range peers {
-			got, ok := scanner.targetGet(p)
+			got, ok := f.targetGet(p)
 			want, wantOK := model[p]
 			if ok != wantOK || got != want {
 				t.Fatalf("step %d (%s): target %v = (%+v, %v), model (%+v, %v)", step, op, p, got, ok, want, wantOK)

@@ -262,6 +262,11 @@ func TestNONTimesOutWithoutRetransmit(t *testing.T) {
 			failure = err
 		}
 	})
+	// The lost request waits for its response without its message: only a
+	// confirmable request is ever sent again.
+	if len(client.pending) != 1 || client.pending[0].msg != nil || client.pending[0].tok != uint16(client.tokSeq) {
+		t.Fatalf("pending NON exchange: %d records, first %+v", len(client.pending), client.pending[0])
+	}
 	s.Run(200 * sim.Second)
 	if failure == nil {
 		t.Fatal("NON request never expired")

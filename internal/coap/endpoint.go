@@ -1,7 +1,6 @@
 package coap
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"slices"
@@ -60,16 +59,20 @@ type Handler func(from ip6.Addr, req *Message) *Message
 // arrived within ResponseTimeout.
 type ResponseFunc func(resp *Message, rtt sim.Duration, err error)
 
-// pendingReq is one outstanding request exchange.
+// pendingReq is one outstanding request exchange. Only a confirmable
+// request keeps its message, which its retransmissions resend; a lost NON
+// request would otherwise hold payload, options and token for the whole
+// ResponseTimeout. The token a response is matched by is kept inline.
 type pendingReq struct {
 	ep       *Endpoint
 	dst      ip6.Addr
-	msg      *Message
+	msg      *Message // CON only
 	cb       ResponseFunc
 	sentAt   sim.Time
 	pid      uint64       // provenance ID of the latest (re)transmission
 	rto      sim.Duration // the timeout retryEvt was armed with
 	retries  int
+	tok      uint16
 	retryEvt sim.Timer
 	expire   sim.Timer
 }
@@ -163,12 +166,13 @@ func (ep *Endpoint) NewMessageID() uint16 {
 }
 
 // newToken mints a unique 2-byte token (the paper's 100-byte IP packets
-// imply short tokens).
-func (ep *Endpoint) newToken() []byte {
+// imply short tokens), returned as its value and its wire bytes.
+func (ep *Endpoint) newToken() (uint16, []byte) {
 	ep.tokSeq++
-	tok := make([]byte, 2)
-	binary.BigEndian.PutUint16(tok, uint16(ep.tokSeq))
-	return tok
+	tok := uint16(ep.tokSeq)
+	b := make([]byte, 2)
+	binary.BigEndian.PutUint16(b, tok)
+	return tok, b
 }
 
 // Request sends a request to dst and invokes cb with the matched response.
@@ -176,8 +180,12 @@ func (ep *Endpoint) newToken() []byte {
 // requests are sent once. The message is assigned a fresh MID and token.
 func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 	m.MessageID = ep.NewMessageID()
-	m.Token = ep.newToken()
-	pr := &pendingReq{ep: ep, dst: dst, msg: m, cb: cb, sentAt: ep.s.Now()}
+	tok, tokBytes := ep.newToken()
+	m.Token = tokBytes
+	pr := &pendingReq{ep: ep, dst: dst, cb: cb, sentAt: ep.s.Now(), tok: tok}
+	if m.Type == CON {
+		pr.msg = m
+	}
 	ep.pending = append(ep.pending, pr)
 	pid, err := ep.send(dst, m)
 	if err != nil {
@@ -198,12 +206,17 @@ func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
 }
 
 // pendingIndex returns the index of the outstanding request whose token is
-// tok, or -1. It scans from the newest: a response answers a recent request,
-// while requests whose responses were lost sit at the front until they
-// expire.
+// tok, or -1. Every token this endpoint mints is two bytes long, so no other
+// length matches. It scans from the newest: a response answers a recent
+// request, while requests whose responses were lost sit at the front until
+// they expire.
 func (ep *Endpoint) pendingIndex(tok []byte) int {
+	if len(tok) != 2 {
+		return -1
+	}
+	t := binary.BigEndian.Uint16(tok)
 	for i := len(ep.pending) - 1; i >= 0; i-- {
-		if bytes.Equal(ep.pending[i].msg.Token, tok) {
+		if ep.pending[i].tok == t {
 			return i
 		}
 	}

@@ -143,9 +143,9 @@ func (n *NetIf) AddLink(conn *ble.Conn) {
 	l := &link{n: n, conn: conn, peerMAC: peerMAC}
 	l.ep = l2cap.NewEndpoint(n.s, conn)
 	l.ep.OnChannelOpen = l
-	l.att = gatt.NewATT(n.s, l.ep, ipssDB)
+	l.att = gatt.NewATT(l.ep, ipssDB)
 	if conn.Role() == ble.Coordinator {
-		_ = l.att.SupportsIPSS(func(ok bool, err error) {
+		_ = l.att.SupportsIPSS(n.s, func(ok bool, err error) {
 			if err != nil || !ok {
 				n.stats.IPSSRefused++
 				return

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"runtime/debug"
 	"testing"
 
 	"blemesh/internal/coap"
@@ -98,12 +97,8 @@ func BenchmarkPacketPathAllocs(b *testing.B) {
 // 7-hop exchange at the last recorded 38 plus 20 %, and holds it below the
 // unpooled reference path's.
 func TestPacketPathAllocBudget(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled count is not the code path's")
-			}
-		}
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts, so the pooled count is not the code path's")
 	}
 	defer pktbuf.SetPooling(true)
 	measure := func(pooled bool) float64 {

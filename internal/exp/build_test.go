@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -220,6 +221,42 @@ func TestDenseIndexLookup(t *testing.T) {
 			if got := nw.nodeByMAC(mac); got != nil {
 				t.Fatalf("trial %d: nodeByMAC(%012x) = %v, want nil", trial, mac, got)
 			}
+		}
+	}
+}
+
+// TestPDRSeriesIsNetworkWide: a network of several sites keeps one PDR
+// series, which every site's producers record into from their own lanes. Its
+// length follows the simulated time alone — four sites hold as many buckets
+// as one — and MergedSeries and CoAPPDR read it as it is.
+func TestPDRSeriesIsNetworkWide(t *testing.T) {
+	const bucket = sim.Second
+	var sent1 uint64
+	for _, sites := range []int{1, 4} {
+		nw := BuildNetwork(NetworkConfig{Seed: 3, Topology: testbed.Forest(sites),
+			Policy: statconn.Static{Interval: 75 * sim.Millisecond}, Shards: 2, SeriesBucket: bucket})
+		if !nw.WaitTopology(60 * sim.Second) {
+			t.Fatalf("%d sites: topology did not form", sites)
+		}
+		nw.StartTraffic(TrafficConfig{Interval: sim.Second, PayloadBytes: 39})
+		nw.Run(20 * sim.Second)
+		if nw.MergedSeries() != nw.Series {
+			t.Fatalf("%d sites: MergedSeries is not the network's series", sites)
+		}
+		// The bucket slice is unexported; its length is the footprint.
+		n := reflect.ValueOf(nw.Series).Elem().FieldByName("buckets").Len()
+		if want := int(nw.Now()/bucket) + 1; n != want {
+			t.Fatalf("%d sites: %d buckets at %v, want %d", sites, n, nw.Now(), want)
+		}
+		pdr := nw.CoAPPDR()
+		t.Logf("%d sites: %d buckets, %d of %d requests answered", sites, n, pdr.Delivered, pdr.Sent)
+		if pdr != nw.Series.Overall() || pdr.Sent == 0 {
+			t.Fatalf("%d sites: CoAPPDR %+v, series overall %+v", sites, pdr, nw.Series.Overall())
+		}
+		if sites == 1 {
+			sent1 = pdr.Sent
+		} else if pdr.Sent < 3*sent1 {
+			t.Fatalf("%d sites sent %d requests, one site %d: not every site records", sites, pdr.Sent, sent1)
 		}
 	}
 }

@@ -122,15 +122,16 @@ func settledHeap() uint64 {
 }
 
 // formedFootprintBudget is the settled heap a formed, loaded node may cost,
-// in bytes: under 8 % above what TestFormedFootprintBudget reads (6 488;
-// 7 684 while Conn carried Fig. 12's per-channel counters and the layers
-// above the link were wired with closures, 8 741 while every link end
-// carried nine closures and a 1 024 B Conn, 12 410 before link and site
-// state was sized for what it holds). Most of
-// a node's cost is allocated after BuildNetwork returns — connections,
-// L2CAP endpoints, per-site sketches — which is why a built, unformed
-// network (the "built" figure the test logs) reads two fifths of this.
-const formedFootprintBudget = 7000
+// in bytes: under 8 % above what TestFormedFootprintBudget reads (5 664;
+// 6 086 while a controller kept its advertising and scanning state, a link
+// end its GATT client state and every site its own PDR series, 7 684 while
+// Conn carried Fig. 12's per-channel counters and the layers above the link
+// were wired with closures, 8 741 while every link end carried nine closures
+// and a 1 024 B Conn, 12 410 before link and site state was sized for what
+// it holds). Most of a node's cost is allocated after BuildNetwork returns —
+// connections, L2CAP endpoints, per-site sketches — which is why a built,
+// unformed network (the "built" figure the test logs) reads half of this.
+const formedFootprintBudget = 6110
 
 // TestFormedFootprintBudget pins what a node costs the host once its links
 // are up and traffic flows, on a 2 000-node city at the canonical density

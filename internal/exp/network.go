@@ -285,15 +285,16 @@ type Network struct {
 	// and the network-level aggregates register named collectors here.
 	Registry *metrics.Registry
 
-	// Metrics. RTT/PDR collection is split per site (rtts, series) so site
-	// windows never share a metrics object; RTTs and Series alias site 0's,
-	// which on a network of several sites is one site's share only — use
-	// MergedRTTs/MergedSeries/CoAPPDR for network-wide views.
+	// Metrics. Series is the network's one PDR series: its counters are
+	// atomic and Run grows it to the horizon before the lanes start, so
+	// every site records into it. RTT collection is split per site (rtts)
+	// so site windows never share a sketch; RTTs aliases site 0's, which on
+	// a network of several sites is one site's share only — use MergedRTTs
+	// for the network-wide view.
 	RTTs      *metrics.CDF
 	PerProd   *metrics.Heatmap
 	Series    *metrics.TimeSeries
 	rtts      []*metrics.CDF
-	series    []*metrics.TimeSeries
 	streamer  *metrics.Streamer // nil unless Cfg.StreamMetrics is set
 	etxLabels map[uint64]string // ".links" labels by peer address, see etxLabel
 	lossBase  uint64            // link losses before traffic start (setup collisions)
@@ -475,24 +476,18 @@ func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 // the metric surfaces and — for sparse static routing — the route windows.
 func (b *netBuild) allocStorage() {
 	cfg, nw := b.cfg, b.nw
-	// Metric surfaces: one RTT CDF and PDR series per site — two slabs, not
-	// 2·nsurf small allocations. RTTs/Series alias site 0, which is all of a
-	// single-site network.
-	nsurf := max(len(nw.sites), 1) // an empty topology still has RTTs/Series
-	seriesBucket := cfg.SeriesBucket
-	if seriesBucket <= 0 {
-		seriesBucket = 60 * sim.Second
-	}
+	// Metric surfaces: one RTT CDF per site — one slab, not nsurf small
+	// allocations; RTTs aliases site 0, which is all of a single-site
+	// network. The PDR series is the network's: one slice, sized by the
+	// simulated time alone.
+	nsurf := max(len(nw.sites), 1) // an empty topology still has RTTs
 	cdfs := make([]metrics.CDF, nsurf)
-	tss := make([]metrics.TimeSeries, nsurf)
 	nw.rtts = make([]*metrics.CDF, nsurf)
-	nw.series = make([]*metrics.TimeSeries, nsurf)
 	for i := 0; i < nsurf; i++ {
-		tss[i].Bucket = seriesBucket
 		nw.rtts[i] = &cdfs[i]
-		nw.series[i] = &tss[i]
 	}
-	nw.RTTs, nw.Series = nw.rtts[0], nw.series[0]
+	nw.RTTs = nw.rtts[0]
+	nw.Series = metrics.NewTimeSeries(cfg.SeriesBucket)
 
 	if cfg.Routing == RoutingStatic && cfg.SparseRoutes {
 		// The sink forest is O(network) to derive — compute it once and
@@ -1005,15 +1000,16 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	if !nw.Cfg.Lean {
 		row = nw.PerProd.Row(name)
 	}
-	// Everything the loop touches is site-local: the node's own Sim, the
-	// site's sink, and the site's metric surfaces — so producer events run
-	// safely inside parallel site windows.
+	// Everything the loop touches is site-local — the node's own Sim, the
+	// site's sink and RTT sketch — or the network series, which Run grows
+	// before the lanes start and which counts atomically; so producer events
+	// run safely inside parallel site windows.
 	site := nw.siteOf[id]
 	p := &producer{
 		node:   node,
 		dst:    nw.Nodes[nw.consumers[site]].Addr(),
 		t:      t,
-		series: nw.series[site],
+		series: nw.Series,
 		row:    row,
 		rtts:   nw.rtts[site],
 	}
@@ -1064,24 +1060,21 @@ func (p *producer) Fire() {
 }
 
 // Run advances the simulation by d, window by window: one window per Run on
-// a single-site network, one per global-lane event otherwise.
-func (nw *Network) Run(d sim.Duration) { nw.sched.Run(nw.sched.Now() + d) }
+// a single-site network, one per global-lane event otherwise. The PDR series
+// is grown to the horizon first, so the lanes never resize it.
+func (nw *Network) Run(d sim.Duration) {
+	until := nw.sched.Now() + d
+	nw.Series.Grow(until)
+	nw.sched.Run(until)
+}
 
 // Processed returns the number of simulation events executed so far.
 func (nw *Network) Processed() uint64 { return nw.sched.Processed() }
 
 // ---- Aggregate results ----------------------------------------------------
 
-// CoAPPDR returns the overall CoAP delivery ratio, summed across sites.
-func (nw *Network) CoAPPDR() metrics.Counter {
-	var tot metrics.Counter
-	for _, s := range nw.series {
-		o := s.Overall()
-		tot.Sent += o.Sent
-		tot.Delivered += o.Delivered
-	}
-	return tot
-}
+// CoAPPDR returns the overall CoAP delivery ratio of the whole network.
+func (nw *Network) CoAPPDR() metrics.Counter { return nw.Series.Overall() }
 
 // MergedRTTs returns the network-wide RTT distribution: RTTs itself on a
 // single-site network, a merge of the per-site CDFs otherwise.
@@ -1096,17 +1089,9 @@ func (nw *Network) MergedRTTs() *metrics.CDF {
 	return m
 }
 
-// MergedSeries returns the network-wide PDR time series (see MergedRTTs).
-func (nw *Network) MergedSeries() *metrics.TimeSeries {
-	if len(nw.series) == 1 {
-		return nw.Series
-	}
-	m := metrics.NewTimeSeries(nw.Series.Bucket)
-	for _, s := range nw.series {
-		m.MergeFrom(s)
-	}
-	return m
-}
+// MergedSeries returns the network-wide PDR time series: Series itself,
+// which every site records into.
+func (nw *Network) MergedSeries() *metrics.TimeSeries { return nw.Series }
 
 // ConnLosses returns the number of link losses (supervision timeouts,
 // counted once per link) since traffic started — connection-establishment

@@ -123,13 +123,19 @@ func errorRsp(reqOp byte, handle uint16, code byte) []byte {
 
 // ATT multiplexes one connection's fixed ATT channel between the local
 // server (answering the peer's requests) and the local client (consuming
-// the peer's responses).
+// the peer's responses). A link end serves for as long as it lives but
+// discovers once, at set-up and on the coordinator only, so the client state
+// exists only while a discovery is outstanding.
 type ATT struct {
-	s      *sim.Sim
 	ep     *l2cap.Endpoint
 	server *Server
+	disc   *discovery // nil unless a discovery is outstanding
+}
 
-	// Client state: one outstanding request, per the ATT flow rule.
+// discovery is the client state of one primary service discovery: one
+// outstanding request, per the ATT flow rule.
+type discovery struct {
+	s       *sim.Sim
 	found   []Service
 	next    uint16
 	done    func([]Service, error)
@@ -137,8 +143,8 @@ type ATT struct {
 }
 
 // NewATT installs the fixed-channel mux on an endpoint.
-func NewATT(s *sim.Sim, ep *l2cap.Endpoint, server *Server) *ATT {
-	a := &ATT{s: s, ep: ep, server: server}
+func NewATT(ep *l2cap.Endpoint, server *Server) *ATT {
+	a := &ATT{ep: ep, server: server}
 	ep.HandleFixed(l2cap.CIDATT, (*attFixed)(a))
 	return a
 }
@@ -165,31 +171,29 @@ func (a *ATT) onPDU(b []byte) {
 		a.onDiscoveryRsp(b)
 	case opErrorRsp:
 		// Attribute Not Found terminates discovery normally.
-		if a.done != nil {
-			a.s.Cancel(a.timeout)
-			a.finish(a.found, nil)
+		if d := a.disc; d != nil {
+			d.s.Cancel(d.timeout)
+			a.finish(d.found, nil)
 		}
 	}
 }
 
 // DiscoverPrimaryServices walks the peer's attribute database and invokes
-// done with every primary service found (or an error on timeout). Only one
-// discovery may be outstanding per connection.
-func (a *ATT) DiscoverPrimaryServices(done func([]Service, error)) error {
-	if a.done != nil {
+// done with every primary service found (or an error on timeout, which s
+// times). Only one discovery may be outstanding per connection.
+func (a *ATT) DiscoverPrimaryServices(s *sim.Sim, done func([]Service, error)) error {
+	if a.disc != nil {
 		return fmt.Errorf("gatt: discovery already in progress")
 	}
-	a.found = nil
-	a.next = 1
-	a.done = done
+	a.disc = &discovery{s: s, next: 1, done: done}
 	a.request()
 	return nil
 }
 
 // SupportsIPSS is the Internet Protocol Support Profile check: discover the
 // peer's services and report whether the IPSS is present.
-func (a *ATT) SupportsIPSS(done func(bool, error)) error {
-	return a.DiscoverPrimaryServices(func(svcs []Service, err error) {
+func (a *ATT) SupportsIPSS(s *sim.Sim, done func(bool, error)) error {
+	return a.DiscoverPrimaryServices(s, func(svcs []Service, err error) {
 		if err != nil {
 			done(false, err)
 			return
@@ -205,22 +209,24 @@ func (a *ATT) SupportsIPSS(done func(bool, error)) error {
 }
 
 func (a *ATT) request() {
+	d := a.disc
 	req := make([]byte, 7)
 	req[0] = opReadByGroupTypeReq
-	binary.LittleEndian.PutUint16(req[1:], a.next)
+	binary.LittleEndian.PutUint16(req[1:], d.next)
 	binary.LittleEndian.PutUint16(req[3:], 0xFFFF)
 	binary.LittleEndian.PutUint16(req[5:], uuidPrimaryService)
 	a.ep.SendFixed(l2cap.CIDATT, req)
-	a.timeout = a.s.After(30*sim.Second, func() {
+	d.timeout = d.s.After(30*sim.Second, func() {
 		a.finish(nil, fmt.Errorf("gatt: discovery timed out"))
 	})
 }
 
 func (a *ATT) onDiscoveryRsp(b []byte) {
-	if a.done == nil {
+	d := a.disc
+	if d == nil {
 		return
 	}
-	a.s.Cancel(a.timeout)
+	d.s.Cancel(d.timeout)
 	if len(b) < 2 || b[1] != 6 {
 		a.finish(nil, fmt.Errorf("gatt: malformed discovery response"))
 		return
@@ -231,22 +237,25 @@ func (a *ATT) onDiscoveryRsp(b []byte) {
 			EndHandle:   binary.LittleEndian.Uint16(b[p+2:]),
 			UUID:        binary.LittleEndian.Uint16(b[p+4:]),
 		}
-		a.found = append(a.found, sv)
-		if sv.EndHandle >= a.next {
-			a.next = sv.EndHandle + 1
+		d.found = append(d.found, sv)
+		if sv.EndHandle >= d.next {
+			d.next = sv.EndHandle + 1
 		}
 	}
-	if a.next == 0 || a.next == 0xFFFF {
-		a.finish(a.found, nil)
+	if d.next == 0 || d.next == 0xFFFF {
+		a.finish(d.found, nil)
 		return
 	}
 	a.request()
 }
 
+// finish ends the outstanding discovery, if any, and drops its state: the
+// link outlives discovery, its answer need not.
 func (a *ATT) finish(svcs []Service, err error) {
-	done := a.done
-	a.done, a.found, a.timeout = nil, nil, sim.Timer{} // the link outlives discovery; its answer need not
-	if done != nil {
-		done(svcs, err)
+	d := a.disc
+	if d == nil {
+		return
 	}
+	a.disc = nil
+	d.done(svcs, err)
 }

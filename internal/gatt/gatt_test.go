@@ -2,6 +2,7 @@ package gatt
 
 import (
 	"testing"
+	"unsafe"
 
 	"blemesh/internal/ble"
 	"blemesh/internal/l2cap"
@@ -67,10 +68,10 @@ func attPair(t *testing.T, seed int64, serverUUIDs ...uint16) (*sim.Sim, *ATT, *
 	b := mk(-1, 0xB)
 	var attA, attB *ATT
 	a.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
-		attA = NewATT(s, l2cap.NewEndpoint(s, c), NewServer(serverUUIDs...))
+		attA = NewATT(l2cap.NewEndpoint(s, c), NewServer(serverUUIDs...))
 	}}
 	b.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
-		attB = NewATT(s, l2cap.NewEndpoint(s, c), NewServer(UUIDIPSS))
+		attB = NewATT(l2cap.NewEndpoint(s, c), NewServer(UUIDIPSS))
 	}}
 	a.StartAdvertising(ble.AdvParams{Interval: 90 * sim.Millisecond})
 	p := ble.ConnParams{Interval: 50 * sim.Millisecond}
@@ -94,7 +95,7 @@ func TestDiscoveryOverTheAir(t *testing.T) {
 	var got []Service
 	var derr error
 	done := false
-	if err := attB.DiscoverPrimaryServices(func(svcs []Service, err error) {
+	if err := attB.DiscoverPrimaryServices(s, func(svcs []Service, err error) {
 		got, derr, done = svcs, err, true
 	}); err != nil {
 		t.Fatal(err)
@@ -102,6 +103,9 @@ func TestDiscoveryOverTheAir(t *testing.T) {
 	s.Run(s.Now() + 5*sim.Second)
 	if !done || derr != nil {
 		t.Fatalf("discovery done=%v err=%v", done, derr)
+	}
+	if attB.disc != nil {
+		t.Fatal("the client state outlives the discovery")
 	}
 	if len(got) != 3 {
 		t.Fatalf("discovered %d services", len(got))
@@ -117,11 +121,29 @@ func TestDiscoveryOverTheAir(t *testing.T) {
 	}
 }
 
+// TestATTServesWithoutClientState: a link end that only serves holds its
+// endpoint and the shared database, nothing else; the client state is
+// allocated when a discovery starts.
+func TestATTServesWithoutClientState(t *testing.T) {
+	if sz := unsafe.Sizeof(ATT{}); sz > 24 {
+		t.Fatalf("unsafe.Sizeof(ATT{}) = %d, want <= 24 (three pointers)", sz)
+	}
+	s, attA, attB := attPair(t, 6, UUIDIPSS)
+	attB.SupportsIPSS(s, func(bool, error) {})
+	if attB.disc == nil {
+		t.Fatal("no client state while a discovery is outstanding")
+	}
+	s.Run(s.Now() + 5*sim.Second)
+	if attA.disc != nil || attB.disc != nil {
+		t.Fatalf("client state held after discovery: server side %v, client side %v", attA.disc != nil, attB.disc != nil)
+	}
+}
+
 func TestSupportsIPSSPositive(t *testing.T) {
 	s, _, attB := attPair(t, 2, UUIDIPSS)
 	var ok bool
 	done := false
-	attB.SupportsIPSS(func(v bool, err error) { ok, done = v, true })
+	attB.SupportsIPSS(s, func(v bool, err error) { ok, done = v, true })
 	s.Run(s.Now() + 5*sim.Second)
 	if !done || !ok {
 		t.Fatalf("IPSS check done=%v ok=%v", done, ok)
@@ -133,7 +155,7 @@ func TestSupportsIPSSNegative(t *testing.T) {
 	s, _, attB := attPair(t, 3)
 	var ok bool
 	done := false
-	attB.SupportsIPSS(func(v bool, err error) { ok, done = v, true })
+	attB.SupportsIPSS(s, func(v bool, err error) { ok, done = v, true })
 	s.Run(s.Now() + 5*sim.Second)
 	if !done {
 		t.Fatal("check never completed")
@@ -145,8 +167,8 @@ func TestSupportsIPSSNegative(t *testing.T) {
 
 func TestConcurrentDiscoveryRejected(t *testing.T) {
 	s, _, attB := attPair(t, 4, UUIDIPSS)
-	attB.DiscoverPrimaryServices(func([]Service, error) {})
-	if err := attB.DiscoverPrimaryServices(func([]Service, error) {}); err == nil {
+	attB.DiscoverPrimaryServices(s, func([]Service, error) {})
+	if err := attB.DiscoverPrimaryServices(s, func([]Service, error) {}); err == nil {
 		t.Fatal("second concurrent discovery accepted")
 	}
 	s.Run(s.Now() + sim.Second)
@@ -157,8 +179,8 @@ func TestBidirectionalDiscovery(t *testing.T) {
 	// mux must route requests to the server and responses to the client.
 	s, attA, attB := attPair(t, 5, UUIDIPSS)
 	doneA, doneB := false, false
-	attA.SupportsIPSS(func(v bool, err error) { doneA = v })
-	attB.SupportsIPSS(func(v bool, err error) { doneB = v })
+	attA.SupportsIPSS(s, func(v bool, err error) { doneA = v })
+	attB.SupportsIPSS(s, func(v bool, err error) { doneB = v })
 	s.Run(s.Now() + 5*sim.Second)
 	if !doneA || !doneB {
 		t.Fatalf("bidirectional discovery failed: A=%v B=%v", doneA, doneB)

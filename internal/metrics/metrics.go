@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 
 	"blemesh/internal/metrics/sketch"
 	"blemesh/internal/sim"
@@ -185,7 +186,9 @@ func (c Counter) Rate() float64 {
 }
 
 // TimeSeries buckets ratio samples over simulation time — the shape of the
-// paper's PDR-over-time plots (Fig. 7a, 9, 13).
+// paper's PDR-over-time plots (Fig. 7a, 9, 13). The counters are updated
+// atomically, so the lanes of a multi-site run may record into one series at
+// once, provided it was grown (Grow) past every instant they record at.
 type TimeSeries struct {
 	Bucket  sim.Duration
 	buckets []Counter
@@ -199,37 +202,29 @@ func NewTimeSeries(bucket sim.Duration) *TimeSeries {
 	return &TimeSeries{Bucket: bucket}
 }
 
-// MergeFrom adds o's per-bucket counters into ts. Both series must use the
-// same bucket width; multi-site networks merge per-site series this way.
-func (ts *TimeSeries) MergeFrom(o *TimeSeries) {
-	if o == nil {
-		return
-	}
-	if ts.Bucket != o.Bucket {
-		panic("metrics: MergeFrom with mismatched bucket widths")
-	}
-	for len(ts.buckets) < len(o.buckets) {
-		ts.buckets = append(ts.buckets, Counter{})
-	}
-	for i, c := range o.buckets {
-		ts.buckets[i].Sent += c.Sent
-		ts.buckets[i].Delivered += c.Delivered
+// Grow extends the series to cover every instant up to and including t.
+// Recording at those instants then never changes the slice, which is what
+// makes concurrent recording safe; Grow itself must not run concurrently
+// with recording.
+func (ts *TimeSeries) Grow(t sim.Time) {
+	if n := int(t/ts.Bucket) + 1; n > len(ts.buckets) {
+		ts.buckets = append(ts.buckets, make([]Counter, n-len(ts.buckets))...)
 	}
 }
 
 func (ts *TimeSeries) bucketAt(t sim.Time) *Counter {
 	i := int(t / ts.Bucket)
-	for len(ts.buckets) <= i {
-		ts.buckets = append(ts.buckets, Counter{})
+	if i >= len(ts.buckets) {
+		ts.Grow(t)
 	}
 	return &ts.buckets[i]
 }
 
 // RecordSent counts an attempt at time t.
-func (ts *TimeSeries) RecordSent(t sim.Time) { ts.bucketAt(t).Sent++ }
+func (ts *TimeSeries) RecordSent(t sim.Time) { atomic.AddUint64(&ts.bucketAt(t).Sent, 1) }
 
 // RecordDelivered counts a success attributed to send time t.
-func (ts *TimeSeries) RecordDelivered(t sim.Time) { ts.bucketAt(t).Delivered++ }
+func (ts *TimeSeries) RecordDelivered(t sim.Time) { atomic.AddUint64(&ts.bucketAt(t).Delivered, 1) }
 
 // Window sums the buckets overlapping [from, to) — the churn experiment's
 // view of traffic during a specific phase (pre-fault, outage, recovered).
@@ -260,11 +255,16 @@ func (ts *TimeSeries) Overall() Counter {
 }
 
 // ASCII renders the series as one character per bucket ('9' = ≥0.95,
-// '#' = 1.0, digits = first decimal).
+// '#' = 1.0, digits = first decimal), up to the last bucket that recorded
+// anything: buckets grown ahead of the traffic are not shown.
 func (ts *TimeSeries) ASCII(label string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s [", label)
-	for _, bk := range ts.buckets {
+	shown := ts.buckets
+	for len(shown) > 0 && shown[len(shown)-1] == (Counter{}) {
+		shown = shown[:len(shown)-1]
+	}
+	for _, bk := range shown {
 		b.WriteByte(rateChar(bk.Rate()))
 	}
 	total := ts.Overall()

@@ -199,6 +199,10 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		v.Put()
 		b.Put()
 	})
+	if raceEnabled {
+		t.Logf("steady-state allocs/op = %v, not asserted: the race detector's sync.Pool drops entries", avg)
+		return
+	}
 	if avg > 0.1 {
 		t.Fatalf("steady-state allocs/op = %v, want 0", avg)
 	}

@@ -5,16 +5,23 @@ import (
 	"math/bits"
 )
 
-// Hierarchical timer wheel geometry. Time is quantised into 1024 ns ticks;
-// six levels of 64 slots each cover 64^6 ticks ≈ 19.5 simulated hours ahead
+// Hierarchical timer wheel geometry. Time is quantised into 65 536 ns ticks;
+// five levels of 64 slots each cover 64^5 ticks ≈ 19.5 simulated hours ahead
 // of the cursor. Events beyond that horizon wait in a small overflow heap
 // and are folded into the wheel as the cursor approaches.
+//
+// A tick is coarse next to a BLE packet (80 µs empty, IFS 150 µs), so a
+// level-0 slot often holds several events; the per-slot (when, seq) min-scan
+// keeps the order exact, and the coarser tick saves a level on every long
+// timer: a level covers 4.2 ms, 268 ms, 17.2 s, 18.3 min and 19.5 h, so a
+// 75 ms connection wake-up is placed twice (level 1, then level 0) and the
+// BLE stack's timer horizons (1 µs, 150 µs, 75 ms, 4 s) touch three levels.
 const (
-	wheelShift  = 10 // tick granularity: 1024 ns
+	wheelShift  = 16 // tick granularity: 65 536 ns
 	wheelBits   = 6  // slots per level
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 6
+	wheelLevels = 5
 )
 
 // wheelLevel is one ring of 64 slots. A slot is the head of an intrusive
@@ -49,7 +56,7 @@ type wheelQueue struct {
 	live int
 	// levelOcc summarises per-level occupancy: bit l is set while level l
 	// has at least one occupied slot (and is therefore allocated). Sparse
-	// queues (a handful of pending timers spread over six levels — the
+	// queues (a handful of pending timers spread over five levels — the
 	// cancel-heavy ACK pattern) pop without probing empty levels at all.
 	levelOcc uint8
 	occupied [wheelLevels]uint64 // bit i of word l set while level l slot i holds events

@@ -95,13 +95,14 @@ func TestWheelFIFOAcrossLevels(t *testing.T) {
 
 // TestWheelSameBaseCrossLevel is a regression test for the pop fast path:
 // two slots at different levels can share a window base. Y lands in a
-// level-2 slot with base 4096 (scheduled from tick 0); X, scheduled from
-// tick 100 for a later instant in the very same tick 4096, lands in a
+// level-2 slot with base 64² (scheduled from tick 0); X, scheduled from
+// tick 100 for a later instant in the very same tick 64², lands in a
 // level-1 slot with the same base. One cascade moves only X down, and X
 // then sits exactly on the cursor tick — the fast path used to pop it
 // without noticing the level-2 slot still held the earlier Y, firing X
 // before Y and driving Sim.Now backwards.
 func TestWheelSameBaseCrossLevel(t *testing.T) {
+	base := Time(1) << (2*wheelBits + wheelShift) // the start of tick 64²
 	for _, engine := range []Engine{EngineWheel, EngineHeap} {
 		s := NewWithEngine(1, engine)
 		var order []string
@@ -115,10 +116,16 @@ func TestWheelSameBaseCrossLevel(t *testing.T) {
 				order = append(order, name)
 			}
 		}
-		s.At(4194309, mark("Y")) // tick 4096, filed at level 2 from cur=0
+		y := s.At(base+5, mark("Y"))
+		if l := y.e.idx >> wheelBits; engine == EngineWheel && l != 2 {
+			t.Fatalf("Y filed at level %d, want 2", l)
+		}
 		s.At(100<<wheelShift, func() {
 			mark("mid")()
-			s.At(4195104, mark("X")) // tick 4096 again, filed at level 1 from cur=100
+			x := s.At(base+800, mark("X"))
+			if l := x.e.idx >> wheelBits; engine == EngineWheel && l != 1 {
+				t.Fatalf("X filed at level %d, want 1", l)
+			}
 		})
 		s.RunAll()
 		if len(order) != 3 || order[0] != "mid" || order[1] != "Y" || order[2] != "X" {
@@ -165,7 +172,7 @@ func TestWheelBoundaryEpochEquivalence(t *testing.T) {
 	}
 }
 
-// TestWheelSameTickOrdering schedules events inside one 1024 ns tick in
+// TestWheelSameTickOrdering schedules events inside one tick in
 // shuffled timestamp order and checks they fire sorted by (when, seq).
 func TestWheelSameTickOrdering(t *testing.T) {
 	s := New(3)
@@ -261,7 +268,7 @@ func TestPostRecyclesEvents(t *testing.T) {
 // TestWheelFootprint pins what lets every RF-isolated site of a city own a
 // wheel: an idle queue is one small struct with no levels, a queue pays only
 // for the timer horizons it has seen (the BLE stack's are 1 µs, 150 µs,
-// 75 ms and 4 s — four of the six levels), and steady-state scheduling
+// 75 ms and 4 s — three of the five levels), and steady-state scheduling
 // touches the allocator not at all.
 func TestWheelFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(wheelQueue{}); sz > 128 {
@@ -285,8 +292,8 @@ func TestWheelFootprint(t *testing.T) {
 			levels++
 		}
 	}
-	if levels > 4 {
-		t.Fatalf("four timer horizons allocated %d levels, want <= 4", levels)
+	if levels > 3 {
+		t.Fatalf("four timer horizons allocated %d levels, want <= 3", levels)
 	}
 	allocs := testing.AllocsPerRun(5, func() { s.Run(s.Now() + Second) })
 	if allocs != 0 {
@@ -299,8 +306,12 @@ func TestWheelFootprint(t *testing.T) {
 // with the survivors still firing in (when, seq) order and the occupancy
 // bitmaps dropping to zero with the last entry.
 func TestWheelSlotLists(t *testing.T) {
-	// One delay per level, from cur = 0: level l covers ticks [64^l, 64^(l+1)).
-	delays := []Duration{500, 100 * Microsecond, 100 * Millisecond, 5 * Second, 2 * Minute, 3 * Hour}
+	// One delay per level, from cur = 0: level l covers ticks [64^l, 64^(l+1)),
+	// and tick 3·64^l lies in it.
+	var delays []Duration
+	for l := 0; l < wheelLevels; l++ {
+		delays = append(delays, Duration(3)<<(wheelBits*l+wheelShift))
+	}
 	positions := []struct {
 		name   string
 		n, cut int // events in the slot, index (in scheduling order) to cancel
@@ -351,17 +362,19 @@ func TestWheelSlotLists(t *testing.T) {
 // before its slot cascades and once after the cascade has moved it down
 // next to the cursor; either way its neighbours in the slot are unaffected.
 func TestWheelCancelAroundCascade(t *testing.T) {
+	// Tick 5·64³ + 1000: level 3 from cur = 0, and two ticks earlier is in
+	// the same level-3 slot, so firing that event cascades the victim.
+	at := Time(5<<(3*wheelBits)+1000) << wheelShift
 	for _, afterCascade := range []bool{false, true} {
 		s := New(1)
 		var fired []string
-		at := 5 * Second
 		victim := s.At(at, func() { fired = append(fired, "victim") })
 		s.At(at, func() { fired = append(fired, "neighbour") })
 		if l := victim.e.idx >> wheelBits; l != 3 {
-			t.Fatalf("5 s timer filed at level %d, want 3", l)
+			t.Fatalf("%v timer filed at level %d, want 3", at, l)
 		}
 		if afterCascade {
-			s.At(at-2*Microsecond, func() {
+			s.At(at-2<<wheelShift, func() {
 				if l := victim.e.idx >> wheelBits; l >= 3 {
 					t.Fatalf("victim still at level %d two ticks before it is due", l)
 				}

@@ -12,8 +12,8 @@
 //     SN/NESN acknowledgements, supervision timeouts, window widening,
 //     advertising/scanning, and the single-radio scheduler whose
 //     arbitration produces the paper's "connection shading" (internal/ble)
-//   - L2CAP LE credit-based channels (internal/l2cap), 6LoWPAN IPHC and
-//     fragmentation (internal/sixlo), an IPv6+UDP stack with GNRC-style
+//   - L2CAP LE credit-based channels (internal/l2cap), 6LoWPAN IPHC
+//     compression (internal/sixlo), an IPv6+UDP stack with GNRC-style
 //     buffer pools (internal/ip6), and CoAP (internal/coap)
 //   - the statconn connection manager with the paper's randomized
 //     connection-interval mitigation (internal/statconn)

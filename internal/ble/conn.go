@@ -90,15 +90,6 @@ type DataHandler interface {
 	LLData(llid LLID, payload []byte, pid uint64)
 }
 
-// LLPDR returns the link-layer packet delivery rate: the fraction of
-// transmitted data PDUs that were acknowledged on first transmission.
-func (s *ConnStats) LLPDR() float64 {
-	if s.TXPDUs == 0 {
-		return 1
-	}
-	return float64(s.TXPDUs-s.Retrans) / float64(s.TXPDUs)
-}
-
 // txItem is one queued LL payload with its bookkeeping.
 type txItem struct {
 	llid        LLID
@@ -135,8 +126,8 @@ type Conn struct {
 	peer   DevAddr
 	handle int
 	params ConnParams
-	csa    ChannelSelector
 	access uint32
+	csa    csa2
 
 	// Acknowledgement state (1-bit SN/NESN scheme).
 	sn, nesn byte
@@ -324,7 +315,7 @@ func (c *Conn) String() string {
 
 // newConn wires a connection endpoint and schedules its first event.
 // anchor0 is the sim-time of connection event 0 (the transmit window start).
-func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, access uint32, hop int, anchor0 sim.Time) *Conn {
+func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, access uint32, anchor0 sim.Time) *Conn {
 	c := &Conn{
 		ctrl:   ctrl,
 		role:   role,
@@ -332,14 +323,10 @@ func newConn(ctrl *Controller, role Role, peer DevAddr, params ConnParams, acces
 		handle: ctrl.nextHandle(),
 		params: params,
 		access: access,
+		csa:    newCSA2(access),
 	}
 	if ctrl.countChannels {
 		c.chans = new(ChannelCounts)
-	}
-	if params.CSA == 1 {
-		c.csa = NewCSA1(hop)
-	} else {
-		c.csa = NewCSA2(access)
 	}
 	localNow := ctrl.clk.Now()
 	c.anchor0 = localNow + ctrl.clk.ToLocal(anchor0-ctrl.sim().Now())
@@ -1063,7 +1050,7 @@ func (c *Conn) UpdateParams(interval sim.Duration, latency int, supervision sim.
 		return fmt.Errorf("ble: only the coordinator can update connection parameters")
 	}
 	p := ConnParams{Interval: interval, Latency: latency, Supervision: supervision,
-		ChanMap: c.params.ChanMap, CSA: c.params.CSA, CoordSCA: c.params.CoordSCA}
+		ChanMap: c.params.ChanMap, CoordSCA: c.params.CoordSCA}
 	if err := p.Validate(); err != nil {
 		return err
 	}

@@ -447,19 +447,8 @@ func newConnAllocs(count bool) float64 {
 	}
 	p := params75()
 	return testing.AllocsPerRun(50, func() {
-		newConn(ctrl, Coordinator, 2, p, 0x50654321, 5, s.Now()+sim.Millisecond)
+		newConn(ctrl, Coordinator, 2, p, 0x50654321, s.Now()+sim.Millisecond)
 	})
-}
-
-func TestStatsLLPDR(t *testing.T) {
-	st := ConnStats{TXPDUs: 100, Retrans: 5}
-	if pdr := st.LLPDR(); pdr != 0.95 {
-		t.Fatalf("LLPDR = %v, want 0.95", pdr)
-	}
-	empty := ConnStats{}
-	if empty.LLPDR() != 1 {
-		t.Fatal("empty stats should report PDR 1")
-	}
 }
 
 // forceDrop kills a connection endpoint silently — the test double for a
@@ -467,40 +456,6 @@ func TestStatsLLPDR(t *testing.T) {
 // loss through its supervision timeout.)
 func (c *Conn) forceDrop() {
 	c.terminate(LossHostTerminated)
-}
-
-func TestConnectionWithCSA1(t *testing.T) {
-	// The CSA#1 path end-to-end: both endpoints must stay channel-
-	// synchronized across skipped events.
-	p := ConnParams{Interval: 50 * sim.Millisecond, CSA: 1}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	s, _, nodes := newTestNet(30, 1, -1)
-	nodes[1].ctrl.CountChannels()
-	sub, coord := connectPair(t, s, nodes[0], nodes[1], p)
-	delivered := 0
-	sub.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) { delivered++ })
-	for i := 0; i < 10; i++ {
-		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
-			t.Fatal("send rejected")
-		}
-	}
-	s.Run(s.Now() + 10*sim.Second)
-	if delivered != 10 {
-		t.Fatalf("delivered %d/10 over a CSA#1 connection", delivered)
-	}
-	// The hop sequence must touch many channels.
-	cc := coord.ChannelCounts()
-	used := 0
-	for ch := 0; ch < NumDataChannels; ch++ {
-		if cc.TX[ch] > 0 {
-			used++
-		}
-	}
-	if used < 30 {
-		t.Fatalf("CSA#1 used only %d channels", used)
-	}
 }
 
 func TestAdvertisingStopsAfterHostRequest(t *testing.T) {

@@ -599,7 +599,7 @@ func (ctrl *Controller) finishAdvEvent(reschedule bool) {
 func (ctrl *Controller) acceptConnection(ci *AdvPDU) {
 	ctrl.StopAdvertising()
 	anchor0 := ctrl.s.Now() + TransmitWindowDelay + ci.WinOffset
-	c := newConn(ctrl, Subordinate, ci.Init, ci.Params, accessFromAddrs(ci.Init, ci.Adv), ci.Hop, anchor0)
+	c := newConn(ctrl, Subordinate, ci.Init, ci.Params, accessFromAddrs(ci.Init, ci.Adv), anchor0)
 	ctrl.addConn(c)
 	ctrl.events.ConnsOpened++
 	if ctrl.OnConn != nil {
@@ -734,8 +734,8 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 		Init:      ctrl.cfg.Addr,
 		Params:    params,
 		WinOffset: winOffset,
-		Hop:       RandomHopIncrement(ctrl.s.Rand()),
 	}
+	RandomHopIncrement(ctrl.s.Rand()) // the CONNECT_IND's LLData hop field
 	air := ci.AdvAirtime()
 	epoch := ctrl.epoch
 	ctrl.s.Post(IFS, func() {
@@ -757,7 +757,7 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 			}
 			anchor0 := ctrl.s.Now() + TransmitWindowDelay + winOffset
 			c := newConn(ctrl, Coordinator, adv.Adv, params,
-				accessFromAddrs(ctrl.cfg.Addr, adv.Adv), ci.Hop, anchor0)
+				accessFromAddrs(ctrl.cfg.Addr, adv.Adv), anchor0)
 			ctrl.addConn(c)
 			ctrl.events.ConnsOpened++
 			if ctrl.OnConn != nil {

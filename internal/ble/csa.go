@@ -6,52 +6,22 @@ import (
 	"blemesh/internal/phy"
 )
 
-// ChannelSelector yields the data channel for each connection event. Both
-// standard algorithms are implemented; the coordinator picks one at
-// connection initiation (CSA field of ConnParams).
-type ChannelSelector interface {
-	// Channel returns the data channel for connection event counter ev
-	// under the given channel map.
-	Channel(ev uint16, m ChannelMap) phy.Channel
-}
-
-// csa1 is Channel Selection Algorithm #1: a fixed hop increment walks the
-// unmapped channel space; unused channels are remapped onto the used set by
-// modulo indexing. The walk "lastUnmapped + hop (mod 37) each event" has the
-// closed form hop·(ev+1) mod 37, which keeps both endpoints consistent even
-// when one of them skips events (skipped events still consume counter
-// values).
-type csa1 struct {
-	hop int
-}
-
-// NewCSA1 creates a CSA#1 selector. hopIncrement must be in 5..16 per the
-// specification; the coordinator draws it randomly at connection setup.
-func NewCSA1(hopIncrement int) ChannelSelector {
-	if hopIncrement < 5 || hopIncrement > 16 {
-		panic("ble: CSA#1 hop increment out of range 5..16")
-	}
-	return &csa1{hop: hopIncrement}
-}
-
-// RandomHopIncrement draws a legal CSA#1 hop increment.
+// RandomHopIncrement draws a legal CSA#1 hop increment (5..16). Every
+// CONNECT_IND carries one; the links use CSA #2, which ignores it, but the
+// draw stays part of the initiator's random stream.
 func RandomHopIncrement(rng *rand.Rand) int { return 5 + rng.Intn(12) }
-
-func (c *csa1) Channel(ev uint16, m ChannelMap) phy.Channel {
-	un := (c.hop * (int(ev) + 1)) % NumDataChannels
-	return remap(phy.Channel(un), m, un%max(1, m.Count()))
-}
 
 // csa2 is Channel Selection Algorithm #2 (Bluetooth 5.0, Vol 6 Part B
 // §4.5.8.3): a stateless pseudo-random permutation of the event counter
-// seeded by the access address.
+// seeded by the access address. It is the only algorithm: CSA #1 would be
+// chosen only by a peer that does not support #2, and every node here does.
 type csa2 struct {
 	chanID uint16
 }
 
-// NewCSA2 creates a CSA#2 selector for the given access address.
-func NewCSA2(accessAddress uint32) ChannelSelector {
-	return &csa2{chanID: uint16(accessAddress>>16) ^ uint16(accessAddress)}
+// newCSA2 creates the CSA#2 selector for the given access address.
+func newCSA2(accessAddress uint32) csa2 {
+	return csa2{chanID: uint16(accessAddress>>16) ^ uint16(accessAddress)}
 }
 
 // perm bit-reverses each byte of a 16-bit value.
@@ -71,7 +41,7 @@ func reverseByte(b byte) byte {
 // mam is the multiply-add-modulo step of CSA#2.
 func mam(a, b uint16) uint16 { return a*17 + b }
 
-func (c *csa2) prnE(ev uint16) uint16 {
+func (c csa2) prnE(ev uint16) uint16 {
 	u := ev ^ c.chanID
 	u = mam(perm(u), c.chanID)
 	u = mam(perm(u), c.chanID)
@@ -79,7 +49,9 @@ func (c *csa2) prnE(ev uint16) uint16 {
 	return u ^ c.chanID
 }
 
-func (c *csa2) Channel(ev uint16, m ChannelMap) phy.Channel {
+// Channel returns the data channel for connection event counter ev under
+// the channel map m.
+func (c csa2) Channel(ev uint16, m ChannelMap) phy.Channel {
 	prn := c.prnE(ev)
 	un := phy.Channel(prn % NumDataChannels)
 	n := m.Count()
@@ -101,11 +73,4 @@ func remap(un phy.Channel, m ChannelMap, idx int) phy.Channel {
 		return un
 	}
 	return m.nth(idx % n)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

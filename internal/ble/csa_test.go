@@ -38,31 +38,6 @@ func TestChannelMapString(t *testing.T) {
 	}
 }
 
-func TestCSA1FollowsHopSequence(t *testing.T) {
-	c := NewCSA1(7)
-	m := AllDataChannels
-	// unmapped(ev) = 7*(ev+1) mod 37; all channels used, so no remapping.
-	for ev := uint16(0); ev < 100; ev++ {
-		want := phy.Channel((7 * (int(ev) + 1)) % 37)
-		if got := c.Channel(ev, m); got != want {
-			t.Fatalf("ev=%d: got ch %d, want %d", ev, got, want)
-		}
-	}
-}
-
-func TestCSA1HopRangeEnforced(t *testing.T) {
-	for _, bad := range []int{0, 4, 17, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("hop %d should panic", bad)
-				}
-			}()
-			NewCSA1(bad)
-		}()
-	}
-}
-
 func TestRandomHopIncrementRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -74,8 +49,8 @@ func TestRandomHopIncrementRange(t *testing.T) {
 }
 
 func TestCSA2Deterministic(t *testing.T) {
-	a := NewCSA2(0x8E89BED6)
-	b := NewCSA2(0x8E89BED6)
+	a := newCSA2(0x8E89BED6)
+	b := newCSA2(0x8E89BED6)
 	for ev := uint16(0); ev < 500; ev++ {
 		if a.Channel(ev, AllDataChannels) != b.Channel(ev, AllDataChannels) {
 			t.Fatalf("CSA2 not deterministic at ev=%d", ev)
@@ -84,8 +59,8 @@ func TestCSA2Deterministic(t *testing.T) {
 }
 
 func TestCSA2DifferentAccessAddressesDiffer(t *testing.T) {
-	a := NewCSA2(0x12345678)
-	b := NewCSA2(0x87654321)
+	a := newCSA2(0x12345678)
+	b := newCSA2(0x87654321)
 	same := 0
 	for ev := uint16(0); ev < 200; ev++ {
 		if a.Channel(ev, AllDataChannels) == b.Channel(ev, AllDataChannels) {
@@ -99,7 +74,7 @@ func TestCSA2DifferentAccessAddressesDiffer(t *testing.T) {
 }
 
 func TestCSA2RoughlyUniform(t *testing.T) {
-	c := NewCSA2(0xDEADBEEF)
+	c := newCSA2(0xDEADBEEF)
 	var hist [37]int
 	const n = 37 * 1000
 	for ev := 0; ev < n; ev++ {
@@ -113,17 +88,14 @@ func TestCSA2RoughlyUniform(t *testing.T) {
 }
 
 func TestQuickCSAOutputsAlwaysInMap(t *testing.T) {
-	// Property: whatever the (legal) channel map and event counter, both
-	// CSAs return channels from the used set.
-	f := func(ev uint16, mapBits uint64, aa uint32, hopRaw uint8) bool {
+	// Property: whatever the (legal) channel map and event counter, CSA #2
+	// returns a channel from the used set.
+	f := func(ev uint16, mapBits uint64, aa uint32) bool {
 		m := ChannelMap(mapBits) & AllDataChannels
 		if m.Count() < 2 {
 			m = AllDataChannels.WithoutChannel(22)
 		}
-		hop := 5 + int(hopRaw%12)
-		c1 := NewCSA1(hop)
-		c2 := NewCSA2(aa)
-		return m.Used(c1.Channel(ev, m)) && m.Used(c2.Channel(ev, m))
+		return m.Used(newCSA2(aa).Channel(ev, m))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
@@ -134,13 +106,9 @@ func TestCSARemapAvoidsExcludedChannel(t *testing.T) {
 	// The paper excludes jammed channel 22 on all nodes: no event may
 	// ever select it.
 	m := AllDataChannels.WithoutChannel(22)
-	c1 := NewCSA1(11)
-	c2 := NewCSA2(0xCAFEBABE)
+	c := newCSA2(0xCAFEBABE)
 	for ev := uint16(0); ev < 2000; ev++ {
-		if c1.Channel(ev, m) == 22 {
-			t.Fatalf("CSA1 selected excluded channel 22 at ev=%d", ev)
-		}
-		if c2.Channel(ev, m) == 22 {
+		if c.Channel(ev, m) == 22 {
 			t.Fatalf("CSA2 selected excluded channel 22 at ev=%d", ev)
 		}
 	}
@@ -160,7 +128,7 @@ func TestConnParamsValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("75ms interval rejected: %v", err)
 	}
-	if good.Supervision == 0 || good.CSA != 2 || good.ChanMap == 0 || good.CoordSCA == 0 {
+	if good.Supervision == 0 || good.ChanMap == 0 || good.CoordSCA == 0 {
 		t.Fatalf("defaults not applied: %+v", good)
 	}
 	cases := []ConnParams{
@@ -168,7 +136,6 @@ func TestConnParamsValidate(t *testing.T) {
 		{Interval: 5 * 1000 * 1000 * 1000},               // above 4s
 		{Interval: 76 * 1000 * 1000},                     // not 1.25ms multiple
 		{Interval: 75 * 1000 * 1000, Latency: 500},       // latency too large
-		{Interval: 75 * 1000 * 1000, CSA: 3},             // bad CSA
 		{Interval: 75 * 1000 * 1000, ChanMap: 1 << 4},    // single channel
 		{Interval: 75 * 1000 * 1000, Supervision: 100e6}, // too short for interval
 	}
@@ -230,16 +197,15 @@ func TestRemapMatchesChannelsSlice(t *testing.T) {
 // connection event, remapped or not.
 func TestChannelSelectionDoesNotAllocate(t *testing.T) {
 	m := AllDataChannels.WithoutChannel(22).WithoutChannel(3)
-	for _, sel := range []ChannelSelector{NewCSA1(11), NewCSA2(0xCAFEBABE)} {
-		ev := uint16(0)
-		allocs := testing.AllocsPerRun(50, func() {
-			for i := 0; i < 1000; i++ {
-				sel.Channel(ev, m)
-				ev++
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%T: %.0f allocations per 1000 selections, want 0", sel, allocs)
+	sel := newCSA2(0xCAFEBABE)
+	ev := uint16(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 1000; i++ {
+			sel.Channel(ev, m)
+			ev++
 		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per 1000 selections, want 0", allocs)
 	}
 }

@@ -117,7 +117,7 @@ func TestEstablishmentTimeoutSixIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 	born := s.Now()
-	c := newConn(n.ctrl, Coordinator, DevAddr(0xDEAD), p, 0x12345678, 7, born+TransmitWindowDelay)
+	c := newConn(n.ctrl, Coordinator, DevAddr(0xDEAD), p, 0x12345678, born+TransmitWindowDelay)
 	n.ctrl.addConn(c)
 	s.Run(born + 10*sim.Second)
 	want := born + n.clk.ToSim(6*p.Interval)

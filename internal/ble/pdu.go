@@ -162,8 +162,6 @@ type AdvPDU struct {
 	Params ConnParams
 	// WinOffset positions the first connection event (CONNECT_IND only).
 	WinOffset sim.Duration
-	// Hop is the CSA#1 hop increment (CONNECT_IND only; LLData field).
-	Hop int
 }
 
 // AdvAirtime returns the on-air duration of an advertising PDU at 1 Mbps.
@@ -191,15 +189,13 @@ type ConnParams struct {
 	// ChanMap restricts the data channels in use. It is fixed when the
 	// connection is set up: the paper leaves the jammed channel 22 out.
 	ChanMap ChannelMap
-	// CSA selects the channel selection algorithm (1 or 2).
-	CSA int
 	// CoordSCA is the coordinator's declared sleep-clock accuracy in ppm,
 	// used by the subordinate for window widening.
 	CoordSCA float64
 }
 
 // Validate normalises and checks the parameter set, applying defaults for
-// zero values: supervision 20×interval clamped to [100ms, 32s], CSA#2, all
+// zero values: supervision 20×interval clamped to [100ms, 32s], all
 // channels, 50 ppm declared SCA.
 func (p *ConnParams) Validate() error {
 	if p.Interval < MinConnInterval || p.Interval > MaxConnInterval {
@@ -223,12 +219,6 @@ func (p *ConnParams) Validate() error {
 	if p.Supervision < sim.Duration(1+p.Latency)*2*p.Interval {
 		return fmt.Errorf("ble: supervision timeout %v too short for interval %v latency %d",
 			p.Supervision, p.Interval, p.Latency)
-	}
-	if p.CSA == 0 {
-		p.CSA = 2
-	}
-	if p.CSA != 1 && p.CSA != 2 {
-		return fmt.Errorf("ble: unknown channel selection algorithm %d", p.CSA)
 	}
 	if p.ChanMap == 0 {
 		p.ChanMap = AllDataChannels

@@ -246,16 +246,16 @@ func TestCapacitySplitMatchesRelativeAnchorPosition(t *testing.T) {
 		}
 		t0 := sim.Time(10 * sim.Millisecond)
 		// Connection A: hub coordinates, peerA subordinate.
-		connA := newConn(hub.ctrl, Coordinator, peerA.ctrl.Addr(), p, 0x1111, 7, t0)
+		connA := newConn(hub.ctrl, Coordinator, peerA.ctrl.Addr(), p, 0x1111, t0)
 		hub.ctrl.addConn(connA)
-		subA := newConn(peerA.ctrl, Subordinate, hub.ctrl.Addr(), p, 0x1111, 7, t0)
+		subA := newConn(peerA.ctrl, Subordinate, hub.ctrl.Addr(), p, 0x1111, t0)
 		peerA.ctrl.addConn(subA)
 		subA.OnData = DataFunc(func(_ LLID, _ []byte, _ uint64) { delivered++ })
 		if withB {
 			// Connection B: hub subordinate, peerB coordinates.
-			coordB := newConn(peerB.ctrl, Coordinator, hub.ctrl.Addr(), p, 0x2222, 9, t0+offset)
+			coordB := newConn(peerB.ctrl, Coordinator, hub.ctrl.Addr(), p, 0x2222, t0+offset)
 			peerB.ctrl.addConn(coordB)
-			subB := newConn(hub.ctrl, Subordinate, peerB.ctrl.Addr(), p, 0x2222, 9, t0+offset)
+			subB := newConn(hub.ctrl, Subordinate, peerB.ctrl.Addr(), p, 0x2222, t0+offset)
 			hub.ctrl.addConn(subB)
 		}
 		// Saturate connection A.

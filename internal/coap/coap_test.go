@@ -147,7 +147,6 @@ func (w *wireIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	return true
 }
 func (w *wireIf) HasNeighbor(mac uint64) bool { return mac == w.peerMAC }
-func (w *wireIf) MTU() int                    { return 1280 }
 
 func twoStacks(s *sim.Sim, delay sim.Duration) (*ip6.Stack, *ip6.Stack, *wireIf, *wireIf) {
 	a := ip6.NewStack(s, 0x0A)

@@ -117,9 +117,6 @@ func (n *NetIf) delLinkEntry(mac uint64) {
 // Stats returns a copy of the adapter counters.
 func (n *NetIf) Stats() NetIfStats { return n.stats }
 
-// MTU implements ip6.NetIf (RFC 7668 requires 1280).
-func (n *NetIf) MTU() int { return 1280 }
-
 // HasNeighbor implements ip6.NetIf.
 func (n *NetIf) HasNeighbor(mac uint64) bool {
 	return n.linkFor(mac) != nil

@@ -211,7 +211,7 @@ func (n *Node) Running() bool { return n.running }
 // Stop crashes the node: every layer drops its volatile state — BLE
 // connections die silently (peers discover the loss via their supervision
 // timeouts), advertising/scanning stop, L2CAP channels and their queued
-// frames go, the neighbor base, routes, 6LoWPAN reassembly buffers, and
+// frames go, the neighbor base, routes, L2CAP reassembly buffers, and
 // pending CoAP exchanges vanish. Cumulative statistics survive: they model
 // the experiment's observer, not the device's RAM.
 func (n *Node) Stop() {

@@ -224,25 +224,58 @@ func TestIPOverDot15d4MultiHopForwarding(t *testing.T) {
 	}
 }
 
-func TestLargePacketFragmentsOverDot15d4(t *testing.T) {
+// TestOversizePacketDroppedOverDot15d4: there is no 6LoWPAN fragmentation,
+// so a packet whose compressed form exceeds one frame is dropped at the
+// adapter — counted, its pktbuf charge returned, and nothing panics.
+func TestOversizePacketDroppedOverDot15d4(t *testing.T) {
 	s := sim.New(9)
 	m := phy.NewMedium(s)
 	a := NewNode(s, m, "m3-1", 0x51)
 	b := NewNode(s, m, "m3-2", 0x52)
-	var got []byte
-	b.Stack.ListenUDP(7777, func(_ ip6.Addr, _ uint16, data []byte) { got = data })
-	payload := make([]byte, 600)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, payload); err != nil {
-		t.Fatal(err)
+	got := false
+	b.Stack.ListenUDP(7777, func(ip6.Addr, uint16, []byte) { got = true })
+	if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, make([]byte, 600)); err == nil {
+		t.Fatal("a 600-byte UDP payload was accepted for one 802.15.4 frame")
 	}
 	s.Run(5 * sim.Second)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("600-byte UDP payload not delivered over fragmentation (got %d bytes)", len(got))
+	if got {
+		t.Fatal("oversize packet delivered")
 	}
-	if a.NetIf.Stats().Fragmented != 1 {
-		t.Fatalf("Fragmented=%d", a.NetIf.Stats().Fragmented)
+	if st := a.NetIf.Stats(); st.Oversize != 1 || st.TXPackets != 0 {
+		t.Fatalf("adapter stats %+v, want Oversize=1 and nothing sent", st)
+	}
+	if u := a.Stack.Pktbuf.Used(); u != 0 {
+		t.Fatalf("pktbuf holds %d bytes after the drop", u)
+	}
+}
+
+// TestOutputReportsMACQueueFull: a packet the MAC refuses because its queue
+// is full is a failed Output — the stack counts the drop and the send
+// errors — and its pktbuf charge is returned at once, not at a completion
+// that never comes.
+func TestOutputReportsMACQueueFull(t *testing.T) {
+	s := sim.New(10)
+	m := phy.NewMedium(s)
+	a := NewNode(s, m, "m3-1", 0x61)
+	b := NewNode(s, m, "m3-2", 0x62)
+	// The sim never runs, so the MAC serves none: one frame goes into
+	// service and QueueCap more wait behind it.
+	for i := 0; i <= a.MAC.QueueCap; i++ {
+		if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, make([]byte, 39)); err != nil {
+			t.Fatalf("packet %d refused below the queue bound: %v", i, err)
+		}
+	}
+	used := a.Stack.Pktbuf.Used()
+	if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, make([]byte, 39)); err == nil {
+		t.Fatal("a packet past the MAC queue bound was reported sent")
+	}
+	if u := a.Stack.Pktbuf.Used(); u != used {
+		t.Fatalf("pktbuf holds %d bytes after the refused packet, %d before", u, used)
+	}
+	if st := a.NetIf.Stats(); st.QueueDrops != 1 || st.TXFailures != 0 {
+		t.Fatalf("adapter stats %+v, want one queue drop and no TX failure", st)
+	}
+	if st := a.Stack.Stats(); st.QueueDrops != 1 || st.Sent != uint64(a.MAC.QueueCap+1) {
+		t.Fatalf("stack stats %+v, want one queue drop", st)
 	}
 }

@@ -17,29 +17,25 @@ type NetIfStats struct {
 	TXFailures    uint64 // MAC gave up (CCA fail / no ack)
 	CompressErr   uint64
 	DecompressErr uint64
-	Fragmented    uint64 // packets that needed 6LoWPAN fragmentation
+	Oversize      uint64 // compressed packet larger than one frame
 }
 
-// NetIf adapts the 802.15.4 MAC to the ip6 stack: IPHC compression plus
-// RFC 4944 fragmentation when a compressed packet exceeds one frame.
+// NetIf adapts the 802.15.4 MAC to the ip6 stack with IPHC compression.
+// There is no RFC 4944 fragmentation: the paper sizes its packets to fit
+// one frame (§4.3), and a packet that does not is dropped.
 type NetIf struct {
-	s     *sim.Sim
 	stack *ip6.Stack
 	mac   *MAC
 	ctxs  []sixlo.Context
-	reasm *sixlo.Reassembler
-	tag   uint16
 	stats NetIfStats
 }
 
 // NewNetIf builds the adapter and attaches it to the stack.
-func NewNetIf(s *sim.Sim, stack *ip6.Stack, mac *MAC) *NetIf {
+func NewNetIf(stack *ip6.Stack, mac *MAC) *NetIf {
 	n := &NetIf{
-		s:     s,
 		stack: stack,
 		mac:   mac,
 		ctxs:  sixlo.DefaultContexts,
-		reasm: sixlo.NewReassembler(s, 8),
 	}
 	mac.SetReceiver(n.input)
 	stack.AddInterface(n)
@@ -49,77 +45,49 @@ func NewNetIf(s *sim.Sim, stack *ip6.Stack, mac *MAC) *NetIf {
 // Stats returns a copy of the adapter counters.
 func (n *NetIf) Stats() NetIfStats { return n.stats }
 
-// MTU implements ip6.NetIf: 6LoWPAN fragmentation restores the 1280-byte
-// IPv6 MTU over 127-byte frames.
-func (n *NetIf) MTU() int { return 1280 }
-
 // HasNeighbor implements ip6.NetIf: the PAN is a single broadcast domain,
 // every address is reachable.
 func (n *NetIf) HasNeighbor(uint64) bool { return true }
 
 // Output implements ip6.NetIf. Ownership of pkt passes to the adapter in
-// every case. A packet that fits one frame rides its pooled buffer through
-// the MAC untouched; a larger one goes out as RFC 4944 fragments.
+// every case. The compressed packet rides its pooled buffer through the MAC
+// untouched; one larger than a frame's payload is dropped.
 func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	if err := sixlo.CompressBuf(pkt, n.mac.Addr(), mac, n.ctxs); err != nil {
 		n.stats.CompressErr++
 		pkt.Put()
 		return false
 	}
-	n.tag++
-	frags, err := sixlo.Fragment(pkt, MaxPayload, n.tag)
-	if err != nil {
-		n.stats.CompressErr++
+	size := pkt.Len()
+	if size > MaxPayload {
+		n.stats.Oversize++
 		pkt.Put()
 		return false
 	}
-	if len(frags) > 1 {
-		n.stats.Fragmented++
-	}
-	// Charge the whole packet to the pktbuf until the MAC is done.
-	total := 0
-	for _, f := range frags {
-		total += f.Len()
-	}
-	if !n.stack.Pktbuf.Alloc(total) {
+	// Charge the packet to the pktbuf until the MAC is done.
+	if !n.stack.Pktbuf.Alloc(size) {
 		n.stats.QueueDrops++
-		for _, f := range frags {
-			f.Put()
-		}
+		pkt.Put()
 		return false
 	}
-	left := len(frags)
 	release := func(ok bool) {
 		if !ok {
 			n.stats.TXFailures++
 		}
-		left--
-		if left == 0 {
-			n.stack.Pktbuf.Free(total)
-		}
+		n.stack.Pktbuf.Free(size)
 	}
-	for _, f := range frags {
-		if !n.mac.SendBuf(mac, f, pid, release) {
-			n.stats.QueueDrops++
-			release(false)
-		}
+	if !n.mac.SendBuf(mac, pkt, pid, release) {
+		n.stats.QueueDrops++
+		n.stack.Pktbuf.Free(size)
+		return false
 	}
 	n.stats.TXPackets++
 	return true
 }
 
-// input reassembles (if fragmented), decompresses in place, and delivers.
-// The provenance ID of the first fragment survives reassembly.
+// input decompresses a received frame in a pooled copy and delivers it.
 func (n *NetIf) input(src uint64, frame []byte, pid uint64) {
-	var b *pktbuf.Buf
-	if sixlo.IsFragment(frame) {
-		b, pid = n.reasm.InputBufPID(src, frame, pid)
-		if b == nil {
-			return
-		}
-	} else {
-		b = pktbuf.FromBytes(frame)
-	}
+	b := pktbuf.FromBytes(frame)
 	if err := sixlo.DecompressBuf(b, src, n.mac.Addr(), n.ctxs); err != nil {
 		n.stats.DecompressErr++
 		b.Put()
@@ -144,7 +112,7 @@ type Node struct {
 func NewNode(s *sim.Sim, medium *phy.Medium, name string, addr uint64) *Node {
 	mac := NewMAC(s, medium, addr)
 	stack := ip6.NewStack(s, addr)
-	netif := NewNetIf(s, stack, mac)
+	netif := NewNetIf(stack, mac)
 	ep := coap.NewEndpoint(s, stack, 0)
 	return &Node{Name: name, Sim: s, MAC: mac, NetIf: netif, Stack: stack, Coap: ep}
 }

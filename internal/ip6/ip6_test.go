@@ -253,7 +253,6 @@ func (f *fakeIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	return true
 }
 func (f *fakeIf) HasNeighbor(mac uint64) bool { return f.neighbors[mac] }
-func (f *fakeIf) MTU() int                    { return 1280 }
 
 func TestRoutingLongestPrefix(t *testing.T) {
 	s := sim.New(1)

@@ -70,8 +70,6 @@ type NetIf interface {
 	Output(nextHopMAC uint64, pkt *pktbuf.Buf, pid uint64) bool
 	// HasNeighbor reports whether a usable link to the neighbor exists.
 	HasNeighbor(nextHopMAC uint64) bool
-	// MTU returns the interface MTU (1280 for both our link types).
-	MTU() int
 }
 
 // Route is one routing table entry: a host route or a prefix route.

@@ -157,7 +157,7 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 		total := data.Len()
 		for lo := 0; lo < total; lo += mps {
 			hi := min(lo+mps, total)
-			tf := txFrame{buf: data.Slice(lo, hi), pid: pid}
+			tf := txFrame{buf: pktbuf.FromBytes(data.Bytes()[lo:hi]), pid: pid}
 			if hi == total {
 				tf.onDone = onDone
 			}
@@ -511,7 +511,7 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 		if hi == full {
 			cb = onDone
 		}
-		if !ep.conn.SendBuf(llid, b.Slice(lo, hi), pid, cb) {
+		if !ep.conn.SendBuf(llid, pktbuf.FromBytes(b.Bytes()[lo:hi]), pid, cb) {
 			panic("l2cap: LL rejected fragment after pool check")
 		}
 		llid = ble.LLIDDataCont

@@ -7,9 +7,9 @@ import (
 
 // FuzzPktbufPrependAppend drives a random op sequence against a Buf and a
 // plain-slice reference model: the view contents must match after every op,
-// sibling views must never be disturbed, and the final Put must balance the
-// refcount. Ops decode from the fuzz input two bytes at a time: opcode and
-// size argument.
+// and a copy taken with FromBytes must never be disturbed by later ops on
+// the original. Ops decode from the fuzz input two bytes at a time: opcode
+// and size argument.
 func FuzzPktbufPrependAppend(f *testing.F) {
 	f.Add([]byte{0, 8, 1, 4, 2, 2, 3, 1, 4, 0})
 	f.Add([]byte{1, 200, 0, 70, 3, 100, 2, 100})
@@ -19,8 +19,8 @@ func FuzzPktbufPrependAppend(f *testing.F) {
 		b := New(16, 8)
 		model := make([]byte, 0, 64)
 		var fill byte
-		var views []*Buf
-		var viewModels [][]byte
+		var copies []*Buf
+		var copyModels [][]byte
 		for i := 0; i+1 < len(ops) && i < 64; i += 2 {
 			op, n := ops[i]%5, int(ops[i+1])
 			switch op {
@@ -54,22 +54,22 @@ func FuzzPktbufPrependAppend(f *testing.F) {
 				}
 				b.Trim(k)
 				model = model[:k]
-			case 4: // take a sibling view of the current state
-				if len(views) < 4 && b.Len() > 0 {
+			case 4: // copy a tail of the current state
+				if len(copies) < 4 && b.Len() > 0 {
 					j := n % b.Len()
-					views = append(views, b.Slice(j, b.Len()))
-					viewModels = append(viewModels, append([]byte(nil), model[j:]...))
+					copies = append(copies, FromBytes(b.Bytes()[j:]))
+					copyModels = append(copyModels, append([]byte(nil), model[j:]...))
 				}
 			}
 			if !bytes.Equal(b.Bytes(), model) {
 				t.Fatalf("op %d: view %x != model %x", i/2, b.Bytes(), model)
 			}
 		}
-		for k, v := range views {
-			if !bytes.Equal(v.Bytes(), viewModels[k]) {
-				t.Fatalf("sibling view %d corrupted: %x != %x", k, v.Bytes(), viewModels[k])
+		for k, c := range copies {
+			if !bytes.Equal(c.Bytes(), copyModels[k]) {
+				t.Fatalf("copy %d corrupted: %x != %x", k, c.Bytes(), copyModels[k])
 			}
-			v.Put()
+			c.Put()
 		}
 		b.Put()
 	})

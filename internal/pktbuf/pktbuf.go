@@ -1,20 +1,19 @@
 // Package pktbuf provides the pooled, headroom-reserving packet buffers the
 // whole datapath (CoAP → ip6 → 6LoWPAN → L2CAP → BLE / 802.15.4) threads by
-// reference, in the style of RIOT GNRC's pktbuf and the kernel's skbuff: a
+// pointer, in the style of RIOT GNRC's pktbuf and the kernel's skbuff: a
 // packet is allocated once with enough headroom for the worst-case header
-// stack, each layer prepends its header in place, and fragmentation /
-// segmentation / retransmission queues hold refcounted views into the same
-// backing arena instead of copying payload bytes.
+// stack and each layer prepends its header in place.
 //
-// Buffers come from size-classed sync.Pools. Refcounting is explicit: Get
-// (or New/Slice/Ref) acquires, Put releases; the final Put returns the arena
-// to its pool. Arenas are owned by a single goroutine between Get and the
-// final Put — the simulation is single-threaded per Sim — so reference
-// counts are plain integers; the pools themselves are safe to share across
-// the parallel sweep's worker goroutines.
+// A buffer has exactly one owner. Get (or New, FromBytes, Clone) acquires,
+// Put releases and returns the arena to its size-classed sync.Pool; handing
+// a buffer to another layer hands over ownership. A layer that splits a
+// packet (L2CAP segmentation) copies each segment into a buffer of its own.
+// Between Get and Put an arena belongs to a single goroutine — the
+// simulation is single-threaded per Sim — while the pools themselves are
+// safe to share across the parallel sweep's worker goroutines.
 //
 // Tests can disable pooling process-wide (SetPooling(false)), in which case
-// every Get is a plain make and every final Put drops the arena for the GC.
+// every Get is a plain make and every Put drops the arena for the GC.
 // The datapath must behave byte-identically in both modes; the equivalence
 // tests in internal/exp lock that down.
 package pktbuf
@@ -39,40 +38,13 @@ var classSizes = [...]int{256, 1664, 4096}
 
 type arena struct {
 	data []byte
-	refs int32
 	// class is the index into classSizes, or -1 for an oversized arena
 	// (never pooled).
 	class int8
-	// [sharedLo, sharedHi) is the union of all view ranges that were ever
-	// shared (Slice/Ref) while this arena had multiple handles. Prepend and
-	// Append that would write inside it migrate to a fresh arena first
-	// (copy-on-write), so no view extension can corrupt a sibling view.
-	// Cleared when the handle count returns to 1.
-	sharedLo, sharedHi int
 }
 
-// share widens the arena's shared range to include [lo, hi).
-func (a *arena) share(lo, hi int) {
-	if a.sharedHi <= a.sharedLo { // empty
-		a.sharedLo, a.sharedHi = lo, hi
-		return
-	}
-	if lo < a.sharedLo {
-		a.sharedLo = lo
-	}
-	if hi > a.sharedHi {
-		a.sharedHi = hi
-	}
-}
-
-// overlapsShared reports whether writing [lo, hi) could touch bytes of a
-// sibling view.
-func (a *arena) overlapsShared(lo, hi int) bool {
-	return a.refs > 1 && lo < a.sharedHi && hi > a.sharedLo
-}
-
-// Buf is one refcounted view [off,end) into a backing arena. The zero Buf
-// is invalid; obtain one through Get, New, or Slice.
+// Buf is the view [off,end) into the backing arena it owns. The zero Buf
+// is invalid; obtain one through Get, New, or FromBytes.
 type Buf struct {
 	a   *arena
 	off int
@@ -105,17 +77,14 @@ func getArena(n int) *arena {
 	c := classFor(n)
 	if poolingOn && c >= 0 {
 		if v := arenaPools[c].Get(); v != nil {
-			a := v.(*arena)
-			a.refs = 1
-			a.sharedLo, a.sharedHi = 0, 0
-			return a
+			return v.(*arena)
 		}
 	}
 	sz := n
 	if c >= 0 {
 		sz = classSizes[c]
 	}
-	return &arena{data: make([]byte, sz), refs: 1, class: int8(c)}
+	return &arena{data: make([]byte, sz), class: int8(c)}
 }
 
 func putArena(a *arena) {
@@ -138,9 +107,9 @@ func putBuf(b *Buf) {
 	}
 }
 
-// New returns an empty buffer whose view starts headroom bytes into an
-// arena with capacity for at least headroom+capHint bytes. The caller owns
-// one reference.
+// New returns an empty buffer, owned by the caller, whose view starts
+// headroom bytes into an arena with capacity for at least headroom+capHint
+// bytes.
 func New(headroom, capHint int) *Buf {
 	a := getArena(headroom + capHint)
 	b := getBuf()
@@ -166,7 +135,7 @@ func FromBytes(p []byte) *Buf {
 }
 
 // Bytes returns the current view. The slice aliases the arena: it is valid
-// until the buffer's final Put and must not be retained past it.
+// until the buffer's Put and must not be retained past it.
 func (b *Buf) Bytes() []byte { return b.a.data[b.off:b.end] }
 
 // Len returns the view length.
@@ -177,15 +146,13 @@ func (b *Buf) Headroom() int { return b.off }
 
 // Prepend extends the view n bytes to the front and returns the new front
 // region. If the headroom is exhausted the buffer migrates to a larger
-// arena (views sharing the old arena are unaffected).
+// arena.
 func (b *Buf) Prepend(n int) []byte {
 	if n < 0 {
 		panic("pktbuf: negative prepend")
 	}
 	if b.off < n {
 		b.grow(n-b.off, 0)
-	} else if b.a.overlapsShared(b.off-n, b.off) {
-		b.grow(n, 0) // copy-on-write: the headroom belongs to a sibling
 	}
 	b.off -= n
 	return b.a.data[b.off : b.off+n]
@@ -199,8 +166,6 @@ func (b *Buf) Append(n int) []byte {
 	}
 	if len(b.a.data)-b.end < n {
 		b.grow(0, n-(len(b.a.data)-b.end))
-	} else if b.a.overlapsShared(b.end, b.end+n) {
-		b.grow(0, n) // copy-on-write: the tailroom belongs to a sibling
 	}
 	out := b.a.data[b.end : b.end+n]
 	b.end += n
@@ -227,9 +192,8 @@ func (b *Buf) Trim(n int) {
 }
 
 // grow migrates the view to a larger arena with at least the requested
-// extra head/tail space, preserving the view bytes. Views sharing the old
-// arena keep it intact — grow never recycles an arena with outstanding
-// references, and the migrating buffer transfers its own reference.
+// extra head/tail space, preserving the view bytes, and returns the old
+// arena to its pool.
 func (b *Buf) grow(needHead, needTail int) {
 	oldLen := b.Len()
 	head := b.off + needHead
@@ -239,46 +203,8 @@ func (b *Buf) grow(needHead, needTail int) {
 	tail := (len(b.a.data) - b.end) + needTail
 	a := getArena(head + oldLen + tail)
 	copy(a.data[head:], b.Bytes())
-	old := b.a
+	putArena(b.a)
 	b.a, b.off, b.end = a, head, head+oldLen
-	old.refs--
-	if old.refs == 0 {
-		putArena(old)
-	} else if old.refs == 1 {
-		old.sharedLo, old.sharedHi = 0, 0
-	} else if old.refs < 0 {
-		panic("pktbuf: grow of released buf")
-	}
-}
-
-// Ref returns a new handle on the same view for an additional owner, adding
-// a reference to the backing arena. Each handle is released with its own
-// Put; handles must never be shared between owners.
-func (b *Buf) Ref() *Buf {
-	if b.a == nil {
-		panic("pktbuf: ref of released buf")
-	}
-	b.a.refs++
-	b.a.share(b.off, b.end)
-	nb := getBuf()
-	nb.a, nb.off, nb.end = b.a, b.off, b.end
-	return nb
-}
-
-// Slice returns a new buffer viewing [i,j) of b (relative to b's view),
-// sharing the arena and holding its own reference. Prepend/Append on any
-// handle of a shared arena copy-on-write when they would touch bytes a
-// sibling view can see, so views cannot corrupt each other; mutating
-// Bytes() of a shared view remains the caller's responsibility.
-func (b *Buf) Slice(i, j int) *Buf {
-	if i < 0 || j < i || j > b.Len() {
-		panic(fmt.Sprintf("pktbuf: slice [%d:%d) of %d", i, j, b.Len()))
-	}
-	b.a.refs++
-	b.a.share(b.off, b.end)
-	nb := getBuf()
-	nb.a, nb.off, nb.end = b.a, b.off+i, b.off+j
-	return nb
 }
 
 // Clone returns an independent pooled copy of the view with the default
@@ -289,25 +215,15 @@ func (b *Buf) Clone() *Buf {
 	return nb
 }
 
-// Put releases the caller's reference. The final reference returns the
-// arena to its size-class pool. Releasing an already-released buffer
-// panics — a double Put means two owners think they hold the last
-// reference, which would hand one packet's bytes to two packets.
+// Put releases the buffer and returns its arena to its size-class pool.
+// Releasing an already-released buffer panics — a double Put means two
+// owners think they hold the packet, which would hand one packet's bytes to
+// two packets.
 func (b *Buf) Put() {
 	if b.a == nil {
 		panic("pktbuf: double put")
 	}
 	a := b.a
 	putBuf(b)
-	a.refs--
-	if a.refs == 0 {
-		putArena(a)
-	} else if a.refs == 1 {
-		a.sharedLo, a.sharedHi = 0, 0
-	} else if a.refs < 0 {
-		panic("pktbuf: arena refcount underflow")
-	}
+	putArena(a)
 }
-
-// Refs returns the backing arena's reference count (test hook).
-func (b *Buf) Refs() int { return int(b.a.refs) }

@@ -46,7 +46,6 @@ func (f *fakeIf) Output(mac uint64, b *pktbuf.Buf, pid uint64) bool {
 }
 
 func (f *fakeIf) HasNeighbor(mac uint64) bool { _, ok := f.peers[mac]; return ok }
-func (f *fakeIf) MTU() int                    { return 1280 }
 
 func newTestNode(s *sim.Sim, mac uint64, cfg Config) *testNode {
 	st := ip6.NewStack(s, mac)

@@ -1,14 +1,14 @@
-// Package sixlo implements the 6LoWPAN adaptation layer: IPHC header
-// compression with UDP next-header compression (RFC 6282) and
-// fragmentation/reassembly (RFC 4944). IPv6-over-BLE (RFC 7668) uses the
-// compression but not the fragmentation (L2CAP carries full 1280-byte MTUs);
-// the IEEE 802.15.4 comparison stack uses both.
+// Package sixlo implements the 6LoWPAN adaptation layer both link layers
+// share: IPHC header compression with UDP next-header compression (RFC
+// 6282) for unicast destinations. It has no RFC 4944 fragmentation: over
+// BLE (RFC 7668) L2CAP segments the packet, and over IEEE 802.15.4 the
+// paper's packets fit one frame (§4.3), so the adapter drops a larger one.
+// No program sends to a multicast group, so the multicast address modes are
+// not implemented either.
 //
-// Every entry point works on pooled pktbuf buffers: CompressBuf rewrites
+// Both entry points work on pooled pktbuf buffers: CompressBuf rewrites
 // the leading IPv6(+UDP) headers of a packet into their IPHC form in place,
-// inside the buffer's reserved headroom, and DecompressBuf reverses it;
-// Fragment splits a frame too large for one link frame into pooled
-// fragments, and Reassembler.InputBufPID rebuilds it in one buffer.
+// inside the buffer's reserved headroom, and DecompressBuf reverses it.
 package sixlo
 
 import (
@@ -81,11 +81,15 @@ const maxIPHCHeaderLen = 48
 // writes it into hdr, which must hold at least maxIPHCHeaderLen bytes. It
 // returns the header length, the count of leading packet bytes the header
 // replaces (40, or 48 when the UDP header is compressed too), and the
-// packet's total length per its IPv6 length field.
+// packet's total length per its IPv6 length field. A multicast destination
+// is an error.
 func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte) (hdrLen, consumed, total int, err error) {
 	h, payload, err := ip6.Decode(pkt)
 	if err != nil {
 		return 0, 0, 0, err
+	}
+	if h.Dst.IsMulticast() {
+		return 0, 0, 0, fmt.Errorf("sixlo: multicast destination %v", h.Dst)
 	}
 	var b0, b1 byte
 	b0 = dispatchIPHC
@@ -96,17 +100,9 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 	if srcCtx >= 0 {
 		b1 |= sac
 	}
-	var dstAM byte
-	dstCtx := -1
-	mc := h.Dst.IsMulticast()
-	if mc {
-		b1 |= mcast
-		dstAM = mcastMode(h.Dst)
-	} else {
-		dstAM, dstCtx = addrMode(h.Dst, dstMAC, ctxs)
-		if dstCtx >= 0 {
-			b1 |= dac
-		}
+	dstAM, dstCtx := addrMode(h.Dst, dstMAC, ctxs)
+	if dstCtx >= 0 {
+		b1 |= dac
 	}
 	b1 |= dstAM << damOff
 
@@ -169,11 +165,7 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 	}
 
 	n += putAddr(hdr[n:], h.Src, srcAM)
-	if mc {
-		n += putMcast(hdr[n:], h.Dst, dstAM)
-	} else {
-		n += putAddr(hdr[n:], h.Dst, dstAM)
-	}
+	n += putAddr(hdr[n:], h.Dst, dstAM)
 
 	hdr[0], hdr[1] = b0, b1
 	consumed = ip6.HeaderLen
@@ -213,8 +205,9 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 // IPv6 (and, when compressible, UDP) headers are replaced by the compressed
 // header, with any extra length taken from the buffer's headroom.
 // Unsupported shapes fall back to less compressed but always valid
-// encodings. srcMAC and dstMAC are the link-layer addresses of this hop,
-// needed to elide IID-derived addresses.
+// encodings; a multicast destination is an error, and b is left as it was.
+// srcMAC and dstMAC are the link-layer addresses of this hop, needed to
+// elide IID-derived addresses.
 func CompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 	var hdr [maxIPHCHeaderLen]byte
 	hl, consumed, total, err := compressInto(b.Bytes(), srcMAC, dstMAC, ctxs, hdr[:])
@@ -227,11 +220,15 @@ func CompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 	return nil
 }
 
+// linkLocalPrefix is fe80::/64, the prefix the stateless address modes
+// rebuild; the rest of fe80::/10 is carried inline.
+var linkLocalPrefix = ip6.Addr{0xfe, 0x80}
+
 // addrMode picks the tightest stateless or context-based encoding.
 func addrMode(a ip6.Addr, mac uint64, ctxs []Context) (am byte, ctx int) {
 	ctx = -1
 	var prefixOK bool
-	if a.IsLinkLocal() {
+	if ip6.SamePrefix(a, linkLocalPrefix) {
 		prefixOK = true
 	} else {
 		for i, c := range ctxs {
@@ -266,31 +263,6 @@ func putAddr(dst []byte, a ip6.Addr, am byte) int {
 		return copy(dst, a[14:16])
 	}
 	return 0 // amElided
-}
-
-// mcastMode picks the destination multicast encoding.
-func mcastMode(a ip6.Addr) byte {
-	// ff02::00XX compresses to 1 byte (DAM=11).
-	small := a[1] == 0x02
-	for i := 2; i < 15; i++ {
-		if a[i] != 0 {
-			small = false
-			break
-		}
-	}
-	if small {
-		return amElided
-	}
-	return amFull
-}
-
-// putMcast writes the inline bytes of a multicast destination.
-func putMcast(dst []byte, a ip6.Addr, am byte) int {
-	if am == amElided {
-		dst[0] = a[15]
-		return 1
-	}
-	return copy(dst, a[:])
 }
 
 // udpNHCInfo carries a parsed UDP NHC header out of decompressHeader.
@@ -369,10 +341,9 @@ func decompressHeader(frame []byte, srcMAC, dstMAC uint64, ctxs []Context) (h ip
 	}
 	p += n
 	if b1&mcast != 0 {
-		h.Dst, n, err = readMcast(frame[p:], (b1>>damOff)&0x03, p)
-	} else {
-		h.Dst, n, err = readAddr(frame[p:], (b1>>damOff)&0x03, b1&dac != 0, dci, dstMAC, ctxs, p)
+		return h, 0, u, fmt.Errorf("sixlo: multicast destination (M=1) not supported")
 	}
+	h.Dst, n, err = readAddr(frame[p:], (b1>>damOff)&0x03, b1&dac != 0, dci, dstMAC, ctxs, p)
 	if err != nil {
 		return h, 0, u, err
 	}
@@ -404,6 +375,9 @@ func DecompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 		return fmt.Errorf("sixlo: empty frame")
 	}
 	if fr[0] == dispatchIPv6 {
+		if _, _, err := ip6.Decode(fr[1:]); err != nil {
+			return err
+		}
 		b.TrimFront(1)
 		return nil
 	}
@@ -467,29 +441,6 @@ func readAddr(b []byte, am byte, hasCtx bool, ci int, mac uint64, ctxs []Context
 		iid := ip6.IIDFromMAC(mac)
 		copy(a[8:], iid[:])
 		return a, 0, nil
-	}
-}
-
-// readMcast decodes a multicast destination's inline bytes.
-func readMcast(b []byte, am byte, off int) (ip6.Addr, int, error) {
-	switch am {
-	case amElided:
-		if len(b) < 1 {
-			return ip6.Addr{}, 0, truncErr(off)
-		}
-		var a ip6.Addr
-		a[0], a[1] = 0xff, 0x02
-		a[15] = b[0]
-		return a, 1, nil
-	case amFull:
-		if len(b) < 16 {
-			return ip6.Addr{}, 0, truncErr(off)
-		}
-		var a ip6.Addr
-		copy(a[:], b[:16])
-		return a, 16, nil
-	default:
-		return ip6.Addr{}, 0, fmt.Errorf("sixlo: unsupported multicast DAM %d", am)
 	}
 }
 

@@ -2,13 +2,11 @@ package sixlo
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 	"testing/quick"
 
 	"blemesh/internal/ip6"
 	"blemesh/internal/pktbuf"
-	"blemesh/internal/sim"
 )
 
 const (
@@ -88,13 +86,27 @@ func TestIPHCLinkLocalElision(t *testing.T) {
 	}
 }
 
+// TestIPHCMulticastDst: no program sends to a multicast group (RPL's DIOs
+// go out as link-local unicasts), so the multicast address modes are not
+// implemented — compression refuses such a packet and decompression a frame
+// with M=1.
 func TestIPHCMulticastDst(t *testing.T) {
 	src := ip6.LinkLocal(macA)
 	h := ip6.Header{NextHeader: ip6.ProtoICMPv6, HopLimit: 1, Src: src, Dst: ip6.AllNodes}
-	comp := roundTrip(t, packet(h, 0, 0, []byte{9}))
-	// ff02::1 compresses to a single byte.
-	if len(comp) != 2+1+1+1 {
-		t.Fatalf("multicast frame = %d bytes", len(comp))
+	b := packet(h, 0, 0, []byte{9})
+	defer b.Put()
+	orig := bytes.Clone(b.Bytes())
+	if err := CompressBuf(b, macA, macB, DefaultContexts); err == nil {
+		t.Fatal("multicast destination compressed")
+	}
+	if !bytes.Equal(b.Bytes(), orig) {
+		t.Fatal("a refused packet was modified")
+	}
+	// dispatch + TF elided, NH inline, HLIM 1 | M=1, SAM=DAM=11; NH, 1-byte group.
+	fr := pktbuf.FromBytes([]byte{dispatchIPHC | tfElided | hlim1, 0x30 | mcast | amElided, 58, 0x01})
+	defer fr.Put()
+	if err := DecompressBuf(fr, macA, macB, DefaultContexts); err == nil {
+		t.Fatal("frame with a multicast destination decompressed")
 	}
 }
 
@@ -182,255 +194,4 @@ func TestQuickIPHCRoundTripUDP(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestFragmentSmallFrameUntouched(t *testing.T) {
-	frame := pktbuf.FromBytes(make([]byte, 80))
-	frags, err := Fragment(frame, 102, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frags) != 1 || frags[0] != frame {
-		t.Fatalf("small frame fragmented into %d pieces", len(frags))
-	}
-	frame.Put()
-}
-
-func TestFragmentAndReassemble(t *testing.T) {
-	s := sim.New(1)
-	r := NewReassembler(s, 4)
-	frame := make([]byte, 1000)
-	for i := range frame {
-		frame[i] = byte(i * 7)
-	}
-	frags := mustFrag(t, frame, 42)
-	if len(frags) < 10 {
-		t.Fatalf("1000 bytes over 102-byte MTU should be ≥10 fragments, got %d", len(frags))
-	}
-	for _, f := range frags {
-		if len(f) > 102 {
-			t.Fatalf("fragment exceeds MTU: %d", len(f))
-		}
-		if !IsFragment(f) {
-			t.Fatal("fragment not recognized")
-		}
-	}
-	var out *pktbuf.Buf
-	var pid uint64
-	for i, f := range frags {
-		out, pid = r.InputBufPID(macA, f, uint64(100+i))
-	}
-	if out == nil || !bytes.Equal(out.Bytes(), frame) {
-		t.Fatal("reassembly mismatch")
-	}
-	out.Put()
-	if pid != 100 {
-		t.Fatalf("reassembled datagram carries pid %d, want the first fragment's 100", pid)
-	}
-	if r.Stats().Completed != 1 {
-		t.Fatalf("completed=%d", r.Stats().Completed)
-	}
-}
-
-// RFC 4944's datagram_size field is 11 bits: 2 047 bytes is the largest
-// frame that can be fragmented, and a larger one must be refused rather
-// than spill its high bits into the dispatch byte.
-func TestFragmentDatagramSizeLimit(t *testing.T) {
-	for _, c := range []struct {
-		size int
-		ok   bool
-	}{{2047, true}, {2048, false}} {
-		data := make([]byte, c.size)
-		for i := range data {
-			data[i] = byte(i * 13)
-		}
-		frame := pktbuf.FromBytes(data)
-		frags, err := Fragment(frame, 102, 5)
-		if !c.ok {
-			if err == nil {
-				t.Fatalf("%d-byte frame fragmented, want an error", c.size)
-			}
-			frame.Put() // an error leaves the frame with the caller
-			continue
-		}
-		if err != nil {
-			t.Fatalf("%d-byte frame: %v", c.size, err)
-		}
-		r := NewReassembler(sim.New(1), 4)
-		var out *pktbuf.Buf
-		for _, f := range frags {
-			out, _ = r.InputBufPID(macA, f.Bytes(), 0)
-			f.Put()
-		}
-		if out == nil || !bytes.Equal(out.Bytes(), data) {
-			t.Fatalf("%d-byte frame did not reassemble", c.size)
-		}
-		out.Put()
-	}
-}
-
-// A fragment that overlaps bytes already held, at another offset, must drop
-// the datagram: counting its bytes as new would complete the reassembly
-// with a hole no fragment ever wrote.
-func TestReassemblyOverlapDropped(t *testing.T) {
-	r := NewReassembler(sim.New(1), 4)
-	frag := func(off, n int) []byte {
-		hl, d := fragNHeaderLen, dispatchFragN
-		if off == 0 {
-			hl, d = frag1HeaderLen, dispatchFrag1
-		}
-		b := make([]byte, hl+n)
-		b[0], b[1] = d, 200 // datagram_size 200
-		binary.BigEndian.PutUint16(b[2:], 9)
-		if off > 0 {
-			b[4] = byte(off / 8)
-		}
-		return b
-	}
-	// [0,96) + [8,104) + [104,112): 200 payload bytes for a 200-byte
-	// datagram, of which bytes 112–199 were never sent.
-	for _, f := range [][]byte{frag(0, 96), frag(8, 96), frag(104, 8)} {
-		if out, _ := r.InputBufPID(macA, f, 0); out != nil {
-			t.Fatalf("overlapping fragments completed a %d-byte datagram", out.Len())
-		}
-	}
-	if st := r.Stats(); st.Completed != 0 || st.Dropped != 1 {
-		t.Fatalf("stats %+v, want the overlap dropped once", st)
-	}
-	r.Reset()
-}
-
-func TestReassemblyInterleavedSenders(t *testing.T) {
-	s := sim.New(1)
-	r := NewReassembler(s, 4)
-	f1 := mustFrag(t, bytes.Repeat([]byte{1}, 500), 7)
-	f2 := mustFrag(t, bytes.Repeat([]byte{2}, 500), 7) // same tag, other sender
-	var out1, out2 *pktbuf.Buf
-	for i := range f1 {
-		out1, _ = r.InputBufPID(macA, f1[i], 0)
-		out2, _ = r.InputBufPID(macB, f2[i], 0)
-	}
-	if out1 == nil || out2 == nil {
-		t.Fatal("interleaved reassembly failed")
-	}
-	if out1.Bytes()[0] != 1 || out2.Bytes()[0] != 2 {
-		t.Fatal("reassemblies crossed senders")
-	}
-	out1.Put()
-	out2.Put()
-}
-
-func TestReassemblyTimeout(t *testing.T) {
-	s := sim.New(1)
-	r := NewReassembler(s, 4)
-	frags := mustFrag(t, make([]byte, 500), 9)
-	r.InputBufPID(macA, frags[0], 0)
-	s.Run(10 * sim.Second) // past the 5s timeout
-	// Completing after timeout restarts the reassembly instead.
-	for _, f := range frags[1:] {
-		if out, _ := r.InputBufPID(macA, f, 0); out != nil {
-			t.Fatal("stale reassembly completed after timeout")
-		}
-	}
-	if r.Stats().Timeouts == 0 {
-		t.Fatal("timeout not counted")
-	}
-	r.Reset()
-}
-
-func TestReassemblyDuplicateFragmentIgnored(t *testing.T) {
-	s := sim.New(1)
-	r := NewReassembler(s, 4)
-	frags := mustFrag(t, make([]byte, 400), 3)
-	r.InputBufPID(macA, frags[0], 0)
-	if out, _ := r.InputBufPID(macA, frags[0], 0); out != nil {
-		t.Fatal("duplicate completed a datagram")
-	}
-	var out *pktbuf.Buf
-	for _, f := range frags[1:] {
-		out, _ = r.InputBufPID(macA, f, 0)
-	}
-	if out == nil {
-		t.Fatal("reassembly failed after duplicate")
-	}
-	out.Put()
-	if r.Stats().Dropped != 0 {
-		t.Fatalf("duplicate counted as a drop: %+v", r.Stats())
-	}
-}
-
-func TestReassemblerTableBounded(t *testing.T) {
-	s := sim.New(1)
-	r := NewReassembler(s, 2)
-	for tag := uint16(0); tag < 5; tag++ {
-		frags := mustFrag(t, make([]byte, 300), tag)
-		r.InputBufPID(macA, frags[0], 0) // leave all incomplete
-	}
-	if len(r.table) > 2 {
-		t.Fatalf("table grew to %d, cap 2", len(r.table))
-	}
-	if r.Stats().Dropped == 0 {
-		t.Fatal("overflow not counted")
-	}
-	r.Reset()
-}
-
-func TestQuickFragmentReassembleIdentity(t *testing.T) {
-	f := func(data []byte, tag uint16, mtuRaw uint8) bool {
-		if len(data) == 0 {
-			data = []byte{0}
-		}
-		if len(data) > 2000 {
-			data = data[:2000]
-		}
-		mtu := 30 + int(mtuRaw)%120
-		r := NewReassembler(sim.New(int64(tag)), 4)
-		frags, err := Fragment(pktbuf.FromBytes(data), mtu, tag)
-		if err != nil {
-			return false
-		}
-		var out *pktbuf.Buf
-		ok := true
-		for _, fr := range frags {
-			ok = ok && fr.Len() <= mtu
-			if len(frags) == 1 {
-				out = fr
-				break
-			}
-			out, _ = r.InputBufPID(macA, fr.Bytes(), 0)
-			fr.Put()
-		}
-		ok = ok && out != nil && bytes.Equal(out.Bytes(), data)
-		if out != nil {
-			out.Put()
-		}
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// mustFrag fragments a copy of frame over a 102-byte MTU and returns the
-// fragments' bytes, failing unless it took more than one. The pooled
-// fragments are released when the test ends.
-func mustFrag(t *testing.T, frame []byte, tag uint16) [][]byte {
-	t.Helper()
-	frags, err := Fragment(pktbuf.FromBytes(frame), 102, tag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, f := range frags {
-			f.Put()
-		}
-	})
-	if len(frags) < 2 {
-		t.Fatal("test frame did not fragment")
-	}
-	out := make([][]byte, len(frags))
-	for i, f := range frags {
-		out[i] = f.Bytes()
-	}
-	return out
 }

@@ -146,7 +146,6 @@ type Config struct {
 	Supervision  sim.Duration
 	Latency      int
 	ChanMap      ble.ChannelMap
-	CSA          int
 	// BackoffCap bounds the exponential reconnect backoff window. The
 	// initiation delay is drawn uniformly from [0, span) where span starts
 	// at 3×AdvInterval and doubles per consecutive failed attempt up to
@@ -515,7 +514,6 @@ func (m *Manager) initiate(peer ble.DevAddr) {
 		Latency:     m.cfg.Latency,
 		Supervision: m.cfg.Supervision,
 		ChanMap:     m.cfg.ChanMap,
-		CSA:         m.cfg.CSA,
 	}
 	if err := params.Validate(); err != nil {
 		panic(fmt.Sprintf("statconn: invalid connection parameters: %v", err))

@@ -127,16 +127,16 @@ func (p Params) Derive(d Snapshot, dur float64) Report {
 	// The per-event charges cover the minimal (empty) exchange; airtime
 	// beyond two empty PDUs per serviced event is charged at the radio's
 	// active current.
-	baseAir := float64(d.ConnEvents+d.ConnEventsSub) * 2 * (160e-6) // two empty PDUs ≈ 160µs airtime each way
+	baseAir := float64(float64(d.ConnEvents+d.ConnEventsSub) * 2 * (160e-6)) // two empty PDUs ≈ 160µs airtime each way
 	extraAir := (d.TXTime + d.RXTime).Seconds() - baseAir
 	if extraAir < 0 {
 		extraAir = 0
 	}
 	b := Breakdown{
-		ConnEventsCoord: float64(d.ConnEvents) * p.ChargeConnEventCoord,
-		ConnEventsSub:   float64(d.ConnEventsSub) * p.ChargeConnEventSub,
-		AdvEvents:       float64(d.AdvEvents) * p.ChargeAdvEvent,
-		DataActivity:    extraAir * p.RadioCurrent, // µA·s = µC
+		ConnEventsCoord: float64(float64(d.ConnEvents) * p.ChargeConnEventCoord),
+		ConnEventsSub:   float64(float64(d.ConnEventsSub) * p.ChargeConnEventSub),
+		AdvEvents:       float64(float64(d.AdvEvents) * p.ChargeAdvEvent),
+		DataActivity:    float64(extraAir * p.RadioCurrent), // µA·s = µC
 	}
 	radioCharge := b.ConnEventsCoord + b.ConnEventsSub + b.AdvEvents + b.DataActivity
 	radioAvg := radioCharge / dur

@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -29,9 +28,8 @@ import (
 	"blemesh/internal/trace"
 )
 
-// goldenFile is the determinism corpus: a header that records the GOARCH it
-// was generated on, then one "case seed digest" line per (case, seed) of
-// goldenCases, in table order. The digest is the first 16 hex digits of
+// goldenFile is the determinism corpus: a header line, then one "case seed
+// digest" line per (case, seed) of goldenCases, in table order. The digest is the first 16 hex digits of
 // SHA-256 over what the case exports. To regenerate it, delete it and run
 // TestGolden; a change that moves a line names the case in CHANGES.md and
 // says why.
@@ -374,20 +372,18 @@ func goldenDigest(c goldenCase, seed int64, p goldenPass) goldenResult {
 // four, must reproduce every digest
 // committed in goldenFile — identity across runs and across commits in one
 // mechanism. The tests below it run the other lane counts and the reference
-// paths over the lines they cover, against the same digests. On a GOARCH
-// other than the file's the passes are compared with the shipped path only.
+// paths over the lines they cover, against the same digests. The digests
+// hold on every architecture: no product the compiler may fuse into an add
+// is left unrounded (scripts/check-fma.sh).
 // The golden tests run in parallel with each other, so after every
 // sequential test of the package; TestPoolingByteIdentity is sequential.
 func TestGolden(t *testing.T) {
 	t.Parallel()
-	lines, here := loadGolden(t)
+	lines := loadGolden(t)
 	missing := lines == nil
 	var file map[string]string
 	if !missing {
 		file = checkGoldenFile(t, lines)
-		if !here {
-			file = nil
-		}
 	}
 	got := map[string]string{}
 	ran := 0
@@ -409,7 +405,7 @@ func TestGolden(t *testing.T) {
 	if ran < len(goldenCases) || t.Failed() {
 		t.Fatalf("%s is missing; a whole, passing run of TestGolden regenerates it", goldenFile)
 	}
-	b := []byte(fmt.Sprintf("# GOARCH=%s case seed sha256[:16]; regenerate: rm this file && go test -run '^TestGolden$' ./internal/exp\n", runtime.GOARCH))
+	b := []byte("# case seed sha256[:16]; regenerate: rm this file && go test -run '^TestGolden$' ./internal/exp\n")
 	for _, k := range goldenKeys() {
 		b = fmt.Appendf(b, "%s %s\n", k, got[k])
 	}
@@ -599,29 +595,24 @@ func goldenKeys() []string {
 	return keys
 }
 
-// loadGolden reads goldenFile: its lines (nil, logged, when it is missing)
-// and whether their digests hold on this GOARCH.
-func loadGolden(t *testing.T) (lines [][2]string, here bool) {
-	arch, lines, err := readGolden(goldenFile)
+// loadGolden reads goldenFile: its lines, or nil, logged, when it is
+// missing.
+func loadGolden(t *testing.T) [][2]string {
+	lines, err := readGolden(goldenFile)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		t.Logf("%s is missing: comparing the passes with the shipped path only", goldenFile)
-		return nil, false
+		return nil
 	case err != nil:
 		t.Fatal(err)
-	case arch != runtime.GOARCH:
-		t.Logf("%s was generated on GOARCH %s, this is %s (the arm64 compiler fuses multiply-adds): comparing the passes with the shipped path only",
-			goldenFile, arch, runtime.GOARCH)
-		return lines, false
 	}
-	return lines, true
+	return lines
 }
 
-// goldenCorpus is the digests of goldenFile, or nil where loadGolden says
-// they do not hold.
+// goldenCorpus is the digests of goldenFile, or nil when it is missing.
 func goldenCorpus(t *testing.T) map[string]string {
-	lines, here := loadGolden(t)
-	if !here {
+	lines := loadGolden(t)
+	if lines == nil {
 		return nil
 	}
 	file := map[string]string{}
@@ -754,26 +745,25 @@ func goldenGuards(c goldenCase, r goldenResult) error {
 	return nil
 }
 
-// readGolden parses goldenFile: the GOARCH its header records, then its
-// "case seed" → digest lines in file order.
-func readGolden(path string) (arch string, lines [][2]string, err error) {
+// readGolden parses goldenFile: its "case seed" → digest lines in file
+// order, after the header line.
+func readGolden(path string) (lines [][2]string, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	header, body, _ := strings.Cut(string(data), "\n")
-	_, arch, _ = strings.Cut(header, "GOARCH=")
-	if arch, _, _ = strings.Cut(arch, " "); !strings.HasPrefix(header, "#") || arch == "" {
-		return "", nil, fmt.Errorf("%s: the first line %q does not record GOARCH", path, header)
+	if !strings.HasPrefix(header, "#") {
+		return nil, fmt.Errorf("%s: the first line %q is not a # header", path, header)
 	}
 	for i, l := range strings.Split(strings.TrimSuffix(body, "\n"), "\n") {
 		f := strings.Fields(l)
 		if len(f) != 3 {
-			return "", nil, fmt.Errorf("%s:%d: %q is not \"case seed digest\"", path, i+2, l)
+			return nil, fmt.Errorf("%s:%d: %q is not \"case seed digest\"", path, i+2, l)
 		}
 		lines = append(lines, [2]string{f[0] + " " + f[1], f[2]})
 	}
-	return arch, lines, nil
+	return lines, nil
 }
 
 // checkGoldenFile fails a corpus that is not exactly one line per (case,

@@ -100,7 +100,7 @@ func MeanCI95(vals []float64) (mean, half float64) {
 	ss := 0.0
 	for _, v := range vals {
 		d := v - mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	sd := math.Sqrt(ss / float64(n-1))
 	t := 1.96

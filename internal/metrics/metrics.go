@@ -157,7 +157,7 @@ func (c *CDF) ASCII(width, height int, label string) string {
 	for col := 0; col < width; col++ {
 		x := lo + (hi-lo)*float64(col)/float64(width-1)
 		f := c.FractionBelow(x)
-		row := height - 1 - int(f*float64(height-1)+0.5)
+		row := height - 1 - int(float64(f*float64(height-1))+0.5)
 		grid[row][col] = '*'
 	}
 	var b strings.Builder

@@ -4,7 +4,10 @@
 // the insertion order — sorting uses sort.Float64s on plain values, the
 // compaction pass walks a fixed-order merged stream, and no randomness or
 // wall-clock input is consumed — so the same sample stream always yields
-// bit-identical centroids, quantiles, and serialized bytes. That is what
+// bit-identical centroids, quantiles, and serialized bytes, on every GOARCH:
+// each product that feeds an add is rounded by an explicit conversion, which
+// keeps the compiler from fusing it, and the scale function uses the
+// package's own sin and asin (trig.go) rather than math's. That is what
 // lets sketch-backed metrics ride inside the byte-identical export
 // equivalence suites (wheel-vs-heap engines, worker counts 1/3/8).
 //
@@ -151,12 +154,12 @@ func (s *Sketch) k(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	return s.compression / (2 * math.Pi) * math.Asin(2*q-1)
+	return s.compression / (2 * math.Pi) * asin(2*q-1)
 }
 
 // kInv inverts k.
 func (s *Sketch) kInv(k float64) float64 {
-	return (math.Sin(k*2*math.Pi/s.compression) + 1) / 2
+	return (sin(k*2*math.Pi/s.compression) + 1) / 2
 }
 
 // flush sorts the insertion buffer and compacts it with the processed
@@ -227,7 +230,7 @@ func (s *Sketch) compact(ms, ws []float64) {
 			// convex combination (not sum-of-products, which overflows for
 			// values near ±MaxFloat64).
 			tot := curW + w
-			curM = curM*(curW/tot) + m*(w/tot)
+			curM = float64(curM*(curW/tot)) + float64(m*(w/tot))
 			curW = tot
 			continue
 		}
@@ -282,7 +285,7 @@ func (s *Sketch) Quantile(q float64) (float64, bool) {
 	cum := 0.0
 	prevPos, prevVal := 0.0, s.min
 	for i := range s.means {
-		pos := cum + s.weights[i]/2
+		pos := cum + float64(s.weights[i]/2)
 		if t <= pos {
 			return lerp(prevPos, prevVal, pos, s.means[i], t), true
 		}
@@ -309,7 +312,7 @@ func (s *Sketch) Fraction(x float64) (float64, bool) {
 	cum := 0.0
 	prevPos, prevVal := 0.0, s.min
 	for i := range s.means {
-		pos := cum + s.weights[i]/2
+		pos := cum + float64(s.weights[i]/2)
 		if x <= s.means[i] {
 			return lerp(prevVal, prevPos, s.means[i], pos, x) / n, true
 		}
@@ -342,9 +345,9 @@ func lerp(x0, y0, x1, y1, x float64) float64 {
 	}
 	var v float64
 	if d := y1 - y0; !math.IsInf(d, 0) {
-		v = y0 + f*d
+		v = y0 + float64(f*d)
 	} else {
-		v = y0*(1-f) + y1*f
+		v = float64(y0*(1-f)) + float64(y1*f)
 	}
 	if v < y0 {
 		v = y0

@@ -37,7 +37,7 @@ func (r *Radio) SetPosition(x, y, z float64) {
 // distSqTo returns the squared 3D distance to another radio.
 func (r *Radio) distSqTo(o *Radio) float64 {
 	dx, dy, dz := r.px-o.px, r.py-o.py, r.pz-o.pz
-	return dx*dx + dy*dy + dz*dz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // inRangeOf reports whether two radios can hear each other under the

@@ -98,12 +98,18 @@ func (b *BurstNoise) advance(t sim.Time) {
 }
 
 // dwell draws an exponential dwell time for the given state.
+//
+// ExpFloat64 is the one standard-library float draw left: its ziggurat calls
+// math.Exp (amd64 assembly that takes an FMA path by CPU feature) and
+// math.Log (fused on arm64) on its rare wedge and tail paths only, and the
+// wedge compares after rounding to float32. Replacing it would move the
+// golden churn case, its one user (DESIGN.md, determinism).
 func (b *BurstNoise) dwell(bad bool) sim.Duration {
 	mean := b.p.MeanGood
 	if bad {
 		mean = b.p.MeanBad
 	}
-	d := sim.Duration(float64(mean) * b.s.Rand().ExpFloat64())
+	d := sim.Duration(float64(mean) * b.s.Rand().ExpFloat64()) // fma:ok — rare ziggurat paths; see above
 	if d < sim.Millisecond {
 		d = sim.Millisecond
 	}

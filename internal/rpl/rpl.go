@@ -447,7 +447,7 @@ func (in *Instance) linkCost(mac uint64) uint16 {
 	if etx > in.cfg.MaxETX {
 		etx = in.cfg.MaxETX
 	}
-	cost := uint16(int(etx*4+0.5) * 64)
+	cost := uint16(int(float64(etx*4)+0.5) * 64)
 	if cost < MinHopRankIncrease {
 		cost = MinHopRankIncrease
 	}

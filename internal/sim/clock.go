@@ -22,9 +22,11 @@ type Clock struct {
 }
 
 // NewClock creates a clock with the given frequency error in parts per
-// million. ppm 0 is a perfect clock; positive ppm runs fast.
+// million. ppm 0 is a perfect clock; positive ppm runs fast. The conversion
+// rounds the product, so no compiler fuses it into the add and every
+// GOARCH draws the same rate (scripts/check-fma.sh).
 func NewClock(s *Sim, ppm float64) *Clock {
-	return &Clock{sim: s, rate: 1 + ppm*1e-6, epochSim: s.Now()}
+	return &Clock{sim: s, rate: 1 + float64(ppm*1e-6), epochSim: s.Now()}
 }
 
 // Now returns the node's local time.

@@ -4,7 +4,11 @@
 // BLE (RFC 7668) L2CAP segments the packet, and over IEEE 802.15.4 the
 // paper's packets fit one frame (§4.3), so the adapter drops a larger one.
 // No program sends to a multicast group, so the multicast address modes are
-// not implemented either.
+// not implemented either. Of the unicast encodings, only those the traffic
+// takes are: traffic class and flow label elided, every hop-limit mode,
+// fe80::/64 or context-0 addresses elided or with their IID inline, and UDP
+// ports inline. Any other header goes out whole after the uncompressed
+// dispatch, and the decoder refuses the other encodings.
 //
 // Both entry points work on pooled pktbuf buffers: CompressBuf rewrites
 // the leading IPv6(+UDP) headers of a packet into their IPHC form in place,
@@ -37,11 +41,10 @@ type Context struct {
 // DefaultContexts is the context table the experiments use.
 var DefaultContexts = []Context{{Prefix: ip6.DefaultPrefix, Len: 64}}
 
-// IPHC byte-0 fields.
+// IPHC byte-0 fields. Only TF=11 is sent: a traffic class or flow label
+// takes the uncompressed dispatch.
 const (
 	tfElided byte = 0x18 // TF=11
-	tfTCOnly byte = 0x10 // TF=10: traffic class inline (1 byte)
-	tfFull   byte = 0x00 // TF=00: 4 bytes inline
 	nhComp   byte = 0x04 // next header compressed (NHC follows)
 	hlimIn   byte = 0x00
 	hlim1    byte = 0x01
@@ -59,30 +62,32 @@ const (
 	damOff      = 0
 )
 
-// Address compression modes.
+// Address compression modes: the two the traffic's addresses take, both
+// with a fe80::/64 or context-0 prefix. An address under any other prefix
+// takes the uncompressed dispatch.
 const (
-	amFull   byte = 0 // 128 bits inline
 	am64     byte = 1 // 64 bits inline, prefix from context/link-local
-	am16     byte = 2 // 16 bits inline (::ff:fe00:XXXX IID)
 	amElided byte = 3 // fully derived from the link-layer address
 )
 
-// udpNHCBase is the UDP NHC dispatch 11110CPP.
+// udpNHCBase is the UDP NHC dispatch 11110CPP. Only C=0, P=00 is sent:
+// both ports and the checksum inline.
 const udpNHCBase byte = 0xF0
 
 // maxIPHCHeaderLen bounds the compressed header: dispatch(2) + CID(1) +
-// TF(4) + NH(1) + HLIM(1) + src(16) + dst(16) + UDP NHC(7) = 48. A
-// compressed UDP header always fits in the 48 bytes of IPv6+UDP header it
-// replaces; a compressed non-UDP header may exceed the 40 bytes it replaces
-// by at most 1 byte, which the pktbuf headroom absorbs.
-const maxIPHCHeaderLen = 48
+// NH(1) + HLIM(1) + src(8) + dst(8) + UDP NHC(7) = 28, within the 40 bytes
+// of IPv6 header it replaces. The uncompressed dispatch is 1 byte, which the
+// pktbuf headroom absorbs.
+const maxIPHCHeaderLen = 28
 
 // compressInto computes the IPHC (and, for UDP, NHC) header for pkt and
 // writes it into hdr, which must hold at least maxIPHCHeaderLen bytes. It
 // returns the header length, the count of leading packet bytes the header
 // replaces (40, or 48 when the UDP header is compressed too), and the
-// packet's total length per its IPv6 length field. A multicast destination
-// is an error.
+// packet's total length per its IPv6 length field. A header with a traffic
+// class, a flow label or an address outside fe80::/64 and context 0's
+// prefix gets the uncompressed dispatch, which replaces nothing. A
+// multicast destination is an error.
 func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte) (hdrLen, consumed, total int, err error) {
 	h, payload, err := ip6.Decode(pkt)
 	if err != nil {
@@ -91,66 +96,40 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 	if h.Dst.IsMulticast() {
 		return 0, 0, 0, fmt.Errorf("sixlo: multicast destination %v", h.Dst)
 	}
-	var b0, b1 byte
-	b0 = dispatchIPHC
-
-	// Address modes first: they decide whether the CID byte is present.
-	srcAM, srcCtx := addrMode(h.Src, srcMAC, ctxs)
-	b1 |= srcAM << samOff
-	if srcCtx >= 0 {
-		b1 |= sac
+	total = ip6.HeaderLen + h.PayloadLen
+	srcAM, srcCtx, srcOK := addrMode(h.Src, srcMAC, ctxs)
+	dstAM, dstCtx, dstOK := addrMode(h.Dst, dstMAC, ctxs)
+	if h.TrafficClass != 0 || h.FlowLabel != 0 || !srcOK || !dstOK {
+		hdr[0] = dispatchIPv6
+		return 1, 0, total, nil
 	}
-	dstAM, dstCtx := addrMode(h.Dst, dstMAC, ctxs)
-	if dstCtx >= 0 {
-		b1 |= dac
+	b0 := dispatchIPHC | tfElided
+	b1 := srcAM<<samOff | dstAM<<damOff
+	n := 2
+	// Context extension byte: SCI=DCI=0, but the byte is present whenever
+	// SAC or DAC is set.
+	if srcCtx || dstCtx {
+		b1 |= cidExt
+		if srcCtx {
+			b1 |= sac
+		}
+		if dstCtx {
+			b1 |= dac
+		}
+		hdr[n] = 0
+		n++
 	}
-	b1 |= dstAM << damOff
 
 	// Next header: UDP gets NHC; everything else inline.
 	compressUDP := h.NextHeader == ip6.ProtoUDP && len(payload) >= ip6.UDPHeaderLen
 	if compressUDP {
 		b0 |= nhComp
-	}
-
-	n := 2
-	// Context extension byte (we only use context 0, so SCI=DCI=0, but
-	// the byte must be present whenever SAC or DAC is set).
-	if b1&(sac|dac) != 0 {
-		b1 |= cidExt
-		sci, dci := byte(0), byte(0)
-		if srcCtx > 0 {
-			sci = byte(srcCtx)
-		}
-		if dstCtx > 0 {
-			dci = byte(dstCtx)
-		}
-		hdr[n] = sci<<4 | dci
-		n++
-	}
-
-	// Traffic class / flow label.
-	switch {
-	case h.TrafficClass == 0 && h.FlowLabel == 0:
-		b0 |= tfElided
-	case h.FlowLabel == 0:
-		b0 |= tfTCOnly
-		hdr[n] = h.TrafficClass
-		n++
-	default:
-		b0 |= tfFull
-		hdr[n] = h.TrafficClass
-		hdr[n+1] = byte(h.FlowLabel>>16) & 0x0F
-		hdr[n+2] = byte(h.FlowLabel >> 8)
-		hdr[n+3] = byte(h.FlowLabel)
-		n += 4
-	}
-
-	if !compressUDP {
+	} else {
 		hdr[n] = h.NextHeader
 		n++
 	}
 
-	// Hop limit.
+	// Hop limit. Routing loops during RPL repair bring packets down to 1.
 	switch h.HopLimit {
 	case 1:
 		b0 |= hlim1
@@ -164,50 +143,33 @@ func compressInto(pkt []byte, srcMAC, dstMAC uint64, ctxs []Context, hdr []byte)
 		n++
 	}
 
-	n += putAddr(hdr[n:], h.Src, srcAM)
-	n += putAddr(hdr[n:], h.Dst, dstAM)
+	if srcAM == am64 {
+		n += copy(hdr[n:], h.Src[8:])
+	}
+	if dstAM == am64 {
+		n += copy(hdr[n:], h.Dst[8:])
+	}
 
 	hdr[0], hdr[1] = b0, b1
 	consumed = ip6.HeaderLen
 	if compressUDP {
-		srcPort := binary.BigEndian.Uint16(payload[0:])
-		dstPort := binary.BigEndian.Uint16(payload[2:])
-		switch {
-		case srcPort&0xFFF0 == 0xF0B0 && dstPort&0xFFF0 == 0xF0B0:
-			// Both ports in the 4-bit range.
-			hdr[n] = udpNHCBase | 0x03
-			hdr[n+1] = byte(srcPort&0x0F)<<4 | byte(dstPort&0x0F)
-			n += 2
-		case dstPort&0xFF00 == 0xF000:
-			hdr[n] = udpNHCBase | 0x01
-			hdr[n+1], hdr[n+2], hdr[n+3] = byte(srcPort>>8), byte(srcPort), byte(dstPort)
-			n += 4
-		case srcPort&0xFF00 == 0xF000:
-			hdr[n] = udpNHCBase | 0x02
-			hdr[n+1], hdr[n+2], hdr[n+3] = byte(srcPort), byte(dstPort>>8), byte(dstPort)
-			n += 4
-		default:
-			hdr[n] = udpNHCBase
-			hdr[n+1], hdr[n+2] = byte(srcPort>>8), byte(srcPort)
-			hdr[n+3], hdr[n+4] = byte(dstPort>>8), byte(dstPort)
-			n += 5
-		}
-		// The checksum is always carried inline (C=0) — RFC 6282 only
-		// allows elision with upper-layer authorization.
-		hdr[n], hdr[n+1] = payload[6], payload[7]
-		n += 2
+		// Ports inline; the checksum too (C=0) — RFC 6282 only allows its
+		// elision with upper-layer authorization.
+		hdr[n] = udpNHCBase
+		copy(hdr[n+1:n+5], payload[0:4])
+		hdr[n+5], hdr[n+6] = payload[6], payload[7]
+		n += 7
 		consumed += ip6.UDPHeaderLen
 	}
-	return n, consumed, ip6.HeaderLen + h.PayloadLen, nil
+	return n, consumed, total, nil
 }
 
-// CompressBuf rewrites b in place into its 6LoWPAN IPHC form: the leading
-// IPv6 (and, when compressible, UDP) headers are replaced by the compressed
-// header, with any extra length taken from the buffer's headroom.
-// Unsupported shapes fall back to less compressed but always valid
-// encodings; a multicast destination is an error, and b is left as it was.
-// srcMAC and dstMAC are the link-layer addresses of this hop, needed to
-// elide IID-derived addresses.
+// CompressBuf rewrites b in place into its 6LoWPAN form: the leading IPv6
+// (and, when compressible, UDP) headers are replaced by the IPHC header, or
+// prefixed by the uncompressed dispatch, with any extra length taken from
+// the buffer's headroom. A multicast destination is an error, and b is left
+// as it was. srcMAC and dstMAC are the link-layer addresses of this hop,
+// needed to elide IID-derived addresses.
 func CompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 	var hdr [maxIPHCHeaderLen]byte
 	hl, consumed, total, err := compressInto(b.Bytes(), srcMAC, dstMAC, ctxs, hdr[:])
@@ -221,48 +183,24 @@ func CompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 }
 
 // linkLocalPrefix is fe80::/64, the prefix the stateless address modes
-// rebuild; the rest of fe80::/10 is carried inline.
+// rebuild; the rest of fe80::/10 takes the uncompressed dispatch.
 var linkLocalPrefix = ip6.Addr{0xfe, 0x80}
 
-// addrMode picks the tightest stateless or context-based encoding.
-func addrMode(a ip6.Addr, mac uint64, ctxs []Context) (am byte, ctx int) {
-	ctx = -1
-	var prefixOK bool
-	if ip6.SamePrefix(a, linkLocalPrefix) {
-		prefixOK = true
-	} else {
-		for i, c := range ctxs {
-			if ip6.SamePrefix(a, c.Prefix) {
-				ctx = i
-				prefixOK = true
-				break
-			}
-		}
+// addrMode picks a unicast address's encoding: elided when this hop's
+// link-layer address derives it, else its IID inline. ctx reports context
+// 0's prefix rather than fe80::/64; ok is false for any other prefix.
+func addrMode(a ip6.Addr, mac uint64, ctxs []Context) (am byte, ctx, ok bool) {
+	switch {
+	case ip6.SamePrefix(a, linkLocalPrefix):
+	case len(ctxs) > 0 && ip6.SamePrefix(a, ctxs[0].Prefix):
+		ctx = true
+	default:
+		return 0, false, false
 	}
-	if !prefixOK {
-		return amFull, -1
+	if m, isMAC := a.MAC(); isMAC && m == mac {
+		return amElided, ctx, true
 	}
-	if m, ok := a.MAC(); ok && m == mac {
-		return amElided, ctx
-	}
-	// ::ff:fe00:XXXX style IIDs compress to 16 bits.
-	if a[8] == 0 && a[9] == 0 && a[10] == 0 && a[11] == 0xff && a[12] == 0xfe && a[13] == 0 {
-		return am16, ctx
-	}
-	return am64, ctx
-}
-
-// putAddr writes the inline bytes of a unicast address for the given mode.
-func putAddr(dst []byte, a ip6.Addr, am byte) int {
-	switch am {
-	case amFull:
-		return copy(dst, a[:])
-	case am64:
-		return copy(dst, a[8:16])
-	case am16:
-		return copy(dst, a[14:16])
-	}
-	return 0 // amElided
+	return am64, ctx, true
 }
 
 // udpNHCInfo carries a parsed UDP NHC header out of decompressHeader.
@@ -274,40 +212,25 @@ type udpNHCInfo struct {
 
 // decompressHeader parses an IPHC frame's compressed header (including a
 // trailing UDP NHC when present) and returns the reconstructed IPv6 header,
-// the number of frame bytes consumed, and the UDP header fields.
+// the number of frame bytes consumed, and the UDP header fields. The
+// encodings compressInto never sends are errors.
 func decompressHeader(frame []byte, srcMAC, dstMAC uint64, ctxs []Context) (h ip6.Header, consumed int, u udpNHCInfo, err error) {
 	if len(frame) < 2 {
 		return h, 0, u, fmt.Errorf("sixlo: IPHC frame too short")
 	}
 	b0, b1 := frame[0], frame[1]
 	p := 2
-
-	sci, dci := 0, 0
+	if b0&0x18 != tfElided {
+		return h, 0, u, fmt.Errorf("sixlo: unsupported TF mode %#x", b0&0x18)
+	}
 	if b1&cidExt != 0 {
 		if p+1 > len(frame) {
 			return h, 0, u, truncErr(p)
 		}
-		sci, dci = int(frame[p]>>4), int(frame[p]&0x0F)
-		p++
-	}
-
-	switch b0 & 0x18 {
-	case tfElided:
-	case tfTCOnly:
-		if p+1 > len(frame) {
-			return h, 0, u, truncErr(p)
+		if frame[p] != 0 {
+			return h, 0, u, fmt.Errorf("sixlo: unsupported contexts %#x", frame[p])
 		}
-		h.TrafficClass = frame[p]
 		p++
-	case tfFull:
-		if p+4 > len(frame) {
-			return h, 0, u, truncErr(p)
-		}
-		h.TrafficClass = frame[p]
-		h.FlowLabel = uint32(frame[p+1]&0x0F)<<16 | uint32(frame[p+2])<<8 | uint32(frame[p+3])
-		p += 4
-	default:
-		return h, 0, u, fmt.Errorf("sixlo: unsupported TF mode")
 	}
 
 	udpNHC := b0&nhComp != 0
@@ -335,7 +258,7 @@ func decompressHeader(frame []byte, srcMAC, dstMAC uint64, ctxs []Context) (h ip
 	}
 
 	var n int
-	h.Src, n, err = readAddr(frame[p:], (b1>>samOff)&0x03, b1&sac != 0, sci, srcMAC, ctxs, p)
+	h.Src, n, err = readAddr(frame[p:], (b1>>samOff)&0x03, b1&sac != 0, srcMAC, ctxs, p)
 	if err != nil {
 		return h, 0, u, err
 	}
@@ -343,20 +266,28 @@ func decompressHeader(frame []byte, srcMAC, dstMAC uint64, ctxs []Context) (h ip
 	if b1&mcast != 0 {
 		return h, 0, u, fmt.Errorf("sixlo: multicast destination (M=1) not supported")
 	}
-	h.Dst, n, err = readAddr(frame[p:], (b1>>damOff)&0x03, b1&dac != 0, dci, dstMAC, ctxs, p)
+	h.Dst, n, err = readAddr(frame[p:], (b1>>damOff)&0x03, b1&dac != 0, dstMAC, ctxs, p)
 	if err != nil {
 		return h, 0, u, err
 	}
 	p += n
 
 	if udpNHC {
-		n, err = readUDPNHC(frame[p:], &u)
-		if err != nil {
-			return h, 0, u, err
+		if len(frame) < p+7 {
+			return h, 0, u, truncErr(p)
 		}
-		p += n
+		if frame[p] != udpNHCBase {
+			return h, 0, u, fmt.Errorf("sixlo: unsupported UDP NHC %#x", frame[p])
+		}
+		u = udpNHCInfo{
+			present: true,
+			srcPort: binary.BigEndian.Uint16(frame[p+1:]),
+			dstPort: binary.BigEndian.Uint16(frame[p+3:]),
+			ck0:     frame[p+5],
+			ck1:     frame[p+6],
+		}
+		p += 7
 		h.NextHeader = ip6.ProtoUDP
-		u.present = true
 	}
 	return h, p, u, nil
 }
@@ -403,24 +334,15 @@ func DecompressBuf(b *pktbuf.Buf, srcMAC, dstMAC uint64, ctxs []Context) error {
 
 // readAddr decodes a unicast address's inline bytes. off is the absolute
 // frame offset of b, for error messages only.
-func readAddr(b []byte, am byte, hasCtx bool, ci int, mac uint64, ctxs []Context, off int) (ip6.Addr, int, error) {
-	var prefix ip6.Addr
+func readAddr(b []byte, am byte, hasCtx bool, mac uint64, ctxs []Context, off int) (ip6.Addr, int, error) {
+	prefix := linkLocalPrefix
 	if hasCtx {
-		if ci >= len(ctxs) {
-			return ip6.Addr{}, 0, fmt.Errorf("sixlo: unknown context %d", ci)
+		if len(ctxs) == 0 {
+			return ip6.Addr{}, 0, fmt.Errorf("sixlo: unknown context 0")
 		}
-		prefix = ctxs[ci].Prefix
-	} else {
-		prefix[0], prefix[1] = 0xfe, 0x80
+		prefix = ctxs[0].Prefix
 	}
 	switch am {
-	case amFull:
-		if len(b) < 16 {
-			return ip6.Addr{}, 0, truncErr(off)
-		}
-		var a ip6.Addr
-		copy(a[:], b[:16])
-		return a, 16, nil
 	case am64:
 		if len(b) < 8 {
 			return ip6.Addr{}, 0, truncErr(off)
@@ -428,71 +350,11 @@ func readAddr(b []byte, am byte, hasCtx bool, ci int, mac uint64, ctxs []Context
 		a := prefix
 		copy(a[8:], b[:8])
 		return a, 8, nil
-	case am16:
-		if len(b) < 2 {
-			return ip6.Addr{}, 0, truncErr(off)
-		}
-		a := prefix
-		a[11], a[12] = 0xff, 0xfe
-		a[14], a[15] = b[0], b[1]
-		return a, 2, nil
-	default: // amElided
+	case amElided:
 		a := prefix
 		iid := ip6.IIDFromMAC(mac)
 		copy(a[8:], iid[:])
 		return a, 0, nil
 	}
-}
-
-// readUDPNHC parses a UDP NHC header into u (ports and inline checksum).
-func readUDPNHC(b []byte, u *udpNHCInfo) (int, error) {
-	if len(b) < 1 {
-		return 0, fmt.Errorf("sixlo: missing UDP NHC")
-	}
-	if b[0]&0xF8 != udpNHCBase {
-		return 0, fmt.Errorf("sixlo: bad UDP NHC dispatch %#x", b[0])
-	}
-	mode := b[0] & 0x03
-	p := 1
-	need := func(n int) error {
-		if p+n > len(b) {
-			return fmt.Errorf("sixlo: UDP NHC truncated")
-		}
-		return nil
-	}
-	switch mode {
-	case 0x03:
-		if err := need(1); err != nil {
-			return 0, err
-		}
-		u.srcPort = 0xF0B0 | uint16(b[p]>>4)
-		u.dstPort = 0xF0B0 | uint16(b[p]&0x0F)
-		p++
-	case 0x01:
-		if err := need(3); err != nil {
-			return 0, err
-		}
-		u.srcPort = uint16(b[p])<<8 | uint16(b[p+1])
-		u.dstPort = 0xF000 | uint16(b[p+2])
-		p += 3
-	case 0x02:
-		if err := need(3); err != nil {
-			return 0, err
-		}
-		u.srcPort = 0xF000 | uint16(b[p])
-		u.dstPort = uint16(b[p+1])<<8 | uint16(b[p+2])
-		p += 3
-	default:
-		if err := need(4); err != nil {
-			return 0, err
-		}
-		u.srcPort = uint16(b[p])<<8 | uint16(b[p+1])
-		u.dstPort = uint16(b[p+2])<<8 | uint16(b[p+3])
-		p += 4
-	}
-	if err := need(2); err != nil {
-		return 0, err
-	}
-	u.ck0, u.ck1 = b[p], b[p+1]
-	return p + 2, nil
+	return ip6.Addr{}, 0, fmt.Errorf("sixlo: unsupported address mode %d", am)
 }

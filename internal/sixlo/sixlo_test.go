@@ -110,13 +110,25 @@ func TestIPHCMulticastDst(t *testing.T) {
 	}
 }
 
+// TestIPHCForeignAddressesInline: a header outside the encodings the
+// traffic takes — an address outside fe80::/64 and the context prefix, a
+// traffic class, a flow label — goes out whole after the uncompressed
+// dispatch, and comes back byte for byte.
 func TestIPHCForeignAddressesInline(t *testing.T) {
-	// Addresses outside every context must survive as full 128 bits.
-	src := ip6.MustParseAddr("2001:db8::1")
-	dst := ip6.MustParseAddr("2001:db8::2")
-	h := ip6.Header{NextHeader: 99, HopLimit: 17, TrafficClass: 3,
-		FlowLabel: 0x12345, Src: src, Dst: dst}
-	roundTrip(t, packet(h, 0, 0, []byte("x")))
+	mesh := ip6.ULA(ip6.DefaultPrefix, macA)
+	for _, h := range []ip6.Header{
+		{NextHeader: 99, HopLimit: 17, Src: ip6.MustParseAddr("2001:db8::1"), Dst: ip6.MustParseAddr("2001:db8::2")},
+		{NextHeader: ip6.ProtoUDP, HopLimit: 64, Src: mesh, Dst: ip6.MustParseAddr("fe81::2")},
+		{NextHeader: ip6.ProtoUDP, HopLimit: 64, TrafficClass: 3, Src: mesh, Dst: mesh},
+		{NextHeader: ip6.ProtoUDP, HopLimit: 64, FlowLabel: 0x12345, Src: mesh, Dst: mesh},
+	} {
+		b := packet(h, 5683, 5683, []byte("x"))
+		pkt := bytes.Clone(b.Bytes())
+		comp := roundTrip(t, b)
+		if comp[0] != dispatchIPv6 || !bytes.Equal(comp[1:], pkt) {
+			t.Fatalf("%+v: frame %x, want %#x and the packet", h, comp, dispatchIPv6)
+		}
+	}
 }
 
 func TestIPHCHopLimitVariants(t *testing.T) {
@@ -128,24 +140,17 @@ func TestIPHCHopLimitVariants(t *testing.T) {
 	}
 }
 
+// TestUDPNHCPortModes: UDP NHC carries both ports inline, 16 bits each,
+// even those RFC 6282 could shorten to 4 or 8 bits (no program uses them).
 func TestUDPNHCPortModes(t *testing.T) {
 	src := ip6.ULA(ip6.DefaultPrefix, macA)
 	dst := ip6.ULA(ip6.DefaultPrefix, macB)
-	cases := []struct {
-		sp, dp uint16
-		nhc    int // UDP NHC bytes: dispatch + ports + checksum
-	}{
-		{0xF0B1, 0xF0B2, 1 + 1 + 2}, // both 4-bit
-		{1234, 0xF042, 1 + 3 + 2},   // dst 8-bit
-		{0xF042, 5683, 1 + 3 + 2},   // src 8-bit
-		{5683, 5683, 1 + 4 + 2},     // both 16-bit
-	}
-	for _, c := range cases {
+	for _, ports := range [][2]uint16{{0xF0B1, 0xF0B2}, {1234, 0xF042}, {0xF042, 5683}, {5683, 5683}} {
 		h := ip6.Header{NextHeader: ip6.ProtoUDP, HopLimit: 64, Src: src, Dst: dst}
-		comp := roundTrip(t, packet(h, c.sp, c.dp, []byte("data")))
+		comp := roundTrip(t, packet(h, ports[0], ports[1], []byte("data")))
 		// 2 IPHC + 1 CID; addresses and hop limit elided.
-		if got := len(comp) - 3 - len("data"); got != c.nhc {
-			t.Fatalf("ports %d/%d: UDP NHC of %d bytes, want %d", c.sp, c.dp, got, c.nhc)
+		if nhc := comp[3 : len(comp)-len("data")]; len(nhc) != 1+4+2 || nhc[0] != udpNHCBase {
+			t.Fatalf("ports %d/%d: UDP NHC %x, want %#x, 4 bytes of ports, 2 of checksum", ports[0], ports[1], nhc, udpNHCBase)
 		}
 	}
 }
@@ -162,12 +167,38 @@ func TestUncompressedDispatch(t *testing.T) {
 	}
 }
 
+// TestDecompressErrors: malformed frames, and the encodings CompressBuf
+// never sends, are refused.
 func TestDecompressErrors(t *testing.T) {
+	// ll is a link-local ICMPv6 frame (TF elided, NH inline, HLIM 255,
+	// SAM=DAM=11) with bytes 0 and 1 as given, then rest, then enough
+	// bytes that no mode is refused as truncated.
+	ll := func(b0, b1 byte, rest ...byte) []byte {
+		return append([]byte{b0, b1}, append(rest, make([]byte, 24)...)...)
+	}
+	const b0, b1 = 0x7B, 0x33
+	valid := pktbuf.FromBytes(ll(b0, b1, 58))
+	if err := DecompressBuf(valid, macA, macB, DefaultContexts); err != nil {
+		t.Fatalf("the frame the cases vary is refused: %v", err)
+	}
+	valid.Put()
 	cases := [][]byte{
 		nil,
-		{0x99},             // unknown dispatch
-		{dispatchIPHC},     // truncated IPHC
-		{0x7F, 0xFF, 0x00}, // CID byte + impossible trailing state
+		{0x99},                      // unknown dispatch
+		{dispatchIPHC},              // truncated IPHC
+		{0x7F, 0xFF, 0x00},          // CID byte + impossible trailing state
+		ll(b0&^0x18, b1, 58),        // TF=00: traffic class and flow label inline
+		ll(b0&^0x18|0x08, b1, 58),   // TF=01: ECN and flow label inline
+		ll(b0&^0x18|0x10, b1, 58),   // TF=10: traffic class inline
+		ll(b0, 0x03, 58),            // SAM=00: source inline
+		ll(b0, 0x23, 58),            // SAM=10: 16-bit source
+		ll(b0, 0x30, 58),            // DAM=00: destination inline
+		ll(b0, 0x32, 58),            // DAM=10: 16-bit destination
+		ll(b0, cidExt|b1, 0x10, 58), // a context other than 0
+		ll(b0|nhComp, b1, 0xF1),     // UDP NHC: 8-bit destination port
+		ll(b0|nhComp, b1, 0xF2),     // UDP NHC: 8-bit source port
+		ll(b0|nhComp, b1, 0xF3),     // UDP NHC: 4-bit ports
+		ll(b0|nhComp, b1, 0xF4),     // UDP NHC: checksum elided
 	}
 	for i, c := range cases {
 		b := pktbuf.FromBytes(c)

@@ -252,7 +252,7 @@ func (q *peerQual) fold(st ble.ConnStats) {
 		q.sampled = true
 		return
 	}
-	q.ewmaPDR = qualAlpha*pdr + (1-qualAlpha)*q.ewmaPDR
+	q.ewmaPDR = float64(qualAlpha*pdr) + float64((1-qualAlpha)*q.ewmaPDR)
 }
 
 // pdr returns the current estimate with the given live deltas mixed in
@@ -267,7 +267,7 @@ func (q *peerQual) pdr(liveTX, liveRe uint64) (float64, bool) {
 		}
 		pdr := float64(dTX) / float64(dTX+dRe)
 		if have {
-			est = qualAlpha*pdr + (1-qualAlpha)*est
+			est = float64(qualAlpha*pdr) + float64((1-qualAlpha)*est)
 		} else {
 			est, have = pdr, true
 		}
@@ -447,7 +447,7 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-func secondsToDuration(s float64) sim.Duration { return sim.Duration(s*1e9 + 0.5) }
+func secondsToDuration(s float64) sim.Duration { return sim.Duration(float64(s*1e9) + 0.5) }
 
 // RecoveryDist returns the completed loss→re-up latency distribution of
 // this node's coordinator-side links (seconds). The caller may Merge it

@@ -27,7 +27,7 @@ type Point struct {
 // bit-identical in/out decisions.
 func distSq(a, b Point) float64 {
 	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	return dx*dx + dy*dy + dz*dz
+	return float64(dx*dx) + float64(dy*dy) + float64(dz*dz)
 }
 
 // InRange reports whether two positions are within radio range r of each
@@ -128,12 +128,12 @@ func CityBlocks(cfg CityConfig) Topology {
 	perim := 4 * cfg.BlockM
 	for by := 0; by < cfg.BlocksY; by++ {
 		for bx := 0; bx < cfg.BlocksX; bx++ {
-			ox, oy := float64(bx)*cfg.BlockM, float64(by)*cfg.BlockM
+			ox, oy := float64(float64(bx)*cfg.BlockM), float64(float64(by)*cfg.BlockM)
 			for k := 0; k < cfg.PerBlock; k++ {
 				// Walk a uniformly random arc length around the block
 				// perimeter, then jitter perpendicular to the street.
-				d := rng.Float64() * perim
-				j := (rng.Float64()*2 - 1) * cfg.Jitter
+				d := float64(rng.Float64() * perim)
+				j := float64((float64(rng.Float64())*2 - 1) * cfg.Jitter)
 				var p Point
 				switch {
 				case d < cfg.BlockM: // south edge
@@ -143,7 +143,7 @@ func CityBlocks(cfg CityConfig) Topology {
 				case d < 3*cfg.BlockM: // north edge
 					p = Point{X: ox + (d - 2*cfg.BlockM), Y: oy + cfg.BlockM + j}
 				default: // west edge
-					p = Point{X: ox + j, Y: oy + (d - 3*cfg.BlockM)}
+					p = Point{X: ox + j, Y: oy + (d - float64(3*cfg.BlockM))}
 				}
 				pos[id] = p
 				id++
@@ -207,11 +207,11 @@ func BuildingFloors(cfg FloorsConfig) Topology {
 	pos := make(map[int]Point)
 	id := 1
 	for b := 0; b < cfg.Buildings; b++ {
-		ox := float64(b) * (cfg.FootprintM + cfg.GapM)
+		ox := float64(float64(b) * (cfg.FootprintM + cfg.GapM))
 		for f := 0; f < cfg.Floors; f++ {
 			for k := 0; k < cfg.PerFloor; k++ {
 				pos[id] = Point{
-					X: ox + rng.Float64()*cfg.FootprintM,
+					X: ox + float64(rng.Float64()*cfg.FootprintM),
 					Y: rng.Float64() * cfg.FootprintM,
 					Z: float64(f) * cfg.FloorH,
 				}

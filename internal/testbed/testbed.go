@@ -454,7 +454,7 @@ func ClockPPM(seed int64, ids []int, maxPPM float64) map[int]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make(map[int]float64, len(ids))
 	for _, id := range ids {
-		out[id] = (rng.Float64()*2 - 1) * maxPPM
+		out[id] = (float64(rng.Float64())*2 - 1) * maxPPM
 	}
 	return out
 }

@@ -375,7 +375,7 @@ func (l *Log) SetSampleRate(rate float64) {
 	}
 	l.sampleOn = true
 	l.sampleRate = rate
-	l.sampleThresh = uint64(rate * (1 << 53))
+	l.sampleThresh = uint64(float64(rate * (1 << 53)))
 }
 
 // Sampling reports whether packet sampling is armed.

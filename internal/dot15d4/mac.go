@@ -322,10 +322,3 @@ func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
 		m.onRx(f.Src, f.Payload, f.PID)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

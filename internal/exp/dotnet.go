@@ -1,11 +1,7 @@
 package exp
 
 import (
-	"fmt"
-
-	"blemesh/internal/coap"
 	"blemesh/internal/dot15d4"
-	"blemesh/internal/ip6"
 	"blemesh/internal/metrics"
 	"blemesh/internal/phy"
 	"blemesh/internal/sim"
@@ -22,9 +18,8 @@ type DotNetwork struct {
 	Topo   testbed.Topology
 	Nodes  map[int]*dot15d4.Node
 
-	RTTs    *metrics.CDF
-	Series  *metrics.TimeSeries
-	PerProd *metrics.Heatmap
+	RTTs   *metrics.CDF
+	Series *metrics.TimeSeries
 }
 
 // BuildDotNetwork assembles the 802.15.4 network.
@@ -32,13 +27,12 @@ func BuildDotNetwork(seed int64, topo testbed.Topology) *DotNetwork {
 	s := sim.New(seed)
 	medium := phy.NewMedium(s)
 	nw := &DotNetwork{
-		Sim:     s,
-		Medium:  medium,
-		Topo:    topo,
-		Nodes:   make(map[int]*dot15d4.Node),
-		RTTs:    &metrics.CDF{},
-		Series:  metrics.NewTimeSeries(60 * sim.Second),
-		PerProd: metrics.NewHeatmap(60 * sim.Second),
+		Sim:    s,
+		Medium: medium,
+		Topo:   topo,
+		Nodes:  make(map[int]*dot15d4.Node),
+		RTTs:   &metrics.CDF{},
+		Series: metrics.NewTimeSeries(60 * sim.Second),
 	}
 	names := make(map[int]string)
 	for _, d := range testbed.M3Nodes() {
@@ -60,49 +54,17 @@ func BuildDotNetwork(seed int64, topo testbed.Topology) *DotNetwork {
 	return nw
 }
 
-// StartTraffic mirrors Network.StartTraffic for the 802.15.4 nodes.
+// StartTraffic mirrors Network.StartTraffic for the 802.15.4 nodes: the
+// same producers, without the per-producer heatmap.
 func (nw *DotNetwork) StartTraffic(t TrafficConfig) {
 	t.defaults()
 	consumer := nw.Nodes[nw.Topo.Consumer]
-	consumer.Coap.Handler = func(_ ip6.Addr, req *coap.Message) *coap.Message {
-		return &coap.Message{Type: coap.ACK, Code: coap.CodeValid}
-	}
+	consumer.Coap.Handler = sink
 	for _, id := range nw.Topo.Producers() {
-		nw.startProducer(id, t)
+		p := &producer{s: nw.Sim, ep: nw.Nodes[id].Coap, dst: consumer.Addr(), t: t,
+			series: nw.Series, rtts: nw.RTTs}
+		p.start()
 	}
-}
-
-func (nw *DotNetwork) startProducer(id int, t TrafficConfig) {
-	node := nw.Nodes[id]
-	name := node.Name
-	if name == "" {
-		name = fmt.Sprintf("m3-%d", id)
-	}
-	row := nw.PerProd.Row(name)
-	dst := nw.Nodes[nw.Topo.Consumer].Addr()
-	var loop func()
-	loop = func() {
-		sent := nw.Sim.Now()
-		req := &coap.Message{Type: coap.NON, Code: coap.CodeGET,
-			Payload: make([]byte, t.PayloadBytes)}
-		req.SetPath("s")
-		nw.Series.RecordSent(sent)
-		row.RecordSent(sent)
-		_ = node.Coap.Request(dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
-			if m == nil {
-				return
-			}
-			nw.Series.RecordDelivered(sent)
-			row.RecordDelivered(sent)
-			nw.RTTs.AddDuration(rtt)
-		})
-		delay := t.Interval
-		if t.Jitter > 0 {
-			delay += sim.Duration(nw.Sim.Rand().Int63n(int64(2*t.Jitter))) - t.Jitter
-		}
-		nw.Sim.Post(delay, loop)
-	}
-	nw.Sim.Post(sim.Duration(nw.Sim.Rand().Int63n(int64(t.Interval))), loop)
 }
 
 // Run advances the simulation by d.

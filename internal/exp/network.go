@@ -979,9 +979,7 @@ func (nw *Network) StartTraffic(t TrafficConfig) {
 	// Every site's sink answers; single-site topologies have exactly the
 	// historical consumer.
 	for _, cid := range nw.consumers {
-		nw.Nodes[cid].Coap.Handler = func(_ ip6.Addr, req *coap.Message) *coap.Message {
-			return &coap.Message{Type: coap.ACK, Code: coap.CodeValid}
-		}
+		nw.Nodes[cid].Coap.Handler = sink
 	}
 	for _, id := range nw.Cfg.Topology.Producers() {
 		nw.startProducer(id, t)
@@ -1006,23 +1004,30 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	// run safely inside parallel site windows.
 	site := nw.siteOf[id]
 	p := &producer{
-		node:   node,
+		s:      node.Sim,
+		ep:     node.Coap,
 		dst:    nw.Nodes[nw.consumers[site]].Addr(),
 		t:      t,
 		series: nw.Series,
 		row:    row,
 		rtts:   nw.rtts[site],
 	}
-	// Desynchronise producers at start.
-	s := node.Sim
-	s.Schedule(s.Now()+sim.Duration(s.Rand().Int63n(int64(t.Interval))), p)
+	p.start()
+}
+
+// sink is every consumer's CoAP handler, on both radios: it answers each
+// request with an empty 2.03 Valid.
+func sink(ip6.Addr, *coap.Message) *coap.Message {
+	return &coap.Message{Type: coap.ACK, Code: coap.CodeValid}
 }
 
 // producer is one node's CoAP send loop and its own sim.Handler, so a
 // producer is this one object rather than a self-rescheduling closure, the
-// variable holding it and the traffic configuration it captured.
+// variable holding it and the traffic configuration it captured. The BLE
+// and the 802.15.4 networks both run it.
 type producer struct {
-	node   *core.Node
+	s      *sim.Sim
+	ep     *coap.Endpoint
 	dst    ip6.Addr
 	t      TrafficConfig
 	series *metrics.TimeSeries
@@ -1030,9 +1035,15 @@ type producer struct {
 	rtts   *metrics.CDF
 }
 
+// start schedules the first request at a random offset within one
+// interval, which desynchronises the producers.
+func (p *producer) start() {
+	p.s.Schedule(p.s.Now()+sim.Duration(p.s.Rand().Int63n(int64(p.t.Interval))), p)
+}
+
 // Fire sends one request and schedules the next.
 func (p *producer) Fire() {
-	s := p.node.Sim
+	s := p.s
 	sent := s.Now()
 	req := &coap.Message{Type: coap.NON, Code: coap.CodeGET,
 		Payload: make([]byte, p.t.PayloadBytes)}
@@ -1041,7 +1052,7 @@ func (p *producer) Fire() {
 	if p.row != nil {
 		p.row.RecordSent(sent)
 	}
-	err := p.node.Coap.Request(p.dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
+	err := p.ep.Request(p.dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
 		if m == nil {
 			return
 		}

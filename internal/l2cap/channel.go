@@ -648,13 +648,6 @@ func (ep *Endpoint) onSignal(s signal) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // QueueLen returns the number of K-frames waiting for transmission.
 func (ch *Channel) QueueLen() int { return ch.txq.Len() }
 

@@ -12,7 +12,7 @@ type Engine uint8
 
 const (
 	// EngineWheel is a hierarchical timer wheel with bitmap-indexed slots
-	// and an overflow heap — O(1) scheduling and cancellation, no
+	// that cover every Time — O(1) scheduling and cancellation, no
 	// per-operation interface dispatch, and storage that grows with the
 	// timer horizons in use, not with the geometry. The default.
 	EngineWheel Engine = iota
@@ -35,14 +35,12 @@ func (e Engine) String() string {
 // queue is the engine-internal event-queue contract. Events are totally
 // ordered by (when, seq); push accepts events with when >= the time of the
 // last pop, and pop returns the minimum-ordered event whose timestamp is at
-// most limit, or nil.
-// cancel reports whether the event was removed from the queue's storage
-// eagerly (true) or will be dropped lazily on a later visit (false); only
-// eagerly removed events may be recycled by the caller.
+// most limit, or nil. cancel removes a queued event at once, so the caller
+// may recycle it.
 type queue interface {
 	push(e *Event)
 	pop(limit Time) *Event
-	cancel(e *Event) bool
+	cancel(e *Event)
 	len() int
 	// peek returns the timestamp of the minimum-ordered event without
 	// removing it or changing what any later call returns, and false when

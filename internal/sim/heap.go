@@ -48,7 +48,7 @@ func (h *heapQueue) pop(limit Time) *Event {
 	return heap.Pop(&h.q).(*Event)
 }
 
-func (h *heapQueue) cancel(e *Event) bool { heap.Remove(&h.q, e.idx); return true }
+func (h *heapQueue) cancel(e *Event) { heap.Remove(&h.q, e.idx) }
 
 func (h *heapQueue) peek() (Time, bool) {
 	if len(h.q) == 0 {

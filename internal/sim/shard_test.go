@@ -284,9 +284,9 @@ func TestDomainSeedStreams(t *testing.T) {
 // one Sim of each engine, and after every step both must name the same next
 // timestamp (and agree on the clock and the population, so a peek that
 // disturbed the wheel would show up as a later divergence). The scripts
-// include same-tick and same-instant events, timers beyond the wheel's
-// 19.5 h span that are then cancelled (they stay in the overflow heap, dead),
-// and events due before a cursor that a cascade has moved past the clock.
+// include same-tick and same-instant events, timers beyond the fifth level's
+// 19.5 h span that are then cancelled, and events due before a cursor that a
+// cascade has moved past the clock.
 func TestNextAt(t *testing.T) {
 	for _, engine := range []Engine{EngineHeap, EngineWheel} {
 		s := NewWithEngine(1, engine)
@@ -302,8 +302,8 @@ func TestNextAt(t *testing.T) {
 		if _, ok := s.NextAt(); ok {
 			t.Fatalf("%v: drained queue reported a next event", engine)
 		}
-		// Beyond the wheel's span a cancelled timer stays where it is until
-		// a pop reaches it; it must not be reported.
+		// A cancelled timer beyond the fifth level's span must not be
+		// reported.
 		s = NewWithEngine(1, engine)
 		dead := s.At(25*Hour, func() {})
 		s.PostAt(30*Hour, func() {})
@@ -343,7 +343,7 @@ func TestNextAt(t *testing.T) {
 				case k < 85:
 					d = Duration(rng.Intn(int(3 * Hour)))
 				case k < 95:
-					d = 20*Hour + Duration(rng.Intn(int(30*Hour))) // overflow
+					d = 20*Hour + Duration(rng.Intn(int(30*Hour))) // level 5
 				}
 				for i, s := range sims {
 					timers[i] = append(timers[i], s.After(d, func() {}))

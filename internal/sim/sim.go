@@ -79,7 +79,7 @@ type Event struct {
 	seq  uint64 // tie-breaker: FIFO among events with equal timestamps
 	h    Handler
 	// idx is the heap index under EngineHeap. Under EngineWheel it encodes
-	// the slot (level<<6|slot, or wheelOverflow): >= 0 while queued, -1
+	// the slot as level<<6|slot. Either way it is >= 0 while queued and -1
 	// once fired or cancelled.
 	idx int
 	// next links recycled events on the Sim free list; while the event sits
@@ -230,24 +230,20 @@ func (s *Sim) Post(delay Duration, fn func()) {
 // PostAt is Post with an absolute timestamp.
 func (s *Sim) PostAt(when Time, fn func()) { s.schedule(when, handler(fn)) }
 
-// Cancel removes a pending timer from the queue. Cancelling a timer that
-// already fired, was cancelled, or is the zero Timer is a no-op.
+// Cancel removes a pending timer from the queue and recycles its event.
+// Cancelling a timer that already fired, was cancelled, or is the zero
+// Timer is a no-op.
 func (s *Sim) Cancel(t Timer) {
 	e := t.e
 	if e == nil || e.gen != t.gen || e.idx < 0 {
 		return
 	}
-	eager := s.q.cancel(e)
+	s.q.cancel(e)
 	e.idx = -1
 	e.h = nil
 	e.gen++
-	if eager {
-		// The queue no longer references the event; recycle it. (Lazily
-		// dropped events — the wheel's overflow heap — stay referenced by
-		// the queue and are left to the garbage collector.)
-		e.next = s.free
-		s.free = e
-	}
+	e.next = s.free
+	s.free = e
 }
 
 // NextAt returns the timestamp of the earliest pending event without

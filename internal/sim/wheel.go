@@ -6,22 +6,23 @@ import (
 )
 
 // Hierarchical timer wheel geometry. Time is quantised into 65 536 ns ticks;
-// five levels of 64 slots each cover 64^5 ticks ≈ 19.5 simulated hours ahead
-// of the cursor. Events beyond that horizon wait in a small overflow heap
-// and are folded into the wheel as the cursor approaches.
+// eight levels of 64 slots each span 64^8 = 2^48 ticks, and every
+// non-negative Time is a tick below 2^47, so every event has a slot: the
+// wheel is the whole queue, and no timer waits anywhere else.
 //
 // A tick is coarse next to a BLE packet (80 µs empty, IFS 150 µs), so a
 // level-0 slot often holds several events; the per-slot (when, seq) min-scan
 // keeps the order exact, and the coarser tick saves a level on every long
-// timer: a level covers 4.2 ms, 268 ms, 17.2 s, 18.3 min and 19.5 h, so a
-// 75 ms connection wake-up is placed twice (level 1, then level 0) and the
-// BLE stack's timer horizons (1 µs, 150 µs, 75 ms, 4 s) touch three levels.
+// timer: the first five levels cover 4.2 ms, 268 ms, 17.2 s, 18.3 min and
+// 19.5 h, so a 75 ms connection wake-up is placed twice (level 1, then
+// level 0) and the BLE stack's timer horizons (1 µs, 150 µs, 75 ms, 4 s)
+// touch three levels.
 const (
 	wheelShift  = 16 // tick granularity: 65 536 ns
 	wheelBits   = 6  // slots per level
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 5
+	wheelLevels = 8
 )
 
 // wheelLevel is one ring of 64 slots. A slot is the head of an intrusive
@@ -34,18 +35,18 @@ type wheelLevel [wheelSlots]*Event
 
 // wheelQueue is the production event-queue engine: O(1) scheduling into a
 // bitmap-indexed slot, pops that scan at most one 64-bit word per level.
-// Levels are allocated on first placement, so an idle queue is 128 bytes
-// and a queue costs what the timer horizons it has actually seen cost —
-// cheap enough to give every RF-isolated site of a city its own wheel.
+// Levels are allocated on first placement, so an idle queue is one 152-byte
+// struct and a queue costs what the timer horizons it has actually seen
+// cost — cheap enough to give every RF-isolated site of a city its own
+// wheel.
 //
 // Invariants:
-//   - cur never exceeds the tick of any live (non-cancelled) event, so a
-//     slot never has to distinguish events one wheel revolution apart;
+//   - cur never exceeds the tick of any queued event, so a slot never has
+//     to distinguish events one wheel revolution apart;
 //   - an event lives at the lowest level whose current 64-slot window
 //     covers its tick, so cascades strictly descend;
-//   - slot-resident events are unlinked eagerly on cancel; only overflow
-//     entries are dropped lazily (the Sim marks idx = -1), and len() tracks
-//     live events only.
+//   - a cancelled event is unlinked from its slot at once, so the queue
+//     never holds a dead event and len() counts what it holds.
 //
 // Events scheduled in a tick the cursor has already passed (possible when a
 // cascade advances the cursor beyond the simulation clock) are filed in the
@@ -56,22 +57,16 @@ type wheelQueue struct {
 	live int
 	// levelOcc summarises per-level occupancy: bit l is set while level l
 	// has at least one occupied slot (and is therefore allocated). Sparse
-	// queues (a handful of pending timers spread over five levels — the
+	// queues (a handful of pending timers spread over several levels — the
 	// cancel-heavy ACK pattern) pop without probing empty levels at all.
 	levelOcc uint8
 	occupied [wheelLevels]uint64 // bit i of word l set while level l slot i holds events
 	level    [wheelLevels]*wheelLevel
-	over     *overflowHeap // allocated by the first event beyond the horizon
 }
 
 func newWheelQueue() *wheelQueue { return &wheelQueue{} }
 
 func tickOf(t Time) int64 { return int64(t) >> wheelShift }
-
-// wheelOverflow is the idx marker for events parked in the overflow heap.
-// Wheel-resident events carry their location as idx = level<<6 | slot, so
-// cancellation unlinks them without a search.
-const wheelOverflow = wheelLevels << wheelBits
 
 func (w *wheelQueue) push(e *Event) {
 	w.live++
@@ -81,38 +76,34 @@ func (w *wheelQueue) push(e *Event) {
 // place files e at the lowest level whose current window covers the event's
 // tick: the smallest L with (tick>>6L) − (cur>>6L) < 64. Comparing slot
 // numbers rather than the raw tick delta guarantees an event never shares a
-// slot with events a full revolution away.
+// slot with events a full revolution away. The search ends by the top
+// level, where both shifted ticks are below 32. The event's idx records
+// level<<6 | slot, so cancellation unlinks it without a search.
 func (w *wheelQueue) place(e *Event) {
 	tk := tickOf(e.when)
 	if tk < w.cur {
 		tk = w.cur
 	}
-	for l := 0; l < wheelLevels; l++ {
-		shift := uint(wheelBits * l)
-		if (tk>>shift)-(w.cur>>shift) < wheelSlots {
-			lv := w.level[l]
-			if lv == nil {
-				lv = new(wheelLevel)
-				w.level[l] = lv
-			}
-			i := int(tk>>shift) & wheelMask
-			e.idx = l<<wheelBits | i
-			head := lv[i]
-			e.next = head
-			if head != nil {
-				head.prev = e
-			}
-			lv[i] = e
-			w.occupied[l] |= 1 << uint(i)
-			w.levelOcc |= 1 << uint(l)
-			return
-		}
+	l, shift := 0, uint(0)
+	for (tk>>shift)-(w.cur>>shift) >= wheelSlots {
+		l++
+		shift += wheelBits
 	}
-	e.idx = wheelOverflow
-	if w.over == nil {
-		w.over = new(overflowHeap)
+	lv := w.level[l]
+	if lv == nil {
+		lv = new(wheelLevel)
+		w.level[l] = lv
 	}
-	w.over.push(e)
+	i := int(tk>>shift) & wheelMask
+	e.idx = l<<wheelBits | i
+	head := lv[i]
+	e.next = head
+	if head != nil {
+		head.prev = e
+	}
+	lv[i] = e
+	w.occupied[l] |= 1 << uint(i)
+	w.levelOcc |= 1 << uint(l)
 }
 
 // vacate clears the occupancy bits of a slot that just became empty.
@@ -131,12 +122,6 @@ func (w *wheelQueue) taken(e *Event) *Event {
 	e.idx = -1
 	w.live--
 	return e
-}
-
-// fits reports whether a tick lands within the top level's current window.
-func (w *wheelQueue) fits(tk int64) bool {
-	shift := uint(wheelBits * (wheelLevels - 1))
-	return (tk>>shift)-(w.cur>>shift) < wheelSlots
 }
 
 // pop removes and returns the (when, seq)-minimum event with when <= limit,
@@ -168,7 +153,7 @@ func (w *wheelQueue) pop(limit Time) *Event {
 		// can share a window base, and one cascade handles only one of them,
 		// so "the cursor reached this tick" does not by itself prove the
 		// higher levels are clear — the bit tests below do.
-		fast := t0 == w.cur && w.over.n() == 0
+		fast := t0 == w.cur
 		if fast {
 			for occ := w.levelOcc &^ 1; occ != 0; occ &= occ - 1 {
 				l := bits.TrailingZeros8(occ)
@@ -211,43 +196,17 @@ func (w *wheelQueue) pop(limit Time) *Event {
 					nextBase = base
 				}
 			}
-			for w.over.n() > 0 && w.over.min().idx < 0 {
-				w.over.popMin() // drop cancelled overflow entries
-			}
-			ovTick := int64(math.MaxInt64)
-			if w.over.n() > 0 {
-				ovTick = tickOf(w.over.min().when)
-			}
-			if ovTick != math.MaxInt64 && ovTick <= t0 && ovTick <= bestBase {
-				if t0 == math.MaxInt64 && bestBase == math.MaxInt64 && ovTick > w.cur {
-					w.cur = ovTick // wheel empty: jump to the overflow front
-				}
-				for w.over.n() > 0 {
-					e := w.over.min()
-					if e.idx < 0 {
-						w.over.popMin()
-						continue
-					}
-					if !w.fits(tickOf(e.when)) {
-						break
-					}
-					w.over.popMin()
-					w.place(e)
-				}
-				continue
-			}
 			if bestL >= 0 && bestBase <= t0 {
 				lv := w.level[bestL]
 				head := lv[bestJ]
 				// Singleton direct pop: a slot holding one event whose tick
-				// is strictly below the level-0 candidate, every other
-				// slot's window base, and the overflow front is the global
-				// (when, seq) minimum — no tie is possible across a strict
+				// is strictly below the level-0 candidate and every other
+				// slot's window base is the global (when, seq) minimum — no tie is possible across a strict
 				// tick gap, so the cascade can be skipped. This is the
 				// schedule-then-cancel steady state: a lone pending tick
 				// timer parked one level up.
 				if head.next == nil {
-					if tk := tickOf(head.when); tk < t0 && tk < nextBase && tk < ovTick {
+					if tk := tickOf(head.when); tk < t0 && tk < nextBase {
 						if head.when > limit {
 							return nil
 						}
@@ -303,18 +262,13 @@ func (w *wheelQueue) pop(limit Time) *Event {
 	}
 }
 
-// cancel unlinks a slot-resident event from the list its idx names. The
-// head of a list is the event the slot points at; its prev is never read,
-// so place does not clear it, and an unlinked event keeps its stale links
-// (place and the Sim free list overwrite them). Every pointer store spared
-// is a write barrier spared while the collector runs.
-func (w *wheelQueue) cancel(e *Event) bool {
+// cancel unlinks an event from the list its idx names. The head of a list
+// is the event the slot points at; its prev is never read, so place does
+// not clear it, and an unlinked event keeps its stale links (place and the
+// Sim free list overwrite them). Every pointer store spared is a write
+// barrier spared while the collector runs.
+func (w *wheelQueue) cancel(e *Event) {
 	w.live--
-	if e.idx >= wheelOverflow {
-		// Overflow entries are dropped lazily at the next peek, once the
-		// Sim has marked them dead.
-		return false
-	}
 	l, i := e.idx>>wheelBits, e.idx&wheelMask
 	next := e.next
 	if lv := w.level[l]; lv[i] == e {
@@ -322,7 +276,7 @@ func (w *wheelQueue) cancel(e *Event) bool {
 		if next == nil {
 			w.vacate(l, i)
 		}
-		return true
+		return
 	}
 	// A stale idx would splice a foreign list here; a nil prev (never
 	// linked) or a neighbour that does not point back fails loudly instead.
@@ -333,13 +287,12 @@ func (w *wheelQueue) cancel(e *Event) bool {
 	if next != nil {
 		next.prev = e.prev
 	}
-	return true
 }
 
 func (w *wheelQueue) len() int { return w.live }
 
 // peek returns the earliest timestamp among live events without moving the
-// cursor, cascading a slot or dropping a cancelled overflow entry. Within a
+// cursor or cascading a slot. Within a
 // level the first occupied slot from the cursor holds the level's minimum,
 // but levels overlap: an event filed at level 2 an hour ago can be due
 // before anything at level 0, so every occupied level is consulted — except
@@ -368,71 +321,5 @@ func (w *wheelQueue) peek() (Time, bool) {
 			}
 		}
 	}
-	if w.over != nil {
-		for _, e := range w.over.es {
-			if e.idx >= 0 && e.when < best {
-				best = e.when
-			}
-		}
-	}
 	return best, true
-}
-
-// overflowHeap is a plain binary min-heap ordered by (when, seq) for events
-// beyond the wheel horizon. It deliberately never writes Event.idx — under
-// the wheel engine idx is the queued/dead flag, owned by the Sim.
-type overflowHeap struct {
-	es []*Event
-}
-
-func (h *overflowHeap) n() int {
-	if h == nil {
-		return 0
-	}
-	return len(h.es)
-}
-
-func (h *overflowHeap) min() *Event { return h.es[0] }
-
-func (h *overflowHeap) less(i, j int) bool {
-	if h.es[i].when != h.es[j].when {
-		return h.es[i].when < h.es[j].when
-	}
-	return h.es[i].seq < h.es[j].seq
-}
-
-func (h *overflowHeap) push(e *Event) {
-	h.es = append(h.es, e)
-	for i := len(h.es) - 1; i > 0; {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			break
-		}
-		h.es[i], h.es[p] = h.es[p], h.es[i]
-		i = p
-	}
-}
-
-func (h *overflowHeap) popMin() *Event {
-	e := h.es[0]
-	last := len(h.es) - 1
-	h.es[0] = h.es[last]
-	h.es[last] = nil
-	h.es = h.es[:last]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h.es) && h.less(l, small) {
-			small = l
-		}
-		if r < len(h.es) && h.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h.es[i], h.es[small] = h.es[small], h.es[i]
-		i = small
-	}
-	return e
 }

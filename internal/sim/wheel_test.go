@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,8 +10,8 @@ import (
 
 // engineTrace runs a randomized self-scheduling workload on the given
 // engine and records the (when, seq) of every fired event. The workload
-// exercises equal timestamps, cancellations, far-future (overflow) delays,
-// and scheduling from inside callbacks.
+// exercises equal timestamps, cancellations, far-future delays past the
+// fifth level's 19.5 h span, and scheduling from inside callbacks.
 func engineTrace(t *testing.T, engine Engine, seed int64, nRoot int) []([2]int64) {
 	t.Helper()
 	s := NewWithEngine(seed, engine)
@@ -30,7 +31,7 @@ func engineTrace(t *testing.T, engine Engine, seed int64, nRoot int) []([2]int64
 		case r < 90:
 			d = Duration(rng.Intn(int(2 * Minute)))
 		case r < 97:
-			d = Duration(rng.Intn(int(30 * Hour))) // beyond the wheel span
+			d = Duration(rng.Intn(int(30 * Hour))) // up to level 5
 		default:
 			d = 0 // exactly now
 		}
@@ -194,8 +195,8 @@ func TestWheelSameTickOrdering(t *testing.T) {
 	}
 }
 
-// TestWheelCancelLazy cancels events at every level (including overflow)
-// and checks none fire and Pending tracks live events only.
+// TestWheelCancelLazy cancels events from level 0 to level 5 (the 25 h
+// delay) and checks none fire and Pending tracks live events only.
 func TestWheelCancelLazy(t *testing.T) {
 	s := New(5)
 	var fired int
@@ -268,16 +269,18 @@ func TestPostRecyclesEvents(t *testing.T) {
 // TestWheelFootprint pins what lets every RF-isolated site of a city own a
 // wheel: an idle queue is one small struct with no levels, a queue pays only
 // for the timer horizons it has seen (the BLE stack's are 1 µs, 150 µs,
-// 75 ms and 4 s — three of the five levels), and steady-state scheduling
-// touches the allocator not at all.
+// 75 ms and 4 s — three of the eight levels), and steady-state scheduling
+// touches the allocator not at all. Eight occupancy words and eight level
+// pointers are 128 bytes before the cursor, so the bound is the next
+// allocator size class, 160.
 func TestWheelFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(wheelQueue{}); sz > 128 {
-		t.Fatalf("empty wheelQueue is %d bytes, want <= 128", sz)
+	if sz := unsafe.Sizeof(wheelQueue{}); sz > 160 {
+		t.Fatalf("empty wheelQueue is %d bytes, want <= 160", sz)
 	}
 	s := New(1)
 	w := s.q.(*wheelQueue)
-	if w.level != [wheelLevels]*wheelLevel{} || w.over != nil {
-		t.Fatal("a new wheel queue allocated levels or overflow storage")
+	if w.level != [wheelLevels]*wheelLevel{} {
+		t.Fatal("a new wheel queue allocated levels")
 	}
 	for _, p := range []Duration{Microsecond, 150 * Microsecond, 75 * Millisecond, 4 * Second} {
 		p := p
@@ -413,28 +416,80 @@ func TestWheelStaleTimerAfterRecycle(t *testing.T) {
 	}
 }
 
-// TestWheelOverflowCancel: a timer beyond the wheel horizon is cancelled
-// lazily. The overflow heap still references the dead event, so it must not
-// be recycled until the heap drops it, and the survivors keep their order.
+// TestWheelOverflowCancel: a timer beyond the fifth level's 19.5 h span
+// sits at level 5 like any other; cancelling it unlinks it at once, its
+// event is recycled for the next timer, and the survivors keep their order.
 func TestWheelOverflowCancel(t *testing.T) {
 	s := New(1)
 	var fired []int
 	dead := s.After(25*Hour, func() { fired = append(fired, -1) })
-	if dead.e.idx != wheelOverflow {
-		t.Fatalf("25 h timer has idx %d, want the overflow marker", dead.e.idx)
+	if l := dead.e.idx >> wheelBits; l != 5 {
+		t.Fatalf("25 h timer filed at level %d, want 5", l)
 	}
 	s.After(26*Hour, func() { fired = append(fired, 2) })
 	s.After(24*Hour, func() { fired = append(fired, 1) })
 	s.Cancel(dead)
 	if dead.Scheduled() || s.Pending() != 2 {
-		t.Fatalf("after overflow cancel: Scheduled=%v Pending=%d", dead.Scheduled(), s.Pending())
+		t.Fatalf("after cancel: Scheduled=%v Pending=%d", dead.Scheduled(), s.Pending())
 	}
-	if next := s.After(Second, func() { fired = append(fired, 0) }); next.e == dead.e {
-		t.Fatal("event still referenced by the overflow heap was recycled")
+	if next := s.After(Second, func() { fired = append(fired, 0) }); next.e != dead.e {
+		t.Fatal("cancelled 25 h event was not recycled for the next timer")
 	}
 	s.Cancel(dead) // stale handle: no-op
 	s.RunAll()
 	if !reflect.DeepEqual(fired, []int{0, 1, 2}) {
 		t.Fatalf("fired %v, want [0 1 2]", fired)
+	}
+}
+
+// TestWheelCoversEveryTime files events out to math.MaxInt64, on levels 6
+// and 7, and holds the wheel to the heap: the same firing order, NextAt
+// naming the earliest, Pending right after a cancel, and the cancelled
+// event recycled.
+func TestWheelCoversEveryTime(t *testing.T) {
+	whens := []Time{60 * 24 * Hour, 1 << 61, 1 << 62, 1 << 62, math.MaxInt64 - 1, math.MaxInt64}
+	trace := func(engine Engine) []int {
+		s := NewWithEngine(1, engine)
+		var fired []int
+		timers := make([]Timer, len(whens))
+		for i := len(whens) - 1; i >= 0; i-- {
+			i := i
+			timers[i] = s.At(whens[i], func() {
+				if s.Now() != whens[i] {
+					t.Fatalf("%v: event %d fired at %v, want %v", engine, i, s.Now(), whens[i])
+				}
+				fired = append(fired, i)
+			})
+		}
+		if engine == EngineWheel {
+			for i, l := range []int{6, 7, 7, 7, 7, 7} {
+				if got := timers[i].e.idx >> wheelBits; got != l {
+					t.Fatalf("event at %d ns filed at level %d, want %d", int64(whens[i]), got, l)
+				}
+			}
+		}
+		if at, ok := s.NextAt(); !ok || at != whens[0] {
+			t.Fatalf("%v: NextAt = %v,%v, want %v", engine, at, ok, whens[0])
+		}
+		victim := timers[2]
+		s.Cancel(victim)
+		if victim.Scheduled() || s.Pending() != len(whens)-1 {
+			t.Fatalf("%v: after cancel Scheduled=%v Pending=%d", engine, victim.Scheduled(), s.Pending())
+		}
+		if next := s.At(whens[4], func() { fired = append(fired, -1) }); next.e != victim.e {
+			t.Fatalf("%v: cancelled event was not recycled", engine)
+		}
+		s.RunAll()
+		if s.Pending() != 0 {
+			t.Fatalf("%v: %d events left after RunAll", engine, s.Pending())
+		}
+		return fired
+	}
+	heap, wheel := trace(EngineHeap), trace(EngineWheel)
+	if want := []int{0, 1, 3, 4, -1, 5}; !reflect.DeepEqual(heap, want) {
+		t.Fatalf("heap fired %v, want %v", heap, want)
+	}
+	if !reflect.DeepEqual(wheel, heap) {
+		t.Fatalf("wheel fired %v, heap %v", wheel, heap)
 	}
 }

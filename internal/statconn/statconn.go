@@ -312,7 +312,7 @@ type Manager struct {
 	pendingReopens int
 
 	// recovery holds the completed recovery latencies as a mergeable
-	// distribution (seconds) — bounded memory in sketch mode, so long
+	// distribution (seconds) — a quantile sketch of bounded memory, so long
 	// churny runs don't accumulate per-sample state.
 	recovery metrics.CDF
 
@@ -435,7 +435,7 @@ func (m *Manager) clearUp(c *ble.Conn) {
 
 // Stats returns a copy of the manager counters, with the recovery-latency
 // percentiles computed from the recovery distribution accumulated so far
-// (quantile-sketch approximations by default, exact in exact-CDF mode).
+// (quantile-sketch approximations).
 func (m *Manager) Stats() Stats {
 	st := m.stats
 	if m.recovery.N() > 0 {

@@ -11,9 +11,8 @@
 #
 # It is a report, not a gate. Sort each unreached block before acting on it:
 #   error or backpressure path  a run only takes it when something is full,
-#                               late or broken (l2cap scheduleKick, the
-#                               wheel's overflow heap): keep it; a test
-#                               should name it.
+#                               late or broken (l2cap scheduleKick): keep
+#                               it; a test should name it.
 #   oracle                      a reference implementation a test compares
 #                               the shipped path against: keep it, listed as
 #                               testdata/test-only-api.txt lists functions.

@@ -16,12 +16,17 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // testOnlyAPI lists the exported functions of internal/ that only tests
 // call, one `pkg.Recv.Name  reason` line each, sorted.
 const testOnlyAPI = "testdata/test-only-api.txt"
+
+// testOnlyKnobs lists the fields of internal/'s config structs that only
+// tests set, one `pkg.Type.Field  reason` line each, sorted.
+const testOnlyKnobs = "testdata/test-only-knobs.txt"
 
 // TestEveryExportedFuncHasACaller fails on an exported function or method
 // in the non-test code of internal/ that no program references: not a
@@ -31,38 +36,72 @@ const testOnlyAPI = "testdata/test-only-api.txt"
 // testdata/test-only-api.txt; a listed name that gains a caller or no
 // longer exists fails the test too, so the list cannot go stale.
 func TestEveryExportedFuncHasACaller(t *testing.T) {
+	u := loadUniverse(t)
+	checkAllowList(t, testOnlyAPI, u.unused(), u.exists,
+		"is exported but no program calls it: delete it", "now has a caller outside tests")
+}
+
+// TestEveryConfigFieldIsSet fails on an exported field of an exported
+// *Config or *Params struct in internal/ that no program writes, other than
+// its own type's defaults(): a value nothing sets is a constant, not a knob.
+// A write is a keyed or unkeyed composite literal, an assignment or an
+// increment, in a function body or a package-level var initializer, anywhere
+// in the non-test code of both modules. The fields only tests set are listed in
+// testdata/test-only-knobs.txt, which cannot go stale either.
+func TestEveryConfigFieldIsSet(t *testing.T) {
+	u := loadUniverse(t)
+	checkAllowList(t, testOnlyKnobs, u.unsetKnobs(), u.knobExists,
+		"is a config field no program sets: make it a constant", "is now set outside tests")
+}
+
+var (
+	universeOnce sync.Once
+	universeAll  *universe
+	universeErr  error
+)
+
+// loadUniverse type-checks both modules once per test binary.
+func loadUniverse(t *testing.T) *universe {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("type-checks both modules")
 	}
-	fset := token.NewFileSet()
-	u := newUniverse(fset)
-	for _, dir := range []string{".", "benchmark"} {
-		if err := u.load(dir); err != nil {
-			t.Fatal(err)
+	universeOnce.Do(func() {
+		universeAll = newUniverse(token.NewFileSet())
+		for _, dir := range []string{".", "benchmark"} {
+			if universeErr = universeAll.load(dir); universeErr != nil {
+				return
+			}
 		}
+	})
+	if universeErr != nil {
+		t.Fatal(universeErr)
 	}
-	unused := u.unused()
+	return universeAll
+}
 
-	allowed, err := readAllowList(testOnlyAPI)
+// checkAllowList fails on a name in found that the allow-list at path does
+// not list, and on a listed name that does not exist or is not in found.
+func checkAllowList(t *testing.T, path string, found []string, exists map[string]bool, missing, gained string) {
+	t.Helper()
+	allowed, err := readAllowList(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range unused {
+	isFound := make(map[string]bool, len(found))
+	for _, name := range found {
+		isFound[name] = true
 		if _, ok := allowed[name]; !ok {
-			t.Errorf("%s is exported but no program calls it: delete it, or if a test needs it add this line to %s:\n\t%s  <why a test needs it>",
-				name, testOnlyAPI, name)
+			t.Errorf("%s %s, or if a test needs it add this line to %s:\n\t%s  <why a test needs it>",
+				name, missing, path, name)
 		}
-	}
-	isUnused := make(map[string]bool, len(unused))
-	for _, name := range unused {
-		isUnused[name] = true
 	}
 	for name := range allowed {
 		switch {
-		case !u.exists[name]:
-			t.Errorf("%s: %s no longer exists; delete its line", testOnlyAPI, name)
-		case !isUnused[name]:
-			t.Errorf("%s: %s now has a caller outside tests; delete its line", testOnlyAPI, name)
+		case !exists[name]:
+			t.Errorf("%s: %s no longer exists; delete its line", path, name)
+		case !isFound[name]:
+			t.Errorf("%s: %s %s; delete its line", path, name, gained)
 		}
 	}
 }
@@ -118,9 +157,19 @@ type universe struct {
 	export map[string]string         // standard library path → export data file
 	gc     types.Importer
 	infos  []*types.Info
+	files  [][]*ast.File // each info's files
 	decls  map[*types.Func]*ast.FuncDecl
 	names  map[*types.Func]string // exported funcs of internal/ → pkg.Recv.Name
 	exists map[string]bool        // the names' values
+
+	knobs      map[*types.Var]knob // exported fields of internal/'s config structs
+	knobExists map[string]bool     // the knobs' names
+}
+
+// knob is a config field: its pkg.Type.Field name and the struct declaring it.
+type knob struct {
+	name  string
+	owner types.Type
 }
 
 func newUniverse(fset *token.FileSet) *universe {
@@ -131,6 +180,9 @@ func newUniverse(fset *token.FileSet) *universe {
 		decls:  map[*types.Func]*ast.FuncDecl{},
 		names:  map[*types.Func]string{},
 		exists: map[string]bool{},
+
+		knobs:      map[*types.Var]knob{},
+		knobExists: map[string]bool{},
 	}
 	u.gc = importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		file, ok := u.export[path]
@@ -193,9 +245,10 @@ func (u *universe) check(p *goPackage) error {
 		files = append(files, f)
 	}
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: u}
 	pkg, err := conf.Check(p.ImportPath, u.fset, files, info)
@@ -204,8 +257,12 @@ func (u *universe) check(p *goPackage) error {
 	}
 	u.pkgs[p.ImportPath] = pkg
 	u.infos = append(u.infos, info)
+	u.files = append(u.files, files)
 
 	internal := strings.Contains(p.ImportPath+"/", "/internal/")
+	if internal {
+		u.addKnobs(pkg)
+	}
 	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -226,6 +283,92 @@ func (u *universe) check(p *goPackage) error {
 		}
 	}
 	return nil
+}
+
+// addKnobs records the exported fields of pkg's exported struct types whose
+// names end in Config or Params.
+func (u *universe) addKnobs(pkg *types.Package) {
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok || !tn.Exported() || tn.IsAlias() ||
+			!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Params")) {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			if f := st.Field(i); f.Exported() {
+				k := knob{pkg.Name() + "." + name + "." + f.Name(), tn.Type()}
+				u.knobs[f] = k
+				u.knobExists[k.name] = true
+			}
+		}
+	}
+}
+
+// unsetKnobs returns the sorted names of the config fields that no
+// composite literal, assignment or increment writes, apart from writes in
+// the defaults() method of the field's own struct.
+func (u *universe) unsetKnobs() []string {
+	set := map[*types.Var]bool{}
+	for i, info := range u.infos {
+		for _, f := range u.files[i] {
+			for _, d := range f.Decls {
+				var own types.Type // the struct whose defaults() this is
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "defaults" && fd.Recv != nil {
+					own = info.Defs[fd.Name].(*types.Func).Type().(*types.Signature).Recv().Type()
+					if p, ok := own.(*types.Pointer); ok {
+						own = p.Elem()
+					}
+				}
+				write := func(obj types.Object) {
+					if v, ok := obj.(*types.Var); ok && u.knobs[v].owner != own {
+						set[v] = true
+					}
+				}
+				field := func(e ast.Expr) {
+					if se, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+						if sel := info.Selections[se]; sel != nil {
+							write(sel.Obj())
+						}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.CompositeLit:
+						st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+						if !ok {
+							break
+						}
+						for j, e := range n.Elts {
+							if kv, ok := e.(*ast.KeyValueExpr); ok {
+								write(info.Uses[kv.Key.(*ast.Ident)])
+							} else {
+								write(st.Field(j))
+							}
+						}
+					case *ast.AssignStmt:
+						for _, e := range n.Lhs {
+							field(e)
+						}
+					case *ast.IncDecStmt:
+						field(n.X)
+					}
+					return true
+				})
+			}
+		}
+	}
+	var out []string
+	for v, k := range u.knobs {
+		if !set[v] {
+			out = append(out, k.name)
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func recvName(t types.Type) string {

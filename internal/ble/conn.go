@@ -270,7 +270,7 @@ func (w *connSubDone) Fire() {
 	// (homogeneous firmware assumed).
 	wait := IFS + CarrierMargin
 	if c.exData {
-		wait += c.ctrl.cfg.ExchangeGap
+		wait += DefaultExchangeGap
 	}
 	if (c.peerMD || c.txq.Len() > 0) && c.sim().Now()+wait < c.evLimit {
 		c.tune()
@@ -857,14 +857,14 @@ func (c *Conn) coordTX() {
 }
 
 // coordAfterRx decides whether to start another exchange in this event.
-// When the previous exchange moved data, the configured ExchangeGap models
+// When the previous exchange moved data, DefaultExchangeGap models
 // the host/controller processing time before the next buffer is ready.
 func (c *Conn) coordAfterRx() {
 	more := c.peerMD || c.txq.Len() > 0
 	if more && c.ctrl.sched.Owns(&c.act) {
 		wait := IFS
 		if c.exData {
-			wait += c.ctrl.cfg.ExchangeGap
+			wait += DefaultExchangeGap
 		}
 		next := c.buildPDUPreview()
 		need := wait + Airtime(next) + IFS + Airtime(0)

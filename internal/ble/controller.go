@@ -24,16 +24,13 @@ type ControllerConfig struct {
 	// DisableWindowWidening turns subordinate window widening off
 	// (ablation only — real controllers must implement it).
 	DisableWindowWidening bool
-	// ExchangeGap models host/controller processing time per data PDU
-	// exchanged: the extra delay before the coordinator starts the next
-	// exchange of the same connection event after data moved. Calibrated
-	// so a saturated single link sustains ≈500 kbps of LL payload, the
-	// figure the paper measures for RIOT+NimBLE on nRF52 (§5.2). Set to
-	// a negative value for an ideal controller (no gap).
-	ExchangeGap sim.Duration
 }
 
-// DefaultExchangeGap reproduces the paper's single-link throughput.
+// DefaultExchangeGap models host/controller processing time per data PDU
+// exchanged: the extra delay before the coordinator starts the next
+// exchange of the same connection event after data moved. Calibrated so a
+// saturated single link sustains ≈500 kbps of LL payload, the figure the
+// paper measures for RIOT+NimBLE on nRF52 (§5.2).
 const DefaultExchangeGap = 1500 * sim.Microsecond
 
 func (cfg *ControllerConfig) defaults() {
@@ -42,11 +39,6 @@ func (cfg *ControllerConfig) defaults() {
 	}
 	if cfg.PoolBytes == 0 {
 		cfg.PoolBytes = 6600
-	}
-	if cfg.ExchangeGap == 0 {
-		cfg.ExchangeGap = DefaultExchangeGap
-	} else if cfg.ExchangeGap < 0 {
-		cfg.ExchangeGap = 0
 	}
 }
 

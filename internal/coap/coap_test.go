@@ -161,8 +161,8 @@ func twoStacks(s *sim.Sim, delay sim.Duration) (*ip6.Stack, *ip6.Stack, *wireIf,
 func TestNONRequestResponse(t *testing.T) {
 	s := sim.New(1)
 	a, b, _, _ := twoStacks(s, 5*sim.Millisecond)
-	client := NewEndpoint(s, a, 0)
-	server := NewEndpoint(s, b, 0)
+	client := NewEndpoint(s, a)
+	server := NewEndpoint(s, b)
 	server.Handler = func(from ip6.Addr, req *Message) *Message {
 		if req.Path() != "/data" {
 			return &Message{Type: ACK, Code: CodeNotFound}
@@ -202,8 +202,8 @@ func TestCONRetransmitsUntilAnswered(t *testing.T) {
 		}
 		return false
 	}
-	client := NewEndpoint(s, a, 0)
-	server := NewEndpoint(s, b, 0)
+	client := NewEndpoint(s, a)
+	server := NewEndpoint(s, b)
 	server.Handler = func(ip6.Addr, *Message) *Message {
 		return &Message{Type: ACK, Code: CodeContent, Payload: []byte("ok")}
 	}
@@ -224,8 +224,8 @@ func TestCONGivesUpAfterMaxRetransmit(t *testing.T) {
 	s := sim.New(3)
 	a, b, wa, _ := twoStacks(s, sim.Millisecond)
 	wa.drop = func() bool { return true } // black hole
-	client := NewEndpoint(s, a, 0)
-	NewEndpoint(s, b, 0)
+	client := NewEndpoint(s, a)
+	NewEndpoint(s, b)
 	var failure error
 	req := &Message{Type: CON, Code: CodeGET}
 	client.Request(b.GlobalAddr(), req, func(m *Message, _ sim.Duration, err error) {
@@ -252,8 +252,8 @@ func TestNONTimesOutWithoutRetransmit(t *testing.T) {
 	s := sim.New(4)
 	a, b, wa, _ := twoStacks(s, sim.Millisecond)
 	wa.drop = func() bool { return true }
-	client := NewEndpoint(s, a, 0)
-	NewEndpoint(s, b, 0)
+	client := NewEndpoint(s, a)
+	NewEndpoint(s, b)
 	var failure error
 	req := &Message{Type: NON, Code: CodeGET}
 	client.Request(b.GlobalAddr(), req, func(m *Message, _ sim.Duration, err error) {
@@ -284,8 +284,8 @@ func TestNONTimesOutWithoutRetransmit(t *testing.T) {
 func TestDuplicateRequestSuppressed(t *testing.T) {
 	s := sim.New(5)
 	a, b, _, _ := twoStacks(s, sim.Millisecond)
-	NewEndpoint(s, a, 0)
-	server := NewEndpoint(s, b, 0)
+	NewEndpoint(s, a)
+	server := NewEndpoint(s, b)
 	served := 0
 	server.Handler = func(ip6.Addr, *Message) *Message {
 		served++
@@ -323,8 +323,8 @@ func buildUDP(from, to *ip6.Stack, payload []byte) *pktbuf.Buf {
 func TestTokensDistinguishConcurrentRequests(t *testing.T) {
 	s := sim.New(6)
 	a, b, _, _ := twoStacks(s, sim.Millisecond)
-	client := NewEndpoint(s, a, 0)
-	server := NewEndpoint(s, b, 0)
+	client := NewEndpoint(s, a)
+	server := NewEndpoint(s, b)
 	server.Handler = func(_ ip6.Addr, req *Message) *Message {
 		return &Message{Type: ACK, Code: CodeContent, Payload: []byte(req.Path())}
 	}
@@ -387,7 +387,7 @@ func TestDedupMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := sim.New(seed)
-		ep := NewEndpoint(s, ip6.NewStack(s, 0x0B), 0)
+		ep := NewEndpoint(s, ip6.NewStack(s, 0x0B))
 		or := &dedupOracle{seen: map[oracleKey]sim.Time{}}
 
 		peers := treeProducers()
@@ -478,7 +478,7 @@ func TestDedupMatchesOracle(t *testing.T) {
 // well as the keys.
 func TestResetClearsDedup(t *testing.T) {
 	s := sim.New(1)
-	ep := NewEndpoint(s, ip6.NewStack(s, 0x0B), 0)
+	ep := NewEndpoint(s, ip6.NewStack(s, 0x0B))
 	peer := ip6.ULA(ip6.DefaultPrefix, 0x0A)
 	req := &Message{Type: CON, Code: CodeGET, MessageID: 7}
 	ep.handleRequest(peer, DefaultPort, req)
@@ -500,7 +500,7 @@ func TestResetClearsDedup(t *testing.T) {
 // entry and adds one — and returns the function that serves the next one.
 func serveSteady(live int) func() {
 	s := sim.New(1)
-	ep := NewEndpoint(s, ip6.NewStack(s, 0x0B), 0)
+	ep := NewEndpoint(s, ip6.NewStack(s, 0x0B))
 	peers := treeProducers()
 	step := (60*sim.Second + sim.Duration(live) - 1) / sim.Duration(live)
 	req := &Message{Type: NON, Code: CodeGET}

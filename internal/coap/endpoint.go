@@ -112,11 +112,10 @@ func (h *reqRetry) Fire() {
 	ep.armRetry(pr, pr.rto*2)
 }
 
-// Endpoint is a CoAP client+server bound to one UDP port of a node's stack.
+// Endpoint is a CoAP client+server bound to the CoAP port of a node's stack.
 type Endpoint struct {
-	s    *sim.Sim
-	st   *ip6.Stack
-	port uint16
+	s  *sim.Sim
+	st *ip6.Stack
 
 	mid    uint16
 	tokSeq uint64
@@ -146,13 +145,10 @@ func (ep *Endpoint) SetTrace(l *trace.Log, node string) {
 
 // NewEndpoint binds a CoAP endpoint to the stack's CoAP port. The
 // message-ID RNG draw must stay in build order for byte-identical runs.
-func NewEndpoint(s *sim.Sim, st *ip6.Stack, port uint16) *Endpoint {
-	if port == 0 {
-		port = DefaultPort
-	}
-	ep := &Endpoint{s: s, st: st, port: port}
+func NewEndpoint(s *sim.Sim, st *ip6.Stack) *Endpoint {
+	ep := &Endpoint{s: s, st: st}
 	ep.mid = uint16(s.Rand().Intn(1 << 16))
-	st.ListenUDP(port, ep.onUDP)
+	st.ListenUDP(DefaultPort, ep.onUDP)
 	return ep
 }
 
@@ -286,7 +282,7 @@ func (ep *Endpoint) send(dst ip6.Addr, m *Message) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return ep.st.SendUDPPID(dst, ep.port, ep.port, b)
+	return ep.st.SendUDPPID(dst, DefaultPort, DefaultPort, b)
 }
 
 // onUDP dispatches incoming CoAP traffic.

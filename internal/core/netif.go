@@ -147,11 +147,7 @@ func (n *NetIf) AddLink(conn *ble.Conn) {
 				n.stats.IPSSRefused++
 				return
 			}
-			l.ep.Dial(l2cap.PSMIPSP, l2cap.Config{}, func(ch *l2cap.Channel, err error) {
-				if err == nil {
-					n.channelUp(l, ch)
-				}
-			})
+			l.ep.Dial(l2cap.PSMIPSP)
 		})
 	}
 	n.links = append(n.links, l)
@@ -207,11 +203,12 @@ func (n *NetIf) channelUp(l *link, ch *l2cap.Channel) {
 }
 
 // Accept implements l2cap.Server: a link serves the IPSP channel alone.
-func (l *link) Accept(psm uint16) (l2cap.Config, bool) {
-	return l2cap.Config{}, psm == l2cap.PSMIPSP
+func (l *link) Accept(psm uint16) bool {
+	return psm == l2cap.PSMIPSP
 }
 
-// ChannelOpen implements l2cap.Server.
+// ChannelOpen implements l2cap.Server: the IPSP channel, dialled or
+// accepted, carries the link's packets.
 func (l *link) ChannelOpen(ch *l2cap.Channel) { l.n.channelUp(l, ch) }
 
 // ReceiveSDU implements l2cap.ChannelEvents.

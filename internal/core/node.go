@@ -26,12 +26,6 @@ type NodeConfig struct {
 	Statconn statconn.Config
 	// Arbitration selects the radio scheduler policy.
 	Arbitration ble.Arbitration
-	// LLPoolBytes overrides the NimBLE buffer pool (default 6600).
-	LLPoolBytes int
-	// PktbufBytes overrides the GNRC packet buffer (default 6144).
-	PktbufBytes int
-	// ExchangeGap overrides the host processing gap (see ble package).
-	ExchangeGap sim.Duration
 	// DisableWindowWidening is an ablation switch.
 	DisableWindowWidening bool
 	// Trace, when non-nil and enabled, receives the node's link events
@@ -82,18 +76,13 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 	ctrlCfg := ble.ControllerConfig{
 		Addr:                  ble.DevAddr(cfg.MAC),
 		SCA:                   sca,
-		PoolBytes:             cfg.LLPoolBytes,
 		Arbitration:           cfg.Arbitration,
-		ExchangeGap:           cfg.ExchangeGap,
 		DisableWindowWidening: cfg.DisableWindowWidening,
 	}
 	clk := sim.NewClock(s, cfg.ClockPPM)
 	radio := medium.NewRadio()
 	ctrl := ble.NewController(s, clk, radio, ctrlCfg)
 	stack := ip6.NewStack(s, cfg.MAC)
-	if cfg.PktbufBytes > 0 {
-		stack.Pktbuf.Capacity = cfg.PktbufBytes
-	}
 	netif := NewNetIf(s, stack)
 	mgr := statconn.New(s, ctrl, cfg.Statconn)
 	tr := cfg.Trace
@@ -109,9 +98,9 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		// EWMA; the sampler keeps it fresh on the same cadence for every
 		// dynamic node.
 		router.SetETX(func(mac uint64) float64 { return mgr.PeerETX(ble.DevAddr(mac)) })
-		mgr.EnableQualitySampling(0)
+		mgr.EnableQualitySampling()
 	}
-	ep := coap.NewEndpoint(s, stack, 0)
+	ep := coap.NewEndpoint(s, stack)
 	ep.SetTrace(tr, name)
 	if router != nil {
 		router.Start()

@@ -114,8 +114,8 @@ func TestQueueBound(t *testing.T) {
 			accepted++
 		}
 	}
-	if accepted > a.QueueCap+1 {
-		t.Fatalf("queue accepted %d frames, cap %d", accepted, a.QueueCap)
+	if accepted > queueCap+1 {
+		t.Fatalf("queue accepted %d frames, cap %d", accepted, queueCap)
 	}
 	if a.Stats().QueueDrops == 0 {
 		t.Fatal("queue overflow not counted")
@@ -259,8 +259,8 @@ func TestOutputReportsMACQueueFull(t *testing.T) {
 	a := NewNode(s, m, "m3-1", 0x61)
 	b := NewNode(s, m, "m3-2", 0x62)
 	// The sim never runs, so the MAC serves none: one frame goes into
-	// service and QueueCap more wait behind it.
-	for i := 0; i <= a.MAC.QueueCap; i++ {
+	// service and queueCap more wait behind it.
+	for i := 0; i <= queueCap; i++ {
 		if _, err := a.Stack.SendUDPPID(b.Addr(), 7777, 7777, make([]byte, 39)); err != nil {
 			t.Fatalf("packet %d refused below the queue bound: %v", i, err)
 		}
@@ -275,7 +275,7 @@ func TestOutputReportsMACQueueFull(t *testing.T) {
 	if st := a.NetIf.Stats(); st.QueueDrops != 1 || st.TXFailures != 0 {
 		t.Fatalf("adapter stats %+v, want one queue drop and no TX failure", st)
 	}
-	if st := a.Stack.Stats(); st.QueueDrops != 1 || st.Sent != uint64(a.MAC.QueueCap+1) {
+	if st := a.Stack.Stats(); st.QueueDrops != 1 || st.Sent != uint64(queueCap+1) {
 		t.Fatalf("stack stats %+v, want one queue drop", st)
 	}
 }

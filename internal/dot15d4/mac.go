@@ -49,6 +49,9 @@ const (
 	MaxCSMABackoffs = 4
 	MaxFrameRetries = 3
 
+	// queueCap bounds the transmit queue (frames).
+	queueCap = 16
+
 	// BroadcastAddr is the 16-bit broadcast address.
 	BroadcastAddr uint64 = 0xFFFF
 
@@ -121,9 +124,6 @@ type MAC struct {
 
 	stats MACStats
 	onRx  RxFunc
-
-	// QueueCap bounds the transmit queue (frames).
-	QueueCap int
 }
 
 type txEntry struct {
@@ -140,11 +140,10 @@ type txEntry struct {
 // NewMAC creates a MAC bound to a radio on the shared medium.
 func NewMAC(s *sim.Sim, medium *phy.Medium, addr uint64) *MAC {
 	m := &MAC{
-		s:        s,
-		radio:    medium.NewRadio(),
-		medium:   medium,
-		addr:     addr,
-		QueueCap: 16,
+		s:      s,
+		radio:  medium.NewRadio(),
+		medium: medium,
+		addr:   addr,
 	}
 	m.radio.SetReceiver(m.receive)
 	m.radio.StartListen(Channel)
@@ -170,7 +169,7 @@ func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64, onDone func(ok bool
 	if len(payload) > MaxPayload {
 		panic(fmt.Sprintf("dot15d4: payload %d exceeds frame budget %d", len(payload), MaxPayload))
 	}
-	if len(m.txq) >= m.QueueCap {
+	if len(m.txq) >= queueCap {
 		m.stats.QueueDrops++
 		b.Put()
 		return false

@@ -113,7 +113,7 @@ func NewNode(s *sim.Sim, medium *phy.Medium, name string, addr uint64) *Node {
 	mac := NewMAC(s, medium, addr)
 	stack := ip6.NewStack(s, addr)
 	netif := NewNetIf(stack, mac)
-	ep := coap.NewEndpoint(s, stack, 0)
+	ep := coap.NewEndpoint(s, stack)
 	return &Node{Name: name, Sim: s, MAC: mac, NetIf: netif, Stack: stack, Coap: ep}
 }
 

@@ -76,8 +76,6 @@ type NetworkConfig struct {
 	MaxPPM float64
 	// SCA is the declared sleep-clock accuracy (≥ MaxPPM).
 	SCA float64
-	// Supervision overrides the supervision timeout (0 = BLE default).
-	Supervision sim.Duration
 	// Arbitration selects the radio scheduler policy.
 	Arbitration ble.Arbitration
 	// NoisePER is the background packet error rate of the 2.4GHz band
@@ -603,9 +601,8 @@ func (b *netBuild) buildNode(id int) {
 		ClockPPM: b.ppm[id],
 		SCA:      cfg.SCA,
 		Statconn: statconn.Config{
-			Policy:      cfg.Policy,
-			Supervision: cfg.Supervision,
-			ChanMap:     b.chanMap,
+			Policy:  cfg.Policy,
+			ChanMap: b.chanMap,
 		},
 		Arbitration:           cfg.Arbitration,
 		DisableWindowWidening: cfg.DisableWindowWidening,

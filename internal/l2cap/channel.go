@@ -10,32 +10,19 @@ import (
 	"blemesh/internal/sim"
 )
 
-// Config parameterises one side of a credit-based channel.
-type Config struct {
-	// MTU is the largest SDU this side is willing to receive. RFC 7668
-	// requires at least 1280 bytes for IPv6.
-	MTU int
-	// MPS is the largest PDU payload this side accepts per K-frame.
-	MPS int
-	// InitialCredits is the number of K-frames the peer may send before
+// Every channel's receive configuration.
+const (
+	// mtu is the largest SDU a channel receives: RFC 7668 requires at
+	// least 1280 bytes for IPv6.
+	mtu = 1280
+	// mps is the largest PDU payload a channel accepts per K-frame. It
+	// fits one LL data PDU with the 4-byte basic header (and the 2-byte
+	// SDU header on first frames) under the 251-byte DLE limit.
+	mps = 245
+	// initialCredits is the number of K-frames the peer may send before
 	// waiting for replenishment.
-	InitialCredits int
-}
-
-func (c *Config) defaults() {
-	if c.MTU == 0 {
-		c.MTU = 1280
-	}
-	if c.MPS == 0 {
-		// Fits one LL data PDU with the 4-byte basic header (and the
-		// 2-byte SDU header on first frames) under the 251-byte DLE
-		// limit.
-		c.MPS = 245
-	}
-	if c.InitialCredits == 0 {
-		c.InitialCredits = 10
-	}
-}
+	initialCredits = 10
+)
 
 // ChannelStats counts per-channel occurrences.
 type ChannelStats struct {
@@ -60,8 +47,7 @@ type Channel struct {
 	peerMPS   int
 	txCredits int
 
-	// RX view: our configuration and outstanding grant.
-	cfg       Config
+	// RX view: our outstanding grant.
 	rxCredits int // frames the peer may still send
 	consumed  int // frames received since last grant
 
@@ -219,7 +205,7 @@ func (ch *Channel) receiveFrame(payload []byte, pid uint64) {
 			return
 		}
 		ch.sduLen = int(payload[0]) | int(payload[1])<<8
-		if ch.sduLen > ch.cfg.MTU {
+		if ch.sduLen > mtu {
 			ch.stats.Violations++
 			return
 		}
@@ -247,7 +233,7 @@ func (ch *Channel) receiveFrame(payload []byte, pid uint64) {
 // maybeReplenish grants the peer fresh credits once half the initial grant
 // has been consumed, keeping the pipe from stalling in steady state.
 func (ch *Channel) maybeReplenish() {
-	if ch.consumed < (ch.cfg.InitialCredits+1)/2 {
+	if ch.consumed < (initialCredits+1)/2 {
 		return
 	}
 	grant := ch.consumed
@@ -304,8 +290,8 @@ type Endpoint struct {
 
 	nextCID  uint16
 	sigID    byte
-	channels table[uint16, *Channel]  // by local scid, ascending
-	pending  table[byte, pendingDial] // signaling id → dial state
+	channels table[uint16, *Channel] // by local scid, ascending
+	pending  table[byte, *Channel]   // signaling id → channel being dialled
 
 	// LL-level PDU reassembly (a PDU may span several LL fragments). The
 	// buffer's capacity is reused across PDUs; rxActive marks a PDU in
@@ -324,16 +310,17 @@ type Endpoint struct {
 	kickArmed bool
 
 	// OnChannelOpen decides the peer's channel requests and takes each
-	// channel it accepted; with none, every request is refused.
+	// channel that opens; with none, every request is refused.
 	OnChannelOpen Server
 }
 
-// Server decides the channel requests a peer sends to an endpoint.
+// Server decides the channel requests a peer sends to an endpoint and takes
+// every channel that opens on it.
 type Server interface {
-	// Accept returns the receive configuration for a channel to psm, or
-	// false to refuse it.
-	Accept(psm uint16) (Config, bool)
-	// ChannelOpen takes a channel Accept let in, once it is open.
+	// Accept reports whether to open a channel to psm.
+	Accept(psm uint16) bool
+	// ChannelOpen takes a channel once it is open: one Accept let in, or
+	// one a Dial of this endpoint opened.
 	ChannelOpen(ch *Channel)
 }
 
@@ -395,11 +382,6 @@ func (t *table[K, V]) del(k K) {
 	}
 }
 
-type pendingDial struct {
-	ch *Channel
-	cb func(*Channel, error)
-}
-
 // NewEndpoint attaches an L2CAP endpoint to an established BLE connection.
 func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
 	ep := &Endpoint{s: s, conn: conn, nextCID: FirstDynamicCID}
@@ -410,7 +392,7 @@ func NewEndpoint(s *sim.Sim, conn *ble.Conn) *Endpoint {
 // Conn returns the underlying BLE connection.
 func (ep *Endpoint) Conn() *ble.Conn { return ep.conn }
 
-// Channels returns the currently open channels.
+// Channels returns the endpoint's channels, open or still being dialled.
 func (ep *Endpoint) Channels() []*Channel {
 	out := make([]*Channel, 0, len(ep.channels))
 	for _, e := range ep.channels {
@@ -419,17 +401,16 @@ func (ep *Endpoint) Channels() []*Channel {
 	return out
 }
 
-// Dial opens a channel to the peer's psm server. cb is invoked with the open
-// channel or an error (peer refused).
-func (ep *Endpoint) Dial(psm uint16, cfg Config, cb func(*Channel, error)) {
-	cfg.defaults()
-	ch := &Channel{ep: ep, scid: ep.allocCID(), psm: psm, cfg: cfg, rxCredits: cfg.InitialCredits}
+// Dial asks the peer's psm server for a channel. Once the peer accepts, the
+// open channel goes to OnChannelOpen; a refused one is dropped.
+func (ep *Endpoint) Dial(psm uint16) {
+	ch := &Channel{ep: ep, scid: ep.allocCID(), psm: psm, rxCredits: initialCredits}
 	ep.channels.put(ch.scid, ch)
 	id := ep.nextSigID()
-	ep.pending.put(id, pendingDial{ch: ch, cb: cb})
+	ep.pending.put(id, ch)
 	ep.sendSignal(signal{
 		code: codeConnReq, id: id, psm: psm,
-		scid: ch.scid, mtu: uint16(cfg.MTU), mps: uint16(cfg.MPS), credits: uint16(cfg.InitialCredits),
+		scid: ch.scid, mtu: mtu, mps: mps, credits: initialCredits,
 	})
 }
 
@@ -591,50 +572,38 @@ func (ep *Endpoint) onLL(llid ble.LLID, payload []byte, pid uint64) {
 func (ep *Endpoint) onSignal(s signal) {
 	switch s.code {
 	case codeConnReq:
-		var cfg Config
-		ok := false
-		if ep.OnChannelOpen != nil {
-			cfg, ok = ep.OnChannelOpen.Accept(s.psm)
-		}
-		if !ok {
+		if ep.OnChannelOpen == nil || !ep.OnChannelOpen.Accept(s.psm) {
 			ep.sendSignal(signal{code: codeConnRsp, id: s.id, result: resultRefusedPSM})
 			return
 		}
-		cfg.defaults()
 		ch := &Channel{
 			ep: ep, scid: ep.allocCID(), dcid: s.scid, psm: s.psm,
-			cfg: cfg, rxCredits: cfg.InitialCredits,
 			peerMTU: int(s.mtu), peerMPS: int(s.mps), txCredits: int(s.credits),
-			open: true,
+			rxCredits: initialCredits, open: true,
 		}
 		ep.channels.put(ch.scid, ch)
 		ep.sendSignal(signal{
 			code: codeConnRsp, id: s.id, dcid: ch.scid,
-			mtu: uint16(cfg.MTU), mps: uint16(cfg.MPS),
-			credits: uint16(cfg.InitialCredits), result: resultSuccess,
+			mtu: mtu, mps: mps, credits: initialCredits, result: resultSuccess,
 		})
 		ep.OnChannelOpen.ChannelOpen(ch)
 	case codeConnRsp:
-		pd, ok := ep.pending.get(s.id)
+		ch, ok := ep.pending.get(s.id)
 		if !ok {
 			return
 		}
 		ep.pending.del(s.id)
 		if s.result != resultSuccess {
-			ep.channels.del(pd.ch.scid)
-			if pd.cb != nil {
-				pd.cb(nil, fmt.Errorf("l2cap: peer refused channel (result %#x)", s.result))
-			}
+			ep.channels.del(ch.scid)
 			return
 		}
-		ch := pd.ch
 		ch.dcid = s.dcid
 		ch.peerMTU = int(s.mtu)
 		ch.peerMPS = int(s.mps)
 		ch.txCredits = int(s.credits)
 		ch.open = true
-		if pd.cb != nil {
-			pd.cb(ch, nil)
+		if ep.OnChannelOpen != nil {
+			ep.OnChannelOpen.ChannelOpen(ch)
 		}
 		ch.drain()
 	case codeFlowCredit:

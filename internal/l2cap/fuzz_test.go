@@ -14,10 +14,8 @@ import (
 func loneChannel(credits int) *Channel {
 	s := sim.New(1)
 	ep := &Endpoint{s: s, nextCID: FirstDynamicCID} // NewEndpoint without a conn
-	cfg := Config{}
-	cfg.defaults()
 	ch := &Channel{ep: ep, scid: FirstDynamicCID, dcid: FirstDynamicCID,
-		psm: PSMIPSP, cfg: cfg, rxCredits: credits, open: true}
+		psm: PSMIPSP, rxCredits: credits, open: true}
 	ep.channels.put(ch.scid, ch)
 	return ch
 }
@@ -47,8 +45,8 @@ func FuzzSDURecombination(f *testing.F) {
 			data = data[n:]
 		}
 		for _, sdu := range delivered {
-			if len(sdu) > ch.cfg.MTU {
-				t.Fatalf("delivered SDU of %d bytes exceeds MTU %d", len(sdu), ch.cfg.MTU)
+			if len(sdu) > mtu {
+				t.Fatalf("delivered SDU of %d bytes exceeds MTU %d", len(sdu), mtu)
 			}
 		}
 		if ch.sduBuf != nil && ch.sduBuf.Len() >= ch.sduLen {
@@ -73,8 +71,8 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 		}
 		mps = sduHeaderLen + 1 + mps%400
 		ch := loneChannel(1 << 20)
-		if len(sdu) > ch.cfg.MTU {
-			sdu = sdu[:ch.cfg.MTU]
+		if len(sdu) > mtu {
+			sdu = sdu[:mtu]
 		}
 		frames, pids := queuedFrames(t, sdu, 77, mps)
 		for i, fr := range frames {

@@ -76,16 +76,15 @@ func (f *ChannelFuncs) Closed() {
 	}
 }
 
-// Listener adapts one PSM to Server: it accepts PSM with Config and hands
-// each channel opened to Open, when set.
+// Listener adapts one PSM to Server: it accepts PSM and hands each channel
+// that opens, accepted or dialled, to Open, when set.
 type Listener struct {
-	PSM    uint16
-	Config Config
-	Open   func(ch *Channel)
+	PSM  uint16
+	Open func(ch *Channel)
 }
 
 // Accept implements Server.
-func (l *Listener) Accept(psm uint16) (Config, bool) { return l.Config, psm == l.PSM }
+func (l *Listener) Accept(psm uint16) bool { return psm == l.PSM }
 
 // ChannelOpen implements Server.
 func (l *Listener) ChannelOpen(ch *Channel) {
@@ -268,13 +267,8 @@ func newPairPool(t *testing.T, seed int64, coordPool int) *pair {
 func (p *pair) openIPSP(t *testing.T) (coordCh, subCh *Channel) {
 	t.Helper()
 	p.subEP.OnChannelOpen = &Listener{PSM: PSMIPSP, Open: func(ch *Channel) { subCh = ch }}
-	p.coordEP.Dial(PSMIPSP, Config{}, func(ch *Channel, err error) {
-		if err != nil {
-			t.Errorf("dial: %v", err)
-			return
-		}
-		coordCh = ch
-	})
+	p.coordEP.OnChannelOpen = &Listener{Open: func(ch *Channel) { coordCh = ch }}
+	p.coordEP.Dial(PSMIPSP)
 	for i := 0; i < 100 && (coordCh == nil || subCh == nil); i++ {
 		p.s.Run(p.s.Now() + 50*sim.Millisecond)
 	}
@@ -300,17 +294,15 @@ func TestChannelOpenHandshake(t *testing.T) {
 
 func TestDialUnknownPSMRefused(t *testing.T) {
 	p := newPair(t, 2)
-	var dialErr error
-	done := false
-	p.coordEP.Dial(0x99, Config{}, func(ch *Channel, err error) {
-		dialErr = err
-		done = true
-	})
-	for i := 0; i < 100 && !done; i++ {
+	opened := false
+	p.coordEP.OnChannelOpen = &Listener{Open: func(*Channel) { opened = true }}
+	p.coordEP.Dial(0x99)
+	for i := 0; i < 100 && len(p.coordEP.pending) > 0; i++ {
 		p.s.Run(p.s.Now() + 50*sim.Millisecond)
 	}
-	if !done || dialErr == nil {
-		t.Fatalf("dial to unknown PSM should be refused (done=%v err=%v)", done, dialErr)
+	if len(p.coordEP.pending) > 0 || opened || len(p.coordEP.Channels()) > 0 {
+		t.Fatalf("dial to unknown PSM should be refused (pending=%d opened=%v channels=%d)",
+			len(p.coordEP.pending), opened, len(p.coordEP.Channels()))
 	}
 }
 
@@ -472,17 +464,15 @@ func twoChannelRun(t *testing.T) []string {
 		ch.OnEvents = &ChannelFuncs{SDU: func(sdu *pktbuf.Buf, pid uint64) { note("rx scid=%#x pid=%d", ch.SCID(), pid); sdu.Put() }}
 	}}
 	var chs []*Channel
+	p.coordEP.OnChannelOpen = &Listener{Open: func(ch *Channel) {
+		ch.OnEvents = &ChannelFuncs{
+			Writable: func() { note("writable scid=%#x", ch.SCID()) },
+			Close:    func() { note("close scid=%#x", ch.SCID()) },
+		}
+		chs = append(chs, ch)
+	}}
 	for i := 0; i < 2; i++ {
-		p.coordEP.Dial(PSMIPSP, Config{}, func(ch *Channel, err error) {
-			if err != nil {
-				t.Fatalf("dial: %v", err)
-			}
-			ch.OnEvents = &ChannelFuncs{
-				Writable: func() { note("writable scid=%#x", ch.SCID()) },
-				Close:    func() { note("close scid=%#x", ch.SCID()) },
-			}
-			chs = append(chs, ch)
-		})
+		p.coordEP.Dial(PSMIPSP)
 	}
 	for i := 0; i < 100 && len(chs) < 2; i++ {
 		p.s.Run(p.s.Now() + 50*sim.Millisecond)

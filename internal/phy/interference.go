@@ -50,9 +50,6 @@ type BurstParams struct {
 	// each state (defaults 0 and 0.9).
 	PERGood float64
 	PERBad  float64
-	// CCABusy makes the bad state trip clear-channel assessment (the
-	// burst looks like a carrier to CSMA MACs).
-	CCABusy bool
 }
 
 func (p *BurstParams) defaults() {
@@ -132,11 +129,6 @@ func (b *BurstNoise) Corrupts(s *sim.Sim, _ Channel, start, _ sim.Time) bool {
 	return s.Rand().Float64() < per
 }
 
-// Busy implements Interference.
-func (b *BurstNoise) Busy(_ Channel, t sim.Time) bool {
-	if !b.p.CCABusy {
-		return false
-	}
-	b.advance(t)
-	return b.bad
-}
+// Busy implements Interference: a burst corrupts packets but never looks
+// like a carrier to clear-channel assessment.
+func (b *BurstNoise) Busy(Channel, sim.Time) bool { return false }

@@ -22,78 +22,45 @@ const (
 	RootRank = 256
 	// maxHopRankIncrease caps one hop's cost (ETX 4 quantized).
 	maxHopRankIncrease = 1024
-	// DefaultPort is the UDP port control messages use (CoAP sits on 5683).
-	DefaultPort = 5250
+	// port is the UDP port control messages use (CoAP sits on 5683).
+	port = 5250
 	// sweepEvery is the housekeeping cadence: parent-deadline pruning and
 	// DIS re-solicitation while detached.
 	sweepEvery = sim.Second
 )
 
-// Config parameterises an instance. The zero value gets sane defaults from
-// defaults(); only Root must be set deliberately.
+// Protocol constants: RFC 6206's trickle parameters as RIOT's RPL runs them,
+// and the DODAG's repair bounds.
+const (
+	// imin is the trickle minimum interval.
+	imin = 500 * sim.Millisecond
+	// doublings sets Imax = imin << doublings (32 s).
+	doublings = 6
+	// redundancy is the trickle redundancy constant k.
+	redundancy = 3
+	// parentTimeout detaches from a parent not heard for 3×Imax. Link-down
+	// signals from statconn cut repair far shorter; this deadline is the
+	// backstop for silent peers.
+	parentTimeout = 3 * (imin << doublings)
+	// daoInterval is the upward route refresh period.
+	daoInterval = 15 * sim.Second
+	// hysteresis is the rank improvement a new parent must offer before a
+	// joined node switches (¾ hop) — the anti-flap margin.
+	hysteresis = 192
+	// maxRankIncrease bounds rank growth over the lowest rank attained in
+	// the current version; exceeding it forces a detach instead of
+	// counting to infinity through one's own sub-DODAG.
+	maxRankIncrease = 768
+	// maxETX clamps the link metric: BLE retransmits hard before links get
+	// worse than that.
+	maxETX = 4
+)
+
+// Config parameterises an instance.
 type Config struct {
 	// Root makes this node the DODAG root: rank RootRank, origin of the
 	// version number, sink of all DAO host routes.
 	Root bool
-	// Port is the UDP control port (default DefaultPort).
-	Port uint16
-	// Imin is the trickle minimum interval (default 500ms).
-	Imin sim.Duration
-	// Doublings sets Imax = Imin << Doublings (default 6 → 32s).
-	Doublings int
-	// K is the trickle redundancy constant (default 3; 0 disables
-	// suppression).
-	K int
-	// ParentTimeout detaches from a parent not heard for this long
-	// (default 3×Imax). Link-down signals from statconn cut repair far
-	// shorter; this deadline is the backstop for silent peers.
-	ParentTimeout sim.Duration
-	// DAOInterval is the upward route refresh period (default 15s).
-	DAOInterval sim.Duration
-	// Hysteresis is the rank improvement a new parent must offer before a
-	// joined node switches (default 192, ¾ hop) — the anti-flap margin.
-	Hysteresis uint16
-	// MaxRankIncrease bounds rank growth over the lowest rank attained in
-	// the current version (default 768); exceeding it forces a detach
-	// instead of counting to infinity through one's own sub-DODAG.
-	MaxRankIncrease uint16
-	// MaxETX clamps the link metric (default 4 — BLE retransmits hard
-	// before links get worse than that).
-	MaxETX float64
-}
-
-func (c *Config) defaults() {
-	if c.Port == 0 {
-		c.Port = DefaultPort
-	}
-	if c.Imin == 0 {
-		c.Imin = 500 * sim.Millisecond
-	}
-	if c.Doublings == 0 {
-		c.Doublings = 6
-	}
-	if c.K == 0 {
-		c.K = 3
-	}
-	if c.ParentTimeout == 0 {
-		imax := c.Imin
-		for d := 0; d < c.Doublings; d++ {
-			imax *= 2
-		}
-		c.ParentTimeout = 3 * imax
-	}
-	if c.DAOInterval == 0 {
-		c.DAOInterval = 15 * sim.Second
-	}
-	if c.Hysteresis == 0 {
-		c.Hysteresis = 192
-	}
-	if c.MaxRankIncrease == 0 {
-		c.MaxRankIncrease = 768
-	}
-	if c.MaxETX == 0 {
-		c.MaxETX = 4
-	}
 }
 
 // Stats counts control-plane events. Cumulative across Stop/Start — it
@@ -164,7 +131,6 @@ type Instance struct {
 // immediately (handlers survive node reboots, like the CoAP server's);
 // routing activity begins at Start.
 func New(s *sim.Sim, stack *ip6.Stack, cfg Config) *Instance {
-	cfg.defaults()
 	in := &Instance{
 		s:          s,
 		stack:      stack,
@@ -175,8 +141,8 @@ func New(s *sim.Sim, stack *ip6.Stack, cfg Config) *Instance {
 		parents:    make(map[uint64]*parentInfo),
 		downward:   make(map[ip6.Addr]daoEntry),
 	}
-	in.trick = newTrickle(s, cfg.Imin, cfg.Doublings, cfg.K, in.trickleFire)
-	stack.ListenUDP(cfg.Port, in.handleUDP)
+	in.trick = newTrickle(s, imin, doublings, redundancy, in.trickleFire)
+	stack.ListenUDP(port, in.handleUDP)
 	return in
 }
 
@@ -240,9 +206,9 @@ func (in *Instance) Start() {
 			if in.preferred != 0 {
 				in.sendDAO()
 			}
-			in.s.Post(in.cfg.DAOInterval, refresh)
+			in.s.Post(daoInterval, refresh)
 		}
-		in.s.Post(in.cfg.DAOInterval, refresh)
+		in.s.Post(daoInterval, refresh)
 	}
 	var tick func()
 	tick = func() {
@@ -444,8 +410,8 @@ func (in *Instance) linkCost(mac uint64) uint16 {
 	if etx < 1 {
 		etx = 1
 	}
-	if etx > in.cfg.MaxETX {
-		etx = in.cfg.MaxETX
+	if etx > maxETX {
+		etx = maxETX
 	}
 	cost := uint16(int(float64(etx*4)+0.5) * 64)
 	if cost < MinHopRankIncrease {
@@ -495,13 +461,13 @@ func (in *Instance) reselectParent(cause trace.RankCause) {
 	if in.preferred != 0 && bestMAC != in.preferred {
 		if p, ok := in.parents[in.preferred]; ok && p.rank < RankInfinite {
 			curVia := uint32(p.rank) + uint32(in.linkCost(in.preferred))
-			if bestVia+uint32(in.cfg.Hysteresis) >= curVia {
+			if bestVia+hysteresis >= curVia {
 				// Not enough better: stay (anti-flap).
 				bestMAC, bestVia = in.preferred, curVia
 			}
 		}
 	}
-	if in.lowestRank != RankInfinite && bestVia > uint32(in.lowestRank)+uint32(in.cfg.MaxRankIncrease) {
+	if in.lowestRank != RankInfinite && bestVia > uint32(in.lowestRank)+maxRankIncrease {
 		// Advancing would exceed the repair bound — likely our own
 		// sub-DODAG echoing back. Detach and rejoin from scratch.
 		in.detach(trace.RankBound)
@@ -562,7 +528,7 @@ func (in *Instance) sweep() {
 	if in.cfg.Root {
 		return
 	}
-	deadline := in.s.Now() - sim.Time(in.cfg.ParentTimeout)
+	deadline := in.s.Now() - sim.Time(parentTimeout)
 	macs := make([]uint64, 0, len(in.parents))
 	for mac := range in.parents {
 		macs = append(macs, mac)
@@ -676,7 +642,7 @@ func (in *Instance) sendCtrl(mac uint64, m Message) {
 	case TypeDIS:
 		in.stats.DISSent++
 	}
-	pid, err := in.stack.SendUDPPID(ip6.LinkLocal(mac), in.cfg.Port, in.cfg.Port, m.Encode())
+	pid, err := in.stack.SendUDPPID(ip6.LinkLocal(mac), port, port, m.Encode())
 	if err == nil && in.tr.Keeps(pid) {
 		in.tr.Add(in.node, pid, 0, trace.RPLTx(m.Type, mac, m.Rank))
 	}

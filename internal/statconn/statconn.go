@@ -134,43 +134,32 @@ func contains(ds []sim.Duration, v sim.Duration) bool {
 	return false
 }
 
-// Config parameterises a node's connection manager. Defaults follow the
-// paper's setup (§4.2): 90ms advertising interval, 100ms scan interval and
-// window, 75ms static connection interval.
-type Config struct {
-	AdvInterval  sim.Duration
-	AdvDataLen   int
-	ScanInterval sim.Duration
-	ScanWindow   sim.Duration
-	Policy       IntervalPolicy
-	Supervision  sim.Duration
-	Latency      int
-	ChanMap      ble.ChannelMap
-	// BackoffCap bounds the exponential reconnect backoff window. The
+// The paper's advertising and scanning setup (§4.2).
+const (
+	advInterval  = 90 * sim.Millisecond
+	advDataLen   = 11 // flags + IPSS service data
+	scanInterval = 100 * sim.Millisecond
+	scanWindow   = scanInterval
+	// backoffCap bounds the exponential reconnect backoff window. The
 	// initiation delay is drawn uniformly from [0, span) where span starts
-	// at 3×AdvInterval and doubles per consecutive failed attempt up to
-	// this cap (default 16 × 3×AdvInterval).
-	BackoffCap sim.Duration
+	// at 3×advInterval and doubles per consecutive failed attempt up to
+	// this cap.
+	backoffCap = 16 * 3 * advInterval
+	// qualityEvery is the link-quality sampling period.
+	qualityEvery = 2 * sim.Second
+)
+
+// Config parameterises a node's connection manager. The policy defaults to
+// the paper's 75ms static connection interval (§4.2).
+type Config struct {
+	Policy      IntervalPolicy
+	Supervision sim.Duration
+	ChanMap     ble.ChannelMap
 }
 
 func (c *Config) defaults() {
-	if c.AdvInterval == 0 {
-		c.AdvInterval = 90 * sim.Millisecond
-	}
-	if c.AdvDataLen == 0 {
-		c.AdvDataLen = 11 // flags + IPSS service data
-	}
-	if c.ScanInterval == 0 {
-		c.ScanInterval = 100 * sim.Millisecond
-	}
-	if c.ScanWindow == 0 {
-		c.ScanWindow = c.ScanInterval
-	}
 	if c.Policy == nil {
 		c.Policy = Static{Interval: 75 * sim.Millisecond}
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 16 * 3 * c.AdvInterval
 	}
 }
 
@@ -377,7 +366,7 @@ func New(s *sim.Sim, ctrl *ble.Controller, cfg Config) *Manager {
 		cfg:  cfg,
 		rng:  s.Rand(),
 	}
-	ctrl.SetScanParams(ble.ScanParams{Interval: cfg.ScanInterval, Window: cfg.ScanWindow})
+	ctrl.SetScanParams(ble.ScanParams{Interval: scanInterval, Window: scanWindow})
 	ctrl.OnConn = (*connEvents)(m)
 	return m
 }
@@ -473,17 +462,17 @@ func (m *Manager) Connect(peer ble.DevAddr) {
 // initiateAfterBackoff desynchronises initiators: two coordinators targeting
 // the same advertiser otherwise answer the same ADV_IND and their
 // CONNECT_INDs collide on the air — deterministically, forever. The jitter
-// window starts at 3×AdvInterval and doubles per consecutive failed attempt
-// (bounded by Config.BackoffCap), so repeated establishment failures —
+// window starts at 3×advInterval and doubles per consecutive failed attempt
+// (bounded by backoffCap), so repeated establishment failures —
 // e.g. during a peer's reboot or a jammed advertising channel — back off
 // instead of hammering the air. Success resets the window.
 func (m *Manager) initiateAfterBackoff(peer ble.DevAddr) {
-	span := int64(3 * m.cfg.AdvInterval)
-	for i := m.attemptCount(peer); i > 0 && span < int64(m.cfg.BackoffCap); i-- {
+	span := int64(3 * advInterval)
+	for i := m.attemptCount(peer); i > 0 && span < int64(backoffCap); i-- {
 		span <<= 1
 	}
-	if span > int64(m.cfg.BackoffCap) {
-		span = int64(m.cfg.BackoffCap)
+	if span > int64(backoffCap) {
+		span = int64(backoffCap)
 	}
 	delay := sim.Duration(m.rng.Int63n(span))
 	gen := m.gen
@@ -511,7 +500,6 @@ func (m *Manager) usedIntervals() []sim.Duration {
 func (m *Manager) initiate(peer ble.DevAddr) {
 	params := ble.ConnParams{
 		Interval:    m.cfg.Policy.Pick(m.rng, m.usedIntervals()),
-		Latency:     m.cfg.Latency,
 		Supervision: m.cfg.Supervision,
 		ChanMap:     m.cfg.ChanMap,
 	}
@@ -525,7 +513,7 @@ func (m *Manager) initiate(peer ble.DevAddr) {
 
 func (m *Manager) ensureAdvertising() {
 	if m.activeIn < m.expectIn {
-		m.ctrl.StartAdvertising(ble.AdvParams{Interval: m.cfg.AdvInterval, DataLen: m.cfg.AdvDataLen})
+		m.ctrl.StartAdvertising(ble.AdvParams{Interval: advInterval, DataLen: advDataLen})
 	}
 }
 
@@ -723,23 +711,20 @@ func (m *Manager) SampleLinkQuality() {
 	}
 }
 
-// EnableQualitySampling arms a periodic SampleLinkQuality (default every 2s).
-// Idempotent; only dynamic-routing deployments call it, so static runs pay
-// zero extra timer events and stay byte-identical.
-func (m *Manager) EnableQualitySampling(interval sim.Duration) {
+// EnableQualitySampling arms a periodic SampleLinkQuality every
+// qualityEvery. Idempotent; only dynamic-routing deployments call it, so
+// static runs pay zero extra timer events and stay byte-identical.
+func (m *Manager) EnableQualitySampling() {
 	if m.samplerOn {
 		return
 	}
 	m.samplerOn = true
-	if interval <= 0 {
-		interval = 2 * sim.Second
-	}
 	var tick func()
 	tick = func() {
 		m.SampleLinkQuality()
-		m.s.Post(interval, tick)
+		m.s.Post(qualityEvery, tick)
 	}
-	m.s.Post(interval, tick)
+	m.s.Post(qualityEvery, tick)
 }
 
 // PeerETX returns the expected transmission count toward the peer: 1/PDR

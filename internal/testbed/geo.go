@@ -80,14 +80,9 @@ type CityConfig struct {
 	Seed int64
 	// BlocksX × BlocksY is the street grid (default 4×4 blocks).
 	BlocksX, BlocksY int
-	// BlockM is the block edge length in meters (default 40).
-	BlockM float64
 	// PerBlock is the number of nodes scattered along each block's
 	// street frontage (default 6).
 	PerBlock int
-	// Jitter is the maximum perpendicular offset from the street line in
-	// meters (default 2), modelling doorways and street furniture.
-	Jitter float64
 	// Range is the disk radio range in meters (default 25).
 	Range float64
 }
@@ -99,21 +94,22 @@ func (c *CityConfig) defaults() {
 	if c.BlocksY < 1 {
 		c.BlocksY = 4
 	}
-	if c.BlockM <= 0 {
-		c.BlockM = 40
-	}
 	if c.PerBlock < 1 {
 		c.PerBlock = 6
-	}
-	if c.Jitter < 0 {
-		c.Jitter = 0
-	} else if c.Jitter == 0 {
-		c.Jitter = 2
 	}
 	if c.Range <= 0 {
 		c.Range = 25
 	}
 }
+
+// The city grid's geometry.
+const (
+	// blockM is the block edge length in meters.
+	blockM float64 = 40
+	// streetJitter is the maximum perpendicular offset from the street
+	// line in meters, modelling doorways and street furniture.
+	streetJitter float64 = 2
+)
 
 // CityBlocks places nodes along the street frontage of a BlocksX×BlocksY
 // city grid: each block contributes PerBlock nodes distributed around its
@@ -125,25 +121,25 @@ func CityBlocks(cfg CityConfig) Topology {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pos := make(map[int]Point)
 	id := 1
-	perim := 4 * cfg.BlockM
+	perim := 4 * blockM
 	for by := 0; by < cfg.BlocksY; by++ {
 		for bx := 0; bx < cfg.BlocksX; bx++ {
-			ox, oy := float64(float64(bx)*cfg.BlockM), float64(float64(by)*cfg.BlockM)
+			ox, oy := float64(float64(bx)*blockM), float64(float64(by)*blockM)
 			for k := 0; k < cfg.PerBlock; k++ {
 				// Walk a uniformly random arc length around the block
 				// perimeter, then jitter perpendicular to the street.
 				d := float64(rng.Float64() * perim)
-				j := float64((float64(rng.Float64())*2 - 1) * cfg.Jitter)
+				j := float64((float64(rng.Float64())*2 - 1) * streetJitter)
 				var p Point
 				switch {
-				case d < cfg.BlockM: // south edge
+				case d < blockM: // south edge
 					p = Point{X: ox + d, Y: oy + j}
-				case d < 2*cfg.BlockM: // east edge
-					p = Point{X: ox + cfg.BlockM + j, Y: oy + (d - cfg.BlockM)}
-				case d < 3*cfg.BlockM: // north edge
-					p = Point{X: ox + (d - 2*cfg.BlockM), Y: oy + cfg.BlockM + j}
+				case d < 2*blockM: // east edge
+					p = Point{X: ox + blockM + j, Y: oy + (d - blockM)}
+				case d < 3*blockM: // north edge
+					p = Point{X: ox + (d - 2*blockM), Y: oy + blockM + j}
 				default: // west edge
-					p = Point{X: ox + j, Y: oy + (d - float64(3*cfg.BlockM))}
+					p = Point{X: ox + j, Y: oy + (d - float64(3*blockM))}
 				}
 				pos[id] = p
 				id++
@@ -161,14 +157,6 @@ type FloorsConfig struct {
 	Buildings int
 	// Floors per building (default 3) and nodes per floor (default 8).
 	Floors, PerFloor int
-	// FootprintM is the square building footprint edge in meters (default 20).
-	FootprintM float64
-	// FloorH is the vertical floor separation in meters (default 3).
-	FloorH float64
-	// GapM is the horizontal gap between adjacent buildings (default 30).
-	// A gap wider than Range makes every building its own RF-isolated site —
-	// the natural shard decomposition.
-	GapM float64
 	// Range is the disk radio range in meters (default 12).
 	Range float64
 }
@@ -183,37 +171,40 @@ func (c *FloorsConfig) defaults() {
 	if c.PerFloor < 1 {
 		c.PerFloor = 8
 	}
-	if c.FootprintM <= 0 {
-		c.FootprintM = 20
-	}
-	if c.FloorH <= 0 {
-		c.FloorH = 3
-	}
-	if c.GapM <= 0 {
-		c.GapM = 30
-	}
 	if c.Range <= 0 {
 		c.Range = 12
 	}
 }
 
+// The buildings' geometry.
+const (
+	// footprintM is the square building footprint edge in meters.
+	footprintM float64 = 20
+	// floorH is the vertical floor separation in meters.
+	floorH float64 = 3
+	// gapM is the horizontal gap between adjacent buildings. A gap wider
+	// than Range makes every building its own RF-isolated site — the
+	// natural shard decomposition.
+	gapM float64 = 30
+)
+
 // BuildingFloors places PerFloor nodes uniformly on each floor of each
-// building; buildings stand in a row separated by GapM. Vertical links span
-// adjacent floors (FloorH < Range), horizontal links stay within a floor,
-// and with GapM > Range each building is one RF-isolated site.
+// building; buildings stand in a row separated by gapM. Vertical links span
+// adjacent floors (floorH < Range), horizontal links stay within a floor,
+// and with gapM > Range each building is one RF-isolated site.
 func BuildingFloors(cfg FloorsConfig) Topology {
 	cfg.defaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	pos := make(map[int]Point)
 	id := 1
 	for b := 0; b < cfg.Buildings; b++ {
-		ox := float64(float64(b) * (cfg.FootprintM + cfg.GapM))
+		ox := float64(float64(b) * (footprintM + gapM))
 		for f := 0; f < cfg.Floors; f++ {
 			for k := 0; k < cfg.PerFloor; k++ {
 				pos[id] = Point{
-					X: ox + float64(rng.Float64()*cfg.FootprintM),
-					Y: rng.Float64() * cfg.FootprintM,
-					Z: float64(f) * cfg.FloorH,
+					X: ox + float64(rng.Float64()*footprintM),
+					Y: rng.Float64() * footprintM,
+					Z: float64(f) * floorH,
 				}
 				id++
 			}

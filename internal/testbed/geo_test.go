@@ -130,7 +130,7 @@ func TestBuildingFloorsSitesAreBuildings(t *testing.T) {
 	cfg := FloorsConfig{Seed: 5, Buildings: 3, Floors: 2, PerFloor: 10}
 	topo := BuildingFloors(cfg)
 	checkGeoInvariants(t, topo)
-	// The 30m default gap exceeds the 12m range, so no site may span two
+	// The 30m gap (gapM) exceeds the 12m range, so no site may span two
 	// buildings (each building holds a contiguous ID block).
 	perB := cfg.Floors * cfg.PerFloor
 	for _, site := range topo.Sites() {

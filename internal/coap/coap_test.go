@@ -2,6 +2,7 @@ package coap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -169,12 +170,16 @@ func TestNONRequestResponse(t *testing.T) {
 		}
 		return &Message{Type: ACK, Code: CodeValid}
 	}
+	// The response lives only for the callback: capture it there.
 	var resp *Message
 	var rtt sim.Duration
 	req := &Message{Type: NON, Code: CodeGET, Payload: make([]byte, 39)}
 	req.SetPath("data")
 	if err := client.Request(b.GlobalAddr(), req, func(m *Message, d sim.Duration, _ error) {
-		resp, rtt = m, d
+		if m != nil {
+			resp = &Message{Type: m.Type, Code: m.Code}
+		}
+		rtt = d
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,16 +212,50 @@ func TestCONRetransmitsUntilAnswered(t *testing.T) {
 	server.Handler = func(ip6.Addr, *Message) *Message {
 		return &Message{Type: ACK, Code: CodeContent, Payload: []byte("ok")}
 	}
+	// The response lives only for the callback: capture it there.
 	var resp *Message
 	req := &Message{Type: CON, Code: CodeGET}
 	req.SetPath("r")
-	client.Request(b.GlobalAddr(), req, func(m *Message, _ sim.Duration, _ error) { resp = m })
+	client.Request(b.GlobalAddr(), req, func(m *Message, _ sim.Duration, _ error) {
+		if m != nil {
+			resp = &Message{Code: m.Code, Payload: bytes.Clone(m.Payload)}
+		}
+	})
 	s.Run(30 * sim.Second)
 	if resp == nil || resp.Code != CodeContent {
 		t.Fatalf("CON exchange failed: %+v", resp)
 	}
 	if client.Stats().Retransmissions < 2 {
 		t.Fatalf("retransmissions = %d, want ≥ 2", client.Stats().Retransmissions)
+	}
+}
+
+// TestLoopbackAnswerEndsTheExchangeInSend: a request to the node's own
+// address is answered before its send returns. The exchange then ends
+// there — callback once, record back in the pool — and no timer is armed
+// for it: a confirmable one is not retransmitted, nor does it expire.
+func TestLoopbackAnswerEndsTheExchangeInSend(t *testing.T) {
+	for _, typ := range []Type{NON, CON} {
+		s := sim.New(8)
+		st := ip6.NewStack(s, 0x0A)
+		ep := NewEndpoint(s, st)
+		ep.Handler = func(ip6.Addr, *Message) *Message { return &Message{Type: ACK, Code: CodeValid} }
+		calls := 0
+		if err := ep.Request(st.GlobalAddr(), &Message{Type: typ, Code: CodeGET}, func(m *Message, _ sim.Duration, err error) {
+			if m == nil || m.Code != CodeValid {
+				t.Errorf("%v: response %+v, %v", typ, m, err)
+			}
+			calls++
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 || len(ep.pending) != 0 || s.Pending() != 0 {
+			t.Fatalf("%v: %d callbacks, %d pending, %d events armed after the send; want 1, 0, 0", typ, calls, len(ep.pending), s.Pending())
+		}
+		s.Run(200 * sim.Second)
+		if st := ep.Stats(); calls != 1 || st.Retransmissions != 0 || st.Timeouts != 0 || st.ResponsesMatched != 1 {
+			t.Fatalf("%v: %d callbacks, stats %+v", typ, calls, st)
+		}
 	}
 }
 
@@ -263,7 +302,7 @@ func TestNONTimesOutWithoutRetransmit(t *testing.T) {
 	})
 	// The lost request waits for its response without its message: only a
 	// confirmable request is ever sent again.
-	if len(client.pending) != 1 || client.pending[0].msg != nil || client.pending[0].tok != uint16(client.tokSeq) {
+	if len(client.pending) != 1 || client.pending[0].msg != nil || binary.BigEndian.Uint16(client.pending[0].tok[:]) != uint16(client.tokSeq) {
 		t.Fatalf("pending NON exchange: %d records, first %+v", len(client.pending), client.pending[0])
 	}
 	s.Run(200 * sim.Second)

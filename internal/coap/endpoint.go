@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"slices"
+	"sync"
 
 	"blemesh/internal/ip6"
 	"blemesh/internal/sim"
@@ -50,18 +51,23 @@ type Stats struct {
 }
 
 // Handler produces a response for an incoming request. Returning nil means
-// no response (the request is silently absorbed).
+// no response (the request is silently absorbed). req aliases the received
+// packet and is valid only during the call. The endpoint stamps a copy of
+// the returned message with the token, type and MID, so a handler may
+// return one shared message, which it must not modify afterwards.
 type Handler func(from ip6.Addr, req *Message) *Message
 
 // ResponseFunc receives the matched response for a request. On failure resp
 // is nil and err distinguishes the outcome: ErrGaveUp when a confirmable
 // request exhausted MAX_RETRANSMIT, ErrTimeout when the response never
-// arrived within ResponseTimeout.
+// arrived within ResponseTimeout. resp aliases the received packet and is
+// valid only during the call.
 type ResponseFunc func(resp *Message, rtt sim.Duration, err error)
 
-// pendingReq is one outstanding request exchange. Only a confirmable
-// request keeps its message, which its retransmissions resend; a lost NON
-// request would otherwise hold payload, options and token for the whole
+// pendingReq is one outstanding request exchange, taken from reqPool by
+// Request and returned when the exchange ends. Only a confirmable request
+// keeps its message, which its retransmissions resend; a lost NON request
+// would otherwise hold payload, options and token for the whole
 // ResponseTimeout. The token a response is matched by is kept inline.
 type pendingReq struct {
 	ep       *Endpoint
@@ -72,10 +78,21 @@ type pendingReq struct {
 	pid      uint64       // provenance ID of the latest (re)transmission
 	rto      sim.Duration // the timeout retryEvt was armed with
 	retries  int
-	tok      uint16
+	tok      [2]byte
 	retryEvt sim.Timer
 	expire   sim.Timer
+	// sending is set while the request is being handed to the stack, and
+	// ended when an answer looped back before the send returned: the
+	// sender then finishes the exchange instead of arming its timers.
+	sending, ended bool
 }
+
+// reqPool recycles pendingReq, rxPool the messages received packets are
+// decoded into: in steady state an exchange allocates neither.
+var (
+	reqPool = sync.Pool{New: func() any { return new(pendingReq) }}
+	rxPool  = sync.Pool{New: func() any { return new(Message) }}
+)
 
 // The exchange's two timers. Each type is pendingReq under another name, so
 // arming one stores the exchange itself in the sim.Handler: no closure.
@@ -100,7 +117,7 @@ func (h *reqRetry) Fire() {
 	}
 	pr.retries++
 	ep.stats.Retransmissions++
-	pid, err := ep.send(pr.dst, pr.msg)
+	pid, err := ep.sendReq(pr, pr.msg)
 	if err != nil {
 		ep.stats.SendErrors++
 	} else {
@@ -108,6 +125,10 @@ func (h *reqRetry) Fire() {
 		if ep.tr.Keeps(pid) {
 			ep.tr.Add(ep.node, pid, 0, trace.CoAPReq(pr.dst, pr.msg.MessageID, pr.retries+1))
 		}
+	}
+	if pr.ended {
+		recycle(pr)
+		return
 	}
 	ep.armRetry(pr, pr.rto*2)
 }
@@ -161,44 +182,55 @@ func (ep *Endpoint) NewMessageID() uint16 {
 	return ep.mid
 }
 
-// newToken mints a unique 2-byte token (the paper's 100-byte IP packets
-// imply short tokens), returned as its value and its wire bytes.
-func (ep *Endpoint) newToken() (uint16, []byte) {
-	ep.tokSeq++
-	tok := uint16(ep.tokSeq)
-	b := make([]byte, 2)
-	binary.BigEndian.PutUint16(b, tok)
-	return tok, b
-}
-
 // Request sends a request to dst and invokes cb with the matched response.
 // Confirmable requests are retransmitted per RFC 7252; non-confirmable
-// requests are sent once. The message is assigned a fresh MID and token.
+// requests are sent once. The request goes out as a copy of m with a fresh
+// MID and a unique 2-byte token (the paper's 100-byte IP packets imply short
+// tokens); m itself is not modified. A confirmable request keeps that copy,
+// whose options and payload are m's, until the exchange ends; a
+// non-confirmable one keeps nothing of m.
 func (ep *Endpoint) Request(dst ip6.Addr, m *Message, cb ResponseFunc) error {
-	m.MessageID = ep.NewMessageID()
-	tok, tokBytes := ep.newToken()
-	m.Token = tokBytes
-	pr := &pendingReq{ep: ep, dst: dst, cb: cb, sentAt: ep.s.Now(), tok: tok}
-	if m.Type == CON {
-		pr.msg = m
+	msg := *m
+	msg.MessageID = ep.NewMessageID()
+	ep.tokSeq++
+	pr := reqPool.Get().(*pendingReq)
+	*pr = pendingReq{ep: ep, dst: dst, cb: cb, sentAt: ep.s.Now()}
+	binary.BigEndian.PutUint16(pr.tok[:], uint16(ep.tokSeq))
+	msg.Token = pr.tok[:]
+	if msg.Type == CON {
+		c := msg
+		pr.msg = &c
 	}
 	ep.pending = append(ep.pending, pr)
-	pid, err := ep.send(dst, m)
+	pid, err := ep.sendReq(pr, &msg)
 	if err != nil {
 		ep.unpend(pr)
+		recycle(pr)
 		ep.stats.SendErrors++
 		return err
 	}
 	pr.pid = pid
 	ep.stats.RequestsSent++
 	if ep.tr.Keeps(pid) {
-		ep.tr.Add(ep.node, pid, 0, trace.CoAPReq(dst, m.MessageID, 1))
+		ep.tr.Add(ep.node, pid, 0, trace.CoAPReq(dst, msg.MessageID, 1))
 	}
-	if m.Type == CON {
+	if pr.ended {
+		recycle(pr)
+		return nil
+	}
+	if msg.Type == CON {
 		ep.armRetry(pr, ep.initialTimeout())
 	}
 	pr.expire = ep.s.Schedule(ep.s.Now()+ResponseTimeout, (*reqExpire)(pr))
 	return nil
+}
+
+// sendReq sends pr's request m, marking pr as in the middle of a send.
+func (ep *Endpoint) sendReq(pr *pendingReq, m *Message) (uint64, error) {
+	pr.sending = true
+	pid, err := ep.send(pr.dst, m)
+	pr.sending = false
+	return pid, err
 }
 
 // pendingIndex returns the index of the outstanding request whose token is
@@ -210,13 +242,30 @@ func (ep *Endpoint) pendingIndex(tok []byte) int {
 	if len(tok) != 2 {
 		return -1
 	}
-	t := binary.BigEndian.Uint16(tok)
+	t := [2]byte(tok)
 	for i := len(ep.pending) - 1; i >= 0; i-- {
 		if ep.pending[i].tok == t {
 			return i
 		}
 	}
 	return -1
+}
+
+// end returns a finished exchange, already out of pending, to reqPool —
+// unless its request is still being sent, whose sender recycles it.
+func (ep *Endpoint) end(pr *pendingReq) {
+	if pr.sending {
+		pr.ended = true
+		return
+	}
+	recycle(pr)
+}
+
+// recycle clears pr, so the pool keeps nothing of the exchange reachable,
+// and returns it to reqPool.
+func recycle(pr *pendingReq) {
+	*pr = pendingReq{}
+	reqPool.Put(pr)
 }
 
 // unpend removes pr from the outstanding requests, reporting whether it was
@@ -260,6 +309,7 @@ func (ep *Endpoint) fail(pr *pendingReq, cause error) {
 	if pr.cb != nil {
 		pr.cb(nil, 0, cause)
 	}
+	ep.end(pr)
 }
 
 // Reset drops all volatile endpoint state, as a node reboot would: pending
@@ -270,27 +320,43 @@ func (ep *Endpoint) Reset() {
 	for _, pr := range ep.pending {
 		ep.s.Cancel(pr.retryEvt)
 		ep.s.Cancel(pr.expire)
+		ep.end(pr)
 	}
 	ep.pending = nil
 	ep.dedup = nil
 }
 
+// stackEncode is the encoding buffer send keeps on its stack: it holds the
+// paper's 100-byte packets with room to spare; a larger message grows it
+// onto the heap.
+const stackEncode = 256
+
 // send encodes and emits a message over UDP, returning the provenance ID
 // the stack assigned to the datagram.
 func (ep *Endpoint) send(dst ip6.Addr, m *Message) (uint64, error) {
-	b, err := m.Encode()
+	var buf [stackEncode]byte
+	b, err := m.AppendTo(buf[:0])
 	if err != nil {
 		return 0, err
 	}
 	return ep.st.SendUDPPID(dst, DefaultPort, DefaultPort, b)
 }
 
-// onUDP dispatches incoming CoAP traffic.
+// onUDP dispatches incoming CoAP traffic, decoded in place into a message
+// from rxPool that lives for the Handler or ResponseFunc call.
 func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
-	m, err := Decode(data)
-	if err != nil {
-		return
+	m := rxPool.Get().(*Message)
+	if m.decodeInPlace(data) == nil {
+		ep.dispatch(src, srcPort, m)
 	}
+	clear(m.Options)
+	*m = Message{Options: m.Options[:0]}
+	rxPool.Put(m)
+}
+
+// dispatch hands a received request to the handler, or a response to the
+// exchange its token matches.
+func (ep *Endpoint) dispatch(src ip6.Addr, srcPort uint16, m *Message) {
 	if m.Code.IsRequest() {
 		ep.handleRequest(src, srcPort, m)
 		return
@@ -313,6 +379,7 @@ func (ep *Endpoint) onUDP(src ip6.Addr, srcPort uint16, data []byte) {
 	if pr.cb != nil {
 		pr.cb(m, rtt, nil)
 	}
+	ep.end(pr)
 }
 
 // handleRequest runs the handler and sends its response. Requests of either
@@ -332,10 +399,11 @@ func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
 	if ep.Handler == nil {
 		return
 	}
-	resp := ep.Handler(src, req)
-	if resp == nil {
+	h := ep.Handler(src, req)
+	if h == nil {
 		return
 	}
+	resp := *h
 	resp.Token = req.Token
 	if req.Type == CON || resp.Type == ACK {
 		// Piggybacked response: same MID, type ACK.
@@ -344,5 +412,5 @@ func (ep *Endpoint) handleRequest(src ip6.Addr, srcPort uint16, req *Message) {
 	} else {
 		resp.MessageID = ep.NewMessageID()
 	}
-	_, _ = ep.send(src, resp)
+	_, _ = ep.send(src, &resp)
 }

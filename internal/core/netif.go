@@ -166,12 +166,11 @@ func (n *NetIf) RemoveLink(conn *ble.Conn) {
 	n.flushQueue(l)
 }
 
-// flushQueue drops a dead link's queued frames, releasing their pktbuf
-// charges and buffers and recording the drops.
+// flushQueue drops a dead link's queued frames, releasing their buffers
+// (and with them their pktbuf charges) and recording the drops.
 func (n *NetIf) flushQueue(l *link) {
 	for i := 0; i < l.queue.Len(); i++ {
 		f := l.queue.At(i)
-		n.stack.Pktbuf.Free(f.buf.Len())
 		f.buf.Put()
 		n.stats.LinkDrops++
 		if f.pid != 0 && n.tr.Keeps(f.pid) {
@@ -221,9 +220,9 @@ func (l *link) Unblocked() { l.n.drain(l) }
 // from statconn, which also flushes its queue (RemoveLink).
 func (l *link) Closed() {}
 
-// Output implements ip6.NetIf: compress in place, charge the pktbuf, queue,
-// drain. The packet's pooled buffer is carried through to the LL without
-// copying; ownership of pkt passes to the adapter in every case.
+// Output implements ip6.NetIf: compress in place, charge the pktbuf on the
+// buffer, queue, drain. The packet's pooled buffer is carried through to the
+// LL without copying; ownership of pkt passes to the adapter in every case.
 func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	l := n.linkFor(mac)
 	if l == nil {
@@ -235,12 +234,16 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		pkt.Put()
 		return false
 	}
-	if !n.stack.Pktbuf.Alloc(pkt.Len()) {
+	size := pkt.Len()
+	if !n.stack.Pktbuf.Alloc(size) {
 		// GNRC pktbuf exhausted: this is the §5.2 loss process.
 		n.stats.QueueDrops++
 		pkt.Put()
 		return false
 	}
+	// The charge travels with the buffer down to the LL, whose Put of the
+	// frame's last piece returns it.
+	pkt.Charge(&n.stack.Pktbuf, size)
 	l.queue.Push(outFrame{buf: pkt, pid: pid})
 	n.drain(l)
 	return true
@@ -250,12 +253,7 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 func (n *NetIf) drain(l *link) {
 	for l.queue.Len() > 0 && l.ch != nil && l.ch.Writable() {
 		f := l.queue.Pop()
-		size := f.buf.Len()
-		err := l.ch.SendSDUBuf(f.buf, f.pid, func() {
-			n.stack.Pktbuf.Free(size)
-		})
-		if err != nil {
-			n.stack.Pktbuf.Free(size)
+		if err := l.ch.SendSDUBuf(f.buf, f.pid, nil); err != nil {
 			n.stats.LinkDrops++
 			continue
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"blemesh/internal/ble"
 	"blemesh/internal/coap"
 	"blemesh/internal/ip6"
@@ -164,6 +166,12 @@ func (n *Node) ConnectTo(peer *Node) {
 	}
 	n.prov.outbound = append(n.prov.outbound, addr)
 	n.Statconn.Connect(addr)
+}
+
+// Dials reports whether the node is provisioned to coordinate a connection
+// toward peer (ConnectTo).
+func (n *Node) Dials(peer *Node) bool {
+	return slices.Contains(n.prov.outbound, peer.DevAddr())
 }
 
 // AcceptInbound declares how many subordinate-role connections this node

@@ -64,21 +64,20 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		pkt.Put()
 		return false
 	}
-	// Charge the packet to the pktbuf until the MAC is done.
+	// Charge the packet to the pktbuf on its buffer, which the MAC puts
+	// when it is done with the frame.
 	if !n.stack.Pktbuf.Alloc(size) {
 		n.stats.QueueDrops++
 		pkt.Put()
 		return false
 	}
-	release := func(ok bool) {
+	pkt.Charge(&n.stack.Pktbuf, size)
+	if !n.mac.SendBuf(mac, pkt, pid, func(ok bool) {
 		if !ok {
 			n.stats.TXFailures++
 		}
-		n.stack.Pktbuf.Free(size)
-	}
-	if !n.mac.SendBuf(mac, pkt, pid, release) {
+	}) {
 		n.stats.QueueDrops++
-		n.stack.Pktbuf.Free(size)
 		return false
 	}
 	n.stats.TXPackets++

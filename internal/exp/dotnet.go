@@ -60,9 +60,9 @@ func (nw *DotNetwork) StartTraffic(t TrafficConfig) {
 	t.defaults()
 	consumer := nw.Nodes[nw.Topo.Consumer]
 	consumer.Coap.Handler = sink
+	tr := newTraffic(t, nw.Series)
 	for _, id := range nw.Topo.Producers() {
-		p := &producer{s: nw.Sim, ep: nw.Nodes[id].Coap, dst: consumer.Addr(), t: t,
-			series: nw.Series, rtts: nw.RTTs}
+		p := &producer{s: nw.Sim, ep: nw.Nodes[id].Coap, dst: consumer.Addr(), tr: tr, rtts: nw.RTTs}
 		p.start()
 	}
 }

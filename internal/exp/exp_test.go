@@ -291,6 +291,47 @@ func TestChurnRecoversAndIsDeterministic(t *testing.T) {
 	// Same seed ⇒ the same report: TestGolden's churn line.
 }
 
+// TestNodeLinksUpMatchesLinkScan holds NodeLinksUp, which visits a node's
+// neighbors, to the answer of a scan over every configured link, for every
+// node of the braided mesh (each forwarder coordinates some links and is
+// subordinate on others) while it forms, after a link is killed and while
+// a node is down.
+func TestNodeLinksUpMatchesLinkScan(t *testing.T) {
+	nw := BuildNetwork(NetworkConfig{Seed: 3, Topology: testbed.Mesh()})
+	scan := func(id int) bool {
+		for _, l := range nw.Cfg.Topology.Links {
+			if (l.Coordinator == id || l.Subordinate == id) &&
+				!channelOpen(nw.Nodes[l.Coordinator], nw.Nodes[l.Subordinate]) {
+				return false
+			}
+		}
+		return true
+	}
+	seen := map[bool]int{}
+	check := func(phase string, steps int) {
+		for i := 0; i < steps; i++ {
+			nw.Run(250 * sim.Millisecond)
+			for _, id := range nw.Cfg.Topology.Nodes() {
+				got, want := nw.NodeLinksUp(id), scan(id)
+				if got != want {
+					t.Fatalf("%s, %v: NodeLinksUp(%d) = %v, the link scan says %v", phase, nw.Now(), id, got, want)
+				}
+				seen[got]++
+			}
+		}
+	}
+	check("forming", 80)
+	nw.KillLink(5, 2)
+	check("after KillLink(5, 2)", 20)
+	nw.CrashNode(3)
+	check("node 3 down", 20)
+	nw.RestartNode(3)
+	check("node 3 restarted", 80)
+	if seen[true] == 0 || seen[false] == 0 {
+		t.Fatalf("answers seen %v: the check needs links both up and down", seen)
+	}
+}
+
 func TestSelfhealRepairsAndBeatsStatic(t *testing.T) {
 	rep := runSelfHeal(small(2))
 	// Every forwarder crash must be repaired by re-homing through an

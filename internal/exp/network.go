@@ -884,9 +884,7 @@ func (nw *Network) linksUp() bool {
 	for _, l := range nw.Cfg.Topology.Links {
 		// Usable means the IPSP channel is open, not merely that a
 		// CONNECT_IND went out (establishment can still fail).
-		subMAC := uint64(nw.Nodes[l.Subordinate].DevAddr())
-		ch := nw.Nodes[l.Coordinator].NetIf.Channel(subMAC)
-		if ch == nil || !ch.Open() {
+		if !channelOpen(nw.Nodes[l.Coordinator], nw.Nodes[l.Subordinate]) {
 			return false
 		}
 	}
@@ -978,12 +976,13 @@ func (nw *Network) StartTraffic(t TrafficConfig) {
 	for _, cid := range nw.consumers {
 		nw.Nodes[cid].Coap.Handler = sink
 	}
+	tr := newTraffic(t, nw.Series)
 	for _, id := range nw.Cfg.Topology.Producers() {
-		nw.startProducer(id, t)
+		nw.startProducer(id, tr)
 	}
 }
 
-func (nw *Network) startProducer(id int, t TrafficConfig) {
+func (nw *Network) startProducer(id int, tr *traffic) {
 	node := nw.Nodes[id]
 	name := node.Name
 	if name == "" {
@@ -1001,21 +1000,37 @@ func (nw *Network) startProducer(id int, t TrafficConfig) {
 	// run safely inside parallel site windows.
 	site := nw.siteOf[id]
 	p := &producer{
-		s:      node.Sim,
-		ep:     node.Coap,
-		dst:    nw.Nodes[nw.consumers[site]].Addr(),
-		t:      t,
-		series: nw.Series,
-		row:    row,
-		rtts:   nw.rtts[site],
+		s:    node.Sim,
+		ep:   node.Coap,
+		dst:  nw.Nodes[nw.consumers[site]].Addr(),
+		tr:   tr,
+		row:  row,
+		rtts: nw.rtts[site],
 	}
 	p.start()
 }
 
+// sinkResponse is the one response every sink sends: an empty 2.03 Valid.
+// The endpoint stamps a copy of it, so it is never written.
+var sinkResponse = &coap.Message{Type: coap.ACK, Code: coap.CodeValid}
+
 // sink is every consumer's CoAP handler, on both radios: it answers each
-// request with an empty 2.03 Valid.
-func sink(ip6.Addr, *coap.Message) *coap.Message {
-	return &coap.Message{Type: coap.ACK, Code: coap.CodeValid}
+// request with sinkResponse.
+func sink(ip6.Addr, *coap.Message) *coap.Message { return sinkResponse }
+
+// sinkPath is the Uri-Path of every request, "/s"; no layer writes it.
+var sinkPath = []coap.Option{{Number: coap.OptUriPath, Value: []byte("s")}}
+
+// traffic is what all producers of one StartTraffic share; nothing writes
+// it once they run.
+type traffic struct {
+	TrafficConfig
+	payload []byte // every request's zero payload, PayloadBytes long
+	series  *metrics.TimeSeries
+}
+
+func newTraffic(t TrafficConfig, series *metrics.TimeSeries) *traffic {
+	return &traffic{TrafficConfig: t, payload: make([]byte, t.PayloadBytes), series: series}
 }
 
 // producer is one node's CoAP send loop and its own sim.Handler, so a
@@ -1023,48 +1038,55 @@ func sink(ip6.Addr, *coap.Message) *coap.Message {
 // variable holding it and the traffic configuration it captured. The BLE
 // and the 802.15.4 networks both run it.
 type producer struct {
-	s      *sim.Sim
-	ep     *coap.Endpoint
-	dst    ip6.Addr
-	t      TrafficConfig
-	series *metrics.TimeSeries
-	row    *metrics.TimeSeries // the heatmap row; nil on lean runs
-	rtts   *metrics.CDF
+	s    *sim.Sim
+	ep   *coap.Endpoint
+	dst  ip6.Addr
+	tr   *traffic
+	row  *metrics.TimeSeries // the heatmap row; nil on lean runs
+	rtts *metrics.CDF
+	// onResponse is p.response, bound once so a request allocates no
+	// callback.
+	onResponse coap.ResponseFunc
 }
 
 // start schedules the first request at a random offset within one
 // interval, which desynchronises the producers.
 func (p *producer) start() {
-	p.s.Schedule(p.s.Now()+sim.Duration(p.s.Rand().Int63n(int64(p.t.Interval))), p)
+	p.onResponse = p.response
+	p.s.Schedule(p.s.Now()+sim.Duration(p.s.Rand().Int63n(int64(p.tr.Interval))), p)
 }
 
 // Fire sends one request and schedules the next.
 func (p *producer) Fire() {
 	s := p.s
 	sent := s.Now()
-	req := &coap.Message{Type: coap.NON, Code: coap.CodeGET,
-		Payload: make([]byte, p.t.PayloadBytes)}
-	req.SetPath("s")
-	p.series.RecordSent(sent)
+	req := coap.Message{Type: coap.NON, Code: coap.CodeGET,
+		Options: sinkPath, Payload: p.tr.payload}
+	p.tr.series.RecordSent(sent)
 	if p.row != nil {
 		p.row.RecordSent(sent)
 	}
-	err := p.ep.Request(p.dst, req, func(m *coap.Message, rtt sim.Duration, _ error) {
-		if m == nil {
-			return
-		}
-		p.series.RecordDelivered(sent)
-		if p.row != nil {
-			p.row.RecordDelivered(sent)
-		}
-		p.rtts.AddDuration(rtt)
-	})
+	err := p.ep.Request(p.dst, &req, p.onResponse)
 	_ = err // send failures (no route during reconnect) count as losses
-	delay := p.t.Interval
-	if p.t.Jitter > 0 {
-		delay += sim.Duration(s.Rand().Int63n(int64(2*p.t.Jitter))) - p.t.Jitter
+	delay := p.tr.Interval
+	if p.tr.Jitter > 0 {
+		delay += sim.Duration(s.Rand().Int63n(int64(2*p.tr.Jitter))) - p.tr.Jitter
 	}
 	s.Schedule(s.Now()+delay, p)
+}
+
+// response records a delivered exchange against the time its request was
+// sent, which is now less the round trip.
+func (p *producer) response(m *coap.Message, rtt sim.Duration, _ error) {
+	if m == nil {
+		return
+	}
+	sent := p.s.Now() - rtt
+	p.tr.series.RecordDelivered(sent)
+	if p.row != nil {
+		p.row.RecordDelivered(sent)
+	}
+	p.rtts.AddDuration(rtt)
 }
 
 // Run advances the simulation by d, window by window: one window per Run on
@@ -1189,19 +1211,24 @@ func (nw *Network) ReconnectLatencies() *metrics.CDF {
 }
 
 // NodeLinksUp reports whether every configured static link touching node id
-// has its IPSP channel open — the churn experiment's recovery criterion.
+// has its IPSP channel open — the churn experiment's recovery criterion. It
+// visits id's neighbors alone: a link's coordinator is the end provisioned
+// to dial the other (ConnectTo), and the channel is judged on its side.
 func (nw *Network) NodeLinksUp(id int) bool {
-	for _, l := range nw.Cfg.Topology.Links {
-		if l.Coordinator != id && l.Subordinate != id {
-			continue
-		}
-		subMAC := uint64(nw.Nodes[l.Subordinate].DevAddr())
-		ch := nw.Nodes[l.Coordinator].NetIf.Channel(subMAC)
-		if ch == nil || !ch.Open() {
+	n := nw.Nodes[id]
+	for _, nb := range nw.Cfg.Topology.Neighbors(id) {
+		peer := nw.Nodes[nb]
+		if n.Dials(peer) && !channelOpen(n, peer) || peer.Dials(n) && !channelOpen(peer, n) {
 			return false
 		}
 	}
 	return true
+}
+
+// channelOpen reports whether coord's IPSP channel toward sub is open.
+func channelOpen(coord, sub *core.Node) bool {
+	ch := coord.NetIf.Channel(uint64(sub.DevAddr()))
+	return ch != nil && ch.Open()
 }
 
 // ---- fault.Target ----------------------------------------------------------

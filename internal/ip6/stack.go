@@ -2,6 +2,7 @@ package ip6
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"blemesh/internal/pktbuf"
@@ -403,6 +404,14 @@ func (st *Stack) output(b *pktbuf.Buf, pid uint64) error {
 	return nil
 }
 
+// The drops transmit reports. They are fixed values, so a drop formats and
+// allocates nothing; the trace records the address a drop concerned.
+var (
+	errNoRoute    = errors.New("ip6: no route to destination")
+	errNoNeighbor = errors.New("ip6: no neighbor for next hop")
+	errQueueFull  = errors.New("ip6: interface queue full toward next hop")
+)
+
 // transmit resolves the next hop for dst and hands pkt to the right netif.
 // It takes ownership of pkt.
 func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
@@ -427,13 +436,13 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 			if st.tr.Keeps(pid) {
 				st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseNoRoute, dst))
 			}
-			return fmt.Errorf("ip6: no route to %v", dst)
+			return errNoRoute
 		}
 		st.stats.NoNeighbor++
 		if st.tr.Keeps(pid) {
 			st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseNoNeighbor, nh))
 		}
-		return fmt.Errorf("ip6: no neighbor for %v", nh)
+		return errNoNeighbor
 	}
 	if viaIf != nil {
 		ifc = viaIf
@@ -443,7 +452,7 @@ func (st *Stack) transmit(dst Addr, pkt *pktbuf.Buf, pid uint64) error {
 		if st.tr.Keeps(pid) {
 			st.tr.Add(st.node, pid, 0, trace.Drop(trace.CauseQueueFull, nh))
 		}
-		return fmt.Errorf("ip6: interface queue full toward %v", nh)
+		return errQueueFull
 	}
 	return nil
 }

@@ -54,8 +54,8 @@ type Channel struct {
 	open   bool
 	closed bool
 
-	// Segmentation queue: K-frames ready to go; onDone fires when the
-	// final frame of its SDU is acknowledged by the LL.
+	// Segmentation queue: K-frames ready to go; the final frame of an SDU
+	// carries its onDone and its pktbuf charge.
 	txq ring.Ring[txFrame]
 
 	// Reassembly state: the SDU accumulates in a pooled buffer that is
@@ -116,12 +116,14 @@ func (ch *Channel) Writable() bool {
 
 // SendSDUBuf segments an SDU into K-frames tagged with the packet's
 // provenance ID (0 = untagged) and queues them for transmission. The
-// 2-byte SDU header is prepended in place; multi-frame SDUs are sub-sliced
-// without copying. onDone fires when the LL has delivered (and the peer
-// acknowledged) the final frame. It returns an error when the channel is
-// not open or the SDU exceeds the peer's MTU; it accepts data even when
-// currently blocked (the frames wait for credits), so callers should gate
-// on Writable. Ownership of data passes to the channel in every case.
+// 2-byte SDU header is prepended in place; each frame of a multi-frame SDU
+// is copied into a buffer of its own, and the final one takes over the SDU
+// buffer's pktbuf charge. onDone fires when the LL has delivered (and the
+// peer acknowledged) the final frame, just before that frame's Put. It
+// returns an error when the channel is not open or the SDU exceeds the
+// peer's MTU; it accepts data even when currently blocked (the frames wait
+// for credits), so callers should gate on Writable. Ownership of data
+// passes to the channel in every case.
 func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error {
 	if !ch.Open() {
 		data.Put()
@@ -146,6 +148,7 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 			tf := txFrame{buf: pktbuf.FromBytes(data.Bytes()[lo:hi]), pid: pid}
 			if hi == total {
 				tf.onDone = onDone
+				data.MoveCharge(tf.buf)
 			}
 			ch.txq.Push(tf)
 		}
@@ -257,9 +260,9 @@ func (ch *Channel) teardown() {
 	}
 	ch.closed = true
 	ch.open = false
-	// Complete queued frames so SDU-level resources (pktbuf charges) held
-	// by their onDone callbacks are released. Frames already handed to the
-	// LL are completed by the connection's own teardown.
+	// Complete queued frames: their Put releases the pktbuf charge the
+	// final frame of each SDU carries. Frames already handed to the LL are
+	// completed by the connection's own teardown.
 	var lastPID uint64
 	for i := 0; i < ch.txq.Len(); i++ {
 		f := ch.txq.At(i)
@@ -488,11 +491,13 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 	full := b.Len()
 	for lo := 0; lo < full; lo += ble.MaxDataLen {
 		hi := min(lo+ble.MaxDataLen, full)
+		frag := pktbuf.FromBytes(b.Bytes()[lo:hi])
 		var cb func()
 		if hi == full {
 			cb = onDone
+			b.MoveCharge(frag)
 		}
-		if !ep.conn.SendBuf(llid, pktbuf.FromBytes(b.Bytes()[lo:hi]), pid, cb) {
+		if !ep.conn.SendBuf(llid, frag, pid, cb) {
 			panic("l2cap: LL rejected fragment after pool check")
 		}
 		llid = ble.LLIDDataCont
@@ -501,12 +506,10 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 	return true
 }
 
-// sendPDUBytes is sendPDU for []byte payloads (signaling, fixed channels):
-// the payload is copied into a pooled buffer, which is released again if
-// the send cannot proceed.
-func (ep *Endpoint) sendPDUBytes(cid uint16, payload []byte, pid uint64, onDone func()) bool {
-	b := pktbuf.FromBytes(payload)
-	if !ep.sendPDU(cid, b, pid, onDone) {
+// sendPDUNow is sendPDU for a PDU nobody waits on (signaling, fixed
+// channels): the buffer is released again if the send cannot proceed.
+func (ep *Endpoint) sendPDUNow(cid uint16, b *pktbuf.Buf) bool {
+	if !ep.sendPDU(cid, b, 0, nil) {
 		b.Put()
 		return false
 	}
@@ -520,7 +523,7 @@ func (ep *Endpoint) sendSignal(s signal) {
 	if ep.conn == nil || !ep.conn.Usable() {
 		return
 	}
-	if !ep.sendPDUBytes(CIDSignaling, encodeSignal(s), 0, nil) {
+	if !ep.sendPDUNow(CIDSignaling, encodeSignal(s)) {
 		ep.s.Post(2*sim.Millisecond, func() { ep.sendSignal(s) })
 	}
 }
@@ -640,7 +643,7 @@ func (ep *Endpoint) SendFixed(cid uint16, payload []byte) {
 	if ep.conn == nil || !ep.conn.Usable() {
 		return
 	}
-	if !ep.sendPDUBytes(cid, payload, 0, nil) {
+	if !ep.sendPDUNow(cid, pktbuf.FromBytes(payload)) {
 		ep.s.Post(2*sim.Millisecond, func() { ep.SendFixed(cid, payload) })
 	}
 }

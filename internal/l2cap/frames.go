@@ -98,36 +98,42 @@ type signal struct {
 	cid uint16
 }
 
-func encodeSignal(s signal) []byte {
-	var body []byte
+// encodeSignal writes a signaling command into a pooled buffer, with the
+// default headroom for the basic header; ownership passes to the caller.
+func encodeSignal(s signal) *pktbuf.Buf {
+	var bodyLen int
+	switch s.code {
+	case codeConnReq, codeConnRsp:
+		bodyLen = 10
+	case codeFlowCredit:
+		bodyLen = 4
+	default:
+		panic(fmt.Sprintf("l2cap: encode of unknown signal code %#x", s.code))
+	}
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, 4+bodyLen)
+	out := b.Bytes()
+	out[0] = s.code
+	out[1] = s.id
+	binary.LittleEndian.PutUint16(out[2:], uint16(bodyLen))
+	body := out[4:]
 	switch s.code {
 	case codeConnReq:
-		body = make([]byte, 10) // pktbuf:ignore — cold signaling path
 		binary.LittleEndian.PutUint16(body[0:], s.psm)
 		binary.LittleEndian.PutUint16(body[2:], s.scid)
 		binary.LittleEndian.PutUint16(body[4:], s.mtu)
 		binary.LittleEndian.PutUint16(body[6:], s.mps)
 		binary.LittleEndian.PutUint16(body[8:], s.credits)
 	case codeConnRsp:
-		body = make([]byte, 10) // pktbuf:ignore — cold signaling path
 		binary.LittleEndian.PutUint16(body[0:], s.dcid)
 		binary.LittleEndian.PutUint16(body[2:], s.mtu)
 		binary.LittleEndian.PutUint16(body[4:], s.mps)
 		binary.LittleEndian.PutUint16(body[6:], s.credits)
 		binary.LittleEndian.PutUint16(body[8:], s.result)
 	case codeFlowCredit:
-		body = make([]byte, 4) // pktbuf:ignore — cold signaling path
 		binary.LittleEndian.PutUint16(body[0:], s.cid)
 		binary.LittleEndian.PutUint16(body[2:], s.credits)
-	default:
-		panic(fmt.Sprintf("l2cap: encode of unknown signal code %#x", s.code))
 	}
-	out := make([]byte, 4+len(body)) // pktbuf:ignore — cold signaling path
-	out[0] = s.code
-	out[1] = s.id
-	binary.LittleEndian.PutUint16(out[2:], uint16(len(body)))
-	copy(out[4:], body)
-	return out
+	return b
 }
 
 func decodeSignal(b []byte) (signal, error) {

@@ -110,10 +110,10 @@ func FuzzSegmentRoundTrip(f *testing.F) {
 // encodeSignal.
 func FuzzFrameDecoders(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(pduBytes(CIDSignaling, encodeSignal(signal{
+	f.Add(pduBytes(CIDSignaling, signalBytes(signal{
 		code: codeConnReq, id: 1, psm: PSMIPSP, scid: 0x40, mtu: 1280, mps: 245, credits: 10})))
-	f.Add(encodeSignal(signal{code: codeFlowCredit, id: 2, cid: 0x41, credits: 5}))
-	f.Add(encodeSignal(signal{code: codeConnRsp, id: 3, dcid: 0x40, mtu: 1280, mps: 245, credits: 10, result: resultSuccess}))
+	f.Add(signalBytes(signal{code: codeFlowCredit, id: 2, cid: 0x41, credits: 5}))
+	f.Add(signalBytes(signal{code: codeConnRsp, id: 3, dcid: 0x40, mtu: 1280, mps: 245, credits: 10, result: resultSuccess}))
 	f.Add([]byte{0x15, 0x01, 0x0A, 0x00, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if p, err := decodePDU(b); err == nil {
@@ -122,7 +122,7 @@ func FuzzFrameDecoders(f *testing.F) {
 			}
 		}
 		if s, err := decodeSignal(b); err == nil {
-			if !bytes.Equal(encodeSignal(s), b) {
+			if !bytes.Equal(signalBytes(s), b) {
 				t.Fatal("decodeSignal/encodeSignal is not a fixpoint")
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"blemesh/internal/ble"
+	"blemesh/internal/ip6"
 	"blemesh/internal/phy"
 	"blemesh/internal/pktbuf"
 	"blemesh/internal/sim"
@@ -21,6 +22,13 @@ func pduBytes(cid uint16, payload []byte) []byte {
 	b := pktbuf.FromBytes(payload)
 	defer b.Put()
 	prependBasicHeader(b, cid)
+	return bytes.Clone(b.Bytes())
+}
+
+// signalBytes returns a copy of the signal's encoding.
+func signalBytes(s signal) []byte {
+	b := encodeSignal(s)
+	defer b.Put()
 	return bytes.Clone(b.Bytes())
 }
 
@@ -139,7 +147,7 @@ func TestSignalCodecRoundTrip(t *testing.T) {
 		{code: codeFlowCredit, id: 5, cid: 0x41, credits: 6},
 	}
 	for i, s := range cases {
-		got, err := decodeSignal(encodeSignal(s))
+		got, err := decodeSignal(signalBytes(s))
 		if err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
@@ -156,7 +164,7 @@ func TestSignalDecodeErrors(t *testing.T) {
 	if _, err := decodeSignal([]byte{0xEE, 1, 0, 0}); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	s := encodeSignal(signal{code: codeFlowCredit, id: 1, cid: 0x41, credits: 1})
+	s := signalBytes(signal{code: codeFlowCredit, id: 1, cid: 0x41, credits: 1})
 	if _, err := decodeSignal(s[:len(s)-1]); err == nil {
 		t.Fatal("truncated body accepted")
 	}
@@ -404,6 +412,84 @@ func TestOnDoneFiresAfterDelivery(t *testing.T) {
 	if done != 5 {
 		t.Fatalf("onDone fired %d/5 times", done)
 	}
+}
+
+// chargedSDU returns an SDU of n bytes in a pooled buffer carrying an n-byte
+// charge on pool, as the BLE adapter queues a packet.
+func chargedSDU(t *testing.T, pool *ip6.Pool, n int) *pktbuf.Buf {
+	t.Helper()
+	if !pool.Alloc(n) {
+		t.Fatalf("pool refuses %d bytes", n)
+	}
+	b := pktbuf.Get(pktbuf.DefaultHeadroom, n)
+	b.Charge(pool, n)
+	return b
+}
+
+// TestChargeFollowsFinalFrame: an SDU's pktbuf charge rides the K-frame that
+// completes it and comes back with that frame's Put, right after the SDU's
+// onDone: it is held exactly until the whole SDU is delivered or dropped.
+// Shown for an SDU larger than the MPS on the ack path, and on teardown for
+// SDUs whose final frames wait in the LL queue and in the channel's own
+// queue.
+func TestChargeFollowsFinalFrame(t *testing.T) {
+	const size = 600 // three K-frames at the peer's 245-byte MPS
+
+	t.Run("acked", func(t *testing.T) {
+		p := newPair(t, 11)
+		coordCh, _ := p.openIPSP(t)
+		pool := &ip6.Pool{Capacity: 1 << 16}
+		atDone := -1
+		if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), 0, func() { atDone = pool.Used() }); err != nil {
+			t.Fatal(err)
+		}
+		if n := coordCh.Stats().FramesSent; n != 3 {
+			t.Fatalf("%d frames sent, want 3", n)
+		}
+		for step := 0; atDone < 0; step++ {
+			if u := pool.Used(); u != size {
+				t.Fatalf("step %d, final frame not yet acknowledged: Used = %d, want %d", step, u, size)
+			}
+			if step == 5000 {
+				t.Fatal("final frame not acknowledged within 5 s")
+			}
+			p.s.Run(p.s.Now() + sim.Millisecond)
+		}
+		if atDone != size {
+			t.Fatalf("Used = %d at the SDU's onDone, want the charge still held (%d)", atDone, size)
+		}
+		if u := pool.Used(); u != 0 {
+			t.Fatalf("Used = %d once the final frame is acknowledged, want 0", u)
+		}
+	})
+
+	t.Run("teardown", func(t *testing.T) {
+		p := newPair(t, 12)
+		coordCh, _ := p.openIPSP(t)
+		p.coordCtl.OnConn.(*ble.ConnFuncs).Down = func(*ble.Conn, ble.LossReason) { p.coordEP.Teardown() }
+		pool := &ip6.Pool{Capacity: 1 << 16}
+		var atDone []int
+		for i := 0; i < 4; i++ {
+			if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), 0, func() { atDone = append(atDone, pool.Used()) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Ten credits: frames 1–10 are in the LL queue, SDUs 1–3 end
+		// there; SDU 4's last two frames wait in the channel.
+		if n := coordCh.QueueLen(); n != 2 {
+			t.Fatalf("%d frames queued in the channel, want 2", n)
+		}
+		if u := pool.Used(); u != 4*size {
+			t.Fatalf("Used = %d with four SDUs queued, want %d", u, 4*size)
+		}
+		p.coordEP.Conn().Kill() // the LL queue goes first, then the channel's
+		if want := []int{4 * size, 3 * size, 2 * size, size}; !slices.Equal(atDone, want) {
+			t.Fatalf("Used at each SDU's onDone = %v, want %v", atDone, want)
+		}
+		if u := pool.Used(); u != 0 {
+			t.Fatalf("Used = %d after teardown, want 0", u)
+		}
+	})
 }
 
 func TestTeardownOnLinkDeath(t *testing.T) {

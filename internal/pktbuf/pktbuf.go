@@ -12,6 +12,13 @@
 // simulation is single-threaded per Sim — while the pools themselves are
 // safe to share across the parallel sweep's worker goroutines.
 //
+// A buffer may also carry a charge on a byte budget (the node's GNRC-style
+// packet pool, ip6.Pool): the interface queue bills a frame to the budget
+// when it queues it (Charge), and Put of the buffer that carries the charge
+// returns it. A layer that splits a buffer moves the charge to the buffer
+// that completes last (MoveCharge), so the charge is held exactly until the
+// whole packet is delivered or dropped.
+//
 // Tests can disable pooling process-wide (SetPooling(false)), in which case
 // every Get is a plain make and every Put drops the arena for the GC.
 // The datapath must behave byte-identically in both modes; the equivalence
@@ -49,6 +56,15 @@ type Buf struct {
 	a   *arena
 	off int
 	end int
+	// budget, when set, is billed charge bytes until Put.
+	budget Budget
+	charge int
+}
+
+// Budget is a byte budget a buffer can be charged to; Put returns the
+// charge through Free.
+type Budget interface {
+	Free(n int)
 }
 
 var (
@@ -101,7 +117,7 @@ func getBuf() *Buf {
 }
 
 func putBuf(b *Buf) {
-	b.a, b.off, b.end = nil, 0, 0
+	*b = Buf{}
 	if poolingOn {
 		bufPool.Put(b)
 	}
@@ -215,13 +231,35 @@ func (b *Buf) Clone() *Buf {
 	return nb
 }
 
-// Put releases the buffer and returns its arena to its size-class pool.
-// Releasing an already-released buffer panics — a double Put means two
-// owners think they hold the packet, which would hand one packet's bytes to
-// two packets.
+// Charge bills n bytes, already reserved on budget, to b: b's Put returns
+// them. A buffer carries at most one charge.
+func (b *Buf) Charge(budget Budget, n int) {
+	if b.budget != nil {
+		panic("pktbuf: buffer already charged")
+	}
+	b.budget, b.charge = budget, n
+}
+
+// MoveCharge hands b's charge, if any, to dst, which then returns it on its
+// own Put. A layer that splits b calls it with the part that completes last.
+func (b *Buf) MoveCharge(dst *Buf) {
+	if b.budget == nil {
+		return
+	}
+	dst.Charge(b.budget, b.charge)
+	b.budget, b.charge = nil, 0
+}
+
+// Put releases the buffer, returns its charge to its budget and its arena
+// to its size-class pool. Releasing an already-released buffer panics — a
+// double Put means two owners think they hold the packet, which would hand
+// one packet's bytes to two packets.
 func (b *Buf) Put() {
 	if b.a == nil {
 		panic("pktbuf: double put")
+	}
+	if b.budget != nil {
+		b.budget.Free(b.charge)
 	}
 	a := b.a
 	putBuf(b)

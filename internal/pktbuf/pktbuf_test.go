@@ -162,3 +162,27 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state allocs/op = %v, want 0", avg)
 	}
 }
+
+// budget is a Budget that counts what is still charged to it.
+type budget struct{ used int }
+
+func (b *budget) Free(n int) { b.used -= n }
+
+// TestChargeTravelsWithBuffer: a charge is returned by the Put of the
+// buffer carrying it, MoveCharge hands it on, and a buffer without one
+// returns nothing.
+func TestChargeTravelsWithBuffer(t *testing.T) {
+	bud := &budget{used: 100}
+	whole, last, plain := Get(8, 100), Get(8, 10), Get(8, 1)
+	whole.Charge(bud, 100)
+	whole.MoveCharge(last)
+	whole.Put()
+	plain.Put()
+	if bud.used != 100 {
+		t.Fatalf("%d bytes charged after the split buffer's and an uncharged buffer's Put, want 100", bud.used)
+	}
+	last.Put()
+	if bud.used != 0 {
+		t.Fatalf("%d bytes charged after the Put of the buffer carrying the charge, want 0", bud.used)
+	}
+}

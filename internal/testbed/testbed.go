@@ -334,6 +334,11 @@ func (t Topology) adjacency() map[int][]int {
 	return t.buildAdjacency()
 }
 
+// Neighbors returns the nodes linked to id, once per link touching it, in
+// Links order: from the sealed index, in O(degree). Callers must not modify
+// the result.
+func (t Topology) Neighbors(id int) []int { return t.adjacency()[id] }
+
 func (t Topology) buildAdjacency() map[int][]int {
 	adj := make(map[int][]int)
 	for _, l := range t.Links {

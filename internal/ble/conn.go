@@ -13,46 +13,29 @@ import (
 // Role is a node's role on one connection. A node can be coordinator for
 // some connections and subordinate for others at the same time (multi-role,
 // Bluetooth ≥4.2), which is what makes mesh topologies — and connection
-// shading — possible.
-type Role int
+// shading — possible. It is the trace's role, so a record carries it as is.
+type Role = trace.Role
 
 // Connection roles.
 const (
-	Coordinator Role = iota
-	Subordinate
+	Coordinator = trace.RoleCoordinator
+	Subordinate = trace.RoleSubordinate
 )
 
-func (r Role) String() string {
-	if r == Coordinator {
-		return "coordinator"
-	}
-	return "subordinate"
-}
-
-// LossReason explains why a connection ended.
-type LossReason int
+// LossReason explains why a connection ended. It is the trace's loss
+// reason, so a record carries it as is.
+type LossReason = trace.Loss
 
 // Loss reasons.
 const (
 	// LossSupervision: no valid packet within the supervision timeout —
 	// the signature of connection shading.
-	LossSupervision LossReason = iota
+	LossSupervision = trace.LossSupervision
 	// LossPeerTerminated: the peer sent LL_TERMINATE_IND.
-	LossPeerTerminated
+	LossPeerTerminated = trace.LossPeerTerminated
 	// LossHostTerminated: the local host closed the connection.
-	LossHostTerminated
+	LossHostTerminated = trace.LossHostTerminated
 )
-
-func (r LossReason) String() string {
-	switch r {
-	case LossSupervision:
-		return "supervision-timeout"
-	case LossPeerTerminated:
-		return "peer-terminated"
-	default:
-		return "host-terminated"
-	}
-}
 
 // ConnStats aggregates per-connection link-layer counters. The experiment
 // harness derives link-layer PDRs (Fig. 12, 13(b), 15) from these.
@@ -1122,7 +1105,7 @@ func (c *Conn) terminate(reason LossReason) {
 		it := c.txq.At(i)
 		if it.ctrl == nil {
 			if it.pid != 0 && c.ctrl.tr.Keeps(it.pid) {
-				c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.DropConnLost(c.handle, trace.Loss(reason)))
+				c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.DropConnLost(c.handle, reason))
 			}
 			if it.poolN > 0 {
 				c.ctrl.pool.free(it.poolN)

@@ -39,12 +39,12 @@ var ErrTimeout = errors.New("coap: response timeout")
 // Stats counts endpoint-level events; the experiment harness derives the
 // CoAP PDR from RequestsSent and ResponsesMatched.
 type Stats struct {
-	RequestsSent     uint64
-	Retransmissions  uint64
-	ResponsesMatched uint64
-	Timeouts         uint64 // exchanges expired waiting for a response
-	GiveUps          uint64 // CON exchanges abandoned at MAX_RETRANSMIT
-	RequestsServed   uint64
+	RequestsSent     uint64 `metric:"requests_sent"`
+	Retransmissions  uint64 `metric:"retransmissions"`
+	ResponsesMatched uint64 `metric:"responses_matched"`
+	Timeouts         uint64 `metric:"timeouts"` // exchanges expired waiting for a response
+	GiveUps          uint64 `metric:"give_ups"` // CON exchanges abandoned at MAX_RETRANSMIT
+	RequestsServed   uint64 `metric:"requests_served"`
 	Duplicates       uint64
 	SendErrors       uint64
 	Unmatched        uint64

@@ -27,10 +27,10 @@ import (
 
 // NetIfStats counts adapter-level events.
 type NetIfStats struct {
-	TXPackets     uint64 // IPv6 packets handed to L2CAP
-	RXPackets     uint64 // IPv6 packets delivered to the stack
-	QueueDrops    uint64 // pktbuf full: packet rejected
-	LinkDrops     uint64 // queue flushed because the link died
+	TXPackets     uint64 `metric:"tx_packets"`  // IPv6 packets handed to L2CAP
+	RXPackets     uint64 `metric:"rx_packets"`  // IPv6 packets delivered to the stack
+	QueueDrops    uint64 `metric:"queue_drops"` // pktbuf full: packet rejected
+	LinkDrops     uint64 `metric:"link_drops"`  // queue flushed because the link died
 	IPSSRefused   uint64 // peers whose GATT database lacked the IPSS
 	CompressErr   uint64
 	DecompressErr uint64

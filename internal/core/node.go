@@ -131,7 +131,7 @@ type nodeLinks Node
 
 func (h *nodeLinks) LinkUp(c *ble.Conn) {
 	n := (*Node)(h)
-	n.NetIf.tr.Add(n.NetIf.node, 0, 0, trace.ConnOpen(uint64(c.Peer()), trace.Role(c.Role()), c.Interval()))
+	n.NetIf.tr.Add(n.NetIf.node, 0, 0, trace.ConnOpen(uint64(c.Peer()), c.Role(), c.Interval()))
 	n.NetIf.AddLink(c)
 	if n.RPL != nil {
 		n.RPL.LinkUp(uint64(c.Peer()))
@@ -140,7 +140,7 @@ func (h *nodeLinks) LinkUp(c *ble.Conn) {
 
 func (h *nodeLinks) LinkDown(c *ble.Conn, reason ble.LossReason) {
 	n := (*Node)(h)
-	n.NetIf.tr.Add(n.NetIf.node, 0, 0, trace.ConnLoss(uint64(c.Peer()), trace.Loss(reason)))
+	n.NetIf.tr.Add(n.NetIf.node, 0, 0, trace.ConnLoss(uint64(c.Peer()), reason))
 	n.NetIf.RemoveLink(c)
 	if n.RPL != nil {
 		n.RPL.LinkDown(uint64(c.Peer()))

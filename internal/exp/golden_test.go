@@ -371,10 +371,12 @@ func goldenDigest(c goldenCase, seed int64, p goldenPass) goldenResult {
 // TestGolden is the determinism gate: the shipped path, on one lane and on
 // four, must reproduce every digest
 // committed in goldenFile — identity across runs and across commits in one
-// mechanism. The tests below it run the other lane counts and the reference
-// paths over the lines they cover, against the same digests. The digests
-// hold on every architecture: no product the compiler may fuse into an add
-// is left unrounded (scripts/check-fma.sh).
+// mechanism. Under the race detector it runs the one-lane pass only: the
+// four-lane pass runs in the determinism step, and the race-stress tests
+// cover the lanes' sharing. The tests below it run the other lane counts
+// and the reference paths over the lines they cover, against the same
+// digests. The digests hold on every architecture: no product the compiler
+// may fuse into an add is left unrounded (scripts/check-fma.sh).
 // The golden tests run in parallel with each other, so after every
 // sequential test of the package; TestPoolingByteIdentity is sequential.
 func TestGolden(t *testing.T) {
@@ -385,12 +387,16 @@ func TestGolden(t *testing.T) {
 	if !missing {
 		file = checkGoldenFile(t, lines)
 	}
+	passes := []goldenPass{goldenShipped, shipped(4)}
+	if raceEnabled {
+		passes = passes[:1]
+	}
 	got := map[string]string{}
 	ran := 0
 	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			ran++
-			for seed, d := range checkGoldenCase(t, file, c.name, c.seeds, goldenShipped, shipped(4)) {
+			for seed, d := range checkGoldenCase(t, file, c.name, c.seeds, passes...) {
 				got[goldenKey(c.name, seed)] = d
 			}
 		})

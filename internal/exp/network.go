@@ -736,66 +736,37 @@ func (nw *Network) registerMetrics(ids []int) {
 	})
 }
 
-// Per-layer sample labels, in export order.
-var (
-	coapLabels = []string{"requests_sent", "retransmissions", "responses_matched",
-		"timeouts", "give_ups", "requests_served"}
-	netifLabels    = []string{"tx_packets", "rx_packets", "queue_drops", "link_drops"}
-	ip6Labels      = []string{"sent", "received", "forwarded", "no_route", "no_neighbor", "hop_limit", "queue_drops"}
-	statconnLabels = []string{"links_opened", "link_losses", "interval_rejects", "reconnects"}
-	// The last rpl label is the rank gauge that follows the counters.
-	rplLabels = []string{"dio_sent", "dio_recv", "dao_sent", "dao_recv", "dis_sent", "dis_recv",
-		"decode_errors", "trickle_resets", "trickle_suppressed", "parent_switches",
-		"local_repairs", "joins", "rank"}
-)
-
 // registerNodeMetrics registers one node's per-layer collectors. Names are
-// built here, once: a collector runs on every streamed snapshot.
+// built here, once: a collector runs on every streamed snapshot. Each
+// layer's sample labels are its Stats fields' metric tags.
 func (nw *Network) registerNodeMetrics(id int) {
 	n := nw.Nodes[id]
-	name := n.Name
-	if name == "" {
-		name = fmt.Sprintf("node-%d", id)
-	}
 	coapEP, netif, stack, mgr := n.Coap, n.NetIf, n.Stack, n.Statconn
-	coapName, netifName, ip6Name, statconnName := name+".coap", name+".netif", name+".ip6", name+".statconn"
+	coapName, netifName, ip6Name, statconnName := n.Name+".coap", n.Name+".netif", n.Name+".ip6", n.Name+".statconn"
 	nw.Registry.Register(coapName, func() []metrics.Sample {
-		st := coapEP.Stats()
-		return counterSamples(coapName, coapLabels, st.RequestsSent, st.Retransmissions,
-			st.ResponsesMatched, st.Timeouts, st.GiveUps, st.RequestsServed)
+		return metrics.CounterSamples(coapName, coapEP.Stats())
 	})
 	nw.Registry.Register(netifName, func() []metrics.Sample {
-		st := netif.Stats()
-		return counterSamples(netifName, netifLabels, st.TXPackets, st.RXPackets,
-			st.QueueDrops, st.LinkDrops)
+		return metrics.CounterSamples(netifName, netif.Stats())
 	})
 	nw.Registry.Register(ip6Name, func() []metrics.Sample {
-		st := stack.Stats()
-		return counterSamples(ip6Name, ip6Labels, st.Sent, st.Received, st.Forwarded,
-			st.NoRoute, st.NoNeighbor, st.HopLimit, st.QueueDrops)
+		return metrics.CounterSamples(ip6Name, stack.Stats())
 	})
 	nw.Registry.Register(statconnName, func() []metrics.Sample {
-		st := mgr.Stats()
-		return counterSamples(statconnName, statconnLabels, st.LinksOpened, st.LinkLosses,
-			st.IntervalRejects, st.Reconnects)
+		return metrics.CounterSamples(statconnName, mgr.Stats())
 	})
 	// Dynamic-routing collectors only exist in dynamic mode, so static
 	// runs' registry output stays byte-identical with pre-routing builds.
 	if router := n.RPL; router != nil {
-		rplName, linksName := name+".rpl", name+".links"
+		rplName, linksName := n.Name+".rpl", n.Name+".links"
 		nw.Registry.Register(rplName, func() []metrics.Sample {
-			st := router.Stats()
-			out := counterSamples(rplName, rplLabels, st.DIOSent, st.DIORecv, st.DAOSent,
-				st.DAORecv, st.DISSent, st.DISRecv, st.DecodeErrors, st.TrickleResets,
-				st.TrickleSuppress, st.ParentSwitches, st.LocalRepairs, st.Joins)
-			return append(out, metrics.Sample{Name: rplName,
-				Label: rplLabels[len(out)], Kind: metrics.KindGauge,
-				Value: float64(st.Rank)})
+			return metrics.CounterSamples(rplName, router.Stats(), metrics.Sample{Name: rplName,
+				Label: "rank", Kind: metrics.KindGauge, Value: float64(router.Rank())})
 		})
 		// Per-peer link quality: the exact ETX the routing metric reads,
 		// so dashboards and parent choices can be cross-checked.
 		nw.Registry.Register(linksName, func() []metrics.Sample {
-			links := mgr.Stats().Links
+			links := mgr.PeerLinks()
 			out := make([]metrics.Sample, len(links))
 			for i, l := range links {
 				out[i] = metrics.Sample{Name: linksName, Label: nw.etxLabel(uint64(l.Peer)),
@@ -818,17 +789,6 @@ func (nw *Network) etxLabel(peer uint64) string {
 		nw.etxLabels[peer] = label
 	}
 	return label
-}
-
-// counterSamples builds one collector's counter samples, values[i] under
-// labels[i]. Labels past the values name samples the caller appends; the
-// result has room for them.
-func counterSamples(name string, labels []string, values ...uint64) []metrics.Sample {
-	out := make([]metrics.Sample, len(values), len(labels))
-	for i, v := range values {
-		out[i] = metrics.Sample{Name: name, Label: labels[i], Kind: metrics.KindCounter, Value: float64(v)}
-	}
-	return out
 }
 
 // Journeys reassembles the retained provenance spans into per-packet,
@@ -984,15 +944,11 @@ func (nw *Network) StartTraffic(t TrafficConfig) {
 
 func (nw *Network) startProducer(id int, tr *traffic) {
 	node := nw.Nodes[id]
-	name := node.Name
-	if name == "" {
-		name = fmt.Sprintf("node-%d", id)
-	}
 	// Lean runs keep no per-producer heatmap rows: at 10k producers the
 	// rows (one time series each) would dwarf the network itself.
 	var row *metrics.TimeSeries
 	if !nw.Cfg.Lean {
-		row = nw.PerProd.Row(name)
+		row = nw.PerProd.Row(node.Name)
 	}
 	// Everything the loop touches is site-local — the node's own Sim, the
 	// site's sink and RTT sketch — or the network series, which Run grows
@@ -1131,25 +1087,22 @@ func (nw *Network) ConnLosses() uint64 {
 }
 
 func (nw *Network) rawConnLosses() uint64 {
-	var total uint64
-	for _, n := range nw.Nodes {
-		if n == nil {
-			continue
-		}
-		total += n.Statconn.Stats().LinkLosses
-	}
-	return total
+	return nw.sumNodes(func(n *core.Node) uint64 { return n.Statconn.Stats().LinkLosses })
 }
 
 // IntervalRejects returns how many colliding-interval connections were
 // rejected by subordinates (mitigation machinery activity).
 func (nw *Network) IntervalRejects() uint64 {
+	return nw.sumNodes(func(n *core.Node) uint64 { return n.Statconn.Stats().IntervalRejects })
+}
+
+// sumNodes adds one counter over every node.
+func (nw *Network) sumNodes(count func(*core.Node) uint64) uint64 {
 	var total uint64
 	for _, n := range nw.Nodes {
-		if n == nil {
-			continue
+		if n != nil {
+			total += count(n)
 		}
-		total += n.Statconn.Stats().IntervalRejects
 	}
 	return total
 }
@@ -1176,27 +1129,16 @@ func (nw *Network) LLPDR() float64 {
 
 // BufferDrops sums pktbuf/queue drops across nodes (the §5.2 loss process).
 func (nw *Network) BufferDrops() uint64 {
-	var total uint64
-	for _, n := range nw.Nodes {
-		if n == nil {
-			continue
-		}
-		total += n.NetIf.Stats().QueueDrops + n.NetIf.Stats().LinkDrops
-	}
-	return total
+	return nw.sumNodes(func(n *core.Node) uint64 {
+		st := n.NetIf.Stats()
+		return st.QueueDrops + st.LinkDrops
+	})
 }
 
 // CoAPGiveUps sums the CON exchanges abandoned at MAX_RETRANSMIT across all
 // endpoints (RFC 7252 give-ups, counted separately from plain losses).
 func (nw *Network) CoAPGiveUps() uint64 {
-	var total uint64
-	for _, n := range nw.Nodes {
-		if n == nil {
-			continue
-		}
-		total += n.Coap.Stats().GiveUps
-	}
-	return total
+	return nw.sumNodes(func(n *core.Node) uint64 { return n.Coap.Stats().GiveUps })
 }
 
 // ReconnectLatencies aggregates every node's completed loss→re-up latencies

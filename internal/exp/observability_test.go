@@ -1,9 +1,17 @@
 package exp
 
 import (
+	"reflect"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
+	"blemesh/internal/coap"
+	"blemesh/internal/core"
+	"blemesh/internal/ip6"
+	"blemesh/internal/metrics"
+	"blemesh/internal/rpl"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
 	"blemesh/internal/testbed"
@@ -133,5 +141,45 @@ func TestUnifiedRegistrySnapshot(t *testing.T) {
 	}
 	if strings.Count(nd.String(), "\n") != len(samples) {
 		t.Fatal("NDJSON line count != sample count")
+	}
+}
+
+// TestCounterLabels walks every Stats type whose fields the registry
+// exports: each metric tag is a non-empty snake_case label, unique within
+// its type, on a uint64 field, and CounterSamples exports exactly the
+// tagged fields in field order.
+func TestCounterLabels(t *testing.T) {
+	snake := regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
+	u64 := reflect.TypeOf(uint64(0))
+	for _, st := range []any{coap.Stats{}, core.NetIfStats{}, ip6.StackStats{}, statconn.Stats{}, rpl.Stats{}} {
+		typ := reflect.TypeOf(st)
+		var labels []string
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			label, ok := f.Tag.Lookup("metric")
+			if !ok {
+				continue
+			}
+			if f.Type != u64 {
+				t.Errorf("%v.%s: metric tag on a %v field, want uint64", typ, f.Name, f.Type)
+			}
+			if !snake.MatchString(label) {
+				t.Errorf("%v.%s: label %q is not snake_case", typ, f.Name, label)
+			}
+			if slices.Contains(labels, label) {
+				t.Errorf("%v.%s: label %q is taken by an earlier field", typ, f.Name, label)
+			}
+			labels = append(labels, label)
+		}
+		if len(labels) == 0 {
+			t.Errorf("%v: no metric tags", typ)
+		}
+		var exported []string
+		for _, s := range metrics.CounterSamples("x", st) {
+			exported = append(exported, s.Label)
+		}
+		if !slices.Equal(exported, labels) {
+			t.Errorf("%v: CounterSamples exports %v, tags name %v", typ, exported, labels)
+		}
 	}
 }

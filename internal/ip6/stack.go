@@ -83,13 +83,13 @@ type Route struct {
 
 // StackStats counts network-layer events.
 type StackStats struct {
-	Sent        uint64 // locally originated packets handed to a netif
-	Received    uint64 // packets delivered to local upper layers
-	Forwarded   uint64 // packets routed onward
-	NoRoute     uint64
-	NoNeighbor  uint64
-	HopLimit    uint64 // dropped: hop limit exhausted
-	QueueDrops  uint64 // netif rejected (queue/pktbuf full downstream)
+	Sent        uint64 `metric:"sent"`      // locally originated packets handed to a netif
+	Received    uint64 `metric:"received"`  // packets delivered to local upper layers
+	Forwarded   uint64 `metric:"forwarded"` // packets routed onward
+	NoRoute     uint64 `metric:"no_route"`
+	NoNeighbor  uint64 `metric:"no_neighbor"`
+	HopLimit    uint64 `metric:"hop_limit"`   // dropped: hop limit exhausted
+	QueueDrops  uint64 `metric:"queue_drops"` // netif rejected (queue/pktbuf full downstream)
 	PktbufDrops uint64 // local pktbuf exhausted
 	HdrErrors   uint64
 }

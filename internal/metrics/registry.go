@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,6 +116,22 @@ func CDFSamples(name string, c *CDF) []Sample {
 			Value: nanIfEmpty(c.QuantileOK(q.q))})
 	}
 	return out
+}
+
+// CounterSamples renders a stats struct as counter samples: one per uint64
+// field tagged `metric:"<label>"`, in field order, each under its tag. The
+// tag is the counter's one name; no collector names it again. The samples
+// in extra follow the counters in the same slice.
+func CounterSamples(name string, stats any, extra ...Sample) []Sample {
+	v := reflect.ValueOf(stats)
+	t := v.Type()
+	out := make([]Sample, 0, t.NumField()+len(extra))
+	for i := 0; i < t.NumField(); i++ {
+		if label, ok := t.Field(i).Tag.Lookup("metric"); ok {
+			out = append(out, Sample{Name: name, Label: label, Kind: KindCounter, Value: float64(v.Field(i).Uint())})
+		}
+	}
+	return append(out, extra...)
 }
 
 // view returns the collectors sorted by name. The slice is shared and

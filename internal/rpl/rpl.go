@@ -66,17 +66,18 @@ type Config struct {
 // Stats counts control-plane events. Cumulative across Stop/Start — it
 // models the observer, like every other stats block in the platform.
 type Stats struct {
-	DIOSent, DIORecv uint64
-	DAOSent, DAORecv uint64
-	DISSent, DISRecv uint64
-	DecodeErrors     uint64
-	TrickleResets    uint64
-	TrickleSuppress  uint64
-	ParentSwitches   uint64
-	LocalRepairs     uint64
-	Joins            uint64
-	// Rank is the node's current rank (RankInfinite when detached).
-	Rank uint16
+	DIOSent         uint64 `metric:"dio_sent"`
+	DIORecv         uint64 `metric:"dio_recv"`
+	DAOSent         uint64 `metric:"dao_sent"`
+	DAORecv         uint64 `metric:"dao_recv"`
+	DISSent         uint64 `metric:"dis_sent"`
+	DISRecv         uint64 `metric:"dis_recv"`
+	DecodeErrors    uint64 `metric:"decode_errors"`
+	TrickleResets   uint64 `metric:"trickle_resets"`
+	TrickleSuppress uint64 `metric:"trickle_suppressed"`
+	ParentSwitches  uint64 `metric:"parent_switches"`
+	LocalRepairs    uint64 `metric:"local_repairs"`
+	Joins           uint64 `metric:"joins"`
 }
 
 // parentInfo is what we know about one parent candidate, refreshed by its
@@ -168,11 +169,7 @@ func (in *Instance) Joined() bool { return in.rank != RankInfinite }
 func (in *Instance) Version() uint16 { return in.version }
 
 // Stats returns a copy of the control-plane counters.
-func (in *Instance) Stats() Stats {
-	st := in.stats
-	st.Rank = in.rank
-	return st
-}
+func (in *Instance) Stats() Stats { return in.stats }
 
 // Start begins (or resumes, after Stop) routing. A restarting root bumps
 // the DODAG version — the RFC 6550 global-repair signal — so survivors
@@ -659,7 +656,6 @@ func (in *Instance) sortedNeighbors() []uint64 {
 
 // emitRank records a rank transition for the monotone-rank loop check.
 func (in *Instance) emitRank(cause trace.RankCause) {
-	in.stats.Rank = in.rank
 	if in.tr.Enabled() {
 		in.tr.Add(in.node, 0, 0, trace.RPLRank(in.rank, in.preferred, cause))
 	}

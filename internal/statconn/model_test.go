@@ -139,17 +139,17 @@ func (md *mapModel) check(t *testing.T, stage string, m *Manager, peers []ble.De
 			t.Errorf("%s: model has %v up, manager does not", stage, c)
 		}
 	}
-	links := m.Stats().Links
+	links := m.PeerLinks()
 	if len(links) != len(md.qual) {
-		t.Errorf("%s: Stats().Links has %d peers, model %d", stage, len(links), len(md.qual))
+		t.Errorf("%s: PeerLinks() has %d peers, model %d", stage, len(links), len(md.qual))
 	}
 	for i, l := range links {
 		if i > 0 && links[i-1].Peer >= l.Peer {
-			t.Errorf("%s: Stats().Links not sorted by peer at %d", stage, i)
+			t.Errorf("%s: PeerLinks() not sorted by peer at %d", stage, i)
 		}
 		q := md.qual[l.Peer]
 		if q == nil {
-			t.Errorf("%s: Stats().Links lists %v, model never saw it", stage, l.Peer)
+			t.Errorf("%s: PeerLinks() lists %v, model never saw it", stage, l.Peer)
 			continue
 		}
 		if l.Up != upPeer[l.Peer] || l.Reconnects != q.reconnects || l.Losses != q.losses {
@@ -170,9 +170,6 @@ func (md *mapModel) check(t *testing.T, stage string, m *Manager, peers []ble.De
 		if rec.Max() != max || math.Abs(rec.Mean()-sum/float64(len(md.recovery))) > 1e-9 {
 			t.Errorf("%s: recovery max %v mean %v, model max %v mean %v",
 				stage, rec.Max(), rec.Mean(), max, sum/float64(len(md.recovery)))
-		}
-		if got := m.Stats().RecoveryMax; got != secondsToDuration(max) {
-			t.Errorf("%s: Stats().RecoveryMax = %v, model %v", stage, got, secondsToDuration(max))
 		}
 	}
 }
@@ -323,8 +320,8 @@ func TestManagerAgainstMapModel(t *testing.T) {
 	runFor(5 * sim.Second) // stale backoff timers fire into the stopped manager
 	md.check(t, "down", hub, probe)
 	allUp("down", 0)
-	if len(hub.Stats().Links) != nPeers {
-		t.Fatalf("down: Stats().Links kept %d of %d peers across Shutdown", len(hub.Stats().Links), nPeers)
+	if len(hub.PeerLinks()) != nPeers {
+		t.Fatalf("down: PeerLinks() kept %d of %d peers across Shutdown", len(hub.PeerLinks()), nPeers)
 	}
 	md.stopped = false
 	hub.Restart()

@@ -186,27 +186,16 @@ type PeerLink struct {
 
 // Stats counts manager-level events; Fig. 13/14 report the loss counts.
 type Stats struct {
-	LinksOpened     uint64
+	LinksOpened     uint64 `metric:"links_opened"`
 	SupervisionLoss uint64 // established links lost to supervision timeouts (shading)
-	LinkLosses      uint64 // supervision losses counted once per link (coordinator side)
+	LinkLosses      uint64 `metric:"link_losses"` // supervision losses counted once per link (coordinator side)
 	EstablishFails  uint64 // connections that never exchanged a packet (CONNECT_IND lost)
 	OtherLoss       uint64
-	IntervalRejects uint64 // subordinate closed a colliding connection
-	Reconnects      uint64
+	IntervalRejects uint64 `metric:"interval_rejects"` // subordinate closed a colliding connection
+	Reconnects      uint64 `metric:"reconnects"`
 	ParamRequests   uint64 // renegotiation attempts sent (Renegotiate policy)
 	ParamRejects    uint64 // renegotiations rejected by the coordinator
 	ParamAccepts    uint64 // renegotiations this coordinator accepted
-
-	// Recovery-latency percentiles over this node's coordinator-side link
-	// repairs (loss of an established link → link back up). Zero when no
-	// recovery has completed yet.
-	RecoveryP50 sim.Duration
-	RecoveryP95 sim.Duration
-	RecoveryMax sim.Duration
-
-	// Links is the per-peer link-quality snapshot, sorted by peer address.
-	// Before this existed, reconnect counts were aggregate-only.
-	Links []PeerLink
 }
 
 // peerQual is the per-peer link-quality state behind PeerLink. The PDR
@@ -422,21 +411,9 @@ func (m *Manager) clearUp(c *ble.Conn) {
 	}
 }
 
-// Stats returns a copy of the manager counters, with the recovery-latency
-// percentiles computed from the recovery distribution accumulated so far
-// (quantile-sketch approximations).
-func (m *Manager) Stats() Stats {
-	st := m.stats
-	if m.recovery.N() > 0 {
-		st.RecoveryP50 = secondsToDuration(m.recovery.Quantile(0.5))
-		st.RecoveryP95 = secondsToDuration(m.recovery.Quantile(0.95))
-		st.RecoveryMax = secondsToDuration(m.recovery.Max())
-	}
-	st.Links = m.peerLinks()
-	return st
-}
-
-func secondsToDuration(s float64) sim.Duration { return sim.Duration(float64(s*1e9) + 0.5) }
+// Stats returns a copy of the manager counters. The recovery latencies are
+// in RecoveryDist, the per-peer link quality in PeerLinks.
+func (m *Manager) Stats() Stats { return m.stats }
 
 // RecoveryDist returns the completed loss→re-up latency distribution of
 // this node's coordinator-side links (seconds). The caller may Merge it
@@ -759,8 +736,9 @@ func (m *Manager) PeerETX(peer ble.DevAddr) float64 {
 	return 1 / pdr
 }
 
-// peerLinks builds the sorted per-peer snapshot for Stats.
-func (m *Manager) peerLinks() []PeerLink {
+// PeerLinks returns the per-peer link-quality snapshot, sorted by peer
+// address.
+func (m *Manager) PeerLinks() []PeerLink {
 	var peers []ble.DevAddr
 	for i := range m.slots {
 		if m.slots[i].hasQual {

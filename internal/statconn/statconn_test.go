@@ -265,6 +265,33 @@ func TestRenegotiateResolvesSetupCollision(t *testing.T) {
 	}
 }
 
+// TestStatsAllocatesNothing: Stats is a plain copy of the counters. With a
+// qualified peer and a recorded recovery it builds no per-peer snapshot and
+// reads no sketch; PeerLinks and RecoveryDist are where those live.
+func TestStatsAllocatesNothing(t *testing.T) {
+	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(9, Config{})
+	mgrA.ExpectInbound(1)
+	mgrB.Connect(ctrlA.Addr())
+	s.Run(5 * sim.Second)
+	c := ctrlB.FindConn(ctrlA.Addr())
+	if c == nil {
+		t.Fatal("connection missing")
+	}
+	c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0, nil)
+	s.Run(s.Now() + 2*sim.Second)
+	ctrlA.FindConn(ctrlB.Addr()).Kill()
+	s.Run(s.Now() + 20*sim.Second)
+	if len(mgrB.PeerLinks()) != 1 || mgrB.RecoveryDist().N() == 0 {
+		t.Fatalf("scenario: %d qualified peers, %d recoveries; want 1 and at least 1",
+			len(mgrB.PeerLinks()), mgrB.RecoveryDist().N())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { statsSink = mgrB.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %v times per call, want 0", allocs)
+	}
+}
+
+var statsSink Stats
+
 func TestLinkQualitySnapshot(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(9, Config{})
 	mgrA.ExpectInbound(1)
@@ -284,11 +311,11 @@ func TestLinkQualitySnapshot(t *testing.T) {
 	}
 	s.Run(10 * sim.Second)
 	mgrB.SampleLinkQuality()
-	st := mgrB.Stats()
-	if len(st.Links) != 1 {
-		t.Fatalf("Links = %+v, want one entry", st.Links)
+	links := mgrB.PeerLinks()
+	if len(links) != 1 {
+		t.Fatalf("PeerLinks = %+v, want one entry", links)
 	}
-	l := st.Links[0]
+	l := links[0]
 	if l.Peer != ctrlA.Addr() || !l.Up {
 		t.Fatalf("link snapshot: %+v", l)
 	}

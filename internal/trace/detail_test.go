@@ -84,14 +84,14 @@ func refCases(v fieldVals) []refCase {
 		{"ble ll-tx", "conn#%d ch=%d try=%d len=%d", []any{conn, phy.Channel(v.ch), int(v.try), int(v.n)}, trace.LLTx(conn, v.ch, int(v.try), int(v.n))},
 		{"ble ll-ready", "conn#%d qlen=%d", []any{conn, int(v.qlen)}, trace.LLReady(conn, int(v.qlen))},
 		{"ble ll-rx", "conn#%d ch=%d len=%d", []any{conn, phy.Channel(v.ch), int(v.n)}, trace.LLRx(conn, v.ch, int(v.n))},
-		{"ble terminate", "cause=link-reset conn#%d reason=%s", []any{conn, loss}, trace.DropConnLost(conn, trace.Loss(loss))},
+		{"ble terminate", "cause=link-reset conn#%d reason=%s", []any{conn, loss}, trace.DropConnLost(conn, loss)},
 		{"ble TraceDrop", "cause=%s conn#%d", []any{"link-reset", conn}, trace.DropLinkReset(conn)},
 		{"rpl rx", "rx %s from=%012x rank=%d", []any{refTypeName(v.typ), v.mac, v.rank}, trace.RPLRx(v.typ, v.mac, v.rank)},
 		{"rpl tx", "tx %s to=%012x rank=%d", []any{refTypeName(v.typ), v.mac, v.rank}, trace.RPLTx(v.typ, v.mac, v.rank)},
 		{"rpl rank", "rank=%d parent=%012x cause=%s", []any{v.rank, v.mac, refRankCauses[rc]}, trace.RPLRank(v.rank, v.mac, rc)},
 		{"core link-down", "cause=link-down peer=%012x", []any{v.mac}, trace.DropLinkDown(v.mac)},
-		{"core conn-open", "peer=%v role=%v itvl=%v", []any{ble.DevAddr(v.mac), role, v.itvl}, trace.ConnOpen(v.mac, trace.Role(role), v.itvl)},
-		{"core conn-loss", "peer=%v reason=%v", []any{ble.DevAddr(v.mac), loss}, trace.ConnLoss(v.mac, trace.Loss(loss))},
+		{"core conn-open", "peer=%v role=%v itvl=%v", []any{ble.DevAddr(v.mac), role, v.itvl}, trace.ConnOpen(v.mac, role, v.itvl)},
+		{"core conn-loss", "peer=%v reason=%v", []any{ble.DevAddr(v.mac), loss}, trace.ConnLoss(v.mac, loss)},
 	}
 }
 

@@ -68,8 +68,7 @@ func (c Cause) String() string {
 	return fmt.Sprintf("Cause(%d)", uint8(c))
 }
 
-// Loss is why a BLE connection ended; its values and names are those of
-// ble.LossReason.
+// Loss is why a BLE connection ended; ble.LossReason is this type.
 type Loss uint8
 
 // Loss reasons.
@@ -90,8 +89,7 @@ func (r Loss) String() string {
 	}
 }
 
-// Role is a connection end's role; its values and names are those of
-// ble.Role.
+// Role is a connection end's role; ble.Role is this type.
 type Role uint8
 
 // Roles.

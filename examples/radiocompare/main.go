@@ -32,11 +32,11 @@ func main() {
 		nw.WaitTopology(60 * blemesh.Second)
 		nw.StartTraffic(blemesh.TrafficConfig{})
 		nw.Run(dur)
-		pdr := nw.CoAPPDR()
+		pdr, rtts := nw.CoAPPDR(), nw.MergedRTTs()
 		fmt.Printf("BLE, connection interval %v:\n", ci)
 		fmt.Printf("  PDR %.4f (%d/%d)  RTT p50 %.3fs p95 %.3fs p99 %.3fs\n",
 			pdr.Rate(), pdr.Delivered, pdr.Sent,
-			nw.RTTs.Median(), nw.RTTs.Quantile(0.95), nw.RTTs.Quantile(0.99))
+			rtts.Median(), rtts.Quantile(0.95), rtts.Quantile(0.99))
 	}
 
 	// IEEE 802.15.4 CSMA/CA, same topology, same application.

@@ -46,7 +46,7 @@ func main() {
 		100*pdr.Rate(), pdr.Delivered, pdr.Sent, nw.ConnLosses(), nw.LLPDR())
 	fmt.Print(nw.Series.ASCII("PDR/min "))
 	fmt.Println()
-	fmt.Print(nw.RTTs.ASCII(60, 8, "RTT CDF [s]"))
+	fmt.Print(nw.MergedRTTs().ASCII(60, 8, "RTT CDF [s]"))
 
 	// Energy: the paper's battery-life argument, per node.
 	fmt.Println("\nper-node radio current (µA) and coin-cell life (days):")

@@ -73,27 +73,23 @@ type DataHandler interface {
 	LLData(llid LLID, payload []byte, pid uint64)
 }
 
-// txItem is one queued LL payload with its bookkeeping.
+// txItem is one queued LL payload: a control PDU, or a data payload in the
+// pooled buffer buf, which is also its charge on the controller's pool. The
+// LL owns buf and its Put is the item's completion (ack or teardown); what
+// only the item on the air needs is kept on the Conn (headSent and its
+// siblings).
 type txItem struct {
-	llid        LLID
-	payload     []byte
-	ctrl        *DataPDU // non-nil for control PDUs
-	pid         uint64   // provenance ID of the carried packet (0 = untagged)
-	sent        bool     // SN assigned (queued for its first transmission)
-	txCount     int      // actual transmissions so far
-	readyMarked bool     // ll-ready span emitted for this item
-	poolN       int      // controller pool bytes charged for this payload
-	onAck       func()   // host-level credit/resource release upcall
-	// buf, when non-nil, is the pooled buffer backing payload; the LL
-	// owns it and releases it once the item completes (ack or teardown).
-	buf *pktbuf.Buf
+	llid LLID
+	ctrl *DataPDU // non-nil for control PDUs
+	pid  uint64   // provenance ID of the carried packet (0 = untagged)
+	buf  *pktbuf.Buf
 }
 
-func (it *txItem) size() int {
+func (it txItem) size() int {
 	if it.ctrl != nil {
 		return it.ctrl.Len()
 	}
-	return len(it.payload)
+	return it.buf.Len()
 }
 
 // Conn is one BLE connection endpoint (either role). Every timer and radio
@@ -105,12 +101,12 @@ func (it *txItem) size() int {
 // size class.
 type Conn struct {
 	ctrl   *Controller
-	role   Role
 	peer   DevAddr
 	handle int
 	params ConnParams
 	access uint32
 	csa    csa2
+	role   Role
 
 	// Acknowledgement state (1-bit SN/NESN scheme).
 	sn, nesn byte
@@ -131,6 +127,14 @@ type Conn struct {
 	inEvent  bool
 	evGotPkt bool
 	exData   bool
+	// The queue head's state. Only the head is ever on the air (SN/NESN
+	// stop-and-wait), so it lives here and resets when the head pops:
+	// headSent, its SN is assigned (built for its first transmission);
+	// headReady, its ll-ready span is emitted; headTries, its
+	// transmissions so far.
+	headSent  bool
+	headReady bool
+	headTries int32
 
 	// Event timing. evIdx counts connection events since event 0; the
 	// 16-bit on-air event counter is its low half.
@@ -140,7 +144,7 @@ type Conn struct {
 	lastSyncIdx uint64   // subordinate: event index at last resync
 	relSCA      float64  // combined declared sleep-clock accuracy (ppm)
 
-	txq ring.Ring[*txItem]
+	txq ring.Ring[txItem]
 
 	// Pending parameter update (applied at instant).
 	pendUpdate  *ConnUpdate
@@ -565,11 +569,9 @@ func (c *Conn) buildPDU() *DataPDU {
 			// Data PDUs reuse the controller's scratch object (see
 			// Controller.scratch for why one per radio is enough).
 			pdu = &c.ctrl.scratch
-			*pdu = DataPDU{LLID: it.llid, Payload: it.payload, PID: it.pid}
+			*pdu = DataPDU{LLID: it.llid, Payload: it.buf.Bytes(), PID: it.pid}
 		}
-		if !it.sent {
-			it.sent = true
-		}
+		c.headSent = true
 	} else {
 		pdu = &c.ctrl.scratch
 		*pdu = DataPDU{LLID: LLIDDataCont} // empty PDU
@@ -604,14 +606,12 @@ func (c *Conn) noteTX(pdu *DataPDU) sim.Duration {
 		c.stats.TXEmpty++
 	}
 	try := 1
-	if c.txq.Len() > 0 && pdu.Len() > 0 {
-		if head := c.txq.Front(); head.sent {
-			if head.txCount > 0 {
-				c.stats.Retrans++
-			}
-			head.txCount++
-			try = head.txCount
+	if c.txq.Len() > 0 && pdu.Len() > 0 && c.headSent {
+		if c.headTries > 0 {
+			c.stats.Retrans++
 		}
+		c.headTries++
+		try = int(c.headTries)
 	}
 	if pdu.Len() > 0 {
 		c.exData = true
@@ -646,24 +646,15 @@ func (c *Conn) processRx(pdu *DataPDU) {
 	if pdu.NESN != c.sn {
 		c.sn ^= 1
 		c.emptyInFlight = false
-		if c.txq.Len() > 0 && c.txq.Front().sent {
+		if c.txq.Len() > 0 && c.headSent {
 			it := c.txq.Pop()
-			if it.size() > 0 || it.ctrl != nil {
+			c.headSent, c.headReady, c.headTries = false, false, 0
+			if it.ctrl != nil || it.buf.Len() > 0 {
 				c.stats.TXUnique++
 			}
-			if it.poolN > 0 {
-				c.ctrl.pool.free(it.poolN)
-			}
-			if it.onAck != nil {
-				it.onAck()
-			}
-			if it.buf != nil {
-				it.buf.Put()
-				it.buf = nil
-			}
-			wasTerm := it.ctrl != nil && it.ctrl.Opcode == OpTerminateInd
-			c.ctrl.putItem(it)
-			if wasTerm {
+			if it.ctrl == nil {
+				c.complete(it)
+			} else if it.ctrl.Opcode == OpTerminateInd {
 				c.terminate(LossHostTerminated)
 				return
 			}
@@ -687,10 +678,10 @@ func (c *Conn) markHeadReady() {
 		return
 	}
 	it := c.txq.Front()
-	if it.readyMarked || it.pid == 0 {
+	if c.headReady || it.pid == 0 {
 		return
 	}
-	it.readyMarked = true
+	c.headReady = true
 	if c.ctrl.tr.Keeps(it.pid) {
 		c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.LLReady(c.handle, c.txq.Len()))
 	}
@@ -987,42 +978,43 @@ func (c *Conn) subReply() {
 
 // SendBuf enqueues the LL data payload in b (≤ MaxDataLen bytes) tagged
 // with the provenance ID of the packet it carries (0 = untagged). The LL
-// transmits straight out of b and releases it when the item completes;
-// onAck fires when the peer acknowledges it. It returns false when the link
-// is closed or the controller's shared buffer pool is exhausted — the
-// backpressure signal L2CAP translates into credit stalling. Ownership of b
-// passes to the connection in every case: on a false return the buffer has
-// already been released.
-func (c *Conn) SendBuf(llid LLID, b *pktbuf.Buf, pid uint64, onAck func()) bool {
+// transmits straight out of b and puts it when the peer acknowledges it or
+// the link dies: that Put is the completion, and it returns whatever charge
+// the buffer carries. It returns false when the link is closed or the
+// controller's shared buffer pool is exhausted — the backpressure signal
+// L2CAP translates into credit stalling. Ownership of b passes to the
+// connection in every case: on a false return the buffer has already been
+// released.
+func (c *Conn) SendBuf(llid LLID, b *pktbuf.Buf, pid uint64) bool {
 	if c.closed || c.closing {
 		b.Put()
 		return false
 	}
-	payload := b.Bytes()
-	if len(payload) > MaxDataLen {
-		panic(fmt.Sprintf("ble: payload %d exceeds LL maximum %d", len(payload), MaxDataLen))
+	n := b.Len()
+	if n > MaxDataLen {
+		panic(fmt.Sprintf("ble: payload %d exceeds LL maximum %d", n, MaxDataLen))
 	}
-	if !c.ctrl.pool.alloc(len(payload)) {
+	if !c.ctrl.pool.alloc(n) {
 		c.ctrl.events.PoolExhausted++
 		b.Put()
 		return false
 	}
-	it := c.ctrl.getItem()
-	it.llid, it.payload, it.pid = llid, payload, pid
-	it.poolN = len(payload)
-	it.onAck = onAck
-	it.buf = b
-	c.txq.Push(it)
+	c.txq.Push(txItem{llid: llid, pid: pid, buf: b})
 	c.markHeadReady()
 	return true
+}
+
+// complete returns a data item's bytes to the controller's pool and puts its
+// buffer.
+func (c *Conn) complete(it txItem) {
+	c.ctrl.pool.free(it.buf.Len())
+	it.buf.Put()
 }
 
 // sendControl enqueues an LL control PDU (not charged to the data pool).
 func (c *Conn) sendControl(pdu *DataPDU) {
 	pdu.LLID = LLIDControl
-	it := c.ctrl.getItem()
-	it.ctrl = pdu
-	c.txq.Push(it)
+	c.txq.Push(txItem{ctrl: pdu})
 }
 
 // UpdateParams starts the connection parameter update procedure
@@ -1098,27 +1090,16 @@ func (c *Conn) terminate(reason LossReason) {
 	c.sim().Cancel(c.wake)
 	c.sim().Cancel(c.supEvent)
 	c.nextStart = 0
-	// Complete undelivered payloads: the enqueued onAck chain returns the
-	// pooled bytes and releases upper-layer resources (L2CAP SDU state,
-	// pktbuf charges) that would otherwise leak with the link.
+	// Complete undelivered payloads: each Put returns the pooled bytes and
+	// whatever pktbuf charge its buffer carries, which would otherwise leak
+	// with the link.
 	for i := 0; i < c.txq.Len(); i++ {
-		it := c.txq.At(i)
-		if it.ctrl == nil {
+		if it := c.txq.At(i); it.ctrl == nil {
 			if it.pid != 0 && c.ctrl.tr.Keeps(it.pid) {
 				c.ctrl.tr.Add(c.ctrl.node, it.pid, 0, trace.DropConnLost(c.handle, reason))
 			}
-			if it.poolN > 0 {
-				c.ctrl.pool.free(it.poolN)
-			}
-			if it.onAck != nil {
-				it.onAck()
-			}
+			c.complete(it)
 		}
-		if it.buf != nil {
-			it.buf.Put()
-			it.buf = nil
-		}
-		c.ctrl.putItem(it)
 	}
 	c.txq.Reset()
 	c.replyPDU = nil

@@ -108,7 +108,7 @@ func TestDataTransferCoordinatorToSubordinate(t *testing.T) {
 	payloads := make([][]byte, 10)
 	for i := range payloads {
 		payloads[i] = []byte{byte(i), 1, 2, 3}
-		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payloads[i]), 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payloads[i]), 0) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -129,7 +129,7 @@ func TestDataTransferSubordinateToCoordinator(t *testing.T) {
 	var got [][]byte
 	coord.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { got = append(got, p) })
 	for i := 0; i < 10; i++ {
-		if !sub.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
+		if !sub.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -159,7 +159,7 @@ func TestMoreDataBatchesInOneEvent(t *testing.T) {
 	})
 	start := s.Now()
 	for i := 0; i < 20; i++ {
-		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0) {
 			t.Fatalf("Send %d rejected (pool)", i)
 		}
 	}
@@ -173,16 +173,26 @@ func TestMoreDataBatchesInOneEvent(t *testing.T) {
 	}
 }
 
-func TestOnAckFiresOncePerPayload(t *testing.T) {
+// TestEachPayloadAckedOnce: every payload is acknowledged exactly once, and
+// its acknowledgement is what returns its bytes to the controller's pool.
+func TestEachPayloadAckedOnce(t *testing.T) {
 	s, _, nodes := newTestNet(5, 0, 0)
 	_, coord := connectPair(t, s, nodes[0], nodes[1], params75())
-	acks := 0
+	base, free := coord.Stats().TXUnique, coord.PoolFree()
 	for i := 0; i < 5; i++ {
-		coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, func() { acks++ })
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0) {
+			t.Fatalf("Send %d rejected", i)
+		}
+	}
+	if got := coord.PoolFree(); got != free-5 {
+		t.Fatalf("pool free = %d with five 1-byte payloads queued, want %d", got, free-5)
 	}
 	s.Run(s.Now() + 2*sim.Second)
-	if acks != 5 {
+	if acks := coord.Stats().TXUnique - base; acks != 5 {
 		t.Fatalf("acks = %d, want 5", acks)
+	}
+	if coord.QueueLen() != 0 || coord.PoolFree() != free {
+		t.Fatalf("after the acks: %d queued, pool free %d, want 0 and %d", coord.QueueLen(), coord.PoolFree(), free)
 	}
 }
 
@@ -195,7 +205,7 @@ func TestReliabilityUnderNoise(t *testing.T) {
 	var got []byte
 	sub.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { got = append(got, p[0]) })
 	for i := 0; i < 30; i++ {
-		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil) {
+		if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0) {
 			t.Fatalf("Send %d rejected", i)
 		}
 	}
@@ -266,7 +276,7 @@ func TestPoolExhaustionRejectsSend(t *testing.T) {
 	// radio can't drain them that fast.
 	accepted := 0
 	for i := 0; i < 100; i++ {
-		if coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
+		if coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0) {
 			accepted++
 		}
 	}
@@ -281,7 +291,7 @@ func TestPoolExhaustionRejectsSend(t *testing.T) {
 	}
 	// Draining the queue must free the pool again.
 	s.Run(s.Now() + 10*sim.Second)
-	if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0, nil) {
+	if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 100)), 0) {
 		t.Fatal("pool not freed after drain")
 	}
 }
@@ -370,7 +380,7 @@ func TestJammedChannelDegradesButDoesNotKill(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		i := i
 		s.After(sim.Duration(i)*200*sim.Millisecond, func() {
-			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0, nil)
+			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes([]byte{byte(i)}), 0)
 		})
 	}
 	s.Run(s.Now() + 30*sim.Second)
@@ -397,8 +407,8 @@ func TestChannelCountsConservation(t *testing.T) {
 	sub, coord := connectPair(t, s, nodes[0], nodes[1], params75())
 	for i := 0; i < 200; i++ {
 		s.After(sim.Duration(i)*100*sim.Millisecond, func() {
-			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0, nil)
-			sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0, nil)
+			coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0)
+			sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, 40)), 0)
 		})
 	}
 	s.Run(s.Now() + 30*sim.Second)
@@ -568,9 +578,11 @@ func TestFormedControllerDropsFormationState(t *testing.T) {
 // implements with its endpoint, so a Conn holds no func value but the
 // parameter-request hook only the Renegotiate policy sets. A func field —
 // directly or inside a struct field — is one more heap object per link end
-// for the garbage collector to mark.
+// for the garbage collector to mark. The same holds for the payloads queued
+// in its LL ring: a queued item is its buffer, whose Put is its completion,
+// so it carries no completion callback either.
 func TestConnHoldsNoCallbacks(t *testing.T) {
-	allowed := map[string]bool{"OnParamRequest": true}
+	allowed := map[string]bool{"Conn.OnParamRequest": true}
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -579,14 +591,15 @@ func TestConnHoldsNoCallbacks(t *testing.T) {
 			switch f.Type.Kind() {
 			case reflect.Func:
 				if !allowed[name] {
-					t.Errorf("Conn.%s is a func (%v): make it a handler type declared over Conn", name, f.Type)
+					t.Errorf("%s is a func (%v): make it a handler type declared over Conn, or let a buffer's Put complete it", name, f.Type)
 				}
 			case reflect.Struct:
 				walk(name+".", f.Type)
 			}
 		}
 	}
-	walk("", reflect.TypeOf(Conn{}))
+	walk("Conn.", reflect.TypeOf(Conn{}))
+	walk("txItem.", reflect.TypeOf(txItem{}))
 }
 
 // TestRemovedConnIsUnreachable: the controller's connection table, its
@@ -605,7 +618,7 @@ func TestRemovedConnIsUnreachable(t *testing.T) {
 		t.Fatalf("hub has %d connections, want 3", got)
 	}
 	payload := []byte{1, 2, 3, 4}
-	if !newest.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) {
+	if !newest.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0) {
 		t.Fatal("Send rejected")
 	}
 	for deadline := s.Now() + sim.Second; hub.ctrl.scratch.from != newest || len(hub.ctrl.scratch.Payload) == 0; {

@@ -163,10 +163,6 @@ type Controller struct {
 	conns   []*Conn
 	handles int
 
-	// freeItems recycles txItem structs across all connections so the
-	// steady-state data path does not allocate per queued payload.
-	freeItems []*txItem
-
 	// form is the advertising and scanning state (formation), nil while
 	// the controller does neither. scanParams is the host's configuration
 	// and outlives it.
@@ -824,19 +820,3 @@ func (ctrl *Controller) String() string {
 // Upper layers use it to avoid enqueueing a multi-fragment PDU that could
 // only partially fit.
 func (ctrl *Controller) PoolFree() int { return ctrl.pool.capacity - ctrl.pool.used }
-
-// getItem takes a zeroed txItem from the controller-wide free list.
-func (c *Controller) getItem() *txItem {
-	if n := len(c.freeItems); n > 0 {
-		it := c.freeItems[n-1]
-		c.freeItems = c.freeItems[:n-1]
-		return it
-	}
-	return &txItem{}
-}
-
-// putItem zeroes a txItem and returns it to the free list.
-func (c *Controller) putItem(it *txItem) {
-	*it = txItem{}
-	c.freeItems = append(c.freeItems, it)
-}

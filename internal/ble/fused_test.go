@@ -193,16 +193,16 @@ func TestFusedIdleMatchesEventByEvent(t *testing.T) {
 		{name: "clocks -250/+250 ppm", ppm: [3]float64{-250, 250, -250}, sca: 250, want: 0.85},
 		{name: "data from the coordinator", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {
 			n.sub.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { n.logf("sub data %d at %d", len(p), n.s.Now()) })
-			every(n.s, 410*sim.Millisecond, func() { n.coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) })
+			every(n.s, 410*sim.Millisecond, func() { n.coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0) })
 		}},
 		{name: "data from the subordinate", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {
 			n.coord.OnData = DataFunc(func(_ LLID, p []byte, _ uint64) { n.logf("coord data %d at %d", len(p), n.s.Now()) })
-			every(n.s, 410*sim.Millisecond, func() { n.sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) })
+			every(n.s, 410*sim.Millisecond, func() { n.sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0) })
 		}},
 		{name: "data from the subordinate, a timer behind the empty exchange", want: 0.3, intrude: func(t *testing.T, n *fusedNet) {
 			// The window is sized for an empty reply; one that carries data
 			// ends later, past this timer.
-			every(n.s, 410*sim.Millisecond, func() { n.sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0, nil) })
+			every(n.s, 410*sim.Millisecond, func() { n.sub.SendBuf(LLIDDataStart, pktbuf.FromBytes(payload), 0) })
 			atEachAnchor(n, exchangeEnd+50*sim.Microsecond, func() { n.observe("behind") })
 		}},
 		{name: "close by the coordinator", want: -1, intrude: func(t *testing.T, n *fusedNet) {

@@ -265,7 +265,7 @@ func TestCapacitySplitMatchesRelativeAnchorPosition(t *testing.T) {
 				return
 			}
 			for connA.QueueLen() < 32 {
-				if !connA.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0, nil) {
+				if !connA.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0) {
 					break
 				}
 			}
@@ -331,7 +331,7 @@ func TestThroughputBaselineNearPaperValue(t *testing.T) {
 			return
 		}
 		for coord.QueueLen() < 64 {
-			if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0, nil) {
+			if !coord.SendBuf(LLIDDataStart, pktbuf.FromBytes(make([]byte, MaxDataLen)), 0) {
 				break
 			}
 		}

@@ -11,6 +11,7 @@ import (
 
 	"blemesh/internal/phy"
 	"blemesh/internal/pktbuf"
+	"blemesh/internal/ring"
 	"blemesh/internal/sim"
 )
 
@@ -116,25 +117,26 @@ type MAC struct {
 	seq    byte
 
 	// txq is the single transmit queue; one frame is in service at a
-	// time, as in RIOT's netdev model.
-	txq     []*txEntry
+	// time, as in RIOT's netdev model. The MAC holds that frame's entry
+	// in pending while busy.
+	txq     ring.Ring[txEntry]
 	busy    bool
-	pending *txEntry
+	pending txEntry
 	ackWait sim.Timer
 
 	stats MACStats
 	onRx  RxFunc
 }
 
+// txEntry is one queued frame. buf is the pooled buffer backing
+// frame.Payload; the MAC owns it, and its Put when the frame is acknowledged,
+// sent as a broadcast or given up on is the frame's completion.
 type txEntry struct {
 	frame   *Frame
 	retries int
 	nb      int // CSMA backoff attempts for the current try
 	be      int
-	onDone  func(ok bool)
-	// buf is the pooled buffer backing frame.Payload; the MAC owns it and
-	// releases it when the entry completes.
-	buf *pktbuf.Buf
+	buf     *pktbuf.Buf
 }
 
 // NewMAC creates a MAC bound to a radio on the shared medium.
@@ -160,23 +162,23 @@ func (m *MAC) Stats() MACStats { return m.stats }
 func (m *MAC) SetReceiver(fn RxFunc) { m.onRx = fn }
 
 // SendBuf queues the payload in b toward dst (BroadcastAddr for broadcast).
-// The frame transmits straight out of b and the MAC releases it when the
-// frame completes; onDone reports delivery (ack received / broadcast sent)
-// or failure. Ownership of b passes to the MAC in every case: on a false
-// return (queue full) the buffer has already been released.
-func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64, onDone func(ok bool)) bool {
+// The frame transmits straight out of b, and the MAC puts b when the frame
+// completes, delivered or not (MACStats counts which). Ownership of b passes
+// to the MAC in every case: on a false return (queue full) the buffer has
+// already been released.
+func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64) bool {
 	payload := b.Bytes()
 	if len(payload) > MaxPayload {
 		panic(fmt.Sprintf("dot15d4: payload %d exceeds frame budget %d", len(payload), MaxPayload))
 	}
-	if len(m.txq) >= queueCap {
+	if m.txq.Len() >= queueCap {
 		m.stats.QueueDrops++
 		b.Put()
 		return false
 	}
 	m.seq++
 	f := &Frame{AR: dst != BroadcastAddr, Seq: m.seq, Src: m.addr, Dst: dst, Payload: payload, PID: pid}
-	m.txq = append(m.txq, &txEntry{frame: f, be: MinBE, onDone: onDone, buf: b})
+	m.txq.Push(txEntry{frame: f, buf: b})
 	m.stats.TXUnique++
 	m.kick()
 	return true
@@ -184,37 +186,34 @@ func (m *MAC) SendBuf(dst uint64, b *pktbuf.Buf, pid uint64, onDone func(ok bool
 
 // kick starts servicing the queue head if idle.
 func (m *MAC) kick() {
-	if m.busy || len(m.txq) == 0 {
+	if m.busy || m.txq.Len() == 0 {
 		return
 	}
 	m.busy = true
-	m.pending = m.txq[0]
-	m.txq = m.txq[1:]
-	m.pending.nb = 0
+	m.pending = m.txq.Pop()
 	m.pending.be = MinBE
 	m.backoff()
 }
 
 // backoff waits a random number of unit backoff periods, then does CCA.
 func (m *MAC) backoff() {
-	e := m.pending
-	units := m.s.Rand().Intn(1 << e.be)
+	units := m.s.Rand().Intn(1 << m.pending.be)
 	m.s.Post(sim.Duration(units)*UnitBackoff, m.cca)
 }
 
 // cca performs clear channel assessment (8 symbols of listening).
 func (m *MAC) cca() {
 	m.s.Post(8*SymbolTime, func() {
-		e := m.pending
-		if e == nil {
+		if !m.busy {
 			return
 		}
 		if m.medium.Busy(Channel) {
+			e := &m.pending
 			e.nb++
 			e.be = min(e.be+1, MaxBE)
 			if e.nb > MaxCSMABackoffs {
 				m.stats.CCAFail++
-				m.finish(false)
+				m.finish()
 				return
 			}
 			m.backoff()
@@ -224,9 +223,11 @@ func (m *MAC) cca() {
 	})
 }
 
-// transmit puts the frame on the air and arms the ack wait.
+// transmit puts the frame on the air and arms the ack wait. The frame stays
+// in service until its ack, its last retry or (broadcast) its end of air, so
+// the callbacks below act on m.pending.
 func (m *MAC) transmit() {
-	e := m.pending
+	e := &m.pending
 	f := e.frame
 	air := Airtime(f.MACLen())
 	m.stats.TXFrames++
@@ -237,15 +238,16 @@ func (m *MAC) transmit() {
 		m.radio.StartListen(Channel) // resume idle listening
 		if !f.AR {
 			m.stats.Delivered++
-			m.finish(true)
+			m.finish()
 			return
 		}
 		m.ackWait = m.s.After(AckWait, func() {
 			m.ackWait = sim.Timer{}
+			e := &m.pending
 			e.retries++
 			if e.retries > MaxFrameRetries {
 				m.stats.NoAck++
-				m.finish(false)
+				m.finish()
 				return
 			}
 			e.nb = 0
@@ -258,18 +260,11 @@ func (m *MAC) transmit() {
 // finish completes the in-service frame and services the next. The pooled
 // payload buffer is released here: receivers have consumed the frame
 // synchronously at PHY delivery time, which always precedes the sender's
-// completion callback.
-func (m *MAC) finish(ok bool) {
-	e := m.pending
-	m.pending = nil
+// completion.
+func (m *MAC) finish() {
+	m.pending.buf.Put()
+	m.pending = txEntry{}
 	m.busy = false
-	if e != nil {
-		if e.onDone != nil {
-			e.onDone(ok)
-		}
-		e.buf.Put()
-		e.buf = nil
-	}
 	m.kick()
 }
 
@@ -284,12 +279,12 @@ func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
 		return
 	}
 	if f.Ack {
-		if m.pending != nil && m.ackWait.Scheduled() && f.Seq == m.pending.frame.Seq {
+		if m.busy && m.ackWait.Scheduled() && f.Seq == m.pending.frame.Seq {
 			m.s.Cancel(m.ackWait)
 			m.ackWait = sim.Timer{}
 			m.stats.RXAcks++
 			m.stats.Delivered++
-			m.finish(true)
+			m.finish()
 		}
 		return
 	}

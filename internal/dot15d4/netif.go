@@ -14,7 +14,6 @@ type NetIfStats struct {
 	TXPackets     uint64
 	RXPackets     uint64
 	QueueDrops    uint64 // pktbuf or MAC queue full
-	TXFailures    uint64 // MAC gave up (CCA fail / no ack)
 	CompressErr   uint64
 	DecompressErr uint64
 	Oversize      uint64 // compressed packet larger than one frame
@@ -72,11 +71,7 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 		return false
 	}
 	pkt.Charge(&n.stack.Pktbuf, size)
-	if !n.mac.SendBuf(mac, pkt, pid, func(ok bool) {
-		if !ok {
-			n.stats.TXFailures++
-		}
-	}) {
+	if !n.mac.SendBuf(mac, pkt, pid) {
 		n.stats.QueueDrops++
 		return false
 	}

@@ -116,15 +116,15 @@ func runFig7(o Options) *Report {
 	for _, topo := range []testbed.Topology{testbed.Tree(), testbed.Line()} {
 		nw := runTopo(o, 0, topo, statconn.Static{Interval: 75 * sim.Millisecond},
 			TrafficConfig{}, dur, nil)
-		pdr := nw.CoAPPDR()
+		pdr, rtts := nw.CoAPPDR(), nw.MergedRTTs()
 		r.addf("%s: CoAP PDR %.4f%% (%d/%d), %d connection losses, LL PDR %.4f",
 			topo.Name, 100*pdr.Rate(), pdr.Delivered, pdr.Sent, nw.ConnLosses(), nw.LLPDR())
 		r.addBlock(nw.Series.ASCII(fmt.Sprintf("  %s PDR/min", topo.Name)))
-		r.addBlock(nw.RTTs.ASCII(60, 8, fmt.Sprintf("  %s RTT CDF [s]", topo.Name)))
+		r.addBlock(rtts.ASCII(60, 8, fmt.Sprintf("  %s RTT CDF [s]", topo.Name)))
 		r.set(topo.Name+"_pdr", pdr.Rate())
 		r.set(topo.Name+"_losses", float64(nw.ConnLosses()))
-		r.set(topo.Name+"_rtt_median_s", nw.RTTs.Median())
-		r.set(topo.Name+"_rtt_p99_s", nw.RTTs.Quantile(0.99))
+		r.set(topo.Name+"_rtt_median_s", rtts.Median())
+		r.set(topo.Name+"_rtt_p99_s", rtts.Quantile(0.99))
 	}
 	if tm, lm := r.Value("tree_rtt_median_s"), r.Value("line_rtt_median_s"); tm > 0 {
 		r.addf("median RTT ratio line/tree = %.2f (paper: ≈3.5, the hop-count ratio 7.5/2.1)", lm/tm)
@@ -141,10 +141,11 @@ func runFig8a(o Options) *Report {
 		ci := ci * sim.Millisecond
 		nw := runTopo(o, 0, testbed.Tree(), statconn.Static{Interval: ci},
 			TrafficConfig{}, dur, nil)
-		med := nw.RTTs.Median()
+		rtts := nw.MergedRTTs()
+		med := rtts.Median()
 		r.addf("CI %5v: RTT median %.3fs p95 %.3fs p99 %.3fs max %.3fs (= %.1f×/%.1f×/%.1f× CI)  PDR %.4f",
-			ci, med, nw.RTTs.Quantile(0.95), nw.RTTs.Quantile(0.99), nw.RTTs.Max(),
-			med/ci.Seconds(), nw.RTTs.Quantile(0.95)/ci.Seconds(), nw.RTTs.Max()/ci.Seconds(),
+			ci, med, rtts.Quantile(0.95), rtts.Quantile(0.99), rtts.Max(),
+			med/ci.Seconds(), rtts.Quantile(0.95)/ci.Seconds(), rtts.Max()/ci.Seconds(),
 			nw.CoAPPDR().Rate())
 		key := fmt.Sprintf("rtt_median_ci%dms", int(ci.Milliseconds()))
 		r.set(key, med)
@@ -162,9 +163,10 @@ func runFig8b(o Options) *Report {
 		sim.Second, 5 * sim.Second, 10 * sim.Second, 30 * sim.Second} {
 		nw := runTopo(o, 0, testbed.Tree(), statconn.Static{Interval: 75 * sim.Millisecond},
 			TrafficConfig{Interval: pi, Jitter: pi / 2}, dur, nil)
-		med := nw.RTTs.Median()
+		rtts := nw.MergedRTTs()
+		med := rtts.Median()
 		r.addf("producer %6v: RTT median %.3fs p99 %.3fs  PDR %.4f  bufferDrops %d",
-			pi, med, nw.RTTs.Quantile(0.99), nw.CoAPPDR().Rate(), nw.BufferDrops())
+			pi, med, rtts.Quantile(0.99), nw.CoAPPDR().Rate(), nw.BufferDrops())
 		r.set(fmt.Sprintf("rtt_median_pi%dms", int(pi.Milliseconds())), med)
 		r.set(fmt.Sprintf("pdr_pi%dms", int(pi.Milliseconds())), nw.CoAPPDR().Rate())
 	}
@@ -223,13 +225,13 @@ func runFig10(o Options) *Report {
 	for _, ci := range []sim.Duration{25 * sim.Millisecond, 75 * sim.Millisecond} {
 		nw := runTopo(o, 0, testbed.Tree(), statconn.Static{Interval: ci},
 			TrafficConfig{}, dur, nil)
-		pdr := nw.CoAPPDR()
+		pdr, rtts := nw.CoAPPDR(), nw.MergedRTTs()
 		key := fmt.Sprintf("ble%dms", int(ci.Milliseconds()))
 		r.addf("BLE CI %v: PDR %.4f  RTT median %.3fs p99 %.3fs",
-			ci, pdr.Rate(), nw.RTTs.Median(), nw.RTTs.Quantile(0.99))
-		r.addBlock(nw.RTTs.ASCII(60, 6, "  RTT CDF [s], BLE "+ci.String()))
+			ci, pdr.Rate(), rtts.Median(), rtts.Quantile(0.99))
+		r.addBlock(rtts.ASCII(60, 6, "  RTT CDF [s], BLE "+ci.String()))
 		r.set(key+"_pdr", pdr.Rate())
-		r.set(key+"_rtt_median_s", nw.RTTs.Median())
+		r.set(key+"_rtt_median_s", rtts.Median())
 	}
 	dot := BuildDotNetwork(o.Seed, testbed.Tree())
 	dot.Run(5 * sim.Second)

@@ -93,7 +93,7 @@ func runLatency(o Options) *Report {
 	}
 	r.addBlock("unified metrics snapshot (selected):")
 	r.addf("  net.coap_pdr %.4f  net.ll_pdr %.4f  net.rtt_seconds{p95} %.3f",
-		nw.CoAPPDR().Rate(), nw.LLPDR(), nw.RTTs.Quantile(0.95))
+		nw.CoAPPDR().Rate(), nw.LLPDR(), nw.MergedRTTs().Quantile(0.95))
 	return r
 }
 

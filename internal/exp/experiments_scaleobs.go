@@ -73,7 +73,8 @@ func runScaleObs(o Options) *Report {
 	// (d) first, because everything else is meaningless if it fails: the
 	// observability configuration must not leak into the simulation.
 	fullPDR, sampPDR := full.CoAPPDR(), sampled.CoAPPDR()
-	identical := fullPDR == sampPDR && full.RTTs.N() == sampled.RTTs.N()
+	fullRTTs := full.MergedRTTs()
+	identical := fullPDR == sampPDR && fullRTTs.N() == sampled.MergedRTTs().N()
 	r.addf("perturbation check: full run PDR %.4f (%d/%d), sampled run PDR %.4f (%d/%d) — identical=%v",
 		fullPDR.Rate(), fullPDR.Delivered, fullPDR.Sent,
 		sampPDR.Rate(), sampPDR.Delivered, sampPDR.Sent, identical)
@@ -120,14 +121,14 @@ func runScaleObs(o Options) *Report {
 	r.addf("metrics streaming: %d bytes of NDJSON over the run", streamed.n)
 	r.set("stream_bytes", float64(streamed.n))
 	r.addf("RTT distribution: %d samples in %d bytes (sketch backend)",
-		full.RTTs.N(), full.RTTs.MemBytes())
-	r.set("rtt_samples", float64(full.RTTs.N()))
-	r.set("rtt_mem_bytes", float64(full.RTTs.MemBytes()))
+		fullRTTs.N(), fullRTTs.MemBytes())
+	r.set("rtt_samples", float64(fullRTTs.N()))
+	r.set("rtt_mem_bytes", float64(fullRTTs.MemBytes()))
 	r.addf("RTT p50 %.4fs p95 %.4fs p99 %.4fs",
-		full.RTTs.Quantile(0.5), full.RTTs.Quantile(0.95), full.RTTs.Quantile(0.99))
-	r.set("rtt_p50_s", full.RTTs.Quantile(0.5))
-	r.set("rtt_p95_s", full.RTTs.Quantile(0.95))
-	r.set("rtt_p99_s", full.RTTs.Quantile(0.99))
+		fullRTTs.Quantile(0.5), fullRTTs.Quantile(0.95), fullRTTs.Quantile(0.99))
+	r.set("rtt_p50_s", fullRTTs.Quantile(0.5))
+	r.set("rtt_p95_s", fullRTTs.Quantile(0.95))
+	r.set("rtt_p99_s", fullRTTs.Quantile(0.99))
 	return r
 }
 

@@ -274,15 +274,15 @@ func runFig13(o Options) *Report {
 					// The paper's boards: up to 6µs/s relative drift.
 					c.MaxPPM = 3
 				})
-			pdr := nw.CoAPPDR()
+			pdr, rtts := nw.CoAPPDR(), nw.MergedRTTs()
 			key := topo.Name + "_" + p.name
 			r.addf("%-16s CoAP PDR %.6f (%d/%d)  losses %d  LL PDR %.4f  RTT p50 %.3fs p99 %.3fs  rejects %d",
 				key, pdr.Rate(), pdr.Delivered, pdr.Sent, nw.ConnLosses(), nw.LLPDR(),
-				nw.RTTs.Median(), nw.RTTs.Quantile(0.99), nw.IntervalRejects())
+				rtts.Median(), rtts.Quantile(0.99), nw.IntervalRejects())
 			r.set(key+"_pdr", pdr.Rate())
 			r.set(key+"_losses", float64(nw.ConnLosses()))
 			r.set(key+"_llpdr", nw.LLPDR())
-			r.set(key+"_rtt_p99", nw.RTTs.Quantile(0.99))
+			r.set(key+"_rtt_p99", rtts.Quantile(0.99))
 		}
 	}
 	r.addf("(paper: randomized intervals ⇒ zero losses, zero CoAP loss out of >1.2M requests;")

@@ -286,10 +286,8 @@ type Network struct {
 	// Metrics. Series is the network's one PDR series: its counters are
 	// atomic and Run grows it to the horizon before the lanes start, so
 	// every site records into it. RTT collection is split per site (rtts)
-	// so site windows never share a sketch; RTTs aliases site 0's, which on
-	// a network of several sites is one site's share only — use MergedRTTs
-	// for the network-wide view.
-	RTTs      *metrics.CDF
+	// so site windows never share a sketch; MergedRTTs is the network-wide
+	// view.
 	PerProd   *metrics.Heatmap
 	Series    *metrics.TimeSeries
 	rtts      []*metrics.CDF
@@ -475,16 +473,14 @@ func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 func (b *netBuild) allocStorage() {
 	cfg, nw := b.cfg, b.nw
 	// Metric surfaces: one RTT CDF per site — one slab, not nsurf small
-	// allocations; RTTs aliases site 0, which is all of a single-site
-	// network. The PDR series is the network's: one slice, sized by the
-	// simulated time alone.
-	nsurf := max(len(nw.sites), 1) // an empty topology still has RTTs
+	// allocations. The PDR series is the network's: one slice, sized by
+	// the simulated time alone.
+	nsurf := max(len(nw.sites), 1) // an empty topology still has an RTT CDF
 	cdfs := make([]metrics.CDF, nsurf)
 	nw.rtts = make([]*metrics.CDF, nsurf)
 	for i := 0; i < nsurf; i++ {
 		nw.rtts[i] = &cdfs[i]
 	}
-	nw.RTTs = nw.rtts[0]
 	nw.Series = metrics.NewTimeSeries(cfg.SeriesBucket)
 
 	if cfg.Routing == RoutingStatic && cfg.SparseRoutes {
@@ -502,12 +498,14 @@ func (b *netBuild) allocStorage() {
 // then turn the counts into offsets with a prefix sum and size one shared
 // backing array that every node gets its exact window of. The offsets depend
 // only on the topology, never on fill order, so sites may fill in parallel.
-// The stack's live table and the node's provisioned copy alias the same
-// backing: AddHostRoute appends the same route to both lists in lockstep
-// (sparse sink-tree destinations are unique per node, so AddRoute never
-// takes its replace branch), static routes are never removed, and a Restart
-// re-appends the identical values over themselves — so one window serves
-// both views at half the storage.
+// Until the node restarts, the stack's live table and the node's
+// provisioned copy alias the same backing: AddHostRoute appends the same
+// route to both lists in lockstep (sparse sink-tree destinations are unique
+// per node, so AddRoute never takes its replace branch) and static routes are
+// never removed, so one window serves both views at half the storage. A
+// crash's ip6.Stack.Reset drops the live table (routes = nil), and Restart
+// re-adds the provisioned routes into a fresh slice; from then on the window
+// holds the provisioned copy only.
 func (b *netBuild) carveRouteWindows() {
 	off := make([]int, b.maxID+2) // off[id+1] counts id's routes until the sum
 	for _, id := range b.ids {
@@ -715,7 +713,7 @@ func (nw *Network) registerMetrics(ids []int) {
 	nw.Registry.RegisterCounter("net.conn_losses", func() float64 { return float64(nw.ConnLosses()) })
 	nw.Registry.RegisterCounter("net.buffer_drops", func() float64 { return float64(nw.BufferDrops()) })
 	// The per-site CDFs are merged at gather time (on a single-site network
-	// MergedRTTs is RTTs itself).
+	// MergedRTTs is site 0's).
 	nw.Registry.Register("net.rtt_seconds", func() []metrics.Sample {
 		return metrics.CDFSamples("net.rtt_seconds", nw.MergedRTTs())
 	})
@@ -1062,11 +1060,11 @@ func (nw *Network) Processed() uint64 { return nw.sched.Processed() }
 // CoAPPDR returns the overall CoAP delivery ratio of the whole network.
 func (nw *Network) CoAPPDR() metrics.Counter { return nw.Series.Overall() }
 
-// MergedRTTs returns the network-wide RTT distribution: RTTs itself on a
-// single-site network, a merge of the per-site CDFs otherwise.
+// MergedRTTs returns the network-wide RTT distribution: the one site's CDF
+// itself on a single-site network, a merge of the per-site CDFs otherwise.
 func (nw *Network) MergedRTTs() *metrics.CDF {
 	if len(nw.rtts) == 1 {
-		return nw.RTTs
+		return nw.rtts[0]
 	}
 	m := &metrics.CDF{}
 	for _, c := range nw.rtts {

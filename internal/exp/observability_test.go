@@ -51,8 +51,8 @@ func TestTracingDoesNotPerturbTheRun(t *testing.T) {
 	if on.ConnLosses() != off.ConnLosses() {
 		t.Fatalf("losses differ: %d vs %d", on.ConnLosses(), off.ConnLosses())
 	}
-	if on.RTTs.N() != off.RTTs.N() || on.RTTs.Mean() != off.RTTs.Mean() ||
-		on.RTTs.Quantile(0.99) != off.RTTs.Quantile(0.99) {
+	if on.MergedRTTs().N() != off.MergedRTTs().N() || on.MergedRTTs().Mean() != off.MergedRTTs().Mean() ||
+		on.MergedRTTs().Quantile(0.99) != off.MergedRTTs().Quantile(0.99) {
 		t.Fatal("RTT distributions differ between traced and untraced runs")
 	}
 	if on.Sim.Now() != off.Sim.Now() {

@@ -43,7 +43,7 @@ func TestSampledTracingDoesNotPerturbTheRun(t *testing.T) {
 	if a, b := full.CoAPPDR(), samp.CoAPPDR(); a != b {
 		t.Fatalf("PDR differs: full %+v vs sampled %+v", a, b)
 	}
-	if full.RTTs.N() != samp.RTTs.N() || full.RTTs.Quantile(0.99) != samp.RTTs.Quantile(0.99) {
+	if full.MergedRTTs().N() != samp.MergedRTTs().N() || full.MergedRTTs().Quantile(0.99) != samp.MergedRTTs().Quantile(0.99) {
 		t.Fatal("RTT distributions differ between full and sampled runs")
 	}
 	if full.Sim.Now() != samp.Sim.Now() {

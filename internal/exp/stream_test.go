@@ -74,7 +74,7 @@ func TestStreamErrSurfaces(t *testing.T) {
 	if err := bad.Trace.WriteNDJSON(&badTrace); err != nil {
 		t.Fatal(err)
 	}
-	if ok.Sim.Now() != bad.Sim.Now() || ok.RTTs.N() != bad.RTTs.N() || ok.ConnLosses() != bad.ConnLosses() ||
+	if ok.Sim.Now() != bad.Sim.Now() || ok.MergedRTTs().N() != bad.MergedRTTs().N() || ok.ConnLosses() != bad.ConnLosses() ||
 		okTrace.Len() == 0 || okTrace.String() != badTrace.String() {
 		t.Fatal("a failing metrics sink changed the run")
 	}

@@ -55,7 +55,7 @@ type Channel struct {
 	closed bool
 
 	// Segmentation queue: K-frames ready to go; the final frame of an SDU
-	// carries its onDone and its pktbuf charge.
+	// carries its pktbuf charge.
 	txq ring.Ring[txFrame]
 
 	// Reassembly state: the SDU accumulates in a pooled buffer that is
@@ -87,9 +87,8 @@ type ChannelEvents interface {
 }
 
 type txFrame struct {
-	buf    *pktbuf.Buf
-	pid    uint64
-	onDone func()
+	buf *pktbuf.Buf
+	pid uint64
 }
 
 // SCID returns the local channel id.
@@ -118,13 +117,21 @@ func (ch *Channel) Writable() bool {
 // provenance ID (0 = untagged) and queues them for transmission. The
 // 2-byte SDU header is prepended in place; each frame of a multi-frame SDU
 // is copied into a buffer of its own, and the final one takes over the SDU
-// buffer's pktbuf charge. onDone fires when the LL has delivered (and the
-// peer acknowledged) the final frame, just before that frame's Put. It
-// returns an error when the channel is not open or the SDU exceeds the
-// peer's MTU; it accepts data even when currently blocked (the frames wait
-// for credits), so callers should gate on Writable. Ownership of data
-// passes to the channel in every case.
+// buffer's pktbuf charge, so the Put of the final frame, once the peer
+// acknowledges it or the link dies, is the SDU's completion. It returns an
+// error when the channel is not open or the SDU exceeds the peer's MTU; it
+// accepts data even when currently blocked (the frames wait for credits),
+// so callers should gate on Writable. Ownership of data passes to the
+// channel in every case.
+//
+// onDone must be nil. The parameter outlives the completion callback it
+// once was because the benchmark module's L2CAP probe still passes nil; a
+// non-nil value is an error, never called.
 func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error {
+	if onDone != nil {
+		data.Put()
+		return fmt.Errorf("l2cap: SendSDUBuf takes no completion callback: the final frame's Put is the SDU's completion")
+	}
 	if !ch.Open() {
 		data.Put()
 		return fmt.Errorf("l2cap: channel %d not open", ch.scid)
@@ -140,14 +147,13 @@ func (ch *Channel) SendSDUBuf(data *pktbuf.Buf, pid uint64, onDone func()) error
 	hd[1] = byte(sduLen >> 8)
 	mps := ch.peerMPS
 	if data.Len() <= mps {
-		ch.txq.Push(txFrame{buf: data, pid: pid, onDone: onDone})
+		ch.txq.Push(txFrame{buf: data, pid: pid})
 	} else {
 		total := data.Len()
 		for lo := 0; lo < total; lo += mps {
 			hi := min(lo+mps, total)
 			tf := txFrame{buf: pktbuf.FromBytes(data.Bytes()[lo:hi]), pid: pid}
 			if hi == total {
-				tf.onDone = onDone
 				data.MoveCharge(tf.buf)
 			}
 			ch.txq.Push(tf)
@@ -167,7 +173,7 @@ func (ch *Channel) drain() {
 			return
 		}
 		f := ch.txq.Front()
-		if !ch.ep.sendPDU(ch.dcid, f.buf, f.pid, f.onDone) {
+		if !ch.ep.sendPDU(ch.dcid, f.buf, f.pid) {
 			// LL pool exhausted: the frame stays queued untouched;
 			// retry when the link drains.
 			ch.stats.Stalls++
@@ -269,9 +275,6 @@ func (ch *Channel) teardown() {
 		if f.pid != lastPID { // frames of one SDU share a pid: emit once
 			ch.ep.conn.TraceDrop(f.pid)
 			lastPID = f.pid
-		}
-		if f.onDone != nil {
-			f.onDone()
 		}
 		f.buf.Put()
 	}
@@ -468,7 +471,7 @@ func (k *epKick) Fire() {
 // packet's provenance ID. It returns false — leaving b untouched so the
 // caller can retry with the same buffer — when the LL pool cannot hold the
 // whole PDU; on success, ownership of b passes to the LL.
-func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()) bool {
+func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64) bool {
 	if !ep.conn.Usable() {
 		return false
 	}
@@ -479,7 +482,7 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 	prependBasicHeader(b, cid)
 	if b.Len() <= ble.MaxDataLen {
 		// Single LL fragment: the common IPSP case, zero-copy.
-		if !ep.conn.SendBuf(ble.LLIDDataStart, b, pid, onDone) {
+		if !ep.conn.SendBuf(ble.LLIDDataStart, b, pid) {
 			// Cannot happen after the PoolFree check in a
 			// single-threaded simulation, but fail loudly if the
 			// invariant breaks.
@@ -492,12 +495,10 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 	for lo := 0; lo < full; lo += ble.MaxDataLen {
 		hi := min(lo+ble.MaxDataLen, full)
 		frag := pktbuf.FromBytes(b.Bytes()[lo:hi])
-		var cb func()
 		if hi == full {
-			cb = onDone
 			b.MoveCharge(frag)
 		}
-		if !ep.conn.SendBuf(llid, frag, pid, cb) {
+		if !ep.conn.SendBuf(llid, frag, pid) {
 			panic("l2cap: LL rejected fragment after pool check")
 		}
 		llid = ble.LLIDDataCont
@@ -509,7 +510,7 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64, onDone func()
 // sendPDUNow is sendPDU for a PDU nobody waits on (signaling, fixed
 // channels): the buffer is released again if the send cannot proceed.
 func (ep *Endpoint) sendPDUNow(cid uint16, b *pktbuf.Buf) bool {
-	if !ep.sendPDU(cid, b, 0, nil) {
+	if !ep.sendPDU(cid, b, 0) {
 		b.Put()
 		return false
 	}

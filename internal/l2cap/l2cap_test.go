@@ -399,18 +399,28 @@ func TestCreditFlowSustainsManySDUs(t *testing.T) {
 	}
 }
 
-func TestOnDoneFiresAfterDelivery(t *testing.T) {
+// TestSendSDUBufRejectsCallback: the buffer's Put is an SDU's completion,
+// so SendSDUBuf takes no completion callback. Its third parameter stays for
+// the benchmark module's probe, which passes nil; a non-nil value is refused
+// with an error and never called, and the SDU's buffer goes back with its
+// charge.
+func TestSendSDUBufRejectsCallback(t *testing.T) {
 	p := newPair(t, 7)
 	coordCh, _ := p.openIPSP(t)
-	done := 0
-	for i := 0; i < 5; i++ {
-		if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 60)), 0, func() { done++ }); err != nil {
-			t.Fatal(err)
-		}
+	pool := &ip6.Pool{Capacity: 1 << 16}
+	called := false
+	if err := coordCh.SendSDUBuf(chargedSDU(t, pool, 60), 0, func() { called = true }); err == nil {
+		t.Fatal("SendSDUBuf accepted a completion callback")
+	}
+	if u := pool.Used(); u != 0 {
+		t.Fatalf("Used = %d after the refused SDU, want its charge returned", u)
 	}
 	p.s.Run(p.s.Now() + 3*sim.Second)
-	if done != 5 {
-		t.Fatalf("onDone fired %d/5 times", done)
+	if called {
+		t.Fatal("the refused callback was called")
+	}
+	if st := coordCh.Stats(); st.SDUsSent != 0 || st.FramesSent != 0 || coordCh.QueueLen() != 0 {
+		t.Fatalf("refused SDU went out: %+v, %d frames queued", st, coordCh.QueueLen())
 	}
 }
 
@@ -427,26 +437,27 @@ func chargedSDU(t *testing.T, pool *ip6.Pool, n int) *pktbuf.Buf {
 }
 
 // TestChargeFollowsFinalFrame: an SDU's pktbuf charge rides the K-frame that
-// completes it and comes back with that frame's Put, right after the SDU's
-// onDone: it is held exactly until the whole SDU is delivered or dropped.
-// Shown for an SDU larger than the MPS on the ack path, and on teardown for
-// SDUs whose final frames wait in the LL queue and in the channel's own
-// queue.
+// completes it and comes back with that frame's Put: it is held exactly until
+// the whole SDU is delivered or dropped. Shown for an SDU larger than the MPS
+// on the ack path, and on teardown for SDUs whose final frames wait in the LL
+// queue and in the channel's own queue.
 func TestChargeFollowsFinalFrame(t *testing.T) {
 	const size = 600 // three K-frames at the peer's 245-byte MPS
 
 	t.Run("acked", func(t *testing.T) {
 		p := newPair(t, 11)
 		coordCh, _ := p.openIPSP(t)
+		conn := p.coordEP.Conn()
 		pool := &ip6.Pool{Capacity: 1 << 16}
-		atDone := -1
-		if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), 0, func() { atDone = pool.Used() }); err != nil {
+		if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if n := coordCh.Stats().FramesSent; n != 3 {
 			t.Fatalf("%d frames sent, want 3", n)
 		}
-		for step := 0; atDone < 0; step++ {
+		// The three frames are the link's only traffic, so the final one is
+		// acknowledged when the LL queue empties.
+		for step := 0; conn.QueueLen() > 0; step++ {
 			if u := pool.Used(); u != size {
 				t.Fatalf("step %d, final frame not yet acknowledged: Used = %d, want %d", step, u, size)
 			}
@@ -454,9 +465,6 @@ func TestChargeFollowsFinalFrame(t *testing.T) {
 				t.Fatal("final frame not acknowledged within 5 s")
 			}
 			p.s.Run(p.s.Now() + sim.Millisecond)
-		}
-		if atDone != size {
-			t.Fatalf("Used = %d at the SDU's onDone, want the charge still held (%d)", atDone, size)
 		}
 		if u := pool.Used(); u != 0 {
 			t.Fatalf("Used = %d once the final frame is acknowledged, want 0", u)
@@ -467,10 +475,12 @@ func TestChargeFollowsFinalFrame(t *testing.T) {
 		p := newPair(t, 12)
 		coordCh, _ := p.openIPSP(t)
 		p.coordCtl.OnConn.(*ble.ConnFuncs).Down = func(*ble.Conn, ble.LossReason) { p.coordEP.Teardown() }
+		tr := trace.New(p.s, 0)
+		tr.Enable()
+		p.coordCtl.SetTrace(tr, "coord")
 		pool := &ip6.Pool{Capacity: 1 << 16}
-		var atDone []int
-		for i := 0; i < 4; i++ {
-			if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), 0, func() { atDone = append(atDone, pool.Used()) }); err != nil {
+		for pid := uint64(1); pid <= 4; pid++ {
+			if err := coordCh.SendSDUBuf(chargedSDU(t, pool, size), pid, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -483,8 +493,20 @@ func TestChargeFollowsFinalFrame(t *testing.T) {
 			t.Fatalf("Used = %d with four SDUs queued, want %d", u, 4*size)
 		}
 		p.coordEP.Conn().Kill() // the LL queue goes first, then the channel's
-		if want := []int{4 * size, 3 * size, 2 * size, size}; !slices.Equal(atDone, want) {
-			t.Fatalf("Used at each SDU's onDone = %v, want %v", atDone, want)
+		// One conn-lost record per frame the LL held (SDU 4's first among
+		// them), then one link-reset record for SDU 4's frames in the channel.
+		lost := " reason=" + ble.LossHostTerminated.String()
+		var got []string
+		for _, e := range tr.Events("coord", trace.KindPacketDrop) {
+			from := "channel"
+			if strings.HasSuffix(e.Detail(), lost) {
+				from = "LL"
+			}
+			got = append(got, fmt.Sprintf("%d@%s", e.ID, from))
+		}
+		want := []string{"1@LL", "1@LL", "1@LL", "2@LL", "2@LL", "2@LL", "3@LL", "3@LL", "3@LL", "4@LL", "4@channel"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("drop records %v, want %v", got, want)
 		}
 		if u := pool.Used(); u != 0 {
 			t.Fatalf("Used = %d after teardown, want 0", u)
@@ -573,8 +595,7 @@ func twoChannelRun(t *testing.T) []string {
 		for i := 0; i < 3; i++ {
 			for _, ch := range chs {
 				pid++
-				id := pid
-				if err := ch.SendSDUBuf(pktbuf.FromBytes(make([]byte, 200)), id, func() { note("done pid=%d", id) }); err != nil {
+				if err := ch.SendSDUBuf(pktbuf.FromBytes(make([]byte, 200)), pid, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -591,8 +612,10 @@ func twoChannelRun(t *testing.T) []string {
 	note("teardown")
 	burst()
 	p.coordEP.Teardown()
-	for _, e := range tr.Events("coord", trace.KindPacketDrop) {
-		note("trace pid=%d %s", e.ID, e.Detail())
+	// Every record the coordinator's LL and channels made, in order: each
+	// frame's ll-ready and ll-tx, and the drops of the torn-down ones.
+	for _, e := range tr.Events("coord") {
+		note("trace %v", e)
 	}
 	return log
 }

@@ -2,8 +2,8 @@
 // circular buffer, allocated on first Push and doubled when full. Push and
 // Pop are O(1) and allocation-free in steady state, where `q = q[1:]` plus
 // append reallocates every few elements. Pop zeroes the slot it vacates, so
-// a popped element (a pooled buffer, a completion closure) is not kept
-// reachable through the backing array.
+// a popped element (a pooled buffer, say) is not kept reachable through the
+// backing array.
 package ring
 
 // Ring is a FIFO queue. The zero value is an empty queue holding no memory.

@@ -277,7 +277,7 @@ func TestStatsAllocatesNothing(t *testing.T) {
 	if c == nil {
 		t.Fatal("connection missing")
 	}
-	c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0, nil)
+	c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0)
 	s.Run(s.Now() + 2*sim.Second)
 	ctrlA.FindConn(ctrlB.Addr()).Kill()
 	s.Run(s.Now() + 20*sim.Second)
@@ -307,7 +307,7 @@ func TestLinkQualitySnapshot(t *testing.T) {
 		t.Fatal("connection missing")
 	}
 	for i := 0; i < 20; i++ {
-		c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0, nil)
+		c.SendBuf(ble.LLIDDataStart, pktbuf.FromBytes(make([]byte, 20)), 0)
 	}
 	s.Run(10 * sim.Second)
 	mgrB.SampleLinkQuality()

@@ -1,8 +1,9 @@
 #!/bin/sh
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
-# the datapath packages and the two layers every packet runs on (phy, sim),
-# closures on the upcall fields of the layers a link end is built from, and
-# format-string trace calls anywhere in the simulator.
+# the datapath packages (the 802.15.4 twin's MAC among them) and the two
+# layers every packet runs on (phy, sim), closures on the upcall fields of the
+# layers a link end is built from, and format-string trace calls anywhere in
+# the simulator.
 #
 # Both cost nothing to write and were most of the loaded tree's host time:
 # a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
@@ -36,7 +37,7 @@
 # Usage: scripts/check-hotpath.sh   (from the repo root; exits 1 on offence)
 set -eu
 
-DATAPATH="internal/coap internal/ip6 internal/sixlo internal/l2cap internal/core internal/ble internal/phy internal/sim"
+DATAPATH="internal/coap internal/ip6 internal/sixlo internal/l2cap internal/core internal/ble internal/dot15d4 internal/phy internal/sim"
 
 files=$(find $DATAPATH -name '*.go' ! -name '*_test.go' | sort)
 

@@ -198,6 +198,7 @@ type (
 	connSubSend   Conn // the subordinate's reply, one IFS after the packet
 	connSubDone   Conn // the subordinate's reply left the air
 	connPreempt   Conn // the scheduler took the radio away (preempted)
+	connCloseWait Conn // Close's fallback: the LL_TERMINATE_IND went unacknowledged
 )
 
 func (w *connWake) Fire()    { (*Conn)(w).eventStart() }
@@ -1051,12 +1052,10 @@ func (c *Conn) Close() {
 	}
 	c.closing = true
 	c.sendControl(&DataPDU{Opcode: OpTerminateInd})
-	c.sim().Post(sim.Second, func() {
-		if !c.closed {
-			c.terminate(LossHostTerminated)
-		}
-	})
+	c.sim().Schedule(c.sim().Now()+sim.Second, (*connCloseWait)(c))
 }
+
+func (w *connCloseWait) Fire() { (*Conn)(w).terminate(LossHostTerminated) }
 
 // Kill tears the connection down immediately and silently — no
 // LL_TERMINATE_IND reaches the peer, which discovers the loss through its

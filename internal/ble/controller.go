@@ -459,7 +459,7 @@ func (ctrl *Controller) scheduleAdvEvent(delay sim.Duration) {
 	d := delay + ctrl.clk.ToSim(jitter)
 	f := ctrl.form
 	f.advNext = ctrl.s.Now() + d
-	f.advWake = ctrl.s.After(d, ctrl.advEvent)
+	f.advWake = ctrl.s.After(d, ctrl.advEvent) // hotpath:ignore — formation: one advertising event per interval
 }
 
 // advEvent performs one advertising event: ADV_IND on 37, 38, 39, listening
@@ -494,7 +494,7 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 	epoch := ctrl.epoch
 	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: ctrl.form.advParams.DataLen}
 	air := pdu.AdvAirtime()
-	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, sim.Func(func() {
+	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, sim.Func(func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
 		if ctrl.epoch != epoch || !ctrl.sched.Owns(ctrl.advAct()) {
 			return // preempted mid-event or controller reset
 		}
@@ -516,13 +516,13 @@ func (ctrl *Controller) advChannelStep(ch phy.Channel) {
 			ctrl.acceptConnection(ci)
 		}, func(_ phy.Channel, end sim.Time) {
 			ctrl.s.Cancel(timeout)
-			timeout = ctrl.s.At(end+sim.Microsecond, func() {
+			timeout = ctrl.s.At(end+sim.Microsecond, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
 				if ctrl.epoch == epoch {
 					ctrl.advStepDone(ch)
 				}
 			})
 		})
-		timeout = ctrl.s.At(deadline, func() {
+		timeout = ctrl.s.At(deadline, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
 			if ctrl.epoch == epoch {
 				ctrl.advStepDone(ch)
 			}
@@ -632,7 +632,7 @@ func (ctrl *Controller) ensureScanning() {
 	ctrl.scanOn = true
 	f.scanCh = phy.AdvChannel37
 	ctrl.sched.SetFiller(ctrl.scanResume, ctrl.scanPause)
-	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
+	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel) // hotpath:ignore — formation: one scan-channel rotation per scan interval
 }
 
 func (ctrl *Controller) stopScanning() {
@@ -663,7 +663,7 @@ func (ctrl *Controller) rotateScanChannel() {
 	if ctrl.radio.State() == phy.RadioRX && !f.connecting {
 		ctrl.radio.StartListen(f.scanCh)
 	}
-	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel)
+	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel) // hotpath:ignore — formation: one scan-channel rotation per scan interval
 }
 
 // scanResume is the scheduler filler start hook: listen on the current
@@ -726,11 +726,11 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 	RandomHopIncrement(ctrl.s.Rand()) // the CONNECT_IND's LLData hop field
 	air := ci.AdvAirtime()
 	epoch := ctrl.epoch
-	ctrl.s.Post(IFS, func() {
+	ctrl.s.Post(IFS, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
 		if ctrl.epoch != epoch {
 			return // controller reset while the CONNECT_IND was pending
 		}
-		ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: ci}, air, sim.Func(func() {
+		ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: ci}, air, sim.Func(func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
 			if ctrl.epoch != epoch {
 				return
 			}

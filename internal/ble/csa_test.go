@@ -58,6 +58,32 @@ func TestCSA2Deterministic(t *testing.T) {
 	}
 }
 
+// TestCSA2MatchesSpecSampleData checks channel selection against the
+// Bluetooth Core sample data (v5.0, Vol 6 Part C §3), the one exact oracle:
+// the other CSA #2 tests check determinism, spread and map membership only.
+func TestCSA2MatchesSpecSampleData(t *testing.T) {
+	c := newCSA2(0x8E89BED6)
+	if c.chanID != 0x305F {
+		t.Fatalf("chanID = %#04x, want 0x305F", c.chanID)
+	}
+	var some ChannelMap
+	for _, ch := range []int{9, 10, 21, 22, 23, 33, 34, 35, 36} {
+		some |= 1 << ch
+	}
+	for _, tc := range []struct {
+		m    ChannelMap
+		ev   uint16
+		want phy.Channel
+	}{
+		{AllDataChannels, 0, 25}, {AllDataChannels, 1, 20}, {AllDataChannels, 2, 6}, {AllDataChannels, 3, 21},
+		{some, 6, 23}, {some, 7, 9}, {some, 8, 34},
+	} {
+		if got := c.Channel(tc.ev, tc.m); got != tc.want {
+			t.Errorf("counter %d, map %v: channel %d, want %d", tc.ev, tc.m, got, tc.want)
+		}
+	}
+}
+
 func TestCSA2DifferentAccessAddressesDiffer(t *testing.T) {
 	a := newCSA2(0x12345678)
 	b := newCSA2(0x87654321)

@@ -123,10 +123,27 @@ type MAC struct {
 	busy    bool
 	pending txEntry
 	ackWait sim.Timer
+	// ack is the acknowledgement waiting out its turnaround. One slot is
+	// enough: overlapping frames collide, and the shortest data frame (17 B,
+	// 544 µs) stays on the air longer than TurnaroundTime (192 µs), so no
+	// second frame ends here before ack has gone out or been dropped.
+	ack *Frame
 
 	stats MACStats
 	onRx  RxFunc
 }
+
+// The MAC's events. Each type is MAC itself under another name, so
+// (*macCCA)(m) is the pointer m stored in a sim.Handler: arming it allocates
+// nothing, and a frame schedules no closure.
+type (
+	macBackoff    MAC // the backoff elapsed: start CCA (8 symbols)
+	macCCA        MAC // CCA done: transmit, or back off again
+	macTxDone     MAC // the data frame left the air
+	macAckTimeout MAC // AckWait passed with no ACK: retry or give up
+	macTurnaround MAC // the turnaround elapsed: send ack
+	macAckDone    MAC // the ACK left the air
+)
 
 // txEntry is one queued frame. buf is the pooled buffer backing
 // frame.Payload; the MAC owns it, and its Put when the frame is acknowledged,
@@ -198,34 +215,34 @@ func (m *MAC) kick() {
 // backoff waits a random number of unit backoff periods, then does CCA.
 func (m *MAC) backoff() {
 	units := m.s.Rand().Intn(1 << m.pending.be)
-	m.s.Post(sim.Duration(units)*UnitBackoff, m.cca)
+	m.s.Schedule(m.s.Now()+sim.Duration(units)*UnitBackoff, (*macBackoff)(m))
 }
 
-// cca performs clear channel assessment (8 symbols of listening).
-func (m *MAC) cca() {
-	m.s.Post(8*SymbolTime, func() {
-		if !m.busy {
-			return
-		}
-		if m.medium.Busy(Channel) {
-			e := &m.pending
-			e.nb++
-			e.be = min(e.be+1, MaxBE)
-			if e.nb > MaxCSMABackoffs {
-				m.stats.CCAFail++
-				m.finish()
-				return
-			}
-			m.backoff()
-			return
-		}
-		m.transmit()
-	})
+func (w *macBackoff) Fire() {
+	m := (*MAC)(w)
+	m.s.Schedule(m.s.Now()+8*SymbolTime, (*macCCA)(m))
 }
 
-// transmit puts the frame on the air and arms the ack wait. The frame stays
-// in service until its ack, its last retry or (broadcast) its end of air, so
-// the callbacks below act on m.pending.
+func (w *macCCA) Fire() {
+	m := (*MAC)(w)
+	if m.medium.Busy(Channel) {
+		e := &m.pending
+		e.nb++
+		e.be = min(e.be+1, MaxBE)
+		if e.nb > MaxCSMABackoffs {
+			m.stats.CCAFail++
+			m.finish()
+			return
+		}
+		m.backoff()
+		return
+	}
+	m.transmit()
+}
+
+// transmit puts the frame on the air. The frame stays in service until its
+// ack, its last retry or (broadcast) its end of air, so the events that
+// follow act on m.pending.
 func (m *MAC) transmit() {
 	e := &m.pending
 	f := e.frame
@@ -234,27 +251,33 @@ func (m *MAC) transmit() {
 	if e.retries > 0 {
 		m.stats.Retries++
 	}
-	m.radio.Transmit(Channel, phy.Packet{Bits: f.MACLen() * 8, Payload: f}, air, sim.Func(func() {
-		m.radio.StartListen(Channel) // resume idle listening
-		if !f.AR {
-			m.stats.Delivered++
-			m.finish()
-			return
-		}
-		m.ackWait = m.s.After(AckWait, func() {
-			m.ackWait = sim.Timer{}
-			e := &m.pending
-			e.retries++
-			if e.retries > MaxFrameRetries {
-				m.stats.NoAck++
-				m.finish()
-				return
-			}
-			e.nb = 0
-			e.be = MinBE
-			m.backoff()
-		})
-	}))
+	m.radio.Transmit(Channel, phy.Packet{Bits: f.MACLen() * 8, Payload: f}, air, (*macTxDone)(m))
+}
+
+func (w *macTxDone) Fire() {
+	m := (*MAC)(w)
+	m.radio.StartListen(Channel)
+	if !m.pending.frame.AR {
+		m.stats.Delivered++
+		m.finish()
+		return
+	}
+	m.ackWait = m.s.Schedule(m.s.Now()+AckWait, (*macAckTimeout)(m))
+}
+
+func (w *macAckTimeout) Fire() {
+	m := (*MAC)(w)
+	m.ackWait = sim.Timer{}
+	e := &m.pending
+	e.retries++
+	if e.retries > MaxFrameRetries {
+		m.stats.NoAck++
+		m.finish()
+		return
+	}
+	e.nb = 0
+	e.be = MinBE
+	m.backoff()
 }
 
 // finish completes the in-service frame and services the next. The pooled
@@ -267,6 +290,19 @@ func (m *MAC) finish() {
 	m.busy = false
 	m.kick()
 }
+
+func (w *macTurnaround) Fire() {
+	m := (*MAC)(w)
+	ack := m.ack
+	m.ack = nil
+	if m.radio.State() == phy.RadioTX {
+		return // own transmission started; ack lost
+	}
+	m.radio.Transmit(Channel, phy.Packet{Bits: AckFrameLen * 8, Payload: ack}, Airtime(AckFrameLen), (*macAckDone)(m))
+	m.stats.AcksSent++
+}
+
+func (w *macAckDone) Fire() { (*MAC)(w).radio.StartListen(Channel) }
 
 // receive handles end-of-packet indications.
 func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
@@ -296,17 +332,8 @@ func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
 		// Acknowledge after the turnaround time. The radio may be
 		// mid-backoff for its own frame; the ACK takes priority and the
 		// transceiver handles it in hardware.
-		ack := &Frame{Ack: true, Seq: f.Seq, Src: m.addr, Dst: f.Src}
-		m.s.Post(TurnaroundTime, func() {
-			if m.radio.State() == phy.RadioTX {
-				return // own transmission started; ack lost
-			}
-			m.radio.Transmit(Channel, phy.Packet{Bits: AckFrameLen * 8, Payload: ack},
-				Airtime(AckFrameLen), sim.Func(func() {
-					m.radio.StartListen(Channel)
-				}))
-			m.stats.AcksSent++
-		})
+		m.ack = &Frame{Ack: true, Seq: f.Seq, Src: m.addr, Dst: f.Src}
+		m.s.Schedule(m.s.Now()+TurnaroundTime, (*macTurnaround)(m))
 	}
 	if m.onRx != nil {
 		// The payload is handed up as a view: receivers copy what they

@@ -162,6 +162,8 @@ var goldenCases = []goldenCase{
 	{"density", []int64{7}, nil, reportText(runDensity, 0.01)},
 	{"fig7", []int64{2, 4}, nil, reportText(runFig7, 0.04)},
 	{"churn", []int64{2}, nil, reportText(runChurn, 0.04)},
+	// The 802.15.4 twin: no other case runs dot15d4.
+	{"fig10", []int64{3, 5}, nil, reportText(runFig10, 0.01)},
 }
 
 // reportText is what `blemesh run <id> -scale <scale> -values` prints.

@@ -525,7 +525,7 @@ func (ep *Endpoint) sendSignal(s signal) {
 		return
 	}
 	if !ep.sendPDUNow(CIDSignaling, encodeSignal(s)) {
-		ep.s.Post(2*sim.Millisecond, func() { ep.sendSignal(s) })
+		ep.s.Post(2*sim.Millisecond, func() { ep.sendSignal(s) }) // hotpath:ignore — a 2 ms retry only while the LL pool is full
 	}
 }
 
@@ -645,6 +645,6 @@ func (ep *Endpoint) SendFixed(cid uint16, payload []byte) {
 		return
 	}
 	if !ep.sendPDUNow(cid, pktbuf.FromBytes(payload)) {
-		ep.s.Post(2*sim.Millisecond, func() { ep.SendFixed(cid, payload) })
+		ep.s.Post(2*sim.Millisecond, func() { ep.SendFixed(cid, payload) }) // hotpath:ignore — a 2 ms retry only while the LL pool is full
 	}
 }

@@ -38,13 +38,32 @@ type DataFunc func(llid LLID, payload []byte, pid uint64)
 // LLData calls f.
 func (f DataFunc) LLData(llid LLID, payload []byte, pid uint64) { f(llid, payload, pid) }
 
-// upcalls returns the controller's ConnFuncs, installing them on first use,
-// so a test can set one upcall without dropping another.
-func upcalls(ctrl *Controller) *ConnFuncs {
-	if ctrl.OnConn == nil {
-		ctrl.OnConn = &ConnFuncs{}
+// connFuncs adapts two functions to ConnHandler; a nil one ignores its
+// upcall.
+type connFuncs struct {
+	Up   func(c *Conn)
+	Down func(c *Conn, reason LossReason)
+}
+
+func (f *connFuncs) ConnUp(c *Conn) {
+	if f.Up != nil {
+		f.Up(c)
 	}
-	return ctrl.OnConn.(*ConnFuncs)
+}
+
+func (f *connFuncs) ConnDown(c *Conn, reason LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
+	}
+}
+
+// upcalls returns the controller's connFuncs, installing them on first use,
+// so a test can set one upcall without dropping another.
+func upcalls(ctrl *Controller) *connFuncs {
+	if ctrl.OnConn == nil {
+		ctrl.OnConn = &connFuncs{}
+	}
+	return ctrl.OnConn.(*connFuncs)
 }
 
 // connectPair establishes a connection: a advertises (subordinate), b scans

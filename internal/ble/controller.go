@@ -110,27 +110,6 @@ type ConnHandler interface {
 	ConnDown(c *Conn, reason LossReason)
 }
 
-// ConnFuncs adapts two functions to ConnHandler; a nil one ignores its
-// upcall.
-type ConnFuncs struct {
-	Up   func(c *Conn)
-	Down func(c *Conn, reason LossReason)
-}
-
-// ConnUp calls f.Up.
-func (f *ConnFuncs) ConnUp(c *Conn) {
-	if f.Up != nil {
-		f.Up(c)
-	}
-}
-
-// ConnDown calls f.Down.
-func (f *ConnFuncs) ConnDown(c *Conn, reason LossReason) {
-	if f.Down != nil {
-		f.Down(c, reason)
-	}
-}
-
 // Controller is one node's BLE controller: the single radio, its scheduler,
 // the set of active connections, and the advertising/scanning machinery.
 // Fields are ordered so the flags pack; TestControllerFitsSizeClass holds it
@@ -143,18 +122,16 @@ type Controller struct {
 	sched Scheduler
 	pool  pool
 
-	scanOn  bool
-	advStop bool // mid-event stop request; outlives the formation state
+	scanOn bool
+	// rx is who takes the radio's indications while no connection listens
+	// (rxConn): advertising's listen window, scanning, or nobody.
+	rx rxMode
 	// eventByEvent keeps every connection event on the general path
 	// (SetEventByEvent).
 	eventByEvent bool
 	// countChannels gives every connection opened from now on its
 	// ChannelCounts (CountChannels).
 	countChannels bool
-	// epoch invalidates in-flight advertising/initiating continuations
-	// across a Shutdown: closures capture it at schedule time and bail if
-	// the controller has been reset since.
-	epoch int32
 
 	// conns is the connection table: a short slice (a BLE node sustains a
 	// handful of links, so linear scans beat hashing) that stays ordered
@@ -170,8 +147,7 @@ type Controller struct {
 	scanParams ScanParams
 
 	// Receive dispatch: whoever currently listens installs itself. A
-	// connection in its event is rxConn; advertising and scanning install
-	// func handlers in form.
+	// connection in its event is rxConn; advertising and scanning set rx.
 	rxConn *Conn
 
 	// scratch is the data or empty PDU the connections of this controller
@@ -239,7 +215,12 @@ type scanTarget struct {
 // formation is what a controller needs only while it advertises, scans or
 // initiates: a formed node does neither, so its controller drops this
 // (settle) and holds none of it — the scan targets' backing array included.
+// Its steps are the handler types below; StopAdvertising, stopScanning,
+// advPreempted and Shutdown cancel the timers it holds. An end of air stays
+// queued after phy.Radio.AbortTX, so its handler checks that its formation
+// is still the controller's (Shutdown drops it) and still in that step.
 type formation struct {
+	ctrl       *Controller
 	advOn      bool
 	connecting bool // a CONNECT_IND is in progress
 
@@ -248,46 +229,58 @@ type formation struct {
 	advAct    *Activity
 	advWake   sim.Timer
 	advNext   sim.Time
+	advCh     phy.Channel // the advertising event's current channel
+	advListen sim.Timer   // end of the listen window after an ADV_IND
 
 	// Scanning / initiating.
 	scanTargets []scanTarget
 	scanCh      phy.Channel
 	scanRotate  sim.Timer
-	initAct     *Activity // radio claim of an in-progress CONNECT_IND
-
-	// The receive handlers advertising and scanning install (setRx).
-	rxHandler      phy.Receiver
-	carrierHandler phy.CarrierFunc
+	initAct     *Activity   // radio claim of an in-progress CONNECT_IND
+	connInd     *AdvPDU     // the CONNECT_IND in progress, sent on connIndCh
+	connIndCh   phy.Channel // after the IFS connIndWait holds
+	connIndWait sim.Timer
 }
+
+// rxMode is the formation step the radio's indications go to.
+type rxMode uint8
+
+const (
+	rxOff       rxMode = iota
+	rxAdvListen        // the listen window after an ADV_IND (advRx, advCarrier)
+	rxScan             // scanning for the targets' ADV_INDs (scanRx)
+)
+
+// The formation's steps.
+type (
+	advWakeup     formation
+	advAirEnd     formation
+	advListenEnd  formation
+	connIndSend   formation
+	connIndAirEnd formation
+	scanRotation  formation
+)
 
 // formation returns the controller's formation state, allocating it when
 // the controller starts advertising or scanning.
 func (ctrl *Controller) formation() *formation {
 	if ctrl.form == nil {
-		ctrl.form = new(formation)
+		ctrl.form = &formation{ctrl: ctrl}
 	}
 	return ctrl.form
 }
 
 // settle drops the formation state once the controller neither advertises
 // nor finishes an advertising event (advAct), initiates (initAct), scans,
-// nor holds a target or a receive handler of either. Every field of a
+// nor holds a target or a receive mode of either. Every other field of a
 // dropped formation reads as its zero value, which is what the controller
 // would hold there anyway.
 func (ctrl *Controller) settle() {
 	f := ctrl.form
 	if f != nil && f.advAct == nil && f.initAct == nil && !ctrl.scanOn && len(f.scanTargets) == 0 &&
-		f.rxHandler == nil && f.carrierHandler == nil {
+		ctrl.rx == rxOff {
 		ctrl.form = nil
 	}
-}
-
-// advAct returns the advertising activity, or nil.
-func (ctrl *Controller) advAct() *Activity {
-	if ctrl.form == nil {
-		return nil
-	}
-	return ctrl.form.advAct
 }
 
 func (ctrl *Controller) addConn(c *Conn) { ctrl.conns = append(ctrl.conns, c) }
@@ -362,12 +355,11 @@ func (ctrl *Controller) nextHandle() int {
 	return ctrl.handles
 }
 
-// setRx installs the receive handlers of advertising or scanning.
-func (ctrl *Controller) setRx(rx phy.Receiver, carrier phy.CarrierFunc) {
+// setRx makes advertising or scanning, in the given mode, the receiver of
+// the radio's indications.
+func (ctrl *Controller) setRx(mode rxMode) {
 	ctrl.rxConn = nil
-	f := ctrl.formation()
-	f.rxHandler = rx
-	f.carrierHandler = carrier
+	ctrl.rx = mode
 }
 
 // setRxConn makes c the receiver of the radio's indications.
@@ -378,25 +370,25 @@ func (ctrl *Controller) setRxConn(c *Conn) {
 
 func (ctrl *Controller) clearRx() {
 	ctrl.rxConn = nil
-	if f := ctrl.form; f != nil {
-		f.rxHandler = nil
-		f.carrierHandler = nil
-	}
+	ctrl.rx = rxOff
 }
 
 func (ctrl *Controller) dispatchRx(pkt phy.Packet, ch phy.Channel, ok bool) {
-	if c := ctrl.rxConn; c != nil {
-		c.onRx(pkt, ch, ok)
-	} else if f := ctrl.form; f != nil && f.rxHandler != nil {
-		f.rxHandler(pkt, ch, ok)
+	switch {
+	case ctrl.rxConn != nil:
+		ctrl.rxConn.onRx(pkt, ch, ok)
+	case ctrl.rx == rxAdvListen:
+		ctrl.form.advRx(pkt, ok)
+	case ctrl.rx == rxScan:
+		ctrl.scanRx(pkt, ch, ok)
 	}
 }
 
 func (ctrl *Controller) dispatchCarrier(ch phy.Channel, end sim.Time) {
 	if c := ctrl.rxConn; c != nil {
 		c.onCarrier(ch, end)
-	} else if f := ctrl.form; f != nil && f.carrierHandler != nil {
-		f.carrierHandler(ch, end)
+	} else if ctrl.rx == rxAdvListen {
+		ctrl.form.advCarrier(end)
 	}
 }
 
@@ -429,7 +421,6 @@ func (ctrl *Controller) StartAdvertising(p AdvParams) {
 		return
 	}
 	f.advOn = true
-	ctrl.advStop = false
 	f.advParams = p
 	f.advAct = &Activity{anchor: &f.advNext, onPreempt: (*advPreempt)(ctrl)}
 	ctrl.sched.Register(f.advAct)
@@ -443,9 +434,7 @@ func (ctrl *Controller) StopAdvertising() {
 		return
 	}
 	f.advOn = false
-	ctrl.advStop = true
 	ctrl.s.Cancel(f.advWake)
-	f.advWake = sim.Timer{}
 	if f.advAct != nil && !ctrl.sched.Owns(f.advAct) {
 		ctrl.sched.Unregister(f.advAct)
 		f.advAct = nil
@@ -459,26 +448,19 @@ func (ctrl *Controller) scheduleAdvEvent(delay sim.Duration) {
 	d := delay + ctrl.clk.ToSim(jitter)
 	f := ctrl.form
 	f.advNext = ctrl.s.Now() + d
-	f.advWake = ctrl.s.After(d, ctrl.advEvent) // hotpath:ignore — formation: one advertising event per interval
+	f.advWake = ctrl.s.Schedule(f.advNext, (*advWakeup)(f))
 }
 
-// advEvent performs one advertising event: ADV_IND on 37, 38, 39, listening
+// Fire performs one advertising event: ADV_IND on 37, 38, 39, listening
 // after each PDU for a CONNECT_IND.
-func (ctrl *Controller) advEvent() {
-	f := ctrl.form
-	if f == nil {
-		return
-	}
-	f.advWake = sim.Timer{}
-	if !f.advOn {
-		return
-	}
+func (h *advWakeup) Fire() {
+	ctrl := h.ctrl
 	// An advertising event occupies the radio for three PDUs plus listen
 	// gaps — bounded well under 10ms.
 	maxEnd := ctrl.s.Now() + 10*sim.Millisecond
-	if _, ok := ctrl.sched.Acquire(f.advAct, maxEnd); !ok {
+	if _, ok := ctrl.sched.Acquire(h.advAct, maxEnd); !ok {
 		// Radio busy (e.g. a connection event): skip this round.
-		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
+		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(h.advParams.Interval))
 		return
 	}
 	ctrl.events.AdvEvents++
@@ -487,47 +469,52 @@ func (ctrl *Controller) advEvent() {
 
 // advChannelStep transmits ADV_IND on ch and listens briefly for CONNECT_IND.
 func (ctrl *Controller) advChannelStep(ch phy.Channel) {
-	if ctrl.advStop {
+	f := ctrl.form
+	if !f.advOn {
 		ctrl.finishAdvEvent(false)
 		return
 	}
-	epoch := ctrl.epoch
-	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: ctrl.form.advParams.DataLen}
+	f.advCh = ch
+	pdu := &AdvPDU{Type: PDUAdvInd, Adv: ctrl.cfg.Addr, DataLen: f.advParams.DataLen}
 	air := pdu.AdvAirtime()
-	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, sim.Func(func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
-		if ctrl.epoch != epoch || !ctrl.sched.Owns(ctrl.advAct()) {
-			return // preempted mid-event or controller reset
-		}
-		// Listen one IFS + CONNECT_IND airtime for an initiator.
-		ctrl.radio.StartListen(ch)
-		deadline := ctrl.s.Now() + IFS + CarrierMargin
-		var timeout sim.Timer
-		ctrl.setRx(func(pkt phy.Packet, _ phy.Channel, ok bool) {
-			ci, is := pkt.Payload.(*AdvPDU)
-			if !ok || !is || ci.Type != PDUConnectInd || ci.Adv != ctrl.cfg.Addr {
-				return
-			}
-			ctrl.s.Cancel(timeout)
-			ctrl.radio.StopListen()
-			ctrl.clearRx()
-			// The advertising event ends here: hand the radio back
-			// before the connection starts scheduling its events.
-			ctrl.sched.Release(ctrl.advAct())
-			ctrl.acceptConnection(ci)
-		}, func(_ phy.Channel, end sim.Time) {
-			ctrl.s.Cancel(timeout)
-			timeout = ctrl.s.At(end+sim.Microsecond, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
-				if ctrl.epoch == epoch {
-					ctrl.advStepDone(ch)
-				}
-			})
-		})
-		timeout = ctrl.s.At(deadline, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
-			if ctrl.epoch == epoch {
-				ctrl.advStepDone(ch)
-			}
-		})
-	}))
+	ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: pdu}, air, (*advAirEnd)(f))
+}
+
+// Fire ends an ADV_IND's airtime: listen one IFS + CONNECT_IND airtime for
+// an initiator.
+func (h *advAirEnd) Fire() {
+	f := (*formation)(h)
+	ctrl := f.ctrl
+	if ctrl.form != f || !ctrl.sched.Owns(f.advAct) {
+		return // controller reset or event pre-empted while on the air
+	}
+	ctrl.radio.StartListen(f.advCh)
+	ctrl.setRx(rxAdvListen)
+	f.advListen = ctrl.s.Schedule(ctrl.s.Now()+IFS+CarrierMargin, (*advListenEnd)(f))
+}
+
+// advRx takes a packet heard in the listen window: a CONNECT_IND for this
+// advertiser ends the advertising event and opens the link.
+func (f *formation) advRx(pkt phy.Packet, ok bool) {
+	ctrl := f.ctrl
+	ci, is := pkt.Payload.(*AdvPDU)
+	if !ok || !is || ci.Type != PDUConnectInd || ci.Adv != ctrl.cfg.Addr {
+		return
+	}
+	ctrl.s.Cancel(f.advListen)
+	ctrl.radio.StopListen()
+	ctrl.clearRx()
+	// The advertising event ends here: hand the radio back before the
+	// connection starts scheduling its events.
+	ctrl.sched.Release(f.advAct)
+	ctrl.acceptConnection(ci)
+}
+
+// advCarrier holds the listen window open until a packet that started in
+// it ends.
+func (f *formation) advCarrier(end sim.Time) {
+	f.ctrl.s.Cancel(f.advListen)
+	f.advListen = f.ctrl.s.Schedule(end+sim.Microsecond, (*advListenEnd)(f))
 }
 
 // advPreempt is the advertising activity's pre-emption event
@@ -546,18 +533,20 @@ func (ctrl *Controller) advPreempted() {
 		ctrl.radio.AbortTX()
 	}
 	ctrl.clearRx()
-	if f := ctrl.form; f != nil && f.advOn {
+	f := ctrl.form
+	ctrl.s.Cancel(f.advListen)
+	if f.advOn {
 		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
 	}
 }
 
-func (ctrl *Controller) advStepDone(ch phy.Channel) {
-	if !ctrl.sched.Owns(ctrl.advAct()) {
-		return // preempted mid-event
-	}
+// Fire ends the listen window after an ADV_IND: the event moves on to the
+// next channel, or ends after channel 39.
+func (h *advListenEnd) Fire() {
+	ctrl := h.ctrl
 	ctrl.radio.StopListen()
 	ctrl.clearRx()
-	switch ch {
+	switch h.advCh {
 	case phy.AdvChannel37:
 		ctrl.advChannelStep(phy.AdvChannel38)
 	case phy.AdvChannel38:
@@ -568,13 +557,11 @@ func (ctrl *Controller) advStepDone(ch phy.Channel) {
 }
 
 func (ctrl *Controller) finishAdvEvent(reschedule bool) {
-	ctrl.sched.Release(ctrl.advAct())
 	f := ctrl.form
-	if ctrl.advStop || f == nil || !f.advOn {
-		if f != nil && f.advAct != nil {
-			ctrl.sched.Unregister(f.advAct)
-			f.advAct = nil
-		}
+	ctrl.sched.Release(f.advAct)
+	if !f.advOn {
+		ctrl.sched.Unregister(f.advAct)
+		f.advAct = nil
 		ctrl.settle()
 		return
 	}
@@ -632,7 +619,7 @@ func (ctrl *Controller) ensureScanning() {
 	ctrl.scanOn = true
 	f.scanCh = phy.AdvChannel37
 	ctrl.sched.SetFiller(ctrl.scanResume, ctrl.scanPause)
-	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel) // hotpath:ignore — formation: one scan-channel rotation per scan interval
+	f.scanRotate = ctrl.s.Schedule(ctrl.s.Now()+ctrl.clk.ToSim(ctrl.scanParams.Interval), (*scanRotation)(f))
 }
 
 func (ctrl *Controller) stopScanning() {
@@ -641,29 +628,26 @@ func (ctrl *Controller) stopScanning() {
 	}
 	ctrl.scanOn = false
 	ctrl.sched.ClearFiller()
-	f := ctrl.form
-	ctrl.s.Cancel(f.scanRotate)
-	f.scanRotate = sim.Timer{}
+	ctrl.s.Cancel(ctrl.form.scanRotate)
 	ctrl.settle()
 }
 
-func (ctrl *Controller) rotateScanChannel() {
-	if !ctrl.scanOn {
-		return
-	}
-	f := ctrl.form
-	switch f.scanCh {
+// Fire moves scanning to the next advertising channel, once per scan
+// interval.
+func (h *scanRotation) Fire() {
+	ctrl := h.ctrl
+	switch h.scanCh {
 	case phy.AdvChannel37:
-		f.scanCh = phy.AdvChannel38
+		h.scanCh = phy.AdvChannel38
 	case phy.AdvChannel38:
-		f.scanCh = phy.AdvChannel39
+		h.scanCh = phy.AdvChannel39
 	default:
-		f.scanCh = phy.AdvChannel37
+		h.scanCh = phy.AdvChannel37
 	}
-	if ctrl.radio.State() == phy.RadioRX && !f.connecting {
-		ctrl.radio.StartListen(f.scanCh)
+	if ctrl.radio.State() == phy.RadioRX && !h.connecting {
+		ctrl.radio.StartListen(h.scanCh)
 	}
-	f.scanRotate = ctrl.s.After(ctrl.clk.ToSim(ctrl.scanParams.Interval), ctrl.rotateScanChannel) // hotpath:ignore — formation: one scan-channel rotation per scan interval
+	h.scanRotate = ctrl.s.Schedule(ctrl.s.Now()+ctrl.clk.ToSim(ctrl.scanParams.Interval), h)
 }
 
 // scanResume is the scheduler filler start hook: listen on the current
@@ -678,7 +662,7 @@ func (ctrl *Controller) scanResume() {
 		return
 	}
 	ctrl.radio.StartListen(ctrl.form.scanCh)
-	ctrl.setRx(ctrl.scanRx, nil)
+	ctrl.setRx(rxScan)
 }
 
 // scanPause is the scheduler filler stop hook.
@@ -724,45 +708,49 @@ func (ctrl *Controller) scanRx(pkt phy.Packet, ch phy.Channel, ok bool) {
 		WinOffset: winOffset,
 	}
 	RandomHopIncrement(ctrl.s.Rand()) // the CONNECT_IND's LLData hop field
-	air := ci.AdvAirtime()
-	epoch := ctrl.epoch
-	ctrl.s.Post(IFS, func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
-		if ctrl.epoch != epoch {
-			return // controller reset while the CONNECT_IND was pending
-		}
-		ctrl.radio.Transmit(ch, phy.Packet{Bits: int(air / ByteTime * 8), Payload: ci}, air, sim.Func(func() { // hotpath:ignore — formation: the epoch capture is how Shutdown voids this step
-			if ctrl.epoch != epoch {
-				return
-			}
-			ctrl.events.ConnectsTX++
-			f := ctrl.form
-			f.connecting = false
-			ctrl.sched.Release(initAct)
-			f.initAct = nil
-			f.targetDel(adv.Adv)
-			if len(f.scanTargets) == 0 {
-				ctrl.stopScanning()
-			}
-			anchor0 := ctrl.s.Now() + TransmitWindowDelay + winOffset
-			c := newConn(ctrl, Coordinator, adv.Adv, params,
-				accessFromAddrs(ctrl.cfg.Addr, adv.Adv), anchor0)
-			ctrl.addConn(c)
-			ctrl.events.ConnsOpened++
-			if ctrl.OnConn != nil {
-				ctrl.OnConn.ConnUp(c)
-			}
-		}))
-	})
+	f.connInd, f.connIndCh = ci, ch
+	f.connIndWait = ctrl.s.Schedule(ctrl.s.Now()+IFS, (*connIndSend)(f))
+}
+
+// Fire sends the CONNECT_IND once the IFS after the ADV_IND is over.
+func (h *connIndSend) Fire() {
+	air := h.connInd.AdvAirtime()
+	h.ctrl.radio.Transmit(h.connIndCh, phy.Packet{Bits: int(air / ByteTime * 8), Payload: h.connInd}, air, (*connIndAirEnd)(h))
+}
+
+// Fire ends the CONNECT_IND's airtime: the link is open on this side.
+func (h *connIndAirEnd) Fire() {
+	f := (*formation)(h)
+	ctrl := f.ctrl
+	if ctrl.form != f || f.initAct == nil {
+		return // controller reset while the CONNECT_IND was on the air
+	}
+	ci := f.connInd
+	ctrl.events.ConnectsTX++
+	f.connecting = false
+	ctrl.sched.Release(f.initAct)
+	f.initAct, f.connInd = nil, nil
+	f.targetDel(ci.Adv)
+	if len(f.scanTargets) == 0 {
+		ctrl.stopScanning()
+	}
+	anchor0 := ctrl.s.Now() + TransmitWindowDelay + ci.WinOffset
+	c := newConn(ctrl, Coordinator, ci.Adv, ci.Params,
+		accessFromAddrs(ctrl.cfg.Addr, ci.Adv), anchor0)
+	ctrl.addConn(c)
+	ctrl.events.ConnsOpened++
+	if ctrl.OnConn != nil {
+		ctrl.OnConn.ConnUp(c)
+	}
 }
 
 // Shutdown force-kills every link-layer activity, as a node crash would:
 // all connections terminate silently (peers discover the loss through their
 // supervision timeouts), advertising and scanning stop, pending connection
-// targets are forgotten, and any in-flight advertising or initiating
-// continuation is invalidated via the epoch counter. The controller object
-// itself stays usable — a rebooted host starts from a clean slate.
+// targets are forgotten, and the formation's pending steps are cancelled
+// with it. The controller object itself stays usable — a rebooted host
+// starts from a clean slate.
 func (ctrl *Controller) Shutdown() {
-	ctrl.epoch++
 	// Terminate connections in handle order so teardown side effects
 	// consume the simulation RNG deterministically: the table is
 	// append-only in handle order, so a snapshot already is sorted. A
@@ -778,6 +766,8 @@ func (ctrl *Controller) Shutdown() {
 	}
 	ctrl.stopScanning()
 	if f := ctrl.form; f != nil {
+		ctrl.s.Cancel(f.advListen)
+		ctrl.s.Cancel(f.connIndWait)
 		if f.initAct != nil {
 			ctrl.sched.Release(f.initAct)
 			f.initAct = nil

@@ -364,7 +364,7 @@ func TestReceiveGuardOnlyWhileScanning(t *testing.T) {
 // benchmark is frozen for a change that claims a gain (ROADMAP item 1,
 // EXPERIMENTS.md "Idle-path cost").
 func TestScanRotationLeavesConnectionEventsAlone(t *testing.T) {
-	t.Skip("open defect: rotateScanChannel retunes a radio that a connection event owns")
+	t.Skip("open defect: scanRotation retunes a radio that a connection event owns")
 	const scanInterval = 20 * sim.Millisecond
 	for _, midPacket := range []bool{false, true} {
 		s, _, nodes := newTestNet(47, 0, 0)

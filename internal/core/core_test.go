@@ -8,6 +8,7 @@ import (
 	"blemesh/internal/coap"
 	"blemesh/internal/ip6"
 	"blemesh/internal/phy"
+	"blemesh/internal/rpl"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
 )
@@ -387,4 +388,56 @@ func TestRemovedLinkIsUnreachable(t *testing.T) {
 			t.Error("the dead link stays in the neighbor table behind its length")
 		}
 	}
+}
+
+// TestStoppedNodeLeavesNoEvent: a node stopped while its radio is idle
+// cancels every event its own layers armed — the RPL DAO refresh, sweep and
+// trickle timers, statconn's re-dial backoff, the controller's advertising
+// and scanning steps, the connections' events. The only events that stay
+// queued are statconn's link-quality samplers, one per dynamic node: they
+// model the observer, like the statistics a stop keeps, and run on a fixed
+// cadence from the node's construction. Both ends of a formed RPL link are
+// stopped, restarted and stopped again at once, which catches the timers
+// the restart armed as well.
+func TestStoppedNodeLeavesNoEvent(t *testing.T) {
+	s := sim.New(9)
+	medium := phy.NewMedium(s)
+	nodes := make([]*Node, 2)
+	for i := range nodes {
+		nodes[i] = NewNode(s, medium, NodeConfig{
+			Name:     nodeName(i),
+			MAC:      uint64(0x5A0000000000 + i + 1),
+			SCA:      50,
+			Statconn: statconn.Config{Policy: statconn.Static{Interval: 75 * sim.Millisecond}},
+			Routing:  &rpl.Config{Root: i == 0},
+		})
+	}
+	nodes[0].AcceptInbound(1)
+	nodes[1].ConnectTo(nodes[0])
+	waitLinks(t, s, nodes, 1)
+	for deadline := s.Now() + 30*sim.Second; !nodes[1].RPL.Joined(); s.Run(s.Now() + 100*sim.Millisecond) {
+		if s.Now() >= deadline {
+			t.Fatal("the non-root node did not join the DODAG within 30s")
+		}
+	}
+	for deadline := s.Now() + sim.Second; nodes[0].Radio.State() != phy.RadioIdle || nodes[1].Radio.State() != phy.RadioIdle; s.Run(s.Now() + 10*sim.Microsecond) {
+		if s.Now() >= deadline {
+			t.Fatal("the radios were never idle together")
+		}
+	}
+	const samplers = 2
+	stopAll := func(when string) {
+		t.Helper()
+		for _, n := range nodes {
+			n.Stop()
+		}
+		if got := s.Pending(); got != samplers {
+			t.Errorf("%s: %d events queued, want the %d link-quality samplers", when, got, samplers)
+		}
+	}
+	stopAll("stopped while formed")
+	for _, n := range nodes {
+		n.Restart()
+	}
+	stopAll("stopped again right after a restart")
 }

@@ -31,7 +31,7 @@ func TestNetIfLinksAgainstMapModel(t *testing.T) {
 	hub := mk(0)
 	model := map[uint64]*ble.Conn{}
 	node := hub.Statconn.OnLink
-	hub.Statconn.OnLink = &statconn.LinkFuncs{
+	hub.Statconn.OnLink = &linkFuncs{
 		Up: func(c *ble.Conn) { node.LinkUp(c); model[uint64(c.Peer())] = c },
 		Down: func(c *ble.Conn, r ble.LossReason) {
 			node.LinkDown(c, r)
@@ -120,4 +120,23 @@ func TestNetIfLinksAgainstMapModel(t *testing.T) {
 	}
 	hub.Restart()
 	formed("restarted")
+}
+
+// linkFuncs adapts two functions to statconn.LinkHandler; a nil one ignores
+// its upcall.
+type linkFuncs struct {
+	Up   func(c *ble.Conn)
+	Down func(c *ble.Conn, reason ble.LossReason)
+}
+
+func (f *linkFuncs) LinkUp(c *ble.Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+func (f *linkFuncs) LinkDown(c *ble.Conn, reason ble.LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
+	}
 }

@@ -67,10 +67,10 @@ func attPair(t *testing.T, seed int64, serverUUIDs ...uint16) (*sim.Sim, *ATT, *
 	a := mk(1, 0xA)
 	b := mk(-1, 0xB)
 	var attA, attB *ATT
-	a.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
+	a.OnConn = &connFuncs{Up: func(c *ble.Conn) {
 		attA = NewATT(l2cap.NewEndpoint(s, c), NewServer(serverUUIDs...))
 	}}
-	b.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) {
+	b.OnConn = &connFuncs{Up: func(c *ble.Conn) {
 		attB = NewATT(l2cap.NewEndpoint(s, c), NewServer(UUIDIPSS))
 	}}
 	a.StartAdvertising(ble.AdvParams{Interval: 90 * sim.Millisecond})
@@ -184,5 +184,24 @@ func TestBidirectionalDiscovery(t *testing.T) {
 	s.Run(s.Now() + 5*sim.Second)
 	if !doneA || !doneB {
 		t.Fatalf("bidirectional discovery failed: A=%v B=%v", doneA, doneB)
+	}
+}
+
+// connFuncs adapts two functions to ble.ConnHandler; a nil one ignores its
+// upcall.
+type connFuncs struct {
+	Up   func(c *ble.Conn)
+	Down func(c *ble.Conn, reason ble.LossReason)
+}
+
+func (f *connFuncs) ConnUp(c *ble.Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+func (f *connFuncs) ConnDown(c *ble.Conn, reason ble.LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
 	}
 }

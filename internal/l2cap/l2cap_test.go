@@ -251,8 +251,8 @@ func newPairPool(t *testing.T, seed int64, coordPool int) *pair {
 	a := mk(1.5, 0xAA, 0)
 	b := mk(-1.5, 0xBB, coordPool)
 	p := &pair{s: s, subCtrl: a, coordCtl: b}
-	a.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) { p.subEP = NewEndpoint(s, c) }}
-	b.OnConn = &ble.ConnFuncs{Up: func(c *ble.Conn) { p.coordEP = NewEndpoint(s, c) }}
+	a.OnConn = &connFuncs{Up: func(c *ble.Conn) { p.subEP = NewEndpoint(s, c) }}
+	b.OnConn = &connFuncs{Up: func(c *ble.Conn) { p.coordEP = NewEndpoint(s, c) }}
 	a.StartAdvertising(ble.AdvParams{Interval: 90 * sim.Millisecond})
 	cp := ble.ConnParams{Interval: 75 * sim.Millisecond}
 	if err := cp.Validate(); err != nil {
@@ -474,7 +474,7 @@ func TestChargeFollowsFinalFrame(t *testing.T) {
 	t.Run("teardown", func(t *testing.T) {
 		p := newPair(t, 12)
 		coordCh, _ := p.openIPSP(t)
-		p.coordCtl.OnConn.(*ble.ConnFuncs).Down = func(*ble.Conn, ble.LossReason) { p.coordEP.Teardown() }
+		p.coordCtl.OnConn.(*connFuncs).Down = func(*ble.Conn, ble.LossReason) { p.coordEP.Teardown() }
 		tr := trace.New(p.s, 0)
 		tr.Enable()
 		p.coordCtl.SetTrace(tr, "coord")
@@ -520,7 +520,7 @@ func TestTeardownOnLinkDeath(t *testing.T) {
 	closed := false
 	coordCh.OnEvents = &ChannelFuncs{Close: func() { closed = true }}
 	// The host notices the link dying and tears the endpoint down.
-	p.coordCtl.OnConn.(*ble.ConnFuncs).Down = func(c *ble.Conn, r ble.LossReason) { p.coordEP.Teardown() }
+	p.coordCtl.OnConn.(*connFuncs).Down = func(c *ble.Conn, r ble.LossReason) { p.coordEP.Teardown() }
 	p.coordEP.Conn().Close()
 	p.s.Run(p.s.Now() + 3*sim.Second)
 	if !closed {
@@ -660,5 +660,24 @@ func TestEndpointSetupAllocs(t *testing.T) {
 		ep.HandleFixed(CIDATT, handler)
 	}); allocs != 1 {
 		t.Fatalf("endpoint set-up: %v allocations, want 1 (was 4 with closures and tables)", allocs)
+	}
+}
+
+// connFuncs adapts two functions to ble.ConnHandler; a nil one ignores its
+// upcall.
+type connFuncs struct {
+	Up   func(c *ble.Conn)
+	Down func(c *ble.Conn, reason ble.LossReason)
+}
+
+func (f *connFuncs) ConnUp(c *ble.Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+func (f *connFuncs) ConnDown(c *ble.Conn, reason ble.LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
 	}
 }

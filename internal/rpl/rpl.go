@@ -95,9 +95,9 @@ type daoEntry struct {
 }
 
 // Instance is one node's RPL-lite state machine, bound to its ip6 stack.
-// All map iteration is sorted and all timers are generation-guarded: the
-// instance must behave identically under every event-engine and worker
-// configuration.
+// All map iteration is sorted and Stop cancels every timer the instance
+// holds: the instance must behave identically under every event-engine and
+// worker configuration.
 type Instance struct {
 	s     *sim.Sim
 	stack *ip6.Stack
@@ -111,7 +111,9 @@ type Instance struct {
 
 	running bool
 	started bool
-	gen     int // invalidates sweep/DAO timers across Stop/Start
+	// refresh and tick are the pending DAO refresh (non-root only) and
+	// housekeeping sweep; Stop cancels both.
+	refresh, tick sim.Timer
 
 	version    uint16
 	rank       uint16
@@ -179,8 +181,6 @@ func (in *Instance) Start() {
 		return
 	}
 	in.running = true
-	in.gen++
-	gen := in.gen
 	if in.cfg.Root {
 		if in.started {
 			in.version++
@@ -193,30 +193,32 @@ func (in *Instance) Start() {
 		in.emitRank(trace.RankRoot)
 		in.trick.start()
 	} else {
-		// DAO refresh: periodic upward re-advertisement of our own
-		// address keeps host routes alive across seq-based dedup.
-		var refresh func()
-		refresh = func() {
-			if in.gen != gen {
-				return
-			}
-			if in.preferred != 0 {
-				in.sendDAO()
-			}
-			in.s.Post(daoInterval, refresh)
-		}
-		in.s.Post(daoInterval, refresh)
+		in.refresh = in.s.Schedule(in.s.Now()+daoInterval, (*rplRefresh)(in))
 	}
-	var tick func()
-	tick = func() {
-		if in.gen != gen {
-			return
-		}
-		in.sweep()
-		in.s.Post(sweepEvery, tick)
-	}
-	in.s.Post(sweepEvery, tick)
+	in.tick = in.s.Schedule(in.s.Now()+sweepEvery, (*rplTick)(in))
 	in.started = true
+}
+
+// rplRefresh is the DAO refresh: periodic upward re-advertisement of our
+// own address keeps host routes alive across seq-based dedup. rplTick is
+// the housekeeping sweep.
+type (
+	rplRefresh Instance
+	rplTick    Instance
+)
+
+func (h *rplRefresh) Fire() {
+	in := (*Instance)(h)
+	if in.preferred != 0 {
+		in.sendDAO()
+	}
+	in.refresh = in.s.Schedule(in.s.Now()+daoInterval, h)
+}
+
+func (h *rplTick) Fire() {
+	in := (*Instance)(h)
+	in.sweep()
+	in.tick = in.s.Schedule(in.s.Now()+sweepEvery, h)
 }
 
 // Stop halts routing, as the host side of a crash: volatile DODAG state is
@@ -227,7 +229,8 @@ func (in *Instance) Stop() {
 		return
 	}
 	in.running = false
-	in.gen++
+	in.s.Cancel(in.refresh)
+	in.s.Cancel(in.tick)
 	in.trick.stop()
 	in.rank = RankInfinite
 	in.lowestRank = RankInfinite
@@ -567,7 +570,7 @@ func (in *Instance) trickleFire(send bool) {
 }
 
 func (in *Instance) trickleReset() {
-	if in.trick.running && in.trick.i != in.trick.imin {
+	if in.trick.end.Scheduled() && in.trick.i != in.trick.imin {
 		in.stats.TrickleResets++
 	}
 	in.trick.reset()

@@ -12,9 +12,9 @@ import (
 // transmit (fewer than k consistent messages heard this interval) or
 // suppress (k-redundancy: enough neighbors already said the same thing).
 //
-// Timers armed before stop/reset are invalidated by an epoch counter, not
-// cancelled — the simulator's timers are cheap and a stale closure exiting
-// early draws no randomness, which keeps runs deterministic.
+// The timer holds its interval's two events, the fire point and the interval
+// end, and stop and reset cancel them, so a stopped timer leaves nothing in
+// the queue. Only beginInterval draws randomness.
 type trickle struct {
 	s    *sim.Sim
 	imin sim.Duration
@@ -24,10 +24,31 @@ type trickle struct {
 	// consistency counter reached k (suppression).
 	fire func(send bool)
 
-	i       sim.Duration // current interval length
-	c       int          // consistent messages heard this interval
-	epoch   int          // invalidates timers from earlier starts/resets
-	running bool
+	i sim.Duration // current interval length
+	c int          // consistent messages heard this interval
+	// point and end are this interval's fire point and interval end; end
+	// is pending exactly while the timer runs.
+	point, end sim.Timer
+}
+
+// tricklePoint is the fire point of an interval, trickleEnd its end.
+type (
+	tricklePoint trickle
+	trickleEnd   trickle
+)
+
+func (h *tricklePoint) Fire() {
+	t := (*trickle)(h)
+	t.fire(t.k <= 0 || t.c < t.k)
+}
+
+func (h *trickleEnd) Fire() {
+	t := (*trickle)(h)
+	t.i *= 2
+	if t.i > t.imax {
+		t.i = t.imax
+	}
+	t.beginInterval()
 }
 
 func newTrickle(s *sim.Sim, imin sim.Duration, doublings, k int, fire func(send bool)) *trickle {
@@ -41,16 +62,15 @@ func newTrickle(s *sim.Sim, imin sim.Duration, doublings, k int, fire func(send 
 // start (re)starts the timer at Imin. Idempotent in effect: a running timer
 // restarts its interval.
 func (t *trickle) start() {
-	t.running = true
-	t.epoch++
+	t.stop()
 	t.i = t.imin
 	t.beginInterval()
 }
 
-// stop halts the timer; pending interval timers become no-ops.
+// stop halts the timer, removing its interval's events from the queue.
 func (t *trickle) stop() {
-	t.running = false
-	t.epoch++
+	t.s.Cancel(t.point)
+	t.s.Cancel(t.end)
 }
 
 // hear counts a consistent message toward this interval's suppression
@@ -61,10 +81,10 @@ func (t *trickle) hear() { t.c++ }
 // RFC 6206 §4.2 step 6, a reset while already at Imin does nothing (the
 // short interval is still in progress).
 func (t *trickle) reset() {
-	if !t.running || t.i == t.imin {
+	if !t.end.Scheduled() || t.i == t.imin {
 		return
 	}
-	t.epoch++
+	t.stop()
 	t.i = t.imin
 	t.beginInterval()
 }
@@ -73,23 +93,9 @@ func (t *trickle) reset() {
 // fire point t ∈ [I/2, I), and arm the interval-end doubling.
 func (t *trickle) beginInterval() {
 	t.c = 0
-	ep := t.epoch
 	half := t.i / 2
 	at := half + sim.Duration(t.s.Rand().Int63n(int64(half)))
-	t.s.Post(at, func() {
-		if t.epoch != ep {
-			return
-		}
-		t.fire(t.k <= 0 || t.c < t.k)
-	})
-	t.s.Post(t.i, func() {
-		if t.epoch != ep {
-			return
-		}
-		t.i *= 2
-		if t.i > t.imax {
-			t.i = t.imax
-		}
-		t.beginInterval()
-	})
+	now := t.s.Now()
+	t.point = t.s.Schedule(now+at, (*tricklePoint)(t))
+	t.end = t.s.Schedule(now+t.i, (*trickleEnd)(t))
 }

@@ -212,7 +212,7 @@ func TestManagerAgainstMapModel(t *testing.T) {
 	}
 	// Peers [4, chainLimit) are declared one by one from inside LinkUp.
 	chain, chainLimit := 4, 4
-	hub.OnLink = &LinkFuncs{
+	hub.OnLink = &linkFuncs{
 		Up: func(c *ble.Conn) {
 			md.linkUp(c)
 			if chain < chainLimit {

@@ -265,6 +265,8 @@ type peerSlot struct {
 	measuring bool
 	hasQual   bool
 	qual      peerQual
+	// redial is the pending re-dial backoff (initiateAfterBackoff).
+	redial sim.Timer
 }
 
 // Manager maintains a node's configured BLE connections.
@@ -295,9 +297,8 @@ type Manager struct {
 	recovery metrics.CDF
 
 	// stopped gates all topology-restoring reactions while the host is
-	// down; gen invalidates backoff timers armed before a shutdown.
+	// down.
 	stopped bool
-	gen     int
 
 	samplerOn bool
 
@@ -313,27 +314,6 @@ type Manager struct {
 type LinkHandler interface {
 	LinkUp(c *ble.Conn)
 	LinkDown(c *ble.Conn, reason ble.LossReason)
-}
-
-// LinkFuncs adapts two functions to LinkHandler; a nil one ignores its
-// upcall.
-type LinkFuncs struct {
-	Up   func(c *ble.Conn)
-	Down func(c *ble.Conn, reason ble.LossReason)
-}
-
-// LinkUp calls f.Up.
-func (f *LinkFuncs) LinkUp(c *ble.Conn) {
-	if f.Up != nil {
-		f.Up(c)
-	}
-}
-
-// LinkDown calls f.Down.
-func (f *LinkFuncs) LinkDown(c *ble.Conn, reason ble.LossReason) {
-	if f.Down != nil {
-		f.Down(c, reason)
-	}
 }
 
 // connEvents is the manager as its controller's ble.ConnHandler.
@@ -452,20 +432,21 @@ func (m *Manager) initiateAfterBackoff(peer ble.DevAddr) {
 		span = int64(backoffCap)
 	}
 	delay := sim.Duration(m.rng.Int63n(span))
-	gen := m.gen
-	m.s.Post(delay, func() {
-		if m.gen != gen || m.stopped {
-			return
-		}
-		if !m.wanted(peer) || m.ctrl.FindConn(peer) != nil {
+	s := m.slotEnsure(peer)
+	m.s.Cancel(s.redial)
+	s.redial = m.s.After(delay, func() {
+		if m.stopped || !m.wanted(peer) || m.ctrl.FindConn(peer) != nil {
 			return
 		}
 		m.initiate(peer)
 	})
 }
 
-// usedIntervals lists the intervals of all active connections plus a few in
-// flight, so Pick can avoid duplicates.
+// usedIntervals lists the intervals of the active connections, so Pick can
+// avoid duplicates. A dial still in flight is not among them: an inbound
+// link that comes up before the dial completes can take the same interval,
+// and nothing checks the outbound link when it completes (ROADMAP item
+// 17(b)).
 func (m *Manager) usedIntervals() []sim.Duration {
 	var used []sim.Duration
 	for _, c := range m.ctrl.Conns() {
@@ -496,17 +477,17 @@ func (m *Manager) ensureAdvertising() {
 
 // Shutdown forgets the configured topology and stops reacting to link
 // events, as the host side of a crashing node: pending backoff timers are
-// invalidated, and losses reported while stopped (the controller tearing its
+// cancelled, and losses reported while stopped (the controller tearing its
 // connections down) only propagate to LinkDown. Cumulative statistics and
 // recovery measurements survive — they model the observer, not the device.
 // Call before the controller's own Shutdown.
 func (m *Manager) Shutdown() {
 	m.stopped = true
-	m.gen++
 	m.expectIn = 0
 	m.activeIn = 0
 	m.pendingReopens = 0
 	for i := range m.slots {
+		m.s.Cancel(m.slots[i].redial)
 		m.slots[i].wanted = false
 		m.slots[i].attempts = 0
 		m.slots[i].measuring = false

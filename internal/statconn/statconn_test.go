@@ -99,7 +99,7 @@ func buildPair(seed int64, cfg Config) (*sim.Sim, *Manager, *Manager, *ble.Contr
 func TestManagerEstablishesAndReports(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(1, Config{})
 	var up *ble.Conn
-	mgrB.OnLink = &LinkFuncs{Up: func(c *ble.Conn) { up = c }}
+	mgrB.OnLink = &linkFuncs{Up: func(c *ble.Conn) { up = c }}
 	mgrA.ExpectInbound(1)
 	mgrB.Connect(ctrlA.Addr())
 	s.Run(5 * sim.Second)
@@ -141,7 +141,7 @@ func TestManagerReconnectsAfterLoss(t *testing.T) {
 	s, mgrA, mgrB, ctrlA, _ := buildPair(2, Config{})
 	ups := 0
 	var last *ble.Conn
-	mgrB.OnLink = &LinkFuncs{Up: func(c *ble.Conn) { ups++; last = c }}
+	mgrB.OnLink = &linkFuncs{Up: func(c *ble.Conn) { ups++; last = c }}
 	mgrA.ExpectInbound(1)
 	mgrB.Connect(ctrlA.Addr())
 	s.Run(5 * sim.Second)
@@ -354,5 +354,24 @@ func TestPeerQualFold(t *testing.T) {
 	q.fold(ble.ConnStats{TXPDUs: 2, Retrans: 0})
 	if q.baseTX != 2 {
 		t.Fatalf("baseline after restart = %d", q.baseTX)
+	}
+}
+
+// linkFuncs adapts two functions to LinkHandler; a nil one ignores
+// its upcall.
+type linkFuncs struct {
+	Up   func(c *ble.Conn)
+	Down func(c *ble.Conn, reason ble.LossReason)
+}
+
+func (f *linkFuncs) LinkUp(c *ble.Conn) {
+	if f.Up != nil {
+		f.Up(c)
+	}
+}
+
+func (f *linkFuncs) LinkDown(c *ble.Conn, reason ble.LossReason) {
+	if f.Down != nil {
+		f.Down(c, reason)
 	}
 }

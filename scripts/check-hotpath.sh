@@ -2,8 +2,8 @@
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
 # the datapath packages (the 802.15.4 twin's MAC among them) and the two
 # layers every packet runs on (phy, sim), closures on the upcall fields of the
-# layers a link end is built from, closures scheduled by the link layers, and
-# format-string trace calls anywhere in the simulator.
+# layers a link end is built from, closures scheduled by the link layers and
+# the router, and format-string trace calls anywhere in the simulator.
 #
 # Both cost nothing to write and were most of the loaded tree's host time:
 # a fmt.Sprintf cache key allocated on every CoAP request, and `q = q[1:]`
@@ -32,10 +32,13 @@
 #                 text per kept event; it stays for callers outside internal/.
 #   .Post(f) .PostAt(f) .After(f) .At(f) .Schedule(h) .Transmit(..., h)
 #                 never with a func literal, a sim.Func(...) or a method value
-#                 (m.s.Post(d, m.cca)) in dot15d4, phy, l2cap and ble: each is
-#                 one heap object per frame or link event. An event is a
-#                 handler type declared over the owner ((*macCCA)(m)), which
-#                 the sim.Handler interface stores as it is (DESIGN.md §3,
+#                 (m.s.Post(d, m.cca)) in dot15d4, phy, l2cap, ble and rpl,
+#                 nor Post, PostAt, After or At with a func variable
+#                 (in.s.Post(d, tick)): each is one heap object per frame or
+#                 link event, and a step the owner does not hold is one its
+#                 stop path cannot cancel. An event is a handler type
+#                 declared over the owner ((*macCCA)(m)), which the
+#                 sim.Handler interface stores as it is (DESIGN.md §3,
 #                 "Events are handlers"). A call whose arguments run over
 #                 several lines is read to the line that closes it or opens
 #                 a func body.
@@ -72,12 +75,13 @@ UPCALLS="internal/ble internal/l2cap internal/gatt internal/core internal/statco
 upfiles=$(find $UPCALLS -name '*.go' ! -name '*_test.go' | sort)
 closures=$(grep -HnE '\.On[A-Z][A-Za-z0-9]* *= .*func *\(' $upfiles | grep -v 'hotpath:ignore' || true)
 
-LINK="internal/dot15d4 internal/phy internal/l2cap internal/ble"
+LINK="internal/dot15d4 internal/phy internal/l2cap internal/ble internal/rpl"
 linkfiles=$(find $LINK -name '*.go' ! -name '*_test.go' | sort)
 scheduled=$(awk '
 function opens(s) { return gsub(/\(/, "(", s) - gsub(/\)/, ")", s) }
 function check() {
-    if (text ~ /func *\(|sim\.Func\(|, *[a-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+\)$/ && first !~ /hotpath:ignore/)
+    if ((text ~ /func *\(|sim\.Func\(|, *[a-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)+\)$/ ||
+        (text ~ /^\.(Post|PostAt|After|At)\(/ && text ~ /, *[a-z_][A-Za-z0-9_]*\)$/)) && first !~ /hotpath:ignore/)
         printf "%s:%d:%s\n", FILENAME, line, first
     text = ""
 }
@@ -115,8 +119,8 @@ if [ -n "$closures" ]; then
     status=1
 fi
 if [ -n "$scheduled" ]; then
-    echo "closure scheduled on a link layer — declare a handler type over the owner" >&2
-    echo "and pass (*ownerX)(o), or add a '// hotpath:ignore — <reason>' marker if" >&2
+    echo "closure scheduled on a link layer or the router — declare a handler type over" >&2
+    echo "the owner and pass (*ownerX)(o), or add a '// hotpath:ignore — <reason>' marker if" >&2
     echo "it is not per frame or per link event:" >&2
     echo "$scheduled" >&2
     status=1

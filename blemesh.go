@@ -126,9 +126,9 @@ type (
 	HopSpan       = trace.HopSpan
 	Decomposition = trace.Decomposition
 
-	// FaultPlan and FaultEvent script deterministic fault timelines (node
-	// churn, radio blackouts, jammer duty cycles, link kills) against a
-	// Network; FaultInjector executes them and logs what happened.
+	// FaultPlan and FaultEvent script deterministic node churn (crashes,
+	// restarts, reboots) against a Network; FaultInjector executes them and
+	// logs what happened.
 	FaultPlan     = fault.Plan
 	FaultEvent    = fault.Event
 	FaultInjector = fault.Injector
@@ -305,13 +305,9 @@ const (
 
 // Fault event kinds, re-exported for building fault plans.
 const (
-	FaultCrash     = fault.Crash
-	FaultReboot    = fault.Reboot
-	FaultRestart   = fault.Restart
-	FaultBlackout  = fault.Blackout
-	FaultJammerOn  = fault.JammerOn
-	FaultJammerOff = fault.JammerOff
-	FaultLinkKill  = fault.LinkKill
+	FaultCrash   = fault.Crash
+	FaultReboot  = fault.Reboot
+	FaultRestart = fault.Restart
 )
 
 // AttachFaults schedules a fault plan against a network's simulation clock;

@@ -1,6 +1,7 @@
 package ble
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -508,6 +509,47 @@ func TestAdvertisingStopsAfterHostRequest(t *testing.T) {
 	s.Run(s.Now() + sim.Second)
 	if a.Events().AdvEvents <= after {
 		t.Fatal("advertising did not restart")
+	}
+}
+
+// TestAdvertisingRestartsMidEvent stops and restarts advertising while its
+// first ADV_IND is on the air — and once more with the event pre-empted
+// between the stop and the restart. Advertising must go on, with one
+// advertising activity registered: a second one, with the first still
+// holding the radio, would leave the radio owned for good.
+func TestAdvertisingRestartsMidEvent(t *testing.T) {
+	for _, preempt := range []bool{false, true} {
+		t.Run(fmt.Sprintf("preempt=%v", preempt), func(t *testing.T) {
+			s, _, nodes := newTestNet(35, 0)
+			a := nodes[0].ctrl
+			p := AdvParams{Interval: 50 * sim.Millisecond}
+			a.StartAdvertising(p)
+			for a.radio.State() != phy.RadioTX {
+				s.Run(s.Now() + 5*sim.Microsecond)
+			}
+			a.StopAdvertising()
+			if preempt {
+				// A second activity blocked once by the advertising event
+				// takes the radio from it under alternating arbitration.
+				a.sched.mode = ArbitrateAlternate
+				other := &Activity{blockedBy: a.form.advAct}
+				a.sched.Register(other)
+				if _, ok := a.sched.Acquire(other, s.Now()+sim.Millisecond); !ok {
+					t.Fatal("the second activity did not pre-empt the advertising event")
+				}
+				a.sched.Release(other)
+				a.sched.Unregister(other)
+			}
+			a.StartAdvertising(p)
+			before := a.Events().AdvEvents
+			s.Run(s.Now() + 2*sim.Second)
+			if got := a.Events().AdvEvents - before; got < 20 {
+				t.Errorf("%d advertising events in the 2 s after the restart, want about 40", got)
+			}
+			if n := len(a.sched.acts); n != 1 {
+				t.Errorf("%d activities registered, want the one advertising activity", n)
+			}
+		})
 	}
 }
 

@@ -416,7 +416,10 @@ func (ctrl *Controller) StartAdvertising(p AdvParams) {
 		p.Interval = 100 * sim.Millisecond
 	}
 	f := ctrl.formation()
-	if f.advOn {
+	if f.advAct != nil {
+		// Advertising, or stopped while an event still holds the radio:
+		// the event in flight reschedules itself when it finishes.
+		f.advOn = true
 		f.advParams = p
 		return
 	}
@@ -533,11 +536,8 @@ func (ctrl *Controller) advPreempted() {
 		ctrl.radio.AbortTX()
 	}
 	ctrl.clearRx()
-	f := ctrl.form
-	ctrl.s.Cancel(f.advListen)
-	if f.advOn {
-		ctrl.scheduleAdvEvent(ctrl.clk.ToSim(f.advParams.Interval))
-	}
+	ctrl.s.Cancel(ctrl.form.advListen)
+	ctrl.finishAdvEvent(true)
 }
 
 // Fire ends the listen window after an ADV_IND: the event moves on to the

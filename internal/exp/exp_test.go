@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"blemesh/internal/ble"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
 	"blemesh/internal/testbed"
@@ -321,8 +322,13 @@ func TestNodeLinksUpMatchesLinkScan(t *testing.T) {
 		}
 	}
 	check("forming", 80)
-	nw.KillLink(5, 2)
-	check("after KillLink(5, 2)", 20)
+	n5, n2 := nw.Nodes[5], nw.Nodes[2]
+	for _, c := range []*ble.Conn{n5.Ctrl.FindConn(n2.DevAddr()), n2.Ctrl.FindConn(n5.DevAddr())} {
+		if c != nil {
+			c.Kill() // abrupt, no close handshake: statconn re-dials
+		}
+	}
+	check("after killing link 5-2", 20)
 	nw.CrashNode(3)
 	check("node 3 down", 20)
 	nw.RestartNode(3)

@@ -294,11 +294,6 @@ type Network struct {
 	streamer  *metrics.Streamer // nil unless Cfg.StreamMetrics is set
 	etxLabels map[uint64]string // ".links" labels by peer address, see etxLabel
 	lossBase  uint64            // link losses before traffic start (setup collisions)
-
-	// Fault-injection hooks (Network implements fault.Target), one per
-	// medium so faults hit every site.
-	blackouts []*phy.Switched
-	jammers   map[phy.Channel][]*phy.Switched
 }
 
 // netBuild is what BuildNetwork's phases hand to one another.
@@ -362,7 +357,6 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 		consumers:  cfg.Topology.SiteConsumers(),
 		PerProd:    metrics.NewHeatmap(60 * sim.Second),
 		Registry:   metrics.NewRegistry(),
-		jammers:    make(map[phy.Channel][]*phy.Switched),
 	}
 	b.nw = nw
 	for si, site := range sites {
@@ -441,8 +435,7 @@ func (b *netBuild) buildMedia() {
 }
 
 // newMedium builds one medium and appends it to nw.Media. Interference
-// attach order is part of the output: noise, channel-22 jammer, burst,
-// blackout.
+// attach order is part of the output: noise, channel-22 jammer, burst.
 func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 	cfg, nw := b.cfg, b.nw
 	m := phy.NewMedium(s)
@@ -455,9 +448,6 @@ func (b *netBuild) newMedium(s *sim.Sim) *phy.Medium {
 	if cfg.Burst != nil {
 		m.AddInterference(phy.NewBurstNoise(s, *cfg.Burst))
 	}
-	blackout := phy.NewSwitched(phy.Jammer{Ch: phy.AnyChannel})
-	m.AddInterference(blackout)
-	nw.blackouts = append(nw.blackouts, blackout)
 	// Positioned topologies switch the medium into geometric mode: the
 	// disk range matches the generator's link-derivation range, so the
 	// PHY and the topology agree bit-for-bit on who hears whom.
@@ -1181,45 +1171,6 @@ func (nw *Network) CrashNode(id int) { nw.Nodes[id].Stop() }
 
 // RestartNode powers a crashed node back on from its provisioned config.
 func (nw *Network) RestartNode(id int) { nw.Nodes[id].Restart() }
-
-// SetBlackout switches the radio-wide all-channel interference on or off.
-// Every medium (one per site) carries its own switch so the blackout covers
-// the whole network.
-func (nw *Network) SetBlackout(on bool) {
-	for _, b := range nw.blackouts {
-		b.Set(on)
-	}
-}
-
-// SetJammer switches a blocking carrier on one channel on or off. Jammers
-// are created on first use — one per medium — and stay attached (off)
-// afterwards.
-func (nw *Network) SetJammer(ch phy.Channel, on bool) {
-	js, ok := nw.jammers[ch]
-	if !ok {
-		for _, m := range nw.Media {
-			j := phy.NewSwitched(phy.Jammer{Ch: ch})
-			m.AddInterference(j)
-			js = append(js, j)
-		}
-		nw.jammers[ch] = js
-	}
-	for _, j := range js {
-		j.Set(on)
-	}
-}
-
-// KillLink abruptly terminates the BLE connection between two nodes on both
-// ends — no graceful close handshake; statconn re-establishes the link.
-func (nw *Network) KillLink(a, b int) {
-	na, nb := nw.Nodes[a], nw.Nodes[b]
-	if c := na.Ctrl.FindConn(nb.DevAddr()); c != nil {
-		c.Kill()
-	}
-	if c := nb.Ctrl.FindConn(na.DevAddr()); c != nil {
-		c.Kill()
-	}
-}
 
 // UpstreamConn returns node id's connection toward its next hop to the
 // consumer (its "upstream link", the subject of Fig. 12).

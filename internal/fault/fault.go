@@ -1,16 +1,14 @@
 // Package fault is a deterministic, seed-reproducible fault-injection
-// subsystem: scripted timelines of fault events (node crashes, reboots,
-// radio blackouts, jammer duty cycles, link kills) executed against the
-// simulation clock. The paper's testbed could only exhibit the fault
-// processes it happened to contain — clock drift, one jammed channel,
-// diffuse noise; this package lets experiments script the churn and bursty
-// interference that real deployments see, and verify the stack heals.
+// subsystem: scripted timelines of node crashes, restarts and reboots
+// executed against the simulation clock. The paper's testbed could only
+// exhibit the churn it happened to contain; this package lets experiments
+// script the node churn that real deployments see, and verify the stack
+// heals.
 package fault
 
 import (
 	"fmt"
 
-	"blemesh/internal/phy"
 	"blemesh/internal/sim"
 )
 
@@ -25,18 +23,6 @@ const (
 	Reboot
 	// Restart powers a previously crashed Node back on.
 	Restart
-	// Blackout corrupts every transmission on every channel during
-	// [At, At+For) (default For 1s) — the RF environment equivalent of
-	// someone starting a microwave oven next to the testbed.
-	Blackout
-	// JammerOn starts a blocking carrier on channel Ch at At.
-	JammerOn
-	// JammerOff stops the carrier on channel Ch.
-	JammerOff
-	// LinkKill abruptly terminates the BLE connection between nodes Node
-	// and Peer — no graceful close handshake is exchanged; the managed-link
-	// machinery (statconn) discovers the loss and re-establishes the link.
-	LinkKill
 )
 
 func (k Kind) String() string {
@@ -47,14 +33,6 @@ func (k Kind) String() string {
 		return "reboot"
 	case Restart:
 		return "restart"
-	case Blackout:
-		return "blackout"
-	case JammerOn:
-		return "jammer-on"
-	case JammerOff:
-		return "jammer-off"
-	case LinkKill:
-		return "link-kill"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -66,16 +44,10 @@ type Event struct {
 	At sim.Duration
 	// Kind selects the fault type.
 	Kind Kind
-	// Node identifies the target node (Crash/Reboot/Restart/LinkKill).
+	// Node identifies the target node.
 	Node int
-	// Peer is the other end of a LinkKill.
-	Peer int
 	// Dwell is a Reboot's off time (default 5s).
 	Dwell sim.Duration
-	// For is a Blackout's duration (default 1s).
-	For sim.Duration
-	// Ch is a jammer event's channel (may be phy.AnyChannel).
-	Ch phy.Channel
 }
 
 // Plan is a scripted fault timeline.
@@ -83,25 +55,21 @@ type Plan struct {
 	Events []Event
 }
 
-// Validate checks the plan for obvious scripting mistakes.
+// Validate checks the plan for obvious scripting mistakes; Attach executes
+// only a plan it accepts.
 func (p *Plan) Validate() error {
 	for i, e := range p.Events {
 		if e.At < 0 {
 			return fmt.Errorf("fault: event %d (%v) at negative time %v", i, e.Kind, e.At)
 		}
 		switch e.Kind {
+		case Crash, Restart:
 		case Reboot:
 			if e.Dwell < 0 {
 				return fmt.Errorf("fault: event %d reboot with negative dwell", i)
 			}
-		case Blackout:
-			if e.For < 0 {
-				return fmt.Errorf("fault: event %d blackout with negative duration", i)
-			}
-		case LinkKill:
-			if e.Node == e.Peer {
-				return fmt.Errorf("fault: event %d link-kill with node == peer (%d)", i, e.Node)
-			}
+		default:
+			return fmt.Errorf("fault: event %d has unknown kind %v", i, e.Kind)
 		}
 	}
 	return nil
@@ -114,32 +82,17 @@ type Target interface {
 	CrashNode(id int)
 	// RestartNode powers a crashed node back on.
 	RestartNode(id int)
-	// SetBlackout switches radio-wide interference on or off.
-	SetBlackout(on bool)
-	// SetJammer switches a blocking carrier on ch on or off.
-	SetJammer(ch phy.Channel, on bool)
-	// KillLink silently terminates the BLE connection between two nodes.
-	KillLink(a, b int)
 }
 
-// Record is one executed fault, for the experiment report.
+// Record is one executed fault, for the experiment report. A reboot logs
+// two records: its crash and its restart.
 type Record struct {
 	At   sim.Time
 	Kind Kind
 	Node int
-	Peer int
-	Ch   phy.Channel
 }
 
 func (r Record) String() string {
-	switch r.Kind {
-	case LinkKill:
-		return fmt.Sprintf("t=%v %v node%d-node%d", r.At, r.Kind, r.Node, r.Peer)
-	case JammerOn, JammerOff:
-		return fmt.Sprintf("t=%v %v ch%d", r.At, r.Kind, r.Ch)
-	case Blackout:
-		return fmt.Sprintf("t=%v %v", r.At, r.Kind)
-	}
 	return fmt.Sprintf("t=%v %v node%d", r.At, r.Kind, r.Node)
 }
 
@@ -150,11 +103,8 @@ type Injector struct {
 	log []Record
 }
 
-// Defaults for optional event fields.
-const (
-	DefaultDwell = 5 * sim.Second
-	DefaultFor   = sim.Second
-)
+// DefaultDwell is a Reboot's off time when its Dwell is zero.
+const DefaultDwell = 5 * sim.Second
 
 // Attach schedules every event of the plan against the simulation clock,
 // relative to now, and returns the injector for log retrieval. Events are
@@ -166,7 +116,6 @@ func Attach(s *sim.Sim, t Target, p *Plan) (*Injector, error) {
 	}
 	inj := &Injector{s: s, t: t}
 	for _, e := range p.Events {
-		e := e
 		switch e.Kind {
 		case Crash:
 			s.Post(e.At, func() { inj.crash(e.Node) })
@@ -179,21 +128,6 @@ func Attach(s *sim.Sim, t Target, p *Plan) (*Injector, error) {
 			}
 			s.Post(e.At, func() { inj.crash(e.Node) })
 			s.Post(e.At+dwell, func() { inj.restart(e.Node) })
-		case Blackout:
-			dur := e.For
-			if dur == 0 {
-				dur = DefaultFor
-			}
-			s.Post(e.At, func() { inj.blackout(true) })
-			s.Post(e.At+dur, func() { inj.blackout(false) })
-		case JammerOn:
-			s.Post(e.At, func() { inj.jammer(e.Ch, true) })
-		case JammerOff:
-			s.Post(e.At, func() { inj.jammer(e.Ch, false) })
-		case LinkKill:
-			s.Post(e.At, func() { inj.killLink(e.Node, e.Peer) })
-		default:
-			return nil, fmt.Errorf("fault: unknown event kind %v", e.Kind)
 		}
 	}
 	return inj, nil
@@ -212,24 +146,4 @@ func (inj *Injector) crash(node int) {
 func (inj *Injector) restart(node int) {
 	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: Restart, Node: node})
 	inj.t.RestartNode(node)
-}
-
-func (inj *Injector) blackout(on bool) {
-	// Both edges log as Blackout records; readers pair them by order.
-	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: Blackout})
-	inj.t.SetBlackout(on)
-}
-
-func (inj *Injector) jammer(ch phy.Channel, on bool) {
-	kind := JammerOn
-	if !on {
-		kind = JammerOff
-	}
-	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: kind, Ch: ch})
-	inj.t.SetJammer(ch, on)
-}
-
-func (inj *Injector) killLink(a, b int) {
-	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: LinkKill, Node: a, Peer: b})
-	inj.t.KillLink(a, b)
 }

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"blemesh/internal/phy"
 	"blemesh/internal/sim"
 )
 
@@ -19,21 +18,14 @@ func (f *fakeTarget) note(format string, args ...any) {
 	f.calls = append(f.calls, fmt.Sprintf("t=%v ", f.s.Now())+fmt.Sprintf(format, args...))
 }
 
-func (f *fakeTarget) CrashNode(id int)                  { f.note("crash %d", id) }
-func (f *fakeTarget) RestartNode(id int)                { f.note("restart %d", id) }
-func (f *fakeTarget) SetBlackout(on bool)               { f.note("blackout %v", on) }
-func (f *fakeTarget) SetJammer(ch phy.Channel, on bool) { f.note("jammer %d %v", ch, on) }
-func (f *fakeTarget) KillLink(a, b int)                 { f.note("kill %d-%d", a, b) }
+func (f *fakeTarget) CrashNode(id int)   { f.note("crash %d", id) }
+func (f *fakeTarget) RestartNode(id int) { f.note("restart %d", id) }
 
 func TestPlanExecutesInOrder(t *testing.T) {
 	s := sim.New(1)
 	ft := &fakeTarget{s: s}
 	plan := &Plan{Events: []Event{
 		{At: 1 * sim.Second, Kind: Reboot, Node: 3, Dwell: 2 * sim.Second},
-		{At: 2 * sim.Second, Kind: Blackout, For: 500 * sim.Millisecond},
-		{At: 4 * sim.Second, Kind: JammerOn, Ch: 22},
-		{At: 5 * sim.Second, Kind: JammerOff, Ch: 22},
-		{At: 6 * sim.Second, Kind: LinkKill, Node: 1, Peer: 2},
 		{At: 7 * sim.Second, Kind: Crash, Node: 4},
 		{At: 8 * sim.Second, Kind: Restart, Node: 4},
 	}}
@@ -45,12 +37,7 @@ func TestPlanExecutesInOrder(t *testing.T) {
 
 	want := []string{
 		"t=1.000000s crash 3",
-		"t=2.000000s blackout true",
-		"t=2.500000s blackout false",
 		"t=3.000000s restart 3",
-		"t=4.000000s jammer 22 true",
-		"t=5.000000s jammer 22 false",
-		"t=6.000000s kill 1-2",
 		"t=7.000000s crash 4",
 		"t=8.000000s restart 4",
 	}
@@ -80,8 +67,7 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	bad := []Plan{
 		{Events: []Event{{At: -sim.Second, Kind: Crash}}},
 		{Events: []Event{{At: 0, Kind: Reboot, Dwell: -sim.Second}}},
-		{Events: []Event{{At: 0, Kind: Blackout, For: -sim.Second}}},
-		{Events: []Event{{At: 0, Kind: LinkKill, Node: 2, Peer: 2}}},
+		{Events: []Event{{At: 0, Kind: Kind(99)}}},
 	}
 	for i := range bad {
 		if err := bad[i].Validate(); err == nil {

@@ -4,38 +4,6 @@ import (
 	"blemesh/internal/sim"
 )
 
-// AnyChannel makes a Jammer (or other channel-matched interference) hit every
-// channel — a radio-wide blackout rather than a single blocked carrier.
-const AnyChannel Channel = -1
-
-// matches reports whether an interference source configured for want applies
-// to traffic on ch.
-func matches(want, ch Channel) bool { return want == AnyChannel || want == ch }
-
-// Switched gates another interference source behind an on/off flag, so fault
-// plans can schedule interference windows (jammer duty cycles, radio
-// blackouts) against the simulation clock. The zero value is off.
-type Switched struct {
-	inner Interference
-	on    bool
-}
-
-// NewSwitched wraps inner; the switch starts off.
-func NewSwitched(inner Interference) *Switched { return &Switched{inner: inner} }
-
-// Set turns the wrapped source on or off.
-func (w *Switched) Set(on bool) { w.on = on }
-
-// Corrupts implements Interference.
-func (w *Switched) Corrupts(s *sim.Sim, ch Channel, start, end sim.Time) bool {
-	return w.on && w.inner.Corrupts(s, ch, start, end)
-}
-
-// Busy implements Interference.
-func (w *Switched) Busy(ch Channel, t sim.Time) bool {
-	return w.on && w.inner.Busy(ch, t)
-}
-
 // BurstParams configures a Gilbert–Elliott two-state loss process: the
 // channel alternates between a good state (low loss) and a bad state (high
 // loss), with exponentially distributed dwell times. Bursty interference is

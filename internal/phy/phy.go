@@ -97,15 +97,14 @@ type Interference interface {
 }
 
 // Jammer is a permanent blocking carrier on one channel, like the external
-// signal the paper found on BLE channel 22 at the Saclay site. Ch may be
-// AnyChannel for a radio-wide blackout source (usually behind a Switched).
+// signal the paper found on BLE channel 22 at the Saclay site.
 type Jammer struct{ Ch Channel }
 
 // Corrupts implements Interference: every packet on the jammed channel dies.
-func (j Jammer) Corrupts(_ *sim.Sim, ch Channel, _, _ sim.Time) bool { return matches(j.Ch, ch) }
+func (j Jammer) Corrupts(_ *sim.Sim, ch Channel, _, _ sim.Time) bool { return j.Ch == ch }
 
 // Busy implements Interference: the jammed channel always fails CCA.
-func (j Jammer) Busy(ch Channel, _ sim.Time) bool { return matches(j.Ch, ch) }
+func (j Jammer) Busy(ch Channel, _ sim.Time) bool { return j.Ch == ch }
 
 // RandomNoise corrupts each packet independently with probability PER,
 // modelling diffuse 2.4GHz background traffic (WiFi beacons etc.). The

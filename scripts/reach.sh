@@ -17,8 +17,7 @@
 #                               the shipped path against: keep it, listed as
 #                               testdata/test-only-api.txt lists functions.
 #   facade API                  blemesh.go or an example exports or calls it
-#                               (the fault kinds besides Reboot, CoAP CON,
-#                               ICMP echo): keep it.
+#                               (CoAP CON, ICMP echo): keep it.
 #   dead                        it can only run for an input no program can
 #                               produce: delete it.
 #

@@ -180,10 +180,6 @@ type Conn struct {
 
 	// OnData delivers received LL data payloads upward to L2CAP.
 	OnData DataHandler
-	// OnParamRequest lets the coordinator's host decide on a
-	// subordinate's Connection Parameters Request. Returning true applies
-	// the proposed interval via the update procedure; false rejects it.
-	OnParamRequest func(interval sim.Duration) bool
 }
 
 // The connection's events. Each type is Conn itself under another name, so
@@ -701,7 +697,7 @@ func (c *Conn) deliver(pdu *DataPDU) {
 				return
 			}
 			iv := pdu.Update.Interval
-			if c.OnParamRequest != nil && c.OnParamRequest(iv) {
+			if c.ctrl.OnConn != nil && c.ctrl.OnConn.ParamRequest(c, iv) {
 				_ = c.UpdateParams(iv, c.params.Latency, c.params.Supervision)
 			} else {
 				c.sendControl(&DataPDU{Opcode: OpRejectInd})

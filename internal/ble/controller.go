@@ -104,16 +104,19 @@ func (p *pool) free(n int) {
 
 // ConnHandler takes a controller's connection upcalls: ConnUp when a
 // connection is established (either role), ConnDown when one ends for any
-// reason.
+// reason, and ParamRequest when the subordinate of coordinator link c asks
+// for interval iv: true applies it through the update procedure, false
+// rejects it.
 type ConnHandler interface {
 	ConnUp(c *Conn)
 	ConnDown(c *Conn, reason LossReason)
+	ParamRequest(c *Conn, iv sim.Duration) bool
 }
 
 // Controller is one node's BLE controller: the single radio, its scheduler,
 // the set of active connections, and the advertising/scanning machinery.
 // Fields are ordered so the flags pack; TestControllerFitsSizeClass holds it
-// inside the 512 B size class.
+// inside the 480 B size class.
 type Controller struct {
 	s     *sim.Sim
 	clk   *sim.Clock
@@ -618,7 +621,7 @@ func (ctrl *Controller) ensureScanning() {
 	}
 	ctrl.scanOn = true
 	f.scanCh = phy.AdvChannel37
-	ctrl.sched.SetFiller(ctrl.scanResume, ctrl.scanPause)
+	ctrl.sched.SetFiller((*scanFiller)(ctrl))
 	f.scanRotate = ctrl.s.Schedule(ctrl.s.Now()+ctrl.clk.ToSim(ctrl.scanParams.Interval), (*scanRotation)(f))
 }
 
@@ -650,9 +653,12 @@ func (h *scanRotation) Fire() {
 	h.scanRotate = ctrl.s.Schedule(ctrl.s.Now()+ctrl.clk.ToSim(ctrl.scanParams.Interval), h)
 }
 
-// scanResume is the scheduler filler start hook: listen on the current
-// advertising channel whenever the radio is otherwise idle.
-func (ctrl *Controller) scanResume() {
+// scanFiller is the controller as its scheduler's Filler: scanning.
+type scanFiller Controller
+
+// Resume listens on the current advertising channel while the radio is idle.
+func (h *scanFiller) Resume() {
+	ctrl := (*Controller)(h)
 	if !ctrl.scanOn || ctrl.form.connecting {
 		return
 	}
@@ -665,8 +671,9 @@ func (ctrl *Controller) scanResume() {
 	ctrl.setRx(rxScan)
 }
 
-// scanPause is the scheduler filler stop hook.
-func (ctrl *Controller) scanPause() {
+// Pause stops listening before an activity takes the radio.
+func (h *scanFiller) Pause() {
+	ctrl := (*Controller)(h)
 	if ctrl.form.connecting {
 		return
 	}

@@ -67,8 +67,7 @@ type Scheduler struct {
 	acts  []*Activity
 	stats SchedStats
 
-	fillerStart func()
-	fillerStop  func()
+	filler      Filler
 	fillerOn    bool
 	fillerSince sim.Time
 }
@@ -98,38 +97,41 @@ func (sd *Scheduler) Unregister(a *Activity) {
 	}
 }
 
-// SetFiller installs the background scan hooks. start is called whenever the
-// radio becomes idle; stop before any activity takes the radio.
-func (sd *Scheduler) SetFiller(start, stop func()) {
-	sd.fillerStart = start
-	sd.fillerStop = stop
+// Filler is the radio's background use while no activity owns it, the
+// controller's scanning (scanFiller): Resume is called whenever the radio
+// becomes idle, Pause before any activity takes it.
+type Filler interface {
+	Resume()
+	Pause()
+}
+
+// SetFiller installs the background scan.
+func (sd *Scheduler) SetFiller(f Filler) {
+	sd.filler = f
 	if sd.owner == nil {
 		sd.resumeFiller()
 	}
 }
 
-// ClearFiller removes the background scan hooks.
+// ClearFiller removes the background scan.
 func (sd *Scheduler) ClearFiller() {
 	sd.pauseFiller()
-	sd.fillerStart = nil
-	sd.fillerStop = nil
+	sd.filler = nil
 }
 
 func (sd *Scheduler) pauseFiller() {
 	if sd.fillerOn {
 		sd.fillerOn = false
 		sd.stats.FillerTime += sd.sim.Now() - sd.fillerSince
-		if sd.fillerStop != nil {
-			sd.fillerStop()
-		}
+		sd.filler.Pause()
 	}
 }
 
 func (sd *Scheduler) resumeFiller() {
-	if !sd.fillerOn && sd.fillerStart != nil {
+	if !sd.fillerOn && sd.filler != nil {
 		sd.fillerOn = true
 		sd.fillerSince = sd.sim.Now()
-		sd.fillerStart()
+		sd.filler.Resume()
 	}
 }
 

@@ -38,8 +38,9 @@ type NetIfStats struct {
 
 // link is the per-neighbor state: one BLE connection, its L2CAP endpoint,
 // the ATT mux with the IPSS database, and the IPSP channel once open. It is
-// also the endpoint's l2cap.Server and the channel's l2cap.ChannelEvents, so
-// the upcalls of a link end allocate nothing beyond it.
+// also the endpoint's l2cap.Server, the channel's l2cap.ChannelEvents and the
+// coordinator's gatt.Client, so the upcalls of a link end allocate nothing
+// beyond it.
 type link struct {
 	n       *NetIf
 	conn    *ble.Conn
@@ -142,15 +143,18 @@ func (n *NetIf) AddLink(conn *ble.Conn) {
 	l.ep.OnChannelOpen = l
 	l.att = gatt.NewATT(l.ep, ipssDB)
 	if conn.Role() == ble.Coordinator {
-		_ = l.att.SupportsIPSS(n.s, func(ok bool, err error) {
-			if err != nil || !ok {
-				n.stats.IPSSRefused++
-				return
-			}
-			l.ep.Dial(l2cap.PSMIPSP)
-		})
+		_ = l.att.DiscoverPrimaryServices(n.s, l)
 	}
 	n.links = append(n.links, l)
+}
+
+// Discovered implements gatt.Client: IPSP is dialled only to an IPSS peer.
+func (l *link) Discovered(svcs []gatt.Service, err error) {
+	if err != nil || !gatt.SupportsIPSS(svcs) {
+		l.n.stats.IPSSRefused++
+		return
+	}
+	l.ep.Dial(l2cap.PSMIPSP)
 }
 
 // RemoveLink tears the adapter state for a dead BLE connection down,

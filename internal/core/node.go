@@ -99,7 +99,7 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 		// The routing metric reads statconn's per-peer retransmission
 		// EWMA; the sampler keeps it fresh on the same cadence for every
 		// dynamic node.
-		router.SetETX(func(mac uint64) float64 { return mgr.PeerETX(ble.DevAddr(mac)) })
+		router.SetETX((*peerETX)(mgr))
 		mgr.EnableQualitySampling()
 	}
 	ep := coap.NewEndpoint(s, stack)
@@ -146,6 +146,11 @@ func (h *nodeLinks) LinkDown(c *ble.Conn, reason ble.LossReason) {
 		n.RPL.LinkDown(uint64(c.Peer()))
 	}
 }
+
+// peerETX is a node's statconn manager as its router's rpl.LinkMetric.
+type peerETX statconn.Manager
+
+func (m *peerETX) ETX(mac uint64) float64 { return (*statconn.Manager)(m).PeerETX(ble.DevAddr(mac)) }
 
 // Addr returns the node's mesh (fd00::) address.
 func (n *Node) Addr() ip6.Addr { return n.Stack.GlobalAddr() }

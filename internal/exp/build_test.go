@@ -106,6 +106,45 @@ func TestSparseRoutesRequireStaticRouting(t *testing.T) {
 	})
 }
 
+// TestValidateRejectsUnusableIntervals: a policy that can pick a connection
+// interval outside [7.5ms, 4s] used to pass Validate and panic at the first
+// dial inside the run; Validate rejects it, and BuildNetwork panics with
+// Validate's message before the run.
+func TestValidateRejectsUnusableIntervals(t *testing.T) {
+	ms := sim.Millisecond
+	for _, tc := range []struct {
+		name   string
+		policy statconn.IntervalPolicy
+		want   string // substring of the error; "" = valid
+	}{
+		{"static below the minimum", statconn.Static{Interval: 5 * ms}, "out of range [7.5ms, 4s]"},
+		{"static above the maximum", statconn.Static{Interval: 5 * sim.Second}, "out of range [7.5ms, 4s]"},
+		{"random window below the minimum", statconn.Random{Min: 1 * ms, Max: 2 * ms}, "out of range [7.5ms, 4s]"},
+		{"random window reaching past the maximum", statconn.Random{Min: 3 * sim.Second, Max: 5 * sim.Second}, "out of range [7.5ms, 4s]"},
+		{"renegotiate below the minimum", statconn.Renegotiate{Target: 5 * ms}, "out of range [7.5ms, 4s]"},
+		{"static off the 1.25ms grid", statconn.Static{Interval: 76 * ms}, "not a multiple of 1.25ms"},
+		{"static 75ms", statconn.Static{Interval: 75 * ms}, ""},
+		{"random 65-85ms", statconn.Random{Min: 65 * ms, Max: 85 * ms}, ""},
+		{"random window rounding inside the range", statconn.Random{Min: 7 * ms, Max: 9 * ms}, ""},
+		{"renegotiate around 75ms", statconn.Renegotiate{Target: 75 * ms}, ""},
+	} {
+		err := NetworkConfig{Policy: tc.policy}.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: Validate() = %v, want nil", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "out of range [7.5ms, 4s]") {
+			t.Fatalf("BuildNetwork did not panic with Validate's message: %q", msg)
+		}
+	}()
+	BuildNetwork(NetworkConfig{Seed: 1, Topology: testbed.Tree(), Policy: statconn.Static{Interval: 5 * ms}})
+}
+
 // TestValidateFlags: the generator and run-length flags the CLIs share are
 // refused where the generators' defaults and the run loop would silently make
 // something else of them.

@@ -164,6 +164,9 @@ var goldenCases = []goldenCase{
 	{"churn", []int64{2}, nil, reportText(runChurn, 0.04)},
 	// The 802.15.4 twin: no other case runs dot15d4.
 	{"fig10", []int64{3, 5}, nil, reportText(runFig10, 0.01)},
+	// The §6.3 renegotiation ablation: no other case sends a Connection
+	// Parameters Request. Seed 3 accepts every request, seed 4 rejects one.
+	{"abl-renegotiate", []int64{3, 4}, nil, reportText(runAblRenegotiate, 0.02)},
 }
 
 // reportText is what `blemesh run <id> -scale <scale> -values` prints.

@@ -173,7 +173,7 @@ func (c NetworkConfig) Validate() error {
 	case c.NoisePER > 1 || math.IsNaN(c.NoisePER):
 		return fmt.Errorf("NoisePER = %v, want ≤ 1 (negative: clean channel)", c.NoisePER)
 	}
-	return nil
+	return statconn.Config{Policy: c.Policy}.Validate()
 }
 
 // ValidateFlags reports a -nodes, -range or -minutes value no run can

@@ -7,6 +7,7 @@
 package fault
 
 import (
+	"cmp"
 	"fmt"
 
 	"blemesh/internal/sim"
@@ -117,17 +118,12 @@ func Attach(s *sim.Sim, t Target, p *Plan) (*Injector, error) {
 	inj := &Injector{s: s, t: t}
 	for _, e := range p.Events {
 		switch e.Kind {
-		case Crash:
-			s.Post(e.At, func() { inj.crash(e.Node) })
-		case Restart:
-			s.Post(e.At, func() { inj.restart(e.Node) })
+		case Crash, Restart:
+			s.Schedule(s.Now()+e.At, &step{inj, e.Kind, e.Node})
 		case Reboot:
-			dwell := e.Dwell
-			if dwell == 0 {
-				dwell = DefaultDwell
-			}
-			s.Post(e.At, func() { inj.crash(e.Node) })
-			s.Post(e.At+dwell, func() { inj.restart(e.Node) })
+			dwell := cmp.Or(e.Dwell, DefaultDwell)
+			s.Schedule(s.Now()+e.At, &step{inj, Crash, e.Node})
+			s.Schedule(s.Now()+e.At+dwell, &step{inj, Restart, e.Node})
 		}
 	}
 	return inj, nil
@@ -138,12 +134,20 @@ func (inj *Injector) Log() []Record {
 	return append([]Record(nil), inj.log...)
 }
 
-func (inj *Injector) crash(node int) {
-	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: Crash, Node: node})
-	inj.t.CrashNode(node)
+// step is one scheduled power change: a Crash or a Restart of node. A
+// reboot is two steps.
+type step struct {
+	inj  *Injector
+	kind Kind
+	node int
 }
 
-func (inj *Injector) restart(node int) {
-	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: Restart, Node: node})
-	inj.t.RestartNode(node)
+func (st *step) Fire() {
+	inj := st.inj
+	inj.log = append(inj.log, Record{At: inj.s.Now(), Kind: st.kind, Node: st.node})
+	if st.kind == Crash {
+		inj.t.CrashNode(st.node)
+	} else {
+		inj.t.RestartNode(st.node)
+	}
 }

@@ -56,15 +56,9 @@ type Server struct {
 // given additional service UUIDs, handles assigned sequentially.
 func NewServer(extra ...uint16) *Server {
 	s := &Server{}
-	h := uint16(1)
-	add := func(uuid uint16) {
+	for i, uuid := range append([]uint16{UUIDGenericAccess, UUIDGenericAttribute}, extra...) {
+		h := uint16(1 + 8*i)
 		s.services = append(s.services, Service{UUID: uuid, StartHandle: h, EndHandle: h + 7})
-		h += 8
-	}
-	add(UUIDGenericAccess)
-	add(UUIDGenericAttribute)
-	for _, u := range extra {
-		add(u)
 	}
 	return s
 }
@@ -73,8 +67,10 @@ func NewServer(extra ...uint16) *Server {
 func (s *Server) Services() []Service { return append([]Service(nil), s.services...) }
 
 // Has reports whether the database contains a service UUID.
-func (s *Server) Has(uuid uint16) bool {
-	for _, sv := range s.services {
+func (s *Server) Has(uuid uint16) bool { return has(s.services, uuid) }
+
+func has(svcs []Service, uuid uint16) bool {
+	for _, sv := range svcs {
 		if sv.UUID == uuid {
 			return true
 		}
@@ -138,9 +134,20 @@ type discovery struct {
 	s       *sim.Sim
 	found   []Service
 	next    uint16
-	done    func([]Service, error)
+	client  Client
 	timeout sim.Timer
 }
+
+// Client takes the outcome of a primary service discovery: every primary
+// service found, or the error that ended it. core's link implements it.
+type Client interface {
+	Discovered(svcs []Service, err error)
+}
+
+// attTimeout is the mux as its discovery's 30 s request timeout.
+type attTimeout ATT
+
+func (h *attTimeout) Fire() { (*ATT)(h).finish(nil, fmt.Errorf("gatt: discovery timed out")) }
 
 // NewATT installs the fixed-channel mux on an endpoint.
 func NewATT(ep *l2cap.Endpoint, server *Server) *ATT {
@@ -178,35 +185,21 @@ func (a *ATT) onPDU(b []byte) {
 	}
 }
 
-// DiscoverPrimaryServices walks the peer's attribute database and invokes
-// done with every primary service found (or an error on timeout, which s
-// times). Only one discovery may be outstanding per connection.
-func (a *ATT) DiscoverPrimaryServices(s *sim.Sim, done func([]Service, error)) error {
+// DiscoverPrimaryServices walks the peer's attribute database and hands
+// every primary service found to c (or an error on timeout, which s times).
+// Only one discovery may be outstanding per connection.
+func (a *ATT) DiscoverPrimaryServices(s *sim.Sim, c Client) error {
 	if a.disc != nil {
 		return fmt.Errorf("gatt: discovery already in progress")
 	}
-	a.disc = &discovery{s: s, next: 1, done: done}
+	a.disc = &discovery{s: s, next: 1, client: c}
 	a.request()
 	return nil
 }
 
-// SupportsIPSS is the Internet Protocol Support Profile check: discover the
-// peer's services and report whether the IPSS is present.
-func (a *ATT) SupportsIPSS(s *sim.Sim, done func(bool, error)) error {
-	return a.DiscoverPrimaryServices(s, func(svcs []Service, err error) {
-		if err != nil {
-			done(false, err)
-			return
-		}
-		for _, sv := range svcs {
-			if sv.UUID == UUIDIPSS {
-				done(true, nil)
-				return
-			}
-		}
-		done(false, nil)
-	})
-}
+// SupportsIPSS is the Internet Protocol Support Profile check on a
+// discovery's outcome: whether the peer's services include the IPSS.
+func SupportsIPSS(svcs []Service) bool { return has(svcs, UUIDIPSS) }
 
 func (a *ATT) request() {
 	d := a.disc
@@ -216,9 +209,7 @@ func (a *ATT) request() {
 	binary.LittleEndian.PutUint16(req[3:], 0xFFFF)
 	binary.LittleEndian.PutUint16(req[5:], uuidPrimaryService)
 	a.ep.SendFixed(l2cap.CIDATT, req)
-	d.timeout = d.s.After(30*sim.Second, func() {
-		a.finish(nil, fmt.Errorf("gatt: discovery timed out"))
-	})
+	d.timeout = d.s.Schedule(d.s.Now()+30*sim.Second, (*attTimeout)(a))
 }
 
 func (a *ATT) onDiscoveryRsp(b []byte) {
@@ -257,5 +248,5 @@ func (a *ATT) finish(svcs []Service, err error) {
 		return
 	}
 	a.disc = nil
-	d.done(svcs, err)
+	d.client.Discovered(svcs, err)
 }

@@ -95,9 +95,9 @@ func TestDiscoveryOverTheAir(t *testing.T) {
 	var got []Service
 	var derr error
 	done := false
-	if err := attB.DiscoverPrimaryServices(s, func(svcs []Service, err error) {
+	if err := attB.DiscoverPrimaryServices(s, ClientFunc(func(svcs []Service, err error) {
 		got, derr, done = svcs, err, true
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	s.Run(s.Now() + 5*sim.Second)
@@ -129,7 +129,7 @@ func TestATTServesWithoutClientState(t *testing.T) {
 		t.Fatalf("unsafe.Sizeof(ATT{}) = %d, want <= 24 (three pointers)", sz)
 	}
 	s, attA, attB := attPair(t, 6, UUIDIPSS)
-	attB.SupportsIPSS(s, func(bool, error) {})
+	attB.DiscoverPrimaryServices(s, ClientFunc(func([]Service, error) {}))
 	if attB.disc == nil {
 		t.Fatal("no client state while a discovery is outstanding")
 	}
@@ -143,7 +143,7 @@ func TestSupportsIPSSPositive(t *testing.T) {
 	s, _, attB := attPair(t, 2, UUIDIPSS)
 	var ok bool
 	done := false
-	attB.SupportsIPSS(s, func(v bool, err error) { ok, done = v, true })
+	attB.DiscoverPrimaryServices(s, ipssCheck(func(v bool, err error) { ok, done = v, true }))
 	s.Run(s.Now() + 5*sim.Second)
 	if !done || !ok {
 		t.Fatalf("IPSS check done=%v ok=%v", done, ok)
@@ -155,7 +155,7 @@ func TestSupportsIPSSNegative(t *testing.T) {
 	s, _, attB := attPair(t, 3)
 	var ok bool
 	done := false
-	attB.SupportsIPSS(s, func(v bool, err error) { ok, done = v, true })
+	attB.DiscoverPrimaryServices(s, ipssCheck(func(v bool, err error) { ok, done = v, true }))
 	s.Run(s.Now() + 5*sim.Second)
 	if !done {
 		t.Fatal("check never completed")
@@ -167,8 +167,8 @@ func TestSupportsIPSSNegative(t *testing.T) {
 
 func TestConcurrentDiscoveryRejected(t *testing.T) {
 	s, _, attB := attPair(t, 4, UUIDIPSS)
-	attB.DiscoverPrimaryServices(s, func([]Service, error) {})
-	if err := attB.DiscoverPrimaryServices(s, func([]Service, error) {}); err == nil {
+	attB.DiscoverPrimaryServices(s, ClientFunc(func([]Service, error) {}))
+	if err := attB.DiscoverPrimaryServices(s, ClientFunc(func([]Service, error) {})); err == nil {
 		t.Fatal("second concurrent discovery accepted")
 	}
 	s.Run(s.Now() + sim.Second)
@@ -179,16 +179,28 @@ func TestBidirectionalDiscovery(t *testing.T) {
 	// mux must route requests to the server and responses to the client.
 	s, attA, attB := attPair(t, 5, UUIDIPSS)
 	doneA, doneB := false, false
-	attA.SupportsIPSS(s, func(v bool, err error) { doneA = v })
-	attB.SupportsIPSS(s, func(v bool, err error) { doneB = v })
+	attA.DiscoverPrimaryServices(s, ipssCheck(func(v bool, err error) { doneA = v }))
+	attB.DiscoverPrimaryServices(s, ipssCheck(func(v bool, err error) { doneB = v }))
 	s.Run(s.Now() + 5*sim.Second)
 	if !doneA || !doneB {
 		t.Fatalf("bidirectional discovery failed: A=%v B=%v", doneA, doneB)
 	}
 }
 
+// ClientFunc adapts a function to Client.
+type ClientFunc func(svcs []Service, err error)
+
+// Discovered calls f.
+func (f ClientFunc) Discovered(svcs []Service, err error) { f(svcs, err) }
+
+// ipssCheck is a Client that hands done the IPSS check of the discovery's
+// outcome.
+func ipssCheck(done func(ok bool, err error)) ClientFunc {
+	return func(svcs []Service, err error) { done(err == nil && SupportsIPSS(svcs), err) }
+}
+
 // connFuncs adapts two functions to ble.ConnHandler; a nil one ignores its
-// upcall.
+// upcall, and it rejects every parameter request.
 type connFuncs struct {
 	Up   func(c *ble.Conn)
 	Down func(c *ble.Conn, reason ble.LossReason)
@@ -205,3 +217,5 @@ func (f *connFuncs) ConnDown(c *ble.Conn, reason ble.LossReason) {
 		f.Down(c, reason)
 	}
 }
+
+func (f *connFuncs) ParamRequest(*ble.Conn, sim.Duration) bool { return false }

@@ -91,6 +91,11 @@ type txFrame struct {
 	pid uint64
 }
 
+type heldPDU struct {
+	cid uint16
+	buf *pktbuf.Buf
+}
+
 // SCID returns the local channel id.
 func (ch *Channel) SCID() uint16 { return ch.scid }
 
@@ -294,8 +299,14 @@ type Endpoint struct {
 	s    *sim.Sim
 	conn *ble.Conn
 
-	nextCID  uint16
-	sigID    byte
+	// The small fields share one word, which keeps an endpoint in its size
+	// class; rxActive and fixedCID belong to the groups below.
+	nextCID   uint16
+	fixedCID  uint16
+	sigID     byte
+	rxActive  bool
+	kickArmed bool
+
 	channels table[uint16, *Channel] // by local scid, ascending
 	pending  table[byte, *Channel]   // signaling id → channel being dialled
 
@@ -304,16 +315,16 @@ type Endpoint struct {
 	// progress. Routed payload views alias rxBuf, which is safe because
 	// every receiver consumes (or copies) them synchronously and the
 	// buffer is only rewritten by a later LL fragment event.
-	rxBuf    []byte
-	rxActive bool
-	rxPID    uint64 // provenance ID of the PDU being reassembled
+	rxBuf []byte
+	rxPID uint64 // provenance ID of the PDU being reassembled
 
 	// The one fixed channel besides signaling, and its handler (ATT rides
 	// the fixed CID 0x0004; HandleFixed).
-	fixedCID uint16
-	fixed    FixedHandler
+	fixed FixedHandler
 
-	kickArmed bool
+	// held is what the full LL pool refused of the PDUs nobody waits on
+	// (signaling, the fixed channel), in send order; the kick sends it first.
+	held []heldPDU
 
 	// OnChannelOpen decides the peer's channel requests and takes each
 	// channel that opens; with none, every request is refused.
@@ -442,8 +453,8 @@ func (ep *Endpoint) nextSigID() byte {
 	return ep.sigID
 }
 
-// scheduleKick arms a retry of all channel drains once the LL pool has had a
-// chance to free (pool space returns as the peer acknowledges PDUs).
+// scheduleKick arms a retry of the held PDUs and the channel drains once the
+// LL pool has had a chance to free (space returns as the peer acknowledges).
 func (ep *Endpoint) scheduleKick() {
 	if ep.kickArmed {
 		return
@@ -458,6 +469,17 @@ type epKick Endpoint
 func (k *epKick) Fire() {
 	ep := (*Endpoint)(k)
 	ep.kickArmed = false
+	for len(ep.held) > 0 {
+		h := ep.held[0]
+		if !ep.sendPDU(h.cid, h.buf, 0) {
+			if ep.conn.Usable() {
+				ep.scheduleKick()
+				return
+			}
+			h.buf.Put() // a dead link: nobody is left to send it to
+		}
+		ep.held = slices.Delete(ep.held, 0, 1)
+	}
 	for _, e := range ep.channels {
 		ch := e.v
 		wasBlocked := !ch.Writable()
@@ -507,25 +529,20 @@ func (ep *Endpoint) sendPDU(cid uint16, b *pktbuf.Buf, pid uint64) bool {
 	return true
 }
 
-// sendPDUNow is sendPDU for a PDU nobody waits on (signaling, fixed
-// channels): the buffer is released again if the send cannot proceed.
-func (ep *Endpoint) sendPDUNow(cid uint16, b *pktbuf.Buf) bool {
-	if !ep.sendPDU(cid, b, 0) {
-		b.Put()
-		return false
+// sendHeld sends a PDU nobody waits on (signaling, the fixed channel). While
+// the LL pool is full, it and every later one wait in held for the kick.
+func (ep *Endpoint) sendHeld(cid uint16, b *pktbuf.Buf) {
+	if len(ep.held) > 0 || !ep.sendPDU(cid, b, 0) {
+		ep.held = append(ep.held, heldPDU{cid, b})
+		ep.scheduleKick()
 	}
-	return true
 }
 
+// sendSignal sends a signaling command: exempt from channel credits, but it
+// occupies the LL pool. A dead link sends nothing: nobody is left to signal.
 func (ep *Endpoint) sendSignal(s signal) {
-	// Signaling is exempt from channel credits but still occupies the LL
-	// pool; if the pool is momentarily full, retry shortly. A dead link
-	// ends the retry loop — there is nobody left to signal.
-	if ep.conn == nil || !ep.conn.Usable() {
-		return
-	}
-	if !ep.sendPDUNow(CIDSignaling, encodeSignal(s)) {
-		ep.s.Post(2*sim.Millisecond, func() { ep.sendSignal(s) }) // hotpath:ignore — a 2 ms retry only while the LL pool is full
+	if ep.conn != nil && ep.conn.Usable() {
+		ep.sendHeld(CIDSignaling, encodeSignal(s))
 	}
 }
 
@@ -638,13 +655,9 @@ func (ep *Endpoint) HandleFixed(cid uint16, h FixedHandler) {
 	ep.fixedCID, ep.fixed = cid, h
 }
 
-// SendFixed transmits a PDU on a fixed channel, retrying briefly when the
-// LL pool is momentarily full (like signaling PDUs).
+// SendFixed transmits a PDU on a fixed channel, held while the LL pool is full.
 func (ep *Endpoint) SendFixed(cid uint16, payload []byte) {
-	if ep.conn == nil || !ep.conn.Usable() {
-		return
-	}
-	if !ep.sendPDUNow(cid, pktbuf.FromBytes(payload)) {
-		ep.s.Post(2*sim.Millisecond, func() { ep.SendFixed(cid, payload) }) // hotpath:ignore — a 2 ms retry only while the LL pool is full
+	if ep.conn != nil && ep.conn.Usable() {
+		ep.sendHeld(cid, pktbuf.FromBytes(payload))
 	}
 }

@@ -664,7 +664,7 @@ func TestEndpointSetupAllocs(t *testing.T) {
 }
 
 // connFuncs adapts two functions to ble.ConnHandler; a nil one ignores its
-// upcall.
+// upcall, and it rejects every parameter request.
 type connFuncs struct {
 	Up   func(c *ble.Conn)
 	Down func(c *ble.Conn, reason ble.LossReason)
@@ -679,5 +679,60 @@ func (f *connFuncs) ConnUp(c *ble.Conn) {
 func (f *connFuncs) ConnDown(c *ble.Conn, reason ble.LossReason) {
 	if f.Down != nil {
 		f.Down(c, reason)
+	}
+}
+
+func (f *connFuncs) ParamRequest(*ble.Conn, sim.Duration) bool { return false }
+
+// TestPoolFullPDUsWaitForKick: a credit signal and an ATT PDU the full LL
+// pool refuses wait on the endpoint in send order and go out on the kick,
+// before the channel frame queued ahead of them. On a dead link what waits is
+// released unsent, and nothing more is held.
+func TestPoolFullPDUsWaitForKick(t *testing.T) {
+	p := newPairPool(t, 12, 700)
+	coordCh, subCh := p.openIPSP(t)
+	var got []string
+	subCh.txCredits = 0 // blocked, so the credit grant shows as Unblocked
+	subCh.OnEvents = &ChannelFuncs{
+		SDU:      func(b *pktbuf.Buf, _ uint64) { got = append(got, "sdu"); b.Put() },
+		Writable: func() { got = append(got, "credit") },
+	}
+	p.subEP.HandleFixed(CIDATT, FixedFunc(func([]byte) { got = append(got, "att") }))
+	fill := func() {
+		// Three 233-byte PDUs leave 1 byte of the 700-byte pool; the
+		// fourth stays queued on the channel and arms the kick.
+		for i := 0; i < 4; i++ {
+			if err := coordCh.SendSDUBuf(pktbuf.FromBytes(make([]byte, 227)), 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if coordCh.QueueLen() != 1 {
+			t.Fatalf("%d K-frames queued on the channel, want 1 behind the full pool", coordCh.QueueLen())
+		}
+		p.coordEP.sendSignal(signal{code: codeFlowCredit, id: p.coordEP.nextSigID(), cid: coordCh.scid, credits: 1})
+		p.coordEP.SendFixed(CIDATT, []byte{0x01, 0x10, 0, 0, 0x0A})
+		if n := len(p.coordEP.held); n != 2 {
+			t.Fatalf("%d PDUs held while the pool is full, want 2", n)
+		}
+	}
+	fill()
+	p.s.Run(p.s.Now() + 2*sim.Second)
+	if want := []string{"sdu", "sdu", "sdu", "credit", "att", "sdu"}; !slices.Equal(got, want) {
+		t.Fatalf("peer received %v, want %v", got, want)
+	}
+	if len(p.coordEP.held) != 0 || p.coordEP.kickArmed {
+		t.Fatalf("after the kick: %d PDUs held, kick armed %v", len(p.coordEP.held), p.coordEP.kickArmed)
+	}
+
+	got = nil
+	fill()
+	p.coordEP.Conn().Kill()
+	p.coordEP.Teardown() // as the adapter does when the link goes down
+	p.coordEP.sendSignal(signal{code: codeFlowCredit, id: p.coordEP.nextSigID(), cid: coordCh.scid, credits: 1})
+	p.coordEP.SendFixed(CIDATT, []byte{0x01})
+	p.s.Run(p.s.Now() + 2*sim.Second)
+	if len(got) != 0 || len(p.coordEP.held) != 0 || p.coordEP.kickArmed {
+		t.Fatalf("dead link: peer received %v, %d PDUs held, kick armed %v; want nothing",
+			got, len(p.coordEP.held), p.coordEP.kickArmed)
 	}
 }

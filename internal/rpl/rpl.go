@@ -105,9 +105,9 @@ type Instance struct {
 
 	tr   *trace.Log
 	node string
-	// etx maps a neighbor MAC to its expected transmission count; nil
-	// reads every link as perfect. core wires this to statconn.PeerETX.
-	etx func(mac uint64) float64
+	// etx gives a neighbor's expected transmission count; nil reads every
+	// link as perfect. core wires it to statconn's PeerETX.
+	etx LinkMetric
 
 	running bool
 	started bool
@@ -144,7 +144,7 @@ func New(s *sim.Sim, stack *ip6.Stack, cfg Config) *Instance {
 		parents:    make(map[uint64]*parentInfo),
 		downward:   make(map[ip6.Addr]daoEntry),
 	}
-	in.trick = newTrickle(s, imin, doublings, redundancy, in.trickleFire)
+	in.trick = newTrickle(s, imin, doublings, redundancy, in)
 	stack.ListenUDP(port, in.handleUDP)
 	return in
 }
@@ -155,8 +155,12 @@ func (in *Instance) SetTrace(l *trace.Log, node string) {
 	in.node = node
 }
 
-// SetETX injects the link metric source (statconn.PeerETX in production).
-func (in *Instance) SetETX(f func(mac uint64) float64) { in.etx = f }
+// LinkMetric is the routing metric's source: ETX returns the expected
+// transmission count toward the neighbor mac.
+type LinkMetric interface{ ETX(mac uint64) float64 }
+
+// SetETX injects the link metric source (statconn's PeerETX in production).
+func (in *Instance) SetETX(m LinkMetric) { in.etx = m }
 
 // Rank returns the node's current rank (RankInfinite = detached).
 func (in *Instance) Rank() uint16 { return in.rank }
@@ -405,7 +409,7 @@ func (in *Instance) purgeDownward(target ip6.Addr) {
 func (in *Instance) linkCost(mac uint64) uint16 {
 	etx := 1.0
 	if in.etx != nil {
-		etx = in.etx(mac)
+		etx = in.etx.ETX(mac)
 	}
 	if etx < 1 {
 		etx = 1
@@ -554,8 +558,8 @@ func (in *Instance) sweep() {
 	}
 }
 
-// trickleFire is the trickle callback: beacon our DIO to every neighbor,
-// or count the suppression.
+// trickleFire is the trickle timer's call to its owner: beacon our DIO to
+// every neighbor, or count the suppression.
 func (in *Instance) trickleFire(send bool) {
 	if !in.running || !in.Joined() {
 		return

@@ -117,12 +117,12 @@ func TestCodecRejectsGarbage(t *testing.T) {
 func TestTrickleDoublesAndSuppresses(t *testing.T) {
 	s := sim.New(1)
 	fires, sends := 0, 0
-	tr := newTrickle(s, 100*sim.Millisecond, 3, 1, func(send bool) {
+	tr := newTrickle(s, 100*sim.Millisecond, 3, 1, trickleFunc(func(send bool) {
 		fires++
 		if send {
 			sends++
 		}
-	})
+	}))
 	tr.start()
 	s.Run(10 * sim.Second)
 	// Intervals: 100ms, 200, 400, 800(=Imax), 800, ... → about 13 fires
@@ -337,12 +337,12 @@ func TestETXSteersParentChoice(t *testing.T) {
 	c := newTestNode(s, 4, Config{})
 	// Lossy link toward a (ETX 3), clean toward b. Sorted-MAC tie-break
 	// would otherwise pick a.
-	c.inst.SetETX(func(mac uint64) float64 {
+	c.inst.SetETX(etxFunc(func(mac uint64) float64 {
 		if mac == a.mac {
 			return 3
 		}
 		return 1
-	})
+	}))
 	connect(root, a)
 	connect(root, b)
 	connect(a, c)
@@ -433,3 +433,14 @@ func TestStaleEchoCannotMoveTarget(t *testing.T) {
 		t.Fatalf("fresh advertisement did not move T: %+v", r)
 	}
 }
+
+// trickleFunc adapts a function to trickleOwner.
+type trickleFunc func(send bool)
+
+func (f trickleFunc) trickleFire(send bool) { f(send) }
+
+// etxFunc adapts a function to LinkMetric.
+type etxFunc func(mac uint64) float64
+
+// ETX calls f.
+func (f etxFunc) ETX(mac uint64) float64 { return f(mac) }

@@ -8,21 +8,19 @@ import (
 // interval I starts at Imin, doubles after every quiet interval up to
 // Imax = Imin << doublings, and snaps back to Imin when the caller reports
 // an inconsistency. Within each interval, the timer fires once at a uniform
-// random point in [I/2, I); the fire callback is told whether to actually
-// transmit (fewer than k consistent messages heard this interval) or
+// random point in [I/2, I); its owner's trickleFire is told whether to
+// actually transmit (fewer than k consistent messages heard this interval) or
 // suppress (k-redundancy: enough neighbors already said the same thing).
 //
 // The timer holds its interval's two events, the fire point and the interval
 // end, and stop and reset cancel them, so a stopped timer leaves nothing in
 // the queue. Only beginInterval draws randomness.
 type trickle struct {
-	s    *sim.Sim
-	imin sim.Duration
-	imax sim.Duration
-	k    int
-	// fire is invoked once per interval; send is false when the interval's
-	// consistency counter reached k (suppression).
-	fire func(send bool)
+	s     *sim.Sim
+	imin  sim.Duration
+	imax  sim.Duration
+	k     int
+	owner trickleOwner
 
 	i sim.Duration // current interval length
 	c int          // consistent messages heard this interval
@@ -30,6 +28,11 @@ type trickle struct {
 	// is pending exactly while the timer runs.
 	point, end sim.Timer
 }
+
+// trickleOwner is what a trickle timer beacons for, the Instance. Its
+// trickleFire is called once per interval; send is false when the interval's
+// consistency counter reached k (suppression).
+type trickleOwner interface{ trickleFire(send bool) }
 
 // tricklePoint is the fire point of an interval, trickleEnd its end.
 type (
@@ -39,7 +42,7 @@ type (
 
 func (h *tricklePoint) Fire() {
 	t := (*trickle)(h)
-	t.fire(t.k <= 0 || t.c < t.k)
+	t.owner.trickleFire(t.k <= 0 || t.c < t.k)
 }
 
 func (h *trickleEnd) Fire() {
@@ -51,12 +54,12 @@ func (h *trickleEnd) Fire() {
 	t.beginInterval()
 }
 
-func newTrickle(s *sim.Sim, imin sim.Duration, doublings, k int, fire func(send bool)) *trickle {
+func newTrickle(s *sim.Sim, imin sim.Duration, doublings, k int, owner trickleOwner) *trickle {
 	imax := imin
 	for d := 0; d < doublings; d++ {
 		imax *= 2
 	}
-	return &trickle{s: s, imin: imin, imax: imax, k: k, fire: fire}
+	return &trickle{s: s, imin: imin, imax: imax, k: k, owner: owner}
 }
 
 // start (re)starts the timer at Imin. Idempotent in effect: a running timer

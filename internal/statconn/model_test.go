@@ -110,6 +110,15 @@ func (md *mapModel) shutdown() {
 	md.downSince = map[ble.DevAddr]sim.Time{}
 }
 
+// attemptCount returns peer's consecutive failed initiation attempts, 0 for a
+// peer the manager never touched.
+func attemptCount(m *Manager, peer ble.DevAddr) int {
+	if s := m.slot(peer); s != nil {
+		return s.attempts
+	}
+	return 0
+}
+
 // check compares every per-peer fact the Manager holds with the model.
 func (md *mapModel) check(t *testing.T, stage string, m *Manager, peers []ble.DevAddr) {
 	t.Helper()
@@ -117,7 +126,7 @@ func (md *mapModel) check(t *testing.T, stage string, m *Manager, peers []ble.De
 		if got, want := m.wanted(p), md.wanted[p]; got != want {
 			t.Errorf("%s: wanted(%v) = %v, model %v", stage, p, got, want)
 		}
-		if got, want := m.attemptCount(p), md.attempts[p]; got != want {
+		if got, want := attemptCount(m, p), md.attempts[p]; got != want {
 			t.Errorf("%s: attemptCount(%v) = %d, model %d", stage, p, got, want)
 		}
 		t0, measuring := md.downSince[p]
@@ -293,7 +302,7 @@ func TestManagerAgainstMapModel(t *testing.T) {
 	}
 	deepest := 0
 	for _, p := range addrs {
-		if n := hub.attemptCount(p); n > deepest {
+		if n := attemptCount(hub, p); n > deepest {
 			deepest = n
 		}
 	}

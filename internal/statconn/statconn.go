@@ -53,17 +53,20 @@ type Random struct {
 
 // Pick implements IntervalPolicy.
 func (p Random) Pick(rng *rand.Rand, used []sim.Duration) sim.Duration {
-	lo := (p.Min + ble.ConnIntervalUnit - 1) / ble.ConnIntervalUnit
-	hi := p.Max / ble.ConnIntervalUnit
-	if hi < lo {
-		hi = lo
-	}
+	lo, hi := p.units()
 	for attempt := 0; ; attempt++ {
 		v := sim.Duration(lo+sim.Time(rng.Int63n(int64(hi-lo+1)))) * ble.ConnIntervalUnit
 		if attempt > 64 || !contains(used, v) {
 			return v
 		}
 	}
+}
+
+// units returns the window Pick draws from, in 1.25ms units.
+func (p Random) units() (lo, hi sim.Duration) {
+	lo = (p.Min + ble.ConnIntervalUnit - 1) / ble.ConnIntervalUnit
+	hi = p.Max / ble.ConnIntervalUnit
+	return lo, max(lo, hi)
 }
 
 // EnforceUnique implements IntervalPolicy.
@@ -161,6 +164,30 @@ func (c *Config) defaults() {
 	if c.Policy == nil {
 		c.Policy = Static{Interval: 75 * sim.Millisecond}
 	}
+}
+
+// Validate reports a policy of this package whose Pick can return an
+// interval no connection can use: a run would otherwise stop at its first
+// dial. Every value a Random window draws lies between its two ends.
+func (c Config) Validate() error {
+	c.defaults()
+	var ivs []sim.Duration
+	switch p := c.Policy.(type) {
+	case Static:
+		ivs = []sim.Duration{p.Interval}
+	case Random:
+		lo, hi := p.units()
+		ivs = []sim.Duration{lo * ble.ConnIntervalUnit, hi * ble.ConnIntervalUnit}
+	case Renegotiate:
+		ivs = []sim.Duration{p.Target}
+	}
+	for _, iv := range ivs {
+		params := ble.ConnParams{Interval: iv, Supervision: c.Supervision, ChanMap: c.ChanMap}
+		if err := params.Validate(); err != nil {
+			return fmt.Errorf("Policy %v: %w", c.Policy, err)
+		}
+	}
+	return nil
 }
 
 // PeerLink is one neighbor's link-quality snapshot: the retransmission-EWMA
@@ -269,6 +296,19 @@ type peerSlot struct {
 	redial sim.Timer
 }
 
+// redialStep is a pending re-dial of peer. It names the peer, not its slot:
+// the slots slice may grow, and move, while the re-dial waits.
+type redialStep struct {
+	m    *Manager
+	peer ble.DevAddr
+}
+
+func (r *redialStep) Fire() {
+	if m := r.m; !m.stopped && m.wanted(r.peer) && m.ctrl.FindConn(r.peer) == nil {
+		m.initiate(r.peer)
+	}
+}
+
 // Manager maintains a node's configured BLE connections.
 type Manager struct {
 	s    *sim.Sim
@@ -325,6 +365,23 @@ func (h *connEvents) ConnDown(c *ble.Conn, reason ble.LossReason) {
 	(*Manager)(h).handleDisconnect(c, reason)
 }
 
+// ParamRequest is the coordinator's side of the §6.3 renegotiation: only
+// Renegotiate accepts, and only an interval none of its other links uses. It
+// sees its own constraint set alone — the paper's point.
+func (h *connEvents) ParamRequest(c *ble.Conn, iv sim.Duration) bool {
+	if _, ok := h.cfg.Policy.(Renegotiate); !ok {
+		return false
+	}
+	for _, other := range h.ctrl.Conns() {
+		if other != c && other.Interval() == iv {
+			h.stats.ParamRejects++
+			return false
+		}
+	}
+	h.stats.ParamAccepts++
+	return true
+}
+
 // New wires a manager onto a controller. The manager owns the controller's
 // OnConn upcalls.
 func New(s *sim.Sim, ctrl *ble.Controller, cfg Config) *Manager {
@@ -365,13 +422,6 @@ func (m *Manager) slotEnsure(peer ble.DevAddr) *peerSlot {
 func (m *Manager) wanted(peer ble.DevAddr) bool {
 	s := m.slot(peer)
 	return s != nil && s.wanted
-}
-
-func (m *Manager) attemptCount(peer ble.DevAddr) int {
-	if s := m.slot(peer); s != nil {
-		return s.attempts
-	}
-	return 0
 }
 
 func (m *Manager) isUp(c *ble.Conn) bool {
@@ -424,22 +474,14 @@ func (m *Manager) Connect(peer ble.DevAddr) {
 // e.g. during a peer's reboot or a jammed advertising channel — back off
 // instead of hammering the air. Success resets the window.
 func (m *Manager) initiateAfterBackoff(peer ble.DevAddr) {
+	s := m.slotEnsure(peer)
 	span := int64(3 * advInterval)
-	for i := m.attemptCount(peer); i > 0 && span < int64(backoffCap); i-- {
+	for i := s.attempts; i > 0 && span < int64(backoffCap); i-- {
 		span <<= 1
 	}
-	if span > int64(backoffCap) {
-		span = int64(backoffCap)
-	}
-	delay := sim.Duration(m.rng.Int63n(span))
-	s := m.slotEnsure(peer)
+	delay := sim.Duration(m.rng.Int63n(min(span, int64(backoffCap))))
 	m.s.Cancel(s.redial)
-	s.redial = m.s.After(delay, func() {
-		if m.stopped || !m.wanted(peer) || m.ctrl.FindConn(peer) != nil {
-			return
-		}
-		m.initiate(peer)
-	})
+	s.redial = m.s.Schedule(m.s.Now()+delay, &redialStep{m, peer})
 }
 
 // usedIntervals lists the intervals of the active connections, so Pick can
@@ -462,6 +504,8 @@ func (m *Manager) initiate(peer ble.DevAddr) {
 		ChanMap:     m.cfg.ChanMap,
 	}
 	if err := params.Validate(); err != nil {
+		// An invariant: Config.Validate, which NetworkConfig.Validate
+		// calls, rejects a policy that can pick such an interval.
 		panic(fmt.Sprintf("statconn: invalid connection parameters: %v", err))
 	}
 	if err := m.ctrl.Connect(peer, params); err != nil {
@@ -527,23 +571,6 @@ func (m *Manager) handleConnect(c *ble.Conn) {
 		}
 		m.activeIn++
 		m.ensureAdvertising() // keep advertising if more are expected
-	}
-	if c.Role() == ble.Coordinator {
-		if _, ok := m.cfg.Policy.(Renegotiate); ok {
-			conn := c
-			conn.OnParamRequest = func(iv sim.Duration) bool { // hotpath:ignore — the Renegotiate ablation alone, one per coordinator link
-				// The coordinator only sees its own constraint
-				// set — the paper's point.
-				for _, other := range m.ctrl.Conns() {
-					if other != conn && other.Interval() == iv {
-						m.stats.ParamRejects++
-						return false
-					}
-				}
-				m.stats.ParamAccepts++
-				return true
-			}
-		}
 	}
 	if c.Role() == ble.Coordinator {
 		// Success resets the exponential backoff and completes any
@@ -677,12 +704,16 @@ func (m *Manager) EnableQualitySampling() {
 		return
 	}
 	m.samplerOn = true
-	var tick func()
-	tick = func() {
-		m.SampleLinkQuality()
-		m.s.Post(qualityEvery, tick)
-	}
-	m.s.Post(qualityEvery, tick)
+	m.s.Schedule(m.s.Now()+qualityEvery, (*qualitySampler)(m))
+}
+
+// qualitySampler is the manager as its periodic link-quality sampler. It
+// re-arms itself, and nothing cancels it: it models the observer.
+type qualitySampler Manager
+
+func (h *qualitySampler) Fire() {
+	(*Manager)(h).SampleLinkQuality()
+	h.s.Schedule(h.s.Now()+qualityEvery, h)
 }
 
 // PeerETX returns the expected transmission count toward the peer: 1/PDR

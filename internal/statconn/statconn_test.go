@@ -245,9 +245,11 @@ func TestRenegotiateResolvesSetupCollision(t *testing.T) {
 	}
 	hubCtrl, hubMgr := mk(0, 0x1)
 	hubMgr.ExpectInbound(2)
+	var coords []*Manager
 	for i := 0; i < 2; i++ {
 		_, mgr := mk(float64(i)+1, 0x20+i)
 		mgr.Connect(hubCtrl.Addr())
+		coords = append(coords, mgr)
 	}
 	s.Run(30 * sim.Second)
 	conns := hubCtrl.Conns()
@@ -259,6 +261,12 @@ func TestRenegotiateResolvesSetupCollision(t *testing.T) {
 	}
 	if conns[0].Interval() == conns[1].Interval() {
 		t.Fatalf("collision not resolved: both at %v", conns[0].Interval())
+	}
+	// The coordinators decided the requests over the air: each has no
+	// other link, so they accepted every one they received.
+	a, r := coords[0].Stats().ParamAccepts+coords[1].Stats().ParamAccepts, coords[0].Stats().ParamRejects+coords[1].Stats().ParamRejects
+	if a == 0 || r != 0 || a > hubMgr.Stats().ParamRequests {
+		t.Fatalf("coordinators accepted %d and rejected %d of %d requests", a, r, hubMgr.Stats().ParamRequests)
 	}
 	if hubMgr.Stats().IntervalRejects != 0 {
 		t.Fatal("renegotiate policy must not close connections")
@@ -374,4 +382,82 @@ func (f *linkFuncs) LinkDown(c *ble.Conn, reason ble.LossReason) {
 	if f.Down != nil {
 		f.Down(c, reason)
 	}
+}
+
+// TestRedialNamesItsPeer: a pending re-dial names its peer, not its slot, so
+// one armed before the slots slice grows — and moves — still dials that peer
+// and no other; Shutdown cancels a pending one.
+func TestRedialNamesItsPeer(t *testing.T) {
+	s, mgrA, mgrB, ctrlA, ctrlB := buildPair(5, Config{})
+	mgrA.ExpectInbound(1)
+	mgrB.Connect(ctrlA.Addr())
+	before := &mgrB.slots[0]
+	for i := 0; i < 16; i++ {
+		mgrB.quality(ble.DevAddr(0x100 + i)) // inbound peers: a slot each
+	}
+	if &mgrB.slots[0] == before {
+		t.Fatal("the slots slice did not move; the test needs it to")
+	}
+	s.Run(5 * sim.Second)
+	if conns := ctrlB.Conns(); len(conns) != 1 || conns[0].Peer() != ctrlA.Addr() {
+		t.Fatalf("after the re-dial: %d connections, want one to %v", len(conns), ctrlA.Addr())
+	}
+
+	s, mgrA, mgrB, ctrlA, ctrlB = buildPair(6, Config{})
+	mgrA.ExpectInbound(1)
+	mgrB.Connect(ctrlA.Addr())
+	redial := mgrB.slot(ctrlA.Addr()).redial
+	if !redial.Scheduled() {
+		t.Fatal("Connect armed no re-dial")
+	}
+	mgrB.Shutdown()
+	if redial.Scheduled() {
+		t.Fatal("Shutdown left the re-dial pending")
+	}
+	s.Run(5 * sim.Second)
+	if n := len(ctrlB.Conns()); n != 0 {
+		t.Fatalf("a stopped manager dialled: %d connections", n)
+	}
+}
+
+// TestRenegotiateCoordinatorDecides: a Renegotiate coordinator accepts a
+// requested interval none of its other links uses and rejects one that
+// collides, counting each; a manager of another policy rejects without
+// counting.
+func TestRenegotiateCoordinatorDecides(t *testing.T) {
+	ms := sim.Millisecond
+	for _, policy := range []IntervalPolicy{Renegotiate{Target: 75 * ms}, Static{Interval: 75 * ms}} {
+		s := sim.New(10)
+		medium := phy.NewMedium(s)
+		mk := func(ppm float64, addr int) (*ble.Controller, *Manager) {
+			ctrl := ble.NewController(s, sim.NewClock(s, ppm), medium.NewRadio(), ble.ControllerConfig{Addr: ble.DevAddr(addr)})
+			return ctrl, New(s, ctrl, Config{Policy: policy})
+		}
+		hubCtrl, hubMgr := mk(0, 0x1)
+		for i := 0; i < 2; i++ {
+			ctrl, mgr := mk(float64(i)+1, 0x20+i)
+			mgr.ExpectInbound(1)
+			hubMgr.Connect(ctrl.Addr())
+		}
+		s.Run(30 * sim.Second)
+		conns := hubCtrl.Conns()
+		if len(conns) != 2 || conns[0].Interval() != 75*ms || conns[1].Interval() != 75*ms {
+			t.Fatalf("%v: hub has %d links, want two at 75ms", policy, len(conns))
+		}
+		h := (*connEvents)(hubMgr)
+		collides, free := h.ParamRequest(conns[0], 75*ms), h.ParamRequest(conns[0], 80*ms)
+		st := hubMgr.Stats()
+		_, reneg := policy.(Renegotiate)
+		if collides || free != reneg || st.ParamRejects != b2u(reneg) || st.ParamAccepts != b2u(reneg) {
+			t.Fatalf("%v: 75ms accepted %v, 80ms accepted %v, rejects/accepts %d/%d",
+				policy, collides, free, st.ParamRejects, st.ParamAccepts)
+		}
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -82,6 +82,12 @@ func TestSparseRoutesRequireStaticRouting(t *testing.T) {
 		{"certain loss", NetworkConfig{NoisePER: 1}, ""},
 		{"noise above one", NetworkConfig{NoisePER: 1.5}, "NoisePER = 1.5"},
 		{"NaN noise", NetworkConfig{NoisePER: nan}, "NoisePER = NaN"},
+		{"default stream period", NetworkConfig{StreamEvery: 0}, ""},
+		{"negative stream period", NetworkConfig{StreamEvery: -sim.Second}, "StreamEvery = -1"},
+		{"negative series bucket", NetworkConfig{SeriesBucket: -sim.Second}, "SeriesBucket = -1"},
+		{"clock override on a tree node", NetworkConfig{PPMOverride: map[int]float64{1: -250, 15: 250}}, ""},
+		{"clock override on no node", NetworkConfig{PPMOverride: map[int]float64{1: -250, 99: 250, 16: 3}}, "PPMOverride names node 16"},
+		{"clock override off a given topology", NetworkConfig{Topology: testbed.Mesh(), PPMOverride: map[int]float64{16: 1}}, "PPMOverride names node 16, which topology mesh"},
 	} {
 		err := tc.cfg.Validate()
 		switch {

@@ -11,6 +11,7 @@ import (
 	"io"
 	"io/fs"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
@@ -67,8 +68,9 @@ type goldenNet struct {
 // lanes and, for reports, workers, or a reference implementation: "heap"
 // (sim.EngineHeap), "event-by-event" (Controller.SetEventByEvent),
 // "linear-scan" (Medium.SetLinearScan), "unpooled" (pktbuf.SetPooling(false),
-// run with nothing else in flight) or "fmt" (the fmt encoders of the trace
-// export and the metrics stream).
+// run with nothing else in flight), "fmt" (the fmt encoders of the trace
+// export and the metrics stream) or "observed" (the registry gathered at
+// instants drawn from the seed).
 type goldenPass struct {
 	ref            string
 	lanes, workers int
@@ -195,6 +197,7 @@ type goldenStats struct {
 	fused         float64 // share of coordinator events the link layer ran in one step
 	packets       int     // packet spans the trace kept
 	snaps, shapes int     // reference-stream snapshots, distinct ".links" key sequences in them
+	gathers       int     // registry gathers the observed pass made before the export
 	refLines      bool    // the reference stream has RPL link-quality and trace-sampling lines
 }
 
@@ -253,6 +256,21 @@ func goldenRun(c goldenCase, seed int64, p goldenPass, w io.Writer) (st goldenSt
 			nw.Sim.Post(g.stream, shadow)
 		}
 		nw.Sim.Post(g.stream, shadow)
+	}
+	if p.ref == "observed" {
+		// Every CDF read mid-run, 0.1 to 2 s apart, where the shipped pass
+		// reads none before its export.
+		rng := rand.New(rand.NewPCG(uint64(seed), 0))
+		gap := func() sim.Duration {
+			return 100*sim.Millisecond + sim.Duration(rng.Int64N(int64(1900*sim.Millisecond)))
+		}
+		var gather func()
+		gather = func() {
+			nw.Registry.Gather()
+			st.gathers++
+			nw.Sim.Post(gap(), gather)
+		}
+		nw.Sim.Post(gap(), gather)
 	}
 
 	formed := nw.WaitTopology(60 * sim.Second)
@@ -446,6 +464,15 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 func TestEngineEquivalence(t *testing.T) {
 	t.Parallel()
 	goldenSubtests(t, [][2]string{{"dense-tree", "tree"}, {"churn", "tree-churn"}}, seedsTo(16), reference("heap", 0))
+}
+
+// TestObservationDoesNotPerturbTheRun: a run whose registry is gathered at
+// instants drawn from the seed — every CDF's count and quantiles read again
+// and again while samples arrive — exports what the run read only at its end
+// exports, to the byte, on four seeds of the paper tree.
+func TestObservationDoesNotPerturbTheRun(t *testing.T) {
+	t.Parallel()
+	checkGoldenCase(t, goldenCorpus(t), "tree", seedsTo(4), reference("observed", 1))
 }
 
 // TestEngineEquivalenceIsRepeatable: the shipped export of tree seed 1
@@ -749,6 +776,8 @@ func goldenGuards(c goldenCase, r goldenResult) error {
 		return fmt.Errorf("only %.2f of the coordinator events ran in one step", st.fused)
 	case c.net != nil && c.net.sample > 0 && st.packets == 0:
 		return errors.New("the sampled trace kept no packet span")
+	case p.ref == "observed" && st.gathers < 10:
+		return fmt.Errorf("the registry was gathered %d times before the export", st.gathers)
 	case p.ref == "fmt" && (st.snaps < 100 || st.shapes < 2 || !st.refLines):
 		return fmt.Errorf("%d reference snapshots, %d shapes of the .links lines, RPL and sampling lines: %v",
 			st.snaps, st.shapes, st.refLines)

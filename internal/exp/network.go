@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -74,7 +75,10 @@ type NetworkConfig struct {
 	// MaxPPM bounds each node's clock error; the paper measured ±3ppm
 	// (≤6µs/s relative drift).
 	MaxPPM float64
-	// SCA is the declared sleep-clock accuracy (≥ MaxPPM).
+	// SCA is the declared sleep-clock accuracy in ppm (default 50), what
+	// window widening allows for. It may be below MaxPPM: the widening then
+	// undershoots the worst drift, as the abl-arb ablation runs it (±60 ppm
+	// under the default 50).
 	SCA float64
 	// Arbitration selects the radio scheduler policy.
 	Arbitration ble.Arbitration
@@ -86,7 +90,8 @@ type NetworkConfig struct {
 	JamChannel22 bool
 	// DisableWindowWidening is the ablation switch.
 	DisableWindowWidening bool
-	// PPMOverride pins specific nodes' clock errors (ablations).
+	// PPMOverride pins specific nodes' clock errors (ablations); every key
+	// is a node of Topology.
 	PPMOverride map[int]float64
 	// Trace enables the per-node link event log (§4.2-style records).
 	Trace bool
@@ -172,6 +177,25 @@ func (c NetworkConfig) Validate() error {
 		return fmt.Errorf("TraceSample = %v, want ≥ 0", c.TraceSample)
 	case c.NoisePER > 1 || math.IsNaN(c.NoisePER):
 		return fmt.Errorf("NoisePER = %v, want ≤ 1 (negative: clean channel)", c.NoisePER)
+	case c.StreamEvery < 0:
+		return fmt.Errorf("StreamEvery = %v, want ≥ 0 (0: every 60 s)", c.StreamEvery)
+	case c.SeriesBucket < 0:
+		return fmt.Errorf("SeriesBucket = %v, want ≥ 0 (0: 60 s)", c.SeriesBucket)
+	}
+	if len(c.PPMOverride) > 0 {
+		topo := c.Topology
+		if topo.Name == "" {
+			topo = testbed.Tree()
+		}
+		nodes, bad := topo.Nodes(), []int(nil)
+		for id := range c.PPMOverride {
+			if _, ok := slices.BinarySearch(nodes, id); !ok {
+				bad = append(bad, id)
+			}
+		}
+		if len(bad) > 0 {
+			return fmt.Errorf("PPMOverride names node %d, which topology %s does not have", slices.Min(bad), topo.Name)
+		}
 	}
 	return statconn.Config{Policy: c.Policy}.Validate()
 }
@@ -286,7 +310,7 @@ type Network struct {
 	// Metrics. Series is the network's one PDR series: its counters are
 	// atomic and Run grows it to the horizon before the lanes start, so
 	// every site records into it. RTT collection is split per site (rtts)
-	// so site windows never share a sketch; MergedRTTs is the network-wide
+	// so site windows never share a CDF; MergedRTTs is the network-wide
 	// view.
 	PerProd   *metrics.Heatmap
 	Series    *metrics.TimeSeries
@@ -939,7 +963,7 @@ func (nw *Network) startProducer(id int, tr *traffic) {
 		row = nw.PerProd.Row(node.Name)
 	}
 	// Everything the loop touches is site-local — the node's own Sim, the
-	// site's sink and RTT sketch — or the network series, which Run grows
+	// site's sink and RTT CDF — or the network series, which Run grows
 	// before the lanes start and which counts atomically; so producer events
 	// run safely inside parallel site windows.
 	site := nw.siteOf[id]

@@ -100,6 +100,17 @@ func TestStreamingDoesNotPerturbTheRun(t *testing.T) {
 	if plain.Trace.Total() != streamed.Trace.Total() {
 		t.Fatalf("trace totals differ: %d vs %d", plain.Trace.Total(), streamed.Trace.Total())
 	}
+	// The stream reads every CDF at each snapshot; the plain run reads them
+	// only here. Their distributions must still agree to the bit.
+	a, b := plain.MergedRTTs(), streamed.MergedRTTs()
+	if a.N() != b.N() || a.N() == 0 {
+		t.Fatalf("RTT samples: plain %d vs streamed %d", a.N(), b.N())
+	}
+	for _, q := range []float64{0.5, 0.99} {
+		if pa, pb := a.Quantile(q), b.Quantile(q); pa != pb {
+			t.Fatalf("RTT q%v: plain %.12f vs streamed %.12f", q, pa, pb)
+		}
+	}
 	out := stream.String()
 	if out == "" {
 		t.Fatal("streamer produced no output")

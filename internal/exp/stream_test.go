@@ -65,8 +65,14 @@ func TestStreamErrSurfaces(t *testing.T) {
 	if a, b := ok.CoAPPDR(), bad.CoAPPDR(); a != b || a.Sent == 0 {
 		t.Fatalf("PDR differs: healthy %+v vs failing sink %+v", a, b)
 	}
-	// Not the RTT quantiles: reading a sketch-backed CDF merges its buffer, so
-	// how often it was gathered shows in its estimates.
+	// The RTT quantiles too: the healthy run read the CDFs three times as
+	// often, and no read changes what a later one returns.
+	okRTT, badRTT := ok.MergedRTTs(), bad.MergedRTTs()
+	for _, q := range []float64{0.5, 0.99} {
+		if a, b := okRTT.Quantile(q), badRTT.Quantile(q); a != b {
+			t.Fatalf("RTT q%v differs: healthy %v vs failing sink %v", q, a, b)
+		}
+	}
 	var okTrace, badTrace strings.Builder
 	if err := ok.Trace.WriteNDJSON(&okTrace); err != nil {
 		t.Fatal(err)

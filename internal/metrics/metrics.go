@@ -9,31 +9,35 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 
-	"blemesh/internal/metrics/sketch"
 	"blemesh/internal/sim"
 )
 
 // CDF accumulates samples and answers quantile queries.
 //
-// The backing store is the mergeable quantile sketch
-// (internal/metrics/sketch — O(compression) memory, ≤1% quantile error,
-// exact N/mean/min/max), created at the first Add so an empty CDF costs one
-// pointer.
+// The backing store is a log-linear histogram (hist.go): a quantile lies
+// within 2^-8 (0.39 %) of the true nearest-rank order statistic, count, sum,
+// mean, min and max are exact, and no read changes what a later read
+// returns. It is created at the first Add, so an empty CDF costs one
+// pointer. NaN and ±Inf samples are ignored.
 //
 // Scalar accessors (Quantile, Mean, Min, Max, Median, FractionBelow)
 // return 0 for an empty CDF; use the OK variants to distinguish "empty"
 // from a genuine zero.
 type CDF struct {
-	s *sketch.Sketch
+	h *hist
 }
 
 // Add inserts a sample.
 func (c *CDF) Add(v float64) {
-	if c.s == nil {
-		c.s = sketch.New()
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return
 	}
-	c.s.Add(v)
+	if c.h == nil {
+		c.h = newHist()
+	}
+	c.h.add(v)
 }
 
 // AddDuration inserts a sim duration as seconds.
@@ -41,38 +45,39 @@ func (c *CDF) AddDuration(d sim.Duration) { c.Add(d.Seconds()) }
 
 // N returns the sample count.
 func (c *CDF) N() int {
-	if c.s == nil {
+	if c.h == nil {
 		return 0
 	}
-	return c.s.N()
+	return int(c.h.n)
 }
 
-// MemBytes estimates the sketch's retained heap bytes.
+// MemBytes returns the store's retained heap bytes: the struct and the
+// capacity of its slices.
 func (c *CDF) MemBytes() int {
-	if c.s == nil {
+	if c.h == nil {
 		return 0
 	}
-	return c.s.MemBytes()
+	return int(unsafe.Sizeof(*c.h)) + 4*cap(c.h.pairs) + 8*cap(c.h.sum)
 }
 
-// Merge folds another CDF's samples into this one: a sketch centroid merge,
-// deterministic for a deterministic merge order.
+// Merge folds another CDF's samples into this one. Bucket counts add, so
+// the result is the same for every merge order.
 func (c *CDF) Merge(o *CDF) {
-	if o == nil || o.N() == 0 {
+	if o == nil || o.h == nil {
 		return
 	}
-	if c.s == nil {
-		c.s = sketch.New()
+	if c.h == nil {
+		c.h = newHist()
 	}
-	c.s.Merge(o.s)
+	c.h.merge(o.h)
 }
 
 // QuantileOK returns the q-quantile (0..1), and false when empty.
 func (c *CDF) QuantileOK(q float64) (float64, bool) {
-	if c.s == nil {
+	if c.h == nil {
 		return 0, false
 	}
-	return c.s.Quantile(q)
+	return c.h.quantile(q), true
 }
 
 // Quantile returns the q-quantile (0..1); 0 when empty.
@@ -86,10 +91,10 @@ func (c *CDF) Median() float64 { return c.Quantile(0.5) }
 
 // MeanOK returns the arithmetic mean, and false when empty.
 func (c *CDF) MeanOK() (float64, bool) {
-	if c.s == nil {
+	if c.h == nil {
 		return 0, false
 	}
-	return c.s.Mean()
+	return total(c.h.sum) / float64(c.h.n), true
 }
 
 // Mean returns the arithmetic mean; 0 when empty.
@@ -100,10 +105,10 @@ func (c *CDF) Mean() float64 {
 
 // MaxOK returns the largest sample, and false when empty.
 func (c *CDF) MaxOK() (float64, bool) {
-	if c.s == nil {
+	if c.h == nil {
 		return 0, false
 	}
-	return c.s.Max()
+	return c.h.max, true
 }
 
 // Max returns the largest sample; 0 when empty.
@@ -114,10 +119,10 @@ func (c *CDF) Max() float64 {
 
 // MinOK returns the smallest sample, and false when empty.
 func (c *CDF) MinOK() (float64, bool) {
-	if c.s == nil {
+	if c.h == nil {
 		return 0, false
 	}
-	return c.s.Min()
+	return c.h.min, true
 }
 
 // Min returns the smallest sample; 0 when empty.
@@ -126,13 +131,14 @@ func (c *CDF) Min() float64 {
 	return v
 }
 
-// FractionBelowOK returns the empirical CDF value at x (interpolated over
-// the sketch's centroids), and false when empty.
+// FractionBelowOK returns the empirical CDF value at x, at the histogram's
+// resolution (a sample in x's bucket counts as below x), and false when
+// empty.
 func (c *CDF) FractionBelowOK(x float64) (float64, bool) {
-	if c.s == nil {
+	if c.h == nil {
 		return 0, false
 	}
-	return c.s.Fraction(x)
+	return c.h.fraction(x), true
 }
 
 // FractionBelow returns the empirical CDF value at x; 0 when empty.

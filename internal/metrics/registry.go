@@ -100,7 +100,7 @@ func (r *Registry) RegisterGauge(name string, fn func() float64) {
 
 // CDFSamples renders a CDF as a histogram-style source: count, mean, and the
 // standard quantiles p50, p95, p99, max. An empty CDF exports NaN values
-// (JSON null), matching the pre-sketch export bytes. A collector calls it on
+// (JSON null). A collector calls it on
 // the CDF it holds or derives on the fly — e.g. the merge of the per-site
 // CDFs of a multi-site network.
 func CDFSamples(name string, c *CDF) []Sample {

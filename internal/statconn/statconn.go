@@ -332,8 +332,8 @@ type Manager struct {
 	pendingReopens int
 
 	// recovery holds the completed recovery latencies as a mergeable
-	// distribution (seconds) — a quantile sketch of bounded memory, so long
-	// churny runs don't accumulate per-sample state.
+	// distribution (seconds) — a histogram that grows with the buckets it
+	// fills, so long churny runs don't accumulate per-sample state.
 	recovery metrics.CDF
 
 	// stopped gates all topology-restoring reactions while the host is

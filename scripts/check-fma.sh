@@ -22,10 +22,10 @@
 #   math transcendentals, rand.ExpFloat64/NormFloat64
 #                 never in non-test Go: math.Sin and the rest are pure Go,
 #                 fused differently per GOARCH, or assembly that picks an FMA
-#                 path by CPU feature (math.Exp on amd64). The quantile
-#                 sketch carries its own sin and asin for this reason
-#                 (internal/metrics/sketch/trig.go). Sqrt, Floor, Abs and the
-#                 bit functions are exact and allowed.
+#                 path by CPU feature (math.Exp on amd64). Code that needs
+#                 one carries its own kernel, written with explicit
+#                 conversions. Sqrt, Floor, Abs and the bit functions are
+#                 exact and allowed.
 #
 # A deliberate call carries a "// fma:ok — <reason>" marker on the same line.
 # Test files are exempt.

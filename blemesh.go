@@ -155,6 +155,10 @@ const (
 	RoutingDynamic = exp.RoutingDynamic
 )
 
+// LinkDot15d4 is NetworkConfig.LinkLayer's other value: the IEEE 802.15.4
+// CSMA/CA baseline of Fig. 10 in place of BLE (the zero value).
+const LinkDot15d4 = exp.LinkDot15d4
+
 // ParseRouting maps a flag value ("static" or "dynamic") to a RoutingMode.
 func ParseRouting(name string) (RoutingMode, error) { return exp.ParseRouting(name) }
 
@@ -312,7 +316,12 @@ const (
 )
 
 // AttachFaults schedules a fault plan against a network's simulation clock;
-// event times are relative to the current moment.
+// event times are relative to the current moment. It refuses an 802.15.4
+// network: its MAC has no stop path, so crashing or restarting one of its
+// nodes is not modelled.
 func AttachFaults(nw *Network, p *FaultPlan) (*FaultInjector, error) {
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return nil, fmt.Errorf("blemesh: fault plans need BLE nodes; the network runs IEEE 802.15.4")
+	}
 	return fault.Attach(nw.Sim, nw, p)
 }

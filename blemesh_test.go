@@ -81,3 +81,18 @@ func TestBuildNetworkFacade(t *testing.T) {
 		t.Fatalf("PDR %.4f", nw.CoAPPDR().Rate())
 	}
 }
+
+// TestAttachFaultsRefusesDot15d4: a fault plan against an 802.15.4 network
+// is an error, not a panic at its first crash: the MAC has no stop path.
+func TestAttachFaultsRefusesDot15d4(t *testing.T) {
+	nw := BuildNetwork(NetworkConfig{Seed: 5, Topology: Tree(), LinkLayer: LinkDot15d4})
+	plan := &FaultPlan{Events: []FaultEvent{{At: Second, Kind: FaultReboot, Node: 2}}}
+	if inj, err := AttachFaults(nw, plan); err == nil || !strings.Contains(err.Error(), "802.15.4") {
+		t.Fatalf("AttachFaults = %v, %v; want an error naming IEEE 802.15.4", inj, err)
+	}
+	nw.StartTraffic(TrafficConfig{})
+	nw.Run(10 * Second)
+	if nw.CoAPPDR().Sent == 0 {
+		t.Fatal("the network sent nothing after the refused plan")
+	}
+}

@@ -5,6 +5,7 @@ import (
 
 	"blemesh/internal/ble"
 	"blemesh/internal/coap"
+	"blemesh/internal/dot15d4"
 	"blemesh/internal/ip6"
 	"blemesh/internal/phy"
 	"blemesh/internal/rpl"
@@ -22,7 +23,8 @@ type NodeConfig struct {
 	MAC uint64
 	// ClockPPM is the node's actual sleep-clock frequency error.
 	ClockPPM float64
-	// SCA is the declared sleep-clock accuracy (must bound ClockPPM).
+	// SCA is the declared sleep-clock accuracy (must bound ClockPPM; 0:
+	// the controller's 50 ppm).
 	SCA float64
 	// Statconn configures the connection manager (intervals, policy).
 	Statconn statconn.Config
@@ -55,6 +57,10 @@ type Node struct {
 	Coap     *coap.Endpoint
 	// RPL is the node's dynamic-routing instance; nil on static nodes.
 	RPL *rpl.Instance
+	// MAC and Adapter are an 802.15.4 node's (NewDot15d4Node), whose Clock,
+	// Ctrl, Statconn and NetIf are nil; both are nil on a BLE node.
+	MAC     *dot15d4.MAC
+	Adapter *dot15d4.NetIf
 
 	running bool
 	prov    provisioned
@@ -71,13 +77,9 @@ type provisioned struct {
 // NewNode builds a node on the given medium. The construction order fixes
 // the order of RNG draws, so it is part of the simulator's output.
 func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
-	sca := cfg.SCA
-	if sca == 0 {
-		sca = 50
-	}
 	ctrlCfg := ble.ControllerConfig{
 		Addr:                  ble.DevAddr(cfg.MAC),
-		SCA:                   sca,
+		SCA:                   cfg.SCA,
 		Arbitration:           cfg.Arbitration,
 		DisableWindowWidening: cfg.DisableWindowWidening,
 	}
@@ -122,6 +124,20 @@ func NewNode(s *sim.Sim, medium *phy.Medium, cfg NodeConfig) *Node {
 	}
 	mgr.OnLink = (*nodeLinks)(n)
 	return n
+}
+
+// NewDot15d4Node builds the m3 node of Fig. 10: a CSMA/CA MAC and its 6LoWPAN
+// adapter under the IPv6 stack and CoAP endpoint a BLE node gets, traced the
+// same way. The construction order fixes the RNG draws.
+func NewDot15d4Node(s *sim.Sim, medium *phy.Medium, name string, mac uint64, tr *trace.Log) *Node {
+	m := dot15d4.NewMAC(s, medium, mac)
+	stack := ip6.NewStack(s, mac)
+	adapter := dot15d4.NewNetIf(stack, m)
+	stack.SetTrace(tr, name)
+	ep := coap.NewEndpoint(s, stack)
+	ep.SetTrace(tr, name)
+	return &Node{Name: name, Sim: s, Radio: m.Radio(), MAC: m, Adapter: adapter,
+		Stack: stack, Coap: ep, running: true}
 }
 
 // nodeLinks is the node as its statconn manager's LinkHandler: a link that
@@ -217,6 +233,9 @@ func (n *Node) Running() bool { return n.running }
 // pending CoAP exchanges vanish. Cumulative statistics survive: they model
 // the experiment's observer, not the device's RAM.
 func (n *Node) Stop() {
+	if n.MAC != nil {
+		panic("core: Stop on IEEE 802.15.4 node " + n.Name + ": its MAC has no stop path")
+	}
 	if !n.running {
 		return
 	}
@@ -240,6 +259,9 @@ func (n *Node) Stop() {
 // are reinstalled and statconn re-declares the node's static links, which
 // then re-establish through the normal advertise/scan machinery.
 func (n *Node) Restart() {
+	if n.MAC != nil {
+		panic("core: Restart on IEEE 802.15.4 node " + n.Name + ": its crash is not modelled")
+	}
 	if n.running {
 		return
 	}

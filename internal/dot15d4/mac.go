@@ -102,9 +102,11 @@ type MACStats struct {
 	QueueDrops uint64
 }
 
-// RxFunc delivers a received data frame's payload along with the
-// provenance ID of the IP packet it carries (0 when untagged).
-type RxFunc func(src uint64, payload []byte, pid uint64)
+// Receiver takes a received data frame's payload along with the provenance
+// ID of the IP packet it carries (0 when untagged); NetIf is one.
+type Receiver interface {
+	Receive(src uint64, payload []byte, pid uint64)
+}
 
 // MAC is one node's 802.15.4 medium-access controller. The receiver idles
 // in RX permanently (the m3 nodes do idle listening; the paper's energy
@@ -130,7 +132,7 @@ type MAC struct {
 	ack *Frame
 
 	stats MACStats
-	onRx  RxFunc
+	rx    Receiver
 }
 
 // The MAC's events. Each type is MAC itself under another name, so
@@ -172,11 +174,14 @@ func NewMAC(s *sim.Sim, medium *phy.Medium, addr uint64) *MAC {
 // Addr returns the MAC's link-layer address.
 func (m *MAC) Addr() uint64 { return m.addr }
 
+// Radio returns the MAC's transceiver on the shared medium.
+func (m *MAC) Radio() *phy.Radio { return m.radio }
+
 // Stats returns a copy of the MAC counters.
 func (m *MAC) Stats() MACStats { return m.stats }
 
 // SetReceiver installs the payload upcall.
-func (m *MAC) SetReceiver(fn RxFunc) { m.onRx = fn }
+func (m *MAC) SetReceiver(r Receiver) { m.rx = r }
 
 // SendBuf queues the payload in b toward dst (BroadcastAddr for broadcast).
 // The frame transmits straight out of b, and the MAC puts b when the frame
@@ -335,11 +340,11 @@ func (m *MAC) receive(pkt phy.Packet, _ phy.Channel, ok bool) {
 		m.ack = &Frame{Ack: true, Seq: f.Seq, Src: m.addr, Dst: f.Src}
 		m.s.Schedule(m.s.Now()+TurnaroundTime, (*macTurnaround)(m))
 	}
-	if m.onRx != nil {
+	if m.rx != nil {
 		// The payload is handed up as a view: receivers copy what they
 		// keep (the netif copies into a pooled buffer) before the sender
 		// reuses the backing storage, which cannot happen within this
 		// event — PHY delivery runs before the sender's TX completion.
-		m.onRx(f.Src, f.Payload, f.PID)
+		m.rx.Receive(f.Src, f.Payload, f.PID)
 	}
 }

@@ -1,11 +1,8 @@
 package dot15d4
 
 import (
-	"blemesh/internal/coap"
 	"blemesh/internal/ip6"
-	"blemesh/internal/phy"
 	"blemesh/internal/pktbuf"
-	"blemesh/internal/sim"
 	"blemesh/internal/sixlo"
 )
 
@@ -36,7 +33,7 @@ func NewNetIf(stack *ip6.Stack, mac *MAC) *NetIf {
 		mac:   mac,
 		ctxs:  sixlo.DefaultContexts,
 	}
-	mac.SetReceiver(n.input)
+	mac.SetReceiver(n)
 	stack.AddInterface(n)
 	return n
 }
@@ -79,8 +76,9 @@ func (n *NetIf) Output(mac uint64, pkt *pktbuf.Buf, pid uint64) bool {
 	return true
 }
 
-// input decompresses a received frame in a pooled copy and delivers it.
-func (n *NetIf) input(src uint64, frame []byte, pid uint64) {
+// Receive implements Receiver: it decompresses a received frame in a pooled
+// copy and delivers it to the stack.
+func (n *NetIf) Receive(src uint64, frame []byte, pid uint64) {
 	b := pktbuf.FromBytes(frame)
 	if err := sixlo.DecompressBuf(b, src, n.mac.Addr(), n.ctxs); err != nil {
 		n.stats.DecompressErr++
@@ -89,32 +87,4 @@ func (n *NetIf) input(src uint64, frame []byte, pid uint64) {
 	}
 	n.stats.RXPackets++
 	n.stack.InputBuf(b, pid)
-}
-
-// Node is a complete 802.15.4 node: MAC, IP stack, CoAP endpoint — the m3
-// node equivalent used by the Fig. 10 comparison.
-type Node struct {
-	Name  string
-	Sim   *sim.Sim
-	MAC   *MAC
-	NetIf *NetIf
-	Stack *ip6.Stack
-	Coap  *coap.Endpoint
-}
-
-// NewNode assembles an 802.15.4 node on the medium.
-func NewNode(s *sim.Sim, medium *phy.Medium, name string, addr uint64) *Node {
-	mac := NewMAC(s, medium, addr)
-	stack := ip6.NewStack(s, addr)
-	netif := NewNetIf(stack, mac)
-	ep := coap.NewEndpoint(s, stack)
-	return &Node{Name: name, Sim: s, MAC: mac, NetIf: netif, Stack: stack, Coap: ep}
-}
-
-// Addr returns the node's mesh address.
-func (n *Node) Addr() ip6.Addr { return n.Stack.GlobalAddr() }
-
-// AddHostRoute installs a host route to dst via nextHop.
-func (n *Node) AddHostRoute(dst, nextHop *Node) {
-	_ = n.Stack.AddRoute(ip6.Route{Dst: dst.Addr(), PrefixLen: 128, NextHop: nextHop.Addr()})
 }

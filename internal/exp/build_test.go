@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"blemesh/internal/ble"
+	"blemesh/internal/phy"
 	"blemesh/internal/sim"
 	"blemesh/internal/statconn"
 	"blemesh/internal/testbed"
@@ -88,6 +90,30 @@ func TestSparseRoutesRequireStaticRouting(t *testing.T) {
 		{"clock override on a tree node", NetworkConfig{PPMOverride: map[int]float64{1: -250, 15: 250}}, ""},
 		{"clock override on no node", NetworkConfig{PPMOverride: map[int]float64{1: -250, 99: 250, 16: 3}}, "PPMOverride names node 16"},
 		{"clock override off a given topology", NetworkConfig{Topology: testbed.Mesh(), PPMOverride: map[int]float64{16: 1}}, "PPMOverride names node 16, which topology mesh"},
+		{"negative clock bound", NetworkConfig{MaxPPM: -3}, "MaxPPM = -3"},
+		{"NaN clock bound", NetworkConfig{MaxPPM: nan}, "MaxPPM = NaN"},
+		{"negative SCA", NetworkConfig{SCA: -50}, "SCA = -50"},
+		{"NaN SCA", NetworkConfig{SCA: nan}, "SCA = NaN"},
+		{"SCA below the clock bound", NetworkConfig{MaxPPM: 60, SCA: 50}, ""},
+		{"default burst", NetworkConfig{Burst: &phy.BurstParams{}}, ""},
+		{"negative good dwell", NetworkConfig{Burst: &phy.BurstParams{MeanGood: -sim.Second}}, "Burst dwell means -1"},
+		{"negative bad dwell", NetworkConfig{Burst: &phy.BurstParams{MeanBad: -sim.Millisecond}}, "Burst dwell means"},
+		{"good PER below zero", NetworkConfig{Burst: &phy.BurstParams{PERGood: -0.1}}, "Burst PERs -0.1 good"},
+		{"good PER above one", NetworkConfig{Burst: &phy.BurstParams{PERGood: 1.5}}, "Burst PERs 1.5 good"},
+		{"NaN good PER", NetworkConfig{Burst: &phy.BurstParams{PERGood: nan}}, "Burst PERs NaN good"},
+		{"bad PER below zero", NetworkConfig{Burst: &phy.BurstParams{PERBad: -0.9}}, "-0.9 bad"},
+		{"bad PER above one", NetworkConfig{Burst: &phy.BurstParams{PERBad: 2}}, "2 bad"},
+		{"NaN bad PER", NetworkConfig{Burst: &phy.BurstParams{PERBad: nan}}, "NaN bad"},
+		{"802.15.4", NetworkConfig{LinkLayer: LinkDot15d4, NoisePER: -1, Burst: &phy.BurstParams{}, Lean: true, SparseRoutes: true}, ""},
+		{"unknown link layer", NetworkConfig{LinkLayer: LinkDot15d4 + 1}, "LinkLayer = 2"},
+		{"802.15.4 with a policy", NetworkConfig{LinkLayer: LinkDot15d4, Policy: statconn.Static{Interval: 75 * sim.Millisecond}}, "Policy is a BLE setting"},
+		{"802.15.4 with a clock bound", NetworkConfig{LinkLayer: LinkDot15d4, MaxPPM: 3}, "MaxPPM is a BLE setting"},
+		{"802.15.4 with an SCA", NetworkConfig{LinkLayer: LinkDot15d4, SCA: 50}, "SCA is a BLE setting"},
+		{"802.15.4 with a clock override", NetworkConfig{LinkLayer: LinkDot15d4, PPMOverride: map[int]float64{1: 3}}, "PPMOverride is a BLE setting"},
+		{"802.15.4 with an arbitration", NetworkConfig{LinkLayer: LinkDot15d4, Arbitration: ble.ArbitrateAlternate}, "Arbitration is a BLE setting"},
+		{"802.15.4 without widening", NetworkConfig{LinkLayer: LinkDot15d4, DisableWindowWidening: true}, "DisableWindowWidening is a BLE setting"},
+		{"802.15.4 with channel 22 jammed", NetworkConfig{LinkLayer: LinkDot15d4, JamChannel22: true}, "JamChannel22 is a BLE setting"},
+		{"802.15.4 with RPL", NetworkConfig{LinkLayer: LinkDot15d4, Routing: RoutingDynamic}, "Routing = RoutingDynamic"},
 	} {
 		err := tc.cfg.Validate()
 		switch {
@@ -302,6 +328,104 @@ func TestPDRSeriesIsNetworkWide(t *testing.T) {
 			sent1 = pdr.Sent
 		} else if pdr.Sent < 3*sent1 {
 			t.Fatalf("%d sites sent %d requests, one site %d: not every site records", sites, pdr.Sent, sent1)
+		}
+	}
+}
+
+// TestDot15d4NetworkSurface builds the paper tree on IEEE 802.15.4 and calls
+// every exported Network method and Registry.Gather. A method with an empty
+// value returns it, since there is no link to form, lose or meter. CrashNode,
+// RestartNode and StartMeter have no empty value, so they panic with a
+// message that names the link layer, never with a nil dereference. A method
+// added to Network without a row here fails the test.
+func TestDot15d4NetworkSurface(t *testing.T) {
+	nw := BuildNetwork(NetworkConfig{Seed: 1, LinkLayer: LinkDot15d4})
+	const leaf = 15
+	// In order: the network forms, carries traffic, then is read.
+	calls := []struct {
+		name string
+		call func() any
+	}{
+		{"WaitTopology", func() any { return nw.WaitTopology(sim.Second) }},
+		{"WaitConverged", func() any { return nw.WaitConverged(sim.Second) }},
+		{"Converged", func() any { return nw.Converged() }},
+		{"NodeLinksUp", func() any { return nw.NodeLinksUp(leaf) }},
+		{"StartTraffic", func() any { nw.StartTraffic(TrafficConfig{}); return nil }},
+		{"Run", func() any { nw.Run(30 * sim.Second); return nil }},
+		{"Now", func() any { return nw.Now() }},
+		{"Processed", func() any { return nw.Processed() }},
+		{"Consumer", func() any { return nw.Consumer().Name }},
+		{"Node", func() any { return nw.Node(leaf).Name }},
+		{"NodeCount", func() any { return nw.NodeCount() }},
+		{"CoAPPDR", func() any { return nw.CoAPPDR() }},
+		{"MergedRTTs", func() any { return nw.MergedRTTs().N() }},
+		{"MergedSeries", func() any { return nw.MergedSeries().Overall() }},
+		{"ConnLosses", func() any { return nw.ConnLosses() }},
+		{"IntervalRejects", func() any { return nw.IntervalRejects() }},
+		{"LLPDR", func() any { return nw.LLPDR() }},
+		{"BufferDrops", func() any { return nw.BufferDrops() }},
+		{"CoAPGiveUps", func() any { return nw.CoAPGiveUps() }},
+		{"ReconnectLatencies", func() any { return nw.ReconnectLatencies().N() }},
+		{"UpstreamConn", func() any { return nw.UpstreamConn(leaf) == nil }},
+		{"Journeys", func() any { return len(nw.Journeys()) }},
+		{"StreamErr", func() any { return nw.StreamErr() }},
+		{"CrashNode", func() any { nw.CrashNode(leaf); return nil }},
+		{"RestartNode", func() any { nw.RestartNode(leaf); return nil }},
+		{"StartMeter", func() any { return nw.StartMeter(leaf) }},
+	}
+	rows := map[string]bool{}
+	for _, c := range calls {
+		rows[c.name] = true
+	}
+	typ := reflect.TypeOf(nw)
+	for i := 0; i < typ.NumMethod(); i++ {
+		if name := typ.Method(i).Name; !rows[name] {
+			t.Errorf("Network.%s has no row in this test", name)
+		}
+	}
+	panics := map[string]bool{"CrashNode": true, "RestartNode": true, "StartMeter": true}
+	got := map[string]any{}
+	for _, c := range calls {
+		func() {
+			defer func() {
+				r := recover()
+				switch msg := fmt.Sprint(r); {
+				case panics[c.name] && !strings.Contains(msg, "802.15.4"):
+					t.Errorf("%s: panic %q, want one that names IEEE 802.15.4", c.name, msg)
+				case !panics[c.name] && r != nil:
+					t.Errorf("%s panicked: %v", c.name, r)
+				}
+			}()
+			got[c.name] = c.call()
+		}()
+	}
+	for name, want := range map[string]any{
+		"WaitTopology": true, "WaitConverged": true, "Converged": true, "NodeLinksUp": true,
+		"Consumer": "m3-1", "Node": "m3-15", "NodeCount": 15, "ConnLosses": uint64(0),
+		"IntervalRejects": uint64(0), "ReconnectLatencies": 0, "UpstreamConn": true,
+	} {
+		if got[name] != want {
+			t.Errorf("%s = %v, want %v", name, got[name], want)
+		}
+	}
+	if pdr := nw.CoAPPDR(); pdr.Sent == 0 || pdr.Delivered == 0 {
+		t.Errorf("CoAPPDR = %+v: the workload did not run", pdr)
+	}
+	if ll := nw.LLPDR(); !(ll > 0 && ll < 1) {
+		t.Errorf("LLPDR = %v, want the MACs' first-try share, strictly inside (0, 1)", ll)
+	}
+	names := map[string]bool{}
+	for _, smp := range nw.Registry.Gather() {
+		names[smp.Name] = true
+	}
+	for _, want := range []string{"m3-15.coap", "m3-15.ip6", "net.coap_pdr", "net.ll_pdr", "net.rtt_seconds"} {
+		if !names[want] {
+			t.Errorf("Registry.Gather has no %s samples", want)
+		}
+	}
+	for _, bleOnly := range []string{"m3-15.statconn", "m3-15.netif"} {
+		if names[bleOnly] {
+			t.Errorf("Registry.Gather has %s samples on an 802.15.4 network", bleOnly)
 		}
 	}
 }

@@ -49,6 +49,7 @@ type goldenCase struct {
 // before, then (with reboots) reboot one node every 2 s and run after. It
 // exports the trace NDJSON, the registry NDJSON, then its metrics stream.
 type goldenNet struct {
+	link     LinkLayer // BLE runs the static 75 ms policy with channel 22 jammed
 	topo     func(seed int64) testbed.Topology
 	minSites int  // the fixture must have at least this many RF sites
 	mustForm bool // a network that does not form (or converge) fails
@@ -150,6 +151,10 @@ var goldenCases = []goldenCase{
 	// Many small sites, for eight lanes to race over in the build.
 	{"geo-sites", seedsTo(16), &goldenNet{topo: geoTopo(120, 400, 20), minSites: 4,
 		traffic: paperTraffic, before: 20 * sim.Second}, nil},
+	// The tree on IEEE 802.15.4, traced, with the BLE runs' default noise
+	// (fig10's 802.15.4 run is untraced and noiseless).
+	{"dot-tree", seedsTo(4), &goldenNet{link: LinkDot15d4, topo: treeTopo, mustForm: true,
+		traffic: paperTraffic, before: 20 * sim.Second}, nil},
 	// What blemesh-sweep prints for 2 producers × 2 intervals × 2 runs.
 	{"sweep", []int64{7}, nil, func(o Options) (string, error) {
 		o.Scale, o.Runs = 0.02, 2
@@ -164,7 +169,6 @@ var goldenCases = []goldenCase{
 	{"density", []int64{7}, nil, reportText(runDensity, 0.01)},
 	{"fig7", []int64{2, 4}, nil, reportText(runFig7, 0.04)},
 	{"churn", []int64{2}, nil, reportText(runChurn, 0.04)},
-	// The 802.15.4 twin: no other case runs dot15d4.
 	{"fig10", []int64{3, 5}, nil, reportText(runFig10, 0.01)},
 	// The §6.3 renegotiation ablation: no other case sends a Connection
 	// Parameters Request. Seed 3 accepts every request, seed 4 rejects one.
@@ -216,9 +220,11 @@ func goldenRun(c goldenCase, seed int64, p goldenPass, w io.Writer) (st goldenSt
 	if n := len(topo.Sites()); n < g.minSites {
 		return st, fmt.Errorf("the fixture has %d sites, want at least %d", n, g.minSites)
 	}
-	cfg := NetworkConfig{Seed: seed, Shards: p.lanes, Topology: topo,
-		Policy: statconn.Static{Interval: 75 * sim.Millisecond}, JamChannel22: true,
+	cfg := NetworkConfig{Seed: seed, Shards: p.lanes, Topology: topo, LinkLayer: g.link,
 		Trace: true, TraceCapacity: 1 << 18, TraceSample: g.sample}
+	if g.link == LinkBLE {
+		cfg.Policy, cfg.JamChannel22 = statconn.Static{Interval: 75 * sim.Millisecond}, true
+	}
 	if g.random {
 		cfg.Policy = statconn.Random{Min: 65 * sim.Millisecond, Max: 85 * sim.Millisecond}
 	}
@@ -236,7 +242,7 @@ func goldenRun(c goldenCase, seed int64, p goldenPass, w io.Writer) (st goldenSt
 	// Switched before any radio has transmitted, so the whole run takes the
 	// pinned path.
 	for _, n := range nw.Nodes {
-		if n != nil {
+		if n != nil && n.Ctrl != nil {
 			n.Ctrl.SetEventByEvent(p.ref == "event-by-event")
 		}
 	}
@@ -316,7 +322,7 @@ func goldenRun(c goldenCase, seed int64, p goldenPass, w io.Writer) (st goldenSt
 	bw.WriteString(out)
 	var fused, events uint64
 	for _, n := range nw.Nodes {
-		if n != nil {
+		if n != nil && n.Ctrl != nil {
 			ev := n.Ctrl.Events()
 			fused, events = fused+ev.IdleFused, events+ev.ConnEvents
 		}
@@ -459,11 +465,12 @@ func TestSweepByteIdenticalAcrossWorkers(t *testing.T) {
 
 // TestEngineEquivalence: the heap event queue, the reference for the timer
 // wheel, over 16 seeds of the paper tree and of the tree with a router
-// rebooted under traffic. The wheel may be faster, but it must never
-// reorder events.
+// rebooted under traffic, and the four seeds of the tree on 802.15.4. The
+// wheel may be faster, but it must never reorder events.
 func TestEngineEquivalence(t *testing.T) {
 	t.Parallel()
 	goldenSubtests(t, [][2]string{{"dense-tree", "tree"}, {"churn", "tree-churn"}}, seedsTo(16), reference("heap", 0))
+	goldenSubtests(t, [][2]string{{"dot-tree", "dot-tree"}}, seedsTo(4), reference("heap", 0))
 }
 
 // TestObservationDoesNotPerturbTheRun: a run whose registry is gathered at
@@ -520,10 +527,12 @@ func TestFusedIdleEquivalence(t *testing.T) {
 }
 
 // TestPoolingByteIdentity: the pooled packet path against allocation per
-// packet, eight seeds of the tree workloads. Not parallel: its pass flips
-// pktbuf's process-wide pooling switch.
+// packet, eight seeds of the tree workloads and the four of the tree on
+// 802.15.4. Not parallel: its pass flips pktbuf's process-wide pooling
+// switch.
 func TestPoolingByteIdentity(t *testing.T) {
 	goldenSubtests(t, [][2]string{{"dense-tree", "tree"}, {"churn", "tree-churn"}}, seedsTo(8), reference("unpooled", 0))
+	goldenSubtests(t, [][2]string{{"dot-tree", "dot-tree"}}, seedsTo(4), reference("unpooled", 0))
 }
 
 // TestSpatialIndexEquivalence: the PHY's receive-list scan against the

@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: it assembles the paper's testbed
-// networks (BLE and IEEE 802.15.4), drives the producer/consumer CoAP
-// workload of §4.3, collects the paper's metrics (CoAP PDR, link-layer PDR,
-// RTT distributions, connection losses, energy), and exposes one runnable
-// experiment per table and figure of the evaluation.
+// networks (BLE or IEEE 802.15.4, one builder), drives the producer/consumer
+// CoAP workload of §4.3, collects the paper's metrics (CoAP PDR, link-layer
+// PDR, RTT distributions, connection losses, energy), and exposes one
+// runnable experiment per table and figure of the evaluation.
 package exp
 
 import (
@@ -59,10 +59,22 @@ func ParseRouting(s string) (RoutingMode, error) {
 	return RoutingStatic, fmt.Errorf("unknown routing mode %q (static|dynamic)", s)
 }
 
-// NetworkConfig parameterises a BLE testbed network.
+// LinkLayer selects every node's link layer: the paper's BLE, or Fig. 10's
+// baseline, the IEEE 802.15.4 CSMA/CA MAC of internal/dot15d4.
+type LinkLayer uint8
+
+const (
+	LinkBLE LinkLayer = iota
+	LinkDot15d4
+)
+
+// NetworkConfig parameterises a testbed network.
 type NetworkConfig struct {
 	Seed     int64
 	Topology testbed.Topology
+	// LinkLayer is BLE (the zero value) or LinkDot15d4, whose nodes form one
+	// PAN with no link to wait for; Validate refuses the BLE-only fields.
+	LinkLayer LinkLayer
 	// Engine selects the sim event-queue engine backing the run: the timer
 	// wheel, or the heap reference the equivalence suites compare it against
 	// (no CLI or experiment option reaches this field). It is a config field,
@@ -141,21 +153,17 @@ type NetworkConfig struct {
 	Shards int
 }
 
+// defaults fills what no lower layer defaults: statconn picks the 75 ms
+// static policy for a nil Policy, and the controller a 50 ppm SCA for 0.
 func (c *NetworkConfig) defaults() {
 	if c.Topology.Name == "" {
 		c.Topology = testbed.Tree()
 	}
-	if c.Policy == nil {
-		c.Policy = statconn.Static{Interval: 75 * sim.Millisecond}
-	}
-	if c.MaxPPM == 0 {
-		c.MaxPPM = 3
-	}
-	if c.SCA == 0 {
-		c.SCA = 50
-	}
 	if c.NoisePER == 0 {
 		c.NoisePER = 0.005
+	}
+	if c.MaxPPM == 0 && c.LinkLayer == LinkBLE {
+		c.MaxPPM = 3
 	}
 }
 
@@ -163,6 +171,7 @@ func (c *NetworkConfig) defaults() {
 // on the flag-filled config and exit with its message; BuildNetwork panics
 // with it for library callers.
 func (c NetworkConfig) Validate() error {
+	c.defaults()
 	switch {
 	case c.Routing == RoutingDynamic && c.SparseRoutes:
 		return errors.New("SparseRoutes requires RoutingStatic: sparse provisioning " +
@@ -181,20 +190,40 @@ func (c NetworkConfig) Validate() error {
 		return fmt.Errorf("StreamEvery = %v, want ≥ 0 (0: every 60 s)", c.StreamEvery)
 	case c.SeriesBucket < 0:
 		return fmt.Errorf("SeriesBucket = %v, want ≥ 0 (0: 60 s)", c.SeriesBucket)
+	case c.MaxPPM < 0 || math.IsNaN(c.MaxPPM):
+		return fmt.Errorf("MaxPPM = %v, want ≥ 0 (0: 3 ppm)", c.MaxPPM)
+	case c.SCA < 0 || math.IsNaN(c.SCA):
+		return fmt.Errorf("SCA = %v, want ≥ 0 (0: 50 ppm)", c.SCA)
+	case c.LinkLayer > LinkDot15d4:
+		return fmt.Errorf("LinkLayer = %d, want LinkBLE or LinkDot15d4", c.LinkLayer)
+	case c.Burst != nil && (c.Burst.MeanGood < 0 || c.Burst.MeanBad < 0):
+		return fmt.Errorf("Burst dwell means %v good, %v bad, want ≥ 0 (0: 2 s, 200 ms)", c.Burst.MeanGood, c.Burst.MeanBad)
+	case c.Burst != nil && !(c.Burst.PERGood >= 0 && c.Burst.PERGood <= 1 && c.Burst.PERBad >= 0 && c.Burst.PERBad <= 1):
+		return fmt.Errorf("Burst PERs %v good, %v bad, want each in [0, 1]", c.Burst.PERGood, c.Burst.PERBad)
+	}
+	if c.LinkLayer == LinkDot15d4 { // refuse what an 802.15.4 build would ignore without a word
+		for _, f := range []struct {
+			set  bool
+			name string
+		}{{c.Policy != nil, "Policy"}, {c.MaxPPM != 0, "MaxPPM"}, {c.SCA != 0, "SCA"},
+			{len(c.PPMOverride) > 0, "PPMOverride"}, {c.Arbitration != ble.ArbitrateSkip, "Arbitration"},
+			{c.DisableWindowWidening, "DisableWindowWidening"}, {c.JamChannel22, "JamChannel22"},
+			{c.Routing == RoutingDynamic, "Routing = RoutingDynamic (RPL's metric is statconn's ETX)"}} {
+			if f.set {
+				return fmt.Errorf("%s is a BLE setting, and LinkLayer is LinkDot15d4", f.name)
+			}
+		}
+		return nil
 	}
 	if len(c.PPMOverride) > 0 {
-		topo := c.Topology
-		if topo.Name == "" {
-			topo = testbed.Tree()
-		}
-		nodes, bad := topo.Nodes(), []int(nil)
+		nodes, bad := c.Topology.Nodes(), []int(nil)
 		for id := range c.PPMOverride {
 			if _, ok := slices.BinarySearch(nodes, id); !ok {
 				bad = append(bad, id)
 			}
 		}
 		if len(bad) > 0 {
-			return fmt.Errorf("PPMOverride names node %d, which topology %s does not have", slices.Min(bad), topo.Name)
+			return fmt.Errorf("PPMOverride names node %d, which topology %s does not have", slices.Min(bad), c.Topology.Name)
 		}
 	}
 	return statconn.Config{Policy: c.Policy}.Validate()
@@ -271,7 +300,7 @@ func (t *TrafficConfig) defaults() {
 	}
 }
 
-// Network is an assembled BLE testbed network with live metric collection.
+// Network is an assembled testbed network with live metric collection.
 type Network struct {
 	// Sim is the run's scheduling surface for external code (fault plans,
 	// streaming ticks, samplers): the one simulation of a single-site
@@ -291,8 +320,7 @@ type Network struct {
 	// loops must skip them; NodeCount is the built-node count.
 	Nodes []*core.Node
 
-	consumerID int
-	nodeCount  int
+	nodeCount int
 
 	// Site decomposition: sites are the topology's connected components;
 	// consumers holds one traffic sink per site (aligned with sites).
@@ -338,7 +366,8 @@ type netBuild struct {
 	routeBuf   []ip6.Route
 }
 
-// BuildNetwork assembles the BLE network for cfg.
+// BuildNetwork assembles the network for cfg, on BLE or on IEEE 802.15.4
+// (cfg.LinkLayer).
 //
 // Each site of the topology (connected component — an RF-closure domain
 // with effectively infinite lookahead to every other site) gets its own
@@ -372,15 +401,14 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 		}
 	}
 	nw := &Network{
-		Cfg:        cfg,
-		Nodes:      make([]*core.Node, b.maxID+1),
-		consumerID: cfg.Topology.Consumer,
-		nodeCount:  len(b.ids),
-		sites:      sites,
-		siteOf:     make([]int, b.maxID+1),
-		consumers:  cfg.Topology.SiteConsumers(),
-		PerProd:    metrics.NewHeatmap(60 * sim.Second),
-		Registry:   metrics.NewRegistry(),
+		Cfg:       cfg,
+		Nodes:     make([]*core.Node, b.maxID+1),
+		nodeCount: len(b.ids),
+		sites:     sites,
+		siteOf:    make([]int, b.maxID+1),
+		consumers: cfg.Topology.SiteConsumers(),
+		PerProd:   metrics.NewHeatmap(60 * sim.Second),
+		Registry:  metrics.NewRegistry(),
 	}
 	b.nw = nw
 	for si, site := range sites {
@@ -401,16 +429,20 @@ func planNetwork(cfg NetworkConfig) *netBuild {
 		nw.Sim = sh.Global()
 	}
 
-	b.chanMap = ble.AllDataChannels
-	if cfg.JamChannel22 {
-		b.chanMap = b.chanMap.WithoutChannel(22)
-	}
-	b.ppm = testbed.ClockPPM(cfg.Seed, b.ids, cfg.MaxPPM)
-	for id, v := range cfg.PPMOverride {
-		b.ppm[id] = v
+	descs := testbed.M3Nodes
+	if cfg.LinkLayer == LinkBLE {
+		b.chanMap = ble.AllDataChannels
+		if cfg.JamChannel22 {
+			b.chanMap = b.chanMap.WithoutChannel(22)
+		}
+		b.ppm = testbed.ClockPPM(cfg.Seed, b.ids, cfg.MaxPPM)
+		for id, v := range cfg.PPMOverride {
+			b.ppm[id] = v
+		}
+		descs = testbed.BLENodes
 	}
 	b.names = make(map[int]string)
-	for _, d := range testbed.BLENodes() {
+	for _, d := range descs() {
 		b.names[d.ID] = d.Name
 	}
 	b.newTrace()
@@ -583,19 +615,21 @@ func (b *netBuild) fill() {
 // every build has used: nodes in id order, inbound slots in id order
 // (subordinates advertise), links in declaration order (coordinators
 // connect), routes. Map iteration order anywhere here would consume the RNG
-// nondeterministically.
+// nondeterministically. An 802.15.4 PAN skips the two link phases.
 func (b *netBuild) fillGroup(ids []int, links []testbed.Link, subCount map[int]int) {
 	nw := b.nw
 	for _, id := range ids {
 		b.buildNode(id)
 	}
-	for _, id := range ids {
-		if k := subCount[id]; k > 0 {
-			nw.Nodes[id].AcceptInbound(k)
+	if b.cfg.LinkLayer == LinkBLE {
+		for _, id := range ids {
+			if k := subCount[id]; k > 0 {
+				nw.Nodes[id].AcceptInbound(k)
+			}
 		}
-	}
-	for _, l := range links {
-		nw.Nodes[l.Coordinator].ConnectTo(nw.Nodes[l.Subordinate])
+		for _, l := range links {
+			nw.Nodes[l.Coordinator].ConnectTo(nw.Nodes[l.Subordinate])
+		}
 	}
 	b.installRoutes(ids)
 }
@@ -603,24 +637,31 @@ func (b *netBuild) fillGroup(ids []int, links []testbed.Link, subCount map[int]i
 func (b *netBuild) buildNode(id int) {
 	cfg, nw := b.cfg, b.nw
 	site := nw.siteOf[id]
+	s, medium := nw.sched.Shard(site), nw.Media[site]
 	var routing *rpl.Config
 	if cfg.Routing == RoutingDynamic {
 		routing = &rpl.Config{Root: id == cfg.Topology.Consumer}
 	}
-	n := core.NewNode(nw.sched.Shard(site), nw.Media[site], core.NodeConfig{
-		Name:     b.nodeName(id),
-		MAC:      uint64(0x5A0000000000) + uint64(id),
-		ClockPPM: b.ppm[id],
-		SCA:      cfg.SCA,
-		Statconn: statconn.Config{
-			Policy:  cfg.Policy,
-			ChanMap: b.chanMap,
-		},
-		Arbitration:           cfg.Arbitration,
-		DisableWindowWidening: cfg.DisableWindowWidening,
-		Trace:                 nw.Trace,
-		Routing:               routing,
-	})
+	var n *core.Node
+	if cfg.LinkLayer == LinkDot15d4 {
+		// An m3 board: its name and the 0x4D… MAC prefix.
+		n = core.NewDot15d4Node(s, medium, b.nodeName(id), uint64(0x4D0000000000)+uint64(id), nw.Trace)
+	} else {
+		n = core.NewNode(s, medium, core.NodeConfig{
+			Name:     b.nodeName(id),
+			MAC:      uint64(0x5A0000000000) + uint64(id),
+			ClockPPM: b.ppm[id],
+			SCA:      cfg.SCA,
+			Statconn: statconn.Config{
+				Policy:  cfg.Policy,
+				ChanMap: b.chanMap,
+			},
+			Arbitration:           cfg.Arbitration,
+			DisableWindowWidening: cfg.DisableWindowWidening,
+			Trace:                 nw.Trace,
+			Routing:               routing,
+		})
+	}
 	if p, ok := cfg.Topology.Pos[id]; ok {
 		n.Radio.SetPosition(p.X, p.Y, p.Z)
 	}
@@ -758,11 +799,14 @@ func (nw *Network) registerNodeMetrics(id int) {
 	nw.Registry.Register(coapName, func() []metrics.Sample {
 		return metrics.CounterSamples(coapName, coapEP.Stats())
 	})
-	nw.Registry.Register(netifName, func() []metrics.Sample {
-		return metrics.CounterSamples(netifName, netif.Stats())
-	})
 	nw.Registry.Register(ip6Name, func() []metrics.Sample {
 		return metrics.CounterSamples(ip6Name, stack.Stats())
+	})
+	if mgr == nil {
+		return // an 802.15.4 node: the MAC's and adapter's counters carry no metric tags
+	}
+	nw.Registry.Register(netifName, func() []metrics.Sample {
+		return metrics.CounterSamples(netifName, netif.Stats())
 	})
 	nw.Registry.Register(statconnName, func() []metrics.Sample {
 		return metrics.CounterSamples(statconnName, mgr.Stats())
@@ -810,7 +854,7 @@ func (nw *Network) Journeys() []*trace.Journey {
 }
 
 // Consumer returns the consumer node.
-func (nw *Network) Consumer() *core.Node { return nw.Nodes[nw.consumerID] }
+func (nw *Network) Consumer() *core.Node { return nw.Nodes[nw.Cfg.Topology.Consumer] }
 
 // Node returns a node by testbed ID, nil for IDs not in the network (the
 // dense table keeps the old map lookup's miss semantics).
@@ -831,6 +875,9 @@ func (nw *Network) NodeCount() int { return nw.nodeCount }
 // measured interval begins, such as right before StartTraffic.
 func (nw *Network) StartMeter(id int) *energy.Meter {
 	n := nw.Nodes[id]
+	if n.Ctrl == nil {
+		panic(fmt.Sprintf("exp: StartMeter(%d): the energy model is BLE's, and the network runs IEEE 802.15.4", id))
+	}
 	m := energy.NewMeter(energy.DefaultParams(), n.Ctrl, n.Radio)
 	m.Reset(nw.Now())
 	return m
@@ -841,18 +888,24 @@ func (nw *Network) Now() sim.Time { return nw.sched.Now() }
 
 // WaitTopology runs the simulation until every configured link is up (or
 // the deadline passes). It returns whether the topology formed.
-func (nw *Network) WaitTopology(deadline sim.Duration) bool {
+func (nw *Network) WaitTopology(deadline sim.Duration) bool { return nw.waitFor(deadline, nw.linksUp) }
+
+// waitFor runs 100 ms steps until done holds or the deadline passes.
+func (nw *Network) waitFor(deadline sim.Duration, done func() bool) bool {
 	end := nw.Now() + deadline
 	for nw.Now() < end {
-		if nw.linksUp() {
+		if done() {
 			return true
 		}
 		nw.Run(100 * sim.Millisecond)
 	}
-	return nw.linksUp()
+	return done()
 }
 
 func (nw *Network) linksUp() bool {
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return true // one PAN: no link to form
+	}
 	for _, l := range nw.Cfg.Topology.Links {
 		// Usable means the IPSP channel is open, not merely that a
 		// CONNECT_IND went out (establishment can still fail).
@@ -889,7 +942,7 @@ func (nw *Network) Converged() bool {
 	}
 	for _, id := range nw.Cfg.Topology.Nodes() {
 		n := nw.Nodes[id]
-		if id == nw.consumerID || !n.Running() {
+		if id == nw.Cfg.Topology.Consumer || !n.Running() {
 			continue
 		}
 		if n.RPL == nil || !n.RPL.Joined() {
@@ -926,16 +979,9 @@ func (nw *Network) Converged() bool {
 }
 
 // WaitConverged runs the simulation until Converged (or the deadline
-// passes), polling every 100ms; it returns whether convergence was reached.
+// passes); it returns whether convergence was reached.
 func (nw *Network) WaitConverged(deadline sim.Duration) bool {
-	end := nw.Now() + deadline
-	for nw.Now() < end {
-		if nw.Converged() {
-			return true
-		}
-		nw.Run(100 * sim.Millisecond)
-	}
-	return nw.Converged()
+	return nw.waitFor(deadline, nw.Converged)
 }
 
 // StartTraffic installs the consumer handler and schedules every producer's
@@ -948,7 +994,7 @@ func (nw *Network) StartTraffic(t TrafficConfig) {
 	for _, cid := range nw.consumers {
 		nw.Nodes[cid].Coap.Handler = sink
 	}
-	tr := newTraffic(t, nw.Series)
+	tr := &traffic{TrafficConfig: t, payload: make([]byte, t.PayloadBytes), series: nw.Series}
 	for _, id := range nw.Cfg.Topology.Producers() {
 		nw.startProducer(id, tr)
 	}
@@ -995,10 +1041,6 @@ type traffic struct {
 	TrafficConfig
 	payload []byte // every request's zero payload, PayloadBytes long
 	series  *metrics.TimeSeries
-}
-
-func newTraffic(t TrafficConfig, series *metrics.TimeSeries) *traffic {
-	return &traffic{TrafficConfig: t, payload: make([]byte, t.PayloadBytes), series: series}
 }
 
 // producer is one node's CoAP send loop and its own sim.Handler, so a
@@ -1099,12 +1141,18 @@ func (nw *Network) ConnLosses() uint64 {
 }
 
 func (nw *Network) rawConnLosses() uint64 {
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return 0 // no connection to lose
+	}
 	return nw.sumNodes(func(n *core.Node) uint64 { return n.Statconn.Stats().LinkLosses })
 }
 
 // IntervalRejects returns how many colliding-interval connections were
 // rejected by subordinates (mitigation machinery activity).
 func (nw *Network) IntervalRejects() uint64 {
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return 0
+	}
 	return nw.sumNodes(func(n *core.Node) uint64 { return n.Statconn.Stats().IntervalRejects })
 }
 
@@ -1119,12 +1167,17 @@ func (nw *Network) sumNodes(count func(*core.Node) uint64) uint64 {
 	return total
 }
 
-// LLPDR returns the network-wide link-layer delivery rate: data PDUs that
-// did not need retransmission over all transmitted data PDUs.
+// LLPDR returns the network-wide link-layer delivery rate: data PDUs (on
+// 802.15.4, frames) that did not need retransmission over all sent.
 func (nw *Network) LLPDR() float64 {
 	var tx, retr uint64
 	for _, n := range nw.Nodes {
 		if n == nil {
+			continue
+		}
+		if n.MAC != nil {
+			st := n.MAC.Stats()
+			tx, retr = tx+st.TXFrames, retr+st.Retries
 			continue
 		}
 		for _, c := range n.Ctrl.Conns() {
@@ -1142,6 +1195,9 @@ func (nw *Network) LLPDR() float64 {
 // BufferDrops sums pktbuf/queue drops across nodes (the §5.2 loss process).
 func (nw *Network) BufferDrops() uint64 {
 	return nw.sumNodes(func(n *core.Node) uint64 {
+		if n.Adapter != nil {
+			return n.Adapter.Stats().QueueDrops
+		}
 		st := n.NetIf.Stats()
 		return st.QueueDrops + st.LinkDrops
 	})
@@ -1158,6 +1214,9 @@ func (nw *Network) CoAPGiveUps() uint64 {
 // visited in ID order, so the merged result is deterministic.
 func (nw *Network) ReconnectLatencies() *metrics.CDF {
 	cdf := &metrics.CDF{}
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return cdf // no connection to re-establish
+	}
 	for _, id := range nw.Cfg.Topology.Nodes() {
 		cdf.Merge(nw.Nodes[id].Statconn.RecoveryDist())
 	}
@@ -1169,6 +1228,9 @@ func (nw *Network) ReconnectLatencies() *metrics.CDF {
 // visits id's neighbors alone: a link's coordinator is the end provisioned
 // to dial the other (ConnectTo), and the channel is judged on its side.
 func (nw *Network) NodeLinksUp(id int) bool {
+	if nw.Cfg.LinkLayer == LinkDot15d4 {
+		return true
+	}
 	n := nw.Nodes[id]
 	for _, nb := range nw.Cfg.Topology.Neighbors(id) {
 		peer := nw.Nodes[nb]
@@ -1190,18 +1252,19 @@ func channelOpen(coord, sub *core.Node) bool {
 // Network implements fault.Target, so scripted fault plans (internal/fault)
 // can be attached directly to an assembled testbed network.
 
-// CrashNode powers a node off; all volatile state drops.
+// CrashNode powers a node off; all volatile state drops. An 802.15.4 node
+// panics: its MAC has no stop path.
 func (nw *Network) CrashNode(id int) { nw.Nodes[id].Stop() }
 
 // RestartNode powers a crashed node back on from its provisioned config.
 func (nw *Network) RestartNode(id int) { nw.Nodes[id].Restart() }
 
 // UpstreamConn returns node id's connection toward its next hop to the
-// consumer (its "upstream link", the subject of Fig. 12).
+// consumer (its "upstream link", the subject of Fig. 12); nil on an 802.15.4
+// network.
 func (nw *Network) UpstreamConn(id int) *ble.Conn {
-	hops := nw.Cfg.Topology.NextHops(id)
-	parent, ok := hops[nw.consumerID]
-	if !ok {
+	parent, ok := nw.Cfg.Topology.NextHops(id)[nw.Cfg.Topology.Consumer]
+	if !ok || nw.Cfg.LinkLayer == LinkDot15d4 {
 		return nil
 	}
 	return nw.Nodes[id].Ctrl.FindConn(nw.Nodes[parent].DevAddr())

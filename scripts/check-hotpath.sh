@@ -1,6 +1,6 @@
 #!/bin/sh
 # check-hotpath.sh — ban per-packet formatting and slice-shift queue pops in
-# the datapath packages (the 802.15.4 twin's MAC among them) and the two
+# the datapath packages (the 802.15.4 MAC among them) and the two
 # layers every packet runs on (phy, sim), func values held or scheduled by the
 # protocol layers below CoAP, closures scheduled anywhere in the simulator but
 # its harness, and format-string trace calls anywhere in the simulator.
@@ -18,9 +18,10 @@
 #                 Keeps is false for the other nine);
 #   x = x[1:]     never: pop from a ring.Ring;
 #   x.OnFoo = func(...), a func-typed struct field, type T func(...)
-#                 never in ble, l2cap, gatt, core, statconn, rpl and fault:
-#                 an upcall is an interface the layer above implements with a
-#                 type it already allocates (a link, an endpoint, a manager),
+#                 never in ble, l2cap, gatt, core, statconn, rpl, fault and
+#                 dot15d4: an upcall is an interface the layer above
+#                 implements with a type it already allocates (a link, an
+#                 endpoint, a manager, the 802.15.4 adapter),
 #                 because a closure there is one more heap object per link
 #                 end or node for the garbage collector to mark. A field is
 #                 func-typed when its type mentions func( — a slice or map of
@@ -74,7 +75,7 @@ FNR == 1 { exempt = 0 }
 
 shifts=$(grep -HnE '([A-Za-z_][A-Za-z0-9_.]*) = \1\[1:\]' $files | grep -v 'hotpath:ignore' || true)
 
-LAYERS="internal/ble internal/l2cap internal/gatt internal/core internal/statconn internal/rpl internal/fault"
+LAYERS="internal/ble internal/l2cap internal/gatt internal/core internal/statconn internal/rpl internal/fault internal/dot15d4"
 upfiles=$(find $LAYERS -name '*.go' ! -name '*_test.go' | sort)
 closures=$(grep -HnE '\.On[A-Z][A-Za-z0-9]* *= .*func *\(' $upfiles | grep -v 'hotpath:ignore' || true)
 
